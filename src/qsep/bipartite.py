@@ -1,7 +1,7 @@
 """Bipartite separability criteria across the 1|23 cut.
 
 Each criterion is evaluated twice: numerically from the actual matrices
-(Jacobi spectra, Gram singular values) and through the published closed
+(LAPACK spectra and singular values) and through the published closed
 forms.  The two paths must agree in sign outside the marginality band or a
 ConsistencyError is raised.
 

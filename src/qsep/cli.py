@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import bipartite, classify, concurrence, linalg, scan, states, tripartite
-from .config import MARGINAL_BAND
+from .config import MARGINAL_BAND, psd_tol
 from .exceptions import ConsistencyError, ConvergenceError
 from .states import SimplexPoint
 from .verdict import HOLDS, MARGINAL, VIOLATED
@@ -78,6 +78,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qsep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -96,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", help="CSV output path")
     p_scan.add_argument("--svg", help="SVG map output path")
     p_scan.add_argument("--json-out", help="JSON report-array output path")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=_positive_int, default=1)
     p_scan.add_argument("--seed", type=int, default=0,
                         help="seed echoed into seed-bearing criteria (none in the fixed set)")
 
@@ -231,22 +241,23 @@ def cmd_verify(args) -> int:
         ("red1_i23", "red1_i23", states.reduction_1i23_grid(g, w)),
     )
     spect_cache = {}
+    backend_worst = 0.0
     for label, key, matrices in spect_pairs:
-        numeric = linalg.jacobi_eigh(matrices)
+        numeric = linalg.eigh(matrices)
+        backend_worst = max(
+            backend_worst, float(np.max(np.abs(numeric - linalg.jacobi_eigh(matrices))))
+        )
         spect_cache.setdefault(key, numeric)
         check(f"spectrum[{label}]", float(np.max(np.abs(numeric - closed[key]))))
+    # the production backend against the independent Jacobi reference
+    check("eigh vs Jacobi reference", backend_worst, max(tol, 1e-12))
 
-    # spin-flip product spectrum through the Hermitian similarity
-    omega = states.marginal_23_grid(g, w)
-    roots = linalg.psd_sqrt(omega)
+    # Wootters lambdas: singular values of sqrt(w) sqrt(wtilde), squared for the spectrum
+    roots = linalg.psd_sqrt(states.marginal_23_grid(g, w))
     sy2 = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
-    flipped = sy2 @ np.conj(omega) @ sy2
-    product = roots @ flipped @ roots
-    product = (product + np.conj(np.swapaxes(product, -1, -2))) / 2.0
-    conc_spect = np.clip(linalg.jacobi_eigh(product), 0.0, None)
-    check("spectrum[conc23]", float(np.max(np.abs(conc_spect - closed["conc23"]))))
+    lam = linalg.singular_values(roots @ sy2 @ np.conj(roots) @ sy2)
+    check("spectrum[conc23]", float(np.max(np.abs(lam**2 - closed["conc23"]))))
 
-    lam = np.sqrt(conc_spect)
     conc_numeric = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, None)
     conc_closed = concurrence.concurrence_23_closed(g, w)
     check("concurrence closed vs numeric", float(np.max(np.abs(conc_numeric - conc_closed))),
@@ -431,6 +442,7 @@ def main(argv=None) -> int:
         "examples": cmd_examples,
     }
     try:
+        psd_tol()  # validates QSEP_TOL before any work
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"qsep: error: {exc}", file=sys.stderr)

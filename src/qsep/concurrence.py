@@ -1,8 +1,11 @@
 """Wootters concurrence of the two-qubit marginal, numeric and closed form.
 
-The lambda values are taken from the Hermitian form sqrt(w) wtilde sqrt(w)
-rather than the non-Hermitian product wtilde w; the two have equal spectra
-and the Hermitian route keeps the eigensolver on safe ground.
+The lambda values, the square roots of Spect(wtilde w), are taken as the
+singular values of R Y conj(R) Y with R = sqrt(w) and Y = sigma_y (x)
+sigma_y: that product is sqrt(w) sqrt(wtilde), so no square root of a
+near-zero eigenvalue (which would magnify roundoff of 1e-17 to 1e-9) is
+ever taken.  The spectrum itself comes from the Hermitian form
+sqrt(w) wtilde sqrt(w), which has the same spectrum as wtilde w.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ def wootters_concurrence(omega: np.ndarray) -> float:
     linalg.require_hermitian(omega)
     if abs(float(np.trace(omega).real) - 1.0) > 1e-10:
         raise ValueError("concurrence needs a trace-one density matrix")
-    lam = np.sqrt(spin_flip_product_spectrum(omega))
+    root = linalg.psd_sqrt(omega)
+    lam = linalg.singular_values(root @ _SY2 @ np.conj(root) @ _SY2)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -5,6 +5,7 @@ auditable in one place.  The PSD tolerance may be overridden through the
 QSEP_TOL environment variable.
 """
 
+import math
 import os
 
 PSD_TOL_DEFAULT = 1e-10   # eigenvalues above -psd_tol() count as nonnegative
@@ -16,5 +17,18 @@ JACOBI_MAX_SWEEPS = 100
 
 
 def psd_tol() -> float:
-    """PSD tolerance, overridable through the QSEP_TOL environment variable."""
-    return float(os.environ.get("QSEP_TOL", PSD_TOL_DEFAULT))
+    """PSD tolerance, overridable through the QSEP_TOL environment variable.
+
+    Raises ValueError naming the variable unless it holds a finite
+    nonnegative number.
+    """
+    raw = os.environ.get("QSEP_TOL")
+    if raw is None:
+        return PSD_TOL_DEFAULT
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"QSEP_TOL must be a finite nonnegative number, got {raw!r}")
+    return value

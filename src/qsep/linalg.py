@@ -1,11 +1,17 @@
 """Dense complex matrix arithmetic and spectral routines for dimension <= 64.
 
-The whole toolkit runs on one spectral backend: a cyclic Jacobi eigensolver
-for Hermitian matrices.  All routines accept a single matrix or a batch with
-one leading axis; batch elements are processed with identical arithmetic, so
-results for a given matrix do not depend on what else sits in the batch
-(apart from the shared sweep count, which only moves converged values at the
-1e-16 level).
+Production spectra come from LAPACK: ``eigh`` (symmetric/Hermitian
+eigensolver) and ``singular_values`` (SVD of the matrix itself, not of its
+Gram matrix, so a trace norm keeps full accuracy near zero singular
+values).  Input whose imaginary part is exactly zero, as every template's
+is, goes to the real LAPACK routines.  ``jacobi_eigh`` is a cyclic Jacobi
+solver kept as the independent reference that ``qsep verify`` and the
+acceptance tests compare the production path with.
+
+All routines accept a single matrix or a batch with one leading axis.  Each
+matrix of a Jacobi batch rotates until its own off-diagonal norm is small
+and is then left alone, so its result does not depend on what else sits in
+the batch.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .exceptions import ConsistencyError, ConvergenceError
 MAX_DIM = 64
 MAX_SV_DIM = 16  # cap on min(rows, cols) for singular value problems
 
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+
 
 def _as_batch(a) -> tuple[np.ndarray, bool]:
     """Return (batch copy, was_single).  Accepts (n,n) or (b,n,n) input."""
@@ -33,6 +42,21 @@ def _as_batch(a) -> tuple[np.ndarray, bool]:
     if a.ndim == 3:
         return a.copy(), False
     raise ValueError(f"expected a matrix or a batch of matrices, got ndim={a.ndim}")
+
+
+def _real_if_exact(a) -> np.ndarray:
+    """The float64 real part of ``a`` when its imaginary part is exactly zero,
+    else ``a`` as complex128."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return a.real if not np.any(a.imag) else a.astype(np.complex128, copy=False)
+    return a.astype(np.float64, copy=False)
+
+
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ConvergenceError(f"LAPACK {what} returned non-finite values")
+    return values
 
 
 def hermiticity_defect(a) -> float:
@@ -49,6 +73,90 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> None:
         )
 
 
+def eigh(a, *, vectors: bool = False):
+    """LAPACK diagonalization of Hermitian matrices: the production backend.
+
+    Parameters
+    ----------
+    a : (n, n) or (batch, n, n) array, assumed Hermitian (LAPACK reads the
+        lower triangle only)
+    vectors : return the eigenvectors as well
+
+    Returns eigenvalues sorted non-increasing, and optionally matrices whose
+    k-th column is the eigenvector of the k-th returned eigenvalue (real when
+    the input is real).  A LAPACK failure or a non-finite result raises
+    ConvergenceError.
+    """
+    a = _real_if_exact(a)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a batch of matrices, got ndim={a.ndim}")
+    n, m = a.shape[-2:]
+    if n != m:
+        raise ValueError(f"matrix is not square: {n}x{m}")
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIM}")
+    try:
+        if vectors:
+            vals, vecs = np.linalg.eigh(a)
+        else:
+            vals = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
+    # LAPACK sorts ascending
+    vals = np.ascontiguousarray(_require_finite(vals, "eigensolver")[..., ::-1])
+    if vectors:
+        return vals, np.ascontiguousarray(vecs[..., ::-1])
+    return vals
+
+
+def _jacobi_sweep(a: np.ndarray, u: np.ndarray | None) -> None:
+    """One cyclic sweep of complex Jacobi rotations over every (p, q) pair,
+    in place on the batch ``a`` (and on the accumulated unitaries ``u``).
+
+    Threshold rule (Golub & Van Loan, Matrix Computations, section 8.5): an
+    entry with |a_pq| <= eps sqrt(|a_pp| |a_qq|), or below the smallest
+    normal number, is negligible; it is set to zero and not rotated.  This
+    keeps magnitudes out of the subnormal range, where the rotation angle
+    and phase overflow.
+    """
+    n = a.shape[1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = a[:, p, q]
+            mag = np.abs(apq)
+            app = a[:, p, p].real
+            aqq = a[:, q, q].real
+            active = mag > np.maximum(_EPS * np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq)), _TINY)
+            if not np.all(active):
+                a[~active, p, q] = 0.0
+                a[~active, q, p] = 0.0
+                if not np.any(active):
+                    continue
+            safe_mag = np.where(active, mag, 1.0)
+            tau = np.where(active, (aqq - app) / (2.0 * safe_mag), 0.0)
+            # hypot keeps sqrt(1 + tau^2) finite for huge tau
+            t = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = np.where(active, t * c, 0.0)
+            c = np.where(active, c, 1.0)
+            phase = np.where(active, apq / safe_mag, 1.0)
+            sp = s * phase
+            spc = s * np.conj(phase)
+            colp = a[:, :, p].copy()
+            colq = a[:, :, q].copy()
+            a[:, :, p] = c[:, None] * colp - spc[:, None] * colq
+            a[:, :, q] = sp[:, None] * colp + c[:, None] * colq
+            rowp = a[:, p, :].copy()
+            rowq = a[:, q, :].copy()
+            a[:, p, :] = c[:, None] * rowp - sp[:, None] * rowq
+            a[:, q, :] = spc[:, None] * rowp + c[:, None] * rowq
+            if u is not None:
+                up = u[:, :, p].copy()
+                uq = u[:, :, q].copy()
+                u[:, :, p] = c[:, None] * up - spc[:, None] * uq
+                u[:, :, q] = sp[:, None] * up + c[:, None] * uq
+
+
 def jacobi_eigh(
     a,
     *,
@@ -56,7 +164,7 @@ def jacobi_eigh(
     off_tol: float = JACOBI_OFF_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
 ):
-    """Cyclic Jacobi diagonalization of Hermitian matrices.
+    """Cyclic Jacobi diagonalization of Hermitian matrices: the reference solver.
 
     Parameters
     ----------
@@ -64,9 +172,10 @@ def jacobi_eigh(
     vectors : accumulate and return the diagonalizing unitaries as well
 
     Returns eigenvalues sorted non-increasing, and optionally unitaries whose
-    k-th column is the eigenvector of the k-th returned eigenvalue.  Sweeps
-    stop once every matrix in the batch has off-diagonal Frobenius norm below
-    ``off_tol``; exceeding ``max_sweeps`` raises ConvergenceError.
+    k-th column is the eigenvector of the k-th returned eigenvalue.  Each
+    matrix is swept until its own off-diagonal Frobenius norm is below
+    ``off_tol`` and then frozen; a matrix still above it after
+    ``max_sweeps`` sweeps raises ConvergenceError.
     """
     a, single = _as_batch(a)
     batch, n, m = a.shape
@@ -79,48 +188,29 @@ def jacobi_eigh(
         u = np.zeros_like(a)
         u[:, np.arange(n), np.arange(n)] = 1.0
     offmask = ~np.eye(n, dtype=bool)
-    converged = False
+
+    def off_norms(idx: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(np.abs(a[idx][:, offmask]) ** 2, axis=1))
+
+    live = np.arange(batch)
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(a[:, offmask]) ** 2, axis=1))
-        if np.all(off < off_tol):
-            converged = True
+        # NaN norms stay live and end in ConvergenceError
+        live = live[~(off_norms(live) < off_tol)]
+        if live.size == 0:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                mag = np.abs(apq)
-                if not np.any(mag > 0.0):
-                    continue
-                active = mag > 0.0
-                safe_mag = np.where(active, mag, 1.0)
-                tau = np.where(active, (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe_mag), 0.0)
-                # hypot keeps sqrt(1 + tau^2) finite for huge tau
-                t = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = np.where(active, t * c, 0.0)
-                c = np.where(active, c, 1.0)
-                phase = np.where(active, apq / safe_mag, 1.0)
-                sp = s * phase
-                spc = s * np.conj(phase)
-                colp = a[:, :, p].copy()
-                colq = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * colp - spc[:, None] * colq
-                a[:, :, q] = sp[:, None] * colp + c[:, None] * colq
-                rowp = a[:, p, :].copy()
-                rowq = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * rowp - sp[:, None] * rowq
-                a[:, q, :] = spc[:, None] * rowp + c[:, None] * rowq
-                if vectors:
-                    up = u[:, :, p].copy()
-                    uq = u[:, :, q].copy()
-                    u[:, :, p] = c[:, None] * up - spc[:, None] * uq
-                    u[:, :, q] = sp[:, None] * up + c[:, None] * uq
-    if not converged:
-        off = np.sqrt(np.sum(np.abs(a[:, offmask]) ** 2, axis=1))
-        raise ConvergenceError(
-            f"Jacobi did not converge in {max_sweeps} sweeps; "
-            f"worst off-diagonal norm {float(np.max(off)):.3e}"
-        )
+        sub = a[live]
+        usub = None if u is None else u[live]
+        _jacobi_sweep(sub, usub)
+        a[live] = sub
+        if u is not None:
+            u[live] = usub
+    else:
+        off = off_norms(live)
+        if np.any(~(off < off_tol)):
+            raise ConvergenceError(
+                f"Jacobi did not converge in {max_sweeps} sweeps; "
+                f"worst off-diagonal norm {float(np.max(off)):.3e}"
+            )
     vals = a[:, np.arange(n), np.arange(n)].real.copy()
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
@@ -134,11 +224,11 @@ def hermitian_eigenvalues(a, *, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix (or batch), sorted non-increasing.
 
     Rejects non-Hermitian input, and checks that the eigenvalue sum
-    reproduces the trace to 1e-10 (a live sanity check on the sweeps).
+    reproduces the trace to 1e-10 (a live sanity check on the solver).
     """
     require_hermitian(a, tol)
     a = np.asarray(a, dtype=np.complex128)
-    vals = jacobi_eigh(a)
+    vals = eigh(a)
     trace = np.einsum("...ii->...", a).real
     defect = float(np.max(np.abs(np.sum(vals, axis=-1) - trace)))
     if defect > 1e-10:
@@ -147,23 +237,16 @@ def hermitian_eigenvalues(a, *, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values via the smaller Gram matrix, sorted non-increasing.
-
-    Negative Gram eigenvalues (roundoff) are clamped to zero before the root.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
+    """Singular values by LAPACK SVD of the matrix itself, sorted non-increasing."""
+    a = _real_if_exact(a)
     rows, cols = a.shape[-2:]
     if min(rows, cols) > MAX_SV_DIM:
         raise ValueError(f"min(rows, cols) = {min(rows, cols)} exceeds cap {MAX_SV_DIM}")
-    ah = np.conj(np.swapaxes(a, -1, -2))
-    gram = a @ ah if rows <= cols else ah @ a
-    gram = (gram + np.conj(np.swapaxes(gram, -1, -2))) / 2.0
-    vals = jacobi_eigh(gram)
-    svs = np.sqrt(np.clip(vals, 0.0, None))
-    return svs[0] if single else svs
+    try:
+        svs = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK SVD failed: {exc}") from exc
+    return _require_finite(svs, "SVD")
 
 
 def trace_norm(a) -> float | np.ndarray:
@@ -181,16 +264,13 @@ def psd_sqrt(a, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = psd_tol()
     require_hermitian(a)
-    a = np.asarray(a, dtype=np.complex128)
-    single = a.ndim == 2
-    vals, vecs = jacobi_eigh(a, vectors=True)
+    vals, vecs = eigh(a, vectors=True)
     worst = float(np.min(vals))
     if worst < -tol:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {worst:.3e} < -{tol:.1e}")
     root = np.sqrt(np.clip(vals, 0.0, None))
-    if single:
-        return (vecs * root[None, :]) @ np.conj(vecs.T)
-    return np.einsum("bik,bk,bjk->bij", vecs, root, np.conj(vecs))
+    out = (vecs * root[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    return out.astype(np.complex128, copy=False)
 
 
 def rank_with_tolerance(a, tol: float = RANK_TOL) -> int | np.ndarray:

@@ -2,7 +2,7 @@
 
 The lattice at resolution N holds the points (g, w) = (i/N, j/N) with
 i + j <= N.  Cells are evaluated in fixed-size chunks through vectorized
-dual-path criterion evaluators (batched Jacobi spectra checked against the
+dual-path criterion evaluators (batched LAPACK spectra checked against the
 closed forms); the chunk layout never depends on the worker count, so a
 parallel scan is byte-identical to a sequential one.
 """
@@ -103,9 +103,9 @@ def _chunk_margins(g: np.ndarray, w: np.ndarray, ids: tuple[str, ...]) -> dict[s
     closed = states.closed_form_spectra_grid(g, w)
 
     if need & set(CRITERIA_GROUPS["maj"]):
-        spect_rho = linalg.jacobi_eigh(states.build_rho_grid(g, w))
-        spect_23 = linalg.jacobi_eigh(states.marginal_23_grid(g, w))
-        spect_1 = linalg.jacobi_eigh(states.marginal_1_grid(g, w))
+        spect_rho = linalg.eigh(states.build_rho_grid(g, w))
+        spect_23 = linalg.eigh(states.marginal_23_grid(g, w))
+        spect_1 = linalg.eigh(states.marginal_1_grid(g, w))
         _assert_spectra(spect_rho, closed["rho"], "Spect(rho)")
         _assert_spectra(spect_23, closed["rho23"], "Spect(rho^23)")
         _assert_spectra(spect_1, closed["rho1"], "Spect(rho^1)")
@@ -128,7 +128,7 @@ def _chunk_margins(g: np.ndarray, w: np.ndarray, ids: tuple[str, ...]) -> dict[s
             out[id23] = m23
 
     if "ppt" in need or "reduction" in need:
-        spect_pt = linalg.jacobi_eigh(states.partial_transpose_1_grid(g, w))
+        spect_pt = linalg.eigh(states.partial_transpose_1_grid(g, w))
         _assert_spectra(spect_pt, closed["rho_t1"], "Spect(rho^T1)")
         q1, q2 = bipartite.ppt_closed_margins(g, w)
         if "ppt" in need:
@@ -136,8 +136,8 @@ def _chunk_margins(g: np.ndarray, w: np.ndarray, ids: tuple[str, ...]) -> dict[s
             _assert_sign_grid(margin, np.minimum(q1, q2), "ppt")
             out["ppt"] = margin
         if "reduction" in need:
-            spect_first = linalg.jacobi_eigh(states.reduction_i123_grid(g, w))
-            spect_second = linalg.jacobi_eigh(states.reduction_1i23_grid(g, w))
+            spect_first = linalg.eigh(states.reduction_i123_grid(g, w))
+            spect_second = linalg.eigh(states.reduction_1i23_grid(g, w))
             _assert_spectra(spect_first, closed["rho_t1"], "Spect(I (x) rho^23 - rho)")
             _assert_spectra(spect_second, closed["red1_i23"], "Spect(rho^1 (x) I - rho)")
             r3, r4 = bipartite.reduction_closed_margins(g, w)
@@ -333,6 +333,8 @@ def grid_scan(resolution: int, criteria="all", workers: int = 1, seed: int | Non
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     ids = resolve_criteria(criteria)
     n = resolution
     i_idx = np.concatenate([np.full(n + 1 - i, i, dtype=np.int64) for i in range(n + 1)])

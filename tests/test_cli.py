@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from qsep import cli
 
@@ -39,6 +40,13 @@ class TestEval:
         schema = json.loads(schema_out)
         jsonschema.validate(payload, schema)
 
+    def test_rank_deficient_marginal_passes_concurrence_gate(self, capsys):
+        # on the d = 0 edge rho23 is singular; a square root of a near-zero
+        # eigenvalue once put the numeric concurrence 4.4e-9 off the closed form
+        code, out, err = run(capsys, "eval", "--g", "0.15", "--w", "0.85")
+        assert code == 0, err
+        assert "concurrence(rho23)" in out
+
     def test_invalid_point_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--g", "0.7", "--w", "0.4")
         assert code == 1
@@ -73,6 +81,14 @@ class TestScan:
         assert code == 1
         assert "needs at least one" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_rejected(self, capsys, tmp_path, workers):
+        code, _, err = run(capsys, "scan", "--resolution", "5", "--criteria", "ppt",
+                           "--out", str(tmp_path / "x.csv"), "--workers", workers)
+        assert code == 1
+        assert "--workers" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_path_is_io_error(self, capsys):
         code, _, err = run(capsys, "scan", "--resolution", "5", "--criteria", "ppt",
                            "--out", "/nonexistent-dir/x.csv")
@@ -88,6 +104,11 @@ class TestVerify:
         assert "all consistency checks passed" in out
         assert "seed 7" in out
 
+    def test_reports_backend_against_reference(self, capsys):
+        code, out, _ = run(capsys, "verify", "--points", "30", "--seed", "3")
+        assert code == 0
+        assert "pass  eigh vs Jacobi reference" in out
+
     def test_single_point(self, capsys):
         code, out, _ = run(capsys, "verify", "--points", "1", "--tol", "1e-8", "--seed", "1")
         assert code == 0
@@ -101,6 +122,20 @@ class TestVerify:
     def test_zero_points_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--points", "0")
         assert code == 1
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan", ""])
+    def test_bad_qsep_tol_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QSEP_TOL", value)
+        code, _, err = run(capsys, "eval", "--g", "0.2", "--w", "0.2")
+        assert code == 1
+        assert "QSEP_TOL" in err
+
+    def test_valid_qsep_tol_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSEP_TOL", "1e-8")
+        code, _, _ = run(capsys, "eval", "--g", "0.2", "--w", "0.2")
+        assert code == 0
 
 
 class TestExamples:

@@ -85,6 +85,13 @@ class TestClosedForm:
             numeric = concurrence.wootters_concurrence(rho23)
             assert abs(closed - numeric) < 1e-9, p
 
+    def test_matches_numeric_on_grid_to_roundoff(self):
+        # the lambdas are singular values, not roots of near-zero eigenvalues
+        for p in simplex_grid(15):
+            closed = float(concurrence.concurrence_23_closed(p.g, p.w))
+            rho23, _ = states.marginals(p)
+            assert abs(closed - concurrence.wootters_concurrence(rho23)) < 1e-12, p
+
     def test_product_spectrum_matches_closed_everywhere(self):
         for p in simplex_grid(12):
             rho23, _ = states.marginals(p)

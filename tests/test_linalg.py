@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsep import linalg
+from qsep import linalg, states
 from qsep.exceptions import ConvergenceError
 
 
@@ -68,6 +70,95 @@ class TestHermitianEigenvalues:
             linalg.jacobi_eigh(np.eye(65))
 
 
+def lattice(resolution):
+    n = resolution
+    i = np.concatenate([np.full(n + 1 - k, k) for k in range(n + 1)])
+    j = np.concatenate([np.arange(n + 1 - k) for k in range(n + 1)])
+    return i / n, j / n
+
+
+def assorted_hermitian(rng, n):
+    """A random Hermitian matrix of one of the kinds that stress Jacobi:
+    dense, tiny or huge scale, diagonal, rank one, or zero."""
+    kind = rng.integers(5)
+    if kind == 0:
+        return random_hermitian(rng, n) * 10.0 ** rng.uniform(-12, 3)
+    if kind == 1:
+        return np.diag(rng.normal(size=n)).astype(complex)
+    if kind == 2:
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return np.outer(v, np.conj(v)) / np.vdot(v, v).real
+    if kind == 3:
+        return np.zeros((n, n), dtype=complex)
+    return random_hermitian(rng, n)
+
+
+class TestEigh:
+    def test_sorted_non_increasing(self):
+        rng = np.random.default_rng(1)
+        vals = linalg.eigh(random_hermitian(rng, 8, batch=30))
+        assert vals.shape == (30, 8)
+        assert np.all(np.diff(vals, axis=-1) <= 0.0)
+
+    def test_matches_jacobi_reference(self):
+        rng = np.random.default_rng(2)
+        h = random_hermitian(rng, 8, batch=40)
+        assert np.max(np.abs(linalg.eigh(h) - linalg.jacobi_eigh(h))) < 1e-12
+
+    def test_template_families_match_jacobi(self):
+        g, w = lattice(20)
+        for matrices in (
+            states.build_rho_grid(g, w),
+            states.partial_transpose_1_grid(g, w),
+            states.reduction_1i23_grid(g, w),
+        ):
+            assert not np.any(matrices.imag)
+            diff = np.abs(linalg.eigh(matrices) - linalg.jacobi_eigh(matrices))
+            assert np.max(diff) < 1e-12
+
+    def test_vectors_diagonalize(self):
+        rng = np.random.default_rng(4)
+        h = random_hermitian(rng, 6, batch=5)
+        vals, vecs = linalg.eigh(h, vectors=True)
+        rebuilt = (vecs * vals[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+        assert np.max(np.abs(rebuilt - h)) < 1e-12
+
+    def test_non_finite_input_is_convergence_error(self):
+        h = np.eye(4)
+        h[1, 1] = np.nan
+        with pytest.raises(ConvergenceError, match="LAPACK"):
+            linalg.eigh(h)
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            linalg.eigh(np.eye(65))
+
+
+class TestJacobiReference:
+    def test_converges_on_reshuffle_222_gram_batch(self):
+        # the whole R = 50 batch used to drive converged members into
+        # subnormal off-diagonals and end in "worst off-diagonal norm nan"
+        m = states.reshuffle_222_grid(*lattice(50))
+        gram = m @ np.conj(np.swapaxes(m, -1, -2))
+        vals = linalg.jacobi_eigh(gram)
+        ref = np.linalg.eigvalsh(gram)[:, ::-1]
+        assert np.max(np.abs(vals - ref)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_spectrum_independent_of_batch(self, n, size, seed, data):
+        rng = np.random.default_rng(seed)
+        batch = np.stack([assorted_hermitian(rng, n) for _ in range(size)])
+        k = data.draw(st.integers(0, size - 1))
+        for solver in (linalg.jacobi_eigh, linalg.eigh):
+            assert np.array_equal(solver(batch)[k], solver(batch[k])), solver.__name__
+
+
 class TestSingularValues:
     def test_zero_matrix(self):
         assert np.all(linalg.singular_values(np.zeros((4, 16))) == 0.0)
@@ -119,6 +210,13 @@ class TestTraceNorm:
 
         r = states.reshuffle_222(states.SimplexPoint(1.0, 0.0))
         assert abs(linalg.trace_norm(r) - 2.0) < 1e-12
+
+    def test_rank_one_unit_norm_is_one(self):
+        rng = np.random.default_rng(17)
+        u = rng.normal(size=8) + 1j * rng.normal(size=8)
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        a = np.outer(u / np.linalg.norm(u), np.conj(v / np.linalg.norm(v)))
+        assert abs(linalg.trace_norm(a) - 1.0) < 1e-14
 
     def test_invariant_under_permutations(self):
         rng = np.random.default_rng(13)

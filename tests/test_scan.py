@@ -51,6 +51,22 @@ class TestGridScan:
             assert report_grid.pptes_certified == report_point.pptes_certified
             assert report_grid.exact == report_point.exact
 
+    @pytest.mark.parametrize("resolution,criteria", [(50, "perm222"), (85, "all"), (100, "all")])
+    def test_resolutions_that_broke_batched_jacobi(self, resolution, criteria):
+        grid = scan.grid_scan(resolution, criteria)
+        on_line = np.flatnonzero(grid.j_index == 0)
+        assert on_line.size == resolution + 1
+        for row in on_line:
+            g = grid.i_index[row] / resolution
+            want = "3" if g <= 1 / 5 else ("2.1" if g <= 3 / 7 else "1")
+            report = grid.report_at(int(row))
+            assert report.exact
+            assert report.possible_classes == (want,), (g, report.possible_classes)
+
+    def test_rejects_workers_below_one(self):
+        with pytest.raises(ValueError, match="workers"):
+            scan.grid_scan(5, "ppt", workers=0)
+
     def test_parallel_equals_sequential(self):
         g1 = scan.grid_scan(20, "all", workers=1)
         g2 = scan.grid_scan(20, "all", workers=4)
