@@ -20,10 +20,10 @@ import math
 import numpy as np
 
 from . import linalg, states
-from .config import MARGINAL_BAND, RANK_TOL
+from .config import RANK_TOL
 from .exceptions import ConsistencyError
 from .states import SimplexPoint
-from .verdict import CriterionVerdict
+from .verdict import CriterionVerdict, assert_signs_agree, signs_agree
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -115,27 +115,11 @@ def majorization_case_margins(g, w):
         overlap = case_masks[a] & case_masks[a + 1]
         if np.any(overlap):
             for rows in (row_i, row_ii, row_iii):
-                if not np.all(_signs_agree_arr(rows[a][overlap], rows[a + 1][overlap])):
+                if not np.all(signs_agree(rows[a][overlap], rows[a + 1][overlap])):
                     raise ConsistencyError(
                         "adjacent majorization case rows disagree on a shared boundary"
                     )
     return m1, m23
-
-
-def _signs_agree_arr(a, b, band: float = MARGINAL_BAND):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    dead = (np.abs(a) <= band) | (np.abs(b) <= band)
-    return dead | ((a > 0) == (b > 0))
-
-
-def _assert_signs_agree(numeric, closed, what: str, band: float = MARGINAL_BAND) -> None:
-    ok = _signs_agree_arr(numeric, closed, band)
-    if not np.all(ok):
-        idx = int(np.argmax(~np.asarray(ok)))
-        n = np.ravel(numeric)[idx] if np.ndim(numeric) else numeric
-        c = np.ravel(closed)[idx] if np.ndim(closed) else closed
-        raise ConsistencyError(f"{what}: numeric margin {n:.3e} vs closed form {c:.3e}")
 
 
 def majorization_margins_from_spectra(spectra: dict[str, np.ndarray]):
@@ -165,8 +149,8 @@ def criterion_majorization(p: SimplexPoint) -> tuple[CriterionVerdict, Criterion
     spectra = {"rho": sr, "rho1": s1, "rho23": s23}
     m1, m23 = majorization_margins_from_spectra(spectra)
     c1, c23 = majorization_case_margins(p.g, p.w)
-    _assert_signs_agree(m1, c1, f"majorization rho^1 at {p}")
-    _assert_signs_agree(m23, c23, f"majorization rho^23 at {p}")
+    assert_signs_agree("majorization rho^1", m1, c1, p.g, p.w)
+    assert_signs_agree("majorization rho^23", m23, c23, p.g, p.w)
     kind = "min partial-sum slack"
     return (
         CriterionVerdict.from_margin("maj_rho1", float(m1), kind),
@@ -247,7 +231,7 @@ def criterion_ppt(p: SimplexPoint) -> CriterionVerdict:
     vals = linalg.hermitian_eigenvalues(states.partial_transpose_1(p))
     margin = float(vals[-1])
     q1, q2 = ppt_closed_margins(p.g, p.w)
-    _assert_signs_agree(margin, min(float(q1), float(q2)), f"PPT at {p}")
+    assert_signs_agree("PPT", margin, min(float(q1), float(q2)), p.g, p.w)
     return CriterionVerdict.from_margin("ppt", margin, "min eigenvalue of rho^T1")
 
 
@@ -260,7 +244,7 @@ def criterion_reduction(p: SimplexPoint) -> CriterionVerdict:
     q1, q2 = ppt_closed_margins(p.g, p.w)
     r3, r4 = reduction_closed_margins(p.g, p.w)
     closed = min(float(q1), float(q2), float(r3), float(r4))
-    _assert_signs_agree(margin, closed, f"reduction at {p}")
+    assert_signs_agree("reduction", margin, closed, p.g, p.w)
     return CriterionVerdict.from_margin("reduction", margin, "min eigenvalue of reduction maps")
 
 

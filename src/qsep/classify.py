@@ -13,51 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bipartite, tripartite
+import numpy as np
+
+from . import criteria, tripartite, verdict
 from .exceptions import ConsistencyError
 from .states import SimplexPoint
-from .verdict import HOLDS, MARGINAL, VIOLATED, CriterionVerdict
 
 CLASSES = ("3", "2.8", "2.1", "1")
 
 GHZ_TYPE = "GHZ-type"
 W_TYPE_OR_LESS = "W-type-or-less"
 SLOCC_UNDETERMINED = "undetermined"
-
-_SLOCC_FROM_BOUND = {
-    tripartite.DEFINITELY_GHZ: GHZ_TYPE,
-    tripartite.NOT_GHZ: W_TYPE_OR_LESS,
-    tripartite.UNDETERMINED: SLOCC_UNDETERMINED,
-}
-
-# which classes a violated criterion excludes
-_FULLSEP_EXCLUDES = ("3",)
-_INTERSECT_EXCLUDES = ("3", "2.8")
-_BISEP_EXCLUDES = ("3", "2.8", "2.1")
-
-_FULLSEP_IDS = frozenset(
-    {"gs3", "perm222", "huber_ghz_k3", "huber_w_k3", "su3_set1", "su3_set2", "su3_set3",
-     "su3_custom"}
-)
-_INTERSECT_IDS = frozenset(
-    {"maj_rho1", "maj_rho23", "ppt", "reduction", "resh24", "su283_set1", "su283_set2",
-     "su283_set3", "su283_custom"}
-)
-_BISEP_IDS = frozenset(
-    {"gs2", "gs2_ghz", "gs2_w", "huber_ghz_k2", "huber_w_k2", "su2_set1", "su2_set2",
-     "su2_set3", "su2_custom", "w_w1", "w_w2"}
-)
+SLOCC_NAMES = (GHZ_TYPE, W_TYPE_OR_LESS, SLOCC_UNDETERMINED)  # indexed like tripartite.SLOCC_BOUNDS
 
 
 def excluded_classes(criterion_id: str) -> tuple[str, ...]:
     """Classes a violation of this criterion rules out (possibly none)."""
-    if criterion_id in _FULLSEP_IDS:
-        return _FULLSEP_EXCLUDES
-    if criterion_id in _INTERSECT_IDS or criterion_id.startswith("entropy_"):
-        return _INTERSECT_EXCLUDES
-    if criterion_id in _BISEP_IDS:
-        return _BISEP_EXCLUDES
-    return ()
+    if criterion_id not in criteria.BY_ID:
+        raise ValueError(f"unknown criterion {criterion_id!r}")
+    return criteria.BY_ID[criterion_id].excludes
 
 
 def exact_w0_classification(g: float) -> str:
@@ -95,89 +69,76 @@ class ClassReport:
         }
 
 
-def su_verdicts_for_setting(p: SimplexPoint, setting_index: int) -> list[CriterionVerdict]:
-    """All three level verdicts for one published setting (0-indexed)."""
-    setting = tripartite.PUBLISHED_SETTINGS[setting_index]
-    return [tripartite.criterion_su(p, (setting,) * 3, level) for level in tripartite.LEVELS]
+def fuse(g: np.ndarray, w: np.ndarray, codes: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Class constraints of a batch of cells from each criterion's verdict codes.
 
-
-def evaluate_all_criteria(p: SimplexPoint) -> list[CriterionVerdict]:
-    """Every criterion the toolkit knows, at one point."""
-    verdicts: list[CriterionVerdict] = []
-    verdicts.extend(bipartite.criterion_majorization(p))
-    for alpha in bipartite.ALPHA_GRID:
-        verdicts.extend(bipartite.criterion_entropy(p, alpha))
-    verdicts.append(bipartite.criterion_ppt(p))
-    verdicts.append(bipartite.criterion_reduction(p))
-    verdicts.append(bipartite.criterion_reshuffling_24(p))
-    verdicts.append(tripartite.criterion_permutation_222(p))
-    for idx in range(3):
-        verdicts.extend(su_verdicts_for_setting(p, idx))
-    verdicts.append(tripartite.criterion_huber(p, tripartite.phi_ghz(), 2, cid="huber_ghz_k2"))
-    verdicts.append(tripartite.criterion_huber(p, tripartite.phi_ghz(), 3, cid="huber_ghz_k3"))
-    verdicts.append(tripartite.criterion_huber(p, tripartite.phi_w(), 2, cid="huber_w_k2"))
-    verdicts.append(tripartite.criterion_huber(p, tripartite.phi_w(), 3, cid="huber_w_k3"))
-    gs2 = tripartite.criterion_gs_biseparable(p)
-    for cid, margin in gs2.parts.items():
-        verdicts.append(CriterionVerdict.from_margin(cid, margin, gs2.kind))
-    verdicts.append(tripartite.criterion_gs_fullsep(p))
-    for cid, value in tripartite.witness_expectations(p).items():
-        verdicts.append(CriterionVerdict.from_margin(cid, value, "witness expectation"))
-    return verdicts
-
-
-def classify_from_verdicts(
-    p: SimplexPoint, verdicts: list[CriterionVerdict]
-) -> ClassReport:
-    """Build the class report for a point from an arbitrary verdict collection."""
-    excluded: set[str] = set()
-    exclusions: list[tuple[str, str]] = []
-    marginal: list[str] = []
-    ppt_state = None
-    for verdict in verdicts:
-        if verdict.id == "ppt":
-            ppt_state = verdict.holds
-        if verdict.holds == MARGINAL:
-            marginal.append(verdict.id)
-            continue
-        if verdict.holds != VIOLATED:
-            continue
-        for cls in excluded_classes(verdict.id):
-            excluded.add(cls)
-            exclusions.append((cls, verdict.id))
-    derived = tuple(cls for cls in CLASSES if cls not in excluded)
-    if not derived:
-        raise ConsistencyError(f"all classes excluded at {p}; class 1 can never be excluded")
-    # nested removal rules cannot skip a level; verify anyway
-    for stronger, weaker in (("3", "2.8"), ("2.8", "2.1")):
-        if weaker in excluded and stronger not in excluded:
-            raise ConsistencyError(
-                f"contradictory exclusions at {p}: {weaker} removed while {stronger} stays"
-            )
-    exact = p.w == 0.0
-    if exact:
-        truth = exact_w0_classification(p.g)
-        if truth not in derived:
-            raise ConsistencyError(
-                f"criteria exclude the exact class {truth} on the w=0 line at {p}"
-            )
-        possible = (truth,)
-    else:
-        possible = derived
-    pptes = ppt_state == HOLDS and "3" in excluded
-    slocc = _SLOCC_FROM_BOUND[tripartite.ghz_class_bounds(p)]
-    return ClassReport(
-        g=p.g,
-        w=p.w,
-        possible_classes=possible,
-        slocc=slocc,
-        exclusions=tuple(exclusions),
-        exact=exact,
-        pptes_certified=pptes,
-        marginal=tuple(marginal),
+    Returns (possible, slocc, exact, pptes): possible is (cells, 4) bool with
+    columns in CLASSES order, slocc indexes SLOCC_NAMES.  On the w = 0 line
+    the published exact class replaces the criteria's constraint, which must
+    contain it.  Raises ConsistencyError, naming the first cell, when
+    exclusions skip a level of the nested classes or lose the exact class.
+    """
+    excluded = np.zeros((len(CLASSES), g.size), dtype=bool)
+    for cid, code in codes.items():
+        violated = code == -1
+        for cls in excluded_classes(cid):
+            excluded[CLASSES.index(cls)] |= violated
+    excluded = excluded.T
+    # nested removal rules cannot skip a level, and class 1 is never removed; verify anyway
+    skipped = np.flatnonzero(
+        excluded[:, 3] | (excluded[:, 1] & ~excluded[:, 0]) | (excluded[:, 2] & ~excluded[:, 1])
     )
+    if skipped.size:
+        n = skipped[0]
+        raise ConsistencyError(
+            f"contradictory exclusions at {verdict.cell_name(g[n], w[n])}: "
+            f"classes {[c for c, x in zip(CLASSES, excluded[n]) if x]} removed"
+        )
+    possible = ~excluded
+    exact = w == 0.0
+    for n in np.flatnonzero(exact):
+        truth = CLASSES.index(exact_w0_classification(float(g[n])))
+        if not possible[n, truth]:
+            raise ConsistencyError(
+                f"criteria exclude the exact class {CLASSES[truth]} on the w=0 line "
+                f"at {verdict.cell_name(g[n], w[n])}"
+            )
+        possible[n] = False
+        possible[n, truth] = True
+    pptes = excluded[:, 0] & (codes["ppt"] == 1) if "ppt" in codes else np.zeros(g.size, bool)
+    slocc = tripartite.slocc_codes(g, w, tripartite.witness_closed_forms(g, w)["w_ghz"])
+    return possible, slocc, exact, pptes
+
+
+def cell_report(g, w, codes: dict, possible, slocc, exact, pptes) -> ClassReport:
+    """Class report of one cell; ``codes`` maps each criterion id to its code there."""
+    return ClassReport(
+        g=float(g),
+        w=float(w),
+        possible_classes=tuple(cls for cls, ok in zip(CLASSES, possible) if ok),
+        slocc=SLOCC_NAMES[int(slocc)],
+        exclusions=tuple(
+            (cls, cid) for cid, code in codes.items() if code == -1 for cls in excluded_classes(cid)
+        ),
+        exact=bool(exact),
+        pptes_certified=bool(pptes),
+        marginal=tuple(cid for cid, code in codes.items() if code == 0),
+    )
+
+
+def evaluate_point(p: SimplexPoint) -> tuple[dict[str, float], ClassReport]:
+    """Every criterion's margin at the point, and their fused class report:
+    the grid path on a batch of one cell."""
+    g, w = np.array([p.g]), np.array([p.w])
+    margins = criteria.margins(g, w, criteria.IDS)
+    codes = {cid: verdict.codes(m) for cid, m in margins.items()}
+    possible, slocc, exact, pptes = fuse(g, w, codes)
+    report = cell_report(
+        p.g, p.w, {cid: c[0] for cid, c in codes.items()}, possible[0], slocc[0], exact[0], pptes[0]
+    )
+    return {cid: float(m[0]) for cid, m in margins.items()}, report
 
 
 def classify_point(p: SimplexPoint) -> ClassReport:
     """Evaluate every criterion at the point and fuse the verdicts."""
-    return classify_from_verdicts(p, evaluate_all_criteria(p))
+    return evaluate_point(p)[1]

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from . import bipartite, classify, concurrence, linalg, scan, states, tripartite
+from . import bipartite, classify, concurrence, criteria, linalg, scan, states, tripartite, verdict
 from .config import MARGINAL_BAND, psd_tol
 from .exceptions import ConsistencyError, ConvergenceError
 from .states import SimplexPoint
@@ -51,7 +52,7 @@ REPORT_SCHEMA = {
         },
         "witnesses": {
             "type": "object",
-            "required": ["w_ghz", "w_w1", "w_w2"],
+            "required": list(criteria.GROUPS["witness"]),
             "additionalProperties": {"type": "number"},
         },
         "concurrence": {
@@ -88,6 +89,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qsep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,12 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--svg", help="SVG map output path")
     p_scan.add_argument("--json-out", help="JSON report-array output path")
     p_scan.add_argument("--workers", type=_positive_int, default=1)
-    p_scan.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into seed-bearing criteria (none in the fixed set)")
 
     p_verify = sub.add_parser("verify", help="run every cross-path consistency suite")
     p_verify.add_argument("--points", type=int, default=1000)
-    p_verify.add_argument("--tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_ex = sub.add_parser("examples", help="print a published example state and its verdicts")
@@ -126,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _point_report(p: SimplexPoint) -> dict:
-    verdicts = classify.evaluate_all_criteria(p)
-    report = classify.classify_from_verdicts(p, verdicts)
+    margins, report = classify.evaluate_point(p)
     rho23, _ = states.marginals(p)
     numeric_conc = concurrence.wootters_concurrence(rho23)
     closed_conc = concurrence.concurrence_23_closed_form(p)
@@ -137,10 +145,13 @@ def _point_report(p: SimplexPoint) -> dict:
         "w": p.w,
         "d": p.d,
         "criteria": [
-            {"id": v.id, "verdict": v.holds, "margin": v.margin, "kind": v.kind}
-            for v in verdicts
+            {
+                "id": cid, "verdict": verdict.verdict_state(margin), "margin": margin,
+                "kind": criteria.BY_ID[cid].kind,
+            }
+            for cid, margin in margins.items()
         ],
-        "witnesses": tripartite.witness_expectations(p),
+        "witnesses": {cid: margins[cid] for cid in criteria.GROUPS["witness"]},
         "concurrence": {"numeric": numeric_conc, "closed_form": closed_conc},
         "classification": report.to_dict(),
     }
@@ -162,8 +173,7 @@ def cmd_eval(args) -> int:
     print(f"{'criterion':<20} {'verdict':<9} margin")
     for entry in payload["criteria"]:
         print(f"{entry['id']:<20} {entry['verdict']:<9} {entry['margin']:+.12e}")
-    wit = payload["witnesses"]
-    print(f"witnesses: w_ghz={wit['w_ghz']:+.9f} w_w1={wit['w_w1']:+.9f} w_w2={wit['w_w2']:+.9f}")
+    print("witnesses: " + " ".join(f"{k}={v:+.9f}" for k, v in payload["witnesses"].items()))
     conc = payload["concurrence"]
     print(f"concurrence(rho23): numeric={conc['numeric']:.12f} closed={conc['closed_form']:.12f}")
     print(f"possible classes: {{{', '.join(cls['possible_classes'])}}}"
@@ -185,7 +195,7 @@ def cmd_eval(args) -> int:
 def cmd_scan(args) -> int:
     if not (args.out or args.svg or args.json_out):
         raise ValueError("scan needs at least one of --out, --svg or --json-out")
-    grid = scan.grid_scan(args.resolution, args.criteria, workers=args.workers, seed=args.seed)
+    grid = scan.grid_scan(args.resolution, args.criteria, workers=args.workers)
     if args.out:
         scan.export(grid, "csv", args.out)
         print(f"wrote CSV: {args.out}")
@@ -197,7 +207,7 @@ def cmd_scan(args) -> int:
         print(f"wrote SVG: {args.svg}")
     print(
         f"scanned {grid.cell_count} cells at resolution {grid.resolution} "
-        f"({len(grid.criteria)} criteria, seed {args.seed}); "
+        f"({len(grid.criteria)} criteria); "
         f"PPTES-flagged cells: {int(grid.pptes.sum())}"
     )
     return EXIT_OK
@@ -279,51 +289,48 @@ def cmd_verify(args) -> int:
         float(np.max(np.abs(svs - bipartite.reshuffle24_closed_singular_values(g, w)))),
     )
 
-    rho_grid = states.build_rho_grid(g, w)
     closed_wit = tripartite.witness_closed_forms(g, w)
     worst = 0.0
-    for name, matrix in tripartite.witness_matrices().items():
-        numeric = np.einsum("ij,nji->n", matrix, rho_grid).real
+    for name, numeric in tripartite.witness_traces(states.build_rho_grid(g, w)).items():
         worst = max(worst, float(np.max(np.abs(numeric - closed_wit[name]))))
     check("witness traces", worst)
 
     # sign agreements (violation counts, not deviations)
     m1, m23 = bipartite.majorization_margins_from_spectra(spect_cache)
     c1, c23 = bipartite.majorization_case_margins(g, w)
-    bad = int(np.sum(~_sign_ok(m1, c1))) + int(np.sum(~_sign_ok(m23, c23)))
+    bad = int(np.sum(~verdict.signs_agree(m1, c1))) + int(np.sum(~verdict.signs_agree(m23, c23)))
     check("majorization vs case table (sign violations)", float(bad), 0.0)
 
     q1, q2 = bipartite.ppt_closed_margins(g, w)
     ppt_margin = spect_cache["rho_t1"][:, -1]
     check(
         "ppt vs quadratics (sign violations)",
-        float(np.sum(~_sign_ok(ppt_margin, np.minimum(q1, q2)))),
+        float(np.sum(~verdict.signs_agree(ppt_margin, np.minimum(q1, q2)))),
         0.0,
     )
 
     red_margin = np.minimum(spect_cache["rho_t1"][:, -1], spect_cache["red1_i23"][:, -1])
-    agree = _verdict_code(ppt_margin) == _verdict_code(red_margin)
+    agree = verdict.codes(ppt_margin) == verdict.codes(red_margin)
     check("reduction vs ppt verdict mismatches", float(np.sum(~agree)), 0.0)
 
-    for idx in range(3):
-        for level, tag in (("2sep", "2"), ("28cap3", "283"), ("3sep", "3")):
-            tripartite.su_margins_grid(g, w, idx, level)  # raises on sign conflict
+    su = {  # su_margins_grid raises on any sign conflict with the closed polynomials
+        (idx, level): tripartite.su_margins_grid(g, w, idx, level)
+        for idx in range(3)
+        for level in tripartite.LEVELS
+    }
     check("spin criteria vs closed polynomials (sign violations)", 0.0, 0.0)
 
-    hub = {}
-    for tag in ("ghz", "w"):
-        for k in (2, 3):
-            hub[(tag, k)] = tripartite.huber_margins_grid(g, w, tag, k)
+    hub = {
+        (tag, k): tripartite.huber_margins_grid(g, w, tag, k) for tag in ("ghz", "w") for k in (2, 3)
+    }
     su_equiv = (
         ("ghz", 2, 0, "2sep"), ("ghz", 3, 0, "28cap3"),
         ("w", 2, 1, "2sep"), ("w", 3, 1, "28cap3"),
     )
     mismatches = 0
     for tag, k, setting_idx, level in su_equiv:
-        su_m = tripartite.su_margins_grid(g, w, setting_idx, level)
-        both = (_verdict_code(hub[(tag, k)]) != _verdict_code(su_m))
-        neither_marginal = (_verdict_code(hub[(tag, k)]) != 0) & (_verdict_code(su_m) != 0)
-        mismatches += int(np.sum(both & neither_marginal))
+        hub_codes, su_codes = verdict.codes(hub[(tag, k)]), verdict.codes(su[(setting_idx, level)])
+        mismatches += int(np.sum((hub_codes != su_codes) & (hub_codes != 0) & (su_codes != 0)))
     check("swap criterion vs spin criteria verdict mismatches", float(mismatches), 0.0)
 
     # explicit per-point paths on a deterministic subsample
@@ -333,11 +340,16 @@ def cmd_verify(args) -> int:
     worst_gs = 0.0
     for n in sub:
         p = SimplexPoint(g[n], w[n])
+        # each raises if its generic index path deviates from the entry template
+        states.marginals(p)
+        states.partial_transpose_1(p)
+        states.reduction_matrices(p)
+        states.reshuffle_24(p)
+        states.reshuffle_222(p)
         for idx2 in range(3):
             for level in tripartite.LEVELS:
                 v = tripartite.criterion_su(p, (tripartite.PUBLISHED_SETTINGS[idx2],) * 3, level)
-                grid_m = float(tripartite.su_margins_grid(g[n : n + 1], w[n : n + 1], idx2, level)[0])
-                worst_su = max(worst_su, abs(v.margin - grid_m))
+                worst_su = max(worst_su, abs(v.margin - float(su[(idx2, level)][n])))
         for tag, phi in (("ghz", tripartite.phi_ghz()), ("w", tripartite.phi_w())):
             for k in (2, 3):
                 v = tripartite.criterion_huber(p, phi, k)
@@ -370,18 +382,6 @@ def cmd_verify(args) -> int:
         return EXIT_CONSISTENCY
     print("all consistency checks passed")
     return EXIT_OK
-
-
-def _sign_ok(numeric, closed):
-    numeric = np.asarray(numeric, dtype=float)
-    closed = np.asarray(closed, dtype=float)
-    dead = (np.abs(numeric) <= MARGINAL_BAND) | (np.abs(closed) <= MARGINAL_BAND)
-    return dead | ((numeric > 0) == (closed > 0))
-
-
-def _verdict_code(margins):
-    margins = np.asarray(margins, dtype=float)
-    return (margins > MARGINAL_BAND).astype(np.int8) - (margins < -MARGINAL_BAND).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

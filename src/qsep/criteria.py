@@ -1,0 +1,253 @@
+"""The criterion registry: every criterion the toolkit evaluates, defined once.
+
+Each ``Criterion`` record names its id, its selection group, the classes a
+violation excludes and the kind of margin it reports; ``IDS`` is the scan
+order.  ``margins`` evaluates any subset of criteria over arrays of weights
+through one vectorized evaluator per criterion family; every evaluator runs
+the family's closed-form cross-checks on the same batch, so a grid chunk and
+a batch of one point take the same path.  The per-point ``criterion_*``
+functions of ``bipartite`` and ``tripartite`` stay as independent references.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from . import bipartite, linalg, states, tripartite
+from .exceptions import ConsistencyError
+from .verdict import assert_signs_agree, cell_name
+
+# the classes a violation rules out, by the separability level it tests
+FULLSEP = ("3",)
+INTERSECTION = ("3", "2.8")
+BISEP = ("3", "2.8", "2.1")
+NOTHING = ()
+
+SPIN_KIND = "spin-observable inequality slack"
+SWAP_KIND = "swap-criterion slack"
+ELEMENT_KIND = "matrix-element inequality slack"
+
+SPECTRUM_TOL = 1e-10  # eigensolver and SVD against the closed-form spectra
+ELEMENT_TOL = 1e-12   # matrix elements and traces against their closed forms
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One criterion: id, selection group, classes a violation excludes, margin kind."""
+
+    id: str
+    group: str
+    excludes: tuple[str, ...]
+    kind: str
+
+
+def _entropy_id(marginal: str, alpha: float) -> str:
+    return f"entropy_{marginal}_a{bipartite.alpha_label(alpha)}"
+
+
+# (setting index, level) of each spin criterion, (detection vector, k) of each swap criterion
+_SPIN = {
+    f"su{tag}_set{idx + 1}": (idx, level)
+    for level, tag in (("2sep", "2"), ("28cap3", "283"), ("3sep", "3"))
+    for idx in range(3)
+}
+_SWAP = {f"huber_{tag}_k{k}": (tag, k) for tag in ("ghz", "w") for k in (2, 3)}
+
+REGISTRY: tuple[Criterion, ...] = (
+    Criterion("maj_rho1", "maj", INTERSECTION, "min partial-sum slack"),
+    Criterion("maj_rho23", "maj", INTERSECTION, "min partial-sum slack"),
+    *(
+        Criterion(_entropy_id(marginal, alpha), "entropy", INTERSECTION, "entropy difference")
+        for alpha in bipartite.ALPHA_GRID
+        for marginal in ("rho1", "rho23")
+    ),
+    Criterion("ppt", "ppt", INTERSECTION, "min eigenvalue of rho^T1"),
+    Criterion("reduction", "reduction", INTERSECTION, "min eigenvalue of reduction maps"),
+    Criterion("resh24", "resh24", INTERSECTION, "1 - trace norm"),
+    Criterion("perm222", "perm222", FULLSEP, "1 - trace norm"),
+    Criterion("su2_set1", "su2", BISEP, SPIN_KIND),
+    Criterion("su2_set2", "su2", BISEP, SPIN_KIND),
+    Criterion("su2_set3", "su2", BISEP, SPIN_KIND),
+    Criterion("su283_set1", "su283", INTERSECTION, SPIN_KIND),
+    Criterion("su283_set2", "su283", INTERSECTION, SPIN_KIND),
+    Criterion("su283_set3", "su283", INTERSECTION, SPIN_KIND),
+    Criterion("su3_set1", "su3", FULLSEP, SPIN_KIND),
+    Criterion("su3_set2", "su3", FULLSEP, SPIN_KIND),
+    Criterion("su3_set3", "su3", FULLSEP, SPIN_KIND),
+    Criterion("huber_ghz_k2", "huber", BISEP, SWAP_KIND),
+    Criterion("huber_ghz_k3", "huber", FULLSEP, SWAP_KIND),
+    Criterion("huber_w_k2", "huber", BISEP, SWAP_KIND),
+    Criterion("huber_w_k3", "huber", FULLSEP, SWAP_KIND),
+    Criterion("gs2_ghz", "gs2", BISEP, ELEMENT_KIND),
+    Criterion("gs2_w", "gs2", BISEP, ELEMENT_KIND),
+    Criterion("gs3", "gs3", FULLSEP, ELEMENT_KIND),
+    Criterion("w_ghz", "witness", NOTHING, "witness expectation"),
+    Criterion("w_w1", "witness", BISEP, "witness expectation"),
+    Criterion("w_w2", "witness", BISEP, "witness expectation"),
+)
+
+IDS: tuple[str, ...] = tuple(c.id for c in REGISTRY)
+BY_ID: dict[str, Criterion] = {c.id: c for c in REGISTRY}
+GROUPS: dict[str, tuple[str, ...]] = {
+    group: tuple(c.id for c in REGISTRY if c.group == group)
+    for group in dict.fromkeys(c.group for c in REGISTRY)
+}
+
+
+# ---------------------------------------------------------------------------
+# evaluators: each takes a batch and the wanted ids of its family, returns {id: margins}
+
+
+class _Batch:
+    """Weights of one batch and the matrices several evaluators share."""
+
+    def __init__(self, g: np.ndarray, w: np.ndarray):
+        self.g = g
+        self.w = w
+
+    @cached_property
+    def closed(self) -> dict[str, np.ndarray]:
+        return states.closed_form_spectra_grid(self.g, self.w)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return states.build_rho_grid(self.g, self.w)
+
+    def assert_close(self, numeric, closed, what: str, tol: float) -> None:
+        """Raise unless numeric and closed agree to tol, naming the worst cell."""
+        dev = np.abs(np.asarray(numeric) - np.asarray(closed))
+        worst = float(np.max(dev))
+        if not worst <= tol:
+            n = np.unravel_index(np.argmax(dev), dev.shape)[0]
+            raise ConsistencyError(
+                f"{what} at {cell_name(self.g[n], self.w[n])}: "
+                f"deviates from closed forms by {worst:.3e}"
+            )
+
+
+def _majorization(b: _Batch, ids) -> dict[str, np.ndarray]:
+    spectra = {
+        "rho": linalg.eigh(b.rho),
+        "rho23": linalg.eigh(states.marginal_23_grid(b.g, b.w)),
+        "rho1": linalg.eigh(states.marginal_1_grid(b.g, b.w)),
+    }
+    for key, what in (("rho", "Spect(rho)"), ("rho23", "Spect(rho^23)"), ("rho1", "Spect(rho^1)")):
+        b.assert_close(spectra[key], b.closed[key], what, SPECTRUM_TOL)
+    m1, m23 = bipartite.majorization_margins_from_spectra(spectra)
+    c1, c23 = bipartite.majorization_case_margins(b.g, b.w)
+    assert_signs_agree("majorization rho^1", m1, c1, b.g, b.w)
+    assert_signs_agree("majorization rho^23", m23, c23, b.g, b.w)
+    return {"maj_rho1": m1, "maj_rho23": m23}
+
+
+def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
+    out = {}
+    for alpha in bipartite.ALPHA_GRID:
+        id1, id23 = _entropy_id("rho1", alpha), _entropy_id("rho23", alpha)
+        if id1 in ids or id23 in ids:
+            out[id1], out[id23] = bipartite.entropy_margins_from_spectra(b.closed, alpha)
+    return out
+
+
+def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
+    """ppt and reduction, which share the spectrum of rho^T1 and its quadratics."""
+    out = {}
+    spect_pt = linalg.eigh(states.partial_transpose_1_grid(b.g, b.w))
+    b.assert_close(spect_pt, b.closed["rho_t1"], "Spect(rho^T1)", SPECTRUM_TOL)
+    q1, q2 = bipartite.ppt_closed_margins(b.g, b.w)
+    if "ppt" in ids:
+        out["ppt"] = spect_pt[:, -1]
+        assert_signs_agree("ppt", out["ppt"], np.minimum(q1, q2), b.g, b.w)
+    if "reduction" in ids:
+        spect_first = linalg.eigh(states.reduction_i123_grid(b.g, b.w))
+        spect_second = linalg.eigh(states.reduction_1i23_grid(b.g, b.w))
+        b.assert_close(spect_first, b.closed["rho_t1"], "Spect(I (x) rho^23 - rho)", SPECTRUM_TOL)
+        b.assert_close(spect_second, b.closed["red1_i23"], "Spect(rho^1 (x) I - rho)", SPECTRUM_TOL)
+        r3, r4 = bipartite.reduction_closed_margins(b.g, b.w)
+        out["reduction"] = np.minimum(spect_first[:, -1], spect_second[:, -1])
+        closed = np.minimum(np.minimum(q1, q2), np.minimum(r3, r4))
+        assert_signs_agree("reduction", out["reduction"], closed, b.g, b.w)
+    return out
+
+
+def _reshuffle24(b: _Batch, ids) -> dict[str, np.ndarray]:
+    svs = linalg.singular_values(states.reshuffle_24_grid(b.g, b.w))
+    closed = bipartite.reshuffle24_closed_singular_values(b.g, b.w)
+    b.assert_close(svs, closed, "reshuffling singular values", SPECTRUM_TOL)
+    return {"resh24": 1.0 - np.sum(svs, axis=-1)}
+
+
+def _perm222(b: _Batch, ids) -> dict[str, np.ndarray]:
+    svs = linalg.singular_values(states.reshuffle_222_grid(b.g, b.w))
+    return {"perm222": 1.0 - np.sum(svs, axis=-1)}
+
+
+def _spin(b: _Batch, ids) -> dict[str, np.ndarray]:
+    return {cid: tripartite.su_margins_grid(b.g, b.w, *_SPIN[cid]) for cid in ids}
+
+
+def _swap(b: _Batch, ids) -> dict[str, np.ndarray]:
+    return {cid: tripartite.huber_margins_grid(b.g, b.w, *_SWAP[cid]) for cid in ids}
+
+
+def _gs2(b: _Batch, ids) -> dict[str, np.ndarray]:
+    m_ghz, m_w = tripartite.gs2_closed_margins(b.g, b.w)
+    raw_ghz, raw_w = tripartite.gs2_element_margins(b.rho)
+    b.assert_close(raw_ghz, m_ghz, "gs2_ghz matrix elements", ELEMENT_TOL)
+    b.assert_close(raw_w, m_w, "gs2_w matrix elements", ELEMENT_TOL)
+    return {"gs2_ghz": m_ghz, "gs2_w": m_w}
+
+
+def _gs3(b: _Batch, ids) -> dict[str, np.ndarray]:
+    closed = tripartite.gs3_closed_margins(b.g, b.w)
+    for key, value in tripartite.gs3_element_margins(b.rho).items():
+        b.assert_close(value, closed[key], f"gs3 member {key}", ELEMENT_TOL)
+    return {"gs3": closed["gs3"]}
+
+
+def _witness(b: _Batch, ids) -> dict[str, np.ndarray]:
+    closed = tripartite.witness_closed_forms(b.g, b.w)
+    for name, value in tripartite.witness_traces(b.rho).items():
+        b.assert_close(value, closed[name], f"witness {name} trace", ELEMENT_TOL)
+    return closed
+
+
+_EVALUATORS = {
+    "maj": _majorization,
+    "entropy": _entropy,
+    "ppt": _partial_transpose,
+    "reduction": _partial_transpose,
+    "resh24": _reshuffle24,
+    "perm222": _perm222,
+    "su2": _spin,
+    "su283": _spin,
+    "su3": _spin,
+    "huber": _swap,
+    "gs2": _gs2,
+    "gs3": _gs3,
+    "witness": _witness,
+}
+
+
+def margins(g, w, ids) -> dict[str, np.ndarray]:
+    """Margins of the criteria ``ids`` over 1-d weight arrays, cross-checked on every cell.
+
+    Raises ValueError for an unknown id and ConsistencyError, naming the
+    check and the first failing (g, w), when a numeric path and its closed
+    form disagree.
+    """
+    for cid in ids:
+        if cid not in BY_ID:
+            raise ValueError(f"unknown criterion {cid!r}")
+    wanted: dict = {}
+    for cid in IDS:
+        if cid in ids:
+            wanted.setdefault(_EVALUATORS[BY_ID[cid].group], []).append(cid)
+    batch = _Batch(np.asarray(g, dtype=float), np.asarray(w, dtype=float))
+    out: dict[str, np.ndarray] = {}
+    for evaluate, family in wanted.items():
+        out.update(evaluate(batch, family))
+    return {cid: np.asarray(out[cid], dtype=float) for cid in ids}

@@ -15,10 +15,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import linalg, states
-from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError
 from .states import SimplexPoint
-from .verdict import CriterionVerdict, signs_agree
+from .verdict import CriterionVerdict, assert_signs_agree, cell_name
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -164,11 +163,7 @@ def criterion_su(p: SimplexPoint, triads, level: str) -> CriterionVerdict:
         cid = f"su{_LEVEL_TAG[level]}_custom"
     else:
         cid = f"su{_LEVEL_TAG[level]}_set{idx + 1}"
-        closed = float(su_closed_margin(p.g, p.w, idx, level))
-        if not signs_agree(margin, closed):
-            raise ConsistencyError(
-                f"{cid} at {p}: numeric margin {margin:.3e} vs closed form {closed:.3e}"
-            )
+        assert_signs_agree(cid, margin, su_closed_margin(p.g, p.w, idx, level), p.g, p.w)
     return CriterionVerdict.from_margin(cid, margin, "spin-observable inequality slack")
 
 
@@ -215,15 +210,10 @@ def su_margins_grid(g, w, setting_index: int, level: str) -> np.ndarray:
         for key in coeffs
     }
     margins = su_margins_from_expectations(ev["X"], ev["Y"], ev["Z"], ev["I"], level)
-    closed = su_closed_margin(g, w, setting_index, level)
-    dead = (np.abs(margins) <= MARGINAL_BAND) | (np.abs(closed) <= MARGINAL_BAND)
-    agree = dead | ((margins > 0) == (closed > 0))
-    if not np.all(agree):
-        idx = int(np.argmax(~agree))
-        raise ConsistencyError(
-            f"su{_LEVEL_TAG[level]}_set{setting_index + 1} at (g={g[idx]}, w={w[idx]}): "
-            f"numeric {margins[idx]:.3e} vs closed {float(np.ravel(closed)[idx]):.3e}"
-        )
+    assert_signs_agree(
+        f"su{_LEVEL_TAG[level]}_set{setting_index + 1}",
+        margins, su_closed_margin(g, w, setting_index, level), g, w,
+    )
     return margins
 
 
@@ -484,17 +474,24 @@ def gs3_deduplicated_signatures() -> tuple[set, set]:
     )
 
 
-def _gs2_raw_margins(rho: np.ndarray) -> tuple[float, float]:
-    d = rho.real.diagonal()
+def _w_coherences(rho: np.ndarray) -> np.ndarray:
+    return np.abs(rho[..., 1, 2]) + np.abs(rho[..., 1, 4]) + np.abs(rho[..., 2, 4])
+
+
+def gs2_element_margins(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(GHZ-flavoured, W-flavoured) biseparability margins from the matrix elements of
+    one density matrix or a batch."""
+    d = np.diagonal(rho.real, axis1=-2, axis2=-1)
     m_ghz = (
-        np.sqrt(d[6] * d[1]) + np.sqrt(d[5] * d[2]) + np.sqrt(d[3] * d[4]) - abs(rho[0, 7])
+        np.sqrt(d[..., 6] * d[..., 1]) + np.sqrt(d[..., 5] * d[..., 2])
+        + np.sqrt(d[..., 3] * d[..., 4]) - np.abs(rho[..., 0, 7])
     )
-    lhs = abs(rho[1, 2]) + abs(rho[1, 4]) + abs(rho[2, 4])
     m_w = (
-        np.sqrt(d[0] * d[3]) + np.sqrt(d[0] * d[5]) + np.sqrt(d[0] * d[6])
-        + (d[1] + d[2] + d[4]) / 2.0 - lhs
+        np.sqrt(d[..., 0] * d[..., 3]) + np.sqrt(d[..., 0] * d[..., 5])
+        + np.sqrt(d[..., 0] * d[..., 6])
+        + (d[..., 1] + d[..., 2] + d[..., 4]) / 2.0 - _w_coherences(rho)
     )
-    return float(m_ghz), float(m_w)
+    return m_ghz, m_w
 
 
 def gs2_closed_margins(g, w):
@@ -509,8 +506,7 @@ def gs2_closed_margins(g, w):
 
 def criterion_gs_biseparable(p: SimplexPoint) -> CriterionVerdict:
     """Matrix-element biseparability criterion (both published inequalities)."""
-    rho = states.build_rho(p)
-    m_ghz, m_w = _gs2_raw_margins(rho)
+    m_ghz, m_w = (float(m) for m in gs2_element_margins(states.build_rho(p)))
     c_ghz, c_w = gs2_closed_margins(p.g, p.w)
     if abs(m_ghz - float(c_ghz)) > 1e-12 or abs(m_w - float(c_w)) > 1e-12:
         raise ConsistencyError(f"gs2 closed forms disagree with matrix elements at {p}")
@@ -543,22 +539,26 @@ def gs3_closed_margins(g, w) -> dict[str, np.ndarray]:
     return out
 
 
+def gs3_element_margins(rho: np.ndarray) -> dict[str, np.ndarray]:
+    """All 14 full-separability margins from the matrix elements of one density
+    matrix or a batch, keyed like ``gs3_closed_margins``."""
+    d = np.ascontiguousarray(np.diagonal(rho.real, axis1=-2, axis2=-1))  # fast fancy indexing
+    corner = np.abs(rho[..., 0, 7])
+    out: dict[str, np.ndarray] = {}
+    for prefix, family in (("six", GS3_SIXTH), ("four", GS3_FOURTH)):
+        rhs = np.prod(d[..., np.array(family)], axis=-1) ** (1.0 / len(family[0]))
+        for k, ms in enumerate(family):
+            out[f"gs3_{prefix}_{''.join(str(m) for m in ms)}"] = rhs[..., k] - corner
+    out["gs3_offdiag"] = (
+        np.sqrt(d[..., 0] * d[..., 3]) + np.sqrt(d[..., 0] * d[..., 5])
+        + np.sqrt(d[..., 0] * d[..., 6]) - _w_coherences(rho)
+    )
+    return out
+
+
 def criterion_gs_fullsep(p: SimplexPoint) -> CriterionVerdict:
     """Matrix-element full-separability family; holds only if every member holds."""
-    rho = states.build_rho(p)
-    d = rho.real.diagonal()
-    corner = abs(rho[0, 7])
-    parts: dict[str, float] = {}
-    for ms in GS3_SIXTH:
-        rhs = float(np.prod(d[list(ms)])) ** (1.0 / 6.0)
-        parts[f"gs3_six_{''.join(str(m) for m in ms)}"] = rhs - corner
-    for ms in GS3_FOURTH:
-        rhs = float(np.prod(d[list(ms)])) ** (1.0 / 4.0)
-        parts[f"gs3_four_{''.join(str(m) for m in ms)}"] = rhs - corner
-    lhs = abs(rho[1, 2]) + abs(rho[1, 4]) + abs(rho[2, 4])
-    parts["gs3_offdiag"] = float(
-        np.sqrt(d[0] * d[3]) + np.sqrt(d[0] * d[5]) + np.sqrt(d[0] * d[6]) - lhs
-    )
+    parts = {key: float(v) for key, v in gs3_element_margins(states.build_rho(p)).items()}
     closed = gs3_closed_margins(p.g, p.w)
     for key, value in parts.items():
         if abs(value - float(closed[key])) > 1e-12:
@@ -594,13 +594,21 @@ def witness_closed_forms(g, w) -> dict[str, np.ndarray]:
     }
 
 
+def witness_traces(rho: np.ndarray) -> dict[str, np.ndarray]:
+    """Tr(W rho) for the three witnesses, for one density matrix or a batch."""
+    matrices = witness_matrices()
+    # Tr(W rho) is the flattened rho dotted with the flattened W^T
+    columns = np.stack([m.T.reshape(64) for m in matrices.values()], axis=-1)
+    traces = (rho.reshape(rho.shape[:-2] + (64,)) @ columns).real
+    return {name: traces[..., k] for k, name in enumerate(matrices)}
+
+
 def witness_expectations(p: SimplexPoint) -> dict[str, float]:
     """Tr(W rho) for the three witnesses, checked against the closed forms."""
-    rho = states.build_rho(p)
     closed = witness_closed_forms(p.g, p.w)
     out = {}
-    for name, matrix in witness_matrices().items():
-        value = float(np.trace(matrix @ rho).real)
+    for name, trace in witness_traces(states.build_rho(p)).items():
+        value = float(trace)
         if abs(value - float(closed[name])) > 1e-12:
             raise ConsistencyError(
                 f"witness {name} at {p}: trace {value:.15e} vs closed {float(closed[name]):.15e}"
@@ -616,33 +624,37 @@ GHZ_TRIANGLE = ((3.0 / 7.0, 0.0), (1.0, 0.0), (G0, 1.0 - G0))
 DEFINITELY_GHZ = "definitely-ghz-type"
 NOT_GHZ = "definitely-not-ghz-type"
 UNDETERMINED = "undetermined"
+SLOCC_BOUNDS = (DEFINITELY_GHZ, NOT_GHZ, UNDETERMINED)
 
 
-def _inside_triangle(g: float, w: float, eps: float = 1e-12) -> bool:
+def _inside_ghz_triangle(g, w, eps: float = 1e-12):
+    """Whether (g, w) lies in the GHZ_TRIANGLE, its edges included (arrays allowed)."""
     (ax, ay), (bx, by), (cx, cy) = GHZ_TRIANGLE
-    def cross(ox, oy, px, py, qx, qy):
-        return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
-    return (
-        cross(ax, ay, bx, by, g, w) >= -eps
-        and cross(bx, by, cx, cy, g, w) >= -eps
-        and cross(cx, cy, ax, ay, g, w) >= -eps
-    )
+    first = (bx - ax) * (w - ay) - (by - ay) * (g - ax) >= -eps
+    second = (cx - bx) * (w - by) - (cy - by) * (g - bx) >= -eps
+    third = (ax - cx) * (w - cy) - (ay - cy) * (g - cx) >= -eps
+    return first & second & third
+
+
+def slocc_codes(g, w, w_ghz) -> np.ndarray:
+    """Index into SLOCC_BOUNDS per cell, from the GHZ witness value and the
+    zero-tangle bound; raises where the two contradict."""
+    g, w, w_ghz = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (g, w, w_ghz))
+    not_ghz = (w >= GHZ_TANGLE_SLOPE * g - 1e-15) | ~_inside_ghz_triangle(g, w)
+    ghz = w_ghz < 0.0
+    clash = np.flatnonzero(ghz & not_ghz)
+    if clash.size:
+        n = clash[0]
+        raise ConsistencyError(
+            f"GHZ witness negative at {cell_name(g[n], w[n])} "
+            "but the zero-tangle bound excludes GHZ type"
+        )
+    return np.where(ghz, 0, np.where(not_ghz, 1, 2)).astype(np.int8)
 
 
 def ghz_class_bounds(p: SimplexPoint) -> str:
     """Three-way SLOCC constraint from the witness and the zero-tangle bound."""
-    witness = witness_expectations(p)["w_ghz"]
-    zero_tangle = p.w >= GHZ_TANGLE_SLOPE * p.g - 1e-15
-    outside = not _inside_triangle(p.g, p.w)
-    if witness < 0.0:
-        if zero_tangle or outside:
-            raise ConsistencyError(
-                f"GHZ witness negative at {p} but the zero-tangle bound excludes GHZ type"
-            )
-        return DEFINITELY_GHZ
-    if zero_tangle or outside:
-        return NOT_GHZ
-    return UNDETERMINED
+    return SLOCC_BOUNDS[int(slocc_codes(p.g, p.w, witness_expectations(p)["w_ghz"])[0])]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,34 @@
-"""Uniform three-state wrapper for criterion outcomes."""
+"""Uniform three-state wrapper for criterion outcomes, and the one sign rule.
+
+A margin within ``MARGINAL_BAND`` of zero is marginal; outside it, a
+positive margin holds and a negative one is violated.  Numeric and closed
+form margins agree when their signs match or either lies in that band.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import MARGINAL_BAND
+from .exceptions import ConsistencyError
 
 HOLDS = "holds"
 VIOLATED = "violated"
 MARGINAL = "marginal"
 
+CODE_NAMES = {1: HOLDS, 0: MARGINAL, -1: VIOLATED}
 
-def verdict_state(margin: float, band: float = MARGINAL_BAND) -> str:
-    if abs(margin) <= band:
-        return MARGINAL
-    return HOLDS if margin > 0 else VIOLATED
+
+def codes(margins) -> np.ndarray:
+    """Verdict codes of margins (arrays allowed): 1 holds, 0 marginal, -1 violated."""
+    m = np.asarray(margins, dtype=float)
+    return (m > MARGINAL_BAND).astype(np.int8) - (m < -MARGINAL_BAND).astype(np.int8)
+
+
+def verdict_state(margin: float) -> str:
+    return CODE_NAMES[int(codes(margin))]
 
 
 @dataclass(frozen=True)
@@ -31,17 +45,28 @@ class CriterionVerdict:
     def from_margin(cls, cid: str, margin: float, kind: str, parts: dict | None = None):
         return cls(cid, verdict_state(margin), float(margin), kind, parts or {})
 
-    @property
-    def is_violated(self) -> bool:
-        return self.holds == VIOLATED
 
-    @property
-    def is_marginal(self) -> bool:
-        return self.holds == MARGINAL
+def signs_agree(a, b):
+    """Elementwise sign agreement with a dead band around zero on either side."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return (np.abs(a) <= MARGINAL_BAND) | (np.abs(b) <= MARGINAL_BAND) | ((a > 0) == (b > 0))
 
 
-def signs_agree(a: float, b: float, band: float = MARGINAL_BAND) -> bool:
-    """Sign agreement with a dead band around zero on either side."""
-    if abs(a) <= band or abs(b) <= band:
-        return True
-    return (a > 0) == (b > 0)
+def assert_signs_agree(what: str, numeric, closed, g, w) -> None:
+    """Raise ConsistencyError naming the check and the first cell (g, w) whose signs disagree."""
+    numeric, closed, g, w = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (numeric, closed, g, w))
+    )
+    bad = np.flatnonzero(~signs_agree(numeric, closed))
+    if bad.size:
+        n = bad[0]
+        raise ConsistencyError(
+            f"{what} at {cell_name(g[n], w[n])}: numeric margin {numeric[n]:.3e} "
+            f"vs closed form {closed[n]:.3e}"
+        )
+
+
+def cell_name(g, w) -> str:
+    """'(g=..., w=...)' with both weights at full precision."""
+    return f"(g={float(g)!r}, w={float(w)!r})"

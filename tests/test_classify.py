@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qsep import bipartite, classify
+from qsep import bipartite, classify, criteria
+from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
 
@@ -83,6 +84,24 @@ class TestBuckets:
 
     def test_ghz_witness_excludes_nothing(self):
         assert classify.excluded_classes("w_ghz") == ()
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            classify.excluded_classes("bogus")
+
+
+class TestFuse:
+    def test_rejects_exclusions_that_skip_a_level(self, monkeypatch):
+        skipping = criteria.Criterion("ppt", "ppt", ("2.8",), "min eigenvalue of rho^T1")
+        monkeypatch.setitem(criteria.BY_ID, "ppt", skipping)
+        g, w = np.array([0.1, 0.3]), np.array([0.1, 0.3])
+        with pytest.raises(ConsistencyError, match=r"contradictory exclusions at \(g=0\.3"):
+            classify.fuse(g, w, {"ppt": np.array([1, -1], dtype=np.int8)})
+
+    def test_rejects_losing_the_exact_class(self):
+        # a violated biseparability criterion at g = 0.1 on w = 0, where the exact class is 3
+        with pytest.raises(ConsistencyError, match="exact class 3"):
+            classify.fuse(np.array([0.1]), np.array([0.0]), {"w_w1": np.array([-1], dtype=np.int8)})
 
 
 class TestNoiseMonotonicity:

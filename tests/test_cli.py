@@ -123,6 +123,13 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--points", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_not_finite_nonnegative_is_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--points", "5", "--tol", tol)
+        assert code == 1
+        assert "--tol" in err
+        assert "FAIL" not in out
+
 
 class TestEnvironment:
     @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan", ""])

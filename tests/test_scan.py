@@ -1,15 +1,40 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsep import classify, scan
+from qsep import bipartite, classify, criteria, scan, tripartite
+from qsep.config import MARGINAL_BAND
+from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
+
+# per-point reference paths (explicit matrices, swap operators, kron observables),
+# one criterion of every registry group
+REFERENCE_MARGINS = {
+    "maj_rho23": lambda p: bipartite.criterion_majorization(p)[1].margin,
+    "entropy_rho1_a2": lambda p: bipartite.criterion_entropy(p, 2.0)[0].margin,
+    "ppt": lambda p: bipartite.criterion_ppt(p).margin,
+    "reduction": lambda p: bipartite.criterion_reduction(p).margin,
+    "resh24": lambda p: bipartite.criterion_reshuffling_24(p).margin,
+    "perm222": lambda p: tripartite.criterion_permutation_222(p).margin,
+    "su2_set1": lambda p: tripartite.criterion_su(p, (tripartite.SETTING_I,) * 3, "2sep").margin,
+    "su283_set2": lambda p: tripartite.criterion_su(
+        p, (tripartite.SETTING_II,) * 3, "28cap3").margin,
+    "su3_set3": lambda p: tripartite.criterion_su(p, (tripartite.SETTING_III,) * 3, "3sep").margin,
+    "huber_ghz_k2": lambda p: tripartite.criterion_huber(p, tripartite.phi_ghz(), 2).margin,
+    "huber_w_k3": lambda p: tripartite.criterion_huber(p, tripartite.phi_w(), 3).margin,
+    "gs2_w": lambda p: tripartite.criterion_gs_biseparable(p).parts["gs2_w"],
+    "gs3": lambda p: tripartite.criterion_gs_fullsep(p).margin,
+    "w_w1": lambda p: tripartite.witness_expectations(p)["w_w1"],
+}
 
 
 class TestResolveCriteria:
     def test_all_expands_everything(self):
-        assert scan.resolve_criteria("all") == scan.ALL_CRITERIA
+        assert scan.resolve_criteria("all") == criteria.IDS
 
     def test_groups_and_ids_mix(self):
         ids = scan.resolve_criteria("gs3,ppt")
@@ -35,21 +60,29 @@ class TestGridScan:
     def test_margins_match_per_point_path(self):
         grid = scan.grid_scan(10, "all")
         for i, j in ((2, 3), (0, 0), (10, 0), (4, 4)):
-            cell = grid.cell(i, j)
+            n = grid.flat_index(i, j)
             p = SimplexPoint(i / 10, j / 10)
-            for cid in ("ppt", "reduction", "maj_rho23", "resh24", "perm222",
-                        "su2_set1", "su283_set2", "huber_ghz_k2", "gs2_w", "gs3", "w_w1"):
-                assert abs(cell.margins[cid] - scan.point_margin(cid, p)) < 1e-11, (i, j, cid)
+            for cid, reference in REFERENCE_MARGINS.items():
+                assert abs(grid.margins[cid][n] - reference(p)) < 1e-11, (i, j, cid)
 
     def test_classification_matches_classify_point(self):
         grid = scan.grid_scan(8, "all")
         for i, j in ((0, 0), (2, 2), (8, 0), (3, 5), (1, 6)):
-            report_grid = grid.cell(i, j).report
-            report_point = classify.classify_point(SimplexPoint(i / 8, j / 8))
-            assert report_grid.possible_classes == report_point.possible_classes
-            assert report_grid.slocc == report_point.slocc
-            assert report_grid.pptes_certified == report_point.pptes_certified
-            assert report_grid.exact == report_point.exact
+            report_grid = grid.report_at(grid.flat_index(i, j))
+            assert report_grid == classify.classify_point(SimplexPoint(i / 8, j / 8))
+
+    @settings(max_examples=8, deadline=None)
+    @given(resolution=st.integers(2, 40), chunk=st.sampled_from([7, 64, 8192]), data=st.data())
+    def test_batch_of_one_is_the_grid_path(self, resolution, chunk, data):
+        with mock.patch.object(scan, "CHUNK", chunk):
+            grid = scan.grid_scan(resolution, "all")
+        cells = st.lists(st.integers(0, grid.cell_count - 1), min_size=1, max_size=3)
+        for n in data.draw(cells):
+            one = criteria.margins(grid.g[n : n + 1], grid.w[n : n + 1], criteria.IDS)
+            for cid in criteria.IDS:
+                assert one[cid].tobytes() == grid.margins[cid][n : n + 1].tobytes(), (n, cid)
+            report = classify.classify_point(SimplexPoint(grid.g[n], grid.w[n]))
+            assert report == grid.report_at(n)
 
     @pytest.mark.parametrize("resolution,criteria", [(50, "perm222"), (85, "all"), (100, "all")])
     def test_resolutions_that_broke_batched_jacobi(self, resolution, criteria):
@@ -62,6 +95,19 @@ class TestGridScan:
             report = grid.report_at(int(row))
             assert report.exact
             assert report.possible_classes == (want,), (g, report.possible_classes)
+
+    def test_sign_failure_names_the_grid_cell(self, monkeypatch):
+        # a closed form that disagrees at one cell only, in the third chunk of four
+        real = bipartite.ppt_closed_margins
+
+        def flipped(g, w):
+            hit = (g == 0.5) & (w == 0.25)
+            return tuple(np.where(hit, -q, q) for q in real(g, w))
+
+        monkeypatch.setattr(bipartite, "ppt_closed_margins", flipped)
+        monkeypatch.setattr(scan, "CHUNK", 4)
+        with pytest.raises(ConsistencyError, match=r"^ppt at \(g=0\.5, w=0\.25\)"):
+            scan.grid_scan(4, "ppt")
 
     def test_rejects_workers_below_one(self):
         with pytest.raises(ValueError, match="workers"):
@@ -97,6 +143,19 @@ class TestBoundaryBisect:
         wide = scan.boundary_bisect("ppt", ((0.0, 0.0), (1.0, 0.0)))
         narrow = scan.boundary_bisect("ppt", ((0.15, 0.0), (0.3, 0.0)))
         assert abs(wide.g - narrow.g) < 1e-9
+
+    def test_endpoints_inside_marginal_band(self):
+        # both endpoints sit within the band of the g = 1/5 crossing, off it by 1e-10
+        inner, outer = (0.2 - 1e-10, 0.0), (0.2 + 1e-10, 0.0)
+        for end in (inner, outer):
+            assert 0.0 < abs(scan.point_margin("ppt", SimplexPoint(*end))) <= MARGINAL_BAND
+        for ray in (((0.0, 0.0), outer), (inner, (1.0, 0.0)), (inner, outer)):
+            assert abs(scan.boundary_bisect("ppt", ray).g - 0.2) < 1e-9
+
+    def test_rejects_endpoint_with_zero_margin(self):
+        assert scan.point_margin("ppt", SimplexPoint(0.2, 0.0)) == 0.0
+        with pytest.raises(ValueError, match="change sign"):
+            scan.boundary_bisect("ppt", ((0.0, 0.0), (0.2, 0.0)))
 
     def test_rejects_same_sign_endpoints(self):
         with pytest.raises(ValueError, match="change sign"):
