@@ -10,9 +10,9 @@ parallel scan is byte-identical to a sequential one.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -167,34 +167,107 @@ def boundary_bisect(cid: str, ray, tol: float = 1e-10) -> SimplexPoint:
 
 # ---------------------------------------------------------------------------
 # exports
+#
+# The CSV and JSON writers format each criterion's column once per block of
+# cells and stream the blocks out, so memory stays bounded by one block.
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_BLOCK = 4096  # cells formatted and written at a time
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_column(values: np.ndarray) -> list[str]:
+    """Every element as the ``json`` module writes a float."""
+    out = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        out = [_JSON_NONFINITE.get(s, s) for s in out]
+    return out
+
+
+def _blocks(grid: RegionGrid):
+    return ((lo, min(lo + _BLOCK, grid.cell_count)) for lo in range(0, grid.cell_count, _BLOCK))
 
 
 def export_csv(grid: RegionGrid, path) -> None:
-    lines = ["g,w,criterion_id,verdict,margin"]
-    names = _verdict_names(grid)
-    for n in range(grid.cell_count):
-        gs = _fmt(grid.g[n])
-        ws = _fmt(grid.w[n])
-        for cid in grid.criteria:
-            lines.append(f"{gs},{ws},{cid},{names[cid][n]},{_fmt(grid.margins[cid][n])}")
+    """One row per (cell, criterion): cells in lattice order, criteria in selection
+    order, floats at 17 significant digits."""
+    leads = [
+        {code: f"{cid},{name}," for code, name in verdict.CODE_NAMES.items()} for cid in grid.criteria
+    ]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("g,w,criterion_id,verdict,margin\n")
+        if not grid.criteria:
+            return
+        for lo, hi in _blocks(grid):
+            cells = [f"{g:.17g},{w:.17g}," for g, w in zip(grid.g[lo:hi].tolist(), grid.w[lo:hi].tolist())]
+            columns = [
+                [
+                    f"{lead[code]}{margin:.17g}"
+                    for code, margin in zip(
+                        grid.codes[cid][lo:hi].tolist(), grid.margins[cid][lo:hi].tolist()
+                    )
+                ]
+                for cid, lead in zip(grid.criteria, leads)
+            ]
+            # each cell's rows: its criterion columns joined on a newline and the cell's g,w
+            fh.write("".join([
+                cell + ("\n" + cell).join(row) + "\n" for cell, row in zip(cells, zip(*columns))
+            ]))
 
 
 def export_json(grid: RegionGrid, path) -> None:
-    payload = {
+    """The payload ``json.dump`` would write for ``grid_report_dicts``, byte for byte."""
+    head = {
         "schema_version": SCHEMA_VERSION,
         "resolution": grid.resolution,
         "criteria": list(grid.criteria),
-        "reports": grid_report_dicts(grid),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=None, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"reports":[')
+        for lo, hi in _blocks(grid):
+            if lo:
+                fh.write(",")
+            fh.write(",".join(_json_reports(grid, lo, hi)))
+        fh.write("]}\n")
+
+
+def _json_reports(grid: RegionGrid, lo: int, hi: int) -> list[str]:
+    """The JSON text of the reports of cells lo..hi-1, as ``grid_report_dicts`` builds them."""
+    dumps = json.dumps
+    classes = [
+        dumps([cls for k, cls in enumerate(classify.CLASSES) if bits >> k & 1], separators=(",", ":"))
+        for bits in range(1 << len(classify.CLASSES))
+    ]
+    slocc = [dumps(name) for name in classify.SLOCC_NAMES]
+    flags = ("false", "true")
+    codes = {cid: grid.codes[cid][lo:hi].tolist() for cid in grid.criteria}
+    entries, exclusions, marginal = [], [], []
+    for cid in grid.criteria:
+        key = dumps(cid)
+        lead = {code: f'{key}:{{"verdict":"{name}","margin":' for code, name in verdict.CODE_NAMES.items()}
+        entries.append([
+            lead[code] + margin + "}"
+            for code, margin in zip(codes[cid], _json_column(grid.margins[cid][lo:hi]))
+        ])
+        excluded = ",".join(f"[{dumps(cls)},{key}]" for cls in classify.excluded_classes(cid))
+        if excluded:
+            exclusions.append([excluded if code == -1 else "" for code in codes[cid]])
+        marginal.append([key if code == 0 else "" for code in codes[cid]])
+    possible = grid.possible[lo:hi] @ (1 << np.arange(len(classify.CLASSES)))
+    cells = zip(
+        _json_column(grid.g[lo:hi]), _json_column(grid.w[lo:hi]), possible.tolist(),
+        grid.slocc[lo:hi].tolist(), grid.exact[lo:hi].tolist(), grid.pptes[lo:hi].tolist(),
+        zip(*exclusions) if exclusions else repeat(()),
+        zip(*marginal) if marginal else repeat(()),
+        zip(*entries) if entries else repeat(()),
+    )
+    return [
+        f'{{"g":{g},"w":{w},"possible_classes":{classes[bits]},"slocc":{slocc[s]},'
+        f'"exclusions":[{",".join(filter(None, ex))}],"exact":{flags[exact]},'
+        f'"pptes_certified":{flags[pptes]},"marginal":[{",".join(filter(None, mg))}],'
+        f'"criteria":{{{",".join(crit)}}}}}'
+        for g, w, bits, s, exact, pptes, ex, mg, crit in cells
+    ]
 
 
 def import_json(path) -> dict:
@@ -225,57 +298,66 @@ def _verdict_names(grid: RegionGrid) -> dict[str, list[str]]:
 # ---------------------------------------------------------------------------
 # marching squares and SVG
 
+# corner k of cell (i, j) is the lattice point (i + di, j + dj), (di, dj) = _CORNERS[k];
+# the edges run between consecutive corners, in this order
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
+
 
 def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Zero-level segments of a criterion margin field by marching squares."""
+    """Zero-level segments of a criterion margin field by marching squares.
+
+    Every lattice cell whose four corners lie in the simplex is processed at
+    once, with array masks in place of Lorensen & Cline's case table.  An edge
+    is crossed where its end margins differ in sign or one of them (not both)
+    is zero; the crossing is interpolated linearly.  A cell with two crossings
+    gives one segment; a saddle (four crossings) gives two, paired by the sign
+    of the mean corner margin.  A cell with a NaN corner gives none.  Segments
+    come in cell order, i-major, then j.
+    """
     n = grid.resolution
     field = np.full((n + 1, n + 1), np.nan)
     field[grid.i_index, grid.j_index] = grid.margins[cid]
-    segments = []
-    for i in range(n):
-        for j in range(n):
-            if i + j + 2 > n:
-                continue
-            corners = (
-                field[i, j], field[i + 1, j], field[i + 1, j + 1], field[i, j + 1]
+    # cells inside the simplex whose corner margins are not all of one strict sign
+    # (a NaN corner fails both tests, since NaN propagates through the extrema)
+    views = [field[di : n + di, dj : n + dj] for di, dj in _CORNERS]
+    low = np.minimum(np.minimum(views[0], views[1]), np.minimum(views[2], views[3]))
+    high = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    inside = np.add.outer(np.arange(n), np.arange(n)) + 2 <= n
+    i, j = np.nonzero(inside & (low <= 0.0) & (high >= 0.0))
+    corners = np.stack([view[i, j] for view in views])
+    hit = np.empty(corners.shape, dtype=bool)
+    gg = np.empty(corners.shape)
+    ww = np.empty(corners.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e, (a, b) in enumerate(_EDGES):
+            ca, cb = corners[a], corners[b]
+            t = ca / (ca - cb)
+            hit[e] = (
+                ~((ca == 0.0) & (cb == 0.0))
+                & (((ca > 0) != (cb > 0)) | (ca == 0.0) | (cb == 0.0))
+                & (0.0 <= t) & (t <= 1.0)
             )
-            if any(math.isnan(v) for v in corners):
-                continue
-            pts = []
-            coords = (
-                ((i, j), (i + 1, j)),
-                ((i + 1, j), (i + 1, j + 1)),
-                ((i + 1, j + 1), (i, j + 1)),
-                ((i, j + 1), (i, j)),
-            )
-            values = (
-                (corners[0], corners[1]),
-                (corners[1], corners[2]),
-                (corners[2], corners[3]),
-                (corners[3], corners[0]),
-            )
-            for (ca, cb), ((ia, ja), (ib, jb)) in zip(values, coords):
-                if ca == 0.0 and cb == 0.0:
-                    continue
-                if (ca > 0) != (cb > 0) or ca == 0.0 or cb == 0.0:
-                    t = ca / (ca - cb) if ca != cb else 0.5
-                    if not 0.0 <= t <= 1.0:
-                        continue
-                    gg = (ia + t * (ib - ia)) / n
-                    ww = (ja + t * (jb - ja)) / n
-                    pts.append((gg, ww))
-            if len(pts) == 2:
-                segments.append((pts[0], pts[1]))
-            elif len(pts) == 4:
-                center = sum(corners) / 4.0
-                # ambiguous saddle: pair crossings consistently with the center sign
-                if (center > 0) == (corners[0] > 0):
-                    segments.append((pts[0], pts[3]))
-                    segments.append((pts[1], pts[2]))
-                else:
-                    segments.append((pts[0], pts[1]))
-                    segments.append((pts[2], pts[3]))
-    return segments
+            (ia, ja), (ib, jb) = _CORNERS[a], _CORNERS[b]
+            gg[e] = ((i + ia) + t * (ib - ia)) / n
+            ww[e] = ((j + ja) + t * (jb - ja)) / n
+    # the crossings of each cell first, in edge order
+    order = np.argsort(~hit, axis=0, kind="stable")
+    gg = np.take_along_axis(gg, order, axis=0)
+    ww = np.take_along_axis(ww, order, axis=0)
+    count = hit.sum(axis=0)
+    saddle = count == 4
+    centre = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
+    paired = saddle & ((centre > 0) == (corners[0] > 0))
+    # which crossings the first and second segment of each cell join
+    ends = np.stack([
+        np.zeros_like(count), np.where(paired, 3, 1), np.where(paired, 1, 2), np.where(paired, 2, 3)
+    ])
+    gg = np.take_along_axis(gg, ends, axis=0)
+    ww = np.take_along_axis(ww, ends, axis=0)
+    segments = np.stack([gg[0], ww[0], gg[1], ww[1], gg[2], ww[2], gg[3], ww[3]], axis=1)
+    emitted = np.stack([(count == 2) | saddle, saddle], axis=1)
+    return [((a, b), (c, d)) for a, b, c, d in segments.reshape(-1, 4)[emitted.reshape(-1)].tolist()]
 
 
 _CLASS_FILLS = {

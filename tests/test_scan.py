@@ -1,4 +1,6 @@
+import json
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsep import bipartite, classify, criteria, scan, tripartite
+from qsep import bipartite, classify, criteria, scan, tripartite, verdict
 from qsep.config import MARGINAL_BAND
 from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
@@ -31,6 +33,77 @@ REFERENCE_MARGINS = {
     "w_w1": lambda p: tripartite.witness_expectations(p)["w_w1"],
 }
 
+
+# ---------------------------------------------------------------------------
+# loop references for the array exporters: one cell (and one criterion) at a time
+
+
+def reference_csv(grid) -> str:
+    lines = ["g,w,criterion_id,verdict,margin"]
+    for n in range(grid.cell_count):
+        gs, ws = format(float(grid.g[n]), ".17g"), format(float(grid.w[n]), ".17g")
+        for cid in grid.criteria:
+            name = verdict.CODE_NAMES[int(grid.codes[cid][n])]
+            lines.append(f"{gs},{ws},{cid},{name},{format(float(grid.margins[cid][n]), '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(grid) -> str:
+    payload = {
+        "schema_version": scan.SCHEMA_VERSION,
+        "resolution": grid.resolution,
+        "criteria": list(grid.criteria),
+        "reports": scan.grid_report_dicts(grid),
+    }
+    return json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
+
+
+def reference_isolines(grid, cid):
+    """Marching squares one cell at a time."""
+    n = grid.resolution
+    field = np.full((n + 1, n + 1), np.nan)
+    field[grid.i_index, grid.j_index] = grid.margins[cid]
+    segments = []
+    for i in range(n):
+        for j in range(n):
+            if i + j + 2 > n:
+                continue
+            corners = (field[i, j], field[i + 1, j], field[i + 1, j + 1], field[i, j + 1])
+            if any(math.isnan(v) for v in corners):
+                continue
+            coords = (
+                ((i, j), (i + 1, j)),
+                ((i + 1, j), (i + 1, j + 1)),
+                ((i + 1, j + 1), (i, j + 1)),
+                ((i, j + 1), (i, j)),
+            )
+            pts = []
+            for k, ((ia, ja), (ib, jb)) in enumerate(coords):
+                ca, cb = corners[k], corners[(k + 1) % 4]
+                if ca == 0.0 and cb == 0.0:
+                    continue
+                if (ca > 0) != (cb > 0) or ca == 0.0 or cb == 0.0:
+                    t = ca / (ca - cb) if ca != cb else 0.5
+                    if not 0.0 <= t <= 1.0:
+                        continue
+                    pts.append(((ia + t * (ib - ia)) / n, (ja + t * (jb - ja)) / n))
+            if len(pts) == 2:
+                segments.append((pts[0], pts[1]))
+            elif len(pts) == 4:
+                # ambiguous saddle: pair crossings consistently with the centre sign
+                if (sum(corners) / 4.0 > 0) == (corners[0] > 0):
+                    segments += [(pts[0], pts[3]), (pts[1], pts[2])]
+                else:
+                    segments += [(pts[0], pts[1]), (pts[2], pts[3])]
+    return segments
+
+
+def field_grid(values, n):
+    """A stand-in grid carrying one margin field "f" on the lattice of resolution n."""
+    i_idx, j_idx = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+    return SimpleNamespace(
+        resolution=n, i_index=i_idx, j_index=j_idx, margins={"f": np.asarray(values, dtype=float)}
+    )
 
 class TestResolveCriteria:
     def test_all_expands_everything(self):
@@ -214,6 +287,52 @@ class TestExports:
             scan.export(grid, "pdf", tmp_path / "x.pdf")
 
 
+    @pytest.mark.parametrize("resolution,selection", [(12, "all"), (25, "gs3,ppt"), (7, "")])
+    def test_csv_and_json_match_loop_references(self, tmp_path, resolution, selection):
+        grid = scan.grid_scan(resolution, selection)
+        scan.export(grid, "csv", tmp_path / "a.csv")
+        scan.export(grid, "json", tmp_path / "a.json")
+        assert (tmp_path / "a.csv").read_text() == reference_csv(grid)
+        assert (tmp_path / "a.json").read_text() == reference_json(grid)
+
+    def test_csv_and_json_match_across_blocks(self, tmp_path, monkeypatch):
+        grid = scan.grid_scan(12, "all")  # 91 cells
+        monkeypatch.setattr(scan, "_BLOCK", 7)
+        scan.export(grid, "csv", tmp_path / "a.csv")
+        scan.export(grid, "json", tmp_path / "a.json")
+        assert (tmp_path / "a.csv").read_text() == reference_csv(grid)
+        assert (tmp_path / "a.json").read_text() == reference_json(grid)
+
+    def test_nonfinite_margins_written_as_json_writes_them(self, tmp_path):
+        grid = scan.grid_scan(6, "ppt,gs3,w_w1")
+        for k, value in enumerate((math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22)):
+            grid.margins["gs3"][k] = value
+        scan.export(grid, "csv", tmp_path / "a.csv")
+        scan.export(grid, "json", tmp_path / "a.json")
+        assert (tmp_path / "a.csv").read_text() == reference_csv(grid)
+        text = (tmp_path / "a.json").read_text()
+        assert text == reference_json(grid)
+        assert '"margin":NaN' in text and '"margin":-Infinity' in text
+
+    def test_empty_criteria_json_and_svg(self, tmp_path):
+        grid = scan.grid_scan(5, "")
+        scan.export(grid, "json", tmp_path / "e.json")
+        assert (tmp_path / "e.json").read_text() == reference_json(grid)
+        payload = scan.import_json(tmp_path / "e.json")
+        assert payload["criteria"] == [] and len(payload["reports"]) == 21
+        assert all(report["criteria"] == {} for report in payload["reports"])
+        scan.export(grid, "svg", tmp_path / "e.svg")
+        text = (tmp_path / "e.svg").read_text()
+        assert text.count("<path") == 1  # the simplex outline, no isolines
+        assert "<rect" in text
+
+    def test_svg_determinism_across_workers(self, tmp_path):
+        a = tmp_path / "a.svg"
+        b = tmp_path / "b.svg"
+        scan.export(scan.grid_scan(15, "all", workers=1), "svg", a)
+        scan.export(scan.grid_scan(15, "all", workers=3), "svg", b)
+        assert a.read_bytes() == b.read_bytes()
+
 class TestMarchingSquares:
     def test_ppt_isoline_crosses_g_axis_near_one_fifth(self):
         grid = scan.grid_scan(200, "ppt")
@@ -235,3 +354,43 @@ class TestMarchingSquares:
             # every segment must sit on the actual zero line 13 + 3g - 21w = 0
             for gg, ww in (a, b):
                 assert abs(13 + 3 * gg - 21 * ww) < 0.5
+
+    @pytest.mark.parametrize("resolution", [20, 40])
+    def test_matches_loop_reference_on_every_criterion(self, resolution):
+        grid = scan.grid_scan(resolution, "all")
+        for cid in grid.criteria:
+            segments = scan.margin_isolines(grid, cid)
+            assert segments == reference_isolines(grid, cid), cid
+            assert all(type(x) is float for seg in segments for pt in seg for x in pt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_loop_reference_on_random_fields(self, data):
+        n = data.draw(st.integers(2, 7), label="resolution")
+        cells = (n + 1) * (n + 2) // 2
+        sign = data.draw(st.sampled_from([None, 1.0, -1.0]), label="constant sign")
+        if sign is None:
+            # few distinct values, so exact zeros, ties and saddles are common
+            value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, math.nan])
+            value = st.one_of(value, st.floats(-4.0, 4.0))
+        else:
+            value = st.floats(0.25, 4.0).map(lambda v: sign * v)
+        values = data.draw(st.lists(value, min_size=cells, max_size=cells), label="field")
+        grid = field_grid(values, n)
+        segments = scan.margin_isolines(grid, "f")
+        assert segments == reference_isolines(grid, "f")
+        if sign is not None:
+            assert segments == []
+
+    def test_saddle_pairs_by_centre_sign(self):
+        # resolution 2 has one whole cell, corners (0,0), (1,0), (1,1), (0,1) at spacing 1/2
+        for corner_values, partner_g in (((1.5, -1.0, 1.5, -1.0), 0.0), ((1.0, -1.5, 1.0, -1.5), 0.5)):
+            field = np.zeros((3, 3))
+            field[0, 0], field[1, 0], field[1, 1], field[0, 1] = corner_values
+            grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
+            segments = scan.margin_isolines(grid, "f")
+            assert segments == reference_isolines(grid, "f"), corner_values
+            # the first segment starts on the bottom edge; a positive centre (like corner 0)
+            # joins it to the left edge, a negative one to the right edge
+            (start, end), _ = segments
+            assert start[1] == 0.0 and end[0] == partner_g, corner_values
