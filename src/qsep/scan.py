@@ -310,10 +310,14 @@ def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float
     Every lattice cell whose four corners lie in the simplex is processed at
     once, with array masks in place of Lorensen & Cline's case table.  An edge
     is crossed where its end margins differ in sign or one of them (not both)
-    is zero; the crossing is interpolated linearly.  A cell with two crossings
-    gives one segment; a saddle (four crossings) gives two, paired by the sign
-    of the mean corner margin.  A cell with a NaN corner gives none.  Segments
-    come in cell order, i-major, then j.
+    is zero; the crossing is interpolated linearly, and crossings at the same
+    point (a corner of zero margin, crossed by both its edges) count once.  A
+    cell with two crossings gives one segment; a saddle (four) gives two,
+    paired by the sign of the mean corner margin.  Three crossings, one at a
+    zero corner, mean that corner only touches the zero line: the segment
+    joins the other two.  A zero corner that is a cell's only crossing is an
+    isolated zero and gives a segment of length zero.  A cell with a NaN
+    corner gives none.  Segments come in cell order, i-major, then j.
     """
     n = grid.resolution
     field = np.full((n + 1, n + 1), np.nan)
@@ -341,22 +345,34 @@ def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float
             (ia, ja), (ib, jb) = _CORNERS[a], _CORNERS[b]
             gg[e] = ((i + ia) + t * (ib - ia)) / n
             ww[e] = ((j + ja) + t * (jb - ja)) / n
+    # a corner of zero margin is crossed by both its edges: count coincident crossings once
+    after = [1, 2, 3, 0]
+    twin = hit & hit[after] & (gg == gg[after]) & (ww == ww[after])  # same point as the next edge
+    hit &= ~twin
+    merged = twin.any(axis=0)
+    # three left: the zero corner only touches the zero line, so join the other two
+    touch = merged & (hit.sum(axis=0) == 3)
+    hit &= ~(touch & (twin | twin[[3, 0, 1, 2]]))
     # the crossings of each cell first, in edge order
     order = np.argsort(~hit, axis=0, kind="stable")
     gg = np.take_along_axis(gg, order, axis=0)
     ww = np.take_along_axis(ww, order, axis=0)
     count = hit.sum(axis=0)
+    isolated = merged & (count == 1)  # a zero corner is all the zero set in the cell
     saddle = count == 4
     centre = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
     paired = saddle & ((centre > 0) == (corners[0] > 0))
     # which crossings the first and second segment of each cell join
     ends = np.stack([
-        np.zeros_like(count), np.where(paired, 3, 1), np.where(paired, 1, 2), np.where(paired, 2, 3)
+        np.zeros_like(count),
+        np.where(paired, 3, np.where(isolated, 0, 1)),
+        np.where(paired, 1, 2),
+        np.where(paired, 2, 3),
     ])
     gg = np.take_along_axis(gg, ends, axis=0)
     ww = np.take_along_axis(ww, ends, axis=0)
     segments = np.stack([gg[0], ww[0], gg[1], ww[1], gg[2], ww[2], gg[3], ww[3]], axis=1)
-    emitted = np.stack([(count == 2) | saddle, saddle], axis=1)
+    emitted = np.stack([(count == 2) | saddle | isolated, saddle], axis=1)
     return [((a, b), (c, d)) for a, b, c, d in segments.reshape(-1, 4)[emitted.reshape(-1)].tolist()]
 
 

@@ -59,7 +59,7 @@ def reference_json(grid) -> str:
 
 
 def reference_isolines(grid, cid):
-    """Marching squares one cell at a time."""
+    """Marching squares one cell at a time, coincident crossings merged."""
     n = grid.resolution
     field = np.full((n + 1, n + 1), np.nan)
     field[grid.i_index, grid.j_index] = grid.margins[cid]
@@ -87,6 +87,19 @@ def reference_isolines(grid, cid):
                     if not 0.0 <= t <= 1.0:
                         continue
                     pts.append(((ia + t * (ib - ia)) / n, (ja + t * (jb - ja)) / n))
+            # coincident crossings (a corner of zero margin) count once
+            merged = []
+            for pt in pts:
+                if not merged or merged[-1] != pt:
+                    merged.append(pt)
+            if len(merged) > 1 and merged[-1] == merged[0]:
+                merged.pop()
+            if len(merged) == 3 and len(merged) < len(pts):
+                # the shared corner only touches the zero line: join the other two crossings
+                merged = [pt for pt in merged if pts.count(pt) == 1]
+            elif len(merged) == 1 and len(pts) > 1:
+                merged *= 2  # an isolated zero corner: a segment of length zero
+            pts = merged
             if len(pts) == 2:
                 segments.append((pts[0], pts[1]))
             elif len(pts) == 4:
@@ -394,3 +407,28 @@ class TestMarchingSquares:
             # joins it to the left edge, a negative one to the right edge
             (start, end), _ = segments
             assert start[1] == 0.0 and end[0] == partner_g, corner_values
+
+    def test_zero_corner_counts_once(self):
+        # corner (1,0) of the one whole cell is exactly zero
+        def segments_of(c0, c1, c2, c3):
+            field = np.zeros((3, 3))
+            field[0, 0], field[1, 0], field[1, 1], field[0, 1] = c0, c1, c2, c3
+            grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
+            segments = scan.margin_isolines(grid, "f")
+            assert segments == reference_isolines(grid, "f")
+            return segments
+
+        # the zero line passes through the corner: one segment from it
+        assert segments_of(1.0, 0.0, -1.0, 1.0) == [((0.5, 0.0), (0.25, 0.5))]
+        # the corner only touches the zero line: the segment joins the other crossings
+        assert segments_of(1.0, 0.0, 1.0, -1.0) == [((0.25, 0.5), (0.0, 0.25))]
+        assert segments_of(-1.0, 0.0, -1.0, 1.0) == [((0.25, 0.5), (0.0, 0.25))]
+        # every other corner of one sign: the corner is the whole zero set in the cell
+        assert segments_of(1.0, 0.0, 1.0, 1.0) == [((0.5, 0.0), (0.5, 0.0))]
+
+    def test_ppt_isoline_ends_on_the_published_point(self):
+        # ppt vanishes exactly at (1/5, 0), a lattice point at resolution 40
+        grid = scan.grid_scan(40, "ppt")
+        assert grid.margins["ppt"][grid.flat_index(8, 0)] == 0.0
+        segments = scan.margin_isolines(grid, "ppt")
+        assert any((0.2, 0.0) in (a, b) and a != b for a, b in segments)
