@@ -7,6 +7,7 @@ The QSEP_TOL environment variable overrides the global PSD tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -136,9 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _point_report(p: SimplexPoint) -> dict:
     margins, report = classify.evaluate_point(p)
-    rho23, _ = states.marginals(p)
-    numeric_conc = concurrence.wootters_concurrence(rho23)
-    closed_conc = concurrence.concurrence_23_closed_form(p)
+    numeric_conc, closed_conc = concurrence.concurrence_23(p)
     return {
         "schema_version": 1,
         "g": p.g,
@@ -429,10 +428,15 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

@@ -69,8 +69,11 @@ def concurrence_23_closed(g, w):
     return np.where(concurrence_gate(g, w) >= 0.0, value, 0.0)
 
 
-def concurrence_23_closed_form(p: SimplexPoint) -> float:
-    """Closed-form concurrence at a point, cross-checked against the numeric path."""
+def concurrence_23(p: SimplexPoint) -> tuple[float, float]:
+    """(numeric, closed form) concurrence of the 2-3 marginal at a point.
+
+    Raises ConsistencyError when the two differ by more than 1e-9.
+    """
     closed = float(concurrence_23_closed(p.g, p.w))
     rho23, _ = states.marginals(p)
     numeric = wootters_concurrence(rho23)
@@ -78,4 +81,9 @@ def concurrence_23_closed_form(p: SimplexPoint) -> float:
         raise ConsistencyError(
             f"concurrence at {p}: closed {closed:.12e} vs numeric {numeric:.12e}"
         )
-    return closed
+    return numeric, closed
+
+
+def concurrence_23_closed_form(p: SimplexPoint) -> float:
+    """Closed-form concurrence at a point, cross-checked against the numeric path."""
+    return concurrence_23(p)[1]

@@ -21,6 +21,7 @@ from .states import SimplexPoint
 
 CHUNK = 8192
 SCHEMA_VERSION = 1
+MAX_CELLS = 1_000_000  # largest lattice a scan may hold (resolution 1412)
 
 
 def resolve_criteria(selection) -> tuple[str, ...]:
@@ -95,6 +96,12 @@ def grid_scan(resolution: int, criteria="all", workers: int = 1) -> RegionGrid:
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    cells = (int(resolution) + 1) * (int(resolution) + 2) // 2
+    if cells > MAX_CELLS:
+        raise ValueError(
+            f"resolution {resolution} has {cells} lattice cells, over the cap "
+            f"MAX_CELLS = {MAX_CELLS}"
+        )
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     ids = resolve_criteria(criteria)
@@ -103,7 +110,6 @@ def grid_scan(resolution: int, criteria="all", workers: int = 1) -> RegionGrid:
     j_idx = np.concatenate([np.arange(n + 1 - i, dtype=np.int64) for i in range(n + 1)])
     g = i_idx / float(n)
     w = j_idx / float(n)
-    cells = g.size
     chunks = [(k, min(k + CHUNK, cells)) for k in range(0, cells, CHUNK)]
 
     def work(bounds):

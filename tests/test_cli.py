@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from qsep import cli
+from qsep import cli, concurrence
 
 
 def run(capsys, *argv):
@@ -56,6 +56,40 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--g", "0.1")
         assert code == 1
 
+    def test_concurrence_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = concurrence.wootters_concurrence
+        monkeypatch.setattr(
+            concurrence, "wootters_concurrence", lambda rho: calls.append(1) or real(rho)
+        )
+        code, out, _ = run(capsys, "eval", "--g", "0.1", "--w", "0.6", "--json")
+        assert code == 0
+        assert len(calls) == 1
+        conc = json.loads(out)["concurrence"]
+        assert abs(conc["numeric"] - conc["closed_form"]) <= 1e-9
+
+
+class TestParser:
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            assert run(capsys, "eval", "--g", "0", "--w", "0")[0] == 0
+            assert run(capsys, "eval", "--g", "0.3", "--w", "0.1", "--json")[0] == 0
+            assert run(capsys, "scan", "--resolution", "10")[0] == 1
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_parsed_arguments_do_not_leak_between_calls(self, capsys):
+        _, plain, _ = run(capsys, "eval", "--g", "0.2", "--w", "0.2")
+        _, as_json, _ = run(capsys, "eval", "--g", "0.2", "--w", "0.2", "--json")
+        _, plain_again, _ = run(capsys, "eval", "--g", "0.2", "--w", "0.2")
+        assert plain == plain_again
+        assert json.loads(as_json)["g"] == 0.2
+
 
 class TestScan:
     def test_csv_lattice_counting(self, capsys, tmp_path):
@@ -87,6 +121,13 @@ class TestScan:
                            "--out", str(tmp_path / "x.csv"), "--workers", workers)
         assert code == 1
         assert "--workers" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_resolution_over_the_cell_cap_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "scan", "--resolution", "1000000", "--out",
+                           str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "MAX_CELLS" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_path_is_io_error(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsep import concurrence, states
+from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
 
@@ -77,6 +78,23 @@ class TestClosedForm:
         eps = 1e-6
         assert concurrence.concurrence_23_closed_form(SimplexPoint(0.0, root - eps)) == 0.0
         assert concurrence.concurrence_23_closed_form(SimplexPoint(0.0, root + eps)) > 0.0
+
+    def test_pair_is_numeric_and_closed_form(self):
+        for p in (SimplexPoint(0.1, 0.6), SimplexPoint(0.0, 1.0), SimplexPoint(0.3, 0.3)):
+            numeric, closed = concurrence.concurrence_23(p)
+            rho23, _ = states.marginals(p)
+            assert numeric == concurrence.wootters_concurrence(rho23)
+            assert closed == float(concurrence.concurrence_23_closed(p.g, p.w))
+            assert closed == concurrence.concurrence_23_closed_form(p)
+
+    def test_gate_rejects_a_closed_form_off_by_more_than_1e9(self, monkeypatch):
+        real = concurrence.concurrence_23_closed
+        p = SimplexPoint(0.0, 1.0)
+        monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 0.9e-9)
+        concurrence.concurrence_23(p)
+        monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 1.1e-9)
+        with pytest.raises(ConsistencyError, match="concurrence at"):
+            concurrence.concurrence_23(p)
 
     def test_matches_numeric_on_grid(self):
         for p in simplex_grid(15):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -194,6 +195,19 @@ class TestGridScan:
         monkeypatch.setattr(scan, "CHUNK", 4)
         with pytest.raises(ConsistencyError, match=r"^ppt at \(g=0\.5, w=0\.25\)"):
             scan.grid_scan(4, "ppt")
+
+    def test_rejects_resolution_over_the_cell_cap_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_CELLS"):
+                scan.grid_scan(10**6, "all")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        largest = max(r for r in range(1, 2000) if (r + 1) * (r + 2) // 2 <= scan.MAX_CELLS)
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            scan.grid_scan(largest + 1, "ppt")
 
     def test_rejects_workers_below_one(self):
         with pytest.raises(ValueError, match="workers"):
