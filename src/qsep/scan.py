@@ -180,6 +180,13 @@ def boundary_bisect(cid: str, ray, tol: float = 1e-10) -> SimplexPoint:
 
 _BLOCK = 4096  # cells formatted and written at a time
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_FLAGS = ("false", "true")
+_JSON_SLOCC = tuple(json.dumps(name) for name in classify.SLOCC_NAMES)
+# the possible-class list of each subset of classify.CLASSES, bit k for class k
+_JSON_CLASSES = tuple(
+    json.dumps([cls for k, cls in enumerate(classify.CLASSES) if bits >> k & 1], separators=(",", ":"))
+    for bits in range(1 << len(classify.CLASSES))
+)
 
 
 def _json_column(values: np.ndarray) -> list[str]:
@@ -202,8 +209,6 @@ def export_csv(grid: RegionGrid, path) -> None:
     ]
     with open(path, "w", newline="") as fh:
         fh.write("g,w,criterion_id,verdict,margin\n")
-        if not grid.criteria:
-            return
         for lo, hi in _blocks(grid):
             cells = [f"{g:.17g},{w:.17g}," for g, w in zip(grid.g[lo:hi].tolist(), grid.w[lo:hi].tolist())]
             columns = [
@@ -240,12 +245,6 @@ def export_json(grid: RegionGrid, path) -> None:
 def _json_reports(grid: RegionGrid, lo: int, hi: int) -> list[str]:
     """The JSON text of the reports of cells lo..hi-1, as ``grid_report_dicts`` builds them."""
     dumps = json.dumps
-    classes = [
-        dumps([cls for k, cls in enumerate(classify.CLASSES) if bits >> k & 1], separators=(",", ":"))
-        for bits in range(1 << len(classify.CLASSES))
-    ]
-    slocc = [dumps(name) for name in classify.SLOCC_NAMES]
-    flags = ("false", "true")
     codes = {cid: grid.codes[cid][lo:hi].tolist() for cid in grid.criteria}
     entries, exclusions, marginal = [], [], []
     for cid in grid.criteria:
@@ -268,9 +267,9 @@ def _json_reports(grid: RegionGrid, lo: int, hi: int) -> list[str]:
         zip(*entries) if entries else repeat(()),
     )
     return [
-        f'{{"g":{g},"w":{w},"possible_classes":{classes[bits]},"slocc":{slocc[s]},'
-        f'"exclusions":[{",".join(filter(None, ex))}],"exact":{flags[exact]},'
-        f'"pptes_certified":{flags[pptes]},"marginal":[{",".join(filter(None, mg))}],'
+        f'{{"g":{g},"w":{w},"possible_classes":{_JSON_CLASSES[bits]},"slocc":{_JSON_SLOCC[s]},'
+        f'"exclusions":[{",".join(filter(None, ex))}],"exact":{_JSON_FLAGS[exact]},'
+        f'"pptes_certified":{_JSON_FLAGS[pptes]},"marginal":[{",".join(filter(None, mg))}],'
         f'"criteria":{{{",".join(crit)}}}}}'
         for g, w, bits, s, exact, pptes, ex, mg, crit in cells
     ]
@@ -425,32 +424,25 @@ def export_svg(grid: RegionGrid, path, curve_criteria=None) -> None:
         f'width="{size:.0f}" height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
-    # class fills, merging runs of equal style along each row of constant w
+    # class fills, merging runs of equal fill along each row of constant w
     order = np.lexsort((grid.i_index, grid.j_index))
-    styles = []
-    for n_i in order:
-        signature = tuple(
-            cls for k, cls in enumerate(classify.CLASSES) if grid.possible[n_i, k]
+    fills = [
+        _fill_for(tuple(cls for k, cls in enumerate(classify.CLASSES) if bits >> k & 1))
+        for bits in range(1 << len(classify.CLASSES))
+    ] + [_PPTES_FILL]
+    fill_ids = np.array([fills.index(fill) for fill in fills])
+    style = np.where(grid.pptes, len(fills) - 1, grid.possible @ (1 << np.arange(len(classify.CLASSES))))
+    fill, j, i = fill_ids[style[order]], grid.j_index[order], grid.i_index[order]
+    breaks = (j[1:] != j[:-1]) | (fill[1:] != fill[:-1]) | (i[1:] != i[:-1] + 1)
+    starts = np.flatnonzero(np.concatenate([[True], breaks]))
+    lasts = np.concatenate([starts[1:], [order.size]]) - 1
+    for j0, i0, i1, f in zip(j[starts].tolist(), i[starts].tolist(), i[lasts].tolist(), fill[starts].tolist()):
+        x = sx(i0 / n) - cell / 2
+        y = sy(j0 / n) - cell / 2
+        parts.append(
+            f'<rect x="{x:.2f}" y="{y:.2f}" width="{(i1 - i0 + 1) * cell:.2f}" '
+            f'height="{cell:.2f}" fill="{fills[f]}"/>'
         )
-        fill = _PPTES_FILL if grid.pptes[n_i] else _fill_for(signature)
-        styles.append((int(grid.j_index[n_i]), int(grid.i_index[n_i]), fill))
-    run_start = 0
-    for k in range(1, len(styles) + 1):
-        if (
-            k == len(styles)
-            or styles[k][0] != styles[run_start][0]
-            or styles[k][2] != styles[run_start][2]
-            or styles[k][1] != styles[k - 1][1] + 1
-        ):
-            j, i0, fill = styles[run_start]
-            width = styles[k - 1][1] - i0 + 1
-            x = sx(i0 / n) - cell / 2
-            y = sy(j / n) - cell / 2
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{width * cell:.2f}" '
-                f'height="{cell:.2f}" fill="{fill}"/>'
-            )
-            run_start = k
     # simplex outline
     parts.append(
         f'<path d="M {sx(0):.2f} {sy(0):.2f} L {sx(1):.2f} {sy(0):.2f} '

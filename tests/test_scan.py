@@ -112,6 +112,36 @@ def reference_isolines(grid, cid):
     return segments
 
 
+def reference_fill_rects(grid) -> list[str]:
+    """The class-fill rectangles of the SVG map, one cell at a time, runs merged along rows."""
+    size, pad = 640.0, 60.0
+    scale = size - 2 * pad
+    n = grid.resolution
+    cell = scale / n
+    styles = []
+    for k in np.lexsort((grid.i_index, grid.j_index)):
+        signature = tuple(cls for c, cls in enumerate(classify.CLASSES) if grid.possible[k, c])
+        fill = scan._PPTES_FILL if grid.pptes[k] else scan._fill_for(signature)
+        styles.append((int(grid.j_index[k]), int(grid.i_index[k]), fill))
+    rects, start = [], 0
+    for k in range(1, len(styles) + 1):
+        if (
+            k == len(styles)
+            or styles[k][0] != styles[start][0]
+            or styles[k][2] != styles[start][2]
+            or styles[k][1] != styles[k - 1][1] + 1
+        ):
+            j, i0, fill = styles[start]
+            x = pad + i0 / n * scale - cell / 2
+            y = size - pad - j / n * scale - cell / 2
+            width = styles[k - 1][1] - i0 + 1
+            rects.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{width * cell:.2f}" '
+                f'height="{cell:.2f}" fill="{fill}"/>'
+            )
+            start = k
+    return rects
+
 def field_grid(values, n):
     """A stand-in grid carrying one margin field "f" on the lattice of resolution n."""
     i_idx, j_idx = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
@@ -352,6 +382,14 @@ class TestExports:
         text = (tmp_path / "e.svg").read_text()
         assert text.count("<path") == 1  # the simplex outline, no isolines
         assert "<rect" in text
+
+    @pytest.mark.parametrize("resolution,selection", [(12, "all"), (25, "gs3,ppt"), (7, "")])
+    def test_svg_fills_match_loop_reference(self, tmp_path, resolution, selection):
+        grid = scan.grid_scan(resolution, selection)
+        scan.export(grid, "svg", tmp_path / "m.svg")
+        rects = [line for line in (tmp_path / "m.svg").read_text().splitlines()
+                 if line.startswith("<rect") and 'fill="white"' not in line]
+        assert rects == reference_fill_rects(grid)
 
     def test_svg_determinism_across_workers(self, tmp_path):
         a = tmp_path / "a.svg"
