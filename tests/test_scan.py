@@ -142,12 +142,14 @@ def reference_fill_rects(grid) -> list[str]:
             start = k
     return rects
 
+
 def field_grid(values, n):
     """A stand-in grid carrying one margin field "f" on the lattice of resolution n."""
     i_idx, j_idx = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
     return SimpleNamespace(
         resolution=n, i_index=i_idx, j_index=j_idx, margins={"f": np.asarray(values, dtype=float)}
     )
+
 
 class TestResolveCriteria:
     def test_all_expands_everything(self):
