@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import bipartite, classify, concurrence, criteria, linalg, scan, states, tripartite, verdict
+from . import classify, concurrence, criteria, linalg, scan, states, tripartite, verdict
 from .config import MARGINAL_BAND, psd_tol
 from .exceptions import ConsistencyError, ConvergenceError
 from .states import SimplexPoint
@@ -225,6 +225,13 @@ def _sample_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+# swap criteria and the spin criteria equivalent to them here: non-marginal verdicts agree
+_EQUIVALENT = (
+    ("huber_ghz_k2", "su2_set1"), ("huber_ghz_k3", "su283_set1"),
+    ("huber_w_k2", "su2_set2"), ("huber_w_k3", "su283_set2"),
+)
+
+
 def cmd_verify(args) -> int:
     if args.points < 1:
         raise ValueError("verify needs at least one point")
@@ -232,112 +239,52 @@ def cmd_verify(args) -> int:
     g, w = _sample_simplex(rng, args.points)
     tol = args.tol
     failures: list[str] = []
-    checks: list[tuple[str, float]] = []
 
-    def check(name: str, deviation: float, limit: float | None = None) -> None:
-        limit = tol if limit is None else limit
-        checks.append((name, deviation))
-        if not deviation <= limit:
-            failures.append(f"{name}: deviation {deviation:.3e} exceeds {limit:.1e}")
+    def check(name: str, deviation: float, limit: float = tol, where: str = "") -> None:
+        passed = deviation <= limit
+        print(f"{'pass' if passed else 'FAIL'}  {name:<46}  {deviation:.3e}{where}")
+        if not passed:
+            failures.append(f"{name}: deviation {deviation:.3e} exceeds {limit:.1e}{where}")
 
-    closed = states.closed_form_spectra_grid(g, w)
-    spect_pairs = (
-        ("rho", "rho", states.build_rho_grid(g, w)),
-        ("rho23", "rho23", states.marginal_23_grid(g, w)),
-        ("rho1", "rho1", states.marginal_1_grid(g, w)),
-        ("rho_t1", "rho_t1", states.partial_transpose_1_grid(g, w)),
-        ("i_rho23", "rho_t1", states.reduction_i123_grid(g, w)),
-        ("red1_i23", "red1_i23", states.reduction_1i23_grid(g, w)),
-    )
-    spect_cache = {}
-    backend_worst = 0.0
-    for label, key, matrices in spect_pairs:
-        numeric = linalg.eigh(matrices)
-        backend_worst = max(
-            backend_worst, float(np.max(np.abs(numeric - linalg.jacobi_eigh(matrices))))
-        )
-        spect_cache.setdefault(key, numeric)
-        check(f"spectrum[{label}]", float(np.max(np.abs(numeric - closed[key]))))
+    # every registry check; evaluate has raised if one is past its own fixed tolerance
+    margins, deviations = criteria.evaluate(g, w, criteria.IDS)
+    for name, (deviation, gn, wn) in deviations.items():
+        check(name, deviation, where=f" at {verdict.cell_name(gn, wn)}")
+
     # the production backend against the independent Jacobi reference
+    backend_worst = 0.0
+    for build in (
+        states.build_rho_grid, states.marginal_23_grid, states.marginal_1_grid,
+        states.partial_transpose_1_grid, states.reduction_i123_grid, states.reduction_1i23_grid,
+    ):
+        matrices = build(g, w)
+        deviation = np.max(np.abs(linalg.eigh(matrices) - linalg.jacobi_eigh(matrices)))
+        backend_worst = max(backend_worst, float(deviation))
     check("eigh vs Jacobi reference", backend_worst, max(tol, 1e-12))
 
-    # Wootters lambdas: singular values of sqrt(w) sqrt(wtilde), squared for the spectrum
-    roots = linalg.psd_sqrt(states.marginal_23_grid(g, w))
-    sy2 = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
-    lam = linalg.singular_values(roots @ sy2 @ np.conj(roots) @ sy2)
-    check("spectrum[conc23]", float(np.max(np.abs(lam**2 - closed["conc23"]))))
-
+    lam = concurrence.wootters_lambdas(states.marginal_23_grid(g, w))
+    conc23 = states.closed_form_spectra_grid(g, w)["conc23"]
+    check("spectrum[conc23]", float(np.max(np.abs(lam**2 - conc23))))
     conc_numeric = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, None)
     conc_closed = concurrence.concurrence_23_closed(g, w)
     check("concurrence closed vs numeric", float(np.max(np.abs(conc_numeric - conc_closed))),
           max(tol, 1e-9))
 
-    # template vs generic mixture construction
-    ghz = states.ghz_vector()
-    wv = states.w_vector()
-    mixture = (
-        (1.0 - g - w)[:, None, None] * (np.eye(8) / 8.0)
-        + g[:, None, None] * np.outer(ghz, np.conj(ghz))
-        + w[:, None, None] * np.outer(wv, np.conj(wv))
-    )
+    mixture = states.build_rho_mixture_grid(g, w)
     check("rho template vs mixture", float(np.max(np.abs(states.build_rho_grid(g, w) - mixture))))
 
-    svs = linalg.singular_values(states.reshuffle_24_grid(g, w))
-    check(
-        "reshuffling singular values",
-        float(np.max(np.abs(svs - bipartite.reshuffle24_closed_singular_values(g, w)))),
-    )
-
-    closed_wit = tripartite.witness_closed_forms(g, w)
-    worst = 0.0
-    for name, numeric in tripartite.witness_traces(states.build_rho_grid(g, w)).items():
-        worst = max(worst, float(np.max(np.abs(numeric - closed_wit[name]))))
-    check("witness traces", worst)
-
-    # sign agreements (violation counts, not deviations)
-    m1, m23 = bipartite.majorization_margins_from_spectra(spect_cache)
-    c1, c23 = bipartite.majorization_case_margins(g, w)
-    bad = int(np.sum(~verdict.signs_agree(m1, c1))) + int(np.sum(~verdict.signs_agree(m23, c23)))
-    check("majorization vs case table (sign violations)", float(bad), 0.0)
-
-    q1, q2 = bipartite.ppt_closed_margins(g, w)
-    ppt_margin = spect_cache["rho_t1"][:, -1]
-    check(
-        "ppt vs quadratics (sign violations)",
-        float(np.sum(~verdict.signs_agree(ppt_margin, np.minimum(q1, q2)))),
-        0.0,
-    )
-
-    red_margin = np.minimum(spect_cache["rho_t1"][:, -1], spect_cache["red1_i23"][:, -1])
-    agree = verdict.codes(ppt_margin) == verdict.codes(red_margin)
-    check("reduction vs ppt verdict mismatches", float(np.sum(~agree)), 0.0)
-
-    su = {  # su_margins_grid raises on any sign conflict with the closed polynomials
-        (idx, level): tripartite.su_margins_grid(g, w, idx, level)
-        for idx in range(3)
-        for level in tripartite.LEVELS
-    }
-    check("spin criteria vs closed polynomials (sign violations)", 0.0, 0.0)
-
-    hub = {
-        (tag, k): tripartite.huber_margins_grid(g, w, tag, k) for tag in ("ghz", "w") for k in (2, 3)
-    }
-    su_equiv = (
-        ("ghz", 2, 0, "2sep"), ("ghz", 3, 0, "28cap3"),
-        ("w", 2, 1, "2sep"), ("w", 3, 1, "28cap3"),
-    )
-    mismatches = 0
-    for tag, k, setting_idx, level in su_equiv:
-        hub_codes, su_codes = verdict.codes(hub[(tag, k)]), verdict.codes(su[(setting_idx, level)])
-        mismatches += int(np.sum((hub_codes != su_codes) & (hub_codes != 0) & (su_codes != 0)))
-    check("swap criterion vs spin criteria verdict mismatches", float(mismatches), 0.0)
+    mismatches = verdict.codes(margins["ppt"]) != verdict.codes(margins["reduction"])
+    check("reduction vs ppt verdict mismatches", float(np.sum(mismatches)), 0.0)
+    for a, b in _EQUIVALENT:
+        codes_a, codes_b = verdict.codes(margins[a]), verdict.codes(margins[b])
+        conflicts = (codes_a != codes_b) & (codes_a != 0) & (codes_b != 0)
+        check(f"{a} vs {b} verdict mismatches", float(np.sum(conflicts)), 0.0)
 
     # explicit per-point paths on a deterministic subsample
-    sub = np.linspace(0, args.points - 1, num=min(args.points, 20), dtype=int)
-    worst_su = 0.0
-    worst_hub = 0.0
-    worst_gs = 0.0
-    for n in sub:
+    settings = tripartite.PUBLISHED_SETTINGS
+    phi = {"ghz": tripartite.phi_ghz(), "w": tripartite.phi_w()}
+    worst: dict[str, float] = {}
+    for n in np.linspace(0, args.points - 1, num=min(args.points, 20), dtype=int):
         p = SimplexPoint(g[n], w[n])
         # each raises if its generic index path deviates from the entry template
         states.marginals(p)
@@ -345,35 +292,25 @@ def cmd_verify(args) -> int:
         states.reduction_matrices(p)
         states.reshuffle_24(p)
         states.reshuffle_222(p)
-        for idx2 in range(3):
-            for level in tripartite.LEVELS:
-                v = tripartite.criterion_su(p, (tripartite.PUBLISHED_SETTINGS[idx2],) * 3, level)
-                worst_su = max(worst_su, abs(v.margin - float(su[(idx2, level)][n])))
-        for tag, phi in (("ghz", tripartite.phi_ghz()), ("w", tripartite.phi_w())):
-            for k in (2, 3):
-                v = tripartite.criterion_huber(p, phi, k)
-                worst_hub = max(worst_hub, abs(v.margin - float(hub[(tag, k)][n])))
-        gs2 = tripartite.criterion_gs_biseparable(p)
-        closed_gs2 = tripartite.gs2_closed_margins(g[n], w[n])
-        worst_gs = max(worst_gs, abs(gs2.parts["gs2_ghz"] - float(closed_gs2[0])))
-        worst_gs = max(worst_gs, abs(gs2.parts["gs2_w"] - float(closed_gs2[1])))
-        tripartite.criterion_gs_fullsep(p)  # raises if closed forms deviate
-    check("spin criteria explicit vs grid", worst_su, max(tol, 1e-12))
-    check("swap criterion explicit vs grid", worst_hub, max(tol, 1e-12))
-    check("matrix-element criteria closed forms", worst_gs, max(tol, 1e-12))
+        explicit = {
+            **{cid: tripartite.criterion_su(p, (settings[idx],) * 3, level).margin
+               for cid, (idx, level) in criteria.SPIN.items()},
+            **{cid: tripartite.criterion_huber(p, phi[tag], k).margin
+               for cid, (tag, k) in criteria.SWAP.items()},
+            **tripartite.criterion_gs_biseparable(p).parts,
+            "gs3": tripartite.criterion_gs_fullsep(p).margin,
+        }
+        for cid, value in explicit.items():
+            worst[cid] = max(worst.get(cid, 0.0), abs(value - float(margins[cid][n])))
+    for cid, deviation in worst.items():
+        check(f"{cid} explicit vs grid", deviation, max(tol, 1e-12))
 
     # containment observation for the 2-3 reshuffling criterion (reported only)
-    perm_margin = 1.0 - np.sum(linalg.singular_values(states.reshuffle_222_grid(g, w)), axis=-1)
-    escapees = int(np.sum((perm_margin < -MARGINAL_BAND) & (ppt_margin > MARGINAL_BAND)))
+    escapees = int(np.sum((margins["perm222"] < -MARGINAL_BAND) & (margins["ppt"] > MARGINAL_BAND)))
     print(
         "note: 2-3 reshuffling violations outside the partial-transposition "
         f"violation set: {escapees} of {args.points} points"
     )
-
-    width = max(len(name) for name, _ in checks)
-    for name, deviation in checks:
-        status = "FAIL" if any(f.startswith(name + ":") for f in failures) else "pass"
-        print(f"{status}  {name:<{width}}  {deviation:.3e}")
     print(f"verified {args.points} random points (seed {args.seed}, tol {tol:g})")
     if failures:
         for failure in failures:

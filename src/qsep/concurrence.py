@@ -42,14 +42,19 @@ def spin_flip_product_spectrum(omega: np.ndarray) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
+def wootters_lambdas(omega: np.ndarray) -> np.ndarray:
+    """Roots of Spect(wtilde w), non-increasing, for a 4x4 state or a batch of them."""
+    root = linalg.psd_sqrt(omega)
+    return linalg.singular_values(root @ _SY2 @ np.conj(root) @ _SY2)
+
+
 def wootters_concurrence(omega: np.ndarray) -> float:
     """max(0, l1 - l2 - l3 - l4) with l_k the sorted roots of Spect(wtilde w)."""
     omega = np.asarray(omega, dtype=np.complex128)
     linalg.require_hermitian(omega)
     if abs(float(np.trace(omega).real) - 1.0) > 1e-10:
         raise ValueError("concurrence needs a trace-one density matrix")
-    root = linalg.psd_sqrt(omega)
-    lam = linalg.singular_values(root @ _SY2 @ np.conj(root) @ _SY2)
+    lam = wootters_lambdas(omega)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

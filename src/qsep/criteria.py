@@ -2,11 +2,12 @@
 
 Each ``Criterion`` record names its id, its selection group, the classes a
 violation excludes and the kind of margin it reports; ``IDS`` is the scan
-order.  ``margins`` evaluates any subset of criteria over arrays of weights
-through one vectorized evaluator per criterion family; every evaluator runs
-the family's closed-form cross-checks on the same batch, so a grid chunk and
-a batch of one point take the same path.  The per-point ``criterion_*``
-functions of ``bipartite`` and ``tripartite`` stay as independent references.
+order.  ``evaluate`` computes any subset of criteria over arrays of weights
+through one vectorized evaluator per criterion family, each running (and
+reporting) its family's closed-form cross-checks on the same batch, so a grid
+chunk and a batch of one point take the same path.  The per-point
+``criterion_*`` functions of ``bipartite`` and ``tripartite`` stay as
+independent references.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ def _entropy_id(marginal: str, alpha: float) -> str:
 
 
 # (setting index, level) of each spin criterion, (detection vector, k) of each swap criterion
-_SPIN = {
+SPIN = {
     f"su{tag}_set{idx + 1}": (idx, level)
     for level, tag in (("2sep", "2"), ("28cap3", "283"), ("3sep", "3"))
     for idx in range(3)
 }
-_SWAP = {f"huber_{tag}_k{k}": (tag, k) for tag in ("ghz", "w") for k in (2, 3)}
+SWAP = {f"huber_{tag}_k{k}": (tag, k) for tag in ("ghz", "w") for k in (2, 3)}
 
 REGISTRY: tuple[Criterion, ...] = (
     Criterion("maj_rho1", "maj", INTERSECTION, "min partial-sum slack"),
@@ -107,6 +108,7 @@ class _Batch:
     def __init__(self, g: np.ndarray, w: np.ndarray):
         self.g = g
         self.w = w
+        self.deviations: dict[str, tuple[float, float, float]] = {}
 
     @cached_property
     def closed(self) -> dict[str, np.ndarray]:
@@ -117,11 +119,13 @@ class _Batch:
         return states.build_rho_grid(self.g, self.w)
 
     def assert_close(self, numeric, closed, what: str, tol: float) -> None:
-        """Raise unless numeric and closed agree to tol, naming the worst cell."""
+        """Record the worst deviation and its cell; raise, naming both, unless it is within tol."""
         dev = np.abs(np.asarray(numeric) - np.asarray(closed))
-        worst = float(np.max(dev))
+        k = np.argmax(dev)  # the first NaN, if any
+        worst = float(dev.flat[k])
+        n = np.unravel_index(k, dev.shape)[0]
+        self.deviations[what] = (worst, float(self.g[n]), float(self.w[n]))
         if not worst <= tol:
-            n = np.unravel_index(np.argmax(dev), dev.shape)[0]
             raise ConsistencyError(
                 f"{what} at {cell_name(self.g[n], self.w[n])}: "
                 f"deviates from closed forms by {worst:.3e}"
@@ -186,11 +190,11 @@ def _perm222(b: _Batch, ids) -> dict[str, np.ndarray]:
 
 
 def _spin(b: _Batch, ids) -> dict[str, np.ndarray]:
-    return {cid: tripartite.su_margins_grid(b.g, b.w, *_SPIN[cid]) for cid in ids}
+    return {cid: tripartite.su_margins_grid(b.g, b.w, *SPIN[cid]) for cid in ids}
 
 
 def _swap(b: _Batch, ids) -> dict[str, np.ndarray]:
-    return {cid: tripartite.huber_margins_grid(b.g, b.w, *_SWAP[cid]) for cid in ids}
+    return {cid: tripartite.huber_margins_grid(b.g, b.w, *SWAP[cid]) for cid in ids}
 
 
 def _gs2(b: _Batch, ids) -> dict[str, np.ndarray]:
@@ -232,12 +236,14 @@ _EVALUATORS = {
 }
 
 
-def margins(g, w, ids) -> dict[str, np.ndarray]:
+def evaluate(g, w, ids) -> tuple[dict[str, np.ndarray], dict[str, tuple[float, float, float]]]:
     """Margins of the criteria ``ids`` over 1-d weight arrays, cross-checked on every cell.
 
-    Raises ValueError for an unknown id and ConsistencyError, naming the
-    check and the first failing (g, w), when a numeric path and its closed
-    form disagree.
+    Returns ``(margins, deviations)``: ``deviations`` maps every closed-form
+    check that ran to ``(worst deviation, g, w)`` of its worst cell, whether
+    it passed or not.  Raises ValueError for an unknown id and
+    ConsistencyError, naming the check and the failing (g, w), when a
+    numeric path and its closed form disagree.
     """
     for cid in ids:
         if cid not in BY_ID:
@@ -248,6 +254,11 @@ def margins(g, w, ids) -> dict[str, np.ndarray]:
             wanted.setdefault(_EVALUATORS[BY_ID[cid].group], []).append(cid)
     batch = _Batch(np.asarray(g, dtype=float), np.asarray(w, dtype=float))
     out: dict[str, np.ndarray] = {}
-    for evaluate, family in wanted.items():
-        out.update(evaluate(batch, family))
-    return {cid: np.asarray(out[cid], dtype=float) for cid in ids}
+    for evaluator, family in wanted.items():
+        out.update(evaluator(batch, family))
+    return {cid: np.asarray(out[cid], dtype=float) for cid in ids}, batch.deviations
+
+
+def margins(g, w, ids) -> dict[str, np.ndarray]:
+    """The margins of ``evaluate``."""
+    return evaluate(g, w, ids)[0]

@@ -304,42 +304,31 @@ def _verdict_names(grid: RegionGrid) -> dict[str, list[str]]:
 # marching squares and SVG
 
 # corner k of cell (i, j) is the lattice point (i + di, j + dj), (di, dj) = _CORNERS[k];
-# the edges run between consecutive corners, in this order
+# the edges run between consecutive corners, in this order.  A half-cell on the edge
+# g + w = 1 (i + j + 1 = n) has corners 0, 1 and 3; its edge from 1 to 3 lies on that line.
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 _EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
+_HALF_EDGES = ((0, 1), (1, 3), (3, 0))
 
 
-def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Zero-level segments of a criterion margin field by marching squares.
+def _crossings(field, i, j, n, edges):
+    """Zero-level crossings of the cells (i, j) along ``edges``, in edge order.
 
-    Every lattice cell whose four corners lie in the simplex is processed at
-    once, with array masks in place of Lorensen & Cline's case table.  An edge
-    is crossed where its end margins differ in sign or one of them (not both)
-    is zero; the crossing is interpolated linearly, and crossings at the same
-    point (a corner of zero margin, crossed by both its edges) count once.  A
-    cell with two crossings gives one segment; a saddle (four) gives two,
-    paired by the sign of the mean corner margin.  Three crossings, one at a
-    zero corner, mean that corner only touches the zero line: the segment
-    joins the other two.  A zero corner that is a cell's only crossing is an
-    isolated zero and gives a segment of length zero.  A cell with a NaN
-    corner gives none.  Segments come in cell order, i-major, then j.
+    An edge is crossed where its end margins differ in sign or one of them
+    (not both) is zero; the crossing is interpolated linearly.  Crossings at
+    the same point (a corner of zero margin, crossed by both its edges) count
+    once.  Three crossings, one at a zero corner, mean that corner only
+    touches the zero line, and it is dropped.  Returns ``(corners, count,
+    merged, gg, ww)``: the corner margins by (corner, cell); per cell, the
+    number of crossings and whether two coincided; and the coordinates by
+    (crossing, cell), each cell's crossings first.
     """
-    n = grid.resolution
-    field = np.full((n + 1, n + 1), np.nan)
-    field[grid.i_index, grid.j_index] = grid.margins[cid]
-    # cells inside the simplex whose corner margins are not all of one strict sign
-    # (a NaN corner fails both tests, since NaN propagates through the extrema)
-    views = [field[di : n + di, dj : n + dj] for di, dj in _CORNERS]
-    low = np.minimum(np.minimum(views[0], views[1]), np.minimum(views[2], views[3]))
-    high = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
-    inside = np.add.outer(np.arange(n), np.arange(n)) + 2 <= n
-    i, j = np.nonzero(inside & (low <= 0.0) & (high >= 0.0))
-    corners = np.stack([view[i, j] for view in views])
-    hit = np.empty(corners.shape, dtype=bool)
-    gg = np.empty(corners.shape)
-    ww = np.empty(corners.shape)
+    corners = np.stack([field[i + di, j + dj] for di, dj in _CORNERS])
+    hit = np.empty((len(edges),) + i.shape, dtype=bool)
+    gg = np.empty(hit.shape)
+    ww = np.empty(hit.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for e, (a, b) in enumerate(_EDGES):
+        for e, (a, b) in enumerate(edges):
             ca, cb = corners[a], corners[b]
             t = ca / (ca - cb)
             hit[e] = (
@@ -350,19 +339,47 @@ def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float
             (ia, ja), (ib, jb) = _CORNERS[a], _CORNERS[b]
             gg[e] = ((i + ia) + t * (ib - ia)) / n
             ww[e] = ((j + ja) + t * (jb - ja)) / n
+    after = [(e + 1) % len(edges) for e in range(len(edges))]
+    before = [(e - 1) % len(edges) for e in range(len(edges))]
     # a corner of zero margin is crossed by both its edges: count coincident crossings once
-    after = [1, 2, 3, 0]
     twin = hit & hit[after] & (gg == gg[after]) & (ww == ww[after])  # same point as the next edge
     hit &= ~twin
     merged = twin.any(axis=0)
     # three left: the zero corner only touches the zero line, so join the other two
     touch = merged & (hit.sum(axis=0) == 3)
-    hit &= ~(touch & (twin | twin[[3, 0, 1, 2]]))
-    # the crossings of each cell first, in edge order
-    order = np.argsort(~hit, axis=0, kind="stable")
-    gg = np.take_along_axis(gg, order, axis=0)
-    ww = np.take_along_axis(ww, order, axis=0)
-    count = hit.sum(axis=0)
+    hit &= ~(touch & (twin | twin[before]))
+    order = np.argsort(~hit, axis=0, kind="stable")  # the crossings of each cell first
+    return (
+        corners, hit.sum(axis=0), merged,
+        np.take_along_axis(gg, order, axis=0), np.take_along_axis(ww, order, axis=0),
+    )
+
+
+def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """Zero-level segments of a criterion margin field by marching squares.
+
+    Every lattice cell whose four corners lie in the simplex is processed at
+    once, with array masks in place of Lorensen & Cline's case table, and so
+    is every triangular half-cell along g + w = 1.  Crossings follow
+    ``_crossings``.  A cell with two crossings gives one segment; a saddle
+    (four) gives two, paired by the sign of the mean corner margin.  A zero
+    corner that is a cell's only crossing is an isolated zero and gives a
+    segment of length zero.  A cell with a NaN corner gives none.  Segments
+    come in cell order, i-major, then j; a half-cell comes last in its row.
+    """
+    n = grid.resolution
+    field = np.full((n + 1, n + 1), np.nan)
+    field[grid.i_index, grid.j_index] = grid.margins[cid]
+    # cells whose corner margins are not all of one strict sign (a NaN corner fails both
+    # tests, since NaN propagates through the extrema); a half-cell has corners 0, 1 and 3
+    views = [field[di : n + di, dj : n + dj] for di, dj in _CORNERS]
+    low = np.minimum(np.minimum(views[0], views[1]), views[3])
+    high = np.maximum(np.maximum(views[0], views[1]), views[3])
+    sums = np.add.outer(np.arange(n), np.arange(n))
+    i, j = np.nonzero(
+        (sums + 2 <= n) & (np.minimum(low, views[2]) <= 0.0) & (np.maximum(high, views[2]) >= 0.0)
+    )
+    corners, count, merged, gg, ww = _crossings(field, i, j, n, _EDGES)
     isolated = merged & (count == 1)  # a zero corner is all the zero set in the cell
     saddle = count == 4
     centre = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
@@ -377,8 +394,21 @@ def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float
     gg = np.take_along_axis(gg, ends, axis=0)
     ww = np.take_along_axis(ww, ends, axis=0)
     segments = np.stack([gg[0], ww[0], gg[1], ww[1], gg[2], ww[2], gg[3], ww[3]], axis=1)
-    emitted = np.stack([(count == 2) | saddle | isolated, saddle], axis=1)
-    return [((a, b), (c, d)) for a, b, c, d in segments.reshape(-1, 4)[emitted.reshape(-1)].tolist()]
+    emitted = np.stack([(count == 2) | saddle | isolated, saddle], axis=1).reshape(-1)
+    keys = np.repeat(i * (n + 1) + j, 2)[emitted]
+    segments = segments.reshape(-1, 4)[emitted]
+    # the half-cells along g + w = 1, which have at most two crossings
+    hi, hj = np.nonzero((sums + 1 == n) & (low <= 0.0) & (high >= 0.0))
+    if hi.size:
+        _, count, merged, gg, ww = _crossings(field, hi, hj, n, _HALF_EDGES)
+        isolated = merged & (count == 1)
+        second = np.where(isolated, 0, 1)
+        cell = np.arange(hi.size)
+        half = np.stack([gg[0], ww[0], gg[second, cell], ww[second, cell]], axis=1)
+        emitted = (count == 2) | isolated
+        keys = np.concatenate([keys, (hi * (n + 1) + hj)[emitted]])
+        segments = np.concatenate([segments, half[emitted]])[np.argsort(keys, kind="stable")]
+    return [((a, b), (c, d)) for a, b, c, d in segments.tolist()]
 
 
 _CLASS_FILLS = {

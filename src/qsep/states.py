@@ -111,6 +111,19 @@ def build_rho_grid(g, w) -> np.ndarray:
     return m
 
 
+def build_rho_mixture_grid(g, w) -> np.ndarray:
+    """Independent construction d/8 I + g |GHZ><GHZ| + w |W><W| over weight arrays."""
+    g = np.asarray(g, dtype=float)[:, None, None]
+    w = np.asarray(w, dtype=float)[:, None, None]
+    ghz = ghz_vector()
+    wv = w_vector()
+    return (
+        np.maximum(1.0 - g - w, 0.0) / 8.0 * np.eye(8, dtype=np.complex128)
+        + g * np.outer(ghz, np.conj(ghz))
+        + w * np.outer(wv, np.conj(wv))
+    )
+
+
 def partial_transpose_1_grid(g, w) -> np.ndarray:
     dt, gt, wt = _weights(g, w)
     n = dt.shape[0]
@@ -276,13 +289,7 @@ def build_rho(p: SimplexPoint) -> np.ndarray:
 
 def build_rho_mixture(p: SimplexPoint) -> np.ndarray:
     """Independent construction d/8 I + g |GHZ><GHZ| + w |W><W|."""
-    ghz = ghz_vector()
-    wv = w_vector()
-    return (
-        p.d / 8.0 * np.eye(8, dtype=np.complex128)
-        + p.g * np.outer(ghz, np.conj(ghz))
-        + p.w * np.outer(wv, np.conj(wv))
-    )
+    return _single(build_rho_mixture_grid, p)
 
 
 def partial_trace_1(rho: np.ndarray) -> np.ndarray:

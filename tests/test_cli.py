@@ -1,9 +1,10 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from qsep import cli, concurrence
+from qsep import bipartite, cli, concurrence, criteria
 
 
 def run(capsys, *argv):
@@ -159,6 +160,35 @@ class TestVerify:
                              "--seed", "7")
         assert code == 2
         assert "FAILURE" in err
+
+    def test_prints_one_line_per_registry_check(self, capsys):
+        code, out, _ = run(capsys, "verify", "--points", "200", "--seed", "7")
+        assert code == 0
+        g, w = cli._sample_simplex(np.random.default_rng(7), 200)
+        _, deviations = criteria.evaluate(g, w, criteria.IDS)
+        lines = out.splitlines()
+        for name in deviations:
+            assert sum(line.startswith(f"pass  {name} ") for line in lines) == 1, name
+        assert sum(" at (g=" in line for line in lines) == len(deviations)
+
+    def test_registry_check_past_its_own_tolerance_fails(self, capsys, monkeypatch):
+        # 1e-9 is within the default --tol, but past the registry's spectral tolerance
+        real = bipartite.reshuffle24_closed_singular_values
+        monkeypatch.setattr(
+            bipartite, "reshuffle24_closed_singular_values", lambda g, w: real(g, w) + 1e-9
+        )
+        code, _, err = run(capsys, "verify", "--points", "50", "--tol", "1e-8", "--seed", "7")
+        assert code == 2
+        assert "reshuffling singular values" in err and "(g=" in err
+
+    def test_ppt_sign_conflict_fails(self, capsys, monkeypatch):
+        real = bipartite.ppt_closed_margins
+        monkeypatch.setattr(
+            bipartite, "ppt_closed_margins", lambda g, w: tuple(-q for q in real(g, w))
+        )
+        code, _, err = run(capsys, "verify", "--points", "50", "--seed", "7")
+        assert code == 2
+        assert "ppt" in err
 
     def test_zero_points_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--points", "0")

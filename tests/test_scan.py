@@ -60,27 +60,29 @@ def reference_json(grid) -> str:
 
 
 def reference_isolines(grid, cid):
-    """Marching squares one cell at a time, coincident crossings merged."""
+    """Marching squares one cell at a time, coincident crossings merged.
+
+    A whole cell has four corners; a half-cell on g + w = 1 has three, (i, j),
+    (i + 1, j) and (i, j + 1).  The edges join consecutive corners."""
     n = grid.resolution
     field = np.full((n + 1, n + 1), np.nan)
     field[grid.i_index, grid.j_index] = grid.margins[cid]
     segments = []
     for i in range(n):
         for j in range(n):
-            if i + j + 2 > n:
+            if i + j + 2 <= n:
+                points = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+            elif i + j + 1 == n:
+                points = ((i, j), (i + 1, j), (i, j + 1))
+            else:
                 continue
-            corners = (field[i, j], field[i + 1, j], field[i + 1, j + 1], field[i, j + 1])
+            corners = tuple(field[pt] for pt in points)
             if any(math.isnan(v) for v in corners):
                 continue
-            coords = (
-                ((i, j), (i + 1, j)),
-                ((i + 1, j), (i + 1, j + 1)),
-                ((i + 1, j + 1), (i, j + 1)),
-                ((i, j + 1), (i, j)),
-            )
             pts = []
-            for k, ((ia, ja), (ib, jb)) in enumerate(coords):
-                ca, cb = corners[k], corners[(k + 1) % 4]
+            for k, (ia, ja) in enumerate(points):
+                ib, jb = points[(k + 1) % len(points)]
+                ca, cb = corners[k], corners[(k + 1) % len(points)]
                 if ca == 0.0 and cb == 0.0:
                     continue
                 if (ca > 0) != (cb > 0) or ca == 0.0 or cb == 0.0:
@@ -251,6 +253,16 @@ class TestGridScan:
         for cid in g1.criteria:
             assert np.array_equal(g1.margins[cid], g2.margins[cid]), cid
         assert np.array_equal(g1.possible, g2.possible)
+
+    def test_selection_order_does_not_matter(self):
+        a = scan.grid_scan(30, "gs3,ppt,maj,huber")
+        b = scan.grid_scan(30, "huber,maj,ppt,gs3")
+        assert set(a.criteria) == set(b.criteria)
+        for cid in a.criteria:
+            assert a.margins[cid].tobytes() == b.margins[cid].tobytes(), cid
+            assert np.array_equal(a.codes[cid], b.codes[cid]), cid
+        for field in ("possible", "slocc", "exact", "pptes"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_pptes_cells_present_at_modest_resolution(self):
         grid = scan.grid_scan(40, "ppt,gs3")
@@ -450,9 +462,10 @@ class TestMarchingSquares:
             assert segments == []
 
     def test_saddle_pairs_by_centre_sign(self):
-        # resolution 2 has one whole cell, corners (0,0), (1,0), (1,1), (0,1) at spacing 1/2
+        # resolution 2 has one whole cell, corners (0,0), (1,0), (1,1), (0,1) at spacing 1/2;
+        # the NaN at (2,0) and (0,2) keeps its two half-cells out of the picture
         for corner_values, partner_g in (((1.5, -1.0, 1.5, -1.0), 0.0), ((1.0, -1.5, 1.0, -1.5), 0.5)):
-            field = np.zeros((3, 3))
+            field = np.full((3, 3), np.nan)
             field[0, 0], field[1, 0], field[1, 1], field[0, 1] = corner_values
             grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
             segments = scan.margin_isolines(grid, "f")
@@ -463,9 +476,10 @@ class TestMarchingSquares:
             assert start[1] == 0.0 and end[0] == partner_g, corner_values
 
     def test_zero_corner_counts_once(self):
-        # corner (1,0) of the one whole cell is exactly zero
+        # corner (1,0) of the one whole cell is exactly zero; the NaN at (2,0) and (0,2)
+        # keeps its two half-cells out of the picture
         def segments_of(c0, c1, c2, c3):
-            field = np.zeros((3, 3))
+            field = np.full((3, 3), np.nan)
             field[0, 0], field[1, 0], field[1, 1], field[0, 1] = c0, c1, c2, c3
             grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
             segments = scan.margin_isolines(grid, "f")
@@ -479,6 +493,39 @@ class TestMarchingSquares:
         assert segments_of(-1.0, 0.0, -1.0, 1.0) == [((0.25, 0.5), (0.0, 0.25))]
         # every other corner of one sign: the corner is the whole zero set in the cell
         assert segments_of(1.0, 0.0, 1.0, 1.0) == [((0.5, 0.0), (0.5, 0.0))]
+
+    def test_isolines_reach_the_g_plus_w_edge(self):
+        # every sign change between neighbouring lattice points on g + w = 1 is crossed by an
+        # isoline, which therefore has an endpoint on the edge between those two points
+        n = 40
+        grid = scan.grid_scan(n, "all")
+        sign_changes = 0
+        for cid in grid.criteria:
+            edge = np.array([grid.margins[cid][grid.flat_index(i, n - i)] for i in range(n + 1)])
+            ends = [pt for seg in scan.margin_isolines(grid, cid) for pt in seg
+                    if abs(pt[0] + pt[1] - 1.0) < 1e-12]
+            for i in np.nonzero(np.sign(edge[:-1]) * np.sign(edge[1:]) < 0)[0]:
+                sign_changes += 1
+                assert any(i / n <= g <= (i + 1) / n for g, _ in ends), (cid, i)
+        assert sign_changes >= 20
+
+    def test_half_cell_zero_corner_counts_once(self):
+        # resolution 2: NaN at (0,1) and (0,2) leaves only the half-cell with corners
+        # (1,0), (2,0), (1,1), whose corner (2,0) on g + w = 1 is exactly zero
+        def segments_of(c0, c1, c3):
+            field = np.full((3, 3), np.nan)
+            field[0, 0], field[1, 0], field[2, 0], field[1, 1] = 1.0, c0, c1, c3
+            grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
+            segments = scan.margin_isolines(grid, "f")
+            assert segments == reference_isolines(grid, "f")
+            return segments
+
+        # the zero line passes through the corner: one segment from it
+        assert segments_of(1.0, 0.0, -1.0) == [((1.0, 0.0), (0.5, 0.25))]
+        # the other corners of one sign: the corner is the whole zero set in the half-cell
+        assert segments_of(1.0, 0.0, 1.0) == [((1.0, 0.0), (1.0, 0.0))]
+        # a sign change along the edge itself: the segment ends on it
+        assert segments_of(1.0, 1.0, -1.0) == [((0.75, 0.25), (0.5, 0.25))]
 
     def test_ppt_isoline_ends_on_the_published_point(self):
         # ppt vanishes exactly at (1/5, 0), a lattice point at resolution 40
