@@ -1,9 +1,10 @@
-"""Bipartite separability criteria across the 1|23 cut.
+"""Closed forms and spectrum-to-margin maps of the 1|23-cut criteria.
 
-Each criterion is evaluated twice: numerically from the actual matrices
-(LAPACK spectra and singular values) and through the published closed
-forms.  The two paths must agree in sign outside the marginality band or a
-ConsistencyError is raised.
+The criteria are majorization, the Renyi entropies, partial transposition,
+reduction and reshuffling.  ``criteria`` evaluates each of them once, over
+arrays of weights: it computes the numeric spectra and singular values, turns
+them into margins with the maps here, and checks them against the published
+closed forms here.
 
 One correction to the printed inequality table for the majorization
 criterion: the k=1 partial-sum inequality in the (2/3)w <= g <= w case reads
@@ -19,11 +20,10 @@ import math
 
 import numpy as np
 
-from . import linalg, states
+from . import states
 from .config import RANK_TOL
 from .exceptions import ConsistencyError
-from .states import SimplexPoint
-from .verdict import CriterionVerdict, assert_signs_agree, signs_agree
+from .verdict import signs_agree
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -39,36 +39,6 @@ def alpha_label(alpha: float) -> str:
 
 # ---------------------------------------------------------------------------
 # majorization
-
-
-def majorizes(p, q, *, slack: float = 1e-12) -> bool:
-    """True iff p is majorized by q (p "more disordered"), padded to equal length."""
-    return bool(majorization_margin(p, q) >= -slack)
-
-
-def majorization_margin(p, q) -> float:
-    """min_k (sum_k q_desc - sum_k p_desc); nonnegative iff p is majorized by q.
-
-    The k = n partial sum is excluded: both sides equal 1 there, so it would
-    pin every margin to zero.
-    """
-    p = _check_distribution(np.asarray(p, dtype=float))
-    q = _check_distribution(np.asarray(q, dtype=float))
-    n = max(p.size, q.size)
-    p = np.pad(p, (0, n - p.size))
-    q = np.pad(q, (0, n - q.size))
-    pc = np.cumsum(np.sort(p)[::-1])[:-1]
-    qc = np.cumsum(np.sort(q)[::-1])[:-1]
-    return float(np.min(qc - pc))
-
-
-def _check_distribution(p: np.ndarray) -> np.ndarray:
-    if np.any(p < -1e-9):
-        raise ValueError(f"negative probabilities beyond tolerance: min {p.min():.3e}")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return np.clip(p, 0.0, None)
 
 
 def majorization_case_margins(g, w):
@@ -139,35 +109,8 @@ def majorization_margins_from_spectra(spectra: dict[str, np.ndarray]):
     return against(s1), against(s23)
 
 
-def criterion_majorization(p: SimplexPoint) -> tuple[CriterionVerdict, CriterionVerdict]:
-    """Majorization criterion across 1|23: (rho-vs-rho^1, rho-vs-rho^23) verdicts."""
-    rho = states.build_rho(p)
-    rho23, rho1 = states.marginals(p)
-    sr = linalg.hermitian_eigenvalues(rho)
-    s23 = linalg.hermitian_eigenvalues(rho23)
-    s1 = linalg.hermitian_eigenvalues(rho1)
-    spectra = {"rho": sr, "rho1": s1, "rho23": s23}
-    m1, m23 = majorization_margins_from_spectra(spectra)
-    c1, c23 = majorization_case_margins(p.g, p.w)
-    assert_signs_agree("majorization rho^1", m1, c1, p.g, p.w)
-    assert_signs_agree("majorization rho^23", m23, c23, p.g, p.w)
-    kind = "min partial-sum slack"
-    return (
-        CriterionVerdict.from_margin("maj_rho1", float(m1), kind),
-        CriterionVerdict.from_margin("maj_rho23", float(m23), kind),
-    )
-
-
 # ---------------------------------------------------------------------------
 # entropy
-
-
-def renyi_entropy(p, alpha: float) -> float:
-    """Renyi entropy of a distribution; alpha 0, 1 and inf take their limits."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    p = _check_distribution(np.asarray(p, dtype=float))
-    return float(_renyi(p[None, :], alpha)[0])
 
 
 def _renyi(p: np.ndarray, alpha: float) -> np.ndarray:
@@ -188,20 +131,6 @@ def entropy_margins_from_spectra(spectra: dict[str, np.ndarray], alpha: float):
     s23 = np.clip(spectra["rho23"], 0.0, None)
     hr = _renyi(sr, alpha)
     return hr - _renyi(s1, alpha), hr - _renyi(s23, alpha)
-
-
-def criterion_entropy(p: SimplexPoint, alpha: float) -> tuple[CriterionVerdict, CriterionVerdict]:
-    """Entropy criterion S_a(rho) >= S_a(marginal), from the closed-form spectra."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    spectra = states.closed_form_spectra(p)
-    m1, m23 = entropy_margins_from_spectra(spectra, alpha)
-    label = alpha_label(alpha)
-    kind = "entropy difference"
-    return (
-        CriterionVerdict.from_margin(f"entropy_rho1_a{label}", float(m1), kind),
-        CriterionVerdict.from_margin(f"entropy_rho23_a{label}", float(m23), kind),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +155,6 @@ def reduction_closed_margins(g, w):
     return r3, r4
 
 
-def criterion_ppt(p: SimplexPoint) -> CriterionVerdict:
-    """Peres partial transposition criterion; margin is the smallest eigenvalue."""
-    vals = linalg.hermitian_eigenvalues(states.partial_transpose_1(p))
-    margin = float(vals[-1])
-    q1, q2 = ppt_closed_margins(p.g, p.w)
-    assert_signs_agree("PPT", margin, min(float(q1), float(q2)), p.g, p.w)
-    return CriterionVerdict.from_margin("ppt", margin, "min eigenvalue of rho^T1")
-
-
-def criterion_reduction(p: SimplexPoint) -> CriterionVerdict:
-    """Reduction criterion; margin is the smallest eigenvalue over both matrices."""
-    first, second = states.reduction_matrices(p)
-    v1 = linalg.hermitian_eigenvalues(first)
-    v2 = linalg.hermitian_eigenvalues(second)
-    margin = float(min(v1[-1], v2[-1]))
-    q1, q2 = ppt_closed_margins(p.g, p.w)
-    r3, r4 = reduction_closed_margins(p.g, p.w)
-    closed = min(float(q1), float(q2), float(r3), float(r4))
-    assert_signs_agree("reduction", margin, closed, p.g, p.w)
-    return CriterionVerdict.from_margin("reduction", margin, "min eigenvalue of reduction maps")
-
-
 # ---------------------------------------------------------------------------
 # reshuffling across 1|23
 
@@ -269,16 +176,3 @@ def reshuffle24_closed_singular_values(g, w) -> np.ndarray:
     s_pair = np.sqrt(gt**2 + 2 * wt**2)
     svs = np.stack([s_plus, s_minus, s_pair, s_pair], axis=-1)
     return np.sort(svs, axis=-1)[..., ::-1]
-
-
-def criterion_reshuffling_24(p: SimplexPoint) -> CriterionVerdict:
-    """Reshuffling (realignment) criterion; margin is 1 - ||R(rho)||_tr."""
-    numeric = linalg.singular_values(states.reshuffle_24(p))
-    closed = reshuffle24_closed_singular_values(p.g, p.w)
-    defect = float(np.max(np.abs(numeric - closed)))
-    if defect > 1e-10:
-        raise ConsistencyError(
-            f"reshuffling singular values at {p}: closed-form deviation {defect:.3e}"
-        )
-    margin = float(1.0 - np.sum(numeric))
-    return CriterionVerdict.from_margin("resh24", margin, "1 - trace norm")

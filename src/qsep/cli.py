@@ -297,11 +297,14 @@ def cmd_verify(args) -> int:
                for cid, (idx, level) in criteria.SPIN.items()},
             **{cid: tripartite.criterion_huber(p, phi[tag], k).margin
                for cid, (tag, k) in criteria.SWAP.items()},
-            **tripartite.criterion_gs_biseparable(p).parts,
-            "gs3": tripartite.criterion_gs_fullsep(p).margin,
         }
         for cid, value in explicit.items():
             worst[cid] = max(worst.get(cid, 0.0), abs(value - float(margins[cid][n])))
+    # the matrix-element criteria read off the independent mixture, on every point
+    elements = dict(zip(("gs2_ghz", "gs2_w"), tripartite.gs2_element_margins(mixture)))
+    elements["gs3"] = np.min(list(tripartite.gs3_element_margins(mixture).values()), axis=0)
+    for cid, value in elements.items():
+        worst[cid] = float(np.max(np.abs(value - margins[cid])))
     for cid, deviation in worst.items():
         check(f"{cid} explicit vs grid", deviation, max(tol, 1e-12))
 

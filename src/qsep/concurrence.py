@@ -88,7 +88,3 @@ def concurrence_23(p: SimplexPoint) -> tuple[float, float]:
         )
     return numeric, closed
 
-
-def concurrence_23_closed_form(p: SimplexPoint) -> float:
-    """Closed-form concurrence at a point, cross-checked against the numeric path."""
-    return concurrence_23(p)[1]

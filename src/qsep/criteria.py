@@ -5,9 +5,11 @@ violation excludes and the kind of margin it reports; ``IDS`` is the scan
 order.  ``evaluate`` computes any subset of criteria over arrays of weights
 through one vectorized evaluator per criterion family, each running (and
 reporting) its family's closed-form cross-checks on the same batch, so a grid
-chunk and a batch of one point take the same path.  The per-point
-``criterion_*`` functions of ``bipartite`` and ``tripartite`` stay as
-independent references.
+chunk and a batch of one point take the same path (``scan.point_margin``).
+There is no second per-point copy of this path.  The independent references
+are ``tripartite.criterion_su`` and ``criterion_huber``, which build explicit
+observables and swap operators, and the matrix elements of the separately
+built mixture; ``qsep verify`` compares them with these margins.
 """
 
 from __future__ import annotations

@@ -305,30 +305,34 @@ def _verdict_names(grid: RegionGrid) -> dict[str, list[str]]:
 
 # corner k of cell (i, j) is the lattice point (i + di, j + dj), (di, dj) = _CORNERS[k];
 # the edges run between consecutive corners, in this order.  A half-cell on the edge
-# g + w = 1 (i + j + 1 = n) has corners 0, 1 and 3; its edge from 1 to 3 lies on that line.
+# g + w = 1 (i + j + 1 = n) has a degenerate corner 2 at corner 3's lattice point, so its
+# edge from 1 to 2 lies on that line and its edge from 2 to 3 has length zero.
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 _EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
-_HALF_EDGES = ((0, 1), (1, 3), (3, 0))
 
 
-def _crossings(field, i, j, n, edges):
-    """Zero-level crossings of the cells (i, j) along ``edges``, in edge order.
+def _crossings(field, i, j, n, half):
+    """Zero-level crossings of the cells (i, j) along their four edges, in edge order.
 
-    An edge is crossed where its end margins differ in sign or one of them
-    (not both) is zero; the crossing is interpolated linearly.  Crossings at
-    the same point (a corner of zero margin, crossed by both its edges) count
-    once.  Three crossings, one at a zero corner, mean that corner only
+    ``half`` marks the half-cells.  An edge is crossed where its end margins
+    differ in sign or one of them (not both) is zero; the crossing is
+    interpolated linearly, so the zero-length edge of a half-cell is never
+    crossed.  Crossings at the same point (a corner of zero margin, crossed by
+    both its edges) count once; across the zero-length edge those are edges 1
+    and 3.  Three crossings, one at a zero corner, mean that corner only
     touches the zero line, and it is dropped.  Returns ``(corners, count,
     merged, gg, ww)``: the corner margins by (corner, cell); per cell, the
     number of crossings and whether two coincided; and the coordinates by
     (crossing, cell), each cell's crossings first.
     """
-    corners = np.stack([field[i + di, j + dj] for di, dj in _CORNERS])
-    hit = np.empty((len(edges),) + i.shape, dtype=bool)
+    offsets = list(_CORNERS)
+    offsets[2] = (1 - half.astype(np.int64), 1)
+    corners = np.stack([field[i + di, j + dj] for di, dj in offsets])
+    hit = np.empty((len(_EDGES),) + i.shape, dtype=bool)
     gg = np.empty(hit.shape)
     ww = np.empty(hit.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for e, (a, b) in enumerate(edges):
+        for e, (a, b) in enumerate(_EDGES):
             ca, cb = corners[a], corners[b]
             t = ca / (ca - cb)
             hit[e] = (
@@ -336,16 +340,20 @@ def _crossings(field, i, j, n, edges):
                 & (((ca > 0) != (cb > 0)) | (ca == 0.0) | (cb == 0.0))
                 & (0.0 <= t) & (t <= 1.0)
             )
-            (ia, ja), (ib, jb) = _CORNERS[a], _CORNERS[b]
+            (ia, ja), (ib, jb) = offsets[a], offsets[b]
             gg[e] = ((i + ia) + t * (ib - ia)) / n
             ww[e] = ((j + ja) + t * (jb - ja)) / n
-    after = [(e + 1) % len(edges) for e in range(len(edges))]
-    before = [(e - 1) % len(edges) for e in range(len(edges))]
+    after = [(e + 1) % len(_EDGES) for e in range(len(_EDGES))]
+    before = [(e - 1) % len(_EDGES) for e in range(len(_EDGES))]
     # a corner of zero margin is crossed by both its edges: count coincident crossings once
     twin = hit & hit[after] & (gg == gg[after]) & (ww == ww[after])  # same point as the next edge
+    # edges 1 and 3 meet only across a zero-length edge 2; on a whole cell they lie on the
+    # lines i and i + 1, so this never holds there
+    twin[1] |= hit[1] & hit[3] & (gg[1] == gg[3]) & (ww[1] == ww[3])
     hit &= ~twin
     merged = twin.any(axis=0)
     # three left: the zero corner only touches the zero line, so join the other two
+    # (a half-cell, with at most three crossings before merging, never has three left)
     touch = merged & (hit.sum(axis=0) == 3)
     hit &= ~(touch & (twin | twin[before]))
     order = np.argsort(~hit, axis=0, kind="stable")  # the crossings of each cell first
@@ -371,15 +379,14 @@ def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float
     field = np.full((n + 1, n + 1), np.nan)
     field[grid.i_index, grid.j_index] = grid.margins[cid]
     # cells whose corner margins are not all of one strict sign (a NaN corner fails both
-    # tests, since NaN propagates through the extrema); a half-cell has corners 0, 1 and 3
+    # tests, since NaN propagates through the extrema); a half-cell's corner 2 is corner 3
     views = [field[di : n + di, dj : n + dj] for di, dj in _CORNERS]
-    low = np.minimum(np.minimum(views[0], views[1]), views[3])
-    high = np.maximum(np.maximum(views[0], views[1]), views[3])
     sums = np.add.outer(np.arange(n), np.arange(n))
-    i, j = np.nonzero(
-        (sums + 2 <= n) & (np.minimum(low, views[2]) <= 0.0) & (np.maximum(high, views[2]) >= 0.0)
-    )
-    corners, count, merged, gg, ww = _crossings(field, i, j, n, _EDGES)
+    views[2] = np.where(sums + 1 == n, views[3], views[2])
+    low = np.minimum(np.minimum(views[0], views[1]), np.minimum(views[2], views[3]))
+    high = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    i, j = np.nonzero((sums + 1 <= n) & (low <= 0.0) & (high >= 0.0))
+    corners, count, merged, gg, ww = _crossings(field, i, j, n, i + j + 1 == n)
     isolated = merged & (count == 1)  # a zero corner is all the zero set in the cell
     saddle = count == 4
     centre = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
@@ -395,19 +402,7 @@ def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float
     ww = np.take_along_axis(ww, ends, axis=0)
     segments = np.stack([gg[0], ww[0], gg[1], ww[1], gg[2], ww[2], gg[3], ww[3]], axis=1)
     emitted = np.stack([(count == 2) | saddle | isolated, saddle], axis=1).reshape(-1)
-    keys = np.repeat(i * (n + 1) + j, 2)[emitted]
     segments = segments.reshape(-1, 4)[emitted]
-    # the half-cells along g + w = 1, which have at most two crossings
-    hi, hj = np.nonzero((sums + 1 == n) & (low <= 0.0) & (high >= 0.0))
-    if hi.size:
-        _, count, merged, gg, ww = _crossings(field, hi, hj, n, _HALF_EDGES)
-        isolated = merged & (count == 1)
-        second = np.where(isolated, 0, 1)
-        cell = np.arange(hi.size)
-        half = np.stack([gg[0], ww[0], gg[second, cell], ww[second, cell]], axis=1)
-        emitted = (count == 2) | isolated
-        keys = np.concatenate([keys, (hi * (n + 1) + hj)[emitted]])
-        segments = np.concatenate([segments, half[emitted]])[np.argsort(keys, kind="stable")]
     return [((a, b), (c, d)) for a, b, c, d in segments.tolist()]
 
 

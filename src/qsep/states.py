@@ -359,11 +359,6 @@ def reshuffle_222(p: SimplexPoint) -> np.ndarray:
     return _check_template(generic, _single(reshuffle_222_grid, p), "R'(rho)")
 
 
-def closed_form_spectra(p: SimplexPoint) -> dict[str, np.ndarray]:
-    grids = closed_form_spectra_grid(np.array([p.g]), np.array([p.w]))
-    return {k: v[0] for k, v in grids.items()}
-
-
 # ---------------------------------------------------------------------------
 # published example states
 

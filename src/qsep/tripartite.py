@@ -1,14 +1,18 @@
 """Genuinely three-partite criteria and the fully-entangled class bounds.
 
-Covers the 2-3 reshuffling criterion, the spin-observable inequalities for
-biseparability and for the intersection of the bipartition-separable sets,
-the two-copy swap criterion (evaluated on the explicit 64-dimensional
-doubled space), the matrix-element criteria with their substitution family,
-the witness operators, and the GHZ-class triangle bound.
+Covers the spin-observable inequalities for biseparability and for the
+intersection of the bipartition-separable sets, the two-copy swap criterion,
+the matrix-element criteria with their substitution family, the witness
+operators, and the GHZ-class triangle bound.  ``criteria`` evaluates them
+over arrays of weights.  ``criterion_su`` and ``criterion_huber`` are
+independent per-point references: they build explicit three-qubit
+observables and 64-dimensional swap operators, and ``qsep verify`` compares
+them with the grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -18,8 +22,6 @@ from . import linalg, states
 from .exceptions import ConsistencyError
 from .states import SimplexPoint
 from .verdict import CriterionVerdict, assert_signs_agree, cell_name
-
-SQRT2 = float(np.sqrt(2.0))
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -167,7 +169,25 @@ def criterion_su(p: SimplexPoint, triads, level: str) -> CriterionVerdict:
     return CriterionVerdict.from_margin(cid, margin, "spin-observable inequality slack")
 
 
-_SU_COEFF_CACHE: dict[tuple[int, str], np.ndarray] = {}
+@functools.cache
+def _spin_coefficients(setting_index: int) -> dict[str, np.ndarray]:
+    """(identity, GHZ, W) coefficient triple of every observable of one published setting."""
+    obs = build_spin_observables(*(PUBLISHED_SETTINGS[setting_index],) * 3)
+    ghz = states.ghz_vector()
+    wv = states.w_vector()
+    return {
+        key: np.array(
+            [
+                [
+                    float(np.trace(o).real) / 8.0,
+                    float((np.conj(ghz) @ (o @ ghz)).real),
+                    float((np.conj(wv) @ (o @ wv)).real),
+                ]
+                for o in obs[key]
+            ]
+        )
+        for key in ("X", "Y", "Z", "I")
+    }
 
 
 def su_margins_grid(g, w, setting_index: int, level: str) -> np.ndarray:
@@ -180,26 +200,7 @@ def su_margins_grid(g, w, setting_index: int, level: str) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     w = np.asarray(w, dtype=float)
-    coeffs = {}
-    for key in ("X", "Y", "Z", "I"):
-        cache_key = (setting_index, key)
-        if cache_key not in _SU_COEFF_CACHE:
-            obs = build_spin_observables(*(PUBLISHED_SETTINGS[setting_index],) * 3)
-            ghz = states.ghz_vector()
-            wv = states.w_vector()
-            for name in ("X", "Y", "Z", "I"):
-                triple = np.array(
-                    [
-                        [
-                            float(np.trace(o).real) / 8.0,
-                            float((np.conj(ghz) @ (o @ ghz)).real),
-                            float((np.conj(wv) @ (o @ wv)).real),
-                        ]
-                        for o in obs[name]
-                    ]
-                )
-                _SU_COEFF_CACHE[(setting_index, name)] = triple
-        coeffs[key] = _SU_COEFF_CACHE[cache_key]
+    coeffs = _spin_coefficients(setting_index)
     d = np.maximum(1.0 - g - w, 0.0)
     ev = {
         key: (
@@ -218,19 +219,10 @@ def su_margins_grid(g, w, setting_index: int, level: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# permutation criterion (2-3 reshuffling)
-
-
-def criterion_permutation_222(p: SimplexPoint) -> CriterionVerdict:
-    """Trace-norm permutation criterion for the 2-3 reshuffle; numeric only."""
-    tn = float(linalg.trace_norm(states.reshuffle_222(p)))
-    return CriterionVerdict.from_margin("perm222", 1.0 - tn, "1 - trace norm")
-
-
-# ---------------------------------------------------------------------------
 # two-copy swap criterion
 
 
+@functools.cache
 def _swap_matrix(positions: tuple[int, ...]) -> np.ndarray:
     """Permutation matrix on 6 qubit slots swapping slot a and a+3 for a in positions."""
     dim = 64
@@ -246,21 +238,15 @@ def _swap_matrix(positions: tuple[int, ...]) -> np.ndarray:
     return m
 
 
-_SWAP_CACHE: dict[tuple[int, ...], np.ndarray] = {}
-
-
 def swap_operator(subsystems: tuple[int, ...]) -> np.ndarray:
     """P_S for S a subset of {1, 2, 3}: swaps those subsystems between copies."""
     key = tuple(sorted(int(a) for a in subsystems))
     if any(a not in (1, 2, 3) for a in key):
         raise ValueError(f"subsystem labels must be in {{1,2,3}}, got {subsystems}")
-    if key not in _SWAP_CACHE:
-        _SWAP_CACHE[key] = _swap_matrix(tuple(a - 1 for a in key))
-    return _SWAP_CACHE[key]
+    return _swap_matrix(tuple(a - 1 for a in key))
 
 
 BIPARTITE_SPLITS = (((1,), (2, 3)), ((2,), (1, 3)), ((3,), (1, 2)))
-TRIPARTITE_SPLIT = ((1,), (2,), (3,))
 
 
 def phi_ghz() -> np.ndarray:
@@ -327,10 +313,10 @@ def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int, cid: str | None = 
     return CriterionVerdict.from_margin(cid, float(rhs - lhs), "swap-criterion slack")
 
 
-_HUBER_COEFF_CACHE: dict[str, dict[tuple, np.ndarray]] = {}
 _HUBER_PHIS = {"ghz": phi_ghz, "w": phi_w}
 
 
+@functools.cache
 def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
     """3x3 weight-bilinear coefficient matrices of every swap expectation.
 
@@ -339,32 +325,30 @@ def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
     form c^T Q c in c = (d, g, w); the Q are contractions of the explicit
     64-dimensional swap operators and are cached per detection vector.
     """
-    if phi_tag not in _HUBER_COEFF_CACHE:
-        phi = _HUBER_PHIS[phi_tag]()
-        ghz = states.ghz_vector()
-        wv = states.w_vector()
-        basis = (
-            np.eye(8, dtype=np.complex128) / 8.0,
-            np.outer(ghz, np.conj(ghz)),
-            np.outer(wv, np.conj(wv)),
-        )
-        coeffs: dict[tuple, np.ndarray] = {}
-        subsets = [(1,), (2,), (3,), (2, 3), (1, 3), (1, 2)]
-        for subset in subsets:
-            shifted = swap_operator(subset) @ phi
-            q = np.empty((3, 3), dtype=np.complex128)
-            for a in range(3):
-                for b in range(3):
-                    q[a, b] = np.conj(shifted) @ (np.kron(basis[a], basis[b]) @ shifted)
-            coeffs[subset] = q
-        ptot = swap_operator((1, 2, 3))
+    phi = _HUBER_PHIS[phi_tag]()
+    ghz = states.ghz_vector()
+    wv = states.w_vector()
+    basis = (
+        np.eye(8, dtype=np.complex128) / 8.0,
+        np.outer(ghz, np.conj(ghz)),
+        np.outer(wv, np.conj(wv)),
+    )
+    coeffs: dict[tuple, np.ndarray] = {}
+    subsets = [(1,), (2,), (3,), (2, 3), (1, 3), (1, 2)]
+    for subset in subsets:
+        shifted = swap_operator(subset) @ phi
         q = np.empty((3, 3), dtype=np.complex128)
         for a in range(3):
             for b in range(3):
-                q[a, b] = np.conj(phi) @ (np.kron(basis[a], basis[b]) @ (ptot @ phi))
-        coeffs[("tot",)] = q
-        _HUBER_COEFF_CACHE[phi_tag] = coeffs
-    return _HUBER_COEFF_CACHE[phi_tag]
+                q[a, b] = np.conj(shifted) @ (np.kron(basis[a], basis[b]) @ shifted)
+        coeffs[subset] = q
+    ptot = swap_operator((1, 2, 3))
+    q = np.empty((3, 3), dtype=np.complex128)
+    for a in range(3):
+        for b in range(3):
+            q[a, b] = np.conj(phi) @ (np.kron(basis[a], basis[b]) @ (ptot @ phi))
+    coeffs[("tot",)] = q
+    return coeffs
 
 
 def huber_margins_grid(g, w, phi_tag: str, k: int) -> np.ndarray:
@@ -504,18 +488,6 @@ def gs2_closed_margins(g, w):
     return m_ghz, m_w
 
 
-def criterion_gs_biseparable(p: SimplexPoint) -> CriterionVerdict:
-    """Matrix-element biseparability criterion (both published inequalities)."""
-    m_ghz, m_w = (float(m) for m in gs2_element_margins(states.build_rho(p)))
-    c_ghz, c_w = gs2_closed_margins(p.g, p.w)
-    if abs(m_ghz - float(c_ghz)) > 1e-12 or abs(m_w - float(c_w)) > 1e-12:
-        raise ConsistencyError(f"gs2 closed forms disagree with matrix elements at {p}")
-    parts = {"gs2_ghz": m_ghz, "gs2_w": m_w}
-    return CriterionVerdict.from_margin(
-        "gs2", min(m_ghz, m_w), "matrix-element inequality slack", parts
-    )
-
-
 def gs3_closed_margins(g, w) -> dict[str, np.ndarray]:
     """All 14 full-separability margins in matrix-element units, plus the aggregate."""
     g = np.asarray(g, dtype=float)
@@ -556,17 +528,6 @@ def gs3_element_margins(rho: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def criterion_gs_fullsep(p: SimplexPoint) -> CriterionVerdict:
-    """Matrix-element full-separability family; holds only if every member holds."""
-    parts = {key: float(v) for key, v in gs3_element_margins(states.build_rho(p)).items()}
-    closed = gs3_closed_margins(p.g, p.w)
-    for key, value in parts.items():
-        if abs(value - float(closed[key])) > 1e-12:
-            raise ConsistencyError(f"gs3 member {key} at {p}: closed form deviates")
-    margin = min(parts.values())
-    return CriterionVerdict.from_margin("gs3", margin, "matrix-element inequality slack", parts)
-
-
 # ---------------------------------------------------------------------------
 # witnesses and the GHZ-class bounds
 
@@ -601,20 +562,6 @@ def witness_traces(rho: np.ndarray) -> dict[str, np.ndarray]:
     columns = np.stack([m.T.reshape(64) for m in matrices.values()], axis=-1)
     traces = (rho.reshape(rho.shape[:-2] + (64,)) @ columns).real
     return {name: traces[..., k] for k, name in enumerate(matrices)}
-
-
-def witness_expectations(p: SimplexPoint) -> dict[str, float]:
-    """Tr(W rho) for the three witnesses, checked against the closed forms."""
-    closed = witness_closed_forms(p.g, p.w)
-    out = {}
-    for name, trace in witness_traces(states.build_rho(p)).items():
-        value = float(trace)
-        if abs(value - float(closed[name])) > 1e-12:
-            raise ConsistencyError(
-                f"witness {name} at {p}: trace {value:.15e} vs closed {float(closed[name]):.15e}"
-            )
-        out[name] = value
-    return out
 
 
 G0 = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
@@ -654,7 +601,10 @@ def slocc_codes(g, w, w_ghz) -> np.ndarray:
 
 def ghz_class_bounds(p: SimplexPoint) -> str:
     """Three-way SLOCC constraint from the witness and the zero-tangle bound."""
-    return SLOCC_BOUNDS[int(slocc_codes(p.g, p.w, witness_expectations(p)["w_ghz"])[0])]
+    from . import criteria  # criteria imports this module
+
+    w_ghz = criteria.margins(np.array([p.g]), np.array([p.w]), ("w_ghz",))["w_ghz"]
+    return SLOCC_BOUNDS[int(slocc_codes(p.g, p.w, w_ghz)[0])]
 
 
 # ---------------------------------------------------------------------------

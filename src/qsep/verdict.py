@@ -7,7 +7,7 @@ form margins agree when their signs match or either lies in that band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +39,10 @@ class CriterionVerdict:
     holds: str
     margin: float
     kind: str
-    parts: dict = field(default_factory=dict, compare=False)
 
     @classmethod
-    def from_margin(cls, cid: str, margin: float, kind: str, parts: dict | None = None):
-        return cls(cid, verdict_state(margin), float(margin), kind, parts or {})
+    def from_margin(cls, cid: str, margin: float, kind: str):
+        return cls(cid, verdict_state(margin), float(margin), kind)
 
 
 def signs_agree(a, b):

@@ -191,9 +191,10 @@ def test_09_gs_criteria():
     assert four_sigs == {tripartite._class_signature(ms) for ms in tripartite.GS3_FOURTH}
     assert len(six_sigs) + len(four_sigs) == 13
     point = SimplexPoint(0.2, 0.2)
-    fullsep = tripartite.criterion_gs_fullsep(point)
-    assert fullsep.parts["gs3_four_0356"] < -MARGINAL_BAND
-    assert bipartite.criterion_ppt(point).margin > MARGINAL_BAND
+    members = tripartite.gs3_element_margins(states.build_rho(point))
+    assert members["gs3_four_0356"] < -MARGINAL_BAND
+    assert scan.point_margin("gs3", point) < -MARGINAL_BAND
+    assert scan.point_margin("ppt", point) > MARGINAL_BAND
     assert float(np.max(np.abs(states.build_rho(point) * 120.0 - states.PPTES_NUMERATOR))) <= 1e-13
 
 
@@ -219,7 +220,7 @@ def test_11_witnesses(lattice):
     for name, matrix in tripartite.witness_matrices().items():
         numeric = np.einsum("ij,nji->n", matrix, rho_grid).real
         assert float(np.max(np.abs(numeric - closed[name]))) <= 1e-12, name
-    assert abs(tripartite.witness_expectations(SimplexPoint(1.0, 0.0))["w_ghz"] + 0.25) <= 1e-12
+    assert abs(scan.point_margin("w_ghz", SimplexPoint(1.0, 0.0)) + 0.25) <= 1e-12
     assert abs(tripartite.G0 - 0.626851) <= 1e-6
     eps = 5e-4
     g0 = tripartite.G0
@@ -245,8 +246,8 @@ def test_12_concurrence(lattice, spectra):
     numeric_conc = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, None)
     closed = concurrence.concurrence_23_closed(g, w)
     assert float(np.max(np.abs(numeric_conc - closed))) <= 1e-9
-    assert abs(concurrence.concurrence_23_closed_form(SimplexPoint(0.0, 1.0)) - 2 / 3) <= 1e-12
-    assert concurrence.concurrence_23_closed_form(SimplexPoint(1.0, 0.0)) == 0.0
+    assert abs(concurrence.concurrence_23(SimplexPoint(0.0, 1.0))[1] - 2 / 3) <= 1e-12
+    assert concurrence.concurrence_23(SimplexPoint(1.0, 0.0))[1] == 0.0
     gate = concurrence.concurrence_gate(g, w)
     assert np.all(numeric_conc[gate < 0.0] <= 1e-9)
     assert np.all(np.asarray(closed)[gate < 0.0] == 0.0)

@@ -1,11 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 
-from qsep import bipartite, linalg, states
+from qsep import bipartite, linalg, scan, states
 from qsep.states import SimplexPoint
-from qsep.verdict import HOLDS, MARGINAL, VIOLATED
+from qsep.verdict import HOLDS, MARGINAL, VIOLATED, verdict_state
 
 
 def simplex_grid(n=20):
@@ -16,69 +15,84 @@ def simplex_grid(n=20):
     ]
 
 
+def verdict_at(cid, p):
+    return verdict_state(scan.point_margin(cid, p))
+
+
+def entropy_id(marginal, alpha):
+    return f"entropy_{marginal}_a{bipartite.alpha_label(alpha)}"
+
+
+def descending(p, size):
+    return np.sort(np.pad(np.asarray(p, dtype=float), (0, size - len(p))))[::-1]
+
+
+def partial_sum_slack(p, q):
+    """The majorization margin of the grid path: nonnegative iff p is majorized by q."""
+    size = max(len(p), len(q))
+    spectra = {"rho": descending(p, size), "rho1": descending(q, size), "rho23": descending(q, size)}
+    return float(bipartite.majorization_margins_from_spectra(spectra)[0])
+
+
+def renyi(p, alpha):
+    """S_a(p), as the grid path's entropy margin against a pure marginal."""
+    spectra = {"rho": np.asarray(p, dtype=float), "rho1": np.ones(1), "rho23": np.ones(1)}
+    return float(bipartite.entropy_margins_from_spectra(spectra, alpha)[0])
+
+
 class TestMajorizes:
     def test_uniform_majorized_by_everything(self):
         rng = np.random.default_rng(0)
         uniform = np.full(8, 1 / 8)
         for _ in range(20):
             q = rng.dirichlet(np.ones(8))
-            assert bipartite.majorizes(uniform, q)
+            assert partial_sum_slack(uniform, q) >= -1e-12
 
     def test_incomparable_pair_from_the_text(self):
         p = [1 / 2, 1 / 8, 1 / 8, 1 / 8, 1 / 8]
         q = [1 / 3, 1 / 3, 1 / 3]
-        assert not bipartite.majorizes(p, q)
-        assert not bipartite.majorizes(q, p)
+        assert partial_sum_slack(p, q) < -1e-12
+        assert partial_sum_slack(q, p) < -1e-12
 
     def test_reflexive(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             p = rng.dirichlet(np.ones(6))
-            assert bipartite.majorizes(p, p)
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="negative"):
-            bipartite.majorizes([1.1, -0.1], [0.5, 0.5])
+            assert partial_sum_slack(p, p) >= -1e-12
 
 
 class TestCriterionMajorization:
     def test_white_noise_both_hold(self):
-        v1, v23 = bipartite.criterion_majorization(SimplexPoint(0.0, 0.0))
-        assert v1.holds == HOLDS and v23.holds == HOLDS
+        p = SimplexPoint(0.0, 0.0)
+        assert verdict_at("maj_rho1", p) == HOLDS and verdict_at("maj_rho23", p) == HOLDS
 
     def test_pure_ghz_both_violated(self):
-        v1, v23 = bipartite.criterion_majorization(SimplexPoint(1.0, 0.0))
-        assert v1.holds == VIOLATED and v23.holds == VIOLATED
+        p = SimplexPoint(1.0, 0.0)
+        assert verdict_at("maj_rho1", p) == VIOLATED and verdict_at("maj_rho23", p) == VIOLATED
 
     def test_published_borderline_points_marginal(self):
         for g, w in ((2 / 13, 3 / 13), (1 / 5, 0.0)):
-            _, v23 = bipartite.criterion_majorization(SimplexPoint(g, w))
-            assert abs(v23.margin) <= 1e-10
+            assert abs(scan.point_margin("maj_rho23", SimplexPoint(g, w))) <= 1e-10
 
     def test_rho23_implies_rho1_on_grid(self):
         for p in simplex_grid(15):
-            v1, v23 = bipartite.criterion_majorization(p)
-            if v23.holds == HOLDS:
-                assert v1.holds != VIOLATED, p
+            if verdict_at("maj_rho23", p) == HOLDS:
+                assert verdict_at("maj_rho1", p) != VIOLATED, p
 
 
 class TestRenyiEntropy:
     def test_uniform_any_alpha(self):
         uniform = np.full(8, 1 / 8)
         for alpha in bipartite.ALPHA_GRID:
-            assert abs(bipartite.renyi_entropy(uniform, alpha) - math.log(8)) < 1e-12
+            assert abs(renyi(uniform, alpha) - math.log(8)) < 1e-12
 
     def test_point_distribution(self):
         p = [1.0, 0.0, 0.0]
         for alpha in bipartite.ALPHA_GRID:
-            assert abs(bipartite.renyi_entropy(p, alpha)) < 1e-12
+            assert abs(renyi(p, alpha)) < 1e-12
 
     def test_hartley_counts_support(self):
-        assert abs(bipartite.renyi_entropy([0.5, 0.5, 0.0], 0.0) - math.log(2)) < 1e-12
-
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError):
-            bipartite.renyi_entropy([1.0], -0.5)
+        assert abs(renyi([0.5, 0.5, 0.0], 0.0) - math.log(2)) < 1e-12
 
     def test_schur_concavity_spot_check(self):
         rng = np.random.default_rng(2)
@@ -86,98 +100,91 @@ class TestRenyiEntropy:
         while checked < 25:
             p = rng.dirichlet(np.ones(8))
             q = rng.dirichlet(np.ones(8))
-            if not bipartite.majorizes(p, q):
+            if partial_sum_slack(p, q) < -1e-12:
                 continue
             checked += 1
             for alpha in (0.5, 1.0, 2.0, 5.0, math.inf):
-                hp = bipartite.renyi_entropy(p, alpha)
-                hq = bipartite.renyi_entropy(q, alpha)
-                assert hp >= hq - 1e-10
+                assert renyi(p, alpha) >= renyi(q, alpha) - 1e-10
 
 
 class TestCriterionEntropy:
     def test_hartley_interior_holds(self):
         for p in (SimplexPoint(0.3, 0.3), SimplexPoint(0.9, 0.05)):
-            v1, v23 = bipartite.criterion_entropy(p, 0.0)
-            assert v1.holds == HOLDS and v23.holds == HOLDS
+            assert verdict_at(entropy_id("rho1", 0.0), p) == HOLDS
+            assert verdict_at(entropy_id("rho23", 0.0), p) == HOLDS
 
     def test_hartley_on_ghz_w_edge(self):
         # rk rho = 2 = rk rho^1 (equality, so not violated), rk rho^23 = 3
-        v1, v23 = bipartite.criterion_entropy(SimplexPoint(0.5, 0.5), 0.0)
-        assert v1.holds != VIOLATED
-        assert v23.holds == VIOLATED
+        p = SimplexPoint(0.5, 0.5)
+        assert verdict_at(entropy_id("rho1", 0.0), p) != VIOLATED
+        assert verdict_at(entropy_id("rho23", 0.0), p) == VIOLATED
 
     def test_chebyshev_matches_table_columns(self):
         for p in simplex_grid(12):
-            v1, v23 = bipartite.criterion_entropy(p, math.inf)
-            c1, c23_i = bipartite.majorization_case_margins(p.g, p.w)
             # column (iii) is the max-eigenvalue inequality against rho^1
-            spectra = states.closed_form_spectra(p)
-            col_i = spectra["rho23"][0] - spectra["rho"][0]
-            col_iii = spectra["rho1"][0] - spectra["rho"][0]
-            for verdict, closed in ((v1, col_iii), (v23, col_i)):
-                if verdict.holds == HOLDS:
+            spectra = states.closed_form_spectra_grid([p.g], [p.w])
+            col_i = spectra["rho23"][0, 0] - spectra["rho"][0, 0]
+            col_iii = spectra["rho1"][0, 0] - spectra["rho"][0, 0]
+            for marginal, closed in (("rho1", col_iii), ("rho23", col_i)):
+                verdict = verdict_at(entropy_id(marginal, math.inf), p)
+                if verdict == HOLDS:
                     assert closed > -1e-12
-                elif verdict.holds == VIOLATED:
+                elif verdict == VIOLATED:
                     assert closed < 1e-12
 
     def test_never_stronger_than_majorization(self):
         for p in simplex_grid(12):
-            v1m, v23m = bipartite.criterion_majorization(p)
-            if v1m.holds == HOLDS and v23m.holds == HOLDS:
+            if verdict_at("maj_rho1", p) == HOLDS and verdict_at("maj_rho23", p) == HOLDS:
                 for alpha in bipartite.ALPHA_GRID:
-                    e1, e23 = bipartite.criterion_entropy(p, alpha)
-                    assert e1.margin > -1e-9, (p, alpha)
-                    assert e23.margin > -1e-9, (p, alpha)
+                    for marginal in ("rho1", "rho23"):
+                        assert scan.point_margin(entropy_id(marginal, alpha), p) > -1e-9, (p, alpha)
 
 
 class TestCriterionPPT:
     def test_white_noise(self):
-        v = bipartite.criterion_ppt(SimplexPoint(0.0, 0.0))
-        assert v.holds == HOLDS and abs(v.margin - 1 / 8) < 1e-12
+        margin = scan.point_margin("ppt", SimplexPoint(0.0, 0.0))
+        assert verdict_state(margin) == HOLDS and abs(margin - 1 / 8) < 1e-12
 
     def test_pure_ghz(self):
-        v = bipartite.criterion_ppt(SimplexPoint(1.0, 0.0))
-        assert v.holds == VIOLATED and abs(v.margin + 0.5) < 1e-12
+        margin = scan.point_margin("ppt", SimplexPoint(1.0, 0.0))
+        assert verdict_state(margin) == VIOLATED and abs(margin + 0.5) < 1e-12
 
     def test_published_axis_boundary_marginal(self):
-        v = bipartite.criterion_ppt(SimplexPoint(0.2, 0.0))
-        assert v.holds == MARGINAL
+        assert verdict_at("ppt", SimplexPoint(0.2, 0.0)) == MARGINAL
 
     def test_pptes_point_holds(self):
-        v = bipartite.criterion_ppt(SimplexPoint(0.2, 0.2))
-        assert v.holds == HOLDS
+        assert verdict_at("ppt", SimplexPoint(0.2, 0.2)) == HOLDS
 
 
 class TestCriterionReduction:
     def test_matches_ppt_on_grid(self):
         for p in simplex_grid(15):
-            assert bipartite.criterion_reduction(p).holds == bipartite.criterion_ppt(p).holds, p
+            assert verdict_at("reduction", p) == verdict_at("ppt", p), p
 
     def test_pure_w_violated_via_linear_inequality(self):
-        v = bipartite.criterion_reduction(SimplexPoint(0.0, 1.0))
-        assert v.holds == VIOLATED
-        assert abs(v.margin + math.sqrt(2) / 3) < 1e-12
+        margin = scan.point_margin("reduction", SimplexPoint(0.0, 1.0))
+        assert verdict_state(margin) == VIOLATED
+        assert abs(margin + math.sqrt(2) / 3) < 1e-12
 
     def test_white_noise_holds(self):
-        assert bipartite.criterion_reduction(SimplexPoint(0.0, 0.0)).holds == HOLDS
+        assert verdict_at("reduction", SimplexPoint(0.0, 0.0)) == HOLDS
 
 
 class TestCriterionReshuffling:
     def test_white_noise(self):
-        v = bipartite.criterion_reshuffling_24(SimplexPoint(0.0, 0.0))
-        assert v.holds == HOLDS
-        assert abs((1.0 - v.margin) - 1 / (2 * math.sqrt(2))) < 1e-12
+        margin = scan.point_margin("resh24", SimplexPoint(0.0, 0.0))
+        assert verdict_state(margin) == HOLDS
+        assert abs((1.0 - margin) - 1 / (2 * math.sqrt(2))) < 1e-12
 
     def test_pure_ghz(self):
-        v = bipartite.criterion_reshuffling_24(SimplexPoint(1.0, 0.0))
-        assert v.holds == VIOLATED
-        assert abs((1.0 - v.margin) - 2.0) < 1e-12
+        margin = scan.point_margin("resh24", SimplexPoint(1.0, 0.0))
+        assert verdict_state(margin) == VIOLATED
+        assert abs((1.0 - margin) - 2.0) < 1e-12
 
     def test_pure_w(self):
-        v = bipartite.criterion_reshuffling_24(SimplexPoint(0.0, 1.0))
-        assert v.holds == VIOLATED
-        assert abs((1.0 - v.margin) - (1.0 + 2.0 * math.sqrt(2) / 3.0)) < 1e-12
+        margin = scan.point_margin("resh24", SimplexPoint(0.0, 1.0))
+        assert verdict_state(margin) == VIOLATED
+        assert abs((1.0 - margin) - (1.0 + 2.0 * math.sqrt(2) / 3.0)) < 1e-12
 
     def test_closed_forms_match_numeric_on_grid(self):
         for p in simplex_grid(12):

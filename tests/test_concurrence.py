@@ -43,7 +43,7 @@ class TestSpinFlip:
     def test_product_spectrum_matches_closed_form_at_pure_w(self):
         rho23, _ = states.marginals(SimplexPoint(0.0, 1.0))
         spect = concurrence.spin_flip_product_spectrum(rho23)
-        expected = states.closed_form_spectra(SimplexPoint(0.0, 1.0))["conc23"]
+        expected = states.closed_form_spectra_grid([0.0], [1.0])["conc23"][0]
         assert np.max(np.abs(spect - expected)) < 1e-12
 
 
@@ -67,17 +67,17 @@ class TestWoottersConcurrence:
 
 class TestClosedForm:
     def test_ghz_marginal_separable(self):
-        assert concurrence.concurrence_23_closed_form(SimplexPoint(1.0, 0.0)) == 0.0
+        assert concurrence.concurrence_23(SimplexPoint(1.0, 0.0))[1] == 0.0
 
     def test_pure_w_maximum(self):
-        assert abs(concurrence.concurrence_23_closed_form(SimplexPoint(0.0, 1.0)) - 2 / 3) < 1e-12
+        assert abs(concurrence.concurrence_23(SimplexPoint(0.0, 1.0))[1] - 2 / 3) < 1e-12
 
     def test_gate_root_on_w_axis(self):
         root = (-3.0 + math.sqrt(180.0)) / 19.0
         assert abs(float(concurrence.concurrence_gate(0.0, root))) < 1e-12
         eps = 1e-6
-        assert concurrence.concurrence_23_closed_form(SimplexPoint(0.0, root - eps)) == 0.0
-        assert concurrence.concurrence_23_closed_form(SimplexPoint(0.0, root + eps)) > 0.0
+        assert concurrence.concurrence_23(SimplexPoint(0.0, root - eps))[1] == 0.0
+        assert concurrence.concurrence_23(SimplexPoint(0.0, root + eps))[1] > 0.0
 
     def test_pair_is_numeric_and_closed_form(self):
         for p in (SimplexPoint(0.1, 0.6), SimplexPoint(0.0, 1.0), SimplexPoint(0.3, 0.3)):
@@ -85,7 +85,6 @@ class TestClosedForm:
             rho23, _ = states.marginals(p)
             assert numeric == concurrence.wootters_concurrence(rho23)
             assert closed == float(concurrence.concurrence_23_closed(p.g, p.w))
-            assert closed == concurrence.concurrence_23_closed_form(p)
 
     def test_gate_rejects_a_closed_form_off_by_more_than_1e9(self, monkeypatch):
         real = concurrence.concurrence_23_closed
@@ -114,7 +113,7 @@ class TestClosedForm:
         for p in simplex_grid(12):
             rho23, _ = states.marginals(p)
             spect = concurrence.spin_flip_product_spectrum(rho23)
-            expected = states.closed_form_spectra(p)["conc23"]
+            expected = states.closed_form_spectra_grid([p.g], [p.w])["conc23"][0]
             assert np.max(np.abs(spect - expected)) < 1e-10, p
 
     def test_zero_when_top_roots_degenerate(self):

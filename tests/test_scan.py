@@ -9,29 +9,81 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsep import bipartite, classify, criteria, scan, tripartite, verdict
+from qsep import bipartite, classify, criteria, linalg, scan, states, tripartite, verdict
 from qsep.config import MARGINAL_BAND
 from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
-# per-point reference paths (explicit matrices, swap operators, kron observables),
-# one criterion of every registry group
+# per-point reference margins, one criterion of every registry group.  Each starts from
+# the independent mixture d/8 I + g |GHZ><GHZ| + w |W><W|, not the entry templates, and
+# derives its matrices by the generic maps: partial traces, index permutations,
+# reshuffles, Kronecker products, explicit observables and swap operators.
+
+
+def mixture(p):
+    return states.build_rho_mixture_grid(np.array([p.g]), np.array([p.w]))[0]
+
+
+def spectrum(matrix):
+    return np.linalg.eigvalsh(matrix)[::-1]
+
+
+def majorization_slack(rho, marginal):
+    big, small = spectrum(rho), spectrum(marginal)
+    small = np.pad(small, (0, big.size - small.size))
+    return float(np.min((np.cumsum(small) - np.cumsum(big))[:-1]))
+
+
+def collision_entropy(matrix):
+    return -math.log(float(np.sum(spectrum(matrix) ** 2)))
+
+
+def reduction_margin(rho):
+    first = np.kron(np.eye(2), states.partial_trace_1(rho)) - rho
+    second = np.kron(states.partial_trace_23(rho), np.eye(4)) - rho
+    return min(spectrum(first)[-1], spectrum(second)[-1])
+
+
+def trace_norm_margin(matrix):
+    return 1.0 - float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
+
+
+def spin_margin(rho, setting, level):
+    obs = tripartite.build_spin_observables(*(setting,) * 3)
+    ev = [[np.trace(o @ rho).real for o in obs[key]] for key in ("X", "Y", "Z", "I")]
+    return float(tripartite.su_margins_from_expectations(*ev, level))
+
+
+def swap_margin(rho, phi, k):
+    doubled = np.kron(rho, rho)
+
+    def q(subsystems):
+        shifted = tripartite.swap_operator(subsystems) @ phi
+        return max(0.0, float((np.conj(shifted) @ doubled @ shifted).real))
+
+    total = np.conj(phi) @ doubled @ tripartite.swap_operator((1, 2, 3)) @ phi
+    lhs = math.sqrt(max(0.0, float(total.real)))
+    if k == 2:
+        return sum((q(s1) * q(s2)) ** 0.25 for s1, s2 in tripartite.BIPARTITE_SPLITS) - lhs
+    return (q((1,)) * q((2,)) * q((3,))) ** (1.0 / 6.0) - lhs
+
+
 REFERENCE_MARGINS = {
-    "maj_rho23": lambda p: bipartite.criterion_majorization(p)[1].margin,
-    "entropy_rho1_a2": lambda p: bipartite.criterion_entropy(p, 2.0)[0].margin,
-    "ppt": lambda p: bipartite.criterion_ppt(p).margin,
-    "reduction": lambda p: bipartite.criterion_reduction(p).margin,
-    "resh24": lambda p: bipartite.criterion_reshuffling_24(p).margin,
-    "perm222": lambda p: tripartite.criterion_permutation_222(p).margin,
-    "su2_set1": lambda p: tripartite.criterion_su(p, (tripartite.SETTING_I,) * 3, "2sep").margin,
-    "su283_set2": lambda p: tripartite.criterion_su(
-        p, (tripartite.SETTING_II,) * 3, "28cap3").margin,
-    "su3_set3": lambda p: tripartite.criterion_su(p, (tripartite.SETTING_III,) * 3, "3sep").margin,
-    "huber_ghz_k2": lambda p: tripartite.criterion_huber(p, tripartite.phi_ghz(), 2).margin,
-    "huber_w_k3": lambda p: tripartite.criterion_huber(p, tripartite.phi_w(), 3).margin,
-    "gs2_w": lambda p: tripartite.criterion_gs_biseparable(p).parts["gs2_w"],
-    "gs3": lambda p: tripartite.criterion_gs_fullsep(p).margin,
-    "w_w1": lambda p: tripartite.witness_expectations(p)["w_w1"],
+    "maj_rho23": lambda rho: majorization_slack(rho, states.partial_trace_1(rho)),
+    "entropy_rho1_a2": lambda rho: collision_entropy(rho) - collision_entropy(
+        states.partial_trace_23(rho)),
+    "ppt": lambda rho: spectrum(linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM))[-1],
+    "reduction": reduction_margin,
+    "resh24": lambda rho: trace_norm_margin(states.reshuffle_24_matrix(rho)),
+    "perm222": lambda rho: trace_norm_margin(states.reshuffle_222_matrix(rho)),
+    "su2_set1": lambda rho: spin_margin(rho, tripartite.SETTING_I, "2sep"),
+    "su283_set2": lambda rho: spin_margin(rho, tripartite.SETTING_II, "28cap3"),
+    "su3_set3": lambda rho: spin_margin(rho, tripartite.SETTING_III, "3sep"),
+    "huber_ghz_k2": lambda rho: swap_margin(rho, tripartite.phi_ghz(), 2),
+    "huber_w_k3": lambda rho: swap_margin(rho, tripartite.phi_w(), 3),
+    "gs2_w": lambda rho: tripartite.gs2_element_margins(rho)[1],
+    "gs3": lambda rho: min(tripartite.gs3_element_margins(rho).values()),
+    "w_w1": lambda rho: np.trace(tripartite.witness_matrices()["w_w1"] @ rho).real,
 }
 
 
@@ -180,11 +232,12 @@ class TestGridScan:
 
     def test_margins_match_per_point_path(self):
         grid = scan.grid_scan(10, "all")
+        assert {criteria.BY_ID[cid].group for cid in REFERENCE_MARGINS} == set(criteria.GROUPS)
         for i, j in ((2, 3), (0, 0), (10, 0), (4, 4)):
             n = grid.flat_index(i, j)
-            p = SimplexPoint(i / 10, j / 10)
+            rho = mixture(SimplexPoint(i / 10, j / 10))
             for cid, reference in REFERENCE_MARGINS.items():
-                assert abs(grid.margins[cid][n] - reference(p)) < 1e-11, (i, j, cid)
+                assert abs(grid.margins[cid][n] - reference(rho)) < 1e-11, (i, j, cid)
 
     def test_classification_matches_classify_point(self):
         grid = scan.grid_scan(8, "all")
@@ -509,23 +562,34 @@ class TestMarchingSquares:
                 assert any(i / n <= g <= (i + 1) / n for g, _ in ends), (cid, i)
         assert sign_changes >= 20
 
-    def test_half_cell_zero_corner_counts_once(self):
+    @staticmethod
+    def half_cell_segments(c0, c1, c3):
         # resolution 2: NaN at (0,1) and (0,2) leaves only the half-cell with corners
-        # (1,0), (2,0), (1,1), whose corner (2,0) on g + w = 1 is exactly zero
-        def segments_of(c0, c1, c3):
-            field = np.full((3, 3), np.nan)
-            field[0, 0], field[1, 0], field[2, 0], field[1, 1] = 1.0, c0, c1, c3
-            grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
-            segments = scan.margin_isolines(grid, "f")
-            assert segments == reference_isolines(grid, "f")
-            return segments
+        # (1,0), (2,0), (1,1)
+        field = np.full((3, 3), np.nan)
+        field[0, 0], field[1, 0], field[2, 0], field[1, 1] = 1.0, c0, c1, c3
+        grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
+        segments = scan.margin_isolines(grid, "f")
+        assert segments == reference_isolines(grid, "f")
+        return segments
 
+    def test_half_cell_zero_corner_counts_once(self):
+        # the half-cell's corner (2,0) on g + w = 1 is exactly zero
+        segments_of = self.half_cell_segments
         # the zero line passes through the corner: one segment from it
         assert segments_of(1.0, 0.0, -1.0) == [((1.0, 0.0), (0.5, 0.25))]
         # the other corners of one sign: the corner is the whole zero set in the half-cell
         assert segments_of(1.0, 0.0, 1.0) == [((1.0, 0.0), (1.0, 0.0))]
         # a sign change along the edge itself: the segment ends on it
         assert segments_of(1.0, 1.0, -1.0) == [((0.75, 0.25), (0.5, 0.25))]
+
+    def test_half_cell_zero_on_the_degenerate_corner_counts_once(self):
+        # the zero is at (1,1), corner 3 of the half-cell and also its degenerate corner 2:
+        # edges 1 and 3 both cross there, across the zero-length edge 2
+        segments_of = self.half_cell_segments
+        assert segments_of(1.0, -1.0, 0.0) == [((0.75, 0.0), (0.5, 0.5))]
+        assert segments_of(1.0, 1.0, 0.0) == [((0.5, 0.5), (0.5, 0.5))]
+        assert segments_of(-1.0, -1.0, 0.0) == [((0.5, 0.5), (0.5, 0.5))]
 
     def test_ppt_isoline_ends_on_the_published_point(self):
         # ppt vanishes exactly at (1/5, 0), a lattice point at resolution 40

@@ -1,0 +1,93 @@
+"""Code that no caller needs is deleted: every top-level name in ``src/qsep``
+must be referenced from some other line of ``src/``, or be listed below
+with the reason it stays.
+
+A name counts as referenced when its own module loads it, when another
+module reads it as an attribute of the module (``states.build_rho``,
+``registry.IDS``), or when another module imports it by name.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qsep"
+
+# module.name -> why it stays without a caller in src/
+ALLOWED_WITHOUT_CALLER = {
+    "classify.classify_point": "public API: the class report of one point (README, tests)",
+    "concurrence.spin_flip_product_spectrum": "test reference: Spect(wtilde w) against its closed form",
+    "linalg.IDENTITY_PERM": "test reference: identity of the index-permutation algebra",
+    "linalg.compose_perms": "test reference: composition of index permutations",
+    "linalg.rank_with_tolerance": "test reference: ranks of rho on the simplex",
+    "scan.boundary_bisect": "public API: boundary constants along a ray (README, acceptance)",
+    "scan.grid_report_dicts": "test reference for the JSON export; the benchmark tracer names it",
+    "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
+    "states.QUBIT_PERMUTATIONS": "test reference: the permutation symmetry of rho",
+    "states.bell0_vector": "test reference: concurrence of a Bell state",
+    "states.build_rho_mixture": "test reference: the independent mixture at one point",
+    "states.permute_qubits": "test reference: the permutation symmetry of rho",
+    "tripartite.ghz_class_bounds": "public API: the SLOCC bound of one point (acceptance)",
+    "tripartite.gs3_deduplicated_signatures": "test reference: the 13-member substitution family",
+    "tripartite.random_setting_search": "public API: the search over random spin settings (tests)",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and assigned names, dunders excluded."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _referenced(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) pairs that some line of src/ reads."""
+    refs = set()
+    for module, tree in modules.items():
+        aliases = {}  # local name -> sibling module, from "from . import x [as y]"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        refs.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add((module, node.id))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def _without_caller() -> tuple[set[str], set[str]]:
+    modules = _modules()
+    refs = _referenced(modules)
+    defined = {f"{module}.{name}" for module, tree in modules.items() for name in _defined(tree)}
+    unreferenced = {qualified for qualified in defined if tuple(qualified.split(".")) not in refs}
+    return defined, unreferenced
+
+
+def test_every_top_level_name_has_a_caller_or_a_reason():
+    _, unreferenced = _without_caller()
+    assert sorted(unreferenced - set(ALLOWED_WITHOUT_CALLER)) == []
+
+
+def test_allowlist_names_only_existing_names_without_a_caller():
+    defined, unreferenced = _without_caller()
+    assert sorted(set(ALLOWED_WITHOUT_CALLER) - defined) == [], "no longer exists"
+    assert sorted(set(ALLOWED_WITHOUT_CALLER) - unreferenced) == [], "has a caller now"
+

@@ -137,24 +137,28 @@ class TestDerivedMatrices:
         assert np.allclose(np.sort(np.abs(r).ravel()), np.sort(np.abs(rho).ravel()), atol=1e-15)
 
 
+def spectra_at(p):
+    return {k: v[0] for k, v in states.closed_form_spectra_grid([p.g], [p.w]).items()}
+
+
 class TestClosedFormSpectra:
     def test_white_noise_uniform(self):
-        spects = states.closed_form_spectra(SimplexPoint(0.0, 0.0))
+        spects = spectra_at(SimplexPoint(0.0, 0.0))
         assert np.allclose(spects["rho"], np.full(8, 1 / 8), atol=1e-15)
 
     def test_pt_boundary_point_on_w_axis(self):
         w = (24 * np.sqrt(2) - 9) / 119
-        spects = states.closed_form_spectra(SimplexPoint(0.0, w))
+        spects = spectra_at(SimplexPoint(0.0, w))
         assert abs(spects["rho_t1"][-1]) < 1e-15
 
     def test_conc23_pure_w(self):
-        spects = states.closed_form_spectra(SimplexPoint(0.0, 1.0))
+        spects = spectra_at(SimplexPoint(0.0, 1.0))
         expected = np.array([4 / 9, 0.0, 0.0, 0.0])
         assert np.max(np.abs(spects["conc23"] - expected)) < 1e-15
 
     def test_all_match_jacobi_on_grid(self):
         for p in simplex_grid(10):
-            spects = states.closed_form_spectra(p)
+            spects = spectra_at(p)
             pairs = [
                 ("rho", states.build_rho(p)),
                 ("rho23", states.marginals(p)[0]),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qsep import states, tripartite
+from qsep import criteria, scan, states, tripartite
 from qsep.states import SimplexPoint
-from qsep.verdict import HOLDS, MARGINAL, VIOLATED, signs_agree
+from qsep.verdict import HOLDS, MARGINAL, VIOLATED, signs_agree, verdict_state
 
 
 def simplex_grid(n=15):
@@ -12,6 +12,10 @@ def simplex_grid(n=15):
         for i in range(n + 1)
         for j in range(n + 1 - i)
     ]
+
+
+def verdict_at(cid, p):
+    return verdict_state(scan.point_margin(cid, p))
 
 
 class TestSpinObservables:
@@ -122,19 +126,19 @@ class TestCriterionSU:
 
 class TestPermutation222:
     def test_white_noise_holds(self):
-        v = tripartite.criterion_permutation_222(SimplexPoint(0.0, 0.0))
-        assert v.holds == HOLDS and abs(v.margin - 0.5) < 1e-12
+        margin = scan.point_margin("perm222", SimplexPoint(0.0, 0.0))
+        assert verdict_state(margin) == HOLDS and abs(margin - 0.5) < 1e-12
 
     def test_pure_ghz_violated(self):
-        v = tripartite.criterion_permutation_222(SimplexPoint(1.0, 0.0))
-        assert v.holds == VIOLATED and abs(v.margin + 1.0) < 1e-12
+        margin = scan.point_margin("perm222", SimplexPoint(1.0, 0.0))
+        assert verdict_state(margin) == VIOLATED and abs(margin + 1.0) < 1e-12
 
     def test_w0_boundary_not_inside_ppt_segment(self):
         # the criterion must not cut into the fully separable 0 <= g <= 1/5 segment
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = (lo + hi) / 2
-            margin = tripartite.criterion_permutation_222(SimplexPoint(mid, 0.0)).margin
+            margin = scan.point_margin("perm222", SimplexPoint(mid, 0.0))
             if margin > 0:
                 lo = mid
             else:
@@ -192,35 +196,35 @@ class TestHuber:
 
 class TestGS:
     def test_gs2_white_noise_holds(self):
-        v = tripartite.criterion_gs_biseparable(SimplexPoint(0.0, 0.0))
-        assert v.holds == HOLDS
+        p = SimplexPoint(0.0, 0.0)
+        assert verdict_at("gs2_ghz", p) == HOLDS and verdict_at("gs2_w", p) == HOLDS
 
     def test_gs2_boundaries(self):
         # w axis bound 9/17 for the W-flavoured form, g axis bound 3/7 for the GHZ one
         eps = 1e-7
-        below = tripartite.criterion_gs_biseparable(SimplexPoint(0.0, 9 / 17 - eps))
-        above = tripartite.criterion_gs_biseparable(SimplexPoint(0.0, 9 / 17 + eps))
-        assert below.parts["gs2_w"] > 0 > above.parts["gs2_w"]
-        below = tripartite.criterion_gs_biseparable(SimplexPoint(3 / 7 - eps, 0.0))
-        above = tripartite.criterion_gs_biseparable(SimplexPoint(3 / 7 + eps, 0.0))
-        assert below.parts["gs2_ghz"] > 0 > above.parts["gs2_ghz"]
+        below = scan.point_margin("gs2_w", SimplexPoint(0.0, 9 / 17 - eps))
+        above = scan.point_margin("gs2_w", SimplexPoint(0.0, 9 / 17 + eps))
+        assert below > 0 > above
+        below = scan.point_margin("gs2_ghz", SimplexPoint(3 / 7 - eps, 0.0))
+        above = scan.point_margin("gs2_ghz", SimplexPoint(3 / 7 + eps, 0.0))
+        assert below > 0 > above
 
     def test_gs3_white_noise_all_margins_positive(self):
-        v = tripartite.criterion_gs_fullsep(SimplexPoint(0.0, 0.0))
-        assert v.holds == HOLDS
-        assert all(m > 0 for m in v.parts.values())
+        p = SimplexPoint(0.0, 0.0)
+        assert verdict_at("gs3", p) == HOLDS
+        members = tripartite.gs3_element_margins(states.build_rho(p))
+        assert all(m > 0 for m in members.values())
 
     def test_gs3_pure_ghz_violated(self):
-        v = tripartite.criterion_gs_fullsep(SimplexPoint(1.0, 0.0))
-        assert v.holds == VIOLATED
+        assert verdict_at("gs3", SimplexPoint(1.0, 0.0)) == VIOLATED
 
     def test_gs3_11_violated_at_pptes_point(self):
-        v = tripartite.criterion_gs_fullsep(SimplexPoint(0.2, 0.2))
-        member = v.parts["gs3_four_0356"]
+        p = SimplexPoint(0.2, 0.2)
+        member = tripartite.gs3_element_margins(states.build_rho(p))["gs3_four_0356"]
         expected = (0.175 * 0.075**3) ** 0.25 - 0.1
         assert abs(member - expected) < 1e-12
         assert member < 0
-        assert v.holds == VIOLATED
+        assert verdict_at("gs3", p) == VIOLATED
 
     def test_generator_counts_and_dedup(self):
         sixth, fourth = tripartite.gs3_generate_families()
@@ -235,22 +239,19 @@ class TestGS:
 class TestWitnesses:
     def test_closed_forms(self):
         for p in simplex_grid(10):
-            values = tripartite.witness_expectations(p)
-            closed = tripartite.witness_closed_forms(p.g, p.w)
-            for name in values:
-                assert abs(values[name] - float(closed[name])) < 1e-12
+            traces = tripartite.witness_traces(states.build_rho_mixture(p))
+            for name in criteria.GROUPS["witness"]:
+                assert abs(scan.point_margin(name, p) - float(traces[name])) < 1e-12
 
     def test_pure_ghz_detected(self):
-        values = tripartite.witness_expectations(SimplexPoint(1.0, 0.0))
-        assert abs(values["w_ghz"] + 0.25) < 1e-14
+        assert abs(scan.point_margin("w_ghz", SimplexPoint(1.0, 0.0)) + 0.25) < 1e-14
 
     def test_pure_w_detected(self):
-        values = tripartite.witness_expectations(SimplexPoint(0.0, 1.0))
-        assert abs(values["w_w1"] + 1.0 / 3.0) < 1e-14
+        assert abs(scan.point_margin("w_w1", SimplexPoint(0.0, 1.0)) + 1.0 / 3.0) < 1e-14
 
     def test_white_noise_all_positive(self):
-        values = tripartite.witness_expectations(SimplexPoint(0.0, 0.0))
-        assert all(v > 0 for v in values.values())
+        p = SimplexPoint(0.0, 0.0)
+        assert all(scan.point_margin(name, p) > 0 for name in criteria.GROUPS["witness"])
 
 
 class TestGhzClassBounds:
