@@ -24,7 +24,7 @@ CLASSES = ("3", "2.8", "2.1", "1")
 GHZ_TYPE = "GHZ-type"
 W_TYPE_OR_LESS = "W-type-or-less"
 SLOCC_UNDETERMINED = "undetermined"
-SLOCC_NAMES = (GHZ_TYPE, W_TYPE_OR_LESS, SLOCC_UNDETERMINED)  # indexed like tripartite.SLOCC_BOUNDS
+SLOCC_NAMES = (GHZ_TYPE, W_TYPE_OR_LESS, SLOCC_UNDETERMINED)  # indexed by tripartite.slocc_codes
 
 
 def excluded_classes(criterion_id: str) -> tuple[str, ...]:

@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _point_report(p: SimplexPoint) -> dict:
     margins, report = classify.evaluate_point(p)
-    numeric_conc, closed_conc = concurrence.concurrence_23(p)
+    numeric_conc, closed_conc = concurrence.concurrence_23(np.array([p.g]), np.array([p.w]))
     return {
         "schema_version": 1,
         "g": p.g,
@@ -151,7 +151,7 @@ def _point_report(p: SimplexPoint) -> dict:
             for cid, margin in margins.items()
         ],
         "witnesses": {cid: margins[cid] for cid in criteria.GROUPS["witness"]},
-        "concurrence": {"numeric": numeric_conc, "closed_form": closed_conc},
+        "concurrence": {"numeric": float(numeric_conc[0]), "closed_form": float(closed_conc[0])},
         "classification": report.to_dict(),
     }
 
@@ -251,27 +251,43 @@ def cmd_verify(args) -> int:
     for name, (deviation, gn, wn) in deviations.items():
         check(name, deviation, where=f" at {verdict.cell_name(gn, wn)}")
 
+    # the sum-built templates against the generic maps of the independent mixture
+    rho = states.build_rho_grid(g, w)
+    mixture = states.build_rho_mixture_grid(g, w)
+    rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
+    templates = {
+        "rho^23": (states.marginal_23_grid(g, w), rho23),
+        "rho^1": (states.marginal_1_grid(g, w), rho1),
+        "I (x) rho^23 - rho": (
+            states.reduction_i123_grid(g, w), np.kron(np.eye(2)[None], rho23) - mixture),
+        "rho^1 (x) I - rho": (
+            states.reduction_1i23_grid(g, w), np.kron(rho1, np.eye(4)[None]) - mixture),
+    }
+    for what, (template, generic) in templates.items():
+        deviation = np.max(np.abs(template - generic), axis=(1, 2))
+        n = int(np.argmax(deviation))  # the first NaN, if any
+        check(f"{what} template vs generic map", float(deviation[n]),
+              min(tol, states.TEMPLATE_TOL), f" at {verdict.cell_name(g[n], w[n])}")
+
     # the production backend against the independent Jacobi reference
     backend_worst = 0.0
-    for build in (
-        states.build_rho_grid, states.marginal_23_grid, states.marginal_1_grid,
-        states.partial_transpose_1_grid, states.reduction_i123_grid, states.reduction_1i23_grid,
+    for matrices in (
+        rho, linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM),
+        *(template for template, _ in templates.values()),
     ):
-        matrices = build(g, w)
         deviation = np.max(np.abs(linalg.eigh(matrices) - linalg.jacobi_eigh(matrices)))
         backend_worst = max(backend_worst, float(deviation))
     check("eigh vs Jacobi reference", backend_worst, max(tol, 1e-12))
 
-    lam = concurrence.wootters_lambdas(states.marginal_23_grid(g, w))
+    lam = concurrence.wootters_lambdas(templates["rho^23"][0])
     conc23 = states.closed_form_spectra_grid(g, w)["conc23"]
     check("spectrum[conc23]", float(np.max(np.abs(lam**2 - conc23))))
-    conc_numeric = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, None)
-    conc_closed = concurrence.concurrence_23_closed(g, w)
+    # raises, naming the cell, past 1e-9
+    conc_numeric, conc_closed = concurrence.concurrence_23(g, w)
     check("concurrence closed vs numeric", float(np.max(np.abs(conc_numeric - conc_closed))),
           max(tol, 1e-9))
 
-    mixture = states.build_rho_mixture_grid(g, w)
-    check("rho template vs mixture", float(np.max(np.abs(states.build_rho_grid(g, w) - mixture))))
+    check("rho template vs mixture", float(np.max(np.abs(rho - mixture))))
 
     mismatches = verdict.codes(margins["ppt"]) != verdict.codes(margins["reduction"])
     check("reduction vs ppt verdict mismatches", float(np.sum(mismatches)), 0.0)
@@ -286,12 +302,6 @@ def cmd_verify(args) -> int:
     worst: dict[str, float] = {}
     for n in np.linspace(0, args.points - 1, num=min(args.points, 20), dtype=int):
         p = SimplexPoint(g[n], w[n])
-        # each raises if its generic index path deviates from the entry template
-        states.marginals(p)
-        states.partial_transpose_1(p)
-        states.reduction_matrices(p)
-        states.reshuffle_24(p)
-        states.reshuffle_222(p)
         explicit = {
             **{cid: tripartite.criterion_su(p, (settings[idx],) * 3, level).margin
                for cid, (idx, level) in criteria.SPIN.items()},
@@ -360,7 +370,7 @@ def cmd_examples(args) -> int:
     else:
         print(f"partial transpose: positive semidefinite (min eigenvalue {minimum:+.9e})")
     tn24 = float(linalg.trace_norm(states.reshuffle_24_matrix(rho)))
-    tn222 = float(linalg.trace_norm(states.reshuffle_222_matrix(rho)))
+    tn222 = float(linalg.trace_norm(linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)))
     print(f"reshuffling trace norms: 1|23 cut {tn24:.9f}, 2-3 reshuffle {tn222:.9f}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg, states
 from .config import psd_tol
 from .exceptions import ConsistencyError
-from .states import SimplexPoint
+from .verdict import cell_name
 
 _SY2 = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -48,14 +48,16 @@ def wootters_lambdas(omega: np.ndarray) -> np.ndarray:
     return linalg.singular_values(root @ _SY2 @ np.conj(root) @ _SY2)
 
 
-def wootters_concurrence(omega: np.ndarray) -> float:
-    """max(0, l1 - l2 - l3 - l4) with l_k the sorted roots of Spect(wtilde w)."""
+def wootters_concurrence(omega: np.ndarray) -> np.ndarray:
+    """max(0, l1 - l2 - l3 - l4) with l_k the sorted roots of Spect(wtilde w),
+    for a 4x4 state or a batch of them."""
     omega = np.asarray(omega, dtype=np.complex128)
     linalg.require_hermitian(omega)
-    if abs(float(np.trace(omega).real) - 1.0) > 1e-10:
+    traces = np.einsum("...ii->...", omega).real
+    if not np.all(np.abs(traces - 1.0) <= 1e-10):
         raise ValueError("concurrence needs a trace-one density matrix")
     lam = wootters_lambdas(omega)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def concurrence_gate(g, w):
@@ -74,17 +76,21 @@ def concurrence_23_closed(g, w):
     return np.where(concurrence_gate(g, w) >= 0.0, value, 0.0)
 
 
-def concurrence_23(p: SimplexPoint) -> tuple[float, float]:
-    """(numeric, closed form) concurrence of the 2-3 marginal at a point.
+def concurrence_23(g, w) -> tuple[np.ndarray, np.ndarray]:
+    """(numeric, closed form) concurrence of the 2-3 marginal over weight arrays.
 
-    Raises ConsistencyError when the two differ by more than 1e-9.
+    Raises ConsistencyError, naming the first cell, where the two differ by
+    more than 1e-9.
     """
-    closed = float(concurrence_23_closed(p.g, p.w))
-    rho23, _ = states.marginals(p)
-    numeric = wootters_concurrence(rho23)
-    if abs(closed - numeric) > 1e-9:
+    g = np.asarray(g, dtype=float)
+    w = np.asarray(w, dtype=float)
+    closed = concurrence_23_closed(g, w)
+    numeric = wootters_concurrence(states.marginal_23_grid(g, w))
+    bad = np.flatnonzero(~(np.abs(closed - numeric) <= 1e-9))
+    if bad.size:
+        n = bad[0]
         raise ConsistencyError(
-            f"concurrence at {p}: closed {closed:.12e} vs numeric {numeric:.12e}"
+            f"concurrence at {cell_name(g[n], w[n])}: "
+            f"closed {closed[n]:.12e} vs numeric {numeric[n]:.12e}"
         )
     return numeric, closed
-

@@ -161,7 +161,7 @@ def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
 def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
     """ppt and reduction, which share the spectrum of rho^T1 and its quadratics."""
     out = {}
-    spect_pt = linalg.eigh(states.partial_transpose_1_grid(b.g, b.w))
+    spect_pt = linalg.eigh(linalg.permute_indices(b.rho, linalg.TRANSPOSE_1_PERM))
     b.assert_close(spect_pt, b.closed["rho_t1"], "Spect(rho^T1)", SPECTRUM_TOL)
     q1, q2 = bipartite.ppt_closed_margins(b.g, b.w)
     if "ppt" in ids:
@@ -180,14 +180,14 @@ def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
 
 
 def _reshuffle24(b: _Batch, ids) -> dict[str, np.ndarray]:
-    svs = linalg.singular_values(states.reshuffle_24_grid(b.g, b.w))
+    svs = linalg.singular_values(states.reshuffle_24_matrix(b.rho))
     closed = bipartite.reshuffle24_closed_singular_values(b.g, b.w)
     b.assert_close(svs, closed, "reshuffling singular values", SPECTRUM_TOL)
     return {"resh24": 1.0 - np.sum(svs, axis=-1)}
 
 
 def _perm222(b: _Batch, ids) -> dict[str, np.ndarray]:
-    svs = linalg.singular_values(states.reshuffle_222_grid(b.g, b.w))
+    svs = linalg.singular_values(linalg.permute_indices(b.rho, linalg.RESHUFFLE_23_PERM))
     return {"perm222": 1.0 - np.sum(svs, axis=-1)}
 
 

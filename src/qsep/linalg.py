@@ -281,7 +281,7 @@ def rank_with_tolerance(a, tol: float = RANK_TOL) -> int | np.ndarray:
 
 
 def permute_indices(a, perm) -> np.ndarray:
-    """Apply the index-permutation map to an 8x8 three-qubit operator.
+    """Apply the index-permutation map to an 8x8 three-qubit operator or a batch of them.
 
     ``perm`` is a permutation of (0..5): entry k says where binary matrix
     index k of the input lands in the output, positions 0-2 being the row
@@ -290,15 +290,15 @@ def permute_indices(a, perm) -> np.ndarray:
     transpose; (0, 1, 4, 3, 2, 5) is the 2-3 reshuffle.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got {a.shape}")
+    if a.shape[-2:] != (8, 8):
+        raise ValueError(f"expected 8x8 matrices, got shape {a.shape}")
     perm = tuple(int(k) for k in perm)
     if sorted(perm) != [0, 1, 2, 3, 4, 5]:
         raise ValueError(f"not a permutation of the 6 binary indices: {perm}")
-    tensor = a.reshape((2,) * 6)
+    lead = a.shape[:-2]
     # output position perm[k] carries input axis k, so transpose by the inverse
-    inverse = np.argsort(perm)
-    return tensor.transpose(inverse).reshape(8, 8)
+    axes = tuple(range(len(lead))) + tuple(len(lead) + int(k) for k in np.argsort(perm))
+    return a.reshape(lead + (2,) * 6).transpose(axes).reshape(lead + (8, 8))
 
 
 IDENTITY_PERM = (0, 1, 2, 3, 4, 5)

@@ -1,11 +1,13 @@
 """The noisy GHZ-W three-qubit mixture and all matrices derived from it.
 
 Basis convention: |ijk> with qubit 1 the most significant bit, so the
-row/column index is 4i + 2j + k (indices 0..7).  Matrices are produced from
-exact entry templates in the renormalized weights (dt, gt, wt) = (d/8, g/2,
-w/3); a generic tensor path reproduces each template and the two are checked
-against each other wherever both exist, which pins down the index
-conventions once and for all.
+row/column index is 4i + 2j + k (indices 0..7).  rho and the matrices built
+from sums of its entries (the marginals and the two reduction maps) come from
+exact entry templates in the renormalized weights (d/8, g/2, w/3), over
+arrays of weights.  Matrices that only move entries of rho (rho^T1 and the
+reshuffles) are derived from the rho template by the generic index maps.
+``qsep verify`` checks every sum-built template against the generic maps of
+the independently built mixture, which pins down the index conventions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import ConsistencyError
 
 TEMPLATE_TOL = 1e-13
 SQRT2 = float(np.sqrt(2.0))
@@ -41,21 +42,6 @@ class SimplexPoint:
     @property
     def d(self) -> float:
         return max(1.0 - self.g - self.w, 0.0)
-
-    @property
-    def dt(self) -> float:
-        return self.d / 8.0
-
-    @property
-    def gt(self) -> float:
-        return self.g / 2.0
-
-    @property
-    def wt(self) -> float:
-        return self.w / 3.0
-
-    def __str__(self):
-        return f"(g={self.g:.12g}, w={self.w:.12g})"
 
 
 def ghz_vector() -> np.ndarray:
@@ -84,8 +70,7 @@ def hadamard() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grid builders: every template takes arrays of weights and returns a batch.
-# Scalars in, single matrix out is handled by the thin wrappers further down.
+# entry templates: each takes arrays of weights and returns a batch
 
 
 def renormalized_weights(g, w):
@@ -96,11 +81,8 @@ def renormalized_weights(g, w):
     return d / 8.0, g / 2.0, w / 3.0
 
 
-_weights = renormalized_weights
-
-
 def build_rho_grid(g, w) -> np.ndarray:
-    dt, gt, wt = _weights(g, w)
+    dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
     m = np.zeros((n, 8, 8), dtype=np.complex128)
     for i, val in enumerate((dt + gt, dt + wt, dt + wt, dt, dt + wt, dt, dt, dt + gt)):
@@ -124,20 +106,8 @@ def build_rho_mixture_grid(g, w) -> np.ndarray:
     )
 
 
-def partial_transpose_1_grid(g, w) -> np.ndarray:
-    dt, gt, wt = _weights(g, w)
-    n = dt.shape[0]
-    m = np.zeros((n, 8, 8), dtype=np.complex128)
-    for i, val in enumerate((dt + gt, dt + wt, dt + wt, dt, dt + wt, dt, dt, dt + gt)):
-        m[:, i, i] = val
-    m[:, 3, 4] = m[:, 4, 3] = gt
-    for i, j in ((0, 5), (0, 6), (1, 2)):
-        m[:, i, j] = m[:, j, i] = wt
-    return m
-
-
 def marginal_23_grid(g, w) -> np.ndarray:
-    dt, gt, wt = _weights(g, w)
+    dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
     m = np.zeros((n, 4, 4), dtype=np.complex128)
     for i, val in enumerate((2 * dt + gt + wt, 2 * dt + wt, 2 * dt + wt, 2 * dt + gt)):
@@ -147,7 +117,7 @@ def marginal_23_grid(g, w) -> np.ndarray:
 
 
 def marginal_1_grid(g, w) -> np.ndarray:
-    dt, gt, wt = _weights(g, w)
+    dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
     m = np.zeros((n, 2, 2), dtype=np.complex128)
     m[:, 0, 0] = 4 * dt + gt + 2 * wt
@@ -157,7 +127,7 @@ def marginal_1_grid(g, w) -> np.ndarray:
 
 def reduction_i123_grid(g, w) -> np.ndarray:
     """I^1 (x) rho^23 - rho."""
-    dt, gt, wt = _weights(g, w)
+    dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
     m = np.zeros((n, 8, 8), dtype=np.complex128)
     for i, val in enumerate((dt + wt, dt, dt, dt + gt, dt + gt, dt + wt, dt + wt, dt)):
@@ -171,7 +141,7 @@ def reduction_i123_grid(g, w) -> np.ndarray:
 
 def reduction_1i23_grid(g, w) -> np.ndarray:
     """rho^1 (x) I^23 - rho."""
-    dt, gt, wt = _weights(g, w)
+    dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
     m = np.zeros((n, 8, 8), dtype=np.complex128)
     diag = (
@@ -192,48 +162,6 @@ def reduction_1i23_grid(g, w) -> np.ndarray:
     return m
 
 
-def reshuffle_24_grid(g, w) -> np.ndarray:
-    """1|23-cut reshuffling [R(rho)]_{ii',jj'} = rho_{ij,i'j'}, shape (n, 4, 16)."""
-    dt, gt, wt = _weights(g, w)
-    n = dt.shape[0]
-    m = np.zeros((n, 4, 16), dtype=np.complex128)
-    m[:, 0, 0] = dt + gt
-    m[:, 0, 5] = m[:, 0, 10] = dt + wt
-    m[:, 0, 6] = m[:, 0, 9] = wt
-    m[:, 0, 15] = dt
-    m[:, 1, 3] = gt
-    m[:, 1, 4] = m[:, 1, 8] = wt
-    m[:, 2, 1] = m[:, 2, 2] = wt
-    m[:, 2, 12] = gt
-    m[:, 3, 0] = dt + wt
-    m[:, 3, 5] = m[:, 3, 10] = dt
-    m[:, 3, 15] = dt + gt
-    return m
-
-
-def reshuffle_222_grid(g, w) -> np.ndarray:
-    """2-3 reshuffling [R'(rho)]_{ijj',i'kk'} = rho_{ijk,i'j'k'}, shape (n, 8, 8)."""
-    dt, gt, wt = _weights(g, w)
-    n = dt.shape[0]
-    m = np.zeros((n, 8, 8), dtype=np.complex128)
-    m[:, 0, 0] = dt + gt
-    m[:, 0, 3] = dt + wt
-    m[:, 0, 6] = wt
-    m[:, 1, 2] = wt
-    m[:, 1, 5] = gt
-    m[:, 2, 1] = m[:, 2, 4] = wt
-    m[:, 3, 0] = dt + wt
-    m[:, 3, 3] = dt
-    m[:, 4, 1] = wt
-    m[:, 4, 4] = dt + wt
-    m[:, 4, 7] = dt
-    m[:, 5, 0] = wt
-    m[:, 6, 2] = gt
-    m[:, 7, 4] = dt
-    m[:, 7, 7] = dt + gt
-    return m
-
-
 def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
     """The published closed-form spectra, each sorted non-increasing.
 
@@ -241,7 +169,7 @@ def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
     well), red1_i23 (rho^1 (x) I - rho), conc23 (spin-flip product of the
     two-qubit marginal).
     """
-    dt, gt, wt = _weights(g, w)
+    dt, gt, wt = renormalized_weights(g, w)
 
     def desc(cols):
         return np.sort(np.stack(cols, axis=-1), axis=-1)[..., ::-1]
@@ -275,88 +203,37 @@ def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# scalar API
-
-
-def _single(grid_fn, p: SimplexPoint) -> np.ndarray:
-    return grid_fn(np.array([p.g]), np.array([p.w]))[0]
+# one point, and the generic maps of any 8x8 operator or batch of them
 
 
 def build_rho(p: SimplexPoint) -> np.ndarray:
-    """8x8 density matrix of the mixture, from the exact entry template."""
-    return _single(build_rho_grid, p)
+    """8x8 density matrix of the mixture: the template on a batch of one."""
+    return build_rho_grid(np.array([p.g]), np.array([p.w]))[0]
 
 
-def build_rho_mixture(p: SimplexPoint) -> np.ndarray:
-    """Independent construction d/8 I + g |GHZ><GHZ| + w |W><W|."""
-    return _single(build_rho_mixture_grid, p)
+def _split_1_23(rho) -> np.ndarray:
+    """View (..., 8, 8) operators as (..., 2, 4, 2, 4): qubit 1 against qubits 2-3."""
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError(f"expected 8x8 matrices, got shape {rho.shape}")
+    return rho.reshape(rho.shape[:-2] + (2, 4, 2, 4))
 
 
-def partial_trace_1(rho: np.ndarray) -> np.ndarray:
-    """Trace out qubit 1 of an 8x8 operator -> 4x4."""
-    t = rho.reshape(2, 4, 2, 4)
-    return t[0, :, 0, :] + t[1, :, 1, :]
+def partial_trace_1(rho) -> np.ndarray:
+    """Trace out qubit 1 of 8x8 operators -> 4x4."""
+    t = _split_1_23(rho)
+    return t[..., 0, :, 0, :] + t[..., 1, :, 1, :]
 
 
-def partial_trace_23(rho: np.ndarray) -> np.ndarray:
-    """Trace out qubits 2 and 3 of an 8x8 operator -> 2x2."""
-    t = rho.reshape(2, 4, 2, 4)
-    return np.einsum("ikjk->ij", t)
+def partial_trace_23(rho) -> np.ndarray:
+    """Trace out qubits 2 and 3 of 8x8 operators -> 2x2."""
+    return np.einsum("...ikjk->...ij", _split_1_23(rho))
 
 
-def _check_template(generic: np.ndarray, template: np.ndarray, what: str) -> np.ndarray:
-    defect = float(np.max(np.abs(generic - template)))
-    if defect > TEMPLATE_TOL:
-        raise ConsistencyError(f"{what}: generic path deviates from template by {defect:.3e}")
-    return template
-
-
-def marginals(p: SimplexPoint) -> tuple[np.ndarray, np.ndarray]:
-    """(rho^23, rho^1) by generic partial trace, checked against the templates."""
-    rho = build_rho(p)
-    rho23 = _check_template(partial_trace_1(rho), _single(marginal_23_grid, p), "rho^23")
-    rho1 = _check_template(partial_trace_23(rho), _single(marginal_1_grid, p), "rho^1")
-    return rho23, rho1
-
-
-def partial_transpose_1(p: SimplexPoint) -> np.ndarray:
-    """rho^T1, by index permutation, checked against the published pattern."""
-    generic = linalg.permute_indices(build_rho(p), linalg.TRANSPOSE_1_PERM)
-    return _check_template(generic, _single(partial_transpose_1_grid, p), "rho^T1")
-
-
-def reduction_matrices(p: SimplexPoint) -> tuple[np.ndarray, np.ndarray]:
-    """(I^1 (x) rho^23 - rho, rho^1 (x) I^23 - rho), checked against patterns."""
-    rho = build_rho(p)
-    rho23, rho1 = marginals(p)
-    first = _check_template(
-        np.kron(np.eye(2), rho23) - rho, _single(reduction_i123_grid, p), "I (x) rho^23 - rho"
-    )
-    second = _check_template(
-        np.kron(rho1, np.eye(4)) - rho, _single(reduction_1i23_grid, p), "rho^1 (x) I - rho"
-    )
-    return first, second
-
-
-def reshuffle_24_matrix(rho: np.ndarray) -> np.ndarray:
-    """Generic 1|23 reshuffle of any 8x8 operator -> 4x16."""
-    t = rho.reshape(2, 4, 2, 4)
-    return t.transpose(0, 2, 1, 3).reshape(4, 16)
-
-
-def reshuffle_24(p: SimplexPoint) -> np.ndarray:
-    generic = reshuffle_24_matrix(build_rho(p))
-    return _check_template(generic, _single(reshuffle_24_grid, p), "R(rho)")
-
-
-def reshuffle_222_matrix(rho: np.ndarray) -> np.ndarray:
-    """Generic 2-3 reshuffle of any 8x8 operator."""
-    return linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)
-
-
-def reshuffle_222(p: SimplexPoint) -> np.ndarray:
-    generic = reshuffle_222_matrix(build_rho(p))
-    return _check_template(generic, _single(reshuffle_222_grid, p), "R'(rho)")
+def reshuffle_24_matrix(rho) -> np.ndarray:
+    """1|23-cut reshuffle [R(rho)]_{ii',jj'} = rho_{ij,i'j'} of 8x8 operators -> 4x16."""
+    t = _split_1_23(rho)
+    return np.swapaxes(t, -3, -2).reshape(t.shape[:-4] + (4, 16))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -407,57 +406,6 @@ def _class_signature(multiset) -> tuple[int, int, int]:
     return (labels.count("a"), labels.count("b"), labels.count("c"))
 
 
-def _column_sums(multiset) -> tuple[int, int, int]:
-    return tuple(sum((m >> k) & 1 for m in multiset) for k in (2, 1, 0))
-
-
-def gs3_generate_families() -> tuple[list[tuple], list[tuple]]:
-    """Enumerate the substitution images of the sixth-order inequality.
-
-    Single-position index swaps between two members conserve the per-qubit
-    ones count, which is (3, 3, 3) for the starting multiset {1..6}; a
-    breadth-first closure over the swap moves confirms every conserving
-    multiset is reachable.  Squaring and regrouping into four third powers
-    yields the fourth-order family, whose quadruples conserve (2, 2, 2).
-    """
-    sixth = [
-        ms for ms in combinations_with_replacement(range(8), 6) if _column_sums(ms) == (3, 3, 3)
-    ]
-    start = (1, 2, 3, 4, 5, 6)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for ms in frontier:
-            lst = list(ms)
-            for a in range(6):
-                for b in range(a + 1, 6):
-                    for pos in range(3):
-                        bit = 1 << pos
-                        xa = (lst[a] & ~bit) | (lst[b] & bit)
-                        xb = (lst[b] & ~bit) | (lst[a] & bit)
-                        cand = tuple(sorted(lst[:a] + [xa] + lst[a + 1 : b] + [xb] + lst[b + 1 :]))
-                        if cand not in seen:
-                            seen.add(cand)
-                            nxt.append(cand)
-        frontier = nxt
-    if seen != set(sixth):
-        raise ConsistencyError("swap closure disagrees with the ones-count enumeration")
-    fourth = [
-        ms for ms in combinations_with_replacement(range(8), 4) if _column_sums(ms) == (2, 2, 2)
-    ]
-    return sixth, fourth
-
-
-def gs3_deduplicated_signatures() -> tuple[set, set]:
-    """Distinct (class-a, class-b, class-c) count signatures of the two families."""
-    sixth, fourth = gs3_generate_families()
-    return (
-        {_class_signature(ms) for ms in sixth},
-        {_class_signature(ms) for ms in fourth},
-    )
-
-
 def _w_coherences(rho: np.ndarray) -> np.ndarray:
     return np.abs(rho[..., 1, 2]) + np.abs(rho[..., 1, 4]) + np.abs(rho[..., 2, 4])
 
@@ -568,11 +516,6 @@ G0 = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))
 GHZ_TANGLE_SLOPE = 3.0 / (4.0 * 2.0 ** (1.0 / 3.0))
 GHZ_TRIANGLE = ((3.0 / 7.0, 0.0), (1.0, 0.0), (G0, 1.0 - G0))
 
-DEFINITELY_GHZ = "definitely-ghz-type"
-NOT_GHZ = "definitely-not-ghz-type"
-UNDETERMINED = "undetermined"
-SLOCC_BOUNDS = (DEFINITELY_GHZ, NOT_GHZ, UNDETERMINED)
-
 
 def _inside_ghz_triangle(g, w, eps: float = 1e-12):
     """Whether (g, w) lies in the GHZ_TRIANGLE, its edges included (arrays allowed)."""
@@ -584,8 +527,8 @@ def _inside_ghz_triangle(g, w, eps: float = 1e-12):
 
 
 def slocc_codes(g, w, w_ghz) -> np.ndarray:
-    """Index into SLOCC_BOUNDS per cell, from the GHZ witness value and the
-    zero-tangle bound; raises where the two contradict."""
+    """SLOCC code per cell, indexing ``classify.SLOCC_NAMES``, from the GHZ witness
+    value and the zero-tangle bound; raises where the two contradict."""
     g, w, w_ghz = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (g, w, w_ghz))
     not_ghz = (w >= GHZ_TANGLE_SLOPE * g - 1e-15) | ~_inside_ghz_triangle(g, w)
     ghz = w_ghz < 0.0
@@ -597,14 +540,6 @@ def slocc_codes(g, w, w_ghz) -> np.ndarray:
             "but the zero-tangle bound excludes GHZ type"
         )
     return np.where(ghz, 0, np.where(not_ghz, 1, 2)).astype(np.int8)
-
-
-def ghz_class_bounds(p: SimplexPoint) -> str:
-    """Three-way SLOCC constraint from the witness and the zero-tangle bound."""
-    from . import criteria  # criteria imports this module
-
-    w_ghz = criteria.margins(np.array([p.g]), np.array([p.w]), ("w_ghz",))["w_ghz"]
-    return SLOCC_BOUNDS[int(slocc_codes(p.g, p.w, w_ghz)[0])]
 
 
 # ---------------------------------------------------------------------------

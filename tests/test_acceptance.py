@@ -14,6 +14,7 @@ import pytest
 from qsep import bipartite, classify, concurrence, linalg, scan, states, tripartite
 from qsep.config import MARGINAL_BAND
 from qsep.states import SimplexPoint
+from test_tripartite import gs3_deduplicated_signatures, gs3_generate_families
 
 RESOLUTION = 70
 
@@ -21,6 +22,10 @@ RESOLUTION = 70
 def _code(margins):
     margins = np.asarray(margins, dtype=float)
     return (margins > MARGINAL_BAND).astype(np.int8) - (margins < -MARGINAL_BAND).astype(np.int8)
+
+
+def slocc(g, w):
+    return classify.classify_point(SimplexPoint(g, w)).slocc
 
 
 def _status(number: int, description: str):
@@ -55,7 +60,8 @@ def spectra(lattice):
         "rho": linalg.jacobi_eigh(states.build_rho_grid(g, w)),
         "rho23": linalg.jacobi_eigh(states.marginal_23_grid(g, w)),
         "rho1": linalg.jacobi_eigh(states.marginal_1_grid(g, w)),
-        "rho_t1": linalg.jacobi_eigh(states.partial_transpose_1_grid(g, w)),
+        "rho_t1": linalg.jacobi_eigh(
+            linalg.permute_indices(states.build_rho_grid(g, w), linalg.TRANSPOSE_1_PERM)),
         "i_rho23": linalg.jacobi_eigh(states.reduction_i123_grid(g, w)),
         "red1_i23": linalg.jacobi_eigh(states.reduction_1i23_grid(g, w)),
     }
@@ -100,12 +106,12 @@ def test_03_reduction_equals_ppt(spectra):
 @_status(4, "reshuffling singular values match p1/p2 closed forms to 1e-10")
 def test_04_reshuffling_closed_forms(lattice):
     g, w = lattice
-    numeric = linalg.singular_values(states.reshuffle_24_grid(g, w))
+    numeric = linalg.singular_values(states.reshuffle_24_matrix(states.build_rho_grid(g, w)))
     closed = bipartite.reshuffle24_closed_singular_values(g, w)
     assert float(np.max(np.abs(numeric - closed))) <= 1e-10
-    white = linalg.trace_norm(states.reshuffle_24(SimplexPoint(0.0, 0.0)))
+    white = linalg.trace_norm(states.reshuffle_24_matrix(states.build_rho(SimplexPoint(0.0, 0.0))))
     assert abs(white - 2.0 ** (-1.5)) <= 1e-10
-    ghz = linalg.trace_norm(states.reshuffle_24(SimplexPoint(1.0, 0.0)))
+    ghz = linalg.trace_norm(states.reshuffle_24_matrix(states.build_rho(SimplexPoint(1.0, 0.0))))
     assert abs(ghz - 2.0) <= 1e-10
 
 
@@ -184,9 +190,9 @@ def test_08_huber_su_equivalence(lattice):
 def test_09_gs_criteria():
     crossing = scan.boundary_bisect("gs2_w", ((0.0, 0.0), (0.0, 1.0)))
     assert abs(crossing.w - 9.0 / 17.0) <= 1e-9
-    sixth, fourth = tripartite.gs3_generate_families()
+    sixth, fourth = gs3_generate_families()
     assert len(sixth) == 28 and len(fourth) == 12
-    six_sigs, four_sigs = tripartite.gs3_deduplicated_signatures()
+    six_sigs, four_sigs = gs3_deduplicated_signatures()
     assert six_sigs == {tripartite._class_signature(ms) for ms in tripartite.GS3_SIXTH}
     assert four_sigs == {tripartite._class_signature(ms) for ms in tripartite.GS3_FOURTH}
     assert len(six_sigs) + len(four_sigs) == 13
@@ -224,18 +230,12 @@ def test_11_witnesses(lattice):
     assert abs(tripartite.G0 - 0.626851) <= 1e-6
     eps = 5e-4
     g0 = tripartite.G0
-    assert tripartite.ghz_class_bounds(SimplexPoint(1.0, 0.0)) == tripartite.DEFINITELY_GHZ
-    assert tripartite.ghz_class_bounds(SimplexPoint(g0 - eps, 1.0 - g0 + eps)) == tripartite.NOT_GHZ
-    assert (
-        tripartite.ghz_class_bounds(SimplexPoint(g0 + eps, 1.0 - g0 - eps))
-        == tripartite.UNDETERMINED
-    )
+    assert slocc(1.0, 0.0) == classify.GHZ_TYPE
+    assert slocc(g0 - eps, 1.0 - g0 + eps) == classify.W_TYPE_OR_LESS
+    assert slocc(g0 + eps, 1.0 - g0 - eps) == classify.SLOCC_UNDETERMINED
     # triangle vertex on the w=0 edge: outside for g below 3/7
-    assert tripartite.ghz_class_bounds(SimplexPoint(3.0 / 7.0 - 1e-3, 0.0)) == tripartite.NOT_GHZ
-    assert (
-        tripartite.ghz_class_bounds(SimplexPoint(3.0 / 7.0 + 1e-3, 0.0))
-        == tripartite.UNDETERMINED
-    )
+    assert slocc(3.0 / 7.0 - 1e-3, 0.0) == classify.W_TYPE_OR_LESS
+    assert slocc(3.0 / 7.0 + 1e-3, 0.0) == classify.SLOCC_UNDETERMINED
 
 
 @_status(12, "concurrence closed form equals numeric to 1e-9; published values and gate")
@@ -246,8 +246,9 @@ def test_12_concurrence(lattice, spectra):
     numeric_conc = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, None)
     closed = concurrence.concurrence_23_closed(g, w)
     assert float(np.max(np.abs(numeric_conc - closed))) <= 1e-9
-    assert abs(concurrence.concurrence_23(SimplexPoint(0.0, 1.0))[1] - 2 / 3) <= 1e-12
-    assert concurrence.concurrence_23(SimplexPoint(1.0, 0.0))[1] == 0.0
+    _, at_pure = concurrence.concurrence_23(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    assert abs(at_pure[0] - 2 / 3) <= 1e-12
+    assert at_pure[1] == 0.0
     gate = concurrence.concurrence_gate(g, w)
     assert np.all(numeric_conc[gate < 0.0] <= 1e-9)
     assert np.all(np.asarray(closed)[gate < 0.0] == 0.0)

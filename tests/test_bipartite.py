@@ -188,7 +188,7 @@ class TestCriterionReshuffling:
 
     def test_closed_forms_match_numeric_on_grid(self):
         for p in simplex_grid(12):
-            numeric = linalg.singular_values(states.reshuffle_24(p))
+            numeric = linalg.singular_values(states.reshuffle_24_matrix(states.build_rho(p)))
             closed = bipartite.reshuffle24_closed_singular_values(p.g, p.w)
             assert np.max(np.abs(numeric - closed)) < 1e-10, p
 

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qsep import bipartite, cli, concurrence, criteria
+from qsep import bipartite, cli, concurrence, criteria, states
 
 
 def run(capsys, *argv):
@@ -169,7 +169,9 @@ class TestVerify:
         lines = out.splitlines()
         for name in deviations:
             assert sum(line.startswith(f"pass  {name} ") for line in lines) == 1, name
-        assert sum(" at (g=" in line for line in lines) == len(deviations)
+        # the registry checks and the four template checks name their worst cell
+        assert sum(" template vs generic map " in line for line in lines) == 4
+        assert sum(" at (g=" in line for line in lines) == len(deviations) + 4
 
     def test_registry_check_past_its_own_tolerance_fails(self, capsys, monkeypatch):
         # 1e-9 is within the default --tol, but past the registry's spectral tolerance
@@ -180,6 +182,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--points", "50", "--tol", "1e-8", "--seed", "7")
         assert code == 2
         assert "reshuffling singular values" in err and "(g=" in err
+
+    def test_template_off_by_2e13_fails_naming_check_and_cell(self, capsys, monkeypatch):
+        # within the default --tol, but past the template tolerance 1e-13
+        real = states.marginal_1_grid
+        monkeypatch.setattr(states, "marginal_1_grid", lambda g, w: real(g, w) + 2e-13)
+        code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
+        assert code == 2
+        assert "FAIL  rho^1 template vs generic map" in out
+        assert "FAILURE: rho^1 template vs generic map: deviation" in err and " at (g=" in err
 
     def test_ppt_sign_conflict_fails(self, capsys, monkeypatch):
         real = bipartite.ppt_closed_margins

@@ -8,6 +8,16 @@ from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
 
+def marginal_23(p):
+    return states.marginal_23_grid(np.array([p.g]), np.array([p.w]))[0]
+
+
+def concurrence_at(p):
+    """(numeric, closed) at one point: the batched function on a batch of one."""
+    numeric, closed = concurrence.concurrence_23(np.array([p.g]), np.array([p.w]))
+    return float(numeric[0]), float(closed[0])
+
+
 def simplex_grid(n=20):
     return [
         SimplexPoint(i / n, j / n)
@@ -41,7 +51,7 @@ class TestSpinFlip:
         assert np.max(np.abs(flipped - anti * signs)) < 1e-12
 
     def test_product_spectrum_matches_closed_form_at_pure_w(self):
-        rho23, _ = states.marginals(SimplexPoint(0.0, 1.0))
+        rho23 = marginal_23(SimplexPoint(0.0, 1.0))
         spect = concurrence.spin_flip_product_spectrum(rho23)
         expected = states.closed_form_spectra_grid([0.0], [1.0])["conc23"][0]
         assert np.max(np.abs(spect - expected)) < 1e-12
@@ -57,7 +67,7 @@ class TestWoottersConcurrence:
         assert abs(concurrence.wootters_concurrence(proj) - 1.0) < 1e-12
 
     def test_pure_w_marginal(self):
-        rho23, _ = states.marginals(SimplexPoint(0.0, 1.0))
+        rho23 = marginal_23(SimplexPoint(0.0, 1.0))
         assert abs(concurrence.wootters_concurrence(rho23) - 2.0 / 3.0) < 1e-12
 
     def test_rejects_non_density(self):
@@ -67,22 +77,22 @@ class TestWoottersConcurrence:
 
 class TestClosedForm:
     def test_ghz_marginal_separable(self):
-        assert concurrence.concurrence_23(SimplexPoint(1.0, 0.0))[1] == 0.0
+        assert concurrence_at(SimplexPoint(1.0, 0.0))[1] == 0.0
 
     def test_pure_w_maximum(self):
-        assert abs(concurrence.concurrence_23(SimplexPoint(0.0, 1.0))[1] - 2 / 3) < 1e-12
+        assert abs(concurrence_at(SimplexPoint(0.0, 1.0))[1] - 2 / 3) < 1e-12
 
     def test_gate_root_on_w_axis(self):
         root = (-3.0 + math.sqrt(180.0)) / 19.0
         assert abs(float(concurrence.concurrence_gate(0.0, root))) < 1e-12
         eps = 1e-6
-        assert concurrence.concurrence_23(SimplexPoint(0.0, root - eps))[1] == 0.0
-        assert concurrence.concurrence_23(SimplexPoint(0.0, root + eps))[1] > 0.0
+        assert concurrence_at(SimplexPoint(0.0, root - eps))[1] == 0.0
+        assert concurrence_at(SimplexPoint(0.0, root + eps))[1] > 0.0
 
     def test_pair_is_numeric_and_closed_form(self):
         for p in (SimplexPoint(0.1, 0.6), SimplexPoint(0.0, 1.0), SimplexPoint(0.3, 0.3)):
-            numeric, closed = concurrence.concurrence_23(p)
-            rho23, _ = states.marginals(p)
+            numeric, closed = concurrence_at(p)
+            rho23 = marginal_23(p)
             assert numeric == concurrence.wootters_concurrence(rho23)
             assert closed == float(concurrence.concurrence_23_closed(p.g, p.w))
 
@@ -90,15 +100,23 @@ class TestClosedForm:
         real = concurrence.concurrence_23_closed
         p = SimplexPoint(0.0, 1.0)
         monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 0.9e-9)
-        concurrence.concurrence_23(p)
+        concurrence_at(p)
         monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 1.1e-9)
-        with pytest.raises(ConsistencyError, match="concurrence at"):
-            concurrence.concurrence_23(p)
+        with pytest.raises(ConsistencyError, match=r"concurrence at \(g=0\.0, w=1\.0\)"):
+            concurrence_at(p)
+
+    def test_gate_names_the_first_failing_cell_of_a_batch(self, monkeypatch):
+        real = concurrence.concurrence_23_closed
+        monkeypatch.setattr(
+            concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 2e-9 * (g > 0.5)
+        )
+        with pytest.raises(ConsistencyError, match=r"concurrence at \(g=0\.6, w=0\.1\)"):
+            concurrence.concurrence_23(np.array([0.1, 0.6, 0.9]), np.array([0.6, 0.1, 0.0]))
 
     def test_matches_numeric_on_grid(self):
         for p in simplex_grid(15):
             closed = float(concurrence.concurrence_23_closed(p.g, p.w))
-            rho23, _ = states.marginals(p)
+            rho23 = marginal_23(p)
             numeric = concurrence.wootters_concurrence(rho23)
             assert abs(closed - numeric) < 1e-9, p
 
@@ -106,19 +124,31 @@ class TestClosedForm:
         # the lambdas are singular values, not roots of near-zero eigenvalues
         for p in simplex_grid(15):
             closed = float(concurrence.concurrence_23_closed(p.g, p.w))
-            rho23, _ = states.marginals(p)
+            rho23 = marginal_23(p)
             assert abs(closed - concurrence.wootters_concurrence(rho23)) < 1e-12, p
 
     def test_product_spectrum_matches_closed_everywhere(self):
         for p in simplex_grid(12):
-            rho23, _ = states.marginals(p)
+            rho23 = marginal_23(p)
             spect = concurrence.spin_flip_product_spectrum(rho23)
             expected = states.closed_form_spectra_grid([p.g], [p.w])["conc23"][0]
             assert np.max(np.abs(spect - expected)) < 1e-10, p
 
+    def test_batch_equals_batch_of_one_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        u, v = rng.random(300), rng.random(300)
+        flip = u + v > 1.0
+        g = np.concatenate([np.where(flip, 1.0 - u, u), [0.0, 1.0, 0.0, 0.15]])
+        w = np.concatenate([np.where(flip, 1.0 - v, v), [0.0, 0.0, 1.0, 0.85]])
+        numeric, closed = concurrence.concurrence_23(g, w)
+        for n in range(g.size):
+            one = concurrence.concurrence_23(g[n : n + 1], w[n : n + 1])
+            assert one[0].tobytes() == numeric[n : n + 1].tobytes(), (g[n], w[n])
+            assert one[1].tobytes() == closed[n : n + 1].tobytes(), (g[n], w[n])
+
     def test_zero_when_top_roots_degenerate(self):
         for p in simplex_grid(12):
-            rho23, _ = states.marginals(p)
+            rho23 = marginal_23(p)
             lam = np.sqrt(concurrence.spin_flip_product_spectrum(rho23))
             if abs(lam[0] - lam[1]) < 1e-9:
                 assert concurrence.wootters_concurrence(rho23) <= 1e-9, p

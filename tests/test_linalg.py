@@ -109,7 +109,7 @@ class TestEigh:
         g, w = lattice(20)
         for matrices in (
             states.build_rho_grid(g, w),
-            states.partial_transpose_1_grid(g, w),
+            linalg.permute_indices(states.build_rho_grid(g, w), linalg.TRANSPOSE_1_PERM),
             states.reduction_1i23_grid(g, w),
         ):
             assert not np.any(matrices.imag)
@@ -138,7 +138,7 @@ class TestJacobiReference:
     def test_converges_on_reshuffle_222_gram_batch(self):
         # the whole R = 50 batch used to drive converged members into
         # subnormal off-diagonals and end in "worst off-diagonal norm nan"
-        m = states.reshuffle_222_grid(*lattice(50))
+        m = linalg.permute_indices(states.build_rho_grid(*lattice(50)), linalg.RESHUFFLE_23_PERM)
         gram = m @ np.conj(np.swapaxes(m, -1, -2))
         vals = linalg.jacobi_eigh(gram)
         ref = np.linalg.eigvalsh(gram)[:, ::-1]
@@ -166,7 +166,7 @@ class TestSingularValues:
     def test_white_noise_reshuffle(self):
         from qsep import states
 
-        r = states.reshuffle_24(states.SimplexPoint(0.0, 0.0))
+        r = states.reshuffle_24_matrix(states.build_rho(states.SimplexPoint(0.0, 0.0)))
         svs = linalg.singular_values(r)
         expected = np.array([1 / (2 * np.sqrt(2)), 0.0, 0.0, 0.0])
         assert np.max(np.abs(svs - expected)) < 1e-12
@@ -174,7 +174,7 @@ class TestSingularValues:
     def test_pure_ghz_reshuffle(self):
         from qsep import states
 
-        r = states.reshuffle_24(states.SimplexPoint(1.0, 0.0))
+        r = states.reshuffle_24_matrix(states.build_rho(states.SimplexPoint(1.0, 0.0)))
         assert np.max(np.abs(linalg.singular_values(r) - 0.5)) < 1e-12
 
     def test_adjoint_invariance(self):
@@ -202,13 +202,15 @@ class TestTraceNorm:
     def test_reshuffle_222_white_noise(self):
         from qsep import states
 
-        r = states.reshuffle_222(states.SimplexPoint(0.0, 0.0))
+        rho = states.build_rho(states.SimplexPoint(0.0, 0.0))
+        r = linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)
         assert abs(linalg.trace_norm(r) - 0.5) < 1e-12
 
     def test_reshuffle_222_pure_ghz(self):
         from qsep import states
 
-        r = states.reshuffle_222(states.SimplexPoint(1.0, 0.0))
+        rho = states.build_rho(states.SimplexPoint(1.0, 0.0))
+        r = linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)
         assert abs(linalg.trace_norm(r) - 2.0) < 1e-12
 
     def test_rank_one_unit_norm_is_one(self):
@@ -247,7 +249,7 @@ class TestPsdSqrt:
     def test_marginal_round_trip(self):
         from qsep import states
 
-        rho23, _ = states.marginals(states.SimplexPoint(0.0, 1.0))
+        rho23 = states.marginal_23_grid(np.array([0.0]), np.array([1.0]))[0]
         b = linalg.psd_sqrt(rho23)
         assert np.max(np.abs(b @ b - rho23)) < 1e-9
 
@@ -295,19 +297,38 @@ class TestPermuteIndices:
         from qsep import states
 
         p = states.SimplexPoint(0.25, 0.35)
-        rho = states.build_rho(p)
-        pt = linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM)
-        template = states.partial_transpose_1_grid(np.array([p.g]), np.array([p.w]))[0]
-        assert np.max(np.abs(pt - template)) < 1e-14
+        dt, gt, wt = states.renormalized_weights(p.g, p.w)
+        pt = linalg.permute_indices(states.build_rho(p), linalg.TRANSPOSE_1_PERM)
+        # the published rho^T1: rho's diagonal, gt at (3, 4), wt at (0, 5), (0, 6), (1, 2)
+        pattern = np.diag([dt + gt, dt + wt, dt + wt, dt, dt + wt, dt, dt, dt + gt])
+        pattern[3, 4] = pattern[4, 3] = gt
+        for i, j in ((0, 5), (0, 6), (1, 2)):
+            pattern[i, j] = pattern[j, i] = wt
+        assert np.max(np.abs(pt - pattern)) < 1e-14
 
     def test_reshuffle_23_matches_pattern(self):
         from qsep import states
 
         p = states.SimplexPoint(0.15, 0.45)
-        rho = states.build_rho(p)
-        rp = linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)
-        template = states.reshuffle_222_grid(np.array([p.g]), np.array([p.w]))[0]
-        assert np.max(np.abs(rp - template)) < 1e-14
+        dt, gt, wt = states.renormalized_weights(p.g, p.w)
+        rp = linalg.permute_indices(states.build_rho(p), linalg.RESHUFFLE_23_PERM)
+        # [R'(rho)]_{ijj',i'kk'} = rho_{ijk,i'j'k'}, entry by entry
+        pattern = np.zeros((8, 8))
+        for (i, j), value in {
+            (0, 0): dt + gt, (0, 3): dt + wt, (0, 6): wt, (1, 2): wt, (1, 5): gt,
+            (2, 1): wt, (2, 4): wt, (3, 0): dt + wt, (3, 3): dt, (4, 1): wt,
+            (4, 4): dt + wt, (4, 7): dt, (5, 0): wt, (6, 2): gt, (7, 4): dt, (7, 7): dt + gt,
+        }.items():
+            pattern[i, j] = value
+        assert np.max(np.abs(rp - pattern)) < 1e-14
+
+    def test_batch_equals_each_member(self):
+        rng = np.random.default_rng(29)
+        batch = rng.normal(size=(5, 8, 8)) + 1j * rng.normal(size=(5, 8, 8))
+        for perm in (linalg.TRANSPOSE_1_PERM, linalg.RESHUFFLE_23_PERM, tuple(rng.permutation(6))):
+            whole = linalg.permute_indices(batch, perm)
+            for k in range(batch.shape[0]):
+                assert np.array_equal(whole[k], linalg.permute_indices(batch[k], perm))
 
     def test_composition(self):
         rng = np.random.default_rng(23)
@@ -322,3 +343,5 @@ class TestPermuteIndices:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError, match="permutation"):
             linalg.permute_indices(np.eye(8), (0, 0, 1, 2, 3, 4))
+        with pytest.raises(ValueError, match="8x8"):
+            linalg.permute_indices(np.eye(4), linalg.IDENTITY_PERM)

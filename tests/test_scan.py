@@ -75,7 +75,8 @@ REFERENCE_MARGINS = {
     "ppt": lambda rho: spectrum(linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM))[-1],
     "reduction": reduction_margin,
     "resh24": lambda rho: trace_norm_margin(states.reshuffle_24_matrix(rho)),
-    "perm222": lambda rho: trace_norm_margin(states.reshuffle_222_matrix(rho)),
+    "perm222": lambda rho: trace_norm_margin(
+        linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)),
     "su2_set1": lambda rho: spin_margin(rho, tripartite.SETTING_I, "2sep"),
     "su283_set2": lambda rho: spin_margin(rho, tripartite.SETTING_II, "28cap3"),
     "su3_set3": lambda rho: spin_margin(rho, tripartite.SETTING_III, "3sep"),

@@ -1,10 +1,13 @@
-"""Code that no caller needs is deleted: every top-level name in ``src/qsep``
-must be referenced from some other line of ``src/``, or be listed below
-with the reason it stays.
+"""Code that no caller needs is deleted: every top-level name in ``src/qsep``,
+and every public method and property of its classes, must be referenced
+from some other line of ``src/``, or be listed below with the reason it
+stays.
 
 A name counts as referenced when its own module loads it, when another
 module reads it as an attribute of the module (``states.build_rho``,
-``registry.IDS``), or when another module imports it by name.
+``registry.IDS``), or when another module imports it by name.  A class
+member (``module.Class.member``) counts as referenced when any line of
+``src/`` reads an attribute of that name.
 """
 
 import ast
@@ -12,9 +15,10 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qsep"
 
-# module.name -> why it stays without a caller in src/
+# module.name or module.Class.member -> why it stays without a caller in src/
 ALLOWED_WITHOUT_CALLER = {
     "classify.classify_point": "public API: the class report of one point (README, tests)",
+    "cli._Parser.error": "override: argparse calls it, so a usage error exits 1, not 2",
     "concurrence.spin_flip_product_spectrum": "test reference: Spect(wtilde w) against its closed form",
     "linalg.IDENTITY_PERM": "test reference: identity of the index-permutation algebra",
     "linalg.compose_perms": "test reference: composition of index permutations",
@@ -22,12 +26,11 @@ ALLOWED_WITHOUT_CALLER = {
     "scan.boundary_bisect": "public API: boundary constants along a ray (README, acceptance)",
     "scan.grid_report_dicts": "test reference for the JSON export; the benchmark tracer names it",
     "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
+    "scan.RegionGrid.flat_index": "test reference: the array position of a lattice cell (i, j)",
+    "scan.RegionGrid.pptes_points": "public API: the PPTES cells of a scan (README)",
     "states.QUBIT_PERMUTATIONS": "test reference: the permutation symmetry of rho",
     "states.bell0_vector": "test reference: concurrence of a Bell state",
-    "states.build_rho_mixture": "test reference: the independent mixture at one point",
     "states.permute_qubits": "test reference: the permutation symmetry of rho",
-    "tripartite.ghz_class_bounds": "public API: the SLOCC bound of one point (acceptance)",
-    "tripartite.gs3_deduplicated_signatures": "test reference: the 13-member substitution family",
     "tripartite.random_setting_search": "public API: the search over random spin settings (tests)",
 }
 
@@ -47,6 +50,18 @@ def _defined(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) for the public methods and properties of top-level classes."""
+    return [
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
 
 
 def _referenced(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
@@ -76,8 +91,19 @@ def _referenced(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
 def _without_caller() -> tuple[set[str], set[str]]:
     modules = _modules()
     refs = _referenced(modules)
+    read = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
     defined = {f"{module}.{name}" for module, tree in modules.items() for name in _defined(tree)}
     unreferenced = {qualified for qualified in defined if tuple(qualified.split(".")) not in refs}
+    for module, tree in modules.items():
+        for cls, member in _members(tree):
+            defined.add(f"{module}.{cls}.{member}")
+            if member not in read:
+                unreferenced.add(f"{module}.{cls}.{member}")
     return defined, unreferenced
 
 

@@ -5,6 +5,19 @@ from qsep import linalg, states
 from qsep.states import SimplexPoint
 
 
+def at(builder, p):
+    """A batch builder's matrix at one point: the builder on a batch of one."""
+    return builder(np.array([p.g]), np.array([p.w]))[0]
+
+
+def partial_transpose_1(p):
+    return linalg.permute_indices(states.build_rho(p), linalg.TRANSPOSE_1_PERM)
+
+
+def reduction_matrices(p):
+    return at(states.reduction_i123_grid, p), at(states.reduction_1i23_grid, p)
+
+
 def simplex_grid(n=20):
     pts = []
     for i in range(n + 1):
@@ -25,9 +38,10 @@ class TestSimplexPoint:
     def test_derived_weights(self):
         p = SimplexPoint(0.2, 0.3)
         assert abs(p.d - 0.5) < 1e-15
-        assert abs(p.dt - 0.0625) < 1e-15
-        assert abs(p.gt - 0.1) < 1e-15
-        assert abs(p.wt - 0.1) < 1e-15
+        dt, gt, wt = states.renormalized_weights(p.g, p.w)
+        assert abs(dt - 0.0625) < 1e-15
+        assert abs(gt - 0.1) < 1e-15
+        assert abs(wt - 0.1) < 1e-15
 
 
 class TestBuildRho:
@@ -47,7 +61,7 @@ class TestBuildRho:
     def test_template_equals_mixture_path(self):
         for p in simplex_grid(12):
             a = states.build_rho(p)
-            b = states.build_rho_mixture(p)
+            b = at(states.build_rho_mixture_grid, p)
             assert np.max(np.abs(a - b)) < 1e-15
 
     def test_trace_one_hermitian(self):
@@ -65,54 +79,84 @@ class TestBuildRho:
 
 class TestMarginals:
     def test_white_noise(self):
-        rho23, rho1 = states.marginals(SimplexPoint(0.0, 0.0))
+        p = SimplexPoint(0.0, 0.0)
+        rho23, rho1 = at(states.marginal_23_grid, p), at(states.marginal_1_grid, p)
         assert np.allclose(rho23, np.eye(4) / 4, atol=1e-15)
         assert np.allclose(rho1, np.eye(2) / 2, atol=1e-15)
 
     def test_ghz_marginal_diagonal(self):
-        rho23, _ = states.marginals(SimplexPoint(1.0, 0.0))
+        rho23 = at(states.marginal_23_grid, SimplexPoint(1.0, 0.0))
         assert np.max(np.abs(rho23 - np.diag(np.diag(rho23)))) < 1e-15
 
     def test_w_state_one_qubit_marginal(self):
-        _, rho1 = states.marginals(SimplexPoint(0.0, 1.0))
+        rho1 = at(states.marginal_1_grid, SimplexPoint(0.0, 1.0))
         assert np.allclose(rho1, np.diag([2 / 3, 1 / 3]), atol=1e-15)
+
+    def test_templates_equal_generic_maps_of_the_mixture(self):
+        points = simplex_grid(12)
+        g, w = np.array([p.g for p in points]), np.array([p.w for p in points])
+        mixture = states.build_rho_mixture_grid(g, w)
+        rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
+        pairs = (
+            (states.marginal_23_grid(g, w), rho23),
+            (states.marginal_1_grid(g, w), rho1),
+            (states.reduction_i123_grid(g, w), np.kron(np.eye(2)[None], rho23) - mixture),
+            (states.reduction_1i23_grid(g, w), np.kron(rho1, np.eye(4)[None]) - mixture),
+        )
+        for template, generic in pairs:
+            assert np.max(np.abs(template - generic)) <= states.TEMPLATE_TOL
+
+
+class TestGenericMaps:
+    def test_batch_equals_each_member(self):
+        rng = np.random.default_rng(5)
+        batch = rng.normal(size=(6, 8, 8)) + 1j * rng.normal(size=(6, 8, 8))
+        for fn in (states.partial_trace_1, states.partial_trace_23, states.reshuffle_24_matrix):
+            whole = fn(batch)
+            for k in range(batch.shape[0]):
+                assert np.array_equal(whole[k], fn(batch[k])), fn.__name__
+
+    def test_reject_non_8x8(self):
+        for fn in (states.partial_trace_1, states.partial_trace_23, states.reshuffle_24_matrix):
+            with pytest.raises(ValueError, match="8x8"):
+                fn(np.eye(4))
 
 
 class TestDerivedMatrices:
     def test_pt_white_noise_fixed(self):
-        pt = states.partial_transpose_1(SimplexPoint(0.0, 0.0))
+        pt = partial_transpose_1(SimplexPoint(0.0, 0.0))
         assert np.allclose(pt, np.eye(8) / 8, atol=1e-15)
 
     def test_pt_ghz_min_eigenvalue(self):
-        pt = states.partial_transpose_1(SimplexPoint(1.0, 0.0))
+        pt = partial_transpose_1(SimplexPoint(1.0, 0.0))
         vals = linalg.hermitian_eigenvalues(pt)
         assert abs(vals[-1] + 0.5) < 1e-12
 
     def test_pt_pptes_point_psd(self):
-        pt = states.partial_transpose_1(SimplexPoint(0.2, 0.2))
+        pt = partial_transpose_1(SimplexPoint(0.2, 0.2))
         vals = linalg.hermitian_eigenvalues(pt)
         assert vals[-1] >= -1e-12
 
     def test_reduction_white_noise(self):
-        first, second = states.reduction_matrices(SimplexPoint(0.0, 0.0))
+        first, second = reduction_matrices(SimplexPoint(0.0, 0.0))
         assert np.allclose(first, np.eye(8) / 8, atol=1e-15)
         assert np.allclose(second, 3 * np.eye(8) / 8, atol=1e-15)
 
     def test_reduction_first_spectrum_equals_pt(self):
         p = SimplexPoint(0.3, 0.3)
-        first, _ = states.reduction_matrices(p)
-        pt = states.partial_transpose_1(p)
+        first, _ = reduction_matrices(p)
+        pt = partial_transpose_1(p)
         v1 = linalg.hermitian_eigenvalues(first)
         v2 = linalg.hermitian_eigenvalues(pt)
         assert np.max(np.abs(v1 - v2)) < 1e-12
 
     def test_reduction_second_negative_at_w(self):
-        _, second = states.reduction_matrices(SimplexPoint(0.0, 1.0))
+        _, second = reduction_matrices(SimplexPoint(0.0, 1.0))
         vals = linalg.hermitian_eigenvalues(second)
         assert abs(vals[-1] + np.sqrt(2) / 3) < 1e-12
 
     def test_reshuffle_24_white_noise_rows(self):
-        r = states.reshuffle_24(SimplexPoint(0.0, 0.0))
+        r = states.reshuffle_24_matrix(states.build_rho(SimplexPoint(0.0, 0.0)))
         expected = np.zeros((4, 16))
         expected[0, [0, 5, 10, 15]] = 1 / 8
         expected[3, [0, 5, 10, 15]] = 1 / 8
@@ -120,20 +164,21 @@ class TestDerivedMatrices:
 
     def test_reshuffle_24_entry_energy(self):
         for p in (SimplexPoint(0.3, 0.1), SimplexPoint(0.1, 0.6)):
-            r = states.reshuffle_24(p)
             rho = states.build_rho(p)
+            r = states.reshuffle_24_matrix(rho)
             assert abs(np.sum(np.abs(r) ** 2) - np.trace(rho @ rho).real) < 1e-14
 
     def test_reshuffle_222_pure_ghz_entries(self):
-        r = states.reshuffle_222(SimplexPoint(1.0, 0.0))
+        rho = states.build_rho(SimplexPoint(1.0, 0.0))
+        r = linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)
         mags = np.abs(r)
         assert np.count_nonzero(mags > 1e-15) == 4
         assert np.allclose(mags[mags > 1e-15], 0.5, atol=1e-15)
 
     def test_reshuffle_222_preserves_entry_multiset(self):
         p = SimplexPoint(0.25, 0.3)
-        r = states.reshuffle_222(p)
         rho = states.build_rho(p)
+        r = linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)
         assert np.allclose(np.sort(np.abs(r).ravel()), np.sort(np.abs(rho).ravel()), atol=1e-15)
 
 
@@ -161,15 +206,15 @@ class TestClosedFormSpectra:
             spects = spectra_at(p)
             pairs = [
                 ("rho", states.build_rho(p)),
-                ("rho23", states.marginals(p)[0]),
-                ("rho1", states.marginals(p)[1]),
-                ("rho_t1", states.partial_transpose_1(p)),
-                ("red1_i23", states.reduction_matrices(p)[1]),
+                ("rho23", at(states.marginal_23_grid, p)),
+                ("rho1", at(states.marginal_1_grid, p)),
+                ("rho_t1", partial_transpose_1(p)),
+                ("red1_i23", reduction_matrices(p)[1]),
             ]
             for key, matrix in pairs:
                 numeric = linalg.hermitian_eigenvalues(matrix)
                 assert np.max(np.abs(numeric - spects[key])) < 1e-12, (key, p)
-            first, _ = states.reduction_matrices(p)
+            first, _ = reduction_matrices(p)
             numeric = linalg.hermitian_eigenvalues(first)
             assert np.max(np.abs(numeric - spects["rho_t1"])) < 1e-12
 

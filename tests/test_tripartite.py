@@ -1,7 +1,9 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
-from qsep import criteria, scan, states, tripartite
+from qsep import classify, criteria, scan, states, tripartite
 from qsep.states import SimplexPoint
 from qsep.verdict import HOLDS, MARGINAL, VIOLATED, signs_agree, verdict_state
 
@@ -16,6 +18,77 @@ def simplex_grid(n=15):
 
 def verdict_at(cid, p):
     return verdict_state(scan.point_margin(cid, p))
+
+
+def slocc(p):
+    return classify.classify_point(p).slocc
+
+
+def perm222_block_margins(g, w):
+    """1 - trace norm of R'(rho) from its block form, independent of the index maps.
+
+    R'(rho) with rows permuted to (0,3,5 | 1,6 | 2,4,7) and columns to
+    (0,3,6 | 2,5 | 1,4,7) is block-diagonal in (d, g, w) = (d/8, g/2, w/3):
+    A = [[d+g, d+w, w], [d+w, d, 0], [w, 0, 0]], C = [[w, g], [g, 0]] and
+    B = [[w, w, 0], [w, d+w, d], [0, d, d+g]], so the trace norm is
+    sqrt(w^2 + 4g^2) + sum|eig A| + sum|eig B|.
+    """
+    d, g, w = states.renormalized_weights(g, w)
+    z = np.zeros_like(d)
+    a = np.stack([np.stack(row, -1) for row in ((d + g, d + w, w), (d + w, d, z), (w, z, z))], -2)
+    b = np.stack([np.stack(row, -1) for row in ((w, w, z), (w, d + w, d), (z, d, d + g))], -2)
+    blocks = sum(np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1) for m in (a, b))
+    return 1.0 - (np.sqrt(w**2 + 4.0 * g**2) + blocks)
+
+
+def _column_sums(multiset) -> tuple[int, int, int]:
+    return tuple(sum((m >> k) & 1 for m in multiset) for k in (2, 1, 0))
+
+
+def gs3_generate_families() -> tuple[list[tuple], list[tuple]]:
+    """Enumerate the substitution images of the sixth-order inequality.
+
+    Single-position index swaps between two members conserve the per-qubit
+    ones count, which is (3, 3, 3) for the starting multiset {1..6}; a
+    breadth-first closure over the swap moves confirms every conserving
+    multiset is reachable.  Squaring and regrouping into four third powers
+    yields the fourth-order family, whose quadruples conserve (2, 2, 2).
+    """
+    sixth = [
+        ms for ms in combinations_with_replacement(range(8), 6) if _column_sums(ms) == (3, 3, 3)
+    ]
+    start = (1, 2, 3, 4, 5, 6)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for ms in frontier:
+            lst = list(ms)
+            for a in range(6):
+                for b in range(a + 1, 6):
+                    for pos in range(3):
+                        bit = 1 << pos
+                        xa = (lst[a] & ~bit) | (lst[b] & bit)
+                        xb = (lst[b] & ~bit) | (lst[a] & bit)
+                        cand = tuple(sorted(lst[:a] + [xa] + lst[a + 1 : b] + [xb] + lst[b + 1 :]))
+                        if cand not in seen:
+                            seen.add(cand)
+                            nxt.append(cand)
+        frontier = nxt
+    assert seen == set(sixth), "swap closure disagrees with the ones-count enumeration"
+    fourth = [
+        ms for ms in combinations_with_replacement(range(8), 4) if _column_sums(ms) == (2, 2, 2)
+    ]
+    return sixth, fourth
+
+
+def gs3_deduplicated_signatures() -> tuple[set, set]:
+    """Distinct (class-a, class-b, class-c) count signatures of the two families."""
+    sixth, fourth = gs3_generate_families()
+    return (
+        {tripartite._class_signature(ms) for ms in sixth},
+        {tripartite._class_signature(ms) for ms in fourth},
+    )
 
 
 class TestSpinObservables:
@@ -145,6 +218,23 @@ class TestPermutation222:
                 hi = mid
         assert lo >= 0.2 - 1e-9
 
+    def test_block_form_reference_matches_the_grid(self):
+        # pins the R'(rho) index convention: 2,000 seeded cells, the three edges, the corners
+        rng = np.random.default_rng(222)
+        u, v = rng.random(2000), rng.random(2000)
+        flip = u + v > 1.0
+        t = np.linspace(0.0, 1.0, 101)
+        g = np.concatenate([np.where(flip, 1.0 - u, u), t, 0.0 * t, t])
+        w = np.concatenate([np.where(flip, 1.0 - v, v), 0.0 * t, t, 1.0 - t])
+        grid = criteria.margins(g, w, ("perm222",))["perm222"]
+        assert np.max(np.abs(grid - perm222_block_margins(g, w))) <= 1e-13
+
+    def test_pinned_margins_on_the_w0_line(self):
+        # 1/2 - 3g/2 on w = 0: zero at g = 1/3
+        g, w = np.array([0.0, 1.0 / 3.0, 1.0]), np.zeros(3)
+        assert perm222_block_margins(g, w).tolist() == [0.5, 0.0, -1.0]
+        assert criteria.margins(g, w, ("perm222",))["perm222"].tolist() == [0.5, 0.0, -1.0]
+
 
 class TestHuber:
     def test_phi_vectors_are_products(self):
@@ -227,10 +317,10 @@ class TestGS:
         assert verdict_at("gs3", p) == VIOLATED
 
     def test_generator_counts_and_dedup(self):
-        sixth, fourth = tripartite.gs3_generate_families()
+        sixth, fourth = gs3_generate_families()
         assert len(sixth) == 28
         assert len(fourth) == 12
-        six_sigs, four_sigs = tripartite.gs3_deduplicated_signatures()
+        six_sigs, four_sigs = gs3_deduplicated_signatures()
         assert six_sigs == {tripartite._class_signature(ms) for ms in tripartite.GS3_SIXTH}
         assert four_sigs == {tripartite._class_signature(ms) for ms in tripartite.GS3_FOURTH}
         assert len(six_sigs) == 8 and len(four_sigs) == 5
@@ -239,7 +329,8 @@ class TestGS:
 class TestWitnesses:
     def test_closed_forms(self):
         for p in simplex_grid(10):
-            traces = tripartite.witness_traces(states.build_rho_mixture(p))
+            mixture = states.build_rho_mixture_grid(np.array([p.g]), np.array([p.w]))[0]
+            traces = tripartite.witness_traces(mixture)
             for name in criteria.GROUPS["witness"]:
                 assert abs(scan.point_margin(name, p) - float(traces[name])) < 1e-12
 
@@ -256,13 +347,13 @@ class TestWitnesses:
 
 class TestGhzClassBounds:
     def test_pure_ghz(self):
-        assert tripartite.ghz_class_bounds(SimplexPoint(1.0, 0.0)) == tripartite.DEFINITELY_GHZ
+        assert slocc(SimplexPoint(1.0, 0.0)) == classify.GHZ_TYPE
 
     def test_pure_w(self):
-        assert tripartite.ghz_class_bounds(SimplexPoint(0.0, 1.0)) == tripartite.NOT_GHZ
+        assert slocc(SimplexPoint(0.0, 1.0)) == classify.W_TYPE_OR_LESS
 
     def test_white_noise(self):
-        assert tripartite.ghz_class_bounds(SimplexPoint(0.0, 0.0)) == tripartite.NOT_GHZ
+        assert slocc(SimplexPoint(0.0, 0.0)) == classify.W_TYPE_OR_LESS
 
     def test_vertex_straddling(self):
         eps = 5e-4
@@ -270,8 +361,8 @@ class TestGhzClassBounds:
         assert abs(g0 - 0.626851) < 1e-6
         inside = SimplexPoint(g0 + eps, 1.0 - g0 - eps)
         outside = SimplexPoint(g0 - eps, 1.0 - g0 + eps)
-        assert tripartite.ghz_class_bounds(inside) == tripartite.UNDETERMINED
-        assert tripartite.ghz_class_bounds(outside) == tripartite.NOT_GHZ
+        assert slocc(inside) == classify.SLOCC_UNDETERMINED
+        assert slocc(outside) == classify.W_TYPE_OR_LESS
 
 
 class TestRandomSettingSearch:
