@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", help="CSV output path")
     p_scan.add_argument("--svg", help="SVG map output path")
     p_scan.add_argument("--json-out", help="JSON report-array output path")
-    p_scan.add_argument("--workers", type=_positive_int, default=1)
+    p_scan.add_argument("--workers", type=_positive_int,
+                        help="threads evaluating chunks (default: the usable cores)")
 
     p_verify = sub.add_parser("verify", help="run every cross-path consistency suite")
     p_verify.add_argument("--points", type=int, default=1000)

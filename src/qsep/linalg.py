@@ -3,10 +3,11 @@
 Production spectra come from LAPACK: ``eigh`` (symmetric/Hermitian
 eigensolver) and ``singular_values`` (SVD of the matrix itself, not of its
 Gram matrix, so a trace norm keeps full accuracy near zero singular
-values).  Input whose imaginary part is exactly zero, as every template's
-is, goes to the real LAPACK routines.  ``jacobi_eigh`` is a cyclic Jacobi
-solver kept as the independent reference that ``qsep verify`` and the
-acceptance tests compare the production path with.
+values).  Real input, as every template is, and complex input whose
+imaginary part is exactly zero go to the real LAPACK routines.
+``jacobi_eigh`` is a cyclic Jacobi solver kept as the independent reference
+that ``qsep verify`` and the acceptance tests compare the production path
+with.
 
 All routines accept a single matrix or a batch with one leading axis.  Each
 matrix of a Jacobi batch rotates until its own off-diagonal norm is small
@@ -22,7 +23,6 @@ from .config import (
     HERMITICITY_TOL,
     JACOBI_MAX_SWEEPS,
     JACOBI_OFF_TOL,
-    RANK_TOL,
     psd_tol,
 )
 from .exceptions import ConsistencyError, ConvergenceError
@@ -273,13 +273,6 @@ def psd_sqrt(a, tol: float | None = None) -> np.ndarray:
     return out.astype(np.complex128, copy=False)
 
 
-def rank_with_tolerance(a, tol: float = RANK_TOL) -> int | np.ndarray:
-    """Count of eigenvalues of a Hermitian matrix with |value| > tol."""
-    vals = hermitian_eigenvalues(a)
-    out = np.sum(np.abs(vals) > tol, axis=-1)
-    return int(out) if np.ndim(out) == 0 else out
-
-
 def permute_indices(a, perm) -> np.ndarray:
     """Apply the index-permutation map to an 8x8 three-qubit operator or a batch of them.
 
@@ -287,9 +280,11 @@ def permute_indices(a, perm) -> np.ndarray:
     index k of the input lands in the output, positions 0-2 being the row
     (ket) qubits and 3-5 the column (bra) qubits.  The identity permutation
     returns the matrix unchanged; (3, 1, 2, 0, 4, 5) is the qubit-1 partial
-    transpose; (0, 1, 4, 3, 2, 5) is the 2-3 reshuffle.
+    transpose; (0, 1, 4, 3, 2, 5) is the 2-3 reshuffle.  Real input gives a
+    float64 result, complex input a complex128 one.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.shape[-2:] != (8, 8):
         raise ValueError(f"expected 8x8 matrices, got shape {a.shape}")
     perm = tuple(int(k) for k in perm)
@@ -301,11 +296,5 @@ def permute_indices(a, perm) -> np.ndarray:
     return a.reshape(lead + (2,) * 6).transpose(axes).reshape(lead + (8, 8))
 
 
-IDENTITY_PERM = (0, 1, 2, 3, 4, 5)
 TRANSPOSE_1_PERM = (3, 1, 2, 0, 4, 5)
 RESHUFFLE_23_PERM = (0, 1, 4, 3, 2, 5)
-
-
-def compose_perms(pi, sigma) -> tuple:
-    """Composition pi o sigma acting as (pi o sigma)[k] = pi[sigma[k]]."""
-    return tuple(pi[sigma[k]] for k in range(len(sigma)))

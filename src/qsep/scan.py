@@ -3,13 +3,15 @@
 The lattice at resolution N holds the points (g, w) = (i/N, j/N) with
 i + j <= N.  Cells are evaluated in fixed-size chunks through vectorized
 dual-path criterion evaluators (batched LAPACK spectra checked against the
-closed forms); the chunk layout never depends on the worker count, so a
-parallel scan is byte-identical to a sequential one.
+closed forms), on as many threads as there are usable cores; LAPACK releases
+the GIL, so the chunks run concurrently.  The chunk layout never depends on
+the worker count, so a parallel scan is byte-identical to a sequential one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -19,7 +21,7 @@ import numpy as np
 from . import classify, criteria as registry, verdict
 from .states import SimplexPoint
 
-CHUNK = 8192
+CHUNK = 4096
 SCHEMA_VERSION = 1
 MAX_CELLS = 1_000_000  # largest lattice a scan may hold (resolution 1412)
 
@@ -88,11 +90,22 @@ class RegionGrid:
         )
 
 
-def grid_scan(resolution: int, criteria="all", workers: int = 1) -> RegionGrid:
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def grid_scan(resolution: int, criteria="all", workers: int | None = None) -> RegionGrid:
     """Evaluate the selected criteria on every lattice point of the simplex.
 
-    ``workers`` > 1 evaluates chunks concurrently; the chunking is fixed, so
-    the result is identical to the sequential one.
+    Chunks run on ``workers`` threads, by default one per usable core, never
+    more than there are chunks.  The chunking is fixed, so the result does
+    not depend on the worker count.  Once a chunk fails, the chunks after it
+    that have not started are skipped, and the error raised is that of the
+    earliest failing chunk in lattice order.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
@@ -102,7 +115,7 @@ def grid_scan(resolution: int, criteria="all", workers: int = 1) -> RegionGrid:
             f"resolution {resolution} has {cells} lattice cells, over the cap "
             f"MAX_CELLS = {MAX_CELLS}"
         )
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     ids = resolve_criteria(criteria)
     n = resolution
@@ -111,17 +124,32 @@ def grid_scan(resolution: int, criteria="all", workers: int = 1) -> RegionGrid:
     g = i_idx / float(n)
     w = j_idx / float(n)
     chunks = [(k, min(k + CHUNK, cells)) for k in range(0, cells, CHUNK)]
+    workers = min(_usable_cores() if workers is None else workers, len(chunks))
+    margins = {cid: np.empty(cells) for cid in ids}
+    failed: list[int] = []  # chunks that raised; list.append is atomic
 
-    def work(bounds):
-        lo, hi = bounds
-        return registry.margins(g[lo:hi], w[lo:hi], ids)
+    def work(k, lo, hi):
+        if failed and k > min(failed):
+            return  # an earlier chunk failed, so this one's margins are never read
+        try:
+            values = registry.margins(g[lo:hi], w[lo:hi], ids)
+        except BaseException:
+            failed.append(k)
+            raise
+        for cid, m in values.items():
+            margins[cid][lo:hi] = m
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(work, k, lo, hi) for k, (lo, hi) in enumerate(chunks)]
+            for future in futures:  # lattice order: the earliest failure is raised
+                future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        results = [work(bounds) for bounds in chunks]
-    margins = {cid: np.concatenate([res[cid] for res in results]) for cid in ids}
+        for k, (lo, hi) in enumerate(chunks):
+            work(k, lo, hi)
     codes = {cid: verdict.codes(m) for cid, m in margins.items()}
     possible, slocc, exact, pptes = classify.fuse(g, w, codes)
     return RegionGrid(

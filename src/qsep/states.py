@@ -4,8 +4,9 @@ Basis convention: |ijk> with qubit 1 the most significant bit, so the
 row/column index is 4i + 2j + k (indices 0..7).  rho and the matrices built
 from sums of its entries (the marginals and the two reduction maps) come from
 exact entry templates in the renormalized weights (d/8, g/2, w/3), over
-arrays of weights.  Matrices that only move entries of rho (rho^T1 and the
-reshuffles) are derived from the rho template by the generic index maps.
+arrays of weights; every entry is real, so the templates are float64.
+Matrices that only move entries of rho (rho^T1 and the reshuffles) are
+derived from the rho template by the generic index maps.
 ``qsep verify`` checks every sum-built template against the generic maps of
 the independently built mixture, which pins down the index conventions.
 """
@@ -58,13 +59,6 @@ def w_vector() -> np.ndarray:
     return v
 
 
-def bell0_vector() -> np.ndarray:
-    """Two-qubit Bell state (|00> + |11>)/sqrt(2)."""
-    v = np.zeros(4, dtype=np.complex128)
-    v[0] = v[3] = 1.0 / SQRT2
-    return v
-
-
 def hadamard() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / SQRT2
 
@@ -84,7 +78,7 @@ def renormalized_weights(g, w):
 def build_rho_grid(g, w) -> np.ndarray:
     dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
-    m = np.zeros((n, 8, 8), dtype=np.complex128)
+    m = np.zeros((n, 8, 8))
     for i, val in enumerate((dt + gt, dt + wt, dt + wt, dt, dt + wt, dt, dt, dt + gt)):
         m[:, i, i] = val
     m[:, 0, 7] = m[:, 7, 0] = gt
@@ -109,7 +103,7 @@ def build_rho_mixture_grid(g, w) -> np.ndarray:
 def marginal_23_grid(g, w) -> np.ndarray:
     dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
-    m = np.zeros((n, 4, 4), dtype=np.complex128)
+    m = np.zeros((n, 4, 4))
     for i, val in enumerate((2 * dt + gt + wt, 2 * dt + wt, 2 * dt + wt, 2 * dt + gt)):
         m[:, i, i] = val
     m[:, 1, 2] = m[:, 2, 1] = wt
@@ -119,7 +113,7 @@ def marginal_23_grid(g, w) -> np.ndarray:
 def marginal_1_grid(g, w) -> np.ndarray:
     dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
-    m = np.zeros((n, 2, 2), dtype=np.complex128)
+    m = np.zeros((n, 2, 2))
     m[:, 0, 0] = 4 * dt + gt + 2 * wt
     m[:, 1, 1] = 4 * dt + gt + wt
     return m
@@ -129,7 +123,7 @@ def reduction_i123_grid(g, w) -> np.ndarray:
     """I^1 (x) rho^23 - rho."""
     dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
-    m = np.zeros((n, 8, 8), dtype=np.complex128)
+    m = np.zeros((n, 8, 8))
     for i, val in enumerate((dt + wt, dt, dt, dt + gt, dt + gt, dt + wt, dt + wt, dt)):
         m[:, i, i] = val
     m[:, 0, 7] = m[:, 7, 0] = -gt
@@ -143,7 +137,7 @@ def reduction_1i23_grid(g, w) -> np.ndarray:
     """rho^1 (x) I^23 - rho."""
     dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
-    m = np.zeros((n, 8, 8), dtype=np.complex128)
+    m = np.zeros((n, 8, 8))
     diag = (
         3 * dt + 2 * wt,
         3 * dt + gt + wt,

@@ -294,7 +294,7 @@ def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int, cid: str | None = 
         raise ValueError(f"k must be 2 or 3, got {k}")
     phi = np.asarray(phi, dtype=np.complex128)
     _require_product_vector(phi)
-    rho = states.build_rho(p)
+    rho = states.build_rho(p).astype(np.complex128)  # one cast, not one per product with phi
     rr = np.kron(rho, rho)
     ptot = swap_operator((1, 2, 3))
     lhs = float(np.sqrt(max(0.0, float(np.real(np.conj(phi) @ (rr @ (ptot @ phi)))))))

@@ -278,9 +278,13 @@ def test_14_appendix_examples():
 
 
 @_status(15, "parallel and sequential full scans produce byte-identical CSV")
-def test_15_scan_determinism(tmp_path):
+def test_15_scan_determinism(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "CHUNK", 1024)  # 3321 cells in 4 chunks
     sequential = tmp_path / "sequential.csv"
     parallel = tmp_path / "parallel.csv"
+    default = tmp_path / "default.csv"
     scan.export(scan.grid_scan(80, "all", workers=1), "csv", sequential)
     scan.export(scan.grid_scan(80, "all", workers=4), "csv", parallel)
+    scan.export(scan.grid_scan(80, "all"), "csv", default)
     assert sequential.read_bytes() == parallel.read_bytes()
+    assert default.read_bytes() == sequential.read_bytes()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 
@@ -25,6 +26,30 @@ def entropy_id(marginal, alpha):
 
 def descending(p, size):
     return np.sort(np.pad(np.asarray(p, dtype=float), (0, size - len(p))))[::-1]
+
+
+def q1_terms(g, w):
+    """The terms of the PPT quadratic q1 (``bipartite.ppt_closed_margins``), in exact arithmetic."""
+    return (-135 * g**2, -15 * w**2, -6 * g * w, -18 * g, 6 * w, F(9))
+
+
+# (constant, g, w) coefficients of the two k=1 partial-sum rows of the majorization case
+# table that share the case boundary g = (2/3) w (``bipartite.majorization_case_margins``)
+ROW_BELOW = (F(3, 11), F(-3, 11), F(-1))  # g <= (2/3) w
+ROW_ABOVE = (F(3, 19), F(9, 19), F(-1))   # (2/3) w <= g <= w, with the 9/19 correction
+ROW_ABOVE_PRINTED = (F(3, 19), F(3, 19), F(-1))
+
+
+def row_terms(row, g, w):
+    c, cg, cw = row
+    return (c, cg * g, cw * w)
+
+
+def within_ulps(value, terms, ulps=4):
+    """Whether a float lies within ``ulps`` units in the last place of the largest term
+    of the exact sum ``terms``."""
+    exact = sum(terms)
+    return abs(F(float(value)) - exact) <= ulps * F(math.ulp(float(max(abs(t) for t in terms))))
 
 
 def partial_sum_slack(p, q):
@@ -78,6 +103,31 @@ class TestCriterionMajorization:
         for p in simplex_grid(15):
             if verdict_at("maj_rho23", p) == HOLDS:
                 assert verdict_at("maj_rho1", p) != VIOLATED, p
+
+
+class TestExactRationalPins:
+    def test_q1_vanishes_exactly_at_one_fifth(self):
+        assert sum(q1_terms(F(1, 5), F(0))) == 0
+        q1, _ = bipartite.ppt_closed_margins(0.2, 0.0)
+        assert within_ulps(q1, q1_terms(F(1, 5), F(0)))
+
+    def test_case_rows_meet_at_two_thirteenths_three_thirteenths(self):
+        # solve the two rows for their common zero by Cramer's rule, exactly
+        (a0, ag, aw), (b0, bg, bw) = ROW_BELOW, ROW_ABOVE
+        det = ag * bw - aw * bg
+        g, w = (aw * b0 - a0 * bw) / det, (a0 * bg - ag * b0) / det
+        assert (g, w) == (F(2, 13), F(3, 13))
+        assert g == F(2, 3) * w  # on the shared case boundary
+        assert sum(row_terms(ROW_BELOW, g, w)) == sum(row_terms(ROW_ABOVE, g, w)) == 0
+
+    def test_printed_row_misses_the_published_point(self):
+        # the documented 9/19 correction: the printed 3/19 coefficient does not vanish there
+        assert sum(row_terms(ROW_ABOVE_PRINTED, F(2, 13), F(3, 13))) == F(-12, 247)
+
+    def test_majorization_float_margin_within_a_few_ulp(self):
+        _, m23 = bipartite.majorization_case_margins(2 / 13, 3 / 13)
+        for row in (ROW_BELOW, ROW_ABOVE):
+            assert within_ulps(m23[0], row_terms(row, F(2, 13), F(3, 13))), row
 
 
 class TestRenyiEntropy:

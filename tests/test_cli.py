@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qsep import bipartite, cli, concurrence, criteria, states
+from qsep import bipartite, cli, concurrence, criteria, scan, states
 
 
 def run(capsys, *argv):
@@ -115,6 +115,20 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--resolution", "10")
         assert code == 1
         assert "needs at least one" in err
+
+    def test_workers_default_to_the_usable_cores(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        real = scan.grid_scan
+        monkeypatch.setattr(scan, "grid_scan", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
+        monkeypatch.setattr(scan, "CHUNK", 32)  # 231 cells in 8 chunks
+        outputs = []
+        for extra in ((), ("--workers", "1")):
+            path = tmp_path / f"scan{len(extra)}.csv"
+            code, _, _ = run(capsys, "scan", "--resolution", "20", "--out", str(path), *extra)
+            assert code == 0
+            outputs.append(path.read_bytes())
+        assert [kw["workers"] for kw in seen] == [None, 1]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("workers", ["0", "-3", "two"])
     def test_workers_below_one_rejected(self, capsys, tmp_path, workers):

@@ -8,6 +8,13 @@ from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
 
+def bell0_vector():
+    """Two-qubit Bell state (|00> + |11>)/sqrt(2)."""
+    v = np.zeros(4, dtype=np.complex128)
+    v[0] = v[3] = 1.0 / math.sqrt(2.0)
+    return v
+
+
 def marginal_23(p):
     return states.marginal_23_grid(np.array([p.g]), np.array([p.w]))[0]
 
@@ -31,7 +38,7 @@ class TestSpinFlip:
         assert np.allclose(concurrence.spin_flip(np.eye(4) / 4), np.eye(4) / 4, atol=1e-15)
 
     def test_bell_state_fixed(self):
-        bell = states.bell0_vector()
+        bell = bell0_vector()
         proj = np.outer(bell, bell.conj())
         assert np.max(np.abs(concurrence.spin_flip(proj) - proj)) < 1e-15
 
@@ -62,7 +69,7 @@ class TestWoottersConcurrence:
         assert concurrence.wootters_concurrence(np.eye(4) / 4) == 0.0
 
     def test_bell_state(self):
-        bell = states.bell0_vector()
+        bell = bell0_vector()
         proj = np.outer(bell, bell.conj())
         assert abs(concurrence.wootters_concurrence(proj) - 1.0) < 1e-12
 

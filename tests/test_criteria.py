@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsep import bipartite, criteria
+from qsep import bipartite, criteria, states
 from qsep.exceptions import ConsistencyError
 
 G = np.array([0.0, 0.2, 0.1, 0.6, 0.3])
@@ -50,3 +50,23 @@ class TestEvaluate:
         )
         with pytest.raises(ConsistencyError, match=r"^reshuffling singular values at \(g="):
             criteria.evaluate(G, W, ("resh24",))
+
+
+class TestTemplateDtype:
+    def test_complex_templates_give_the_same_margins(self, monkeypatch):
+        # LAPACK sees the same real input whether a template is float64 or complex128
+        # with a zero imaginary part, so every margin keeps its bytes
+        n = 24
+        i, j = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+        g, w = i / n, j / n
+        real = criteria.margins(g, w, criteria.IDS)
+        for name in ("build_rho_grid", "marginal_23_grid", "marginal_1_grid",
+                     "reduction_i123_grid", "reduction_1i23_grid"):
+            build = getattr(states, name)
+            monkeypatch.setattr(
+                states, name, lambda g, w, build=build: build(g, w).astype(np.complex128)
+            )
+        assert states.build_rho_grid(G, W).dtype == np.complex128
+        complex_ = criteria.margins(g, w, criteria.IDS)
+        for cid in criteria.IDS:
+            assert complex_[cid].tobytes() == real[cid].tobytes(), cid

@@ -4,7 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsep import linalg, states
+from qsep.config import RANK_TOL
 from qsep.exceptions import ConvergenceError
+
+IDENTITY_PERM = (0, 1, 2, 3, 4, 5)
+
+
+def compose_perms(pi, sigma) -> tuple:
+    """Composition pi o sigma acting as (pi o sigma)[k] = pi[sigma[k]]."""
+    return tuple(pi[sigma[k]] for k in range(len(sigma)))
+
+
+def rank_with_tolerance(a, tol: float = RANK_TOL) -> int:
+    """Count of eigenvalues of a Hermitian matrix with |value| > tol."""
+    return int(np.sum(np.abs(linalg.hermitian_eigenvalues(a)) > tol))
 
 
 def random_hermitian(rng, n, batch=None):
@@ -271,19 +284,19 @@ class TestRank:
         from qsep import states
 
         rho = states.build_rho(states.SimplexPoint(0.3, 0.4))
-        assert linalg.rank_with_tolerance(rho) == 8
+        assert rank_with_tolerance(rho) == 8
 
     def test_pure_ghz(self):
         from qsep import states
 
         rho = states.build_rho(states.SimplexPoint(1.0, 0.0))
-        assert linalg.rank_with_tolerance(rho) == 1
+        assert rank_with_tolerance(rho) == 1
 
     def test_ghz_w_mixture(self):
         from qsep import states
 
         rho = states.build_rho(states.SimplexPoint(0.5, 0.5))
-        assert linalg.rank_with_tolerance(rho) == 2
+        assert rank_with_tolerance(rho) == 2
 
 
 class TestPermuteIndices:
@@ -291,7 +304,7 @@ class TestPermuteIndices:
         from qsep import states
 
         rho = states.build_rho(states.SimplexPoint(0.2, 0.2))
-        assert np.array_equal(linalg.permute_indices(rho, linalg.IDENTITY_PERM), rho)
+        assert np.array_equal(linalg.permute_indices(rho, IDENTITY_PERM), rho)
 
     def test_transpose_first_matches_pattern(self):
         from qsep import states
@@ -337,11 +350,22 @@ class TestPermuteIndices:
             pi = tuple(rng.permutation(6))
             sigma = tuple(rng.permutation(6))
             left = linalg.permute_indices(linalg.permute_indices(a, sigma), pi)
-            right = linalg.permute_indices(a, linalg.compose_perms(pi, sigma))
+            right = linalg.permute_indices(a, compose_perms(pi, sigma))
             assert np.array_equal(left, right)
+
+    def test_keeps_real_input_real_and_complex_input_complex(self):
+        rng = np.random.default_rng(31)
+        real = rng.normal(size=(3, 8, 8))
+        for perm in (IDENTITY_PERM, linalg.TRANSPOSE_1_PERM, linalg.RESHUFFLE_23_PERM):
+            assert linalg.permute_indices(real, perm).dtype == np.float64
+            assert linalg.permute_indices(real[0], perm).dtype == np.float64
+            as_complex = linalg.permute_indices(real.astype(np.complex128), perm)
+            assert as_complex.dtype == np.complex128
+            assert np.array_equal(as_complex.real, linalg.permute_indices(real, perm))
+        assert linalg.permute_indices(np.eye(8, dtype=int), IDENTITY_PERM).dtype == np.float64
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError, match="permutation"):
             linalg.permute_indices(np.eye(8), (0, 0, 1, 2, 3, 4))
         with pytest.raises(ValueError, match="8x8"):
-            linalg.permute_indices(np.eye(4), linalg.IDENTITY_PERM)
+            linalg.permute_indices(np.eye(4), IDENTITY_PERM)

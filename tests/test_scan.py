@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import time
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -198,6 +200,21 @@ def reference_fill_rects(grid) -> list[str]:
     return rects
 
 
+# the default (one thread per usable core), sequential, and more threads than cores
+WORKER_COUNTS = (None, 1, 3, 4)
+SMALL_CHUNK = 32  # splits the lattices of the worker-invariance tests into 3 to 8 chunks
+
+
+def exports_across_workers(tmp_path, fmt, resolution):
+    """The bytes of one export of the full selection for each of WORKER_COUNTS."""
+    out = {}
+    for workers in WORKER_COUNTS:
+        path = tmp_path / f"workers-{workers}.{fmt}"
+        scan.export(scan.grid_scan(resolution, "all", workers=workers), fmt, path)
+        out[workers] = path.read_bytes()
+    return out
+
+
 def field_grid(values, n):
     """A stand-in grid carrying one margin field "f" on the lattice of resolution n."""
     i_idx, j_idx = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
@@ -301,12 +318,58 @@ class TestGridScan:
         with pytest.raises(ValueError, match="workers"):
             scan.grid_scan(5, "ppt", workers=0)
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
+        monkeypatch.setattr(scan, "CHUNK", SMALL_CHUNK)  # 231 cells in 8 chunks
         g1 = scan.grid_scan(20, "all", workers=1)
         g2 = scan.grid_scan(20, "all", workers=4)
         for cid in g1.criteria:
             assert np.array_equal(g1.margins[cid], g2.margins[cid]), cid
         assert np.array_equal(g1.possible, g2.possible)
+        default = scan.grid_scan(20, "all")
+        for cid in g1.criteria:
+            assert default.margins[cid].tobytes() == g1.margins[cid].tobytes(), cid
+        for field in ("possible", "slocc", "exact", "pptes"):
+            assert np.array_equal(getattr(default, field), getattr(g1, field)), field
+
+    def test_many_threads_fill_every_slice(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows: a chunk
+        # written to the wrong slice, or lost, changes the bytes
+        monkeypatch.setattr(scan, "CHUNK", 16)  # 496 cells in 31 chunks
+        sequential = scan.grid_scan(30, "all", workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = scan.grid_scan(30, "all", workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for cid in sequential.criteria:
+            assert threaded.margins[cid].tobytes() == sequential.margins[cid].tobytes(), cid
+
+    def test_earliest_failing_chunk_is_raised(self, monkeypatch):
+        # closed forms flipped at two cells in different chunks; the earlier cell's
+        # chunk is slowed down, so on several threads the later chunk fails first
+        real = bipartite.ppt_closed_margins
+        early, late = (0.0, 0.125), (0.025, 0.05)  # cells 5 and 43: chunks 1 and 10
+        chunks_run = []
+
+        def flipped(g, w):
+            chunks_run.append(g.size)
+            at_early = (g == early[0]) & (w == early[1])
+            if at_early.any():
+                time.sleep(0.2)
+            hit = at_early | ((g == late[0]) & (w == late[1]))
+            return tuple(np.where(hit, -q, q) for q in real(g, w))
+
+        monkeypatch.setattr(bipartite, "ppt_closed_margins", flipped)
+        monkeypatch.setattr(scan, "CHUNK", 4)
+        with pytest.raises(ConsistencyError, match=r"^ppt at \(g=0\.0, w=0\.125\)"):
+            scan.grid_scan(40, "ppt")
+        # on two threads, one sleeps in chunk 1 while the other runs chunks 0 and 2-10;
+        # once chunk 10 has failed, neither thread starts any of the 205 chunks after it
+        chunks_run.clear()
+        with pytest.raises(ConsistencyError, match=r"^ppt at \(g=0\.0, w=0\.125\)"):
+            scan.grid_scan(40, "ppt", workers=2)
+        assert len(chunks_run) <= 11
 
     def test_selection_order_does_not_matter(self):
         a = scan.grid_scan(30, "gs3,ppt,maj,huber")
@@ -375,12 +438,11 @@ class TestExports:
         assert len(lines) == 5151 + 1
         assert lines[0] == "g,w,criterion_id,verdict,margin"
 
-    def test_csv_determinism_across_workers(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        scan.export(scan.grid_scan(15, "all", workers=1), "csv", a)
-        scan.export(scan.grid_scan(15, "all", workers=3), "csv", b)
-        assert a.read_bytes() == b.read_bytes()
+    def test_csv_determinism_across_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scan, "CHUNK", SMALL_CHUNK)  # 136 cells in 5 chunks
+        out = exports_across_workers(tmp_path, "csv", 15)
+        assert out[1] == out[3]
+        assert all(data == out[1] for data in out.values())
 
     def test_json_round_trip(self, tmp_path):
         grid = scan.grid_scan(6, "ppt,gs3,witness")
@@ -390,12 +452,11 @@ class TestExports:
         assert payload["schema_version"] == scan.SCHEMA_VERSION
         assert payload["reports"] == scan.grid_report_dicts(grid)
 
-    def test_json_determinism_across_workers(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        scan.export(scan.grid_scan(10, "all", workers=1), "json", a)
-        scan.export(scan.grid_scan(10, "all", workers=3), "json", b)
-        assert a.read_bytes() == b.read_bytes()
+    def test_json_determinism_across_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scan, "CHUNK", SMALL_CHUNK)  # 66 cells in 3 chunks
+        out = exports_across_workers(tmp_path, "json", 10)
+        assert out[1] == out[3]
+        assert all(data == out[1] for data in out.values())
 
     def test_svg_contains_expected_elements(self, tmp_path):
         grid = scan.grid_scan(30, "ppt,gs3")
@@ -459,12 +520,11 @@ class TestExports:
                  if line.startswith("<rect") and 'fill="white"' not in line]
         assert rects == reference_fill_rects(grid)
 
-    def test_svg_determinism_across_workers(self, tmp_path):
-        a = tmp_path / "a.svg"
-        b = tmp_path / "b.svg"
-        scan.export(scan.grid_scan(15, "all", workers=1), "svg", a)
-        scan.export(scan.grid_scan(15, "all", workers=3), "svg", b)
-        assert a.read_bytes() == b.read_bytes()
+    def test_svg_determinism_across_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scan, "CHUNK", SMALL_CHUNK)  # 136 cells in 5 chunks
+        out = exports_across_workers(tmp_path, "svg", 15)
+        assert out[1] == out[3]
+        assert all(data == out[1] for data in out.values())
 
 class TestMarchingSquares:
     def test_ppt_isoline_crosses_g_axis_near_one_fifth(self):

@@ -107,6 +107,22 @@ class TestMarginals:
             assert np.max(np.abs(template - generic)) <= states.TEMPLATE_TOL
 
 
+class TestTemplateDtypes:
+    SUM_BUILT = (
+        states.build_rho_grid, states.marginal_23_grid, states.marginal_1_grid,
+        states.reduction_i123_grid, states.reduction_1i23_grid,
+    )
+
+    def test_sum_built_templates_are_float64(self):
+        g, w = np.array([0.0, 0.2, 0.5]), np.array([0.0, 0.2, 0.5])
+        for build in self.SUM_BUILT:
+            assert build(g, w).dtype == np.float64, build.__name__
+        assert states.build_rho(SimplexPoint(0.2, 0.2)).dtype == np.float64
+
+    def test_independent_mixture_stays_complex(self):
+        assert states.build_rho_mixture_grid([0.2], [0.2]).dtype == np.complex128
+
+
 class TestGenericMaps:
     def test_batch_equals_each_member(self):
         rng = np.random.default_rng(5)
