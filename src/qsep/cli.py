@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _point_report(p: SimplexPoint) -> dict:
-    margins, report = classify.evaluate_point(p)
+    margins, codes, report = classify.evaluate_point(p)
     numeric_conc, closed_conc = concurrence.concurrence_23(np.array([p.g]), np.array([p.w]))
     return {
         "schema_version": 1,
@@ -146,7 +146,7 @@ def _point_report(p: SimplexPoint) -> dict:
         "d": p.d,
         "criteria": [
             {
-                "id": cid, "verdict": verdict.verdict_state(margin), "margin": margin,
+                "id": cid, "verdict": verdict.CODE_NAMES[codes[cid]], "margin": margin,
                 "kind": criteria.BY_ID[cid].kind,
             }
             for cid, margin in margins.items()
@@ -247,12 +247,8 @@ def cmd_verify(args) -> int:
         if not passed:
             failures.append(f"{name}: deviation {deviation:.3e} exceeds {limit:.1e}{where}")
 
-    # every registry check; evaluate has raised if one is past its own fixed tolerance
-    margins, deviations = criteria.evaluate(g, w, criteria.IDS)
-    for name, (deviation, gn, wn) in deviations.items():
-        check(name, deviation, where=f" at {verdict.cell_name(gn, wn)}")
-
-    # the sum-built templates against the generic maps of the independent mixture
+    # the sum-built templates against the generic maps of the independent mixture,
+    # first: the registry reads them, so a broken one fails on its own line
     rho = states.build_rho_grid(g, w)
     mixture = states.build_rho_mixture_grid(g, w)
     rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
@@ -270,12 +266,43 @@ def cmd_verify(args) -> int:
         check(f"{what} template vs generic map", float(deviation[n]),
               min(tol, states.TEMPLATE_TOL), f" at {verdict.cell_name(g[n], w[n])}")
 
+    # every registry check; evaluate has raised if one is past its own fixed tolerance
+    try:
+        margins, deviations = criteria.evaluate(g, w, criteria.IDS)
+    except ConsistencyError as exc:
+        if not failures:
+            raise
+        failures.append(f"criteria not evaluated: {exc}")
+        return _report_failures(failures)
+    for name, (deviation, gn, wn) in deviations.items():
+        check(name, deviation, where=f" at {verdict.cell_name(gn, wn)}")
+
+    # the block path against full-matrix LAPACK, the second numeric path of perm222
+    rho_t1 = linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM)
+    spectral = (
+        (rho, states.RHO_BLOCKS),
+        (rho_t1, states.TRANSPOSE_1_BLOCKS),
+        (templates["rho^23"][0], states.MARGINAL_23_BLOCKS),
+        (templates["rho^1"][0], states.MARGINAL_1_BLOCKS),
+        (templates["I (x) rho^23 - rho"][0], states.REDUCTION_I123_BLOCKS),
+        (templates["rho^1 (x) I - rho"][0], states.REDUCTION_1I23_BLOCKS),
+        (states.reshuffle_24_matrix(rho), states.RESHUFFLE_24_BLOCKS),
+        (linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM), states.RESHUFFLE_23_BLOCKS),
+    )
+    deviation = np.stack([
+        np.max(np.abs(
+            np.sort(linalg.block_spectra(matrices, layout, g, w), axis=-1)[:, ::-1]
+            - (linalg.singular_values(matrices) if layout.singular else linalg.eigh(matrices))
+        ), axis=-1)
+        for matrices, layout in spectral
+    ])
+    k, n = np.unravel_index(np.argmax(deviation), deviation.shape)  # the first NaN, if any
+    check("block spectra vs full LAPACK", float(deviation[k, n]), min(tol, linalg.BLOCK_TOL),
+          f" at {verdict.cell_name(g[n], w[n])} in {spectral[k][1].name}")
+
     # the production backend against the independent Jacobi reference
     backend_worst = 0.0
-    for matrices in (
-        rho, linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM),
-        *(template for template, _ in templates.values()),
-    ):
+    for matrices in (rho, rho_t1, *(template for template, _ in templates.values())):
         deviation = np.max(np.abs(linalg.eigh(matrices) - linalg.jacobi_eigh(matrices)))
         backend_worst = max(backend_worst, float(deviation))
     check("eigh vs Jacobi reference", backend_worst, max(tol, 1e-12))
@@ -327,11 +354,15 @@ def cmd_verify(args) -> int:
     )
     print(f"verified {args.points} random points (seed {args.seed}, tol {tol:g})")
     if failures:
-        for failure in failures:
-            print(f"FAILURE: {failure}", file=sys.stderr)
-        return EXIT_CONSISTENCY
+        return _report_failures(failures)
     print("all consistency checks passed")
     return EXIT_OK
+
+
+def _report_failures(failures: list[str]) -> int:
+    for failure in failures:
+        print(f"FAILURE: {failure}", file=sys.stderr)
+    return EXIT_CONSISTENCY
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,10 @@ class _Batch:
     def rho(self) -> np.ndarray:
         return states.build_rho_grid(self.g, self.w)
 
+    def spectrum(self, matrices: np.ndarray, layout: linalg.BlockLayout) -> np.ndarray:
+        """The block spectra of ``matrices``, sorted non-increasing."""
+        return np.sort(linalg.block_spectra(matrices, layout, self.g, self.w), axis=-1)[:, ::-1]
+
     def assert_close(self, numeric, closed, what: str, tol: float) -> None:
         """Record the worst deviation and its cell; raise, naming both, unless it is within tol."""
         dev = np.abs(np.asarray(numeric) - np.asarray(closed))
@@ -136,9 +140,9 @@ class _Batch:
 
 def _majorization(b: _Batch, ids) -> dict[str, np.ndarray]:
     spectra = {
-        "rho": linalg.eigh(b.rho),
-        "rho23": linalg.eigh(states.marginal_23_grid(b.g, b.w)),
-        "rho1": linalg.eigh(states.marginal_1_grid(b.g, b.w)),
+        "rho": b.spectrum(b.rho, states.RHO_BLOCKS),
+        "rho23": b.spectrum(states.marginal_23_grid(b.g, b.w), states.MARGINAL_23_BLOCKS),
+        "rho1": b.spectrum(states.marginal_1_grid(b.g, b.w), states.MARGINAL_1_BLOCKS),
     }
     for key, what in (("rho", "Spect(rho)"), ("rho23", "Spect(rho^23)"), ("rho1", "Spect(rho^1)")):
         b.assert_close(spectra[key], b.closed[key], what, SPECTRUM_TOL)
@@ -161,15 +165,19 @@ def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
 def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
     """ppt and reduction, which share the spectrum of rho^T1 and its quadratics."""
     out = {}
-    spect_pt = linalg.eigh(linalg.permute_indices(b.rho, linalg.TRANSPOSE_1_PERM))
+    spect_pt = b.spectrum(
+        linalg.permute_indices(b.rho, linalg.TRANSPOSE_1_PERM), states.TRANSPOSE_1_BLOCKS
+    )
     b.assert_close(spect_pt, b.closed["rho_t1"], "Spect(rho^T1)", SPECTRUM_TOL)
     q1, q2 = bipartite.ppt_closed_margins(b.g, b.w)
     if "ppt" in ids:
         out["ppt"] = spect_pt[:, -1]
         assert_signs_agree("ppt", out["ppt"], np.minimum(q1, q2), b.g, b.w)
     if "reduction" in ids:
-        spect_first = linalg.eigh(states.reduction_i123_grid(b.g, b.w))
-        spect_second = linalg.eigh(states.reduction_1i23_grid(b.g, b.w))
+        spect_first = b.spectrum(states.reduction_i123_grid(b.g, b.w), states.REDUCTION_I123_BLOCKS)
+        spect_second = b.spectrum(
+            states.reduction_1i23_grid(b.g, b.w), states.REDUCTION_1I23_BLOCKS
+        )
         b.assert_close(spect_first, b.closed["rho_t1"], "Spect(I (x) rho^23 - rho)", SPECTRUM_TOL)
         b.assert_close(spect_second, b.closed["red1_i23"], "Spect(rho^1 (x) I - rho)", SPECTRUM_TOL)
         r3, r4 = bipartite.reduction_closed_margins(b.g, b.w)
@@ -180,14 +188,18 @@ def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
 
 
 def _reshuffle24(b: _Batch, ids) -> dict[str, np.ndarray]:
-    svs = linalg.singular_values(states.reshuffle_24_matrix(b.rho))
+    svs = b.spectrum(states.reshuffle_24_matrix(b.rho), states.RESHUFFLE_24_BLOCKS)
     closed = bipartite.reshuffle24_closed_singular_values(b.g, b.w)
     b.assert_close(svs, closed, "reshuffling singular values", SPECTRUM_TOL)
     return {"resh24": 1.0 - np.sum(svs, axis=-1)}
 
 
 def _perm222(b: _Batch, ids) -> dict[str, np.ndarray]:
-    svs = linalg.singular_values(linalg.permute_indices(b.rho, linalg.RESHUFFLE_23_PERM))
+    svs = linalg.block_spectra(
+        linalg.permute_indices(b.rho, linalg.RESHUFFLE_23_PERM), states.RESHUFFLE_23_BLOCKS,
+        b.g, b.w,
+    )
+    # summed in layout order: exactly 0.0 at (1/3, 0), where the sorted sum is not
     return {"perm222": 1.0 - np.sum(svs, axis=-1)}
 
 

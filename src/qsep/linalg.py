@@ -1,21 +1,27 @@
 """Dense complex matrix arithmetic and spectral routines for dimension <= 64.
 
-Production spectra come from LAPACK: ``eigh`` (symmetric/Hermitian
-eigensolver) and ``singular_values`` (SVD of the matrix itself, not of its
-Gram matrix, so a trace norm keeps full accuracy near zero singular
-values).  Real input, as every template is, and complex input whose
-imaginary part is exactly zero go to the real LAPACK routines.
-``jacobi_eigh`` is a cyclic Jacobi solver kept as the independent reference
-that ``qsep verify`` and the acceptance tests compare the production path
-with.
+Spectra come from LAPACK.  The criteria read ``block_spectra``, which
+diagonalizes a batch of one matrix family block by block, along the fixed
+layout (``BlockLayout``) declared with the family's template, with one
+LAPACK call per block shape.  ``eigh`` (symmetric/Hermitian eigensolver) and
+``singular_values`` (SVD of the matrix itself, not of its Gram matrix, so a
+trace norm keeps full accuracy near zero singular values) work on full
+matrices: ``qsep verify`` checks the block path against them, and the square
+root, the concurrence and the examples use them.  Real input, as every
+template is, and complex input whose imaginary part is exactly zero go to the
+real LAPACK routines.  ``jacobi_eigh`` is a cyclic Jacobi solver kept as the
+independent reference that ``qsep verify`` and the acceptance tests compare
+the production path with.
 
-All routines accept a single matrix or a batch with one leading axis.  Each
-matrix of a Jacobi batch rotates until its own off-diagonal norm is small
-and is then left alone, so its result does not depend on what else sits in
-the batch.
+The full-matrix routines accept a single matrix or a batch with one leading
+axis.  Each matrix of a Jacobi batch rotates until its own off-diagonal norm
+is small and is then left alone, so its result does not depend on what else
+sits in the batch.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,9 +32,11 @@ from .config import (
     psd_tol,
 )
 from .exceptions import ConsistencyError, ConvergenceError
+from .verdict import cell_name
 
 MAX_DIM = 64
 MAX_SV_DIM = 16  # cap on min(rows, cols) for singular value problems
+BLOCK_TOL = 1e-13  # block spectra against the full-matrix LAPACK spectra
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
@@ -247,6 +255,118 @@ def singular_values(a) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK SVD failed: {exc}") from exc
     return _require_finite(svs, "SVD")
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """A matrix family that a fixed permutation turns into a direct sum of small blocks.
+
+    ``blocks`` lists each block's (rows, columns) index sets; every entry
+    outside them is zero.  ``singular`` selects what ``block_spectra``
+    returns: eigenvalues of Hermitian blocks (rows == columns) or singular
+    values.  The method of each block is fixed here, by its shape, and never
+    chosen from the values:
+
+    - eigenvalues: a 1x1 block is its diagonal entry, a larger one goes to
+      LAPACK ``eigvalsh``;
+    - singular values: a one-row block gives its Euclidean norm, a square
+      block must be exactly symmetric and gives |eigvalsh|, any other block
+      goes to LAPACK SVD.
+
+    The off-block mask and the gather indices are built here, once per family.
+    """
+
+    name: str
+    shape: tuple[int, int]
+    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    singular: bool = False
+    # derived from the fields above: values per matrix, off-block mask over the
+    # flattened matrix, and (method, gather index, output slots) per block shape
+    width: int = field(init=False, repr=False, compare=False)
+    off_block: np.ndarray = field(init=False, repr=False, compare=False)
+    groups: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cols = self.shape[1]
+        inside = np.zeros(self.shape, dtype=bool)
+        groups: dict[tuple[str, int, int], tuple[list, list]] = {}
+        width = 0
+        for r, c in self.blocks:
+            r, c = np.asarray(r, dtype=np.intp), np.asarray(c, dtype=np.intp)
+            if not self.singular and not np.array_equal(r, c):
+                raise ValueError(f"{self.name}: an eigenvalue block needs rows == columns")
+            if np.any(inside[r]) or np.any(inside[:, c]):
+                raise ValueError(f"{self.name}: blocks overlap")
+            inside[np.ix_(r, c)] = True
+            if self.singular:
+                method = "norm" if r.size == 1 else "symmetric" if r.size == c.size else "svd"
+            else:
+                method = "diagonal" if r.size == 1 else "eigh"
+            count = min(r.size, c.size)
+            index, slots = groups.setdefault((method, r.size, c.size), ([], []))
+            index.append(r[:, None] * cols + c[None, :])
+            slots.append(np.arange(width, width + count))
+            width += count
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "off_block", ~inside.reshape(-1))
+        object.__setattr__(self, "groups", tuple(
+            (method, np.stack(index), np.stack(slots))
+            for (method, _, _), (index, slots) in groups.items()
+        ))
+
+
+def _entry_error(layout: BlockLayout, bad: np.ndarray, entries: np.ndarray, g, w, what: str):
+    """ConsistencyError naming the first cell with a flagged entry; ``bad`` holds one row of
+    flags per matrix, and ``entries`` the flat matrix index of each flag."""
+    bad = bad.reshape(bad.shape[0], -1)
+    n = int(np.argmax(bad.any(axis=1)))
+    i, j = divmod(int(entries.flat[np.argmax(bad[n])]), layout.shape[1])
+    return ConsistencyError(f"{layout.name} at {cell_name(g[n], w[n])}: entry [{i}, {j}] {what}")
+
+
+def block_spectra(a, layout: BlockLayout, g, w) -> np.ndarray:
+    """Eigenvalues or singular values of a batch of the family ``layout``, block by block.
+
+    ``a`` is a (batch, rows, cols) array; ``g`` and ``w`` are the weights
+    of its cells, used to name a failing one.  Every off-block entry must be
+    exactly 0.0 and every square block of a singular-value layout exactly
+    symmetric; otherwise ConsistencyError names the family, the first such
+    cell and the entry.  Blocks of one shape share one LAPACK call.
+
+    Returns a (batch, layout.width) array: the blocks in layout order, each
+    block's values in the order LAPACK gives them (not sorted overall).  A
+    cell's values do not depend on the rest of the batch.
+    """
+    a = _real_if_exact(a)
+    if a.ndim != 3 or a.shape[1:] != layout.shape:
+        raise ValueError(f"{layout.name}: expected a batch of {layout.shape} matrices, got {a.shape}")
+    batch = a.shape[0]
+    flat = a.reshape(batch, -1)
+    off = (flat != 0.0) & layout.off_block  # NaN counts as nonzero
+    if off.any():
+        raise _entry_error(layout, off, np.arange(flat.shape[1]), g, w,
+                           "lies outside every block but is not 0")
+    out = np.empty((batch, layout.width))
+    try:
+        for method, index, slots in layout.groups:
+            blocks = np.take(flat, index, axis=1)  # (batch, count, rows, cols)
+            if method == "symmetric":
+                bad = blocks != np.swapaxes(blocks, -1, -2)
+                if np.any(bad):
+                    raise _entry_error(layout, bad, index, g, w,
+                                       "differs from its mirror in a symmetric block")
+            if method == "diagonal":
+                values = blocks[..., 0]
+            elif method == "norm":
+                values = np.linalg.norm(blocks, axis=-1)
+            elif method == "svd":
+                values = np.linalg.svd(blocks, compute_uv=False)
+            else:
+                values = np.linalg.eigvalsh(blocks)
+            out[:, slots] = np.abs(values) if method == "symmetric" else values
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK failed on the blocks of {layout.name}: {exc}") from exc
+    return _require_finite(out, f"block spectra of {layout.name}")
 
 
 def trace_norm(a) -> float | np.ndarray:

@@ -87,6 +87,22 @@ def build_rho_grid(g, w) -> np.ndarray:
     return m
 
 
+def _hermitian(name: str, n: int, *index_sets) -> linalg.BlockLayout:
+    """Eigenvalue layout of an n x n family: each index set is one diagonal block."""
+    return linalg.BlockLayout(name, (n, n), tuple((s, s) for s in index_sets))
+
+
+# block layouts of rho and of the two index maps of it that the criteria diagonalize,
+# rho^T1 and R'(rho) (``linalg.permute_indices``)
+RHO_BLOCKS = _hermitian("rho", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,))
+TRANSPOSE_1_BLOCKS = _hermitian("rho^T1", 8, (0, 5, 6), (1, 2), (3, 4), (7,))
+# R'(rho): three exactly symmetric blocks, so the singular values are |eigenvalues|
+RESHUFFLE_23_BLOCKS = linalg.BlockLayout(
+    "R'(rho) (2-3 reshuffle)", (8, 8),
+    (((0, 3, 5), (0, 3, 6)), ((1, 6), (2, 5)), ((2, 4, 7), (1, 4, 7))), singular=True,
+)
+
+
 def build_rho_mixture_grid(g, w) -> np.ndarray:
     """Independent construction d/8 I + g |GHZ><GHZ| + w |W><W| over weight arrays."""
     g = np.asarray(g, dtype=float)[:, None, None]
@@ -110,6 +126,9 @@ def marginal_23_grid(g, w) -> np.ndarray:
     return m
 
 
+MARGINAL_23_BLOCKS = _hermitian("rho^23", 4, (1, 2), (0,), (3,))
+
+
 def marginal_1_grid(g, w) -> np.ndarray:
     dt, gt, wt = renormalized_weights(g, w)
     n = dt.shape[0]
@@ -117,6 +136,9 @@ def marginal_1_grid(g, w) -> np.ndarray:
     m[:, 0, 0] = 4 * dt + gt + 2 * wt
     m[:, 1, 1] = 4 * dt + gt + wt
     return m
+
+
+MARGINAL_1_BLOCKS = _hermitian("rho^1", 2, (0,), (1,))
 
 
 def reduction_i123_grid(g, w) -> np.ndarray:
@@ -131,6 +153,9 @@ def reduction_i123_grid(g, w) -> np.ndarray:
     m[:, 2, 4] = m[:, 4, 2] = -wt
     m[:, 5, 6] = m[:, 6, 5] = wt
     return m
+
+
+REDUCTION_I123_BLOCKS = _hermitian("I (x) rho^23 - rho", 8, (0, 7), (1, 2, 4), (3,), (5, 6))
 
 
 def reduction_1i23_grid(g, w) -> np.ndarray:
@@ -154,6 +179,9 @@ def reduction_1i23_grid(g, w) -> np.ndarray:
     for i, j in ((1, 2), (1, 4), (2, 4)):
         m[:, i, j] = m[:, j, i] = -wt
     return m
+
+
+REDUCTION_1I23_BLOCKS = _hermitian("rho^1 (x) I - rho", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,))
 
 
 def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
@@ -228,6 +256,13 @@ def reshuffle_24_matrix(rho) -> np.ndarray:
     """1|23-cut reshuffle [R(rho)]_{ii',jj'} = rho_{ij,i'j'} of 8x8 operators -> 4x16."""
     t = _split_1_23(rho)
     return np.swapaxes(t, -3, -2).reshape(t.shape[:-4] + (4, 16))
+
+
+# R(rho): one 2x6 block and two one-row blocks; columns 7, 11, 13 and 14 are zero
+RESHUFFLE_24_BLOCKS = linalg.BlockLayout(
+    "R(rho) (1|23 reshuffle)", (4, 16),
+    (((0, 3), (0, 5, 6, 9, 10, 15)), ((1,), (3, 4, 8)), ((2,), (1, 2, 12))), singular=True,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -506,9 +506,10 @@ def witness_closed_forms(g, w) -> dict[str, np.ndarray]:
 def witness_traces(rho: np.ndarray) -> dict[str, np.ndarray]:
     """Tr(W rho) for the three witnesses, for one density matrix or a batch."""
     matrices = witness_matrices()
-    # Tr(W rho) is the flattened rho dotted with the flattened W^T
-    columns = np.stack([m.T.reshape(64) for m in matrices.values()], axis=-1)
-    traces = (rho.reshape(rho.shape[:-2] + (64,)) @ columns).real
+    # Tr(W rho) is the flattened rho dotted with the flattened W^T; the witnesses
+    # are real symmetric, so the real part of rho gives the whole (real) trace
+    columns = np.stack([m.real.T.reshape(64) for m in matrices.values()], axis=-1)
+    traces = np.real(rho).reshape(rho.shape[:-2] + (64,)) @ columns
     return {name: traces[..., k] for k, name in enumerate(matrices)}
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsep import bipartite, classify, criteria
+from qsep import bipartite, classify, criteria, verdict
 from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
@@ -66,6 +66,17 @@ class TestClassifyPoint:
         for g in (0.0, 0.1, 0.2, 0.3, 3 / 7, 0.5, 0.9, 1.0):
             report = classify.classify_point(SimplexPoint(g, 0.0))
             assert report.possible_classes == (classify.exact_w0_classification(g),)
+
+
+class TestEvaluatePoint:
+    def test_codes_are_the_verdict_codes_of_the_margins(self):
+        for g, w in ((0.0, 0.0), (0.2, 0.2), (1 / 3, 0.0), (0.2, 0.0), (0.5, 0.5), (1.0, 0.0)):
+            margins, codes, report = classify.evaluate_point(SimplexPoint(g, w))
+            assert list(codes) == list(margins) == list(criteria.IDS)
+            for cid, margin in margins.items():
+                assert codes[cid] == int(verdict.codes(margin)), (cid, g, w)
+            assert report.marginal == tuple(cid for cid, code in codes.items() if code == 0)
+            assert report == classify.classify_point(SimplexPoint(g, w))
 
 
 class TestBuckets:

@@ -183,9 +183,10 @@ class TestVerify:
         lines = out.splitlines()
         for name in deviations:
             assert sum(line.startswith(f"pass  {name} ") for line in lines) == 1, name
-        # the registry checks and the four template checks name their worst cell
+        # the registry checks, the four template checks and the block check name their worst cell
         assert sum(" template vs generic map " in line for line in lines) == 4
-        assert sum(" at (g=" in line for line in lines) == len(deviations) + 4
+        assert sum(line.startswith("pass  block spectra vs full LAPACK ") for line in lines) == 1
+        assert sum(" at (g=" in line for line in lines) == len(deviations) + 5
 
     def test_registry_check_past_its_own_tolerance_fails(self, capsys, monkeypatch):
         # 1e-9 is within the default --tol, but past the registry's spectral tolerance

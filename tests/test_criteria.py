@@ -52,6 +52,24 @@ class TestEvaluate:
             criteria.evaluate(G, W, ("resh24",))
 
 
+class TestBlockZeroPattern:
+    def test_template_with_a_nonzero_off_block_entry_names_matrix_and_cell(self, monkeypatch):
+        real = states.reduction_1i23_grid
+
+        def broken(g, w):
+            m = real(g, w)
+            m[2, 3, 5] = m[2, 5, 3] = 1e-300  # couples the 1x1 blocks {3} and {5}
+            return m
+
+        monkeypatch.setattr(states, "reduction_1i23_grid", broken)
+        with pytest.raises(ConsistencyError, match=(
+            r"^rho\^1 \(x\) I - rho at \(g=0\.1, w=0\.7\): entry \[3, 5\] lies outside"
+        )):
+            criteria.evaluate(G, W, ("reduction",))
+        # the other families do not read that template
+        criteria.evaluate(G, W, ("ppt", "maj_rho1", "perm222"))
+
+
 class TestTemplateDtype:
     def test_complex_templates_give_the_same_margins(self, monkeypatch):
         # LAPACK sees the same real input whether a template is float64 or complex128

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qsep import linalg, states
 from qsep.config import RANK_TOL
-from qsep.exceptions import ConvergenceError
+from qsep.exceptions import ConsistencyError, ConvergenceError
 
 IDENTITY_PERM = (0, 1, 2, 3, 4, 5)
 
@@ -369,3 +369,58 @@ class TestPermuteIndices:
             linalg.permute_indices(np.eye(8), (0, 0, 1, 2, 3, 4))
         with pytest.raises(ValueError, match="8x8"):
             linalg.permute_indices(np.eye(4), IDENTITY_PERM)
+
+
+class TestBlockSpectra:
+    G = np.array([0.0, 0.2, 0.1, 0.6, 0.3])
+    W = np.array([0.0, 0.0, 0.7, 0.1, 0.3])
+
+    def test_nonzero_off_block_entry_names_matrix_cell_and_entry(self):
+        rho = states.build_rho_grid(self.G, self.W)
+        rho[3, 5, 6] = rho[4, 5, 6] = 1e-300
+        with pytest.raises(ConsistencyError,
+                           match=r"^rho at \(g=0\.6, w=0\.1\): entry \[5, 6\] lies outside"):
+            linalg.block_spectra(rho, states.RHO_BLOCKS, self.G, self.W)
+        rho[3, 5, 6] = np.nan
+        with pytest.raises(ConsistencyError, match=r"^rho at \(g=0\.6, w=0\.1\)"):
+            linalg.block_spectra(rho, states.RHO_BLOCKS, self.G, self.W)
+
+    def test_asymmetric_block_of_a_singular_value_layout_raises(self):
+        rho = states.build_rho_grid(self.G, self.W)
+        perm = linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)
+        # one ulp off: row 0 and column 3 lie in the first 3x3 block
+        perm[2, 0, 3] = np.nextafter(perm[2, 0, 3], 1.0)
+        with pytest.raises(ConsistencyError,
+                           match=r"^R'\(rho\) .* at \(g=0\.1, w=0\.7\): entry \[0, 3\] differs"):
+            linalg.block_spectra(perm, states.RESHUFFLE_23_BLOCKS, self.G, self.W)
+
+    def test_each_cell_keeps_its_bits_in_any_batch(self):
+        rng = np.random.default_rng(17)
+        u, v = rng.random(64), rng.random(64)
+        flip = u + v > 1.0
+        g, w = np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
+        rho = states.build_rho_grid(g, w)
+        families = (
+            (rho, states.RHO_BLOCKS),
+            (linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM), states.RESHUFFLE_23_BLOCKS),
+            (states.reshuffle_24_matrix(rho), states.RESHUFFLE_24_BLOCKS),
+            (states.reduction_i123_grid(g, w), states.REDUCTION_I123_BLOCKS),
+        )
+        for matrices, layout in families:
+            whole = linalg.block_spectra(matrices, layout, g, w)
+            assert whole.shape == (64, layout.width)
+            for k in (0, 5, 63):
+                one = linalg.block_spectra(matrices[k:k + 1], layout, g[k:k + 1], w[k:k + 1])
+                assert one.tobytes() == whole[k:k + 1].tobytes(), layout.name
+
+    def test_rejects_a_batch_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="expected a batch"):
+            linalg.block_spectra(np.eye(8), states.RHO_BLOCKS, [0.0], [0.0])
+        with pytest.raises(ValueError, match="expected a batch"):
+            linalg.block_spectra(np.zeros((1, 4, 4)), states.RHO_BLOCKS, [0.0], [0.0])
+
+    def test_layout_rejects_overlapping_or_non_square_eigenvalue_blocks(self):
+        with pytest.raises(ValueError, match="overlap"):
+            linalg.BlockLayout("probe", (3, 3), (((0, 1), (0, 1)), ((1, 2), (1, 2))))
+        with pytest.raises(ValueError, match="rows == columns"):
+            linalg.BlockLayout("probe", (3, 3), (((0, 1), (1, 2)),))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsep import linalg, states
 from qsep.states import SimplexPoint
@@ -16,6 +18,57 @@ def partial_transpose_1(p):
 
 def reduction_matrices(p):
     return at(states.reduction_i123_grid, p), at(states.reduction_1i23_grid, p)
+
+
+def _rho_map(perm):
+    return lambda g, w: linalg.permute_indices(states.build_rho_grid(g, w), perm)
+
+
+# every matrix family the criteria diagonalize, with its declared block layout
+BLOCK_FAMILIES = (
+    (states.RHO_BLOCKS, states.build_rho_grid),
+    (states.TRANSPOSE_1_BLOCKS, _rho_map(linalg.TRANSPOSE_1_PERM)),
+    (states.RESHUFFLE_23_BLOCKS, _rho_map(linalg.RESHUFFLE_23_PERM)),
+    (states.MARGINAL_23_BLOCKS, states.marginal_23_grid),
+    (states.MARGINAL_1_BLOCKS, states.marginal_1_grid),
+    (states.REDUCTION_I123_BLOCKS, states.reduction_i123_grid),
+    (states.REDUCTION_1I23_BLOCKS, states.reduction_1i23_grid),
+    (states.RESHUFFLE_24_BLOCKS,
+     lambda g, w: states.reshuffle_24_matrix(states.build_rho_grid(g, w))),
+)
+
+
+def seeded_and_edge_cells(count=500, seed=9):
+    """Seeded interior cells, then the three edges and the three vertices."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.random(count), rng.random(count)
+    flip = u + v > 1.0
+    t = np.linspace(0.0, 1.0, 41)
+    g = np.concatenate([np.where(flip, 1.0 - u, u), t, 0.0 * t, t, [0.0, 1.0, 0.0]])
+    w = np.concatenate([np.where(flip, 1.0 - v, v), 0.0 * t, t, 1.0 - t, [0.0, 0.0, 1.0]])
+    return g, w
+
+
+def support_components(support):
+    """Connected components of a rows x columns support pattern, as (rows, columns) sets;
+    an all-zero column forms no component."""
+    rows, cols = support.shape
+    parent = list(range(rows + cols))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in zip(*np.nonzero(support)):
+        parent[root(int(i))] = root(rows + int(j))
+    members: dict[int, list[int]] = {}
+    for x in range(rows + cols):
+        members.setdefault(root(x), []).append(x)
+    return {
+        (frozenset(x for x in m if x < rows), frozenset(x - rows for x in m if x >= rows))
+        for m in members.values() if m[0] < rows
+    }
 
 
 def simplex_grid(n=20):
@@ -121,6 +174,34 @@ class TestTemplateDtypes:
 
     def test_independent_mixture_stays_complex(self):
         assert states.build_rho_mixture_grid([0.2], [0.2]).dtype == np.complex128
+
+
+class TestBlockLayouts:
+    def test_each_layout_is_the_components_of_its_support(self):
+        g, w = seeded_and_edge_cells()
+        for layout, build in BLOCK_FAMILIES:
+            support = np.any(build(g, w) != 0.0, axis=0)
+            declared = {(frozenset(r), frozenset(c)) for r, c in layout.blocks}
+            assert support_components(support) == declared, layout.name
+
+    @given(
+        st.one_of(
+            st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1 / 3, 0.0), (0.2, 0.0),
+                             (2 / 13, 3 / 13), (0.2, 0.2)]),
+            st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0])),
+            st.tuples(st.sampled_from([0.0]), st.floats(0.0, 1.0)),
+            st.floats(0.0, 1.0).map(lambda t: (t, 1.0 - t)),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+                lambda p: p if p[0] + p[1] <= 1.0 else (1.0 - p[0], 1.0 - p[1])),
+        )
+    )
+    def test_block_spectra_match_full_lapack(self, point):
+        g, w = np.array([point[0]]), np.array([point[1]])
+        for layout, build in BLOCK_FAMILIES:
+            matrices = build(g, w)
+            blocks = np.sort(linalg.block_spectra(matrices, layout, g, w), axis=-1)[:, ::-1]
+            full = linalg.singular_values(matrices) if layout.singular else linalg.eigh(matrices)
+            assert np.max(np.abs(blocks - full)) <= linalg.BLOCK_TOL, (layout.name, point)
 
 
 class TestGenericMaps:

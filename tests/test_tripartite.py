@@ -334,6 +334,14 @@ class TestWitnesses:
             for name in criteria.GROUPS["witness"]:
                 assert abs(scan.point_margin(name, p) - float(traces[name])) < 1e-12
 
+    def test_real_and_complex_rho_give_the_same_real_traces(self):
+        g, w = np.array([0.0, 0.2, 0.1, 0.6]), np.array([0.0, 0.2, 0.7, 0.1])
+        real = tripartite.witness_traces(states.build_rho_grid(g, w))
+        mixture = tripartite.witness_traces(states.build_rho_mixture_grid(g, w))
+        for name, value in real.items():
+            assert value.dtype == np.float64, name
+            assert np.max(np.abs(value - mixture[name])) <= 1e-15, name
+
     def test_pure_ghz_detected(self):
         assert abs(scan.point_margin("w_ghz", SimplexPoint(1.0, 0.0)) + 0.25) < 1e-14
 
