@@ -125,12 +125,10 @@ def _renyi(p: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def entropy_margins_from_spectra(spectra: dict[str, np.ndarray], alpha: float):
-    """(S_a(rho) - S_a(rho^1), S_a(rho) - S_a(rho^23)) from closed-form spectra."""
-    sr = np.clip(spectra["rho"], 0.0, None)
-    s1 = np.clip(spectra["rho1"], 0.0, None)
-    s23 = np.clip(spectra["rho23"], 0.0, None)
-    hr = _renyi(sr, alpha)
-    return hr - _renyi(s1, alpha), hr - _renyi(s23, alpha)
+    """(S_a(rho) - S_a(rho^1), S_a(rho) - S_a(rho^23)) from closed-form spectra,
+    with any rounding below zero already clipped to zero."""
+    hr = _renyi(spectra["rho"], alpha)
+    return hr - _renyi(spectra["rho1"], alpha), hr - _renyi(spectra["rho23"], alpha)
 
 
 # ---------------------------------------------------------------------------

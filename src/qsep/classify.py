@@ -78,12 +78,15 @@ def fuse(g: np.ndarray, w: np.ndarray, codes: dict[str, np.ndarray]) -> tuple[np
     contain it.  Raises ConsistencyError, naming the first cell, when
     exclusions skip a level of the nested classes or lose the exact class.
     """
-    excluded = np.zeros((len(CLASSES), g.size), dtype=bool)
+    # the lowest code of the criteria that remove the same classes: -1 where one is violated
+    lowest: dict[tuple[str, ...], np.ndarray] = {}
     for cid, code in codes.items():
-        violated = code == -1
-        for cls in excluded_classes(cid):
-            excluded[CLASSES.index(cls)] |= violated
-    excluded = excluded.T
+        removed = excluded_classes(cid)
+        if removed:
+            lowest[removed] = np.minimum(lowest[removed], code) if removed in lowest else code
+    excluded = np.zeros((g.size, len(CLASSES)), dtype=bool)
+    for removed, code in lowest.items():
+        excluded[:, [CLASSES.index(cls) for cls in removed]] |= (code == -1)[:, None]
     # nested removal rules cannot skip a level, and class 1 is never removed; verify anyway
     skipped = np.flatnonzero(
         excluded[:, 3] | (excluded[:, 1] & ~excluded[:, 0]) | (excluded[:, 2] & ~excluded[:, 1])

@@ -196,11 +196,11 @@ def cmd_scan(args) -> int:
     if not (args.out or args.svg or args.json_out):
         raise ValueError("scan needs at least one of --out, --svg or --json-out")
     grid = scan.grid_scan(args.resolution, args.criteria, workers=args.workers)
+    if args.out or args.json_out:
+        scan.export_tables(grid, csv_path=args.out, json_path=args.json_out)
     if args.out:
-        scan.export(grid, "csv", args.out)
         print(f"wrote CSV: {args.out}")
     if args.json_out:
-        scan.export(grid, "json", args.json_out)
         print(f"wrote JSON: {args.json_out}")
     if args.svg:
         scan.export(grid, "svg", args.svg)

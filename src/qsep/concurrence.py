@@ -4,8 +4,8 @@ The lambda values, the square roots of Spect(wtilde w), are taken as the
 singular values of R Y conj(R) Y with R = sqrt(w) and Y = sigma_y (x)
 sigma_y: that product is sqrt(w) sqrt(wtilde), so no square root of a
 near-zero eigenvalue (which would magnify roundoff of 1e-17 to 1e-9) is
-ever taken.  The spectrum itself comes from the Hermitian form
-sqrt(w) wtilde sqrt(w), which has the same spectrum as wtilde w.
+ever taken.  Spect(wtilde w) is their square, which ``qsep verify``
+compares with the closed form.
 """
 
 from __future__ import annotations
@@ -13,33 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, states
-from .config import psd_tol
 from .exceptions import ConsistencyError
 from .verdict import cell_name
 
 _SY2 = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
 )
-
-
-def spin_flip(omega: np.ndarray) -> np.ndarray:
-    """(sigma_y (x) sigma_y) conj(omega) (sigma_y (x) sigma_y)."""
-    omega = np.asarray(omega, dtype=np.complex128)
-    if omega.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {omega.shape}")
-    return _SY2 @ np.conj(omega) @ _SY2
-
-
-def spin_flip_product_spectrum(omega: np.ndarray) -> np.ndarray:
-    """Spectrum of wtilde w via the Hermitian similarity, sorted non-increasing."""
-    root = linalg.psd_sqrt(omega)
-    product = root @ spin_flip(omega) @ root
-    product = (product + np.conj(product.T)) / 2.0
-    vals = linalg.hermitian_eigenvalues(product)
-    worst = float(vals[-1])
-    if worst < -psd_tol():
-        raise ConsistencyError(f"spin-flip product has eigenvalue {worst:.3e} < 0")
-    return np.clip(vals, 0.0, None)
 
 
 def wootters_lambdas(omega: np.ndarray) -> np.ndarray:

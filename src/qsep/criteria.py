@@ -126,10 +126,10 @@ class _Batch:
 
     def assert_close(self, numeric, closed, what: str, tol: float) -> None:
         """Record the worst deviation and its cell; raise, naming both, unless it is within tol."""
-        dev = np.abs(np.asarray(numeric) - np.asarray(closed))
-        k = np.argmax(dev)  # the first NaN, if any
+        dev = np.abs(np.asarray(numeric) - closed)
+        k = int(dev.argmax())  # the first NaN, if any
         worst = float(dev.flat[k])
-        n = np.unravel_index(k, dev.shape)[0]
+        n = k // (dev.size // len(dev))  # the cell of the k-th entry
         self.deviations[what] = (worst, float(self.g[n]), float(self.w[n]))
         if not worst <= tol:
             raise ConsistencyError(
@@ -154,11 +154,12 @@ def _majorization(b: _Batch, ids) -> dict[str, np.ndarray]:
 
 
 def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
+    spectra = {key: np.clip(b.closed[key], 0.0, None) for key in ("rho", "rho1", "rho23")}
     out = {}
     for alpha in bipartite.ALPHA_GRID:
         id1, id23 = _entropy_id("rho1", alpha), _entropy_id("rho23", alpha)
         if id1 in ids or id23 in ids:
-            out[id1], out[id23] = bipartite.entropy_margins_from_spectra(b.closed, alpha)
+            out[id1], out[id23] = bipartite.entropy_margins_from_spectra(spectra, alpha)
     return out
 
 
@@ -204,7 +205,14 @@ def _perm222(b: _Batch, ids) -> dict[str, np.ndarray]:
 
 
 def _spin(b: _Batch, ids) -> dict[str, np.ndarray]:
-    return {cid: tripartite.su_margins_grid(b.g, b.w, *SPIN[cid]) for cid in ids}
+    out = {}
+    for setting in sorted({SPIN[cid][0] for cid in ids}):  # one setting's expectations at a time
+        expectations = tripartite.su_expectations_grid(b.g, b.w, setting)
+        for cid in ids:
+            idx, level = SPIN[cid]
+            if idx == setting:
+                out[cid] = tripartite.su_margins_grid(b.g, b.w, idx, level, expectations)
+    return out
 
 
 def _swap(b: _Batch, ids) -> dict[str, np.ndarray]:

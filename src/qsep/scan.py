@@ -10,11 +10,11 @@ the worker count, so a parallel scan is byte-identical to a sequential one.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -76,12 +76,6 @@ class RegionGrid:
     def pptes_points(self) -> list[tuple[float, float]]:
         mask = self.pptes
         return list(zip(self.g[mask].tolist(), self.w[mask].tolist()))
-
-    def flat_index(self, i: int, j: int) -> int:
-        hits = np.flatnonzero((self.i_index == i) & (self.j_index == j))
-        if hits.size != 1:
-            raise KeyError(f"no lattice cell ({i}, {j}) at resolution {self.resolution}")
-        return int(hits[0])
 
     def report_at(self, n: int) -> classify.ClassReport:
         return classify.cell_report(
@@ -202,8 +196,10 @@ def boundary_bisect(cid: str, ray, tol: float = 1e-10) -> SimplexPoint:
 # ---------------------------------------------------------------------------
 # exports
 #
-# The CSV and JSON writers format each criterion's column once per block of
-# cells and stream the blocks out, so memory stays bounded by one block.
+# The CSV and the JSON are written by one pass over blocks of cells.  Every float of
+# a block is formatted once, as ``float.__repr__`` (the shortest text that parses back
+# to the same float64, and what ``json`` writes), and both files are assembled from
+# those strings, so memory stays bounded by one block.
 
 
 _BLOCK = 4096  # cells formatted and written at a time
@@ -215,92 +211,128 @@ _JSON_CLASSES = tuple(
     json.dumps([cls for k, cls in enumerate(classify.CLASSES) if bits >> k & 1], separators=(",", ":"))
     for bits in range(1 << len(classify.CLASSES))
 )
-
-
-def _json_column(values: np.ndarray) -> list[str]:
-    """Every element as the ``json`` module writes a float."""
-    out = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        out = [_JSON_NONFINITE.get(s, s) for s in out]
-    return out
+_CSV_HEADER = "g,w,criterion_id,verdict,margin"
 
 
 def _blocks(grid: RegionGrid):
     return ((lo, min(lo + _BLOCK, grid.cell_count)) for lo in range(0, grid.cell_count, _BLOCK))
 
 
-def export_csv(grid: RegionGrid, path) -> None:
-    """One row per (cell, criterion): cells in lattice order, criteria in selection
-    order, floats at 17 significant digits."""
-    leads = [
-        {code: f"{cid},{name}," for code, name in verdict.CODE_NAMES.items()} for cid in grid.criteria
+def _columns(arrays, lo: int, hi: int, dtype) -> np.ndarray:
+    """Cells lo..hi-1 of each array, one column per array."""
+    if not arrays:
+        return np.empty((hi - lo, 0), dtype=dtype)
+    return np.stack([a[lo:hi] for a in arrays], axis=1)
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of every element, as an object array of the same shape."""
+    out = np.empty(values.size, dtype=object)
+    out[:] = list(map(float.__repr__, values.ravel().tolist()))
+    return out.reshape(values.shape)
+
+
+def _lead_table(rows) -> np.ndarray:
+    """Rows of three leads, one per verdict code + 1, as a (criteria, 3) object array."""
+    return np.array(rows, dtype=object).reshape(len(rows), 3)
+
+
+def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
+    """Write the CSV export, the JSON export or both, in one pass over the cells.
+
+    The CSV has one row ``g,w,criterion_id,verdict,margin`` per (cell,
+    criterion), cells in lattice order and criteria in selection order.  The
+    JSON is the payload ``json.dump`` would write for ``grid_report_dicts``,
+    byte for byte.  In both, every float is ``float.__repr__``, so it parses
+    back to the same float64; the JSON spells NaN and the infinities as
+    ``json`` does.  Both files are opened before the first block is written.
+    """
+    crit = grid.criteria
+    names = [verdict.CODE_NAMES[code] for code in (-1, 0, 1)]
+    keys = [json.dumps(cid) for cid in crit]
+    csv_leads = _lead_table([[f"{cid},{name}," for name in names] for cid in crit])
+    # each JSON lead closes the entry before it
+    json_leads = _lead_table([
+        [f'{"}," if k else ""}{key}:{{"verdict":"{name}","margin":' for name in names]
+        for k, key in enumerate(keys)
+    ])
+    close = "}}}" if crit else "}}"
+    excluded = [
+        ",".join(f"[{json.dumps(cls)},{key}]" for cls in classify.excluded_classes(cid))
+        for cid, key in zip(crit, keys)
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write("g,w,criterion_id,verdict,margin\n")
+    column = np.arange(len(crit))
+
+    def write_block(lo: int, hi: int) -> None:  # its strings are freed when it returns
+        margins = _columns([grid.margins[cid] for cid in crit], lo, hi, float)
+        codes = _columns([grid.codes[cid] for cid in crit], lo, hi, np.int8)
+        text = _reprs(margins)
+        g, w = _reprs(grid.g[lo:hi]), _reprs(grid.w[lo:hi])
+        if csv_fh is not None:
+            rows = np.empty(codes.shape + (3,), dtype=object)  # each row starts a line
+            rows[:, :, 0] = np.array([f"\n{a},{b}," for a, b in zip(g, w)], dtype=object)[:, None]
+            rows[:, :, 1] = csv_leads[column, codes + 1]
+            rows[:, :, 2] = text
+            csv_fh.write("".join(rows.ravel().tolist()))
+            del rows  # before the JSON text is built
+        if json_fh is not None:
+            bad = ~np.isfinite(margins)
+            if bad.any():
+                text[bad] = [_JSON_NONFINITE[s] for s in text[bad]]
+            heads = _json_heads(grid, lo, hi, codes, keys, excluded)
+            reports = np.empty((hi - lo, 2 * len(crit) + 2), dtype=object)
+            reports[:, 0] = [f',{{"g":{a},"w":{b}{h}' for a, b, h in zip(g, w, heads)]
+            if lo == 0:
+                reports[0, 0] = reports[0, 0][1:]  # no comma before the first report
+            reports[:, 1:-1:2] = json_leads[column, codes + 1]
+            reports[:, 2:-1:2] = text
+            reports[:, -1] = close
+            json_fh.write("".join(reports.ravel().tolist()))
+
+    with contextlib.ExitStack() as stack:
+        csv_fh = json_fh = None
+        if csv_path is not None:
+            csv_fh = stack.enter_context(open(csv_path, "w", newline=""))
+        if json_path is not None:
+            json_fh = stack.enter_context(open(json_path, "w"))
+        if csv_fh is not None:
+            csv_fh.write(_CSV_HEADER)  # each row starts with its newline
+        if json_fh is not None:
+            head = {"schema_version": SCHEMA_VERSION, "resolution": grid.resolution, "criteria": list(crit)}
+            json_fh.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"reports":[')
         for lo, hi in _blocks(grid):
-            cells = [f"{g:.17g},{w:.17g}," for g, w in zip(grid.g[lo:hi].tolist(), grid.w[lo:hi].tolist())]
-            columns = [
-                [
-                    f"{lead[code]}{margin:.17g}"
-                    for code, margin in zip(
-                        grid.codes[cid][lo:hi].tolist(), grid.margins[cid][lo:hi].tolist()
-                    )
-                ]
-                for cid, lead in zip(grid.criteria, leads)
-            ]
-            # each cell's rows: its criterion columns joined on a newline and the cell's g,w
-            fh.write("".join([
-                cell + ("\n" + cell).join(row) + "\n" for cell, row in zip(cells, zip(*columns))
-            ]))
+            write_block(lo, hi)
+        if csv_fh is not None:
+            csv_fh.write("\n")
+        if json_fh is not None:
+            json_fh.write("]}\n")
 
 
-def export_json(grid: RegionGrid, path) -> None:
-    """The payload ``json.dump`` would write for ``grid_report_dicts``, byte for byte."""
-    head = {
-        "schema_version": SCHEMA_VERSION,
-        "resolution": grid.resolution,
-        "criteria": list(grid.criteria),
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"reports":[')
-        for lo, hi in _blocks(grid):
-            if lo:
-                fh.write(",")
-            fh.write(",".join(_json_reports(grid, lo, hi)))
-        fh.write("]}\n")
+def _json_heads(grid: RegionGrid, lo: int, hi: int, codes: np.ndarray, keys, excluded) -> list[str]:
+    """The report text of cells lo..hi-1 from the end of ``w`` to the first criterion.
 
-
-def _json_reports(grid: RegionGrid, lo: int, hi: int) -> list[str]:
-    """The JSON text of the reports of cells lo..hi-1, as ``grid_report_dicts`` builds them."""
-    dumps = json.dumps
-    codes = {cid: grid.codes[cid][lo:hi].tolist() for cid in grid.criteria}
-    entries, exclusions, marginal = [], [], []
-    for cid in grid.criteria:
-        key = dumps(cid)
-        lead = {code: f'{key}:{{"verdict":"{name}","margin":' for code, name in verdict.CODE_NAMES.items()}
-        entries.append([
-            lead[code] + margin + "}"
-            for code, margin in zip(codes[cid], _json_column(grid.margins[cid][lo:hi]))
-        ])
-        excluded = ",".join(f"[{dumps(cls)},{key}]" for cls in classify.excluded_classes(cid))
-        if excluded:
-            exclusions.append([excluded if code == -1 else "" for code in codes[cid]])
-        marginal.append([key if code == 0 else "" for code in codes[cid]])
-    possible = grid.possible[lo:hi] @ (1 << np.arange(len(classify.CLASSES)))
-    cells = zip(
-        _json_column(grid.g[lo:hi]), _json_column(grid.w[lo:hi]), possible.tolist(),
-        grid.slocc[lo:hi].tolist(), grid.exact[lo:hi].tolist(), grid.pptes[lo:hi].tolist(),
-        zip(*exclusions) if exclusions else repeat(()),
-        zip(*marginal) if marginal else repeat(()),
-        zip(*entries) if entries else repeat(()),
-    )
-    return [
-        f'{{"g":{g},"w":{w},"possible_classes":{_JSON_CLASSES[bits]},"slocc":{_JSON_SLOCC[s]},'
-        f'"exclusions":[{",".join(filter(None, ex))}],"exact":{_JSON_FLAGS[exact]},'
-        f'"pptes_certified":{_JSON_FLAGS[pptes]},"marginal":[{",".join(filter(None, mg))}],'
-        f'"criteria":{{{",".join(crit)}}}}}'
-        for g, w, bits, s, exact, pptes, ex, mg, crit in cells
+    It depends only on a cell's verdict codes, classes, SLOCC code and flags,
+    so it is built once for each distinct combination in the block.
+    """
+    bits = grid.possible[lo:hi] @ (1 << np.arange(len(classify.CLASSES)))
+    flags = np.stack([bits, grid.slocc[lo:hi], grid.exact[lo:hi], grid.pptes[lo:hi]], axis=1)
+    pattern = np.concatenate([codes, flags.astype(np.int8)], axis=1)
+    data, width = pattern.tobytes(), pattern.shape[1]
+    distinct: dict[bytes, int] = {}  # each combination, numbered in order of appearance
+    inverse = [
+        distinct.setdefault(data[k : k + width], len(distinct)) for k in range(0, len(data), width)
     ]
+    unique = np.frombuffer(b"".join(distinct), dtype=np.int8).reshape(len(distinct), width)
+    heads = []
+    for *row, bits, slocc, exact, pptes in unique.tolist():
+        exclusions = ",".join(ex for code, ex in zip(row, excluded) if code == -1 and ex)
+        marginal = ",".join(key for code, key in zip(row, keys) if code == 0)
+        heads.append(
+            f',"possible_classes":{_JSON_CLASSES[bits]},"slocc":{_JSON_SLOCC[slocc]},'
+            f'"exclusions":[{exclusions}],"exact":{_JSON_FLAGS[exact]},'
+            f'"pptes_certified":{_JSON_FLAGS[pptes]},"marginal":[{marginal}],"criteria":{{'
+        )
+    return [heads[k] for k in inverse]
 
 
 def import_json(path) -> dict:
@@ -537,9 +569,9 @@ def export_svg(grid: RegionGrid, path, curve_criteria=None) -> None:
 def export(grid: RegionGrid, fmt: str, path) -> None:
     """Write a scan artifact: csv, json or svg."""
     if fmt == "csv":
-        export_csv(grid, path)
+        export_tables(grid, csv_path=path)
     elif fmt == "json":
-        export_json(grid, path)
+        export_tables(grid, json_path=path)
     elif fmt == "svg":
         export_svg(grid, path)
     else:

@@ -97,26 +97,28 @@ def build_spin_observables(t1, t2, t3) -> dict[str, list[np.ndarray]]:
     return obs
 
 
+# the published polynomial of each level, by setting; for 28cap3 and 3sep the cap
+# inequality is slack on the whole simplex for these settings
+_SU_POLYNOMIALS = {
+    "2sep": (
+        lambda g, w: -7 * g**2 - 6 * g * w - 15 * w**2 - 18 * g + 6 * w + 9,
+        lambda g, w: -9 * g**2 - 5 * w**2 - 12 * w + 9,
+        lambda g, w: -(g**2) - 5 * w**2 - 12 * w + 9,
+    ),
+    "28cap3": (
+        lambda g, w: -45 * g**2 - 2 * g * w - 5 * w**2 - 6 * g + 2 * w + 3,
+        lambda g, w: -9 * g**2 - 77 * w**2 - 12 * w + 9,
+        lambda g, w: -9 * g**2 - 77 * w**2 - 12 * w + 9,
+    ),
+}
+_SU_POLYNOMIALS["3sep"] = _SU_POLYNOMIALS["28cap3"]
+
+
 def su_closed_margin(g, w, setting_index: int, level: str):
     """Published polynomial margin for Settings I-III (0-indexed)."""
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if level == "2sep":
-        polys = (
-            -7 * g**2 - 6 * g * w - 15 * w**2 - 18 * g + 6 * w + 9,
-            -9 * g**2 - 5 * w**2 - 12 * w + 9,
-            -(g**2) - 5 * w**2 - 12 * w + 9,
-        )
-    elif level in ("28cap3", "3sep"):
-        # the cap inequality is slack on the whole simplex for these settings
-        polys = (
-            -45 * g**2 - 2 * g * w - 5 * w**2 - 6 * g + 2 * w + 3,
-            -9 * g**2 - 77 * w**2 - 12 * w + 9,
-            -9 * g**2 - 77 * w**2 - 12 * w + 9,
-        )
-    else:
+    if level not in _SU_POLYNOMIALS:
         raise ValueError(f"unknown level {level!r}")
-    return polys[setting_index]
+    return _SU_POLYNOMIALS[level][setting_index](np.asarray(g, dtype=float), np.asarray(w, dtype=float))
 
 
 def _published_setting_index(triads) -> int | None:
@@ -189,19 +191,19 @@ def _spin_coefficients(setting_index: int) -> dict[str, np.ndarray]:
     }
 
 
-def su_margins_grid(g, w, setting_index: int, level: str) -> np.ndarray:
-    """Criterion margins over weight arrays for one published setting.
+def su_expectations_grid(g, w, setting_index: int) -> dict[str, np.ndarray]:
+    """Expectation values of the four observable sets of one published setting,
+    by (observable, cell), over weight arrays.
 
     Expectation values are linear in the mixing weights, so each observable
-    contributes a cached coefficient triple (identity, GHZ, W); the margins
-    are then identical to per-point traces up to rounding.  The published
-    polynomial is checked for sign agreement on every cell.
+    contributes a cached coefficient triple (identity, GHZ, W); they are
+    identical to per-point traces up to rounding.
     """
     g = np.asarray(g, dtype=float)
     w = np.asarray(w, dtype=float)
     coeffs = _spin_coefficients(setting_index)
     d = np.maximum(1.0 - g - w, 0.0)
-    ev = {
+    return {
         key: (
             coeffs[key][:, 0][:, None] * d[None, :]
             + coeffs[key][:, 1][:, None] * g[None, :]
@@ -209,6 +211,19 @@ def su_margins_grid(g, w, setting_index: int, level: str) -> np.ndarray:
         )
         for key in coeffs
     }
+
+
+def su_margins_grid(g, w, setting_index: int, level: str, expectations=None) -> np.ndarray:
+    """Criterion margins over weight arrays for one published setting.
+
+    ``expectations`` are the setting's ``su_expectations_grid`` on the same
+    weights, computed here when not given; the three levels of a setting
+    share them.  The published polynomial is checked for sign agreement on
+    every cell.
+    """
+    g = np.asarray(g, dtype=float)
+    w = np.asarray(w, dtype=float)
+    ev = su_expectations_grid(g, w, setting_index) if expectations is None else expectations
     margins = su_margins_from_expectations(ev["X"], ev["Y"], ev["Z"], ev["I"], level)
     assert_signs_agree(
         f"su{_LEVEL_TAG[level]}_set{setting_index + 1}",
@@ -503,14 +518,22 @@ def witness_closed_forms(g, w) -> dict[str, np.ndarray]:
     }
 
 
+@functools.cache
+def _witness_columns() -> tuple[tuple[str, ...], np.ndarray]:
+    """The witness names and, by (entry, witness), their flattened transposes."""
+    matrices = witness_matrices()
+    columns = np.stack([m.real.T.reshape(64) for m in matrices.values()], axis=-1)
+    columns.flags.writeable = False  # shared by every call
+    return tuple(matrices), columns
+
+
 def witness_traces(rho: np.ndarray) -> dict[str, np.ndarray]:
     """Tr(W rho) for the three witnesses, for one density matrix or a batch."""
-    matrices = witness_matrices()
     # Tr(W rho) is the flattened rho dotted with the flattened W^T; the witnesses
     # are real symmetric, so the real part of rho gives the whole (real) trace
-    columns = np.stack([m.real.T.reshape(64) for m in matrices.values()], axis=-1)
+    names, columns = _witness_columns()
     traces = np.real(rho).reshape(rho.shape[:-2] + (64,)) @ columns
-    return {name: traces[..., k] for k, name in enumerate(matrices)}
+    return {name: traces[..., k] for k, name in enumerate(names)}
 
 
 G0 = 4.0 * 2.0 ** (1.0 / 3.0) / (3.0 + 4.0 * 2.0 ** (1.0 / 3.0))

@@ -54,16 +54,16 @@ def signs_agree(a, b):
 
 def assert_signs_agree(what: str, numeric, closed, g, w) -> None:
     """Raise ConsistencyError naming the check and the first cell (g, w) whose signs disagree."""
+    if np.all(signs_agree(numeric, closed)):
+        return
     numeric, closed, g, w = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (numeric, closed, g, w))
     )
-    bad = np.flatnonzero(~signs_agree(numeric, closed))
-    if bad.size:
-        n = bad[0]
-        raise ConsistencyError(
-            f"{what} at {cell_name(g[n], w[n])}: numeric margin {numeric[n]:.3e} "
-            f"vs closed form {closed[n]:.3e}"
-        )
+    n = np.flatnonzero(~signs_agree(numeric, closed))[0]
+    raise ConsistencyError(
+        f"{what} at {cell_name(g[n], w[n])}: numeric margin {numeric[n]:.3e} "
+        f"vs closed form {closed[n]:.3e}"
+    )
 
 
 def cell_name(g, w) -> str:

@@ -151,6 +151,14 @@ class TestScan:
         assert code == 3
         assert "i/o failure" in err
 
+    def test_unwritable_json_path_beside_a_csv_is_io_error(self, capsys, tmp_path):
+        # the CSV and the JSON are written in one pass, so neither is reported written
+        code, out, err = run(capsys, "scan", "--resolution", "5", "--criteria", "ppt",
+                             "--out", str(tmp_path / "ok.csv"), "--json-out", "/nonexistent-dir/x.json")
+        assert code == 3
+        assert "i/o failure" in err and "/nonexistent-dir/x.json" in err
+        assert "wrote" not in out
+
 
 class TestVerify:
     def test_small_pass(self, capsys):

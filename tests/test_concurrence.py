@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qsep import concurrence, states
+from qsep import concurrence, linalg, states
+from qsep.config import psd_tol
 from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
@@ -13,6 +14,30 @@ def bell0_vector():
     v = np.zeros(4, dtype=np.complex128)
     v[0] = v[3] = 1.0 / math.sqrt(2.0)
     return v
+
+
+SY2 = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+
+
+def spin_flip(omega):
+    """(sigma_y (x) sigma_y) conj(omega) (sigma_y (x) sigma_y)."""
+    omega = np.asarray(omega, dtype=np.complex128)
+    if omega.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {omega.shape}")
+    return SY2 @ np.conj(omega) @ SY2
+
+
+def spin_flip_product_spectrum(omega):
+    """Spectrum of wtilde w via the Hermitian similarity sqrt(w) wtilde sqrt(w), sorted
+    non-increasing: a reference for the singular-value route of the library."""
+    root = linalg.psd_sqrt(omega)
+    product = root @ spin_flip(omega) @ root
+    product = (product + np.conj(product.T)) / 2.0
+    vals = linalg.hermitian_eigenvalues(product)
+    worst = float(vals[-1])
+    if worst < -psd_tol():
+        raise ConsistencyError(f"spin-flip product has eigenvalue {worst:.3e} < 0")
+    return np.clip(vals, 0.0, None)
 
 
 def marginal_23(p):
@@ -35,12 +60,12 @@ def simplex_grid(n=20):
 
 class TestSpinFlip:
     def test_maximally_mixed_fixed(self):
-        assert np.allclose(concurrence.spin_flip(np.eye(4) / 4), np.eye(4) / 4, atol=1e-15)
+        assert np.allclose(spin_flip(np.eye(4) / 4), np.eye(4) / 4, atol=1e-15)
 
     def test_bell_state_fixed(self):
         bell = bell0_vector()
         proj = np.outer(bell, bell.conj())
-        assert np.max(np.abs(concurrence.spin_flip(proj) - proj)) < 1e-15
+        assert np.max(np.abs(spin_flip(proj) - proj)) < 1e-15
 
     def test_real_matrix_antitranspose_rule(self):
         # for real two-qubit matrices: transpose about the antidiagonal, then
@@ -48,7 +73,7 @@ class TestSpinFlip:
         rng = np.random.default_rng(4)
         m = rng.normal(size=(4, 4))
         m = (m + m.T) / 2
-        flipped = concurrence.spin_flip(m)
+        flipped = spin_flip(m)
         anti = m[::-1, ::-1].T
         signs = np.ones((4, 4))
         for i in range(4):
@@ -59,7 +84,7 @@ class TestSpinFlip:
 
     def test_product_spectrum_matches_closed_form_at_pure_w(self):
         rho23 = marginal_23(SimplexPoint(0.0, 1.0))
-        spect = concurrence.spin_flip_product_spectrum(rho23)
+        spect = spin_flip_product_spectrum(rho23)
         expected = states.closed_form_spectra_grid([0.0], [1.0])["conc23"][0]
         assert np.max(np.abs(spect - expected)) < 1e-12
 
@@ -137,7 +162,7 @@ class TestClosedForm:
     def test_product_spectrum_matches_closed_everywhere(self):
         for p in simplex_grid(12):
             rho23 = marginal_23(p)
-            spect = concurrence.spin_flip_product_spectrum(rho23)
+            spect = spin_flip_product_spectrum(rho23)
             expected = states.closed_form_spectra_grid([p.g], [p.w])["conc23"][0]
             assert np.max(np.abs(spect - expected)) < 1e-10, p
 
@@ -156,6 +181,6 @@ class TestClosedForm:
     def test_zero_when_top_roots_degenerate(self):
         for p in simplex_grid(12):
             rho23 = marginal_23(p)
-            lam = np.sqrt(concurrence.spin_flip_product_spectrum(rho23))
+            lam = np.sqrt(spin_flip_product_spectrum(rho23))
             if abs(lam[0] - lam[1]) < 1e-9:
                 assert concurrence.wootters_concurrence(rho23) <= 1e-9, p

@@ -1,6 +1,11 @@
+import dataclasses
+import functools
 import json
 import math
+import re
+import struct
 import sys
+import tempfile
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -97,10 +102,10 @@ REFERENCE_MARGINS = {
 def reference_csv(grid) -> str:
     lines = ["g,w,criterion_id,verdict,margin"]
     for n in range(grid.cell_count):
-        gs, ws = format(float(grid.g[n]), ".17g"), format(float(grid.w[n]), ".17g")
+        gs, ws = repr(float(grid.g[n])), repr(float(grid.w[n]))
         for cid in grid.criteria:
             name = verdict.CODE_NAMES[int(grid.codes[cid][n])]
-            lines.append(f"{gs},{ws},{cid},{name},{format(float(grid.margins[cid][n]), '.17g')}")
+            lines.append(f"{gs},{ws},{cid},{name},{float(grid.margins[cid][n])!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -215,12 +220,26 @@ def exports_across_workers(tmp_path, fmt, resolution):
     return out
 
 
+def flat_index(grid, i, j):
+    """The array position of lattice cell (i, j)."""
+    hits = np.flatnonzero((grid.i_index == i) & (grid.j_index == j))
+    if hits.size != 1:
+        raise KeyError(f"no lattice cell ({i}, {j}) at resolution {grid.resolution}")
+    return int(hits[0])
+
+
 def field_grid(values, n):
     """A stand-in grid carrying one margin field "f" on the lattice of resolution n."""
     i_idx, j_idx = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
     return SimpleNamespace(
         resolution=n, i_index=i_idx, j_index=j_idx, margins={"f": np.asarray(values, dtype=float)}
     )
+
+
+@functools.cache
+def small_grid():
+    """A 15-cell scan of three criteria; callers replace its margins, not mutate them."""
+    return scan.grid_scan(4, "ppt,gs3,w_w1")
 
 
 class TestResolveCriteria:
@@ -252,7 +271,7 @@ class TestGridScan:
         grid = scan.grid_scan(10, "all")
         assert {criteria.BY_ID[cid].group for cid in REFERENCE_MARGINS} == set(criteria.GROUPS)
         for i, j in ((2, 3), (0, 0), (10, 0), (4, 4)):
-            n = grid.flat_index(i, j)
+            n = flat_index(grid, i, j)
             rho = mixture(SimplexPoint(i / 10, j / 10))
             for cid, reference in REFERENCE_MARGINS.items():
                 assert abs(grid.margins[cid][n] - reference(rho)) < 1e-11, (i, j, cid)
@@ -260,7 +279,7 @@ class TestGridScan:
     def test_classification_matches_classify_point(self):
         grid = scan.grid_scan(8, "all")
         for i, j in ((0, 0), (2, 2), (8, 0), (3, 5), (1, 6)):
-            report_grid = grid.report_at(grid.flat_index(i, j))
+            report_grid = grid.report_at(flat_index(grid, i, j))
             assert report_grid == classify.classify_point(SimplexPoint(i / 8, j / 8))
 
     @settings(max_examples=8, deadline=None)
@@ -489,6 +508,54 @@ class TestExports:
         assert (tmp_path / "a.csv").read_text() == reference_csv(grid)
         assert (tmp_path / "a.json").read_text() == reference_json(grid)
 
+    def test_one_pass_equals_each_file_written_alone(self, tmp_path, monkeypatch):
+        grid = scan.grid_scan(12, "all")  # 91 cells
+        monkeypatch.setattr(scan, "_BLOCK", 7)
+        scan.export_tables(grid, csv_path=tmp_path / "both.csv", json_path=tmp_path / "both.json")
+        scan.export(grid, "csv", tmp_path / "alone.csv")
+        scan.export(grid, "json", tmp_path / "alone.json")
+        assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        assert (tmp_path / "both.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_csv_floats_are_lossless(self, data):
+        # every CSV float is repr(value), parses back to the same bits, and, where finite,
+        # is the text the JSON has for the same cell
+        grid = small_grid()
+        special = st.sampled_from(
+            [-0.0, 0.0, 5e-324, -2.225073858507201e-308, math.inf, -math.inf, math.nan]
+        )
+        value = st.one_of(special, st.floats(width=64), st.floats(1e16, 1e17, exclude_max=True))
+        cells = st.lists(value, min_size=grid.cell_count, max_size=grid.cell_count)
+        margins = {cid: np.array(data.draw(cells, label=cid)) for cid in grid.criteria}
+        grid = dataclasses.replace(grid, margins=margins)
+        with tempfile.TemporaryDirectory() as tmp:
+            scan.export_tables(grid, csv_path=f"{tmp}/a.csv", json_path=f"{tmp}/a.json")
+            with open(f"{tmp}/a.csv") as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+            with open(f"{tmp}/a.json") as fh:
+                json_text = fh.read()
+        json_margins = re.findall(r'"margin":([^}]*)}', json_text)
+        json_cells = re.findall(r'\{"g":([^,]*),"w":([^,]*),', json_text)
+        expected = [
+            (grid.g[n], grid.w[n], cid, margins[cid][n])
+            for n in range(grid.cell_count) for cid in grid.criteria
+        ]
+        assert len(rows) == len(expected) == len(json_margins)
+        for row, (g, w, cid, value), json_margin in zip(rows, expected, json_margins):
+            assert row[2] == cid
+            for field, want in ((row[0], g), (row[1], w), (row[4], value)):
+                assert field == repr(float(want))
+                got = float(field)
+                assert struct.pack("<d", got) == struct.pack("<d", want) or (
+                    math.isnan(got) and math.isnan(want)
+                )
+            if math.isfinite(value):
+                assert row[4] == json_margin
+        k = len(grid.criteria)
+        assert [(row[0], row[1]) for row in rows[::k]] == json_cells
+
     def test_nonfinite_margins_written_as_json_writes_them(self, tmp_path):
         grid = scan.grid_scan(6, "ppt,gs3,w_w1")
         for k, value in enumerate((math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22)):
@@ -615,7 +682,7 @@ class TestMarchingSquares:
         grid = scan.grid_scan(n, "all")
         sign_changes = 0
         for cid in grid.criteria:
-            edge = np.array([grid.margins[cid][grid.flat_index(i, n - i)] for i in range(n + 1)])
+            edge = np.array([grid.margins[cid][flat_index(grid, i, n - i)] for i in range(n + 1)])
             ends = [pt for seg in scan.margin_isolines(grid, cid) for pt in seg
                     if abs(pt[0] + pt[1] - 1.0) < 1e-12]
             for i in np.nonzero(np.sign(edge[:-1]) * np.sign(edge[1:]) < 0)[0]:
@@ -655,6 +722,6 @@ class TestMarchingSquares:
     def test_ppt_isoline_ends_on_the_published_point(self):
         # ppt vanishes exactly at (1/5, 0), a lattice point at resolution 40
         grid = scan.grid_scan(40, "ppt")
-        assert grid.margins["ppt"][grid.flat_index(8, 0)] == 0.0
+        assert grid.margins["ppt"][flat_index(grid, 8, 0)] == 0.0
         segments = scan.margin_isolines(grid, "ppt")
         assert any((0.2, 0.0) in (a, b) and a != b for a, b in segments)

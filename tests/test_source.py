@@ -19,11 +19,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qsep"
 ALLOWED_WITHOUT_CALLER = {
     "classify.classify_point": "public API: the class report of one point (README, tests)",
     "cli._Parser.error": "override: argparse calls it, so a usage error exits 1, not 2",
-    "concurrence.spin_flip_product_spectrum": "test reference: Spect(wtilde w) against its closed form",
     "scan.boundary_bisect": "public API: boundary constants along a ray (README, acceptance)",
     "scan.grid_report_dicts": "test reference for the JSON export; the benchmark tracer names it",
     "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
-    "scan.RegionGrid.flat_index": "test reference: the array position of a lattice cell (i, j)",
     "scan.RegionGrid.pptes_points": "public API: the PPTES cells of a scan (README)",
     "states.QUBIT_PERMUTATIONS": "test reference: the permutation symmetry of rho",
     "states.permute_qubits": "test reference: the permutation symmetry of rho",
