@@ -3,13 +3,15 @@
 Each ``Criterion`` record names its id, its selection group, the classes a
 violation excludes and the kind of margin it reports; ``IDS`` is the scan
 order.  ``evaluate`` computes any subset of criteria over arrays of weights
-through one vectorized evaluator per criterion family, each running (and
-reporting) its family's closed-form cross-checks on the same batch, so a grid
-chunk and a batch of one point take the same path (``scan.point_margin``).
-There is no second per-point copy of this path.  The independent references
-are ``tripartite.criterion_su`` and ``criterion_huber``, which build explicit
-observables and swap operators, and the matrix elements of the separately
-built mixture; ``qsep verify`` compares them with these margins.
+through one vectorized evaluator per criterion family, so a grid chunk and a
+batch of one point take the same path (``scan.point_margin``).  Every
+family but ``perm222`` runs its second path on the same batch through the
+two recording checks of ``_Batch``, ``check_close`` and ``check_signs``,
+and these are the only cross-checks on the grid path.  The independent
+references are ``tripartite.criterion_su`` and ``criterion_huber``, which
+build explicit observables and swap operators, and the matrix elements of
+the separately built mixture; ``qsep verify`` compares them with these
+margins.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from . import bipartite, linalg, states, tripartite
+from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError
-from .verdict import assert_signs_agree, cell_name
+from .verdict import cell_name
 
 # the classes a violation rules out, by the separability level it tests
 FULLSEP = ("3",)
@@ -120,40 +123,56 @@ class _Batch:
     def rho(self) -> np.ndarray:
         return states.build_rho_grid(self.g, self.w)
 
+    @cached_property
+    def spectra(self) -> dict[str, np.ndarray]:
+        """Block spectra of rho, rho^23 and rho^1, checked against their closed forms."""
+        spectra = {
+            "rho": self.spectrum(self.rho, states.RHO_BLOCKS),
+            "rho23": self.spectrum(states.marginal_23_grid(self.g, self.w), states.MARGINAL_23_BLOCKS),
+            "rho1": self.spectrum(states.marginal_1_grid(self.g, self.w), states.MARGINAL_1_BLOCKS),
+        }
+        for key, what in (("rho", "Spect(rho)"), ("rho23", "Spect(rho^23)"), ("rho1", "Spect(rho^1)")):
+            self.check_close(spectra[key], self.closed[key], what, SPECTRUM_TOL)
+        return spectra
+
     def spectrum(self, matrices: np.ndarray, layout: linalg.BlockLayout) -> np.ndarray:
         """The block spectra of ``matrices``, sorted non-increasing."""
         return np.sort(linalg.block_spectra(matrices, layout, self.g, self.w), axis=-1)[:, ::-1]
 
-    def assert_close(self, numeric, closed, what: str, tol: float) -> None:
-        """Record the worst deviation and its cell; raise, naming both, unless it is within tol."""
-        dev = np.abs(np.asarray(numeric) - closed)
-        k = int(dev.argmax())  # the first NaN, if any
-        worst = float(dev.flat[k])
+    def _record(self, what: str, dev: np.ndarray, limit: float, detail) -> None:
+        """Record the largest entry of ``dev`` (the first NaN, if any) and its cell;
+        raise, naming both and ``detail(worst, cell)``, unless it is within limit."""
+        k = int(dev.argmax())
         n = k // (dev.size // len(dev))  # the cell of the k-th entry
+        worst = float(dev.flat[k])
         self.deviations[what] = (worst, float(self.g[n]), float(self.w[n]))
-        if not worst <= tol:
-            raise ConsistencyError(
-                f"{what} at {cell_name(self.g[n], self.w[n])}: "
-                f"deviates from closed forms by {worst:.3e}"
-            )
+        if not worst <= limit:
+            raise ConsistencyError(f"{what} at {cell_name(self.g[n], self.w[n])}: {detail(worst, n)}")
+
+    def check_close(self, numeric, closed, what: str, tol: float) -> None:
+        """Record the worst deviation and its cell; raise, naming both, unless it is within tol."""
+        self._record(what, np.abs(np.asarray(numeric) - closed), tol,
+                     lambda worst, n: f"deviates from closed forms by {worst:.3e}")
+
+    def check_signs(self, numeric, closed, what: str) -> None:
+        """Record, as ``<what> sign``, the largest min(|numeric|, |closed|) over the cells
+        whose strict signs differ, and its cell; raise, naming both, past MARGINAL_BAND
+        or on a NaN."""
+        gap = np.where(np.sign(numeric) != np.sign(closed), np.minimum(abs(numeric), abs(closed)), 0.0)
+        self._record(f"{what} sign", gap, MARGINAL_BAND,
+                     lambda worst, n: f"numeric margin {numeric[n]:.3e} vs closed form {closed[n]:.3e}")
 
 
 def _majorization(b: _Batch, ids) -> dict[str, np.ndarray]:
-    spectra = {
-        "rho": b.spectrum(b.rho, states.RHO_BLOCKS),
-        "rho23": b.spectrum(states.marginal_23_grid(b.g, b.w), states.MARGINAL_23_BLOCKS),
-        "rho1": b.spectrum(states.marginal_1_grid(b.g, b.w), states.MARGINAL_1_BLOCKS),
-    }
-    for key, what in (("rho", "Spect(rho)"), ("rho23", "Spect(rho^23)"), ("rho1", "Spect(rho^1)")):
-        b.assert_close(spectra[key], b.closed[key], what, SPECTRUM_TOL)
-    m1, m23 = bipartite.majorization_margins_from_spectra(spectra)
+    m1, m23 = bipartite.majorization_margins_from_spectra(b.spectra)
     c1, c23 = bipartite.majorization_case_margins(b.g, b.w)
-    assert_signs_agree("majorization rho^1", m1, c1, b.g, b.w)
-    assert_signs_agree("majorization rho^23", m23, c23, b.g, b.w)
+    b.check_signs(m1, c1, "majorization rho^1")
+    b.check_signs(m23, c23, "majorization rho^23")
     return {"maj_rho1": m1, "maj_rho23": m23}
 
 
 def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
+    b.spectra  # the numeric path, checked; the margins read the clipped closed forms
     spectra = {key: np.clip(b.closed[key], 0.0, None) for key in ("rho", "rho1", "rho23")}
     out = {}
     for alpha in bipartite.ALPHA_GRID:
@@ -169,29 +188,29 @@ def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
     spect_pt = b.spectrum(
         linalg.permute_indices(b.rho, linalg.TRANSPOSE_1_PERM), states.TRANSPOSE_1_BLOCKS
     )
-    b.assert_close(spect_pt, b.closed["rho_t1"], "Spect(rho^T1)", SPECTRUM_TOL)
+    b.check_close(spect_pt, b.closed["rho_t1"], "Spect(rho^T1)", SPECTRUM_TOL)
     q1, q2 = bipartite.ppt_closed_margins(b.g, b.w)
     if "ppt" in ids:
         out["ppt"] = spect_pt[:, -1]
-        assert_signs_agree("ppt", out["ppt"], np.minimum(q1, q2), b.g, b.w)
+        b.check_signs(out["ppt"], np.minimum(q1, q2), "ppt")
     if "reduction" in ids:
         spect_first = b.spectrum(states.reduction_i123_grid(b.g, b.w), states.REDUCTION_I123_BLOCKS)
         spect_second = b.spectrum(
             states.reduction_1i23_grid(b.g, b.w), states.REDUCTION_1I23_BLOCKS
         )
-        b.assert_close(spect_first, b.closed["rho_t1"], "Spect(I (x) rho^23 - rho)", SPECTRUM_TOL)
-        b.assert_close(spect_second, b.closed["red1_i23"], "Spect(rho^1 (x) I - rho)", SPECTRUM_TOL)
+        b.check_close(spect_first, b.closed["rho_t1"], "Spect(I (x) rho^23 - rho)", SPECTRUM_TOL)
+        b.check_close(spect_second, b.closed["red1_i23"], "Spect(rho^1 (x) I - rho)", SPECTRUM_TOL)
         r3, r4 = bipartite.reduction_closed_margins(b.g, b.w)
         out["reduction"] = np.minimum(spect_first[:, -1], spect_second[:, -1])
         closed = np.minimum(np.minimum(q1, q2), np.minimum(r3, r4))
-        assert_signs_agree("reduction", out["reduction"], closed, b.g, b.w)
+        b.check_signs(out["reduction"], closed, "reduction")
     return out
 
 
 def _reshuffle24(b: _Batch, ids) -> dict[str, np.ndarray]:
     svs = b.spectrum(states.reshuffle_24_matrix(b.rho), states.RESHUFFLE_24_BLOCKS)
     closed = bipartite.reshuffle24_closed_singular_values(b.g, b.w)
-    b.assert_close(svs, closed, "reshuffling singular values", SPECTRUM_TOL)
+    b.check_close(svs, closed, "reshuffling singular values", SPECTRUM_TOL)
     return {"resh24": 1.0 - np.sum(svs, axis=-1)}
 
 
@@ -212,32 +231,41 @@ def _spin(b: _Batch, ids) -> dict[str, np.ndarray]:
             idx, level = SPIN[cid]
             if idx == setting:
                 out[cid] = tripartite.su_margins_grid(b.g, b.w, idx, level, expectations)
+                b.check_signs(out[cid], tripartite.su_closed_margin(b.g, b.w, idx, level), cid)
     return out
 
 
 def _swap(b: _Batch, ids) -> dict[str, np.ndarray]:
-    return {cid: tripartite.huber_margins_grid(b.g, b.w, *SWAP[cid]) for cid in ids}
+    # each detection vector's forms once, shared by k = 2 and k = 3
+    tags = dict.fromkeys(SWAP[cid][0] for cid in ids)
+    forms = {tag: tripartite.huber_forms_grid(b.g, b.w, tag) for tag in tags}
+    for tag, q in forms.items():
+        elements = tripartite.huber_element_forms(b.rho, tag)
+        b.check_close(np.stack([elements[key] for key in q], axis=-1),
+                      np.stack(list(q.values()), axis=-1), f"huber_{tag} swap forms", ELEMENT_TOL)
+    return {cid: tripartite.huber_margins_grid(b.g, b.w, *SWAP[cid], forms[SWAP[cid][0]])
+            for cid in ids}
 
 
 def _gs2(b: _Batch, ids) -> dict[str, np.ndarray]:
     m_ghz, m_w = tripartite.gs2_closed_margins(b.g, b.w)
     raw_ghz, raw_w = tripartite.gs2_element_margins(b.rho)
-    b.assert_close(raw_ghz, m_ghz, "gs2_ghz matrix elements", ELEMENT_TOL)
-    b.assert_close(raw_w, m_w, "gs2_w matrix elements", ELEMENT_TOL)
+    b.check_close(raw_ghz, m_ghz, "gs2_ghz matrix elements", ELEMENT_TOL)
+    b.check_close(raw_w, m_w, "gs2_w matrix elements", ELEMENT_TOL)
     return {"gs2_ghz": m_ghz, "gs2_w": m_w}
 
 
 def _gs3(b: _Batch, ids) -> dict[str, np.ndarray]:
     closed = tripartite.gs3_closed_margins(b.g, b.w)
     for key, value in tripartite.gs3_element_margins(b.rho).items():
-        b.assert_close(value, closed[key], f"gs3 member {key}", ELEMENT_TOL)
+        b.check_close(value, closed[key], f"gs3 member {key}", ELEMENT_TOL)
     return {"gs3": closed["gs3"]}
 
 
 def _witness(b: _Batch, ids) -> dict[str, np.ndarray]:
     closed = tripartite.witness_closed_forms(b.g, b.w)
     for name, value in tripartite.witness_traces(b.rho).items():
-        b.assert_close(value, closed[name], f"witness {name} trace", ELEMENT_TOL)
+        b.check_close(value, closed[name], f"witness {name} trace", ELEMENT_TOL)
     return closed
 
 

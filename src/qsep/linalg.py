@@ -117,9 +117,9 @@ def eigh(a, *, vectors: bool = False):
     return vals
 
 
-def _jacobi_sweep(a: np.ndarray, u: np.ndarray | None) -> None:
+def _jacobi_sweep(a: np.ndarray) -> None:
     """One cyclic sweep of complex Jacobi rotations over every (p, q) pair,
-    in place on the batch ``a`` (and on the accumulated unitaries ``u``).
+    in place on the batch ``a``.
 
     Threshold rule (Golub & Van Loan, Matrix Computations, section 8.5): an
     entry with |a_pq| <= eps sqrt(|a_pp| |a_qq|), or below the smallest
@@ -158,31 +158,15 @@ def _jacobi_sweep(a: np.ndarray, u: np.ndarray | None) -> None:
             rowq = a[:, q, :].copy()
             a[:, p, :] = c[:, None] * rowp - sp[:, None] * rowq
             a[:, q, :] = spc[:, None] * rowp + c[:, None] * rowq
-            if u is not None:
-                up = u[:, :, p].copy()
-                uq = u[:, :, q].copy()
-                u[:, :, p] = c[:, None] * up - spc[:, None] * uq
-                u[:, :, q] = sp[:, None] * up + c[:, None] * uq
 
 
-def jacobi_eigh(
-    a,
-    *,
-    vectors: bool = False,
-    off_tol: float = JACOBI_OFF_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-):
-    """Cyclic Jacobi diagonalization of Hermitian matrices: the reference solver.
+def jacobi_eigh(a, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
+    """Cyclic Jacobi eigenvalues of Hermitian matrices, sorted non-increasing:
+    the reference solver.
 
-    Parameters
-    ----------
-    a : (n, n) or (batch, n, n) complex array, assumed Hermitian
-    vectors : accumulate and return the diagonalizing unitaries as well
-
-    Returns eigenvalues sorted non-increasing, and optionally unitaries whose
-    k-th column is the eigenvector of the k-th returned eigenvalue.  Each
-    matrix is swept until its own off-diagonal Frobenius norm is below
-    ``off_tol`` and then frozen; a matrix still above it after
+    ``a`` is one (n, n) matrix or a (batch, n, n) batch, assumed Hermitian.
+    Each matrix is swept until its own off-diagonal Frobenius norm is below
+    ``JACOBI_OFF_TOL`` and then frozen; a matrix still above it after
     ``max_sweeps`` sweeps raises ConvergenceError.
     """
     a, single = _as_batch(a)
@@ -191,10 +175,6 @@ def jacobi_eigh(
         raise ValueError(f"matrix is not square: {n}x{m}")
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIM}")
-    u = None
-    if vectors:
-        u = np.zeros_like(a)
-        u[:, np.arange(n), np.arange(n)] = 1.0
     offmask = ~np.eye(n, dtype=bool)
 
     def off_norms(idx: np.ndarray) -> np.ndarray:
@@ -203,28 +183,21 @@ def jacobi_eigh(
     live = np.arange(batch)
     for _ in range(max_sweeps):
         # NaN norms stay live and end in ConvergenceError
-        live = live[~(off_norms(live) < off_tol)]
+        live = live[~(off_norms(live) < JACOBI_OFF_TOL)]
         if live.size == 0:
             break
         sub = a[live]
-        usub = None if u is None else u[live]
-        _jacobi_sweep(sub, usub)
+        _jacobi_sweep(sub)
         a[live] = sub
-        if u is not None:
-            u[live] = usub
     else:
         off = off_norms(live)
-        if np.any(~(off < off_tol)):
+        if np.any(~(off < JACOBI_OFF_TOL)):
             raise ConvergenceError(
                 f"Jacobi did not converge in {max_sweeps} sweeps; "
                 f"worst off-diagonal norm {float(np.max(off)):.3e}"
             )
-    vals = a[:, np.arange(n), np.arange(n)].real.copy()
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    if vectors:
-        u = np.take_along_axis(u, order[:, None, :], axis=2)
-        return (vals[0], u[0]) if single else (vals, u)
+    vals = a[:, np.arange(n), np.arange(n)].real
+    vals = np.take_along_axis(vals, np.argsort(-vals, axis=1, kind="stable"), axis=1)
     return vals[0] if single else vals
 
 

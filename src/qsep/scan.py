@@ -237,6 +237,35 @@ def _lead_table(rows) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(len(rows), 3)
 
 
+@contextlib.contextmanager
+def _replacing(*paths):
+    """Text files for ``paths`` (None for None), all opened before the body writes.  A
+    regular file or a new path gets a temporary file beside it, which replaces it once
+    the body has returned and is removed if anything raises; a link, a pipe or a
+    terminal is written directly."""
+    temps = {}  # path -> its temporary file
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                if path is not None and not os.path.islink(path) and (
+                        os.path.isfile(path) or not os.path.exists(path)):
+                    temps[path] = f"{path}.{os.getpid()}.tmp"
+                try:
+                    files.append(None if path is None else stack.enter_context(
+                        open(temps.get(path, path), "w", newline="")))
+                except OSError as exc:
+                    exc.filename = path  # name the path asked for, not its temporary file
+                    raise
+            yield files
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+
+
 def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
     """Write the CSV export, the JSON export or both, in one pass over the cells.
 
@@ -245,7 +274,8 @@ def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
     JSON is the payload ``json.dump`` would write for ``grid_report_dicts``,
     byte for byte.  In both, every float is ``float.__repr__``, so it parses
     back to the same float64; the JSON spells NaN and the infinities as
-    ``json`` does.  Both files are opened before the first block is written.
+    ``json`` does.  Both files are opened before the first block is written,
+    and a failed export leaves both paths as they were (``_replacing``).
     """
     crit = grid.criteria
     names = [verdict.CODE_NAMES[code] for code in (-1, 0, 1)]
@@ -289,12 +319,7 @@ def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
             reports[:, -1] = close
             json_fh.write("".join(reports.ravel().tolist()))
 
-    with contextlib.ExitStack() as stack:
-        csv_fh = json_fh = None
-        if csv_path is not None:
-            csv_fh = stack.enter_context(open(csv_path, "w", newline=""))
-        if json_path is not None:
-            json_fh = stack.enter_context(open(json_path, "w"))
+    with _replacing(csv_path, json_path) as (csv_fh, json_fh):
         if csv_fh is not None:
             csv_fh.write(_CSV_HEADER)  # each row starts with its newline
         if json_fh is not None:
@@ -562,7 +587,7 @@ def export_svg(grid: RegionGrid, path, curve_criteria=None) -> None:
         f'text-anchor="middle">w</text>'
     )
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with _replacing(path) as (fh,):
         fh.write("\n".join(parts) + "\n")
 
 

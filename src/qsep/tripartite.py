@@ -218,18 +218,10 @@ def su_margins_grid(g, w, setting_index: int, level: str, expectations=None) -> 
 
     ``expectations`` are the setting's ``su_expectations_grid`` on the same
     weights, computed here when not given; the three levels of a setting
-    share them.  The published polynomial is checked for sign agreement on
-    every cell.
+    share them.  ``criteria`` checks the signs against ``su_closed_margin``.
     """
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
     ev = su_expectations_grid(g, w, setting_index) if expectations is None else expectations
-    margins = su_margins_from_expectations(ev["X"], ev["Y"], ev["Z"], ev["I"], level)
-    assert_signs_agree(
-        f"su{_LEVEL_TAG[level]}_set{setting_index + 1}",
-        margins, su_closed_margin(g, w, setting_index, level), g, w,
-    )
-    return margins
+    return su_margins_from_expectations(ev["X"], ev["Y"], ev["Z"], ev["I"], level)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +290,7 @@ def _require_product_vector(phi: np.ndarray) -> None:
             )
 
 
-def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int, cid: str | None = None) -> CriterionVerdict:
+def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int) -> CriterionVerdict:
     """Two-copy swap criterion for k-separability, k in {2, 3}.
 
     Left side sqrt(<Phi| rho(x)rho P_tot |Phi>); right side sums the 2k-th
@@ -322,12 +314,11 @@ def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int, cid: str | None = 
         rhs = sum((q(s1) * q(s2)) ** 0.25 for s1, s2 in BIPARTITE_SPLITS)
     else:
         rhs = (q((1,)) * q((2,)) * q((3,))) ** (1.0 / 6.0)
-    if cid is None:
-        cid = f"huber_k{k}"
-    return CriterionVerdict.from_margin(cid, float(rhs - lhs), "swap-criterion slack")
+    return CriterionVerdict.from_margin(f"huber_k{k}", float(rhs - lhs), "swap-criterion slack")
 
 
 _HUBER_PHIS = {"ghz": phi_ghz, "w": phi_w}
+_SWAP_SUBSETS = ((1,), (2,), (3,), (2, 3), (1, 3), (1, 2))
 
 
 @functools.cache
@@ -347,45 +338,61 @@ def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
         np.outer(ghz, np.conj(ghz)),
         np.outer(wv, np.conj(wv)),
     )
-    coeffs: dict[tuple, np.ndarray] = {}
-    subsets = [(1,), (2,), (3,), (2, 3), (1, 3), (1, 2)]
-    for subset in subsets:
-        shifted = swap_operator(subset) @ phi
-        q = np.empty((3, 3), dtype=np.complex128)
-        for a in range(3):
-            for b in range(3):
-                q[a, b] = np.conj(shifted) @ (np.kron(basis[a], basis[b]) @ shifted)
-        coeffs[subset] = q
-    ptot = swap_operator((1, 2, 3))
-    q = np.empty((3, 3), dtype=np.complex128)
-    for a in range(3):
-        for b in range(3):
-            q[a, b] = np.conj(phi) @ (np.kron(basis[a], basis[b]) @ (ptot @ phi))
-    coeffs[("tot",)] = q
-    return coeffs
+    # (bra, ket) of each expectation
+    sides = {subset: (swap_operator(subset) @ phi,) * 2 for subset in _SWAP_SUBSETS}
+    sides[("tot",)] = (phi, swap_operator((1, 2, 3)) @ phi)
+    return {
+        key: np.array([[np.conj(bra) @ (np.kron(a, b) @ ket) for b in basis] for a in basis])
+        for key, (bra, ket) in sides.items()
+    }
 
 
-def huber_margins_grid(g, w, phi_tag: str, k: int) -> np.ndarray:
-    """Swap-criterion margins over weight arrays for the named detection vector."""
+def huber_forms_grid(g, w, phi_tag: str) -> dict[tuple, np.ndarray]:
+    """The seven swap expectations of the named detection vector over weight
+    arrays, keyed like ``_huber_coefficients`` and clipped at zero."""
+    g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+    c = np.stack([np.maximum(1.0 - g - w, 0.0), g, w], axis=0)
+    return {
+        key: np.clip(np.real(np.einsum("an,ab,bn->n", c, q, c)), 0.0, None)
+        for key, q in _huber_coefficients(phi_tag).items()
+    }
+
+
+def huber_margins_grid(g, w, phi_tag: str, k: int, forms=None) -> np.ndarray:
+    """Swap-criterion margins over weight arrays for the named detection vector, from
+    its ``huber_forms_grid`` on the same weights (``forms``, computed when not given)."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
-    coeffs = _huber_coefficients(phi_tag)
-    c = np.stack([np.maximum(1.0 - g - w, 0.0), g, w], axis=0)
-
-    def quad(key) -> np.ndarray:
-        q = coeffs[key]
-        return np.clip(np.real(np.einsum("an,ab,bn->n", c, q, c)), 0.0, None)
-
-    lhs = np.sqrt(quad(("tot",)))
+    q = huber_forms_grid(g, w, phi_tag) if forms is None else forms
+    lhs = np.sqrt(q[("tot",)])
     if k == 2:
-        rhs = sum(
-            (quad(s1) * quad(tuple(sorted(s2)))) ** 0.25 for s1, s2 in BIPARTITE_SPLITS
-        )
+        rhs = sum((q[s1] * q[s2]) ** 0.25 for s1, s2 in BIPARTITE_SPLITS)
     else:
-        rhs = (quad((1,)) * quad((2,)) * quad((3,))) ** (1.0 / 6.0)
+        rhs = (q[(1,)] * q[(2,)] * q[(3,)]) ** (1.0 / 6.0)
     return rhs - lhs
+
+
+@functools.cache
+def _huber_entry_columns(phi_tag: str) -> np.ndarray:
+    """Columns that read E_ii (i = 0..7), E_07 and E_70 of E = U rho U off the flattened
+    rho; U is the identity for the GHZ vector and H^(x3) for the W vector."""
+    u = np.eye(8) if phi_tag == "ghz" else functools.reduce(np.kron, [states.hadamard().real] * 3)
+    entries = [(i, i) for i in range(8)] + [(0, 7), (7, 0)]
+    columns = np.stack([np.outer(u[i], u[:, j]).reshape(64) for i, j in entries], axis=-1)
+    columns.flags.writeable = False  # shared by every call
+    return columns
+
+
+def huber_element_forms(rho: np.ndarray, phi_tag: str) -> dict[tuple, np.ndarray]:
+    """The ``huber_forms_grid`` of one density matrix or a batch, from its entries: swapping
+    S between the copies of |000>|111> gives |a>|7-a>, so <Phi_S| rho(x)rho |Phi_S> is
+    E_aa E_(7-a)(7-a) (``_huber_entry_columns``); the left side is E_07 E_70."""
+    e = np.real(rho).reshape(rho.shape[:-2] + (64,)) @ _huber_entry_columns(phi_tag)
+    forms = {("tot",): e[..., 8] * e[..., 9]}
+    for subset in _SWAP_SUBSETS:
+        a = sum(8 >> s for s in subset)  # qubit 1 is the leading bit
+        forms[subset] = e[..., a] * e[..., 7 - a]
+    return forms
 
 
 # ---------------------------------------------------------------------------

@@ -52,18 +52,14 @@ def signs_agree(a, b):
     return (np.abs(a) <= MARGINAL_BAND) | (np.abs(b) <= MARGINAL_BAND) | ((a > 0) == (b > 0))
 
 
-def assert_signs_agree(what: str, numeric, closed, g, w) -> None:
-    """Raise ConsistencyError naming the check and the first cell (g, w) whose signs disagree."""
-    if np.all(signs_agree(numeric, closed)):
-        return
-    numeric, closed, g, w = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (numeric, closed, g, w))
-    )
-    n = np.flatnonzero(~signs_agree(numeric, closed))[0]
-    raise ConsistencyError(
-        f"{what} at {cell_name(g[n], w[n])}: numeric margin {numeric[n]:.3e} "
-        f"vs closed form {closed[n]:.3e}"
-    )
+def assert_signs_agree(what: str, numeric: float, closed: float, g: float, w: float) -> None:
+    """Raise ConsistencyError naming the check and the point (g, w) unless the signs
+    of one numeric margin and its closed form agree."""
+    if not signs_agree(numeric, closed):
+        raise ConsistencyError(
+            f"{what} at {cell_name(g, w)}: numeric margin {float(numeric):.3e} "
+            f"vs closed form {float(closed):.3e}"
+        )
 
 
 def cell_name(g, w) -> str:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from qsep import bipartite, classify, concurrence, linalg, scan, states, tripartite
+from qsep import bipartite, classify, concurrence, criteria, linalg, scan, states, tripartite
 from qsep.config import MARGINAL_BAND
 from qsep.states import SimplexPoint
 from test_tripartite import gs3_deduplicated_signatures, gs3_generate_families
@@ -149,11 +149,10 @@ def test_06_entropy_dominance(lattice, spectra):
 @_status(7, "spin-criteria closed forms agree; boundaries 3/5 and 3/11; III == II for 28cap3")
 def test_07_spin_criteria(lattice):
     g, w = lattice
-    margins = {}
-    for idx in range(3):
-        for level, tag in (("2sep", "2"), ("28cap3", "283"), ("3sep", "3")):
-            # raises ConsistencyError on any sign disagreement with the closed forms
-            margins[(idx, level)] = tripartite.su_margins_grid(g, w, idx, level)
+    # raises ConsistencyError on any sign disagreement with the closed forms
+    by_id, deviations = criteria.evaluate(g, w, tuple(criteria.SPIN))
+    assert {f"{cid} sign" for cid in criteria.SPIN} <= set(deviations)
+    margins = {criteria.SPIN[cid]: value for cid, value in by_id.items()}
     crossing = scan.boundary_bisect("su2_set2", ((0.0, 0.0), (0.0, 1.0)))
     assert abs(crossing.w - 3.0 / 5.0) <= 1e-9
     crossing = scan.boundary_bisect("su283_set2", ((0.0, 0.0), (0.0, 1.0)))

@@ -159,6 +159,16 @@ class TestScan:
         assert "i/o failure" in err and "/nonexistent-dir/x.json" in err
         assert "wrote" not in out
 
+    def test_failed_export_leaves_an_earlier_file_as_it_was(self, capsys, tmp_path):
+        csv = tmp_path / "ok.csv"
+        csv.write_bytes(b"g,w,criterion_id,verdict,margin\nan earlier export\n")
+        code, _, err = run(capsys, "scan", "--resolution", "5", "--criteria", "ppt",
+                           "--out", str(csv), "--json-out", "/nonexistent-dir/x.json")
+        assert code == 3
+        assert "'/nonexistent-dir/x.json'" in err  # the path asked for, not a temporary file
+        assert csv.read_bytes() == b"g,w,criterion_id,verdict,margin\nan earlier export\n"
+        assert list(tmp_path.iterdir()) == [csv]
+
 
 class TestVerify:
     def test_small_pass(self, capsys):

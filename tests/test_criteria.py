@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qsep import bipartite, criteria, states
-from qsep.exceptions import ConsistencyError
+from qsep import bipartite, criteria, states, tripartite
+from qsep.config import MARGINAL_BAND
+from qsep.exceptions import ConsistencyError, ConvergenceError
 
 G = np.array([0.0, 0.2, 0.1, 0.6, 0.3])
 W = np.array([0.0, 0.0, 0.7, 0.1, 0.3])
@@ -25,9 +26,25 @@ class TestEvaluate:
 
     def test_records_only_the_checks_it_ran(self):
         _, deviations = criteria.evaluate(G, W, ("ppt",))
-        assert set(deviations) == {"Spect(rho^T1)"}
+        assert set(deviations) == {"Spect(rho^T1)", "ppt sign"}
         _, deviations = criteria.evaluate(G, W, ("entropy_rho1_a2", "su2_set1"))
-        assert deviations == {}
+        assert set(deviations) == {"Spect(rho)", "Spect(rho^23)", "Spect(rho^1)", "su2_set1 sign"}
+        _, deviations = criteria.evaluate(G, W, ("huber_w_k3",))
+        assert set(deviations) == {"huber_w swap forms"}
+
+    # perm222 has no closed form yet (ROADMAP item 2); its second path is verify's
+    # "block spectra vs full LAPACK" line
+    WITHOUT_A_CHECK = {"perm222"}
+
+    @pytest.mark.parametrize("cid", criteria.IDS)
+    def test_every_criterion_alone_records_a_check(self, cid):
+        _, deviations = criteria.evaluate(G, W, (cid,))
+        assert (deviations == {}) == (cid in self.WITHOUT_A_CHECK), cid
+
+    @pytest.mark.parametrize("cid", criteria.IDS)
+    def test_every_criterion_alone_fails_on_a_nan_weight(self, cid):
+        with pytest.raises((ConsistencyError, ConvergenceError)):
+            criteria.evaluate([0.2, math.nan], [0.1, 0.1], (cid,))
 
     def test_margins_is_evaluate_without_deviations(self):
         margins = criteria.margins(G, W, criteria.IDS)
@@ -40,8 +57,29 @@ class TestEvaluate:
         closed = np.zeros(G.size)
         closed[3] = 1e-9
         with pytest.raises(ConsistencyError, match=r"^probe at \(g=0\.6, w=0\.1\)"):
-            batch.assert_close(np.zeros(G.size), closed, "probe", criteria.ELEMENT_TOL)
+            batch.check_close(np.zeros(G.size), closed, "probe", criteria.ELEMENT_TOL)
         assert batch.deviations["probe"] == (1e-9, 0.6, 0.1)
+
+    def test_sign_check_records_the_largest_disagreement_within_the_band(self):
+        batch = criteria._Batch(G, W)
+        numeric = np.array([0.5, 0.0, 3e-10, -6e-10, 2.0])
+        closed = np.array([0.1, -0.2, -1e-3, 4e-10, -1e-12])
+        batch.check_signs(numeric, closed, "probe")
+        assert batch.deviations["probe sign"] == (4e-10, 0.6, 0.1)
+        batch.check_signs(closed, closed, "same")
+        assert batch.deviations["same sign"] == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad, closed", [(-2e-9, 1.0), (math.nan, 1.0), (1.0, math.nan)])
+    def test_sign_check_past_the_band_or_on_a_nan_raises_naming_the_cell(self, bad, closed):
+        batch = criteria._Batch(G, W)
+        numeric, closed_forms = np.ones(G.size), np.ones(G.size)
+        numeric[2], closed_forms[2] = bad, closed
+        with pytest.raises(ConsistencyError, match=(
+            r"^probe sign at \(g=0\.1, w=0\.7\): numeric margin .* vs closed form "
+        )):
+            batch.check_signs(numeric, closed_forms, "probe")
+        worst = batch.deviations["probe sign"][0]
+        assert math.isnan(worst) or worst > MARGINAL_BAND
 
     def test_check_past_its_tolerance_raises_naming_check_and_cell(self, monkeypatch):
         real = bipartite.reshuffle24_closed_singular_values
@@ -50,6 +88,43 @@ class TestEvaluate:
         )
         with pytest.raises(ConsistencyError, match=r"^reshuffling singular values at \(g="):
             criteria.evaluate(G, W, ("resh24",))
+
+
+class TestSwapForms:
+    def test_each_detection_vector_evaluates_its_seven_forms_once(self, monkeypatch):
+        calls = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        criteria.evaluate(G, W, criteria.GROUPS["huber"])
+        assert calls.count("an,ab,bn->n") == 14
+
+    def test_forms_match_the_products_of_matrix_entries(self):
+        # the two paths, and the explicit 64-dimensional swap expectations
+        rho = states.build_rho_grid(G, W)
+        for tag, phi in (("ghz", tripartite.phi_ghz()), ("w", tripartite.phi_w())):
+            forms = tripartite.huber_forms_grid(G, W, tag)
+            elements = tripartite.huber_element_forms(rho, tag)
+            assert set(forms) == set(elements)
+            for n in range(G.size):
+                rr = np.kron(rho[n], rho[n])
+                for key, value in forms.items():
+                    bra = phi if key == ("tot",) else tripartite.swap_operator(key) @ phi
+                    ket = tripartite.swap_operator((1, 2, 3) if key == ("tot",) else key) @ phi
+                    explicit = float(np.real(np.conj(bra) @ (rr @ ket)))
+                    assert abs(value[n] - explicit) < 1e-15, (tag, key, n)
+                    assert abs(elements[key][n] - explicit) < 1e-15, (tag, key, n)
+
+    def test_broken_forms_fail_naming_the_vector_and_cell(self, monkeypatch):
+        real = tripartite.huber_element_forms
+
+        def broken(rho, tag):
+            forms = real(rho, tag)
+            forms[(2, 3)] = forms[(2, 3)] + np.where(np.arange(G.size) == 3, 1e-9, 0.0)
+            return forms
+
+        monkeypatch.setattr(tripartite, "huber_element_forms", broken)
+        with pytest.raises(ConsistencyError, match=r"^huber_w swap forms at \(g=0\.6, w=0\.1\)"):
+            criteria.evaluate(G, W, ("huber_w_k2",))
 
 
 class TestBlockZeroPattern:

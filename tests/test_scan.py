@@ -317,7 +317,7 @@ class TestGridScan:
 
         monkeypatch.setattr(bipartite, "ppt_closed_margins", flipped)
         monkeypatch.setattr(scan, "CHUNK", 4)
-        with pytest.raises(ConsistencyError, match=r"^ppt at \(g=0\.5, w=0\.25\)"):
+        with pytest.raises(ConsistencyError, match=r"^ppt sign at \(g=0\.5, w=0\.25\)"):
             scan.grid_scan(4, "ppt")
 
     def test_rejects_resolution_over_the_cell_cap_before_allocating(self):
@@ -381,12 +381,12 @@ class TestGridScan:
 
         monkeypatch.setattr(bipartite, "ppt_closed_margins", flipped)
         monkeypatch.setattr(scan, "CHUNK", 4)
-        with pytest.raises(ConsistencyError, match=r"^ppt at \(g=0\.0, w=0\.125\)"):
+        with pytest.raises(ConsistencyError, match=r"^ppt sign at \(g=0\.0, w=0\.125\)"):
             scan.grid_scan(40, "ppt")
         # on two threads, one sleeps in chunk 1 while the other runs chunks 0 and 2-10;
         # once chunk 10 has failed, neither thread starts any of the 205 chunks after it
         chunks_run.clear()
-        with pytest.raises(ConsistencyError, match=r"^ppt at \(g=0\.0, w=0\.125\)"):
+        with pytest.raises(ConsistencyError, match=r"^ppt sign at \(g=0\.0, w=0\.125\)"):
             scan.grid_scan(40, "ppt", workers=2)
         assert len(chunks_run) <= 11
 
@@ -516,6 +516,40 @@ class TestExports:
         scan.export(grid, "json", tmp_path / "alone.json")
         assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
         assert (tmp_path / "both.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+    def test_export_failing_mid_write_leaves_both_files_as_they_were(self, tmp_path, monkeypatch):
+        grid = scan.grid_scan(12, "all")  # 91 cells
+        monkeypatch.setattr(scan, "_BLOCK", 7)
+        csv, json_ = tmp_path / "a.csv", tmp_path / "a.json"
+        csv.write_bytes(b"earlier csv")
+        json_.write_bytes(b"earlier json")
+        real, blocks = scan._json_heads, []
+
+        def failing(*args):  # the fourth block fails, after three have been written
+            if len(blocks) == 3:
+                raise OSError(28, "No space left on device")
+            blocks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scan, "_json_heads", failing)
+        with pytest.raises(OSError, match="No space"):
+            scan.export_tables(grid, csv_path=csv, json_path=json_)
+        assert csv.read_bytes() == b"earlier csv" and json_.read_bytes() == b"earlier json"
+        assert sorted(tmp_path.iterdir()) == [csv, json_]
+
+    def test_export_replaces_files_and_writes_through_links(self, tmp_path):
+        grid = scan.grid_scan(6, "ppt")
+        (tmp_path / "target.csv").write_text("earlier")
+        (tmp_path / "link.csv").symlink_to(tmp_path / "target.csv")
+        scan.export(grid, "csv", tmp_path / "link.csv")
+        scan.export(grid, "csv", tmp_path / "plain.csv")
+        scan.export(grid, "svg", tmp_path / "map.svg")
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "target.csv").read_text() == reference_csv(grid)
+        assert (tmp_path / "plain.csv").read_text() == reference_csv(grid)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "map.svg", "plain.csv", "target.csv"
+        ]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

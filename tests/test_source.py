@@ -24,7 +24,10 @@ ALLOWED_WITHOUT_CALLER = {
     "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
     "scan.RegionGrid.pptes_points": "public API: the PPTES cells of a scan (README)",
     "states.QUBIT_PERMUTATIONS": "test reference: the permutation symmetry of rho",
-    "states.permute_qubits": "test reference: the permutation symmetry of rho",
+    "states.permute_qubits": (
+        "test reference: the permutation symmetry of rho, and of the spectrum of rho^T1 "
+        "that lets the 1|23 cut stand for all three cuts"
+    ),
     "tripartite.random_setting_search": "public API: the search over random spin settings (tests)",
 }
 
@@ -111,3 +114,24 @@ def test_allowlist_names_only_existing_names_without_a_caller():
     assert sorted(set(ALLOWED_WITHOUT_CALLER) - defined) == [], "no longer exists"
     assert sorted(set(ALLOWED_WITHOUT_CALLER) - unreferenced) == [], "has a caller now"
 
+
+
+def _calls(name: str) -> set[tuple[str, str]]:
+    """(module, enclosing top-level definition) of every call of ``name`` in src/,
+    as a bare name or as an attribute."""
+    return {
+        (module, getattr(top, "name", ""))
+        for module, tree in _modules().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_cross_checks_are_made_in_one_place():
+    # every grid-path check is a recording method of criteria._Batch; the one sign
+    # check outside it is the explicit-observable per-point reference
+    for name in ("check_close", "check_signs"):
+        assert {module for module, _ in _calls(name)} == {"criteria"}, name
+    assert _calls("assert_signs_agree") == {("tripartite", "criterion_su")}

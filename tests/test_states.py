@@ -129,6 +129,23 @@ class TestBuildRho:
         for qperm in states.QUBIT_PERMUTATIONS:
             assert np.max(np.abs(states.permute_qubits(rho, qperm) - rho)) < 1e-15
 
+    def test_every_cut_has_the_spectrum_of_the_1_23_cut(self):
+        # the symmetry that lets rho^T1 stand for all three bipartite cuts
+        rng = np.random.default_rng(11)
+        g, w = rng.random(64), rng.random(64)
+        flip = g + w > 1.0
+        g[flip], w[flip] = 1.0 - g[flip], 1.0 - w[flip]
+        g, w = np.append(g, [0.0, 0.3, 1.0 / 3.0, 0.0]), np.append(w, [0.0, 0.0, 0.0, 1.0])
+        rho = states.build_rho_grid(g, w)
+        closed = states.closed_form_spectra_grid(g, w)["rho_t1"]
+        rho_t1 = linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM)
+        transposes = [  # on qubit 2, on qubit 3
+            linalg.permute_indices(rho, perm) for perm in ((0, 4, 2, 3, 1, 5), (0, 1, 5, 3, 4, 2))
+        ]
+        transposes += [states.permute_qubits(rho_t1, qperm) for qperm in states.QUBIT_PERMUTATIONS]
+        for matrices in transposes:
+            assert np.max(np.abs(linalg.eigh(matrices) - closed)) < 1e-13
+
 
 class TestMarginals:
     def test_white_noise(self):
