@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -195,6 +196,12 @@ def cmd_eval(args) -> int:
 def cmd_scan(args) -> int:
     if not (args.out or args.svg or args.json_out):
         raise ValueError("scan needs at least one of --out, --svg or --json-out")
+    exports: dict[str, str] = {}  # resolved path -> the option that names it
+    for option, path in (("--out", args.out), ("--json-out", args.json_out), ("--svg", args.svg)):
+        if path:
+            other = exports.setdefault(os.path.realpath(path), option)
+            if other != option:
+                raise ValueError(f"{other} and {option} name the same file {path!r}")
     grid = scan.grid_scan(args.resolution, args.criteria, workers=args.workers)
     if args.out or args.json_out:
         scan.export_tables(grid, csv_path=args.out, json_path=args.json_out)
@@ -277,28 +284,30 @@ def cmd_verify(args) -> int:
     for name, (deviation, gn, wn) in deviations.items():
         check(name, deviation, where=f" at {verdict.cell_name(gn, wn)}")
 
-    # the block path against full-matrix LAPACK, the second numeric path of perm222
+    # the block path, one pass as in the registry, against full-matrix LAPACK; the
+    # second numeric path of perm222
     rho_t1 = linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM)
-    spectral = (
-        (rho, states.RHO_BLOCKS),
-        (rho_t1, states.TRANSPOSE_1_BLOCKS),
-        (templates["rho^23"][0], states.MARGINAL_23_BLOCKS),
-        (templates["rho^1"][0], states.MARGINAL_1_BLOCKS),
-        (templates["I (x) rho^23 - rho"][0], states.REDUCTION_I123_BLOCKS),
-        (templates["rho^1 (x) I - rho"][0], states.REDUCTION_1I23_BLOCKS),
-        (states.reshuffle_24_matrix(rho), states.RESHUFFLE_24_BLOCKS),
-        (linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM), states.RESHUFFLE_23_BLOCKS),
-    )
+    spectral = {
+        states.RHO_BLOCKS: rho,
+        states.TRANSPOSE_1_BLOCKS: rho_t1,
+        states.MARGINAL_23_BLOCKS: templates["rho^23"][0],
+        states.MARGINAL_1_BLOCKS: templates["rho^1"][0],
+        states.REDUCTION_I123_BLOCKS: templates["I (x) rho^23 - rho"][0],
+        states.REDUCTION_1I23_BLOCKS: templates["rho^1 (x) I - rho"][0],
+        states.RESHUFFLE_24_BLOCKS: states.reshuffle_24_matrix(rho),
+        states.RESHUFFLE_23_BLOCKS: linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM),
+    }
+    blocks = linalg.block_spectra(states.template_sources(spectral, g, w, rho), spectral, g, w)
     deviation = np.stack([
         np.max(np.abs(
-            np.sort(linalg.block_spectra(matrices, layout, g, w), axis=-1)[:, ::-1]
+            np.sort(blocks[layout], axis=-1)[:, ::-1]
             - (linalg.singular_values(matrices) if layout.singular else linalg.eigh(matrices))
         ), axis=-1)
-        for matrices, layout in spectral
+        for layout, matrices in spectral.items()
     ])
     k, n = np.unravel_index(np.argmax(deviation), deviation.shape)  # the first NaN, if any
     check("block spectra vs full LAPACK", float(deviation[k, n]), min(tol, linalg.BLOCK_TOL),
-          f" at {verdict.cell_name(g[n], w[n])} in {spectral[k][1].name}")
+          f" at {verdict.cell_name(g[n], w[n])} in {list(spectral)[k].name}")
 
     # the production backend against the independent Jacobi reference
     backend_worst = 0.0

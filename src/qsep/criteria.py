@@ -4,11 +4,13 @@ Each ``Criterion`` record names its id, its selection group, the classes a
 violation excludes and the kind of margin it reports; ``IDS`` is the scan
 order.  ``evaluate`` computes any subset of criteria over arrays of weights
 through one vectorized evaluator per criterion family, so a grid chunk and a
-batch of one point take the same path (``scan.point_margin``).  Every
-family but ``perm222`` runs its second path on the same batch through the
-two recording checks of ``_Batch``, ``check_close`` and ``check_signs``,
-and these are the only cross-checks on the grid path.  The independent
-references are ``tripartite.criterion_su`` and ``criterion_huber``, which
+batch of one point take the same path (``scan.point_margin``).  Each
+evaluator names the matrix families it reads, and ``_Batch.blocks``
+diagonalizes all those of a selection in one ``linalg.block_spectra`` pass
+per batch.  Every family but ``perm222`` runs its second path on the same
+batch through the two recording checks of ``_Batch``, ``check_close`` and
+``check_signs``, and these are the only cross-checks on the grid path.
+The independent references are ``tripartite.criterion_su`` and ``criterion_huber``, which
 build explicit observables and swap operators, and the matrix elements of
 the separately built mixture; ``qsep verify`` compares them with these
 margins.
@@ -107,13 +109,27 @@ GROUPS: dict[str, tuple[str, ...]] = {
 # evaluators: each takes a batch and the wanted ids of its family, returns {id: margins}
 
 
-class _Batch:
-    """Weights of one batch and the matrices several evaluators share."""
+# the closed-form spectrum each eigenvalue family is checked against
+_CLOSED_SPECTRA = {
+    states.RHO_BLOCKS: "rho",
+    states.MARGINAL_23_BLOCKS: "rho23",
+    states.MARGINAL_1_BLOCKS: "rho1",
+    states.TRANSPOSE_1_BLOCKS: "rho_t1",
+    states.REDUCTION_I123_BLOCKS: "rho_t1",
+    states.REDUCTION_1I23_BLOCKS: "red1_i23",
+}
 
-    def __init__(self, g: np.ndarray, w: np.ndarray):
+
+class _Batch:
+    """Weights of one batch, the matrix families its evaluators read, and the quantities
+    several evaluators share."""
+
+    def __init__(self, g: np.ndarray, w: np.ndarray, families=()):
         self.g = g
         self.w = w
+        self.families = tuple(families)
         self.deviations: dict[str, tuple[float, float, float]] = {}
+        self._spectra: dict[linalg.BlockLayout, np.ndarray] = {}
 
     @cached_property
     def closed(self) -> dict[str, np.ndarray]:
@@ -124,20 +140,26 @@ class _Batch:
         return states.build_rho_grid(self.g, self.w)
 
     @cached_property
-    def spectra(self) -> dict[str, np.ndarray]:
-        """Block spectra of rho, rho^23 and rho^1, checked against their closed forms."""
-        spectra = {
-            "rho": self.spectrum(self.rho, states.RHO_BLOCKS),
-            "rho23": self.spectrum(states.marginal_23_grid(self.g, self.w), states.MARGINAL_23_BLOCKS),
-            "rho1": self.spectrum(states.marginal_1_grid(self.g, self.w), states.MARGINAL_1_BLOCKS),
-        }
-        for key, what in (("rho", "Spect(rho)"), ("rho23", "Spect(rho^23)"), ("rho1", "Spect(rho^1)")):
-            self.check_close(spectra[key], self.closed[key], what, SPECTRUM_TOL)
-        return spectra
+    def blocks(self) -> dict[linalg.BlockLayout, np.ndarray]:
+        """The block spectra of every family of the batch, from one pass, in layout order."""
+        sources = states.template_sources(self.families, self.g, self.w, self.rho)
+        return linalg.block_spectra(sources, self.families, self.g, self.w)
 
-    def spectrum(self, matrices: np.ndarray, layout: linalg.BlockLayout) -> np.ndarray:
-        """The block spectra of ``matrices``, sorted non-increasing."""
-        return np.sort(linalg.block_spectra(matrices, layout, self.g, self.w), axis=-1)[:, ::-1]
+    def spectrum(self, layout: linalg.BlockLayout) -> np.ndarray:
+        """The block spectra of ``layout``, sorted non-increasing; on the first read, checked
+        against its closed form if it has one."""
+        if layout not in self._spectra:
+            values = np.sort(self.blocks[layout], axis=-1)[:, ::-1]
+            if layout in _CLOSED_SPECTRA:
+                self.check_close(values, self.closed[_CLOSED_SPECTRA[layout]],
+                                 f"Spect({layout.name})", SPECTRUM_TOL)
+            self._spectra[layout] = values
+        return self._spectra[layout]
+
+    def release_spectra(self) -> None:
+        """Drop the arrays of the pass, once no evaluator reads them again."""
+        self.__dict__.pop("blocks", None)
+        self._spectra.clear()
 
     def _record(self, what: str, dev: np.ndarray, limit: float, detail) -> None:
         """Record the largest entry of ``dev`` (the first NaN, if any) and its cell;
@@ -163,8 +185,16 @@ class _Batch:
                      lambda worst, n: f"numeric margin {numeric[n]:.3e} vs closed form {closed[n]:.3e}")
 
 
+_DENSITIES = (states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS)
+
+
+def _densities(b: _Batch) -> dict[str, np.ndarray]:
+    """The checked spectra of rho, rho^23 and rho^1."""
+    return dict(zip(("rho", "rho23", "rho1"), map(b.spectrum, _DENSITIES)))
+
+
 def _majorization(b: _Batch, ids) -> dict[str, np.ndarray]:
-    m1, m23 = bipartite.majorization_margins_from_spectra(b.spectra)
+    m1, m23 = bipartite.majorization_margins_from_spectra(_densities(b))
     c1, c23 = bipartite.majorization_case_margins(b.g, b.w)
     b.check_signs(m1, c1, "majorization rho^1")
     b.check_signs(m23, c23, "majorization rho^23")
@@ -172,7 +202,7 @@ def _majorization(b: _Batch, ids) -> dict[str, np.ndarray]:
 
 
 def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
-    b.spectra  # the numeric path, checked; the margins read the clipped closed forms
+    _densities(b)  # the numeric path, checked; the margins read the clipped closed forms
     spectra = {key: np.clip(b.closed[key], 0.0, None) for key in ("rho", "rho1", "rho23")}
     out = {}
     for alpha in bipartite.ALPHA_GRID:
@@ -185,21 +215,14 @@ def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
 def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
     """ppt and reduction, which share the spectrum of rho^T1 and its quadratics."""
     out = {}
-    spect_pt = b.spectrum(
-        linalg.permute_indices(b.rho, linalg.TRANSPOSE_1_PERM), states.TRANSPOSE_1_BLOCKS
-    )
-    b.check_close(spect_pt, b.closed["rho_t1"], "Spect(rho^T1)", SPECTRUM_TOL)
+    spect_pt = b.spectrum(states.TRANSPOSE_1_BLOCKS)
     q1, q2 = bipartite.ppt_closed_margins(b.g, b.w)
     if "ppt" in ids:
         out["ppt"] = spect_pt[:, -1]
         b.check_signs(out["ppt"], np.minimum(q1, q2), "ppt")
     if "reduction" in ids:
-        spect_first = b.spectrum(states.reduction_i123_grid(b.g, b.w), states.REDUCTION_I123_BLOCKS)
-        spect_second = b.spectrum(
-            states.reduction_1i23_grid(b.g, b.w), states.REDUCTION_1I23_BLOCKS
-        )
-        b.check_close(spect_first, b.closed["rho_t1"], "Spect(I (x) rho^23 - rho)", SPECTRUM_TOL)
-        b.check_close(spect_second, b.closed["red1_i23"], "Spect(rho^1 (x) I - rho)", SPECTRUM_TOL)
+        spect_first = b.spectrum(states.REDUCTION_I123_BLOCKS)
+        spect_second = b.spectrum(states.REDUCTION_1I23_BLOCKS)
         r3, r4 = bipartite.reduction_closed_margins(b.g, b.w)
         out["reduction"] = np.minimum(spect_first[:, -1], spect_second[:, -1])
         closed = np.minimum(np.minimum(q1, q2), np.minimum(r3, r4))
@@ -208,19 +231,15 @@ def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
 
 
 def _reshuffle24(b: _Batch, ids) -> dict[str, np.ndarray]:
-    svs = b.spectrum(states.reshuffle_24_matrix(b.rho), states.RESHUFFLE_24_BLOCKS)
+    svs = b.spectrum(states.RESHUFFLE_24_BLOCKS)
     closed = bipartite.reshuffle24_closed_singular_values(b.g, b.w)
     b.check_close(svs, closed, "reshuffling singular values", SPECTRUM_TOL)
     return {"resh24": 1.0 - np.sum(svs, axis=-1)}
 
 
 def _perm222(b: _Batch, ids) -> dict[str, np.ndarray]:
-    svs = linalg.block_spectra(
-        linalg.permute_indices(b.rho, linalg.RESHUFFLE_23_PERM), states.RESHUFFLE_23_BLOCKS,
-        b.g, b.w,
-    )
     # summed in layout order: exactly 0.0 at (1/3, 0), where the sorted sum is not
-    return {"perm222": 1.0 - np.sum(svs, axis=-1)}
+    return {"perm222": 1.0 - np.sum(b.blocks[states.RESHUFFLE_23_BLOCKS], axis=-1)}
 
 
 def _spin(b: _Batch, ids) -> dict[str, np.ndarray]:
@@ -269,20 +288,23 @@ def _witness(b: _Batch, ids) -> dict[str, np.ndarray]:
     return closed
 
 
+# each group's evaluator, and the matrix families whose block spectra it reads
 _EVALUATORS = {
-    "maj": _majorization,
-    "entropy": _entropy,
-    "ppt": _partial_transpose,
-    "reduction": _partial_transpose,
-    "resh24": _reshuffle24,
-    "perm222": _perm222,
-    "su2": _spin,
-    "su283": _spin,
-    "su3": _spin,
-    "huber": _swap,
-    "gs2": _gs2,
-    "gs3": _gs3,
-    "witness": _witness,
+    "maj": (_majorization, _DENSITIES),
+    "entropy": (_entropy, _DENSITIES),
+    "ppt": (_partial_transpose, (states.TRANSPOSE_1_BLOCKS,)),
+    "reduction": (_partial_transpose, (
+        states.TRANSPOSE_1_BLOCKS, states.REDUCTION_I123_BLOCKS, states.REDUCTION_1I23_BLOCKS,
+    )),
+    "resh24": (_reshuffle24, (states.RESHUFFLE_24_BLOCKS,)),
+    "perm222": (_perm222, (states.RESHUFFLE_23_BLOCKS,)),
+    "su2": (_spin, ()),
+    "su283": (_spin, ()),
+    "su3": (_spin, ()),
+    "huber": (_swap, ()),
+    "gs2": (_gs2, ()),
+    "gs3": (_gs3, ()),
+    "witness": (_witness, ()),
 }
 
 
@@ -299,13 +321,20 @@ def evaluate(g, w, ids) -> tuple[dict[str, np.ndarray], dict[str, tuple[float, f
         if cid not in BY_ID:
             raise ValueError(f"unknown criterion {cid!r}")
     wanted: dict = {}
+    families: dict = {}
     for cid in IDS:
         if cid in ids:
-            wanted.setdefault(_EVALUATORS[BY_ID[cid].group], []).append(cid)
-    batch = _Batch(np.asarray(g, dtype=float), np.asarray(w, dtype=float))
+            evaluator, reads = _EVALUATORS[BY_ID[cid].group]
+            wanted.setdefault(evaluator, []).append(cid)
+            families.update(dict.fromkeys(reads))
+    batch = _Batch(np.asarray(g, dtype=float), np.asarray(w, dtype=float), families)
+    readers = [evaluator for evaluator, reads in _EVALUATORS.values() if reads]
+    last_reader = next((ev for ev in reversed(list(wanted)) if ev in readers), None)
     out: dict[str, np.ndarray] = {}
     for evaluator, family in wanted.items():
         out.update(evaluator(batch, family))
+        if evaluator is last_reader:  # the other evaluators run without the pass's memory
+            batch.release_spectra()
     return {cid: np.asarray(out[cid], dtype=float) for cid in ids}, batch.deviations
 
 

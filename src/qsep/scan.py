@@ -242,7 +242,11 @@ def _replacing(*paths):
     """Text files for ``paths`` (None for None), all opened before the body writes.  A
     regular file or a new path gets a temporary file beside it, which replaces it once
     the body has returned and is removed if anything raises; a link, a pipe or a
-    terminal is written directly."""
+    terminal is written directly.  Two paths that resolve to one file raise ValueError
+    before anything is opened."""
+    named = [os.path.realpath(path) for path in paths if path is not None]
+    if len(set(named)) < len(named):
+        raise ValueError(f"two exports name the same file: {[p for p in paths if p is not None]}")
     temps = {}  # path -> its temporary file
     try:
         with contextlib.ExitStack() as stack:

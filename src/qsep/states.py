@@ -6,7 +6,9 @@ from sums of its entries (the marginals and the two reduction maps) come from
 exact entry templates in the renormalized weights (d/8, g/2, w/3), over
 arrays of weights; every entry is real, so the templates are float64.
 Matrices that only move entries of rho (rho^T1 and the reshuffles) are
-derived from the rho template by the generic index maps.
+never built for the criteria: their block layouts gather their entries from
+the rho template through the generic index maps, applied to rho's flat
+indices.
 ``qsep verify`` checks every sum-built template against the generic maps of
 the independently built mixture, which pins down the index conventions.
 """
@@ -87,19 +89,35 @@ def build_rho_grid(g, w) -> np.ndarray:
     return m
 
 
-def _hermitian(name: str, n: int, *index_sets) -> linalg.BlockLayout:
-    """Eigenvalue layout of an n x n family: each index set is one diagonal block."""
-    return linalg.BlockLayout(name, (n, n), tuple((s, s) for s in index_sets))
+def _hermitian(name: str, template: str, n: int, *index_sets, mirrors=()) -> linalg.BlockLayout:
+    """Eigenvalue layout of the n x n template named ``template``: each index set is one
+    diagonal block."""
+    return linalg.BlockLayout(name, (n, n), tuple((s, s) for s in index_sets), mirrors=mirrors,
+                              source=template)
+
+
+def _moved_from_rho(name: str, shape, blocks, index_map, **kwargs) -> linalg.BlockLayout:
+    """Layout of a family that only moves entries of rho: its blocks are gathered from the
+    rho template through ``index_map`` (a map of 8x8 matrices) applied to rho's flat indices."""
+    index = index_map(np.arange(64.0).reshape(8, 8)).reshape(-1).astype(np.intp)
+    return linalg.BlockLayout(name, shape, blocks, source="build_rho_grid", source_shape=(8, 8),
+                              index=index, **kwargs)
 
 
 # block layouts of rho and of the two index maps of it that the criteria diagonalize,
-# rho^T1 and R'(rho) (``linalg.permute_indices``)
-RHO_BLOCKS = _hermitian("rho", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,))
-TRANSPOSE_1_BLOCKS = _hermitian("rho^T1", 8, (0, 5, 6), (1, 2), (3, 4), (7,))
+# rho^T1 and R'(rho) (``linalg.permute_indices``); a mirror pair (p, q) of a 3x3 block,
+# B_pp == B_qq and B_pr == B_qr, splits it into one eigenvalue and a 2x2 block
+RHO_BLOCKS = _hermitian("rho", "build_rho_grid", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,),
+                        mirrors=((1, 2),))
+TRANSPOSE_1_BLOCKS = _moved_from_rho(
+    "rho^T1", (8, 8), tuple((s, s) for s in ((0, 5, 6), (1, 2), (3, 4), (7,))),
+    lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM), mirrors=((5, 6),),
+)
 # R'(rho): three exactly symmetric blocks, so the singular values are |eigenvalues|
-RESHUFFLE_23_BLOCKS = linalg.BlockLayout(
+RESHUFFLE_23_BLOCKS = _moved_from_rho(
     "R'(rho) (2-3 reshuffle)", (8, 8),
-    (((0, 3, 5), (0, 3, 6)), ((1, 6), (2, 5)), ((2, 4, 7), (1, 4, 7))), singular=True,
+    (((0, 3, 5), (0, 3, 6)), ((1, 6), (2, 5)), ((2, 4, 7), (1, 4, 7))),
+    lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM), singular=True,
 )
 
 
@@ -126,7 +144,7 @@ def marginal_23_grid(g, w) -> np.ndarray:
     return m
 
 
-MARGINAL_23_BLOCKS = _hermitian("rho^23", 4, (1, 2), (0,), (3,))
+MARGINAL_23_BLOCKS = _hermitian("rho^23", "marginal_23_grid", 4, (1, 2), (0,), (3,))
 
 
 def marginal_1_grid(g, w) -> np.ndarray:
@@ -138,7 +156,7 @@ def marginal_1_grid(g, w) -> np.ndarray:
     return m
 
 
-MARGINAL_1_BLOCKS = _hermitian("rho^1", 2, (0,), (1,))
+MARGINAL_1_BLOCKS = _hermitian("rho^1", "marginal_1_grid", 2, (0,), (1,))
 
 
 def reduction_i123_grid(g, w) -> np.ndarray:
@@ -155,7 +173,8 @@ def reduction_i123_grid(g, w) -> np.ndarray:
     return m
 
 
-REDUCTION_I123_BLOCKS = _hermitian("I (x) rho^23 - rho", 8, (0, 7), (1, 2, 4), (3,), (5, 6))
+REDUCTION_I123_BLOCKS = _hermitian("I (x) rho^23 - rho", "reduction_i123_grid", 8,
+                                   (0, 7), (1, 2, 4), (3,), (5, 6), mirrors=((1, 2),))
 
 
 def reduction_1i23_grid(g, w) -> np.ndarray:
@@ -181,7 +200,8 @@ def reduction_1i23_grid(g, w) -> np.ndarray:
     return m
 
 
-REDUCTION_1I23_BLOCKS = _hermitian("rho^1 (x) I - rho", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,))
+REDUCTION_1I23_BLOCKS = _hermitian("rho^1 (x) I - rho", "reduction_1i23_grid", 8,
+                                   (0, 7), (1, 2, 4), (3,), (5,), (6,), mirrors=((1, 2),))
 
 
 def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
@@ -259,10 +279,23 @@ def reshuffle_24_matrix(rho) -> np.ndarray:
 
 
 # R(rho): one 2x6 block and two one-row blocks; columns 7, 11, 13 and 14 are zero
-RESHUFFLE_24_BLOCKS = linalg.BlockLayout(
+RESHUFFLE_24_BLOCKS = _moved_from_rho(
     "R(rho) (1|23 reshuffle)", (4, 16),
-    (((0, 3), (0, 5, 6, 9, 10, 15)), ((1,), (3, 4, 8)), ((2,), (1, 2, 12))), singular=True,
+    (((0, 3), (0, 5, 6, 9, 10, 15)), ((1,), (3, 4, 8)), ((2,), (1, 2, 12))),
+    reshuffle_24_matrix, singular=True,
 )
+
+
+def template_sources(layouts, g, w, rho=None) -> dict:
+    """A builder, a function of no arguments, for each template that ``layouts`` read, keyed
+    by their ``source`` (the template function's name, looked up when the builder runs);
+    ``rho``, when given, is returned for ``build_rho_grid``."""
+    def builder(name):
+        if name == "build_rho_grid" and rho is not None:
+            return lambda: rho
+        return lambda: globals()[name](g, w)
+
+    return {layout.source: builder(layout.source) for layout in layouts}
 
 
 # ---------------------------------------------------------------------------

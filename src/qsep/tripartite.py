@@ -319,11 +319,14 @@ def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int) -> CriterionVerdic
 
 _HUBER_PHIS = {"ghz": phi_ghz, "w": phi_w}
 _SWAP_SUBSETS = ((1,), (2,), (3,), (2, 3), (1, 3), (1, 2))
+# swapping a subset or its complement gives one expectation, because rho (x) rho is
+# symmetric under exchanging the copies; the complements read their subset's form
+_COMPLEMENTS = {(2, 3): (1,), (1, 3): (2,), (1, 2): (3,)}
 
 
 @functools.cache
 def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
-    """3x3 weight-bilinear coefficient matrices of every swap expectation.
+    """3x3 weight-bilinear coefficient matrices of every distinct swap expectation.
 
     rho (x) rho is bilinear in the mixing weights, so each quantity
     <Phi_S| rho(x)rho |Phi_S> (and the left side with P_tot) is a quadratic
@@ -338,8 +341,9 @@ def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
         np.outer(ghz, np.conj(ghz)),
         np.outer(wv, np.conj(wv)),
     )
-    # (bra, ket) of each expectation
-    sides = {subset: (swap_operator(subset) @ phi,) * 2 for subset in _SWAP_SUBSETS}
+    # (bra, ket) of each distinct expectation
+    sides = {subset: (swap_operator(subset) @ phi,) * 2 for subset in _SWAP_SUBSETS
+             if subset not in _COMPLEMENTS}
     sides[("tot",)] = (phi, swap_operator((1, 2, 3)) @ phi)
     return {
         key: np.array([[np.conj(bra) @ (np.kron(a, b) @ ket) for b in basis] for a in basis])
@@ -348,14 +352,17 @@ def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
 
 
 def huber_forms_grid(g, w, phi_tag: str) -> dict[tuple, np.ndarray]:
-    """The seven swap expectations of the named detection vector over weight
-    arrays, keyed like ``_huber_coefficients`` and clipped at zero."""
+    """The seven swap expectations of the named detection vector over weight arrays,
+    keyed like ``_huber_coefficients`` and clipped at zero: four quadratic forms, and
+    each complement of a single qubit reading that qubit's form."""
     g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
     c = np.stack([np.maximum(1.0 - g - w, 0.0), g, w], axis=0)
-    return {
+    forms = {
         key: np.clip(np.real(np.einsum("an,ab,bn->n", c, q, c)), 0.0, None)
         for key, q in _huber_coefficients(phi_tag).items()
     }
+    forms.update({subset: forms[single] for subset, single in _COMPLEMENTS.items()})
+    return forms
 
 
 def huber_margins_grid(g, w, phi_tag: str, k: int, forms=None) -> np.ndarray:

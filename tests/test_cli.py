@@ -159,6 +159,21 @@ class TestScan:
         assert "i/o failure" in err and "/nonexistent-dir/x.json" in err
         assert "wrote" not in out
 
+    @pytest.mark.parametrize("first, second", [
+        ("--out", "--json-out"), ("--out", "--svg"), ("--json-out", "--svg"),
+    ])
+    def test_two_exports_to_one_file_are_a_usage_error(self, capsys, tmp_path, first, second):
+        # a second spelling of the same path still names the same file
+        target = tmp_path / "P"
+        target.write_bytes(b"an earlier export\n")
+        code, out, err = run(capsys, "scan", "--resolution", "5", "--criteria", "ppt",
+                             first, str(target), second, str(tmp_path / "." / "P"))
+        assert code == 1
+        assert f"{first} and {second} name the same file" in err
+        assert out == ""  # nothing was scanned or written
+        assert target.read_bytes() == b"an earlier export\n"
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_failed_export_leaves_an_earlier_file_as_it_was(self, capsys, tmp_path):
         csv = tmp_path / "ok.csv"
         csv.write_bytes(b"g,w,criterion_id,verdict,margin\nan earlier export\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsep import bipartite, criteria, states, tripartite
+from qsep import bipartite, criteria, linalg, states, tripartite
 from qsep.config import MARGINAL_BAND
 from qsep.exceptions import ConsistencyError, ConvergenceError
 
@@ -91,12 +91,18 @@ class TestEvaluate:
 
 
 class TestSwapForms:
-    def test_each_detection_vector_evaluates_its_seven_forms_once(self, monkeypatch):
+    def test_each_detection_vector_evaluates_its_four_distinct_forms_once(self, monkeypatch):
         calls = []
         real = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
         criteria.evaluate(G, W, criteria.GROUPS["huber"])
-        assert calls.count("an,ab,bn->n") == 14
+        assert calls.count("an,ab,bn->n") == 8
+
+    def test_a_complement_reads_the_form_of_its_qubit(self):
+        for tag in ("ghz", "w"):
+            forms = tripartite.huber_forms_grid(G, W, tag)
+            for subset, single in (((2, 3), (1,)), ((1, 3), (2,)), ((1, 2), (3,))):
+                assert forms[subset] is forms[single]
 
     def test_forms_match_the_products_of_matrix_entries(self):
         # the two paths, and the explicit 64-dimensional swap expectations
@@ -143,6 +149,60 @@ class TestBlockZeroPattern:
             criteria.evaluate(G, W, ("reduction",))
         # the other families do not read that template
         criteria.evaluate(G, W, ("ppt", "maj_rho1", "perm222"))
+
+
+class TestSpectralPass:
+    @pytest.mark.parametrize("template, entries, value, ids, message", [
+        ("build_rho_grid", [(2, 2)], "ulp", ("maj_rho1",),
+         r"^rho at \(g=0\.6, w=0\.1\): entry \[2, 2\] differs from its mirror \[1, 1\]"),
+        ("build_rho_grid", [(2, 4), (4, 2)], "nan", ("ppt",),
+         r"^rho\^T1 at \(g=0\.6, w=0\.1\): entry \[6, 0\] differs from its mirror \[5, 0\]"),
+        ("reduction_i123_grid", [(4, 2), (2, 4)], "ulp", ("reduction",),
+         r"^I \(x\) rho\^23 - rho at \(g=0\.6, w=0\.1\): entry \[4, 2\] differs from its "
+         r"mirror \[4, 1\]"),
+        ("reduction_1i23_grid", [(2, 2)], "nan", ("reduction",),
+         r"^rho\^1 \(x\) I - rho at \(g=0\.6, w=0\.1\): entry \[2, 2\] differs from its "
+         r"mirror \[1, 1\]"),
+    ])
+    def test_broken_mirror_entry_names_family_cell_and_entry(
+            self, monkeypatch, template, entries, value, ids, message):
+        real = getattr(states, template)
+
+        def broken(g, w):
+            m = real(g, w)
+            for i, j in entries:
+                m[3, i, j] = math.nan if value == "nan" else np.nextafter(m[3, i, j], 1.0)
+            return m
+
+        monkeypatch.setattr(states, template, broken)
+        with pytest.raises(ConsistencyError, match=message):
+            criteria.evaluate(G, W, ids)
+
+    @pytest.mark.parametrize("count", [1, 4096])
+    def test_all_criteria_make_one_call_per_spectral_method(self, monkeypatch, count):
+        calls = []
+        for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "svd"), (linalg, "eigvalsh_2x2")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+        rng = np.random.default_rng(count)
+        u, v = rng.random(count), rng.random(count)
+        g, w = np.where(u + v > 1.0, 1.0 - u, u), np.where(u + v > 1.0, 1.0 - v, v)
+        criteria.evaluate(g, w, criteria.IDS)
+        assert sorted(calls) == ["eigvalsh", "eigvalsh_2x2", "svd"]
+
+    def test_a_cells_margins_do_not_depend_on_batch_or_selection(self):
+        rng = np.random.default_rng(8)
+        u, v = rng.random(4096), rng.random(4096)
+        g, w = np.where(u + v > 1.0, 1.0 - u, u), np.where(u + v > 1.0, 1.0 - v, v)
+        chunk = criteria.margins(g, w, criteria.IDS)
+        spectral = ("maj_rho1", "maj_rho23", "ppt", "reduction", "resh24", "perm222")
+        for k in (0, 1234, 4095):
+            for cid in spectral:
+                alone = criteria.margins(g[k:k + 1], w[k:k + 1], (cid,))[cid]
+                assert alone.tobytes() == chunk[cid][k:k + 1].tobytes(), (cid, k)
+        ppt_only = criteria.margins(g, w, ("ppt",))["ppt"]
+        assert ppt_only.tobytes() == chunk["ppt"].tobytes()
 
 
 class TestTemplateDtype:

@@ -371,6 +371,28 @@ class TestPermuteIndices:
             linalg.permute_indices(np.eye(4), IDENTITY_PERM)
 
 
+ALL_LAYOUTS = (
+    states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS,
+    states.TRANSPOSE_1_BLOCKS, states.REDUCTION_I123_BLOCKS, states.REDUCTION_1I23_BLOCKS,
+    states.RESHUFFLE_24_BLOCKS, states.RESHUFFLE_23_BLOCKS,
+)
+
+
+def simplex_cells(count, seed):
+    rng = np.random.default_rng(seed)
+    u, v = rng.random(count), rng.random(count)
+    flip = u + v > 1.0
+    return np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
+
+
+def one_pass(layouts, g, w, **sources):
+    """The pass over ``layouts`` on their templates at (g, w), with ``sources`` replacing
+    templates by name."""
+    built = states.template_sources(layouts, g, w)
+    built.update({name: (lambda m=m: m) for name, m in sources.items()})
+    return linalg.block_spectra(built, layouts, g, w)
+
+
 class TestBlockSpectra:
     G = np.array([0.0, 0.2, 0.1, 0.6, 0.3])
     W = np.array([0.0, 0.0, 0.7, 0.1, 0.3])
@@ -380,47 +402,117 @@ class TestBlockSpectra:
         rho[3, 5, 6] = rho[4, 5, 6] = 1e-300
         with pytest.raises(ConsistencyError,
                            match=r"^rho at \(g=0\.6, w=0\.1\): entry \[5, 6\] lies outside"):
-            linalg.block_spectra(rho, states.RHO_BLOCKS, self.G, self.W)
+            one_pass((states.RHO_BLOCKS,), self.G, self.W, build_rho_grid=rho)
         rho[3, 5, 6] = np.nan
         with pytest.raises(ConsistencyError, match=r"^rho at \(g=0\.6, w=0\.1\)"):
-            linalg.block_spectra(rho, states.RHO_BLOCKS, self.G, self.W)
+            one_pass((states.RHO_BLOCKS,), self.G, self.W, build_rho_grid=rho)
 
     def test_asymmetric_block_of_a_singular_value_layout_raises(self):
         rho = states.build_rho_grid(self.G, self.W)
-        perm = linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM)
-        # one ulp off: row 0 and column 3 lie in the first 3x3 block
-        perm[2, 0, 3] = np.nextafter(perm[2, 0, 3], 1.0)
+        # one ulp off in the rho entry that R'(rho)[0, 3] is read from: row 0 and
+        # column 3 lie in the first 3x3 block
+        k = int(states.RESHUFFLE_23_BLOCKS.index[0 * 8 + 3])
+        rho[2].flat[k] = np.nextafter(rho[2].flat[k], 1.0)
         with pytest.raises(ConsistencyError,
                            match=r"^R'\(rho\) .* at \(g=0\.1, w=0\.7\): entry \[0, 3\] differs"):
-            linalg.block_spectra(perm, states.RESHUFFLE_23_BLOCKS, self.G, self.W)
+            one_pass((states.RESHUFFLE_23_BLOCKS,), self.G, self.W, build_rho_grid=rho)
 
     def test_each_cell_keeps_its_bits_in_any_batch(self):
-        rng = np.random.default_rng(17)
-        u, v = rng.random(64), rng.random(64)
-        flip = u + v > 1.0
-        g, w = np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
-        rho = states.build_rho_grid(g, w)
-        families = (
-            (rho, states.RHO_BLOCKS),
-            (linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM), states.RESHUFFLE_23_BLOCKS),
-            (states.reshuffle_24_matrix(rho), states.RESHUFFLE_24_BLOCKS),
-            (states.reduction_i123_grid(g, w), states.REDUCTION_I123_BLOCKS),
-        )
-        for matrices, layout in families:
-            whole = linalg.block_spectra(matrices, layout, g, w)
-            assert whole.shape == (64, layout.width)
+        # alone, in a batch of 64 and in a 4,096-cell chunk, in a pass of one family
+        # and in the pass of every family
+        g, w = simplex_cells(4096, 17)
+        chunk = one_pass(ALL_LAYOUTS, g, w)
+        small = one_pass(ALL_LAYOUTS, g[:64], w[:64])
+        for layout in ALL_LAYOUTS:
+            assert chunk[layout].shape == (4096, layout.width)
+            own = one_pass((layout,), g[:64], w[:64])[layout]
+            assert own.tobytes() == small[layout].tobytes() == chunk[layout][:64].tobytes(), layout.name
             for k in (0, 5, 63):
-                one = linalg.block_spectra(matrices[k:k + 1], layout, g[k:k + 1], w[k:k + 1])
-                assert one.tobytes() == whole[k:k + 1].tobytes(), layout.name
+                one = one_pass((layout,), g[k:k + 1], w[k:k + 1])[layout]
+                assert one.tobytes() == chunk[layout][k:k + 1].tobytes(), layout.name
 
     def test_rejects_a_batch_of_the_wrong_shape(self):
-        with pytest.raises(ValueError, match="expected a batch"):
-            linalg.block_spectra(np.eye(8), states.RHO_BLOCKS, [0.0], [0.0])
-        with pytest.raises(ValueError, match="expected a batch"):
-            linalg.block_spectra(np.zeros((1, 4, 4)), states.RHO_BLOCKS, [0.0], [0.0])
+        for wrong in (np.eye(8), np.zeros((1, 4, 4)), np.zeros((2, 8, 8)), np.eye(8)[None] * 1j):
+            with pytest.raises(ValueError, match="expected a batch of 1 real"):
+                linalg.block_spectra({"build_rho_grid": lambda wrong=wrong: wrong},
+                                     (states.RHO_BLOCKS,), [0.0], [0.0])
 
     def test_layout_rejects_overlapping_or_non_square_eigenvalue_blocks(self):
         with pytest.raises(ValueError, match="overlap"):
             linalg.BlockLayout("probe", (3, 3), (((0, 1), (0, 1)), ((1, 2), (1, 2))))
         with pytest.raises(ValueError, match="rows == columns"):
             linalg.BlockLayout("probe", (3, 3), (((0, 1), (1, 2)),))
+        with pytest.raises(ValueError, match="no 3x3 block"):
+            linalg.BlockLayout("probe", (4, 4), (((0, 1), (0, 1)), ((2, 3), (2, 3))), mirrors=((0, 1),))
+
+    def test_split_blocks_match_lapack_on_the_whole_block(self):
+        # the mirror split against eigvalsh of the 3x3 block it replaces
+        g, w = simplex_cells(500, 4)
+        spectra = one_pass(ALL_LAYOUTS, g, w)
+        for layout in ALL_LAYOUTS:
+            matrices = states.template_sources((layout,), g, w)[layout.source]().reshape(g.size, -1)
+            for method, entries, slots in layout.parts:
+                if method == "mirror":
+                    (block,) = (np.array(r) for r, _ in layout.blocks if len(r) == 3)
+                    flat = layout.read_from((block[:, None] * layout.shape[1] + block).reshape(-1))
+                    full = np.linalg.eigvalsh(matrices[:, flat].reshape(-1, 3, 3))
+                    split = np.sort(spectra[layout][:, slots], axis=-1)
+                    assert np.max(np.abs(split - full)) <= 4 * np.finfo(float).eps, layout.name
+
+
+def lapack_2x2(a, b, c):
+    m = np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+    return np.linalg.eigvalsh(m)
+
+
+def assert_within_2_ulps(a, b, c):
+    low, high = linalg.eigvalsh_2x2(a, b, c)
+    ref = lapack_2x2(a, b, c)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    # ulps of the largest entry; np.spacing(0.0) is the smallest subnormal
+    tol = 2 * np.spacing(scale)
+    assert np.all(np.abs(low - ref[..., 0]) <= tol) and np.all(np.abs(high - ref[..., 1]) <= tol)
+    assert np.all(low <= high)
+    return low, high, ref
+
+
+class TestEigvalsh2x2:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(*[st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)] * 3),
+        min_size=1, max_size=40,
+    ))
+    def test_matches_lapack_to_2_ulps_of_the_largest_entry(self, entries):
+        a, b, c = (np.array(x) for x in zip(*entries))
+        assert_within_2_ulps(a, b, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-300, 300), st.integers(0, 2**32 - 1))
+    def test_matches_lapack_at_any_scale(self, exponent, seed):
+        a, b, c = np.random.default_rng(seed).normal(size=(3, 50)) * 10.0**exponent
+        assert_within_2_ulps(a, b, c)
+
+    def test_edge_cases(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.random(200), rng.random(200)
+        cases = {
+            "zero off-diagonal": (x, 0.0 * x, y),
+            "equal diagonals": (x, y, x),
+            "a + c = 0": (x, y, -x),
+            "1e-300 scale": (x * 1e-300, y * 1e-300, (x - y) * 1e-300),
+            "subnormal off-diagonal": (x, np.full(200, 5e-324) * rng.integers(1, 1000, 200), y),
+            "zero matrix": (0.0 * x, 0.0 * x, 0.0 * x),
+        }
+        for name, (a, b, c) in cases.items():
+            low, high, ref = assert_within_2_ulps(a, b, c)
+            assert np.all(np.isfinite(low)) and np.all(np.isfinite(high)), name
+        low, high = linalg.eigvalsh_2x2(np.array([0.0]), np.array([0.0]), np.array([0.0]))
+        assert low[0] == high[0] == 0.0
+
+    def test_keeps_the_shape_and_each_problem_is_independent(self):
+        a, b, c = np.random.default_rng(3).normal(size=(3, 9000, 4))
+        low, high = linalg.eigvalsh_2x2(a, b, c)
+        assert low.shape == high.shape == (9000, 4)
+        one_low, one_high = linalg.eigvalsh_2x2(a[8191:8192], b[8191:8192], c[8191:8192])
+        assert one_low.tobytes() == low[8191:8192].tobytes()
+        assert one_high.tobytes() == high[8191:8192].tobytes()

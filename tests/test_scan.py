@@ -537,6 +537,17 @@ class TestExports:
         assert csv.read_bytes() == b"earlier csv" and json_.read_bytes() == b"earlier json"
         assert sorted(tmp_path.iterdir()) == [csv, json_]
 
+    def test_csv_and_json_to_one_file_raise_and_leave_it_as_it_was(self, tmp_path):
+        grid = scan.grid_scan(6, "ppt")
+        target = tmp_path / "P"
+        target.write_bytes(b"earlier")
+        (tmp_path / "link").symlink_to(target)
+        for json_path in (target, tmp_path / "link"):
+            with pytest.raises(ValueError, match="same file"):
+                scan.export_tables(grid, csv_path=target, json_path=json_path)
+        assert target.read_bytes() == b"earlier"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["P", "link"]
+
     def test_export_replaces_files_and_writes_through_links(self, tmp_path):
         grid = scan.grid_scan(6, "ppt")
         (tmp_path / "target.csv").write_text("earlier")

@@ -135,3 +135,22 @@ def test_cross_checks_are_made_in_one_place():
     for name in ("check_close", "check_signs"):
         assert {module for module, _ in _calls(name)} == {"criteria"}, name
     assert _calls("assert_signs_agree") == {("tripartite", "criterion_su")}
+
+
+def test_lapack_spectra_are_called_only_in_linalg():
+    # every eigensolver and SVD call goes through qsep.linalg, whose block pass
+    # makes one call per block shape
+    spectral = {"eigvalsh", "eigh", "eig", "eigvals", "svd"}
+    callers = {
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in spectral
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "linalg"
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id in ("np", "numpy", "scipy")
+    }
+    assert callers == {"linalg"}

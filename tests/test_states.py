@@ -146,6 +146,39 @@ class TestBuildRho:
         for matrices in transposes:
             assert np.max(np.abs(linalg.eigh(matrices) - closed)) < 1e-13
 
+    def test_every_cut_has_the_reduction_and_reshuffle_spectra_of_the_1_23_cut(self):
+        # the k|rest cut built directly: qubit k traced out and the identity put back in its
+        # place, and the reshuffle with qubit k as the first party
+        rng = np.random.default_rng(12)
+        g, w = rng.random(64), rng.random(64)
+        flip = g + w > 1.0
+        g[flip], w[flip] = 1.0 - g[flip], 1.0 - w[flip]
+        g, w = np.append(g, [0.0, 0.3, 1.0 / 3.0, 0.0]), np.append(w, [0.0, 0.0, 0.0, 1.0])
+        rho = states.build_rho_grid(g, w)
+        tensor = rho.reshape((-1,) + (2,) * 6)
+        eye2 = np.eye(2)
+        expected = (
+            linalg.eigh(states.reduction_i123_grid(g, w)),
+            linalg.eigh(states.reduction_1i23_grid(g, w)),
+            linalg.singular_values(states.reshuffle_24_matrix(rho)),
+        )
+        for k in (1, 2):  # qubit 2 and qubit 3, as 0-based tensor axes
+            rest = [q for q in range(3) if q != k]
+            # qubit k first, then the other two, on both sides
+            order = [0, 1 + k, 1 + rest[0], 1 + rest[1], 4 + k, 4 + rest[0], 4 + rest[1]]
+            moved = tensor.transpose(order)
+            rho_rest = np.einsum("nkabkcd->nabcd", moved)  # qubit k traced out
+            rho_k = np.einsum("niabjab->nij", moved)  # the other two traced out
+            i_rest = np.einsum("ij,nabcd->niabjcd", eye2, rho_rest)
+            k_i = np.einsum("nij,ac,bd->niabjcd", rho_k, eye2, eye2)
+            back = np.argsort(order)  # the moved axes back in qubit order
+            reductions = [(m.transpose(back).reshape(-1, 8, 8) - rho) for m in (i_rest, k_i)]
+            reshuffle = moved.reshape(-1, 2, 4, 2, 4).swapaxes(2, 3).reshape(-1, 4, 16)
+            found = (linalg.eigh(reductions[0]), linalg.eigh(reductions[1]),
+                     linalg.singular_values(reshuffle))
+            for value, want in zip(found, expected):
+                assert np.max(np.abs(value - want)) < 1e-13, k
+
 
 class TestMarginals:
     def test_white_noise(self):
@@ -214,11 +247,21 @@ class TestBlockLayouts:
     )
     def test_block_spectra_match_full_lapack(self, point):
         g, w = np.array([point[0]]), np.array([point[1]])
+        layouts = tuple(layout for layout, _ in BLOCK_FAMILIES)
+        spectra = linalg.block_spectra(states.template_sources(layouts, g, w), layouts, g, w)
         for layout, build in BLOCK_FAMILIES:
             matrices = build(g, w)
-            blocks = np.sort(linalg.block_spectra(matrices, layout, g, w), axis=-1)[:, ::-1]
+            blocks = np.sort(spectra[layout], axis=-1)[:, ::-1]
             full = linalg.singular_values(matrices) if layout.singular else linalg.eigh(matrices)
             assert np.max(np.abs(blocks - full)) <= linalg.BLOCK_TOL, (layout.name, point)
+
+    def test_each_layout_reads_its_family_from_its_template(self):
+        # the composed index maps gather exactly the entries of the built family
+        g, w = seeded_and_edge_cells()
+        for layout, build in BLOCK_FAMILIES:
+            source = states.template_sources((layout,), g, w)[layout.source]()
+            gathered = source.reshape(g.size, -1)[:, layout.read_from(np.arange(layout.off_block.size))]
+            assert np.array_equal(gathered, build(g, w).reshape(g.size, -1)), layout.name
 
 
 class TestGenericMaps:
