@@ -21,9 +21,9 @@ import math
 import numpy as np
 
 from . import states
-from .config import RANK_TOL
+from .config import MARGINAL_BAND, RANK_TOL
 from .exceptions import ConsistencyError
-from .verdict import signs_agree
+from .verdict import cell_name, sign_gap
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -46,7 +46,8 @@ def majorization_case_margins(g, w):
 
     Evaluates the three nontrivial partial-sum inequalities of the published
     case table; on case boundaries both adjacent rows are evaluated and must
-    agree in sign.
+    agree in sign (``sign_gap``), or ConsistencyError names the first such
+    cell.  A cell that matches no case row, a NaN weight, stays NaN.
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -75,20 +76,19 @@ def majorization_case_margins(g, w):
         (w <= g) & (g <= 4.0 / 3.0 * w),
         4.0 / 3.0 * w <= g,
     )
-    m23 = np.full(g.shape, np.inf)
-    m1 = np.full(g.shape, np.inf)
+    m23 = np.full(g.shape, np.nan)
+    m1 = np.full(g.shape, np.nan)
     for mask, mi, mii, miii in zip(case_masks, row_i, row_ii, row_iii):
-        m23 = np.where(mask, np.minimum(m23, np.minimum(mi, mii)), m23)
-        m1 = np.where(mask, np.minimum(m1, miii), m1)
+        m23 = np.where(mask, np.fmin(m23, np.minimum(mi, mii)), m23)
+        m1 = np.where(mask, np.fmin(m1, miii), m1)
     # rows sharing a case boundary must agree in sign there
     for a in range(3):
-        overlap = case_masks[a] & case_masks[a + 1]
-        if np.any(overlap):
-            for rows in (row_i, row_ii, row_iii):
-                if not np.all(signs_agree(rows[a][overlap], rows[a + 1][overlap])):
-                    raise ConsistencyError(
-                        "adjacent majorization case rows disagree on a shared boundary"
-                    )
+        overlap = np.flatnonzero(case_masks[a] & case_masks[a + 1])
+        for rows in (row_i, row_ii, row_iii):
+            bad = overlap[~(sign_gap(rows[a][overlap], rows[a + 1][overlap]) <= MARGINAL_BAND)]
+            if bad.size:
+                raise ConsistencyError("adjacent majorization case rows disagree on a shared "
+                                       f"boundary at {cell_name(g[bad[0]], w[bad[0]])}")
     return m1, m23
 
 

@@ -284,39 +284,25 @@ def cmd_verify(args) -> int:
     for name, (deviation, gn, wn) in deviations.items():
         check(name, deviation, where=f" at {verdict.cell_name(gn, wn)}")
 
-    # the block path, one pass as in the registry, against full-matrix LAPACK; the
-    # second numeric path of perm222
-    rho_t1 = linalg.permute_indices(rho, linalg.TRANSPOSE_1_PERM)
-    spectral = {
-        states.RHO_BLOCKS: rho,
-        states.TRANSPOSE_1_BLOCKS: rho_t1,
-        states.MARGINAL_23_BLOCKS: templates["rho^23"][0],
-        states.MARGINAL_1_BLOCKS: templates["rho^1"][0],
-        states.REDUCTION_I123_BLOCKS: templates["I (x) rho^23 - rho"][0],
-        states.REDUCTION_1I23_BLOCKS: templates["rho^1 (x) I - rho"][0],
-        states.RESHUFFLE_24_BLOCKS: states.reshuffle_24_matrix(rho),
-        states.RESHUFFLE_23_BLOCKS: linalg.permute_indices(rho, linalg.RESHUFFLE_23_PERM),
-    }
-    blocks = linalg.block_spectra(states.template_sources(spectral, g, w, rho), spectral, g, w)
-    deviation = np.stack([
-        np.max(np.abs(
-            np.sort(blocks[layout], axis=-1)[:, ::-1]
-            - (linalg.singular_values(matrices) if layout.singular else linalg.eigh(matrices))
-        ), axis=-1)
-        for layout, matrices in spectral.items()
-    ])
+    # the block path, one pass as in the registry, against full-matrix LAPACK on every family
+    # built in full through its layout's map; the second numeric path of perm222
+    sources = states.template_sources(states.FAMILIES, g, w, rho)
+    families = {layout: layout.family(sources[layout.source]()) for layout in states.FAMILIES}
+    blocks = linalg.block_spectra(sources, states.FAMILIES, g, w)
+    full = {layout: linalg.singular_values(m) if layout.singular else linalg.eigh(m)
+            for layout, m in families.items()}
+    deviation = np.stack([np.max(np.abs(np.sort(blocks[layout], axis=-1)[:, ::-1] - values), axis=-1)
+                          for layout, values in full.items()])
     k, n = np.unravel_index(np.argmax(deviation), deviation.shape)  # the first NaN, if any
     check("block spectra vs full LAPACK", float(deviation[k, n]), min(tol, linalg.BLOCK_TOL),
-          f" at {verdict.cell_name(g[n], w[n])} in {list(spectral)[k].name}")
+          f" at {verdict.cell_name(g[n], w[n])} in {list(families)[k].name}")
 
     # the production backend against the independent Jacobi reference
-    backend_worst = 0.0
-    for matrices in (rho, rho_t1, *(template for template, _ in templates.values())):
-        deviation = np.max(np.abs(linalg.eigh(matrices) - linalg.jacobi_eigh(matrices)))
-        backend_worst = max(backend_worst, float(deviation))
+    backend_worst = max(float(np.max(np.abs(full[layout] - linalg.jacobi_eigh(m))))
+                        for layout, m in families.items() if not layout.singular)
     check("eigh vs Jacobi reference", backend_worst, max(tol, 1e-12))
 
-    lam = concurrence.wootters_lambdas(templates["rho^23"][0])
+    lam = concurrence.wootters_lambdas(families[states.MARGINAL_23_BLOCKS])
     conc23 = states.closed_form_spectra_grid(g, w)["conc23"]
     check("spectrum[conc23]", float(np.max(np.abs(lam**2 - conc23))))
     # raises, naming the cell, past 1e-9

@@ -26,7 +26,7 @@ import numpy as np
 from . import bipartite, linalg, states, tripartite
 from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError
-from .verdict import cell_name
+from .verdict import cell_name, sign_gap
 
 # the classes a violation rules out, by the separability level it tests
 FULLSEP = ("3",)
@@ -109,17 +109,6 @@ GROUPS: dict[str, tuple[str, ...]] = {
 # evaluators: each takes a batch and the wanted ids of its family, returns {id: margins}
 
 
-# the closed-form spectrum each eigenvalue family is checked against
-_CLOSED_SPECTRA = {
-    states.RHO_BLOCKS: "rho",
-    states.MARGINAL_23_BLOCKS: "rho23",
-    states.MARGINAL_1_BLOCKS: "rho1",
-    states.TRANSPOSE_1_BLOCKS: "rho_t1",
-    states.REDUCTION_I123_BLOCKS: "rho_t1",
-    states.REDUCTION_1I23_BLOCKS: "red1_i23",
-}
-
-
 class _Batch:
     """Weights of one batch, the matrix families its evaluators read, and the quantities
     several evaluators share."""
@@ -150,8 +139,8 @@ class _Batch:
         against its closed form if it has one."""
         if layout not in self._spectra:
             values = np.sort(self.blocks[layout], axis=-1)[:, ::-1]
-            if layout in _CLOSED_SPECTRA:
-                self.check_close(values, self.closed[_CLOSED_SPECTRA[layout]],
+            if states.FAMILIES[layout] is not None:
+                self.check_close(values, self.closed[states.FAMILIES[layout]],
                                  f"Spect({layout.name})", SPECTRUM_TOL)
             self._spectra[layout] = values
         return self._spectra[layout]
@@ -177,11 +166,9 @@ class _Batch:
                      lambda worst, n: f"deviates from closed forms by {worst:.3e}")
 
     def check_signs(self, numeric, closed, what: str) -> None:
-        """Record, as ``<what> sign``, the largest min(|numeric|, |closed|) over the cells
-        whose strict signs differ, and its cell; raise, naming both, past MARGINAL_BAND
-        or on a NaN."""
-        gap = np.where(np.sign(numeric) != np.sign(closed), np.minimum(abs(numeric), abs(closed)), 0.0)
-        self._record(f"{what} sign", gap, MARGINAL_BAND,
+        """Record, as ``<what> sign``, the largest ``sign_gap`` and its cell; raise, naming
+        both, past MARGINAL_BAND or on a NaN."""
+        self._record(f"{what} sign", sign_gap(numeric, closed), MARGINAL_BAND,
                      lambda worst, n: f"numeric margin {numeric[n]:.3e} vs closed form {closed[n]:.3e}")
 
 

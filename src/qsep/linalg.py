@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,11 +90,11 @@ def hermiticity_defect(a) -> float:
     return float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))))
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL) -> None:
+def require_hermitian(a) -> None:
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
 
 
@@ -217,13 +218,13 @@ def jacobi_eigh(a, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
     return vals[0] if single else vals
 
 
-def hermitian_eigenvalues(a, *, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix (or batch), sorted non-increasing.
 
     Rejects non-Hermitian input, and checks that the eigenvalue sum
     reproduces the trace to 1e-10 (a live sanity check on the solver).
     """
-    require_hermitian(a, tol)
+    require_hermitian(a)
     a = np.asarray(a, dtype=np.complex128)
     vals = eigh(a)
     trace = np.einsum("...ii->...", a).real
@@ -328,11 +329,11 @@ class BlockLayout:
 
     ``blocks`` lists each block's (rows, columns) index sets; every entry
     outside them is zero.  The family is read from a batch of ``source``
-    matrices, the key ``block_spectra`` finds them under.  Without ``index``
-    the source is the family itself; with it, entry k of the flattened family
-    matrix is entry ``index[k]`` of the flattened ``source_shape`` source, so
-    a family that only moves entries of another (a partial transpose, a
-    reshuffle) is gathered from it and never built.
+    matrices, the key ``block_spectra`` finds them under.  Without
+    ``source_map`` the source is the family itself; with it, the family is
+    ``source_map`` of its ``source_shape`` source (``family``), a map that
+    only moves entries (a partial transpose, a reshuffle), so the pass
+    gathers the family from the source through the derived ``index``.
 
     ``singular`` selects what ``block_spectra`` returns: eigenvalues of
     Hermitian blocks (rows == columns; the lower triangle is read) or
@@ -364,10 +365,11 @@ class BlockLayout:
     mirrors: tuple[tuple[int, int], ...] = ()
     source: str = ""
     source_shape: tuple[int, int] | None = None
-    index: np.ndarray | None = field(default=None, compare=False, repr=False)
-    # derived from the fields above: values per matrix, off-block mask over the
-    # flattened family, (method, flat entries, output slots) per block, (entry, its
+    source_map: Callable | None = field(default=None, compare=False, repr=False)
+    # derived from the fields above: the flat source entry of each flat family entry, values
+    # per matrix, off-block mask, (method, flat entries, output slots) per block, (entry, its
     # mirror, text) per exact equality the blocks rely on, and the slots that take |value|
+    index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     width: int = field(init=False, repr=False, compare=False)
     off_block: np.ndarray = field(init=False, repr=False, compare=False)
     parts: tuple = field(init=False, repr=False, compare=False)
@@ -424,6 +426,9 @@ class BlockLayout:
                 parts.append(("eigh", entry, slots))
         if unused:
             raise ValueError(f"{self.name}: mirror pairs {sorted(unused)} lie in no 3x3 block")
+        if self.source_map is not None:  # the map applied to the source's flat indices
+            flat = np.arange(float(np.prod(self.source_shape))).reshape(self.source_shape)
+            object.__setattr__(self, "index", self.source_map(flat).reshape(-1).astype(np.intp))
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "off_block", ~inside.reshape(-1))
         object.__setattr__(self, "parts", tuple(parts))
@@ -433,7 +438,11 @@ class BlockLayout:
     def read_from(self, entries) -> np.ndarray:
         """The flat source indices of the flat family ``entries``."""
         entries = np.asarray(entries, dtype=np.intp)
-        return entries if self.index is None else np.asarray(self.index, dtype=np.intp)[entries]
+        return entries if self.index is None else self.index[entries]
+
+    def family(self, source) -> np.ndarray:
+        """The full matrices of the family, from a batch of its source matrices."""
+        return source if self.source_map is None else self.source_map(source)
 
 
 class _Plan:
@@ -636,13 +645,12 @@ def trace_norm(a) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def psd_sqrt(a, tol: float | None = None) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Hermitian PSD square root B with B @ B == A to 1e-9 elementwise.
 
-    Eigenvalues below -tol are rejected; small negatives are clamped to zero.
+    Eigenvalues below -psd_tol() are rejected; small negatives are clamped to zero.
     """
-    if tol is None:
-        tol = psd_tol()
+    tol = psd_tol()
     require_hermitian(a)
     vals, vecs = eigh(a, vectors=True)
     worst = float(np.min(vals))

@@ -77,12 +77,6 @@ class RegionGrid:
         mask = self.pptes
         return list(zip(self.g[mask].tolist(), self.w[mask].tolist()))
 
-    def report_at(self, n: int) -> classify.ClassReport:
-        return classify.cell_report(
-            self.g[n], self.w[n], {cid: self.codes[cid][n] for cid in self.criteria},
-            self.possible[n], self.slocc[n], self.exact[n], self.pptes[n],
-        )
-
 
 def _usable_cores() -> int:
     """The cores this process may run on."""
@@ -275,8 +269,8 @@ def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
 
     The CSV has one row ``g,w,criterion_id,verdict,margin`` per (cell,
     criterion), cells in lattice order and criteria in selection order.  The
-    JSON is the payload ``json.dump`` would write for ``grid_report_dicts``,
-    byte for byte.  In both, every float is ``float.__repr__``, so it parses
+    JSON is what ``json.dump`` writes for each cell's ``ClassReport.to_dict()``
+    and verdicts, byte for byte.  Every float is ``float.__repr__``, so it parses
     back to the same float64; the JSON spells NaN and the infinities as
     ``json`` does.  Both files are opened before the first block is written,
     and a failed export leaves both paths as they were (``_replacing``).
@@ -370,23 +364,6 @@ def import_json(path) -> dict:
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {payload.get('schema_version')!r}")
     return payload
-
-
-def grid_report_dicts(grid: RegionGrid) -> list[dict]:
-    names = _verdict_names(grid)
-    margins = {cid: grid.margins[cid].tolist() for cid in grid.criteria}
-    out = []
-    for n in range(grid.cell_count):
-        entry = grid.report_at(n).to_dict()
-        entry["criteria"] = {
-            cid: {"verdict": names[cid][n], "margin": margins[cid][n]} for cid in grid.criteria
-        }
-        out.append(entry)
-    return out
-
-
-def _verdict_names(grid: RegionGrid) -> dict[str, list[str]]:
-    return {cid: [verdict.CODE_NAMES[c] for c in grid.codes[cid].tolist()] for cid in grid.criteria}
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +496,7 @@ def _fill_for(signature: tuple[str, ...]) -> str:
     return f"#{shade:02x}{shade:02x}{shade:02x}"
 
 
-def export_svg(grid: RegionGrid, path, curve_criteria=None) -> None:
+def export_svg(grid: RegionGrid, path) -> None:
     """Simplex map: per-cell fill by possible classes plus margin isolines."""
     size = 640.0
     pad = 60.0
@@ -563,11 +540,8 @@ def export_svg(grid: RegionGrid, path, curve_criteria=None) -> None:
         f'L {sx(0):.2f} {sy(1):.2f} Z" fill="none" stroke="black" stroke-width="1.5"/>'
     )
     # criterion boundary isolines
-    curves = resolve_criteria(curve_criteria) if curve_criteria else grid.criteria
     legend_y = pad / 2
-    for color_idx, cid in enumerate(curves):
-        if cid not in grid.margins:
-            continue
+    for color_idx, cid in enumerate(grid.criteria):
         segments = margin_isolines(grid, cid)
         if not segments:
             continue

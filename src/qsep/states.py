@@ -96,12 +96,11 @@ def _hermitian(name: str, template: str, n: int, *index_sets, mirrors=()) -> lin
                               source=template)
 
 
-def _moved_from_rho(name: str, shape, blocks, index_map, **kwargs) -> linalg.BlockLayout:
-    """Layout of a family that only moves entries of rho: its blocks are gathered from the
-    rho template through ``index_map`` (a map of 8x8 matrices) applied to rho's flat indices."""
-    index = index_map(np.arange(64.0).reshape(8, 8)).reshape(-1).astype(np.intp)
+def _moved_from_rho(name: str, shape, blocks, source_map, **kwargs) -> linalg.BlockLayout:
+    """Layout of a family that only moves entries of rho: ``source_map`` (a map of 8x8
+    matrices) builds it from rho, and its blocks are gathered from the rho template."""
     return linalg.BlockLayout(name, shape, blocks, source="build_rho_grid", source_shape=(8, 8),
-                              index=index, **kwargs)
+                              source_map=source_map, **kwargs)
 
 
 # block layouts of rho and of the two index maps of it that the criteria diagonalize,
@@ -285,6 +284,19 @@ RESHUFFLE_24_BLOCKS = _moved_from_rho(
     reshuffle_24_matrix, singular=True,
 )
 
+# every matrix family the criteria diagonalize, in ``qsep verify``'s order, with the key of
+# ``closed_form_spectra_grid`` its spectra are checked against (None for the reshuffles)
+FAMILIES: dict[linalg.BlockLayout, str | None] = {
+    RHO_BLOCKS: "rho",
+    TRANSPOSE_1_BLOCKS: "rho_t1",
+    MARGINAL_23_BLOCKS: "rho23",
+    MARGINAL_1_BLOCKS: "rho1",
+    REDUCTION_I123_BLOCKS: "rho_t1",
+    REDUCTION_1I23_BLOCKS: "red1_i23",
+    RESHUFFLE_24_BLOCKS: None,
+    RESHUFFLE_23_BLOCKS: None,
+}
+
 
 def template_sources(layouts, g, w, rho=None) -> dict:
     """A builder, a function of no arguments, for each template that ``layouts`` read, keyed
@@ -352,18 +364,3 @@ def example_states(which: str, a: float | None = None) -> np.ndarray:
         return (PPTES_NUMERATOR / 120.0).astype(np.complex128)
     raise ValueError(f"unknown example state {which!r} (want class21, class28 or pptes)")
 
-
-QUBIT_PERMUTATIONS = (
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
-)
-
-
-def permute_qubits(rho: np.ndarray, qperm) -> np.ndarray:
-    """Conjugate an 8x8 operator by the permutation sending qubit k to slot qperm[k]."""
-    full = tuple(qperm) + tuple(3 + k for k in qperm)
-    return linalg.permute_indices(rho, full)

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, states
+from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError
 from .states import SimplexPoint
-from .verdict import CriterionVerdict, assert_signs_agree, cell_name
+from .verdict import CriterionVerdict, cell_name, sign_gap
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -37,21 +38,21 @@ _LEVEL_TAG = {"2sep": "2", "28cap3": "283", "3sep": "3"}
 _LEVEL_CAP = {"28cap3": 0.25, "3sep": 1.0 / 16.0}
 
 
-def validate_triad(triad, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check an orthogonal spin triad: Hermitian, squares to I, anticommuting."""
+def validate_triad(triad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check an orthogonal spin triad to 1e-12: Hermitian, squares to I, anticommuting."""
     if len(triad) != 3:
         raise ValueError("a setting triad needs exactly three observables")
     ops = tuple(np.asarray(t, dtype=np.complex128) for t in triad)
     for op in ops:
         if op.shape != (2, 2):
             raise ValueError("triad observables must be 2x2")
-        if linalg.hermiticity_defect(op) > tol:
+        if linalg.hermiticity_defect(op) > 1e-12:
             raise ValueError("triad observable is not Hermitian")
-        if np.max(np.abs(op @ op - ID2)) > tol:
+        if np.max(np.abs(op @ op - ID2)) > 1e-12:
             raise ValueError("triad observable does not square to the identity")
     for a in range(3):
         b = (a + 1) % 3
-        if np.max(np.abs(ops[a] @ ops[b] + ops[b] @ ops[a])) > tol:
+        if np.max(np.abs(ops[a] @ ops[b] + ops[b] @ ops[a])) > 1e-12:
             raise ValueError("triad observables do not pairwise anticommute")
     return ops
 
@@ -166,7 +167,10 @@ def criterion_su(p: SimplexPoint, triads, level: str) -> CriterionVerdict:
         cid = f"su{_LEVEL_TAG[level]}_custom"
     else:
         cid = f"su{_LEVEL_TAG[level]}_set{idx + 1}"
-        assert_signs_agree(cid, margin, su_closed_margin(p.g, p.w, idx, level), p.g, p.w)
+        closed = float(su_closed_margin(p.g, p.w, idx, level))
+        if not sign_gap(margin, closed) <= MARGINAL_BAND:
+            raise ConsistencyError(f"{cid} at {cell_name(p.g, p.w)}: numeric margin {margin:.3e} "
+                                   f"vs closed form {closed:.3e}")
     return CriterionVerdict.from_margin(cid, margin, "spin-observable inequality slack")
 
 
@@ -555,12 +559,12 @@ GHZ_TANGLE_SLOPE = 3.0 / (4.0 * 2.0 ** (1.0 / 3.0))
 GHZ_TRIANGLE = ((3.0 / 7.0, 0.0), (1.0, 0.0), (G0, 1.0 - G0))
 
 
-def _inside_ghz_triangle(g, w, eps: float = 1e-12):
-    """Whether (g, w) lies in the GHZ_TRIANGLE, its edges included (arrays allowed)."""
+def _inside_ghz_triangle(g, w):
+    """Whether (g, w) lies in the GHZ_TRIANGLE, its edges included to 1e-12 (arrays allowed)."""
     (ax, ay), (bx, by), (cx, cy) = GHZ_TRIANGLE
-    first = (bx - ax) * (w - ay) - (by - ay) * (g - ax) >= -eps
-    second = (cx - bx) * (w - by) - (cy - by) * (g - bx) >= -eps
-    third = (ax - cx) * (w - cy) - (ay - cy) * (g - cx) >= -eps
+    first = (bx - ax) * (w - ay) - (by - ay) * (g - ax) >= -1e-12
+    second = (cx - bx) * (w - by) - (cy - by) * (g - bx) >= -1e-12
+    third = (ax - cx) * (w - cy) - (ay - cy) * (g - cx) >= -1e-12
     return first & second & third
 
 

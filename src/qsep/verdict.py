@@ -2,7 +2,7 @@
 
 A margin within ``MARGINAL_BAND`` of zero is marginal; outside it, a
 positive margin holds and a negative one is violated.  Numeric and closed
-form margins agree when their signs match or either lies in that band.
+form margins agree in sign where their ``sign_gap`` lies within that band.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MARGINAL_BAND
-from .exceptions import ConsistencyError
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -45,21 +44,12 @@ class CriterionVerdict:
         return cls(cid, verdict_state(margin), float(margin), kind)
 
 
-def signs_agree(a, b):
-    """Elementwise sign agreement with a dead band around zero on either side."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return (np.abs(a) <= MARGINAL_BAND) | (np.abs(b) <= MARGINAL_BAND) | ((a > 0) == (b > 0))
-
-
-def assert_signs_agree(what: str, numeric: float, closed: float, g: float, w: float) -> None:
-    """Raise ConsistencyError naming the check and the point (g, w) unless the signs
-    of one numeric margin and its closed form agree."""
-    if not signs_agree(numeric, closed):
-        raise ConsistencyError(
-            f"{what} at {cell_name(g, w)}: numeric margin {float(numeric):.3e} "
-            f"vs closed form {float(closed):.3e}"
-        )
+def sign_gap(numeric, closed) -> np.ndarray:
+    """Elementwise min(|numeric|, |closed|) where the strict signs of the two margins differ,
+    0 where they match, and NaN where either is NaN.  The signs agree where the gap is at
+    most ``MARGINAL_BAND``."""
+    numeric, closed = np.asarray(numeric, dtype=float), np.asarray(closed, dtype=float)
+    return np.where(np.sign(numeric) != np.sign(closed), np.minimum(abs(numeric), abs(closed)), 0.0)
 
 
 def cell_name(g, w) -> str:

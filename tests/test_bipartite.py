@@ -2,8 +2,10 @@ import math
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from qsep import bipartite, linalg, scan, states
+from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 from qsep.verdict import HOLDS, MARGINAL, VIOLATED, verdict_state
 
@@ -123,6 +125,19 @@ class TestExactRationalPins:
     def test_printed_row_misses_the_published_point(self):
         # the documented 9/19 correction: the printed 3/19 coefficient does not vanish there
         assert sum(row_terms(ROW_ABOVE_PRINTED, F(2, 13), F(3, 13))) == F(-12, 247)
+
+    def test_nan_weight_stays_nan_in_the_case_margins(self):
+        m1, m23 = bipartite.majorization_case_margins([np.nan, 0.1], [0.2, 0.2])
+        assert np.isnan(m1[0]) and np.isnan(m23[0])
+        assert np.isfinite(m1[1]) and np.isfinite(m23[1])
+
+    def test_boundary_disagreement_names_the_first_cell(self, monkeypatch):
+        # (0.25, 0.25) lies on the shared boundary g = w; (0.1, 0.5) on none
+        monkeypatch.setattr(bipartite, "sign_gap", lambda a, b: np.ones(np.shape(a)))
+        with pytest.raises(ConsistencyError,
+                           match=r"adjacent majorization case rows disagree on a shared "
+                                 r"boundary at \(g=0\.25, w=0\.25\)$"):
+            bipartite.majorization_case_margins([0.1, 0.25, 0.5], [0.5, 0.25, 0.5])
 
     def test_majorization_float_margin_within_a_few_ulp(self):
         _, m23 = bipartite.majorization_case_margins(2 / 13, 3 / 13)

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qsep import bipartite, cli, concurrence, criteria, scan, states
+from qsep import bipartite, cli, concurrence, criteria, linalg, scan, states
 
 
 def run(capsys, *argv):
@@ -239,6 +239,18 @@ class TestVerify:
         assert code == 2
         assert "FAIL  rho^1 template vs generic map" in out
         assert "FAILURE: rho^1 template vs generic map: deviation" in err and " at (g=" in err
+
+    @pytest.mark.parametrize("target", list(states.FAMILIES), ids=lambda layout: layout.name)
+    def test_block_line_covers_every_family(self, capsys, monkeypatch, target):
+        # the full matrices of one family, scaled by 1 + 1e-6, no longer have the spectra
+        # its blocks give
+        real = linalg.BlockLayout.family
+        monkeypatch.setattr(linalg.BlockLayout, "family", lambda layout, source: (
+            real(layout, source) * (1.0 + 1e-6) if layout is target else real(layout, source)))
+        code, out, _ = run(capsys, "verify", "--points", "30", "--seed", "7")
+        assert code == 2
+        (line,) = [line for line in out.splitlines() if " block spectra vs full LAPACK " in line]
+        assert line.startswith("FAIL") and line.endswith(f" in {target.name}"), line
 
     def test_ppt_sign_conflict_fails(self, capsys, monkeypatch):
         real = bipartite.ppt_closed_margins

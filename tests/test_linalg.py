@@ -371,11 +371,7 @@ class TestPermuteIndices:
             linalg.permute_indices(np.eye(4), IDENTITY_PERM)
 
 
-ALL_LAYOUTS = (
-    states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS,
-    states.TRANSPOSE_1_BLOCKS, states.REDUCTION_I123_BLOCKS, states.REDUCTION_1I23_BLOCKS,
-    states.RESHUFFLE_24_BLOCKS, states.RESHUFFLE_23_BLOCKS,
-)
+ALL_LAYOUTS = tuple(states.FAMILIES)
 
 
 def simplex_cells(count, seed):

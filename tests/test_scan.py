@@ -109,12 +109,38 @@ def reference_csv(grid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def report_at(grid, n):
+    """The class report of cell ``n`` of a scan."""
+    return classify.cell_report(
+        grid.g[n], grid.w[n], {cid: grid.codes[cid][n] for cid in grid.criteria},
+        grid.possible[n], grid.slocc[n], grid.exact[n], grid.pptes[n],
+    )
+
+
+def verdict_names(grid) -> dict[str, list[str]]:
+    return {cid: [verdict.CODE_NAMES[c] for c in grid.codes[cid].tolist()] for cid in grid.criteria}
+
+
+def grid_report_dicts(grid) -> list[dict]:
+    """The report object of every cell, as the JSON export holds them."""
+    names = verdict_names(grid)
+    margins = {cid: grid.margins[cid].tolist() for cid in grid.criteria}
+    out = []
+    for n in range(grid.cell_count):
+        entry = report_at(grid, n).to_dict()
+        entry["criteria"] = {
+            cid: {"verdict": names[cid][n], "margin": margins[cid][n]} for cid in grid.criteria
+        }
+        out.append(entry)
+    return out
+
+
 def reference_json(grid) -> str:
     payload = {
         "schema_version": scan.SCHEMA_VERSION,
         "resolution": grid.resolution,
         "criteria": list(grid.criteria),
-        "reports": scan.grid_report_dicts(grid),
+        "reports": grid_report_dicts(grid),
     }
     return json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
 
@@ -279,7 +305,7 @@ class TestGridScan:
     def test_classification_matches_classify_point(self):
         grid = scan.grid_scan(8, "all")
         for i, j in ((0, 0), (2, 2), (8, 0), (3, 5), (1, 6)):
-            report_grid = grid.report_at(flat_index(grid, i, j))
+            report_grid = report_at(grid, flat_index(grid, i, j))
             assert report_grid == classify.classify_point(SimplexPoint(i / 8, j / 8))
 
     @settings(max_examples=8, deadline=None)
@@ -293,7 +319,7 @@ class TestGridScan:
             for cid in criteria.IDS:
                 assert one[cid].tobytes() == grid.margins[cid][n : n + 1].tobytes(), (n, cid)
             report = classify.classify_point(SimplexPoint(grid.g[n], grid.w[n]))
-            assert report == grid.report_at(n)
+            assert report == report_at(grid, n)
 
     @pytest.mark.parametrize("resolution,criteria", [(50, "perm222"), (85, "all"), (100, "all")])
     def test_resolutions_that_broke_batched_jacobi(self, resolution, criteria):
@@ -303,7 +329,7 @@ class TestGridScan:
         for row in on_line:
             g = grid.i_index[row] / resolution
             want = "3" if g <= 1 / 5 else ("2.1" if g <= 3 / 7 else "1")
-            report = grid.report_at(int(row))
+            report = report_at(grid, int(row))
             assert report.exact
             assert report.possible_classes == (want,), (g, report.possible_classes)
 
@@ -469,7 +495,7 @@ class TestExports:
         scan.export(grid, "json", out)
         payload = scan.import_json(out)
         assert payload["schema_version"] == scan.SCHEMA_VERSION
-        assert payload["reports"] == scan.grid_report_dicts(grid)
+        assert payload["reports"] == grid_report_dicts(grid)
 
     def test_json_determinism_across_workers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scan, "CHUNK", SMALL_CHUNK)  # 66 cells in 3 chunks

@@ -20,14 +20,8 @@ ALLOWED_WITHOUT_CALLER = {
     "classify.classify_point": "public API: the class report of one point (README, tests)",
     "cli._Parser.error": "override: argparse calls it, so a usage error exits 1, not 2",
     "scan.boundary_bisect": "public API: boundary constants along a ray (README, acceptance)",
-    "scan.grid_report_dicts": "test reference for the JSON export; the benchmark tracer names it",
     "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
     "scan.RegionGrid.pptes_points": "public API: the PPTES cells of a scan (README)",
-    "states.QUBIT_PERMUTATIONS": "test reference: the permutation symmetry of rho",
-    "states.permute_qubits": (
-        "test reference: the permutation symmetry of rho, and of the spectrum of rho^T1 "
-        "that lets the 1|23 cut stand for all three cuts"
-    ),
     "tripartite.random_setting_search": "public API: the search over random spin settings (tests)",
 }
 
@@ -130,11 +124,32 @@ def _calls(name: str) -> set[tuple[str, str]]:
 
 
 def test_cross_checks_are_made_in_one_place():
-    # every grid-path check is a recording method of criteria._Batch; the one sign
-    # check outside it is the explicit-observable per-point reference
+    # every grid-path check is a recording method of criteria._Batch; the sign checks
+    # outside it are the explicit-observable per-point reference and the shared
+    # boundaries of the majorization case table, and all of them read verdict.sign_gap
     for name in ("check_close", "check_signs"):
         assert {module for module, _ in _calls(name)} == {"criteria"}, name
-    assert _calls("assert_signs_agree") == {("tripartite", "criterion_su")}
+    assert _calls("sign_gap") == {
+        ("criteria", "_Batch"), ("tripartite", "criterion_su"),
+        ("bipartite", "majorization_case_margins"),
+    }
+
+
+def _is_sign_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sign"
+
+
+def test_sign_rule_is_defined_once():
+    # the one comparison of the signs of two margins is verdict.sign_gap
+    comparisons = {
+        (module, getattr(top, "name", ""))
+        for module, tree in _modules().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Compare)
+        and sum(map(_is_sign_call, [node.left, *node.comparators])) >= 2
+    }
+    assert comparisons == {("verdict", "sign_gap")}
 
 
 def test_lapack_spectra_are_called_only_in_linalg():

@@ -20,22 +20,38 @@ def reduction_matrices(p):
     return at(states.reduction_i123_grid, p), at(states.reduction_1i23_grid, p)
 
 
+QUBIT_PERMUTATIONS = (
+    (0, 1, 2),
+    (0, 2, 1),
+    (1, 0, 2),
+    (1, 2, 0),
+    (2, 0, 1),
+    (2, 1, 0),
+)
+
+
+def permute_qubits(rho: np.ndarray, qperm) -> np.ndarray:
+    """Conjugate an 8x8 operator by the permutation sending qubit k to slot qperm[k]."""
+    full = tuple(qperm) + tuple(3 + k for k in qperm)
+    return linalg.permute_indices(rho, full)
+
+
 def _rho_map(perm):
     return lambda g, w: linalg.permute_indices(states.build_rho_grid(g, w), perm)
 
 
-# every matrix family the criteria diagonalize, with its declared block layout
-BLOCK_FAMILIES = (
-    (states.RHO_BLOCKS, states.build_rho_grid),
-    (states.TRANSPOSE_1_BLOCKS, _rho_map(linalg.TRANSPOSE_1_PERM)),
-    (states.RESHUFFLE_23_BLOCKS, _rho_map(linalg.RESHUFFLE_23_PERM)),
-    (states.MARGINAL_23_BLOCKS, states.marginal_23_grid),
-    (states.MARGINAL_1_BLOCKS, states.marginal_1_grid),
-    (states.REDUCTION_I123_BLOCKS, states.reduction_i123_grid),
-    (states.REDUCTION_1I23_BLOCKS, states.reduction_1i23_grid),
-    (states.RESHUFFLE_24_BLOCKS,
-     lambda g, w: states.reshuffle_24_matrix(states.build_rho_grid(g, w))),
-)
+# every matrix family the criteria diagonalize: its declared block layout, and a builder
+# of its full matrices written here, independently of the layout's own map
+BLOCK_FAMILIES = {
+    states.RHO_BLOCKS: states.build_rho_grid,
+    states.TRANSPOSE_1_BLOCKS: _rho_map(linalg.TRANSPOSE_1_PERM),
+    states.RESHUFFLE_23_BLOCKS: _rho_map(linalg.RESHUFFLE_23_PERM),
+    states.MARGINAL_23_BLOCKS: states.marginal_23_grid,
+    states.MARGINAL_1_BLOCKS: states.marginal_1_grid,
+    states.REDUCTION_I123_BLOCKS: states.reduction_i123_grid,
+    states.REDUCTION_1I23_BLOCKS: states.reduction_1i23_grid,
+    states.RESHUFFLE_24_BLOCKS: lambda g, w: states.reshuffle_24_matrix(states.build_rho_grid(g, w)),
+}
 
 
 def seeded_and_edge_cells(count=500, seed=9):
@@ -126,8 +142,8 @@ class TestBuildRho:
     def test_permutation_invariance(self):
         p = SimplexPoint(0.23, 0.41)
         rho = states.build_rho(p)
-        for qperm in states.QUBIT_PERMUTATIONS:
-            assert np.max(np.abs(states.permute_qubits(rho, qperm) - rho)) < 1e-15
+        for qperm in QUBIT_PERMUTATIONS:
+            assert np.max(np.abs(permute_qubits(rho, qperm) - rho)) < 1e-15
 
     def test_every_cut_has_the_spectrum_of_the_1_23_cut(self):
         # the symmetry that lets rho^T1 stand for all three bipartite cuts
@@ -142,7 +158,7 @@ class TestBuildRho:
         transposes = [  # on qubit 2, on qubit 3
             linalg.permute_indices(rho, perm) for perm in ((0, 4, 2, 3, 1, 5), (0, 1, 5, 3, 4, 2))
         ]
-        transposes += [states.permute_qubits(rho_t1, qperm) for qperm in states.QUBIT_PERMUTATIONS]
+        transposes += [permute_qubits(rho_t1, qperm) for qperm in QUBIT_PERMUTATIONS]
         for matrices in transposes:
             assert np.max(np.abs(linalg.eigh(matrices) - closed)) < 1e-13
 
@@ -227,9 +243,23 @@ class TestTemplateDtypes:
 
 
 class TestBlockLayouts:
+    def test_families_is_the_one_list_of_layouts(self):
+        declared = {value for value in vars(states).values() if isinstance(value, linalg.BlockLayout)}
+        assert declared == set(states.FAMILIES)
+        assert set(BLOCK_FAMILIES) == set(states.FAMILIES)
+        closed = set(states.closed_form_spectra_grid(np.array([0.2]), np.array([0.2])))
+        assert {key for key in states.FAMILIES.values() if key is not None} <= closed
+
+    def test_family_builds_the_full_matrices_through_the_layout_map(self):
+        g, w = seeded_and_edge_cells()
+        sources = states.template_sources(states.FAMILIES, g, w)
+        for layout, build in BLOCK_FAMILIES.items():
+            built = layout.family(sources[layout.source]())
+            assert np.array_equal(built, build(g, w)), layout.name
+
     def test_each_layout_is_the_components_of_its_support(self):
         g, w = seeded_and_edge_cells()
-        for layout, build in BLOCK_FAMILIES:
+        for layout, build in BLOCK_FAMILIES.items():
             support = np.any(build(g, w) != 0.0, axis=0)
             declared = {(frozenset(r), frozenset(c)) for r, c in layout.blocks}
             assert support_components(support) == declared, layout.name
@@ -247,9 +277,9 @@ class TestBlockLayouts:
     )
     def test_block_spectra_match_full_lapack(self, point):
         g, w = np.array([point[0]]), np.array([point[1]])
-        layouts = tuple(layout for layout, _ in BLOCK_FAMILIES)
+        layouts = tuple(BLOCK_FAMILIES)
         spectra = linalg.block_spectra(states.template_sources(layouts, g, w), layouts, g, w)
-        for layout, build in BLOCK_FAMILIES:
+        for layout, build in BLOCK_FAMILIES.items():
             matrices = build(g, w)
             blocks = np.sort(spectra[layout], axis=-1)[:, ::-1]
             full = linalg.singular_values(matrices) if layout.singular else linalg.eigh(matrices)
@@ -258,7 +288,7 @@ class TestBlockLayouts:
     def test_each_layout_reads_its_family_from_its_template(self):
         # the composed index maps gather exactly the entries of the built family
         g, w = seeded_and_edge_cells()
-        for layout, build in BLOCK_FAMILIES:
+        for layout, build in BLOCK_FAMILIES.items():
             source = states.template_sources((layout,), g, w)[layout.source]()
             gathered = source.reshape(g.size, -1)[:, layout.read_from(np.arange(layout.off_block.size))]
             assert np.array_equal(gathered, build(g, w).reshape(g.size, -1)), layout.name

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qsep import classify, criteria, scan, states, tripartite
+from qsep.config import MARGINAL_BAND
 from qsep.states import SimplexPoint
-from qsep.verdict import HOLDS, MARGINAL, VIOLATED, signs_agree, verdict_state
+from qsep.verdict import HOLDS, MARGINAL, VIOLATED, sign_gap, verdict_state
 
 
 def simplex_grid(n=15):
@@ -170,7 +171,7 @@ class TestCriterionSU:
                 for level in tripartite.LEVELS:
                     v = tripartite.criterion_su(p, (setting,) * 3, level)
                     closed = float(tripartite.su_closed_margin(p.g, p.w, idx, level))
-                    assert signs_agree(v.margin, closed), (p, idx, level)
+                    assert sign_gap(v.margin, closed) <= MARGINAL_BAND, (p, idx, level)
 
     def test_setting3_never_stronger_than_setting2_for_2sep(self):
         for p in simplex_grid(12):
