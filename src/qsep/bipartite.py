@@ -84,11 +84,12 @@ def majorization_case_margins(g, w):
     # rows sharing a case boundary must agree in sign there
     for a in range(3):
         overlap = np.flatnonzero(case_masks[a] & case_masks[a + 1])
-        for rows in (row_i, row_ii, row_iii):
-            bad = overlap[~(sign_gap(rows[a][overlap], rows[a + 1][overlap]) <= MARGINAL_BAND)]
-            if bad.size:
-                raise ConsistencyError("adjacent majorization case rows disagree on a shared "
-                                       f"boundary at {cell_name(g[bad[0]], w[bad[0]])}")
+        if overlap.size:
+            for rows in (row_i, row_ii, row_iii):
+                bad = overlap[~(sign_gap(rows[a][overlap], rows[a + 1][overlap]) <= MARGINAL_BAND)]
+                if bad.size:
+                    raise ConsistencyError("adjacent majorization case rows disagree on a shared "
+                                           f"boundary at {cell_name(g[bad[0]], w[bad[0]])}")
     return m1, m23
 
 

@@ -48,8 +48,7 @@ def sign_gap(numeric, closed) -> np.ndarray:
     """Elementwise min(|numeric|, |closed|) where the strict signs of the two margins differ,
     0 where they match, and NaN where either is NaN.  The signs agree where the gap is at
     most ``MARGINAL_BAND``."""
-    numeric, closed = np.asarray(numeric, dtype=float), np.asarray(closed, dtype=float)
-    return np.where(np.sign(numeric) != np.sign(closed), np.minimum(abs(numeric), abs(closed)), 0.0)
+    return np.where(np.sign(numeric) != np.sign(closed), np.minimum(np.abs(numeric), np.abs(closed)), 0.0)
 
 
 def cell_name(g, w) -> str:
