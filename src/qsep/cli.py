@@ -26,6 +26,8 @@ EXIT_USAGE = 1
 EXIT_CONSISTENCY = 2
 EXIT_IO = 3
 
+MAX_POINTS = 100_000  # largest verify sample: about 13 KB per point, 1.3 GB in all
+
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "qsep point report",
@@ -243,6 +245,8 @@ _EQUIVALENT = (
 def cmd_verify(args) -> int:
     if args.points < 1:
         raise ValueError("verify needs at least one point")
+    if args.points > MAX_POINTS:
+        raise ValueError(f"verify --points {args.points} is over the cap MAX_POINTS = {MAX_POINTS}")
     rng = np.random.default_rng(args.seed)
     g, w = _sample_simplex(rng, args.points)
     tol = args.tol
@@ -255,23 +259,26 @@ def cmd_verify(args) -> int:
             failures.append(f"{name}: deviation {deviation:.3e} exceeds {limit:.1e}{where}")
 
     # the sum-built templates against the generic maps of the independent mixture,
-    # first: the registry reads them, so a broken one fails on its own line
+    # first: the registry reads them, so a broken one fails on its own line.  Each
+    # template is built once, for this line and for its families below
     rho = states.build_rho_grid(g, w)
     mixture = states.build_rho_mixture_grid(g, w)
     rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
     templates = {
-        "rho^23": (states.marginal_23_grid(g, w), rho23),
-        "rho^1": (states.marginal_1_grid(g, w), rho1),
-        "I (x) rho^23 - rho": (
+        states.MARGINAL_23_BLOCKS: (states.marginal_23_grid(g, w), rho23),
+        states.MARGINAL_1_BLOCKS: (states.marginal_1_grid(g, w), rho1),
+        states.REDUCTION_I123_BLOCKS: (
             states.reduction_i123_grid(g, w), np.kron(np.eye(2)[None], rho23) - mixture),
-        "rho^1 (x) I - rho": (
+        states.REDUCTION_1I23_BLOCKS: (
             states.reduction_1i23_grid(g, w), np.kron(rho1, np.eye(4)[None]) - mixture),
     }
-    for what, (template, generic) in templates.items():
+    for layout, (template, generic) in templates.items():
         deviation = np.max(np.abs(template - generic), axis=(1, 2))
         n = int(np.argmax(deviation))  # the first NaN, if any
-        check(f"{what} template vs generic map", float(deviation[n]),
+        check(f"{layout.name} template vs generic map", float(deviation[n]),
               min(tol, states.TEMPLATE_TOL), f" at {verdict.cell_name(g[n], w[n])}")
+    sources = {"build_rho_grid": rho, **{layout.source: template
+                                         for layout, (template, _) in templates.items()}}
 
     # every registry check; evaluate has raised if one is past its own fixed tolerance
     try:
@@ -284,11 +291,11 @@ def cmd_verify(args) -> int:
     for name, (deviation, gn, wn) in deviations.items():
         check(name, deviation, where=f" at {verdict.cell_name(gn, wn)}")
 
-    # the block path, one pass as in the registry, against full-matrix LAPACK on every family
-    # built in full through its layout's map; the second numeric path of perm222
-    sources = states.template_sources(states.FAMILIES, g, w, rho)
-    families = {layout: layout.family(sources[layout.source]()) for layout in states.FAMILIES}
-    blocks = linalg.block_spectra(sources, states.FAMILIES, g, w)
+    # the block path, as in the registry, against full-matrix LAPACK on every family built
+    # in full through its layout's map; the second numeric path of perm222
+    families = {layout: layout.family(sources[layout.source]) for layout in states.FAMILIES}
+    blocks = {layout: linalg.block_spectra(layout, sources[layout.source], g, w)
+              for layout in states.FAMILIES}
     full = {layout: linalg.singular_values(m) if layout.singular else linalg.eigh(m)
             for layout, m in families.items()}
     deviation = np.stack([np.max(np.abs(np.sort(blocks[layout], axis=-1)[:, ::-1] - values), axis=-1)

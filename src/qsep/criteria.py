@@ -4,10 +4,12 @@ Each ``Criterion`` record names its id, its selection group, the classes a
 violation excludes and the kind of margin it reports; ``IDS`` is the scan
 order.  ``evaluate`` computes any subset of criteria over arrays of weights
 through one vectorized evaluator per criterion family, so a grid chunk and a
-batch of one point take the same path (``scan.point_margin``).  Each
-evaluator names the matrix families it reads, and ``_Batch.blocks``
-diagonalizes all those of a selection in one ``linalg.block_spectra`` pass
-per batch.  Every family but ``perm222`` runs its second path on the same
+batch of one point take the same path (``scan.point_margin``).
+A matrix family is diagonalized by one ``linalg.block_spectra`` call when
+an evaluator first reads it: ``_Batch.spectrum`` sorts, checks and keeps
+it, and only ``perm222`` reads a family in layout order (``_Batch.values``).
+So a batch computes each family at most once, and only the families its
+selection reads.  Every family but ``perm222`` runs its second path on the same
 batch through the two recording checks of ``_Batch``, ``check_close`` and
 ``check_signs``, and these are the only cross-checks on the grid path.
 The independent references are ``tripartite.criterion_su`` and ``criterion_huber``, which
@@ -110,13 +112,12 @@ GROUPS: dict[str, tuple[str, ...]] = {
 
 
 class _Batch:
-    """Weights of one batch, the matrix families its evaluators read, and the quantities
-    several evaluators share."""
+    """Weights of one batch, and the quantities several evaluators share, each computed
+    on its first read."""
 
-    def __init__(self, g: np.ndarray, w: np.ndarray, families=()):
+    def __init__(self, g: np.ndarray, w: np.ndarray):
         self.g = g
         self.w = w
-        self.families = tuple(families)
         self.deviations: dict[str, tuple[float, float, float]] = {}
         self._spectra: dict[linalg.BlockLayout, np.ndarray] = {}
 
@@ -128,27 +129,24 @@ class _Batch:
     def rho(self) -> np.ndarray:
         return states.build_rho_grid(self.g, self.w)
 
-    @cached_property
-    def blocks(self) -> dict[linalg.BlockLayout, np.ndarray]:
-        """The block spectra of every family of the batch, from one pass, in layout order."""
-        sources = states.template_sources(self.families, self.g, self.w, self.rho)
-        return linalg.block_spectra(sources, self.families, self.g, self.w)
+    def values(self, layout: linalg.BlockLayout) -> np.ndarray:
+        """The block spectra of ``layout``, in layout order, from one ``linalg.block_spectra``
+        call.  Its source is the batch's rho, or the template ``states`` holds under the
+        layout's ``source`` name, built, read and dropped."""
+        source = (self.rho if layout.source == "build_rho_grid"
+                  else getattr(states, layout.source)(self.g, self.w))
+        return linalg.block_spectra(layout, source, self.g, self.w)
 
     def spectrum(self, layout: linalg.BlockLayout) -> np.ndarray:
-        """The block spectra of ``layout``, sorted non-increasing; on the first read, checked
-        against its closed form if it has one."""
+        """The block spectra of ``layout``, sorted non-increasing; computed and checked
+        against its closed form, if it has one, on the first read."""
         if layout not in self._spectra:
-            values = np.sort(self.blocks[layout], axis=-1)[:, ::-1]
+            values = np.sort(self.values(layout), axis=-1)[:, ::-1]
             if states.FAMILIES[layout] is not None:
                 self.check_close(values, self.closed[states.FAMILIES[layout]],
                                  f"Spect({layout.name})", SPECTRUM_TOL)
             self._spectra[layout] = values
         return self._spectra[layout]
-
-    def release_spectra(self) -> None:
-        """Drop the arrays of the pass, once no evaluator reads them again."""
-        self.__dict__.pop("blocks", None)
-        self._spectra.clear()
 
     def _record(self, what: str, dev: np.ndarray, limit: float, detail) -> None:
         """Record the largest entry of ``dev`` (the first NaN, if any) and its cell;
@@ -226,7 +224,7 @@ def _reshuffle24(b: _Batch, ids) -> dict[str, np.ndarray]:
 
 def _perm222(b: _Batch, ids) -> dict[str, np.ndarray]:
     # summed in layout order: exactly 0.0 at (1/3, 0), where the sorted sum is not
-    return {"perm222": 1.0 - np.sum(b.blocks[states.RESHUFFLE_23_BLOCKS], axis=-1)}
+    return {"perm222": 1.0 - np.sum(b.values(states.RESHUFFLE_23_BLOCKS), axis=-1)}
 
 
 def _spin(b: _Batch, ids) -> dict[str, np.ndarray]:
@@ -275,23 +273,21 @@ def _witness(b: _Batch, ids) -> dict[str, np.ndarray]:
     return closed
 
 
-# each group's evaluator, and the matrix families whose block spectra it reads
+# each group's evaluator
 _EVALUATORS = {
-    "maj": (_majorization, _DENSITIES),
-    "entropy": (_entropy, _DENSITIES),
-    "ppt": (_partial_transpose, (states.TRANSPOSE_1_BLOCKS,)),
-    "reduction": (_partial_transpose, (
-        states.TRANSPOSE_1_BLOCKS, states.REDUCTION_I123_BLOCKS, states.REDUCTION_1I23_BLOCKS,
-    )),
-    "resh24": (_reshuffle24, (states.RESHUFFLE_24_BLOCKS,)),
-    "perm222": (_perm222, (states.RESHUFFLE_23_BLOCKS,)),
-    "su2": (_spin, ()),
-    "su283": (_spin, ()),
-    "su3": (_spin, ()),
-    "huber": (_swap, ()),
-    "gs2": (_gs2, ()),
-    "gs3": (_gs3, ()),
-    "witness": (_witness, ()),
+    "maj": _majorization,
+    "entropy": _entropy,
+    "ppt": _partial_transpose,
+    "reduction": _partial_transpose,
+    "resh24": _reshuffle24,
+    "perm222": _perm222,
+    "su2": _spin,
+    "su283": _spin,
+    "su3": _spin,
+    "huber": _swap,
+    "gs2": _gs2,
+    "gs3": _gs3,
+    "witness": _witness,
 }
 
 
@@ -308,20 +304,13 @@ def evaluate(g, w, ids) -> tuple[dict[str, np.ndarray], dict[str, tuple[float, f
         if cid not in BY_ID:
             raise ValueError(f"unknown criterion {cid!r}")
     wanted: dict = {}
-    families: dict = {}
     for cid in IDS:
         if cid in ids:
-            evaluator, reads = _EVALUATORS[BY_ID[cid].group]
-            wanted.setdefault(evaluator, []).append(cid)
-            families.update(dict.fromkeys(reads))
-    batch = _Batch(np.asarray(g, dtype=float), np.asarray(w, dtype=float), families)
-    readers = [evaluator for evaluator, reads in _EVALUATORS.values() if reads]
-    last_reader = next((ev for ev in reversed(list(wanted)) if ev in readers), None)
+            wanted.setdefault(_EVALUATORS[BY_ID[cid].group], []).append(cid)
+    batch = _Batch(np.asarray(g, dtype=float), np.asarray(w, dtype=float))
     out: dict[str, np.ndarray] = {}
     for evaluator, family in wanted.items():
         out.update(evaluator(batch, family))
-        if evaluator is last_reader:  # the other evaluators run without the pass's memory
-            batch.release_spectra()
     return {cid: np.asarray(out[cid], dtype=float) for cid in ids}, batch.deviations
 
 

@@ -1,13 +1,13 @@
 """Dense complex matrix arithmetic and spectral routines for dimension <= 64.
 
-The criteria read ``block_spectra``: one pass per batch that diagonalizes
-every matrix family a selection needs, block by block, along the fixed
-layout (``BlockLayout``) declared with each family's template.  The method
-is fixed by the block's shape and the declared mirror pairs:
+The criteria read ``block_spectra``: one call per matrix family and batch,
+which diagonalizes the family block by block along the fixed layout
+(``BlockLayout``) declared with its template.  The method is fixed by the
+block's shape and the declared mirror pairs:
 
 - a 1x1 block is its diagonal entry, and a one-row singular-value block's
   value is its Euclidean norm;
-- every 2x2 problem of the pass goes to one call of ``eigvalsh_2x2``, the
+- every 2x2 problem of the family goes to one call of ``eigvalsh_2x2``, the
   steps LAPACK ``dsyevd`` takes on a 2x2 matrix (``dsterf``'s split tests
   and ``dlae2``), vectorized;
 - a 3x3 block with a mirror pair (p, q) splits into B_pp - B_pq and a 2x2
@@ -20,7 +20,7 @@ is fixed by the block's shape and the declared mirror pairs:
 ``eigh`` (symmetric/Hermitian eigensolver) and ``singular_values`` (SVD of
 the matrix itself, not of its Gram matrix, so a trace norm keeps full
 accuracy near zero singular values) work on full matrices: ``qsep verify``
-checks the block pass against them, and the square root, the concurrence
+checks the block spectra against them, and the square root, the concurrence
 and the examples use them.  Real input, as every template is, and complex
 input whose imaginary part is exactly zero go to the real LAPACK routines.
 ``jacobi_eigh`` is a cyclic Jacobi solver kept as the independent reference
@@ -35,8 +35,6 @@ sits in the batch.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -255,7 +253,7 @@ _RMAX = float(np.sqrt(_EPS / _TINY))
 _SSFMIN = float(np.sqrt(_TINY)) / _ROUNDOFF**2
 _SSFMAX = float(np.sqrt(1.0 / _TINY)) / 3.0
 _SQRT2 = float(np.sqrt(2.0))
-_KERNEL_STEP = 4096  # problems per step of eigvalsh_2x2: its temporaries stay in cache
+_KERNEL_STEP = 2048  # problems per step of eigvalsh_2x2: its ~20 temporaries take 0.33 MB
 
 
 def eigvalsh_2x2(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -328,12 +326,13 @@ class BlockLayout:
     """A matrix family that a fixed permutation turns into a direct sum of small blocks.
 
     ``blocks`` lists each block's (rows, columns) index sets; every entry
-    outside them is zero.  The family is read from a batch of ``source``
-    matrices, the key ``block_spectra`` finds them under.  Without
-    ``source_map`` the source is the family itself; with it, the family is
-    ``source_map`` of its ``source_shape`` source (``family``), a map that
-    only moves entries (a partial transpose, a reshuffle), so the pass
-    gathers the family from the source through the derived ``index``.
+    outside them is zero.  The family is read from a batch of its
+    ``source_shape`` source matrices, which the template named ``source``
+    builds.  Without ``source_map`` the source is the family itself; with
+    it, the family is ``source_map`` of its source (``family``), a map that
+    only moves entries (a partial transpose, a reshuffle), so
+    ``block_spectra`` gathers the family from the source through the derived
+    ``index``.
 
     ``singular`` selects what ``block_spectra`` returns: eigenvalues of
     Hermitian blocks (rows == columns; the lower triangle is read) or
@@ -354,8 +353,8 @@ class BlockLayout:
     [[B_pp + B_pq, sqrt(2) B_pr], [sqrt(2) B_pr, B_rr]].  ``block_spectra``
     checks both equalities exactly on every call.
 
-    The method, entries and output slots of every block are derived here,
-    once per family.
+    Where ``block_spectra`` reads and writes is derived here, once per
+    family, in flat entries of the source.
     """
 
     name: str
@@ -364,23 +363,37 @@ class BlockLayout:
     singular: bool = False
     mirrors: tuple[tuple[int, int], ...] = ()
     source: str = ""
-    source_shape: tuple[int, int] | None = None
+    source_shape: tuple[int, int] | None = None  # None: the family's own shape
     source_map: Callable | None = field(default=None, compare=False, repr=False)
-    # derived from the fields above: the flat source entry of each flat family entry, values
-    # per matrix, off-block mask, (method, flat entries, output slots) per block, (entry, its
-    # mirror, text) per exact equality the blocks rely on, and the slots that take |value|
-    index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # derived from the fields above: the source entry of each flat family entry; values per
+    # matrix; the family's off-block mask, and the source entries it must hold 0.0 in; the
+    # a, b, c entries of the 2x2 problems, split blocks first, and their low and high slots;
+    # the B_pq entry of each split block and the slot of B_pp - B_pq; (method, entries of
+    # shape (count, rows, columns), slots) per block shape; the (left, right) entries that
+    # must be equal, with the text naming each pair; and the slots that take |value|
+    index: np.ndarray = field(init=False, repr=False, compare=False)
     width: int = field(init=False, repr=False, compare=False)
     off_block: np.ndarray = field(init=False, repr=False, compare=False)
-    parts: tuple = field(init=False, repr=False, compare=False)
-    equalities: tuple = field(init=False, repr=False, compare=False)
-    abs_slots: tuple = field(init=False, repr=False, compare=False)
+    zeros: np.ndarray = field(init=False, repr=False, compare=False)
+    problems: np.ndarray = field(init=False, repr=False, compare=False)
+    problem_slots: np.ndarray = field(init=False, repr=False, compare=False)
+    split: np.ndarray = field(init=False, repr=False, compare=False)
+    groups: tuple = field(init=False, repr=False, compare=False)
+    equal: tuple = field(init=False, repr=False, compare=False)
+    abs_slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cols = self.shape[1]
+        rows, cols = self.shape
+        if self.source_shape is None:
+            object.__setattr__(self, "source_shape", self.shape)
+        if self.source_map is None:
+            index = np.arange(rows * cols)
+        else:  # the map applied to the source's flat indices
+            source = np.arange(float(np.prod(self.source_shape))).reshape(self.source_shape)
+            index = self.source_map(source).reshape(-1).astype(np.intp)
         inside = np.zeros(self.shape, dtype=bool)
         unused = set(self.mirrors)
-        parts, equalities, abs_slots = [], [], []
+        problems, split, groups, equalities, abs_slots = [], [], {}, [], []
         width = 0
 
         def flat(i, j) -> int:
@@ -398,137 +411,57 @@ class BlockLayout:
             inside[np.ix_(r, c)] = True
             entry = r[:, None] * cols + c[None, :]
             n = min(r.size, c.size)
-            slots = np.arange(width, width + n)
+            slots = list(range(width, width + n))
             width += n
             square = r.size == c.size and not (self.singular and n == 1)
             mirror = next((m for m in self.mirrors if set(m) <= set(r.tolist())), None)
             if self.singular and square:
-                abs_slots += slots.tolist()
+                abs_slots += slots
                 equalities += [(entry[i, j], entry[j, i], "differs from its mirror in a symmetric block")
                                for i in range(n) for j in range(i + 1, n)]
-            if not square:
-                parts.append(("norm" if r.size == 1 else "svd", entry, slots))
-            elif n == 1:
-                parts.append(("diagonal", entry, slots))
-            elif n == 2:
-                parts.append(("pair", entry.reshape(-1)[[0, 2, 3]], slots))
-            elif n == 3 and mirror is not None and not self.singular:
+            if square and n == 2:
+                problems.append((entry[0, 0], entry[1, 0], entry[1, 1], *slots))
+            elif square and n == 3 and mirror is not None and not self.singular:
                 unused.discard(mirror)
                 p, q = mirror
                 (t,) = set(r.tolist()) - {p, q}
-                # B_pp, B_pr, B_rr, B_pq
-                parts.append(("mirror", np.array([flat(p, p), lower(p, t), flat(t, t), lower(p, q)]),
-                              slots))
+                split.append((lower(p, q), slots[0]))  # B_pq; the split problems come first
+                problems.insert(len(split) - 1, (flat(p, p), lower(p, t), flat(t, t), *slots[1:]))
                 for left, right in ((flat(q, q), flat(p, p)), (lower(q, t), lower(p, t))):
                     i, j = divmod(right, cols)
                     equalities.append((left, right, f"differs from its mirror [{i}, {j}]"))
             else:
-                parts.append(("eigh", entry, slots))
+                method = ("diagonal" if n == 1 else "eigh") if square else "norm" if r.size == 1 else "svd"
+                groups.setdefault((method, entry.shape), []).append((entry, slots))
         if unused:
             raise ValueError(f"{self.name}: mirror pairs {sorted(unused)} lie in no 3x3 block")
-        if self.source_map is not None:  # the map applied to the source's flat indices
-            flat = np.arange(float(np.prod(self.source_shape))).reshape(self.source_shape)
-            object.__setattr__(self, "index", self.source_map(flat).reshape(-1).astype(np.intp))
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "off_block", ~inside.reshape(-1))
-        object.__setattr__(self, "parts", tuple(parts))
-        object.__setattr__(self, "equalities", tuple(equalities))
-        object.__setattr__(self, "abs_slots", tuple(abs_slots))
-
-    def read_from(self, entries) -> np.ndarray:
-        """The flat source indices of the flat family ``entries``."""
-        entries = np.asarray(entries, dtype=np.intp)
-        return entries if self.index is None else self.index[entries]
+        zeros = np.zeros(int(np.prod(self.source_shape)), dtype=bool)
+        zeros[index[~inside.reshape(-1)]] = True
+        problems = np.array(problems, dtype=np.intp).reshape(-1, 5).T
+        split = np.array(split, dtype=np.intp).reshape(-1, 2).T
+        left, right, texts = zip(*equalities) if equalities else ((), (), ())
+        derived = {
+            "index": index,
+            "width": width,
+            "off_block": ~inside.reshape(-1),
+            "zeros": zeros,
+            "problems": index[problems[:3]],
+            "problem_slots": problems[3:],
+            "split": np.stack([index[split[0]], split[1]]),
+            "groups": tuple((method, index[np.stack([e for e, _ in items])],
+                             np.concatenate([s for _, s in items]).astype(np.intp))
+                            for (method, _), items in groups.items()),
+            "equal": (index[np.array(left, dtype=np.intp)], index[np.array(right, dtype=np.intp)],
+                      tuple(f"entry [{i}, {j}] {text}"
+                            for (i, j), text in zip((divmod(int(e), cols) for e in left), texts))),
+            "abs_slots": np.array(abs_slots, dtype=np.intp),
+        }
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
 
     def family(self, source) -> np.ndarray:
         """The full matrices of the family, from a batch of its source matrices."""
         return source if self.source_map is None else self.source_map(source)
-
-
-class _Plan:
-    """Where one pass over a tuple of layouts reads and writes, built once per tuple.
-
-    Each method reads one input array: the a, b and c entries of the 2x2
-    problems, B_pq of the split blocks, and one array per block shape of the
-    other methods (``inputs``: key -> columns).  ``sources`` lists, per
-    source: its shape, its zero-pattern mask, the entry pairs that must be
-    equal (with the family and the text that name a failure), and ``fills``:
-    the slice of each input that its entries fill.  The 2x2 problems, and
-    the blocks of a shape, come source by source.
-    """
-
-    def __init__(self, layouts: tuple[BlockLayout, ...]):
-        shapes, masks, checks = {}, {}, {}
-        problems = []  # (source, method, source entries a, b, c [, B_pq], output slots)
-        blocks: dict[tuple, list] = {}  # (method, shape) -> [(source, entries, slots, family)]
-        self.spans, abs_slots, width = [], [], 0
-        for layout in layouts:
-            source = layout.source
-            if source not in shapes:
-                shapes[source] = layout.source_shape or layout.shape
-                masks[source] = np.zeros(int(np.prod(shapes[source])), dtype=bool)
-                checks[source] = []
-            masks[source][layout.read_from(np.flatnonzero(layout.off_block))] = True
-            for left, right, text in layout.equalities:
-                i, j = divmod(int(left), layout.shape[1])
-                checks[source].append((int(layout.read_from(left)), int(layout.read_from(right)),
-                                       layout, f"entry [{i}, {j}] {text}"))
-            for method, part, slots in layout.parts:
-                entries, slots = layout.read_from(part), slots + width
-                if method in ("pair", "mirror"):
-                    problems.append((source, method, entries, slots))
-                else:
-                    blocks.setdefault((method, part.shape), []).append(
-                        (source, entries, slots, layout.name))
-            abs_slots += [width + slot for slot in layout.abs_slots]
-            self.spans.append(slice(width, width + layout.width))
-            width += layout.width
-        self.width = width
-        self.abs_slots = np.array(abs_slots, dtype=np.intp)
-        rank = {source: k for k, source in enumerate(shapes)}
-        problems.sort(key=lambda p: rank[p[0]])  # stable: layout order within a source
-        fills: dict[str, list] = {source: [] for source in shapes}
-        self.inputs: dict = {}
-
-        def add_input(key, items) -> None:
-            """Input ``key``: the entries of ``items`` ((source, entries), sources in order)."""
-            lo = 0
-            for source, group in itertools.groupby(items, key=lambda item: item[0]):
-                entries = np.concatenate([np.ravel(e) for _, e in group]).astype(np.intp)
-                fills[source].append((key, lo, lo + entries.size, entries))
-                lo += entries.size
-            self.inputs[key] = lo
-
-        for j, key in enumerate("abc"):
-            add_input(key, [(source, entries[j]) for source, _, entries, _ in problems])
-        split = [k for k, (_, kind, _, _) in enumerate(problems) if kind == "mirror"]
-        add_input("pq", [(problems[k][0], problems[k][2][3]) for k in split])
-        self.split = np.array(split, dtype=np.intp)
-        # output slots: B_pp - B_pq of each split block, the low and the high value of each problem
-        self.single = np.array([problems[k][3][0] for k in split], dtype=np.intp)
-        self.low = np.array([slots[-2] for *_, slots in problems], dtype=np.intp)
-        self.high = np.array([slots[-1] for *_, slots in problems], dtype=np.intp)
-        self.groups = []
-        for key, items in blocks.items():
-            items.sort(key=lambda item: rank[item[0]])
-            add_input(key, [(source, entries) for source, entries, _, _ in items])
-            self.groups.append((key, (len(items),) + key[1],
-                                np.concatenate([slots for _, _, slots, _ in items]),
-                                tuple(dict.fromkeys(name for *_, name in items))))
-        # the pass builds one source at a time, and allocates each input at its first
-        # fill; the source that fills the most entries goes last, when the others are gone
-        self.sources = tuple(
-            (source, shapes[source], masks[source],
-             np.array([left for left, *_ in checks[source]], dtype=np.intp),
-             np.array([right for _, right, *_ in checks[source]], dtype=np.intp),
-             tuple((layout, text) for *_, layout, text in checks[source]), tuple(fills[source]))
-            for source in sorted(shapes, key=lambda s: sum(e.size for *_, e in fills[s]))
-        )
-
-
-@functools.cache
-def _plan(layouts: tuple[BlockLayout, ...]) -> _Plan:
-    return _Plan(layouts)
 
 
 def _entry_error(layout: BlockLayout, bad: np.ndarray, texts, g, w):
@@ -540,84 +473,58 @@ def _entry_error(layout: BlockLayout, bad: np.ndarray, texts, g, w):
     )
 
 
-def _check_source(flat: np.ndarray, source: str, layouts, mask, left, right, named, g, w):
-    """Check the zero pattern and the equalities of the families read from one source;
-    raise naming the first failing family (in pass order), its first failing cell and
-    the entry."""
-    if ((flat != 0.0) & mask).any():  # NaN counts as nonzero
-        for layout in (layout for layout in layouts if layout.source == source):
-            entries = np.flatnonzero(layout.off_block)
-            bad = flat[:, layout.read_from(entries)] != 0.0
-            if bad.any():
-                texts = [f"entry [{i}, {j}] lies outside every block but is not 0"
-                         for i, j in (divmod(int(e), layout.shape[1]) for e in entries)]
-                raise _entry_error(layout, bad, texts, g, w)
+def _check_source(flat: np.ndarray, layout: BlockLayout, g, w) -> None:
+    """Check the zero pattern and the equalities of ``layout`` on a batch of flat source
+    matrices; raise naming its first failing cell and the entry."""
+    if ((flat != 0.0) & layout.zeros).any():  # NaN counts as nonzero
+        entries = np.flatnonzero(layout.off_block)
+        texts = [f"entry [{i}, {j}] lies outside every block but is not 0"
+                 for i, j in (divmod(int(e), layout.shape[1]) for e in entries)]
+        raise _entry_error(layout, np.take(flat, layout.index[entries], axis=1) != 0.0, texts, g, w)
+    left, right, texts = layout.equal
     bad = np.take(flat, left, axis=1) != np.take(flat, right, axis=1)  # NaN fails
     if bad.any():
-        for layout in layouts:
-            mine = np.array([owner is layout for owner, _ in named], dtype=bool)
-            if bad[:, mine].any():
-                raise _entry_error(layout, bad[:, mine], [t for (_, t), m in zip(named, mine) if m],
-                                   g, w)
+        raise _entry_error(layout, bad, texts, g, w)
 
 
-def _gather(sources: dict, plan: _Plan, layouts, g, w) -> dict:
-    """The input arrays of every method, filled source by source; each source is built,
-    checked (``_check_source``), read and dropped before the next."""
-    batch = len(g)
-    inputs = {}
-    for source, shape, mask, left, right, named, fills in plan.sources:
-        a = _real_if_exact(sources[source]())
-        if np.iscomplexobj(a) or a.shape != (batch,) + shape:
-            raise ValueError(f"{source}: expected a batch of {batch} real {shape} matrices, "
-                             f"got {a.dtype} {a.shape}")
-        flat = a.reshape(batch, -1)
-        _check_source(flat, source, layouts, mask, left, right, named, g, w)
-        for key, lo, hi, entries in fills:
-            if key not in inputs:
-                inputs[key] = np.empty((batch, plan.inputs[key]))
-            inputs[key][:, lo:hi] = np.take(flat, entries, axis=1)
-    return {key: inputs.get(key, np.empty((batch, 0))) for key in plan.inputs}
+def block_spectra(layout: BlockLayout, source, g, w) -> np.ndarray:
+    """Eigenvalues or singular values of a batch of the family ``layout``, block by block.
 
+    ``source`` is the batch of its source matrices, a (batch, rows, cols)
+    real array (complex input must have an exactly zero imaginary part).
+    ``g`` and ``w`` are the weights of the batch's cells, used to name a
+    failing one.  Every off-block entry must be exactly 0.0, every square
+    block of a singular-value layout exactly symmetric and every mirror pair
+    exactly equal; otherwise ConsistencyError names the family, the first
+    such cell and the entry.  A NaN fails each of these checks.
 
-def block_spectra(sources: dict, layouts, g, w) -> dict[BlockLayout, np.ndarray]:
-    """Eigenvalues or singular values of a batch of every family in ``layouts``, in one pass.
-
-    ``sources`` maps each ``BlockLayout.source`` to a function of no
-    arguments that returns its (batch, rows, cols) real array (complex input
-    must have an exactly zero imaginary part).  Each is called once, and its
-    array is dropped once its entries are gathered, so that one source is
-    held at a time.  ``g`` and ``w`` are the weights of the batch's cells,
-    used to name a failing one.  Every off-block entry must be exactly 0.0,
-    every square block of a singular-value layout exactly symmetric and
-    every mirror pair exactly equal; otherwise ConsistencyError names the
-    family, the first such cell and the entry.  A NaN fails each of these
-    checks.
-
-    The pass makes one call per method over all layouts: one
-    ``eigvalsh_2x2`` call for every 2x2 problem, and one LAPACK call per
-    block shape that remains.  Returns, per layout, a (batch, layout.width)
-    array: its blocks in layout order, each block's values ascending (a
-    split block gives B_pp - B_pq first), not sorted overall.  A cell's
-    values do not depend on the rest of the batch or on the other layouts
-    of the pass.
+    One ``eigvalsh_2x2`` call takes every 2x2 problem of the family, and one
+    LAPACK call every block of a shape that remains.  Returns a
+    (batch, layout.width) array: its blocks in layout order, each block's
+    values ascending (a split block gives B_pp - B_pq first), not sorted
+    overall.  A cell's values do not depend on the rest of the batch.
     """
-    layouts = tuple(layouts)
-    plan = _plan(layouts)
     batch = len(g)
-    inputs = _gather(sources, plan, layouts, g, w)
-    out = np.empty((batch, plan.width))
-    a, b, c, pq = (inputs.pop(key) for key in ("a", "b", "c", "pq"))
-    if plan.split.size:
-        out[:, plan.single] = a[:, plan.split] - pq
-        a[:, plan.split] += pq
-        b[:, plan.split] *= _SQRT2
-    if plan.low.size:
-        out[:, plan.low], out[:, plan.high] = eigvalsh_2x2(a, b, c)
-    del a, b, c, pq
-    for key, shape, slots, names in plan.groups:
-        method = key[0]
-        blocks = inputs[key].reshape((batch,) + shape)  # (batch, count, rows, columns)
+    matrices = _real_if_exact(source)
+    if np.iscomplexobj(matrices) or matrices.shape != (batch,) + layout.source_shape:
+        raise ValueError(f"{layout.source}: expected a batch of {batch} real {layout.source_shape} "
+                         f"matrices, got {matrices.dtype} {matrices.shape}")
+    flat = matrices.reshape(batch, -1)
+    _check_source(flat, layout, g, w)
+    out = np.empty((batch, layout.width))
+    low, high = layout.problem_slots
+    if low.size:
+        a, b, c = (np.take(flat, entries, axis=1) for entries in layout.problems)
+        pq_entries, single = layout.split
+        m = single.size
+        if m:  # the split blocks' problems come first
+            pq = np.take(flat, pq_entries, axis=1)
+            out[:, single] = a[:, :m] - pq
+            a[:, :m] += pq
+            b[:, :m] *= _SQRT2
+        out[:, low], out[:, high] = eigvalsh_2x2(a, b, c)
+    for method, entries, slots in layout.groups:
+        blocks = np.take(flat, entries, axis=1)  # (batch, count, rows, columns)
         try:
             if method == "diagonal":
                 found = blocks[..., 0, 0]
@@ -628,14 +535,11 @@ def block_spectra(sources: dict, layouts, g, w) -> dict[BlockLayout, np.ndarray]
             else:
                 found = np.linalg.svd(blocks, compute_uv=False)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK failed on the blocks of {', '.join(names)}: {exc}") from exc
+            raise ConvergenceError(f"LAPACK failed on the blocks of {layout.name}: {exc}") from exc
         out[:, slots] = found.reshape(batch, -1)
-    if plan.abs_slots.size:
-        out[:, plan.abs_slots] = np.abs(out[:, plan.abs_slots])
-    if not np.all(np.isfinite(out)):
-        for span, layout in zip(plan.spans, layouts):
-            _require_finite(out[:, span], f"block spectra of {layout.name}")
-    return {layout: out[:, span] for span, layout in zip(plan.spans, layouts)}
+    if layout.abs_slots.size:
+        out[:, layout.abs_slots] = np.abs(out[:, layout.abs_slots])
+    return _require_finite(out, f"block spectra of {layout.name}")
 
 
 def trace_norm(a) -> float | np.ndarray:

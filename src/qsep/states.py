@@ -298,18 +298,6 @@ FAMILIES: dict[linalg.BlockLayout, str | None] = {
 }
 
 
-def template_sources(layouts, g, w, rho=None) -> dict:
-    """A builder, a function of no arguments, for each template that ``layouts`` read, keyed
-    by their ``source`` (the template function's name, looked up when the builder runs);
-    ``rho``, when given, is returned for ``build_rho_grid``."""
-    def builder(name):
-        if name == "build_rho_grid" and rho is not None:
-            return lambda: rho
-        return lambda: globals()[name](g, w)
-
-    return {layout.source: builder(layout.source) for layout in layouts}
-
-
 # ---------------------------------------------------------------------------
 # published example states
 

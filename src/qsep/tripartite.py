@@ -499,7 +499,13 @@ def gs3_element_margins(rho: np.ndarray) -> dict[str, np.ndarray]:
     corner = np.abs(rho[..., 0, 7])
     out: dict[str, np.ndarray] = {}
     for prefix, family in (("six", GS3_SIXTH), ("four", GS3_FOURTH)):
-        rhs = np.prod(d[..., np.array(family)], axis=-1) ** (1.0 / len(family[0]))
+        # one factor of every member at a time: gathering all factors at once would hold
+        # (cells, members, factors) values, 1.6 MB per 4,096 cells
+        factors = np.array(family).T
+        product = d[..., factors[0]]
+        for factor in factors[1:]:
+            product *= d[..., factor]
+        rhs = product ** (1.0 / len(family[0]))
         for k, ms in enumerate(family):
             out[f"gs3_{prefix}_{''.join(str(m) for m in ms)}"] = rhs[..., k] - corner
     out["gs3_offdiag"] = (

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -264,6 +265,20 @@ class TestVerify:
     def test_zero_points_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--points", "0")
         assert code == 1
+
+    def test_points_over_the_cap_is_usage_error_before_sampling(self, capsys, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(cli, "_sample_simplex", lambda *a: sampled.append(a))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", "--points", str(cli.MAX_POINTS + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert f"MAX_POINTS = {cli.MAX_POINTS}" in err
+        assert out == "" and sampled == []
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tolerance_not_finite_nonnegative_is_usage_error(self, capsys, tol):

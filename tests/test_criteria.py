@@ -180,6 +180,8 @@ class TestSpectralPass:
 
     @pytest.mark.parametrize("count", [1, 4096])
     def test_all_criteria_make_one_call_per_spectral_method(self, monkeypatch, count):
+        # LAPACK: one eigvalsh call (R'(rho)) and one SVD (R(rho)); the 2x2 kernel: one call
+        # per family that has a 2x2 block or a split 3x3 block
         calls = []
         for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "svd"), (linalg, "eigvalsh_2x2")):
             real = getattr(module, name)
@@ -189,7 +191,32 @@ class TestSpectralPass:
         u, v = rng.random(count), rng.random(count)
         g, w = np.where(u + v > 1.0, 1.0 - u, u), np.where(u + v > 1.0, 1.0 - v, v)
         criteria.evaluate(g, w, criteria.IDS)
-        assert sorted(calls) == ["eigvalsh", "eigvalsh_2x2", "svd"]
+        with_2x2 = [layout for layout in states.FAMILIES
+                    if layout.mirrors or any(len(r) == len(c) == 2 for r, c in layout.blocks)]
+        assert len(with_2x2) == 6
+        assert sorted(calls) == ["eigvalsh"] + ["eigvalsh_2x2"] * len(with_2x2) + ["svd"]
+
+    # the families whose block spectra each spectral group reads; the other groups read none
+    READS = {
+        "maj": {states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS},
+        "entropy": {states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS},
+        "ppt": {states.TRANSPOSE_1_BLOCKS},
+        "reduction": {states.TRANSPOSE_1_BLOCKS, states.REDUCTION_I123_BLOCKS,
+                      states.REDUCTION_1I23_BLOCKS},
+        "resh24": {states.RESHUFFLE_24_BLOCKS},
+        "perm222": {states.RESHUFFLE_23_BLOCKS},
+    }
+
+    @pytest.mark.parametrize("selection", ["all", *criteria.GROUPS])
+    def test_each_family_is_diagonalized_once_and_only_if_read(self, monkeypatch, selection):
+        seen = []
+        real = linalg.block_spectra
+        monkeypatch.setattr(linalg, "block_spectra",
+                            lambda layout, *a: seen.append(layout.name) or real(layout, *a))
+        ids = criteria.IDS if selection == "all" else criteria.GROUPS[selection]
+        criteria.evaluate(G, W, ids)
+        read = set(states.FAMILIES) if selection == "all" else self.READS.get(selection, set())
+        assert sorted(seen) == sorted(layout.name for layout in read)
 
     def test_a_cells_margins_do_not_depend_on_batch_or_selection(self):
         rng = np.random.default_rng(8)

@@ -381,12 +381,10 @@ def simplex_cells(count, seed):
     return np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
 
 
-def one_pass(layouts, g, w, **sources):
-    """The pass over ``layouts`` on their templates at (g, w), with ``sources`` replacing
-    templates by name."""
-    built = states.template_sources(layouts, g, w)
-    built.update({name: (lambda m=m: m) for name, m in sources.items()})
-    return linalg.block_spectra(built, layouts, g, w)
+def spectra(layout, g, w, source=None):
+    """The block spectra of ``layout`` on ``source``, by default its template at (g, w)."""
+    source = getattr(states, layout.source)(g, w) if source is None else source
+    return linalg.block_spectra(layout, source, g, w)
 
 
 class TestBlockSpectra:
@@ -398,10 +396,10 @@ class TestBlockSpectra:
         rho[3, 5, 6] = rho[4, 5, 6] = 1e-300
         with pytest.raises(ConsistencyError,
                            match=r"^rho at \(g=0\.6, w=0\.1\): entry \[5, 6\] lies outside"):
-            one_pass((states.RHO_BLOCKS,), self.G, self.W, build_rho_grid=rho)
+            spectra(states.RHO_BLOCKS, self.G, self.W, rho)
         rho[3, 5, 6] = np.nan
         with pytest.raises(ConsistencyError, match=r"^rho at \(g=0\.6, w=0\.1\)"):
-            one_pass((states.RHO_BLOCKS,), self.G, self.W, build_rho_grid=rho)
+            spectra(states.RHO_BLOCKS, self.G, self.W, rho)
 
     def test_asymmetric_block_of_a_singular_value_layout_raises(self):
         rho = states.build_rho_grid(self.G, self.W)
@@ -411,27 +409,24 @@ class TestBlockSpectra:
         rho[2].flat[k] = np.nextafter(rho[2].flat[k], 1.0)
         with pytest.raises(ConsistencyError,
                            match=r"^R'\(rho\) .* at \(g=0\.1, w=0\.7\): entry \[0, 3\] differs"):
-            one_pass((states.RESHUFFLE_23_BLOCKS,), self.G, self.W, build_rho_grid=rho)
+            spectra(states.RESHUFFLE_23_BLOCKS, self.G, self.W, rho)
 
     def test_each_cell_keeps_its_bits_in_any_batch(self):
-        # alone, in a batch of 64 and in a 4,096-cell chunk, in a pass of one family
-        # and in the pass of every family
+        # alone, in a batch of 64 and in a 4,096-cell chunk, for every family
         g, w = simplex_cells(4096, 17)
-        chunk = one_pass(ALL_LAYOUTS, g, w)
-        small = one_pass(ALL_LAYOUTS, g[:64], w[:64])
         for layout in ALL_LAYOUTS:
-            assert chunk[layout].shape == (4096, layout.width)
-            own = one_pass((layout,), g[:64], w[:64])[layout]
-            assert own.tobytes() == small[layout].tobytes() == chunk[layout][:64].tobytes(), layout.name
+            chunk = spectra(layout, g, w)
+            assert chunk.shape == (4096, layout.width)
+            small = spectra(layout, g[:64], w[:64])
+            assert small.tobytes() == chunk[:64].tobytes(), layout.name
             for k in (0, 5, 63):
-                one = one_pass((layout,), g[k:k + 1], w[k:k + 1])[layout]
-                assert one.tobytes() == chunk[layout][k:k + 1].tobytes(), layout.name
+                one = spectra(layout, g[k:k + 1], w[k:k + 1])
+                assert one.tobytes() == chunk[k:k + 1].tobytes(), layout.name
 
     def test_rejects_a_batch_of_the_wrong_shape(self):
         for wrong in (np.eye(8), np.zeros((1, 4, 4)), np.zeros((2, 8, 8)), np.eye(8)[None] * 1j):
             with pytest.raises(ValueError, match="expected a batch of 1 real"):
-                linalg.block_spectra({"build_rho_grid": lambda wrong=wrong: wrong},
-                                     (states.RHO_BLOCKS,), [0.0], [0.0])
+                linalg.block_spectra(states.RHO_BLOCKS, wrong, [0.0], [0.0])
 
     def test_layout_rejects_overlapping_or_non_square_eigenvalue_blocks(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -444,16 +439,21 @@ class TestBlockSpectra:
     def test_split_blocks_match_lapack_on_the_whole_block(self):
         # the mirror split against eigvalsh of the 3x3 block it replaces
         g, w = simplex_cells(500, 4)
-        spectra = one_pass(ALL_LAYOUTS, g, w)
+        split_families = set()
         for layout in ALL_LAYOUTS:
-            matrices = states.template_sources((layout,), g, w)[layout.source]().reshape(g.size, -1)
-            for method, entries, slots in layout.parts:
-                if method == "mirror":
-                    (block,) = (np.array(r) for r, _ in layout.blocks if len(r) == 3)
-                    flat = layout.read_from((block[:, None] * layout.shape[1] + block).reshape(-1))
+            values = spectra(layout, g, w)
+            matrices = getattr(states, layout.source)(g, w).reshape(g.size, -1)
+            start = 0  # the first output slot of each block
+            for rows, cols in layout.blocks:
+                if len(rows) == 3 and any(set(m) <= set(rows) for m in layout.mirrors):
+                    block = np.array(rows)
+                    flat = layout.index[(block[:, None] * layout.shape[1] + block).reshape(-1)]
                     full = np.linalg.eigvalsh(matrices[:, flat].reshape(-1, 3, 3))
-                    split = np.sort(spectra[layout][:, slots], axis=-1)
+                    split = np.sort(values[:, start:start + 3], axis=-1)
                     assert np.max(np.abs(split - full)) <= 4 * np.finfo(float).eps, layout.name
+                    split_families.add(layout)
+                start += min(len(rows), len(cols))
+        assert split_families == {layout for layout in ALL_LAYOUTS if layout.mirrors}
 
 
 def lapack_2x2(a, b, c):

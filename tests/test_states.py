@@ -252,9 +252,8 @@ class TestBlockLayouts:
 
     def test_family_builds_the_full_matrices_through_the_layout_map(self):
         g, w = seeded_and_edge_cells()
-        sources = states.template_sources(states.FAMILIES, g, w)
         for layout, build in BLOCK_FAMILIES.items():
-            built = layout.family(sources[layout.source]())
+            built = layout.family(getattr(states, layout.source)(g, w))
             assert np.array_equal(built, build(g, w)), layout.name
 
     def test_each_layout_is_the_components_of_its_support(self):
@@ -277,11 +276,10 @@ class TestBlockLayouts:
     )
     def test_block_spectra_match_full_lapack(self, point):
         g, w = np.array([point[0]]), np.array([point[1]])
-        layouts = tuple(BLOCK_FAMILIES)
-        spectra = linalg.block_spectra(states.template_sources(layouts, g, w), layouts, g, w)
         for layout, build in BLOCK_FAMILIES.items():
             matrices = build(g, w)
-            blocks = np.sort(spectra[layout], axis=-1)[:, ::-1]
+            spectra = linalg.block_spectra(layout, getattr(states, layout.source)(g, w), g, w)
+            blocks = np.sort(spectra, axis=-1)[:, ::-1]
             full = linalg.singular_values(matrices) if layout.singular else linalg.eigh(matrices)
             assert np.max(np.abs(blocks - full)) <= linalg.BLOCK_TOL, (layout.name, point)
 
@@ -289,8 +287,8 @@ class TestBlockLayouts:
         # the composed index maps gather exactly the entries of the built family
         g, w = seeded_and_edge_cells()
         for layout, build in BLOCK_FAMILIES.items():
-            source = states.template_sources((layout,), g, w)[layout.source]()
-            gathered = source.reshape(g.size, -1)[:, layout.read_from(np.arange(layout.off_block.size))]
+            source = getattr(states, layout.source)(g, w)
+            gathered = source.reshape(g.size, -1)[:, layout.index]
             assert np.array_equal(gathered, build(g, w).reshape(g.size, -1)), layout.name
 
 

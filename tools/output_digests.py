@@ -9,7 +9,9 @@ script), so the script can digest an older checkout that lacks it.  It
 prints one ``<sha256>  <name>`` line per artifact:
 
 - the CSV, JSON and SVG exports of ``qsep scan`` at resolutions 20, 40, 55,
-  80, 115, 200 and 400 with ``--criteria all``, and at 25 with ``gs3,ppt``;
+  80, 115, 200 and 400 with ``--criteria all``, at 25 with ``gs3,ppt``, and
+  at 40 with each group of spectral criteria alone (``SPECTRAL_GROUPS``),
+  which diagonalize only the matrix families they read;
 - the stdout of ``qsep eval --json`` at eight simplex points;
 - the stdout of ``qsep verify --points 1000 --seed 7``.
 
@@ -28,7 +30,9 @@ import pathlib
 import sys
 import tempfile
 
-SCANS = [(resolution, "all") for resolution in (20, 40, 55, 80, 115, 200, 400)] + [(25, "gs3,ppt")]
+SPECTRAL_GROUPS = ("maj", "entropy", "ppt", "reduction", "resh24", "perm222")
+SCANS = ([(resolution, "all") for resolution in (20, 40, 55, 80, 115, 200, 400)] + [(25, "gs3,ppt")]
+         + [(40, group) for group in SPECTRAL_GROUPS])
 POINTS = (
     (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.2), (0.2, 0.0), (1 / 3, 0.0), (0.3, 0.1),
     (0.15, 0.85),
