@@ -83,13 +83,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(minimum: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = minimum - 1
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
     return value
 
 
@@ -121,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", help="CSV output path")
     p_scan.add_argument("--svg", help="SVG map output path")
     p_scan.add_argument("--json-out", help="JSON report-array output path")
-    p_scan.add_argument("--workers", type=_positive_int,
+    p_scan.add_argument("--workers", type=functools.partial(_int_at_least, 1),
                         help="threads evaluating chunks (default: the usable cores)")
 
     p_verify = sub.add_parser("verify", help="run every cross-path consistency suite")
-    p_verify.add_argument("--points", type=int, default=1000)
+    p_verify.add_argument("--points", type=functools.partial(_int_at_least, 1), default=1000)
     p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=functools.partial(_int_at_least, 0), default=0)
 
     p_ex = sub.add_parser("examples", help="print a published example state and its verdicts")
     p_ex.add_argument("--which", required=True, choices=("class21", "class28", "pptes"))
@@ -227,12 +227,9 @@ def cmd_scan(args) -> int:
 
 
 def _sample_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    u = rng.random(count)
-    v = rng.random(count)
+    u, v = rng.random(count), rng.random(count)
     flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
-    return u, v
+    return np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
 
 
 # swap criteria and the spin criteria equivalent to them here: non-marginal verdicts agree
@@ -242,126 +239,124 @@ _EQUIVALENT = (
 )
 
 
+def _where(line: tuple) -> str:
+    """' at (g=..., w=...)' for a line with a cell, then ' in <family>' if it names one."""
+    _, g, w, _, *family = line
+    return ("" if g is None else f" at {verdict.cell_name(g, w)}") + "".join(f" in {f}" for f in family)
+
+
+def _record(lines: dict[str, tuple], name: str, line: tuple) -> None:
+    """Add ``line``, ``(worst, g, w, limit[, family])``, to ``lines`` under ``name`` and print it."""
+    lines[name] = line
+    value, _, _, limit, *_ = line
+    print(f"{'pass' if value <= limit else 'FAIL'}  {name:<46}  {value:.3e}{_where(line)}")
+
+
 def cmd_verify(args) -> int:
-    if args.points < 1:
-        raise ValueError("verify needs at least one point")
     if args.points > MAX_POINTS:
         raise ValueError(f"verify --points {args.points} is over the cap MAX_POINTS = {MAX_POINTS}")
-    rng = np.random.default_rng(args.seed)
-    g, w = _sample_simplex(rng, args.points)
+    g, w = _sample_simplex(np.random.default_rng(args.seed), args.points)
     tol = args.tol
-    failures: list[str] = []
-
-    def check(name: str, deviation: float, limit: float = tol, where: str = "") -> None:
-        passed = deviation <= limit
-        print(f"{'pass' if passed else 'FAIL'}  {name:<46}  {deviation:.3e}{where}")
-        if not passed:
-            failures.append(f"{name}: deviation {deviation:.3e} exceeds {limit:.1e}{where}")
-
-    # the sum-built templates against the generic maps of the independent mixture,
-    # first: the registry reads them, so a broken one fails on its own line.  Each
-    # template is built once, for this line and for its families below
-    rho = states.build_rho_grid(g, w)
-    mixture = states.build_rho_mixture_grid(g, w)
-    rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
-    templates = {
-        states.MARGINAL_23_BLOCKS: (states.marginal_23_grid(g, w), rho23),
-        states.MARGINAL_1_BLOCKS: (states.marginal_1_grid(g, w), rho1),
-        states.REDUCTION_I123_BLOCKS: (
-            states.reduction_i123_grid(g, w), np.kron(np.eye(2)[None], rho23) - mixture),
-        states.REDUCTION_1I23_BLOCKS: (
-            states.reduction_1i23_grid(g, w), np.kron(rho1, np.eye(4)[None]) - mixture),
-    }
-    for layout, (template, generic) in templates.items():
-        deviation = np.max(np.abs(template - generic), axis=(1, 2))
-        n = int(np.argmax(deviation))  # the first NaN, if any
-        check(f"{layout.name} template vs generic map", float(deviation[n]),
-              min(tol, states.TEMPLATE_TOL), f" at {verdict.cell_name(g[n], w[n])}")
-    sources = {"build_rho_grid": rho, **{layout.source: template
-                                         for layout, (template, _) in templates.items()}}
-
-    # every registry check; evaluate has raised if one is past its own fixed tolerance
+    # one line per check: (worst value, g and w of its cell, limit[, family]); a count
+    # has no cell.  A check that raises ends the table, as a failure of its own
+    lines: dict[str, tuple] = {}
+    raised: list[str] = []
     try:
-        margins, deviations = criteria.evaluate(g, w, criteria.IDS)
-    except ConsistencyError as exc:
-        if not failures:
-            raise
-        failures.append(f"criteria not evaluated: {exc}")
-        return _report_failures(failures)
-    for name, (deviation, gn, wn) in deviations.items():
-        check(name, deviation, where=f" at {verdict.cell_name(gn, wn)}")
-
-    # the block path, as in the registry, against full-matrix LAPACK on every family built
-    # in full through its layout's map; the second numeric path of perm222
-    families = {layout: layout.family(sources[layout.source]) for layout in states.FAMILIES}
-    blocks = {layout: linalg.block_spectra(layout, sources[layout.source], g, w)
-              for layout in states.FAMILIES}
-    full = {layout: linalg.singular_values(m) if layout.singular else linalg.eigh(m)
-            for layout, m in families.items()}
-    deviation = np.stack([np.max(np.abs(np.sort(blocks[layout], axis=-1)[:, ::-1] - values), axis=-1)
-                          for layout, values in full.items()])
-    k, n = np.unravel_index(np.argmax(deviation), deviation.shape)  # the first NaN, if any
-    check("block spectra vs full LAPACK", float(deviation[k, n]), min(tol, linalg.BLOCK_TOL),
-          f" at {verdict.cell_name(g[n], w[n])} in {list(families)[k].name}")
-
-    # the production backend against the independent Jacobi reference
-    backend_worst = max(float(np.max(np.abs(full[layout] - linalg.jacobi_eigh(m))))
-                        for layout, m in families.items() if not layout.singular)
-    check("eigh vs Jacobi reference", backend_worst, max(tol, 1e-12))
-
-    lam = concurrence.wootters_lambdas(families[states.MARGINAL_23_BLOCKS])
-    conc23 = states.closed_form_spectra_grid(g, w)["conc23"]
-    check("spectrum[conc23]", float(np.max(np.abs(lam**2 - conc23))))
-    # raises, naming the cell, past 1e-9
-    conc_numeric, conc_closed = concurrence.concurrence_23(g, w)
-    check("concurrence closed vs numeric", float(np.max(np.abs(conc_numeric - conc_closed))),
-          max(tol, 1e-9))
-
-    check("rho template vs mixture", float(np.max(np.abs(rho - mixture))))
-
-    mismatches = verdict.codes(margins["ppt"]) != verdict.codes(margins["reduction"])
-    check("reduction vs ppt verdict mismatches", float(np.sum(mismatches)), 0.0)
-    for a, b in _EQUIVALENT:
-        codes_a, codes_b = verdict.codes(margins[a]), verdict.codes(margins[b])
-        conflicts = (codes_a != codes_b) & (codes_a != 0) & (codes_b != 0)
-        check(f"{a} vs {b} verdict mismatches", float(np.sum(conflicts)), 0.0)
-
-    # explicit per-point paths on a deterministic subsample
-    settings = tripartite.PUBLISHED_SETTINGS
-    phi = {"ghz": tripartite.phi_ghz(), "w": tripartite.phi_w()}
-    worst: dict[str, float] = {}
-    for n in np.linspace(0, args.points - 1, num=min(args.points, 20), dtype=int):
-        p = SimplexPoint(g[n], w[n])
-        explicit = {
-            **{cid: tripartite.criterion_su(p, (settings[idx],) * 3, level).margin
-               for cid, (idx, level) in criteria.SPIN.items()},
-            **{cid: tripartite.criterion_huber(p, phi[tag], k).margin
-               for cid, (tag, k) in criteria.SWAP.items()},
+        # the sum-built templates against the generic maps of the independent mixture,
+        # first: the registry reads them, so a broken one fails on its own line.  Each
+        # template is built once, for this line and for its families below
+        rho = states.build_rho_grid(g, w)
+        mixture = states.build_rho_mixture_grid(g, w)
+        rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
+        templates = {
+            states.MARGINAL_23_BLOCKS: (states.marginal_23_grid(g, w), rho23),
+            states.MARGINAL_1_BLOCKS: (states.marginal_1_grid(g, w), rho1),
+            states.REDUCTION_I123_BLOCKS: (
+                states.reduction_i123_grid(g, w), np.kron(np.eye(2)[None], rho23) - mixture),
+            states.REDUCTION_1I23_BLOCKS: (
+                states.reduction_1i23_grid(g, w), np.kron(rho1, np.eye(4)[None]) - mixture),
         }
-        for cid, value in explicit.items():
-            worst[cid] = max(worst.get(cid, 0.0), abs(value - float(margins[cid][n])))
-    # the matrix-element criteria read off the independent mixture, on every point
-    elements = dict(zip(("gs2_ghz", "gs2_w"), tripartite.gs2_element_margins(mixture)))
-    elements["gs3"] = np.min(list(tripartite.gs3_element_margins(mixture).values()), axis=0)
-    for cid, value in elements.items():
-        worst[cid] = float(np.max(np.abs(value - margins[cid])))
-    for cid, deviation in worst.items():
-        check(f"{cid} explicit vs grid", deviation, max(tol, 1e-12))
+        for layout, (template, generic) in templates.items():
+            value, n = verdict.worst(np.abs(template - generic))
+            _record(lines, f"{layout.name} template vs generic map",
+                    (value, g[n], w[n], min(tol, states.TEMPLATE_TOL)))
+        sources = {"build_rho_grid": rho, **{layout.source: t for layout, (t, _) in templates.items()}}
 
-    # containment observation for the 2-3 reshuffling criterion (reported only)
-    escapees = int(np.sum((margins["perm222"] < -MARGINAL_BAND) & (margins["ppt"] > MARGINAL_BAND)))
-    print(
-        "note: 2-3 reshuffling violations outside the partial-transposition "
-        f"violation set: {escapees} of {args.points} points"
-    )
-    print(f"verified {args.points} random points (seed {args.seed}, tol {tol:g})")
-    if failures:
-        return _report_failures(failures)
-    print("all consistency checks passed")
-    return EXIT_OK
+        # every registry check; evaluate has raised if one is past its own fixed tolerance
+        margins, deviations = criteria.evaluate(g, w, criteria.IDS)
+        for name, line in deviations.items():
+            _record(lines, name, (*line, tol))
 
+        # the block path, as in the registry, against full-matrix LAPACK on every family built
+        # in full through its layout's map; the second numeric path of perm222
+        families = {layout: layout.family(sources[layout.source]) for layout in states.FAMILIES}
+        full = {layout: linalg.singular_values(m) if layout.singular else linalg.eigh(m)
+                for layout, m in families.items()}
+        deviation = np.stack([np.max(np.abs(full[layout] - np.sort(linalg.block_spectra(
+            layout, sources[layout.source], g, w))[:, ::-1]), axis=-1) for layout in families])
+        _, k = verdict.worst(deviation)  # on a tie, the first family, then its first cell
+        value, n = verdict.worst(deviation[k])
+        _record(lines, "block spectra vs full LAPACK",
+                (value, g[n], w[n], min(tol, linalg.BLOCK_TOL), list(families)[k].name))
 
-def _report_failures(failures: list[str]) -> int:
+        # the production backend against the independent Jacobi reference
+        value, n = verdict.worst(np.concatenate(
+            [np.abs(full[layout] - linalg.jacobi_eigh(m))
+             for layout, m in families.items() if not layout.singular], axis=-1))
+        _record(lines, "eigh vs Jacobi reference", (value, g[n], w[n], max(tol, 1e-12)))
+
+        lam = concurrence.wootters_lambdas(families[states.MARGINAL_23_BLOCKS])
+        value, n = verdict.worst(np.abs(lam**2 - states.closed_form_spectra_grid(g, w)["conc23"]))
+        _record(lines, "spectrum[conc23]", (value, g[n], w[n], tol))
+        # the Wootters concurrence, max(0, l1 - l2 - l3 - l4), from the same lambdas
+        numeric = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+        value, n = verdict.worst(np.abs(numeric - concurrence.concurrence_23_closed(g, w)))
+        _record(lines, "concurrence closed vs numeric", (value, g[n], w[n], max(tol, 1e-9)))
+
+        value, n = verdict.worst(np.abs(rho - mixture))
+        _record(lines, "rho template vs mixture", (value, g[n], w[n], tol))
+
+        mismatches = verdict.codes(margins["ppt"]) != verdict.codes(margins["reduction"])
+        _record(lines, "reduction vs ppt verdict mismatches", (float(np.sum(mismatches)), None, None, 0.0))
+        for a, b in _EQUIVALENT:
+            codes_a, codes_b = verdict.codes(margins[a]), verdict.codes(margins[b])
+            conflicts = (codes_a != codes_b) & (codes_a != 0) & (codes_b != 0)
+            _record(lines, f"{a} vs {b} verdict mismatches", (float(np.sum(conflicts)), None, None, 0.0))
+
+        # explicit per-point paths on a deterministic subsample
+        settings = tripartite.PUBLISHED_SETTINGS
+        phi = {"ghz": tripartite.phi_ghz(), "w": tripartite.phi_w()}
+        subsample = np.linspace(0, args.points - 1, num=min(args.points, 20), dtype=int)
+        points = [SimplexPoint(g[n], w[n]) for n in subsample]
+        everywhere = np.arange(args.points)
+        gs2_ghz, gs2_w = tripartite.gs2_element_margins(mixture)
+        references = {  # cid -> (the cells it is read on, its margins there)
+            **{cid: (subsample, [tripartite.criterion_su(p, (settings[idx],) * 3, level).margin for p in points])
+               for cid, (idx, level) in criteria.SPIN.items()},
+            **{cid: (subsample, [tripartite.criterion_huber(p, phi[tag], k).margin for p in points])
+               for cid, (tag, k) in criteria.SWAP.items()},
+            # the matrix-element criteria read off the independent mixture, on every point
+            "gs2_ghz": (everywhere, gs2_ghz), "gs2_w": (everywhere, gs2_w),
+            "gs3": (everywhere, np.min(list(tripartite.gs3_element_margins(mixture).values()), axis=0)),
+        }
+        for cid, (cells, values) in references.items():
+            value, i = verdict.worst(np.abs(values - margins[cid][cells]))
+            _record(lines, f"{cid} explicit vs grid", (value, g[cells[i]], w[cells[i]], max(tol, 1e-12)))
+
+        # containment observation for the 2-3 reshuffling criterion (reported only)
+        escapees = int(np.sum((margins["perm222"] < -MARGINAL_BAND) & (margins["ppt"] > MARGINAL_BAND)))
+        print(
+            "note: 2-3 reshuffling violations outside the partial-transposition "
+            f"violation set: {escapees} of {args.points} points"
+        )
+        print(f"verified {args.points} random points (seed {args.seed}, tol {tol:g})")
+    except (ConsistencyError, ConvergenceError) as exc:
+        raised.append(str(exc))
+    failures = [f"{name}: deviation {line[0]:.3e} exceeds {line[3]:.1e}{_where(line)}"
+                for name, line in lines.items() if not line[0] <= line[3]] + raised
+    if not failures:
+        print("all consistency checks passed")
+        return EXIT_OK
     for failure in failures:
         print(f"FAILURE: {failure}", file=sys.stderr)
     return EXIT_CONSISTENCY

@@ -28,7 +28,7 @@ import numpy as np
 from . import bipartite, linalg, states, tripartite
 from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError
-from .verdict import cell_name, sign_gap
+from .verdict import cell_name, sign_gap, worst
 
 # the classes a violation rules out, by the separability level it tests
 FULLSEP = ("3",)
@@ -149,25 +149,23 @@ class _Batch:
         return self._spectra[layout]
 
     def _record(self, what: str, dev: np.ndarray, limit: float, detail) -> None:
-        """Record the largest entry of ``dev`` (the first NaN, if any) and its cell;
-        raise, naming both and ``detail(worst, cell)``, unless it is within limit."""
-        k = int(dev.argmax())
-        n = k // (dev.size // len(dev))  # the cell of the k-th entry
-        worst = float(dev.flat[k])
-        self.deviations[what] = (worst, float(self.g[n]), float(self.w[n]))
-        if not worst <= limit:
-            raise ConsistencyError(f"{what} at {cell_name(self.g[n], self.w[n])}: {detail(worst, n)}")
+        """Record the ``worst`` entry of ``dev`` and its cell; raise, naming both and
+        ``detail(value, cell)``, unless it is within limit."""
+        value, n = worst(dev)
+        self.deviations[what] = (value, float(self.g[n]), float(self.w[n]))
+        if not value <= limit:
+            raise ConsistencyError(f"{what} at {cell_name(self.g[n], self.w[n])}: {detail(value, n)}")
 
     def check_close(self, numeric, closed, what: str, tol: float) -> None:
         """Record the worst deviation and its cell; raise, naming both, unless it is within tol."""
         self._record(what, np.abs(np.asarray(numeric) - closed), tol,
-                     lambda worst, n: f"deviates from closed forms by {worst:.3e}")
+                     lambda value, n: f"deviates from closed forms by {value:.3e}")
 
     def check_signs(self, numeric, closed, what: str) -> None:
         """Record, as ``<what> sign``, the largest ``sign_gap`` and its cell; raise, naming
         both, past MARGINAL_BAND or on a NaN."""
         self._record(f"{what} sign", sign_gap(numeric, closed), MARGINAL_BAND,
-                     lambda worst, n: f"numeric margin {numeric[n]:.3e} vs closed form {closed[n]:.3e}")
+                     lambda value, n: f"numeric margin {numeric[n]:.3e} vs closed form {closed[n]:.3e}")
 
 
 _DENSITIES = (states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS)

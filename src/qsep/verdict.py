@@ -51,6 +51,12 @@ def sign_gap(numeric, closed) -> np.ndarray:
     return np.where(np.sign(numeric) != np.sign(closed), np.minimum(np.abs(numeric), np.abs(closed)), 0.0)
 
 
+def worst(dev) -> tuple[float, int]:
+    """The largest entry of a ``(cells, ...)`` array, its first NaN if any, and that entry's cell."""
+    k = int(dev.argmax())
+    return float(dev.flat[k]), k // (dev.size // len(dev))
+
+
 def cell_name(g, w) -> str:
     """'(g=..., w=...)' with both weights at full precision."""
     return f"(g={float(g)!r}, w={float(w)!r})"

@@ -1,11 +1,14 @@
+import dataclasses
 import json
+import math
 import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
-from qsep import bipartite, cli, concurrence, criteria, linalg, scan, states
+from qsep import bipartite, cli, concurrence, criteria, linalg, scan, states, tripartite
+from qsep.exceptions import ConvergenceError
 
 
 def run(capsys, *argv):
@@ -217,10 +220,11 @@ class TestVerify:
         lines = out.splitlines()
         for name in deviations:
             assert sum(line.startswith(f"pass  {name} ") for line in lines) == 1, name
-        # the registry checks, the four template checks and the block check name their worst cell
+        # every line names its worst cell but the five verdict-mismatch counts
         assert sum(" template vs generic map " in line for line in lines) == 4
         assert sum(line.startswith("pass  block spectra vs full LAPACK ") for line in lines) == 1
-        assert sum(" at (g=" in line for line in lines) == len(deviations) + 5
+        assert sum(" at (g=" in line for line in lines) == len(deviations) + 25
+        assert sum(line.startswith("pass  ") for line in lines) == len(deviations) + 30
 
     def test_registry_check_past_its_own_tolerance_fails(self, capsys, monkeypatch):
         # 1e-9 is within the default --tol, but past the registry's spectral tolerance
@@ -261,6 +265,62 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 2
         assert "ppt" in err
+
+    def test_concurrence_off_by_1e8_fails_naming_the_cell(self, capsys, monkeypatch):
+        # past the line's limit max(--tol, 1e-9); verify no longer reads concurrence_23,
+        # whose own raise past 1e-9 used to end the run before the line printed
+        _, passed, _ = run(capsys, "verify", "--points", "50", "--seed", "7")
+        real = concurrence.concurrence_23_closed
+        monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 1e-8)
+        code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
+        assert code == 2
+        lines = out.splitlines()
+        (n,) = [n for n, line in enumerate(lines) if "concurrence closed vs numeric" in line]
+        assert lines[n].startswith("FAIL  concurrence closed vs numeric") and " at (g=" in lines[n]
+        assert err.startswith("FAILURE: concurrence closed vs numeric: deviation") and " at (g=" in err
+        # every other line as in the passing run, which adds "all consistency checks passed"
+        assert lines[:n] + lines[n + 1:] == [
+            line for line in passed.splitlines()[:-1] if "concurrence closed vs numeric" not in line]
+
+    def test_raised_check_fails_after_the_failed_lines(self, capsys, monkeypatch):
+        # past a --tol of 1e-16, lines before the Jacobi reference fail; the reference then
+        # raises, and its own text follows their failures on stderr
+        def jacobi_eigh(matrices):
+            raise ConvergenceError("Jacobi sweep cap reached")
+
+        monkeypatch.setattr(linalg, "jacobi_eigh", jacobi_eigh)
+        code, out, err = run(capsys, "verify", "--points", "50", "--tol", "1e-16", "--seed", "7")
+        assert code == 2
+        lines = out.splitlines()
+        assert " block spectra vs full LAPACK " in lines[-1]
+        failed = [line[6:52].rstrip() for line in lines if line.startswith("FAIL  ")]
+        *failures, last = err.splitlines()
+        assert len(failures) == len(failed) > 0
+        for name, failure in zip(failed, failures):
+            assert failure.startswith(f"FAILURE: {name}: deviation ") and " at (g=" in failure
+        assert last == "FAILURE: Jacobi sweep cap reached"
+
+    def test_nan_explicit_margin_fails_its_line(self, capsys, monkeypatch):
+        # a NaN reference margin is the worst value of its line, not skipped by a max
+        real = tripartite.criterion_su
+        monkeypatch.setattr(tripartite, "criterion_su", lambda p, settings, level: (
+            dataclasses.replace(real(p, settings, level), margin=math.nan) if level == "3sep"
+            else real(p, settings, level)))
+        code, out, err = run(capsys, "verify", "--points", "30", "--seed", "7")
+        assert code == 2
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert [line.split()[1] for line in failed] == ["su3_set1", "su3_set2", "su3_set3"]
+        assert all(" nan at (g=" in line for line in failed)
+        assert err.count("FAILURE: su3_set") == 3
+
+    @pytest.mark.parametrize("seed", ["-1", "-7", "x", "1.5"])
+    def test_seed_not_a_nonnegative_integer_is_usage_error(self, capsys, monkeypatch, seed):
+        sampled = []
+        monkeypatch.setattr(cli, "_sample_simplex", lambda *a: sampled.append(a))
+        code, out, err = run(capsys, "verify", "--points", "5", "--seed", seed)
+        assert code == 1
+        assert "--seed" in err
+        assert out == "" and sampled == []
 
     def test_zero_points_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--points", "0")

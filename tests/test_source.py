@@ -135,6 +135,12 @@ def test_cross_checks_are_made_in_one_place():
     }
 
 
+def test_worst_cell_is_chosen_in_one_place():
+    # the registry's recording checks and every verify line name the worst cell through
+    # verdict.worst
+    assert _calls("worst") == {("criteria", "_Batch"), ("cli", "cmd_verify")}
+
+
 def _is_sign_call(node) -> bool:
     return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sign"
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from qsep.config import MARGINAL_BAND
-from qsep.verdict import sign_gap
+from qsep.verdict import sign_gap, worst
 
 
 class TestSignGap:
@@ -30,3 +30,27 @@ class TestSignGap:
             (above, above, True), (-above, -above, True), (0.0, -above, True),
         ):
             assert bool(sign_gap(numeric, closed) <= band) is agree, (numeric, closed)
+
+
+class TestWorst:
+    def test_the_first_nan_wins(self):
+        dev = np.array([[0.5, np.nan], [9.0, np.nan], [np.nan, 1.0]])
+        value, cell = worst(dev)
+        assert np.isnan(value) and cell == 0
+        value, cell = worst(np.array([1.0, 7.0, np.nan, 7.0, np.nan]))
+        assert np.isnan(value) and cell == 2
+
+    def test_cell_of_the_largest_entry(self):
+        # one largest entry, at cell 2, in each of the three shapes; a tie names the first cell
+        assert worst(np.array([0.1, 0.3, 0.7, 0.2])) == (0.7, 2)
+        assert worst(np.array([[0.1, 0.3], [0.2, 0.0], [0.0, 0.7], [0.5, 0.5]])) == (0.7, 2)
+        dev = np.zeros((4, 3, 2))
+        dev[2, 1, 0] = 0.7
+        dev[1, 2, 1] = 0.6
+        assert worst(dev) == (0.7, 2)
+        assert worst(np.array([[0.0, 0.4], [0.4, 0.0]])) == (0.4, 0)
+
+    def test_one_cell(self):
+        assert worst(np.array([0.25])) == (0.25, 0)
+        assert worst(np.array([[0.0, 0.25, 0.1]])) == (0.25, 0)
+        assert worst(np.full((1, 2, 2), 3e-16)) == (3e-16, 0)

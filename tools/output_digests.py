@@ -13,7 +13,9 @@ prints one ``<sha256>  <name>`` line per artifact:
   at 40 with each group of spectral criteria alone (``SPECTRAL_GROUPS``),
   which diagonalize only the matrix families they read;
 - the stdout of ``qsep eval --json`` at eight simplex points;
-- the stdout of ``qsep verify --points 1000 --seed 7``.
+- the stdout of ``qsep verify`` at ``--points 1000 --seed 7``, and at the edge
+  sizes of its worst-cell rule: one point (``--points 1 --seed 1``), and a
+  subsample that holds every point (``--points 20 --seed 3``).
 
 Each name ends with the command's exit code.  Run it on two checkouts and
 ``diff`` the two outputs.  Exports go to a temporary directory, and each is
@@ -37,7 +39,7 @@ POINTS = (
     (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.2), (0.2, 0.0), (1 / 3, 0.0), (0.3, 0.1),
     (0.15, 0.85),
 )
-VERIFY = ("verify", "--points", "1000", "--seed", "7")
+VERIFIES = (("1000", "7"), ("1", "1"), ("20", "3"))  # (--points, --seed)
 
 
 def _run(cli, argv) -> tuple[int, bytes]:
@@ -76,8 +78,10 @@ def main(argv: list[str]) -> int:
     for g, w in POINTS:
         code, out = _run(cli, ("eval", "--g", repr(g), "--w", repr(w), "--json"))
         print(f"{hashlib.sha256(out).hexdigest()}  eval {g!r} {w!r} (exit {code})", flush=True)
-    code, out = _run(cli, VERIFY)
-    print(f"{hashlib.sha256(out).hexdigest()}  {' '.join(VERIFY)} (exit {code})")
+    for points, seed in VERIFIES:
+        argv = ("verify", "--points", points, "--seed", seed)
+        code, out = _run(cli, argv)
+        print(f"{hashlib.sha256(out).hexdigest()}  {' '.join(argv)} (exit {code})", flush=True)
     return 0
 
 
