@@ -1,13 +1,12 @@
 """Separability criteria and class maps for the noisy GHZ-W three-qubit mixture."""
 
 from .states import SimplexPoint
-from .verdict import CriterionVerdict, HOLDS, MARGINAL, VIOLATED
+from .verdict import HOLDS, MARGINAL, VIOLATED
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SimplexPoint",
-    "CriterionVerdict",
     "HOLDS",
     "MARGINAL",
     "VIOLATED",

@@ -27,13 +27,6 @@ SLOCC_UNDETERMINED = "undetermined"
 SLOCC_NAMES = (GHZ_TYPE, W_TYPE_OR_LESS, SLOCC_UNDETERMINED)  # indexed by tripartite.slocc_codes
 
 
-def excluded_classes(criterion_id: str) -> tuple[str, ...]:
-    """Classes a violation of this criterion rules out (possibly none)."""
-    if criterion_id not in criteria.BY_ID:
-        raise ValueError(f"unknown criterion {criterion_id!r}")
-    return criteria.BY_ID[criterion_id].excludes
-
-
 def exact_w0_classification(g: float) -> str:
     """Published exact class on the GHZ-white-noise line (closed boundaries)."""
     if not 0.0 <= g <= 1.0:
@@ -81,7 +74,7 @@ def fuse(g: np.ndarray, w: np.ndarray, codes: dict[str, np.ndarray]) -> tuple[np
     # the lowest code of the criteria that remove the same classes: -1 where one is violated
     lowest: dict[tuple[str, ...], np.ndarray] = {}
     for cid, code in codes.items():
-        removed = excluded_classes(cid)
+        removed = criteria.BY_ID[cid].excludes
         if removed:
             lowest[removed] = np.minimum(lowest[removed], code) if removed in lowest else code
     excluded = np.zeros((g.size, len(CLASSES)), dtype=bool)
@@ -121,7 +114,7 @@ def cell_report(g, w, codes: dict, possible, slocc, exact, pptes) -> ClassReport
         possible_classes=tuple(cls for cls, ok in zip(CLASSES, possible) if ok),
         slocc=SLOCC_NAMES[int(slocc)],
         exclusions=tuple(
-            (cls, cid) for cid, code in codes.items() if code == -1 for cls in excluded_classes(cid)
+            (cls, cid) for cid, code in codes.items() if code == -1 for cls in criteria.BY_ID[cid].excludes
         ),
         exact=bool(exact),
         pptes_certified=bool(pptes),

@@ -262,38 +262,36 @@ def cmd_verify(args) -> int:
     lines: dict[str, tuple] = {}
     raised: list[str] = []
     try:
+        # the registry's batch: verify reads rho, the closed forms, each family's source and
+        # its sorted spectra from it, and its registry pass runs on it
+        batch = criteria.Batch(g, w)
+        families = {layout: layout.family(batch.source(layout)) for layout in states.FAMILIES}
         # the sum-built templates against the generic maps of the independent mixture,
-        # first: the registry reads them, so a broken one fails on its own line.  Each
-        # template is built once, for this line and for its families below
-        rho = states.build_rho_grid(g, w)
+        # first: the registry reads them, so a broken one fails on its own line
         mixture = states.build_rho_mixture_grid(g, w)
         rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
-        templates = {
-            states.MARGINAL_23_BLOCKS: (states.marginal_23_grid(g, w), rho23),
-            states.MARGINAL_1_BLOCKS: (states.marginal_1_grid(g, w), rho1),
-            states.REDUCTION_I123_BLOCKS: (
-                states.reduction_i123_grid(g, w), np.kron(np.eye(2)[None], rho23) - mixture),
-            states.REDUCTION_1I23_BLOCKS: (
-                states.reduction_1i23_grid(g, w), np.kron(rho1, np.eye(4)[None]) - mixture),
+        generic = {
+            states.MARGINAL_23_BLOCKS: rho23,
+            states.MARGINAL_1_BLOCKS: rho1,
+            states.REDUCTION_I123_BLOCKS: np.kron(np.eye(2)[None], rho23) - mixture,
+            states.REDUCTION_1I23_BLOCKS: np.kron(rho1, np.eye(4)[None]) - mixture,
         }
-        for layout, (template, generic) in templates.items():
-            value, n = verdict.worst(np.abs(template - generic))
+        for layout, reference in generic.items():
+            value, n = verdict.worst(np.abs(families[layout] - reference))
             _record(lines, f"{layout.name} template vs generic map",
                     (value, g[n], w[n], min(tol, states.TEMPLATE_TOL)))
-        sources = {"build_rho_grid": rho, **{layout.source: t for layout, (t, _) in templates.items()}}
 
         # every registry check; evaluate has raised if one is past its own fixed tolerance
-        margins, deviations = criteria.evaluate(g, w, criteria.IDS)
-        for name, line in deviations.items():
+        margins = batch.evaluate(criteria.IDS)
+        for name, line in batch.deviations.items():
             _record(lines, name, (*line, tol))
 
         # the block path, as in the registry, against full-matrix LAPACK on every family built
         # in full through its layout's map; the second numeric path of perm222
-        families = {layout: layout.family(sources[layout.source]) for layout in states.FAMILIES}
         full = {layout: linalg.singular_values(m) if layout.singular else linalg.eigh(m)
                 for layout, m in families.items()}
-        deviation = np.stack([np.max(np.abs(full[layout] - np.sort(linalg.block_spectra(
-            layout, sources[layout.source], g, w))[:, ::-1]), axis=-1) for layout in families])
+        deviation = np.stack([np.max(np.abs(full[layout] - batch.spectrum(layout)), axis=-1)
+                              for layout in families])
         _, k = verdict.worst(deviation)  # on a tie, the first family, then its first cell
         value, n = verdict.worst(deviation[k])
         _record(lines, "block spectra vs full LAPACK",
@@ -306,14 +304,14 @@ def cmd_verify(args) -> int:
         _record(lines, "eigh vs Jacobi reference", (value, g[n], w[n], max(tol, 1e-12)))
 
         lam = concurrence.wootters_lambdas(families[states.MARGINAL_23_BLOCKS])
-        value, n = verdict.worst(np.abs(lam**2 - states.closed_form_spectra_grid(g, w)["conc23"]))
+        value, n = verdict.worst(np.abs(lam**2 - batch.closed["conc23"]))
         _record(lines, "spectrum[conc23]", (value, g[n], w[n], tol))
         # the Wootters concurrence, max(0, l1 - l2 - l3 - l4), from the same lambdas
         numeric = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
         value, n = verdict.worst(np.abs(numeric - concurrence.concurrence_23_closed(g, w)))
         _record(lines, "concurrence closed vs numeric", (value, g[n], w[n], max(tol, 1e-9)))
 
-        value, n = verdict.worst(np.abs(rho - mixture))
+        value, n = verdict.worst(np.abs(batch.rho - mixture))
         _record(lines, "rho template vs mixture", (value, g[n], w[n], tol))
 
         mismatches = verdict.codes(margins["ppt"]) != verdict.codes(margins["reduction"])
@@ -331,9 +329,9 @@ def cmd_verify(args) -> int:
         everywhere = np.arange(args.points)
         gs2_ghz, gs2_w = tripartite.gs2_element_margins(mixture)
         references = {  # cid -> (the cells it is read on, its margins there)
-            **{cid: (subsample, [tripartite.criterion_su(p, (settings[idx],) * 3, level).margin for p in points])
+            **{cid: (subsample, [tripartite.criterion_su(p, (settings[idx],) * 3, level) for p in points])
                for cid, (idx, level) in criteria.SPIN.items()},
-            **{cid: (subsample, [tripartite.criterion_huber(p, phi[tag], k).margin for p in points])
+            **{cid: (subsample, [tripartite.criterion_huber(p, phi[tag], k) for p in points])
                for cid, (tag, k) in criteria.SWAP.items()},
             # the matrix-element criteria read off the independent mixture, on every point
             "gs2_ghz": (everywhere, gs2_ghz), "gs2_w": (everywhere, gs2_w),
@@ -381,7 +379,7 @@ def cmd_examples(args) -> int:
         if args.a is None:
             raise ValueError("examples --which class28 needs --a")
         rho = states.example_states("class28", a=args.a)
-        scale = 2.0 + 3.0 * (args.a + 1.0 / args.a)
+        scale = states.class28_normaliser(args.a)
         _print_matrix(rho * scale, f"1/{scale:g}")
     elif args.which == "class21":
         rho = states.example_states("class21")

@@ -2,20 +2,22 @@
 
 Each ``Criterion`` record names its id, its selection group, the classes a
 violation excludes and the kind of margin it reports; ``IDS`` is the scan
-order.  ``evaluate`` computes any subset of criteria over arrays of weights
-through one vectorized evaluator per criterion family, so a grid chunk and a
-batch of one point take the same path (``scan.point_margin``).
-A matrix family is diagonalized by one ``linalg.block_spectra`` call when
-an evaluator first reads it: ``_Batch.spectrum`` sorts, checks and keeps
-it, and only ``perm222`` reads a family in layout order (``_Batch.values``).
-So a batch computes each family at most once, and only the families its
-selection reads.  Every family but ``perm222`` runs its second path on the same
-batch through the two recording checks of ``_Batch``, ``check_close`` and
-``check_signs``, and these are the only cross-checks on the grid path.
-The independent references are ``tripartite.criterion_su`` and ``criterion_huber``, which
-build explicit observables and swap operators, and the matrix elements of
-the separately built mixture; ``qsep verify`` compares them with these
-margins.
+order.  A ``Batch`` holds the weights of one batch of cells and every quantity
+its criteria share, and ``Batch.evaluate`` computes any subset of criteria on
+it through one vectorized evaluator per criterion family, so a grid chunk and
+a batch of one point take the same path (``margins``, ``scan.point_margin``).
+A matrix family is diagonalized by one ``linalg.block_spectra`` call, on the
+source that ``Batch.source`` builds, when an evaluator first reads it:
+``Batch.spectrum`` sorts, checks and keeps it, and only ``perm222`` reads a
+family in layout order (``Batch.values``).  So a batch computes each family
+at most once, and only the families its selection reads.  Every family but
+``perm222`` runs its second path on the same batch through the two recording
+checks of ``Batch``, ``check_close`` and ``check_signs``, and these are the
+only cross-checks on the grid path.  The independent references are
+``tripartite.criterion_su`` and ``criterion_huber``, which build explicit
+observables and swap operators, and the matrix elements of the separately
+built mixture; ``qsep verify`` compares them with the margins of the same
+``Batch`` its registry pass runs on.
 """
 
 from __future__ import annotations
@@ -111,13 +113,13 @@ GROUPS: dict[str, tuple[str, ...]] = {
 # evaluators: each takes a batch and the wanted ids of its family, returns {id: margins}
 
 
-class _Batch:
+class Batch:
     """Weights of one batch, and the quantities several evaluators share, each computed
     on its first read."""
 
-    def __init__(self, g: np.ndarray, w: np.ndarray):
-        self.g = g
-        self.w = w
+    def __init__(self, g, w):
+        self.g = np.asarray(g, dtype=float)
+        self.w = np.asarray(w, dtype=float)
         self.deviations: dict[str, tuple[float, float, float]] = {}
         self._spectra: dict[linalg.BlockLayout, np.ndarray] = {}
 
@@ -129,13 +131,15 @@ class _Batch:
     def rho(self) -> np.ndarray:
         return states.build_rho_grid(self.g, self.w)
 
+    def source(self, layout: linalg.BlockLayout) -> np.ndarray:
+        """The source matrices of ``layout`` on this batch: the batch's rho for a family
+        read from rho, else its template's batch, built on every call and kept by none."""
+        return self.rho if layout.template is None else layout.template(self.g, self.w)
+
     def values(self, layout: linalg.BlockLayout) -> np.ndarray:
         """The block spectra of ``layout``, in layout order, from one ``linalg.block_spectra``
-        call.  Its source is the batch's rho, or the template ``states`` holds under the
-        layout's ``source`` name, built, read and dropped."""
-        source = (self.rho if layout.source == "build_rho_grid"
-                  else getattr(states, layout.source)(self.g, self.w))
-        return linalg.block_spectra(layout, source, self.g, self.w)
+        call on its ``source``."""
+        return linalg.block_spectra(layout, self.source(layout), self.g, self.w)
 
     def spectrum(self, layout: linalg.BlockLayout) -> np.ndarray:
         """The block spectra of ``layout``, sorted non-increasing; computed and checked
@@ -167,16 +171,37 @@ class _Batch:
         self._record(f"{what} sign", sign_gap(numeric, closed), MARGINAL_BAND,
                      lambda value, n: f"numeric margin {numeric[n]:.3e} vs closed form {closed[n]:.3e}")
 
+    def evaluate(self, ids) -> dict[str, np.ndarray]:
+        """Margins of the criteria ``ids`` on every cell of the batch, cross-checked.
+
+        Every closed-form check that runs is recorded in ``deviations`` as
+        ``(worst deviation, g, w)`` of its worst cell, whether it passed or
+        not.  Raises ValueError for an unknown id and ConsistencyError, naming
+        the check and the failing (g, w), when a numeric path and its closed
+        form disagree.
+        """
+        for cid in ids:
+            if cid not in BY_ID:
+                raise ValueError(f"unknown criterion {cid!r}")
+        wanted: dict = {}
+        for cid in IDS:
+            if cid in ids:
+                wanted.setdefault(_EVALUATORS[BY_ID[cid].group], []).append(cid)
+        out: dict[str, np.ndarray] = {}
+        for evaluator, family in wanted.items():
+            out.update(evaluator(self, family))
+        return {cid: np.asarray(out[cid], dtype=float) for cid in ids}
+
 
 _DENSITIES = (states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS)
 
 
-def _densities(b: _Batch) -> dict[str, np.ndarray]:
+def _densities(b: Batch) -> dict[str, np.ndarray]:
     """The checked spectra of rho, rho^23 and rho^1."""
     return dict(zip(("rho", "rho23", "rho1"), map(b.spectrum, _DENSITIES)))
 
 
-def _majorization(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _majorization(b: Batch, ids) -> dict[str, np.ndarray]:
     m1, m23 = bipartite.majorization_margins_from_spectra(_densities(b))
     c1, c23 = bipartite.majorization_case_margins(b.g, b.w)
     b.check_signs(m1, c1, "majorization rho^1")
@@ -184,7 +209,7 @@ def _majorization(b: _Batch, ids) -> dict[str, np.ndarray]:
     return {"maj_rho1": m1, "maj_rho23": m23}
 
 
-def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _entropy(b: Batch, ids) -> dict[str, np.ndarray]:
     _densities(b)  # the numeric path, checked; the margins read the clipped closed forms
     spectra = {key: np.clip(b.closed[key], 0.0, None) for key in ("rho", "rho1", "rho23")}
     out = {}
@@ -195,7 +220,7 @@ def _entropy(b: _Batch, ids) -> dict[str, np.ndarray]:
     return out
 
 
-def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _partial_transpose(b: Batch, ids) -> dict[str, np.ndarray]:
     """ppt and reduction, which share the spectrum of rho^T1 and its quadratics."""
     out = {}
     spect_pt = b.spectrum(states.TRANSPOSE_1_BLOCKS)
@@ -213,19 +238,19 @@ def _partial_transpose(b: _Batch, ids) -> dict[str, np.ndarray]:
     return out
 
 
-def _reshuffle24(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _reshuffle24(b: Batch, ids) -> dict[str, np.ndarray]:
     svs = b.spectrum(states.RESHUFFLE_24_BLOCKS)
     closed = bipartite.reshuffle24_closed_singular_values(b.g, b.w)
     b.check_close(svs, closed, "reshuffling singular values", SPECTRUM_TOL)
     return {"resh24": 1.0 - np.sum(svs, axis=-1)}
 
 
-def _perm222(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _perm222(b: Batch, ids) -> dict[str, np.ndarray]:
     # summed in layout order: exactly 0.0 at (1/3, 0), where the sorted sum is not
     return {"perm222": 1.0 - np.sum(b.values(states.RESHUFFLE_23_BLOCKS), axis=-1)}
 
 
-def _spin(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _spin(b: Batch, ids) -> dict[str, np.ndarray]:
     out = {}
     for setting in sorted({SPIN[cid][0] for cid in ids}):  # one setting's expectations at a time
         expectations = tripartite.su_expectations_grid(b.g, b.w, setting)
@@ -237,7 +262,7 @@ def _spin(b: _Batch, ids) -> dict[str, np.ndarray]:
     return out
 
 
-def _swap(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _swap(b: Batch, ids) -> dict[str, np.ndarray]:
     # each detection vector's forms once, shared by k = 2 and k = 3
     tags = dict.fromkeys(SWAP[cid][0] for cid in ids)
     forms = {tag: tripartite.huber_forms_grid(b.g, b.w, tag) for tag in tags}
@@ -249,7 +274,7 @@ def _swap(b: _Batch, ids) -> dict[str, np.ndarray]:
             for cid in ids}
 
 
-def _gs2(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _gs2(b: Batch, ids) -> dict[str, np.ndarray]:
     m_ghz, m_w = tripartite.gs2_closed_margins(b.g, b.w)
     raw_ghz, raw_w = tripartite.gs2_element_margins(b.rho)
     b.check_close(raw_ghz, m_ghz, "gs2_ghz matrix elements", ELEMENT_TOL)
@@ -257,14 +282,14 @@ def _gs2(b: _Batch, ids) -> dict[str, np.ndarray]:
     return {"gs2_ghz": m_ghz, "gs2_w": m_w}
 
 
-def _gs3(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _gs3(b: Batch, ids) -> dict[str, np.ndarray]:
     closed = tripartite.gs3_closed_margins(b.g, b.w)
     for key, value in tripartite.gs3_element_margins(b.rho).items():
         b.check_close(value, closed[key], f"gs3 member {key}", ELEMENT_TOL)
     return {"gs3": closed["gs3"]}
 
 
-def _witness(b: _Batch, ids) -> dict[str, np.ndarray]:
+def _witness(b: Batch, ids) -> dict[str, np.ndarray]:
     closed = tripartite.witness_closed_forms(b.g, b.w)
     for name, value in tripartite.witness_traces(b.rho).items():
         b.check_close(value, closed[name], f"witness {name} trace", ELEMENT_TOL)
@@ -289,29 +314,7 @@ _EVALUATORS = {
 }
 
 
-def evaluate(g, w, ids) -> tuple[dict[str, np.ndarray], dict[str, tuple[float, float, float]]]:
-    """Margins of the criteria ``ids`` over 1-d weight arrays, cross-checked on every cell.
-
-    Returns ``(margins, deviations)``: ``deviations`` maps every closed-form
-    check that ran to ``(worst deviation, g, w)`` of its worst cell, whether
-    it passed or not.  Raises ValueError for an unknown id and
-    ConsistencyError, naming the check and the failing (g, w), when a
-    numeric path and its closed form disagree.
-    """
-    for cid in ids:
-        if cid not in BY_ID:
-            raise ValueError(f"unknown criterion {cid!r}")
-    wanted: dict = {}
-    for cid in IDS:
-        if cid in ids:
-            wanted.setdefault(_EVALUATORS[BY_ID[cid].group], []).append(cid)
-    batch = _Batch(np.asarray(g, dtype=float), np.asarray(w, dtype=float))
-    out: dict[str, np.ndarray] = {}
-    for evaluator, family in wanted.items():
-        out.update(evaluator(batch, family))
-    return {cid: np.asarray(out[cid], dtype=float) for cid in ids}, batch.deviations
-
-
 def margins(g, w, ids) -> dict[str, np.ndarray]:
-    """The margins of ``evaluate``."""
-    return evaluate(g, w, ids)[0]
+    """The margins of the criteria ``ids`` over 1-d weight arrays: ``Batch.evaluate`` on
+    one batch of them."""
+    return Batch(g, w).evaluate(ids)

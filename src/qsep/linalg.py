@@ -327,12 +327,12 @@ class BlockLayout:
 
     ``blocks`` lists each block's (rows, columns) index sets; every entry
     outside them is zero.  The family is read from a batch of its
-    ``source_shape`` source matrices, which the template named ``source``
-    builds.  Without ``source_map`` the source is the family itself; with
-    it, the family is ``source_map`` of its source (``family``), a map that
-    only moves entries (a partial transpose, a reshuffle), so
-    ``block_spectra`` gathers the family from the source through the derived
-    ``index``.
+    ``source_shape`` source matrices, which ``template(g, w)`` builds (None:
+    the source is rho, which the caller holds).  Without ``source_map`` the
+    source is the family itself; with it, the family is ``source_map`` of its
+    source (``family``), a map that only moves entries (a partial transpose,
+    a reshuffle), so ``block_spectra`` gathers the family from the source
+    through the derived ``index``.
 
     ``singular`` selects what ``block_spectra`` returns: eigenvalues of
     Hermitian blocks (rows == columns; the lower triangle is read) or
@@ -362,7 +362,7 @@ class BlockLayout:
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     singular: bool = False
     mirrors: tuple[tuple[int, int], ...] = ()
-    source: str = ""
+    template: Callable | None = field(default=None, compare=False, repr=False)
     source_shape: tuple[int, int] | None = None  # None: the family's own shape
     source_map: Callable | None = field(default=None, compare=False, repr=False)
     # derived from the fields above: the source entry of each flat family entry; values per
@@ -507,7 +507,7 @@ def block_spectra(layout: BlockLayout, source, g, w) -> np.ndarray:
     batch = len(g)
     matrices = _real_if_exact(source)
     if np.iscomplexobj(matrices) or matrices.shape != (batch,) + layout.source_shape:
-        raise ValueError(f"{layout.source}: expected a batch of {batch} real {layout.source_shape} "
+        raise ValueError(f"{layout.name}: expected a batch of {batch} real {layout.source_shape} "
                          f"matrices, got {matrices.dtype} {matrices.shape}")
     flat = matrices.reshape(batch, -1)
     _check_source(flat, layout, g, w)

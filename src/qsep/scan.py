@@ -286,7 +286,7 @@ def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
     ])
     close = "}}}" if crit else "}}"
     excluded = [
-        ",".join(f"[{json.dumps(cls)},{key}]" for cls in classify.excluded_classes(cid))
+        ",".join(f"[{json.dumps(cls)},{key}]" for cls in registry.BY_ID[cid].excludes)
         for cid, key in zip(crit, keys)
     ]
     column = np.arange(len(crit))

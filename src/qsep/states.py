@@ -15,6 +15,7 @@ the independently built mixture, which pins down the index conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,24 +90,24 @@ def build_rho_grid(g, w) -> np.ndarray:
     return m
 
 
-def _hermitian(name: str, template: str, n: int, *index_sets, mirrors=()) -> linalg.BlockLayout:
-    """Eigenvalue layout of the n x n template named ``template``: each index set is one
+def _hermitian(name: str, template, n: int, *index_sets, mirrors=()) -> linalg.BlockLayout:
+    """Eigenvalue layout of the n x n ``template`` (None: rho itself): each index set is one
     diagonal block."""
     return linalg.BlockLayout(name, (n, n), tuple((s, s) for s in index_sets), mirrors=mirrors,
-                              source=template)
+                              template=template)
 
 
 def _moved_from_rho(name: str, shape, blocks, source_map, **kwargs) -> linalg.BlockLayout:
     """Layout of a family that only moves entries of rho: ``source_map`` (a map of 8x8
-    matrices) builds it from rho, and its blocks are gathered from the rho template."""
-    return linalg.BlockLayout(name, shape, blocks, source="build_rho_grid", source_shape=(8, 8),
+    matrices) builds it from rho, and its blocks are gathered from rho."""
+    return linalg.BlockLayout(name, shape, blocks, source_shape=(8, 8),
                               source_map=source_map, **kwargs)
 
 
 # block layouts of rho and of the two index maps of it that the criteria diagonalize,
 # rho^T1 and R'(rho) (``linalg.permute_indices``); a mirror pair (p, q) of a 3x3 block,
 # B_pp == B_qq and B_pr == B_qr, splits it into one eigenvalue and a 2x2 block
-RHO_BLOCKS = _hermitian("rho", "build_rho_grid", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,),
+RHO_BLOCKS = _hermitian("rho", None, 8, (0, 7), (1, 2, 4), (3,), (5,), (6,),
                         mirrors=((1, 2),))
 TRANSPOSE_1_BLOCKS = _moved_from_rho(
     "rho^T1", (8, 8), tuple((s, s) for s in ((0, 5, 6), (1, 2), (3, 4), (7,))),
@@ -143,7 +144,7 @@ def marginal_23_grid(g, w) -> np.ndarray:
     return m
 
 
-MARGINAL_23_BLOCKS = _hermitian("rho^23", "marginal_23_grid", 4, (1, 2), (0,), (3,))
+MARGINAL_23_BLOCKS = _hermitian("rho^23", marginal_23_grid, 4, (1, 2), (0,), (3,))
 
 
 def marginal_1_grid(g, w) -> np.ndarray:
@@ -155,7 +156,7 @@ def marginal_1_grid(g, w) -> np.ndarray:
     return m
 
 
-MARGINAL_1_BLOCKS = _hermitian("rho^1", "marginal_1_grid", 2, (0,), (1,))
+MARGINAL_1_BLOCKS = _hermitian("rho^1", marginal_1_grid, 2, (0,), (1,))
 
 
 def reduction_i123_grid(g, w) -> np.ndarray:
@@ -172,7 +173,7 @@ def reduction_i123_grid(g, w) -> np.ndarray:
     return m
 
 
-REDUCTION_I123_BLOCKS = _hermitian("I (x) rho^23 - rho", "reduction_i123_grid", 8,
+REDUCTION_I123_BLOCKS = _hermitian("I (x) rho^23 - rho", reduction_i123_grid, 8,
                                    (0, 7), (1, 2, 4), (3,), (5, 6), mirrors=((1, 2),))
 
 
@@ -199,7 +200,7 @@ def reduction_1i23_grid(g, w) -> np.ndarray:
     return m
 
 
-REDUCTION_1I23_BLOCKS = _hermitian("rho^1 (x) I - rho", "reduction_1i23_grid", 8,
+REDUCTION_1I23_BLOCKS = _hermitian("rho^1 (x) I - rho", reduction_1i23_grid, 8,
                                    (0, 7), (1, 2, 4), (3,), (5,), (6,), mirrors=((1, 2),))
 
 
@@ -311,14 +312,27 @@ def _class21_matrix() -> np.ndarray:
     return m / 6.0
 
 
+def class28_normaliser(a) -> float:
+    """2 + 3(a + 1/a), the trace of the class28 numerator; ValueError unless a is finite
+    and positive and the normaliser is finite."""
+    a = float(a)
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"class28 requires a finite a > 0, got a={a}")
+    scale = 2.0 + 3.0 * (a + 1.0 / a)
+    if not math.isfinite(scale):
+        raise ValueError(f"class28 normaliser 2 + 3(a + 1/a) overflows at a={a}")
+    return scale
+
+
 def _class28_matrix(a: float) -> np.ndarray:
+    scale = class28_normaliser(a)
     m = np.zeros((8, 8))
     m[0, 0] = m[7, 7] = m[0, 7] = m[7, 0] = 1.0
     for k in (1, 2, 4):
         m[k, k] = a
     for k in (3, 5, 6):
         m[k, k] = 1.0 / a
-    return m / (2.0 + 3.0 * (a + 1.0 / a))
+    return m / scale
 
 
 PPTES_NUMERATOR = np.array(
@@ -337,17 +351,15 @@ PPTES_NUMERATOR = np.array(
 
 
 def example_states(which: str, a: float | None = None) -> np.ndarray:
-    """Published example density matrices: class21, class28 (needs a > 0), pptes."""
+    """Published example density matrices: class21, class28 (needs a finite a > 0 with a
+    finite ``class28_normaliser``), pptes."""
     which = which.lower()
     if which == "class21":
         return _class21_matrix().astype(np.complex128)
     if which == "class28":
         if a is None:
             raise ValueError("class28 needs the parameter a")
-        a = float(a)
-        if a <= 0:
-            raise ValueError(f"class28 requires a > 0, got a={a}")
-        return _class28_matrix(a).astype(np.complex128)
+        return _class28_matrix(float(a)).astype(np.complex128)
     if which == "pptes":
         return (PPTES_NUMERATOR / 120.0).astype(np.complex128)
     raise ValueError(f"unknown example state {which!r} (want class21, class28 or pptes)")

@@ -21,7 +21,7 @@ from . import linalg, states
 from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError
 from .states import SimplexPoint
-from .verdict import CriterionVerdict, cell_name, sign_gap
+from .verdict import cell_name, sign_gap
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -146,8 +146,8 @@ def su_margins_from_expectations(ex, ey, ez, ei, level: str):
     return np.minimum(gap, cap - min_iz)
 
 
-def criterion_su(p: SimplexPoint, triads, level: str) -> CriterionVerdict:
-    """Spin-observable criterion for one of the three separability levels.
+def criterion_su(p: SimplexPoint, triads, level: str) -> float:
+    """Margin of the spin-observable criterion for one of the three separability levels.
 
     ``triads`` is a (t1, t2, t3) tuple of per-site setting triads.  For the
     three published settings the matching closed-form polynomial is evaluated
@@ -163,15 +163,12 @@ def criterion_su(p: SimplexPoint, triads, level: str) -> CriterionVerdict:
     }
     margin = float(su_margins_from_expectations(ev["X"], ev["Y"], ev["Z"], ev["I"], level))
     idx = _published_setting_index(triads)
-    if idx is None:
-        cid = f"su{_LEVEL_TAG[level]}_custom"
-    else:
-        cid = f"su{_LEVEL_TAG[level]}_set{idx + 1}"
+    if idx is not None:
         closed = float(su_closed_margin(p.g, p.w, idx, level))
         if not sign_gap(margin, closed) <= MARGINAL_BAND:
-            raise ConsistencyError(f"{cid} at {cell_name(p.g, p.w)}: numeric margin {margin:.3e} "
-                                   f"vs closed form {closed:.3e}")
-    return CriterionVerdict.from_margin(cid, margin, "spin-observable inequality slack")
+            raise ConsistencyError(f"su{_LEVEL_TAG[level]}_set{idx + 1} at {cell_name(p.g, p.w)}: "
+                                   f"numeric margin {margin:.3e} vs closed form {closed:.3e}")
+    return margin
 
 
 @functools.cache
@@ -294,8 +291,8 @@ def _require_product_vector(phi: np.ndarray) -> None:
             )
 
 
-def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int) -> CriterionVerdict:
-    """Two-copy swap criterion for k-separability, k in {2, 3}.
+def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int) -> float:
+    """Margin of the two-copy swap criterion for k-separability, k in {2, 3}.
 
     Left side sqrt(<Phi| rho(x)rho P_tot |Phi>); right side sums the 2k-th
     root products over all k-partite splits.  Everything is evaluated with
@@ -318,7 +315,7 @@ def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int) -> CriterionVerdic
         rhs = sum((q(s1) * q(s2)) ** 0.25 for s1, s2 in BIPARTITE_SPLITS)
     else:
         rhs = (q((1,)) * q((2,)) * q((3,))) ** (1.0 / 6.0)
-    return CriterionVerdict.from_margin(f"huber_k{k}", float(rhs - lhs), "swap-criterion slack")
+    return float(rhs - lhs)
 
 
 _HUBER_PHIS = {"ghz": phi_ghz, "w": phi_w}
@@ -596,7 +593,7 @@ def slocc_codes(g, w, w_ghz) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RandomSearchResult:
-    verdict: CriterionVerdict
+    margin: float
     samples: int
     seed: int
     reference_margin: float | None
@@ -615,7 +612,7 @@ def _random_triad(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def random_setting_search(
     p: SimplexPoint, samples: int, seed: int, level: str = "2sep"
 ) -> RandomSearchResult:
-    """Most-violating spin-observable verdict over randomly sampled triads.
+    """Most-violating spin-observable margin over randomly sampled triads.
 
     Deterministic under a fixed seed.  On the two published axes the best
     sampled margin is compared with the reference setting (Setting I on w=0,
@@ -625,16 +622,12 @@ def random_setting_search(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    best: CriterionVerdict | None = None
-    for _ in range(samples):
-        triads = tuple(_random_triad(rng) for _ in range(3))
-        verdict = criterion_su(p, triads, level)
-        if best is None or verdict.margin < best.margin:
-            best = verdict
+    best = min(criterion_su(p, tuple(_random_triad(rng) for _ in range(3)), level)
+               for _ in range(samples))
     reference = None
     if p.w == 0.0:
-        reference = criterion_su(p, (SETTING_I,) * 3, level).margin
+        reference = criterion_su(p, (SETTING_I,) * 3, level)
     elif p.g == 0.0:
-        reference = criterion_su(p, (SETTING_II,) * 3, level).margin
-    beats = reference is not None and best.margin < reference - 1e-12
+        reference = criterion_su(p, (SETTING_II,) * 3, level)
+    beats = reference is not None and best < reference - 1e-12
     return RandomSearchResult(best, samples, seed, reference, beats)

@@ -1,4 +1,4 @@
-"""Uniform three-state wrapper for criterion outcomes, and the one sign rule.
+"""The one verdict encoding of criterion margins, and the one sign rule.
 
 A margin within ``MARGINAL_BAND`` of zero is marginal; outside it, a
 positive margin holds and a negative one is violated.  Numeric and closed
@@ -6,8 +6,6 @@ form margins agree in sign where their ``sign_gap`` lies within that band.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,24 +22,6 @@ def codes(margins) -> np.ndarray:
     """Verdict codes of margins (arrays allowed): 1 holds, 0 marginal, -1 violated."""
     m = np.asarray(margins, dtype=float)
     return (m > MARGINAL_BAND).astype(np.int8) - (m < -MARGINAL_BAND).astype(np.int8)
-
-
-def verdict_state(margin: float) -> str:
-    return CODE_NAMES[int(codes(margin))]
-
-
-@dataclass(frozen=True)
-class CriterionVerdict:
-    """One criterion outcome; positive margin means satisfied slack."""
-
-    id: str
-    holds: str
-    margin: float
-    kind: str
-
-    @classmethod
-    def from_margin(cls, cid: str, margin: float, kind: str):
-        return cls(cid, verdict_state(margin), float(margin), kind)
 
 
 def sign_gap(numeric, closed) -> np.ndarray:

@@ -150,8 +150,9 @@ def test_06_entropy_dominance(lattice, spectra):
 def test_07_spin_criteria(lattice):
     g, w = lattice
     # raises ConsistencyError on any sign disagreement with the closed forms
-    by_id, deviations = criteria.evaluate(g, w, tuple(criteria.SPIN))
-    assert {f"{cid} sign" for cid in criteria.SPIN} <= set(deviations)
+    batch = criteria.Batch(g, w)
+    by_id = batch.evaluate(tuple(criteria.SPIN))
+    assert {f"{cid} sign" for cid in criteria.SPIN} <= set(batch.deviations)
     margins = {criteria.SPIN[cid]: value for cid, value in by_id.items()}
     crossing = scan.boundary_bisect("su2_set2", ((0.0, 0.0), (0.0, 1.0)))
     assert abs(crossing.w - 3.0 / 5.0) <= 1e-9
@@ -176,7 +177,7 @@ def test_08_huber_su_equivalence(lattice):
         closed_codes = _code(closed)
         hub_margins = np.array(
             [
-                tripartite.criterion_huber(SimplexPoint(g[n], w[n]), phis[tag], k).margin
+                tripartite.criterion_huber(SimplexPoint(g[n], w[n]), phis[tag], k)
                 for n in sample
             ]
         )

@@ -7,7 +7,7 @@ import pytest
 from qsep import bipartite, linalg, scan, states
 from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
-from qsep.verdict import HOLDS, MARGINAL, VIOLATED, verdict_state
+from qsep.verdict import CODE_NAMES, HOLDS, MARGINAL, VIOLATED, codes
 
 
 def simplex_grid(n=20):
@@ -18,8 +18,13 @@ def simplex_grid(n=20):
     ]
 
 
+def state(margin):
+    """The verdict name of a margin's code."""
+    return CODE_NAMES[int(codes(margin))]
+
+
 def verdict_at(cid, p):
-    return verdict_state(scan.point_margin(cid, p))
+    return state(scan.point_margin(cid, p))
 
 
 def entropy_id(marginal, alpha):
@@ -208,11 +213,11 @@ class TestCriterionEntropy:
 class TestCriterionPPT:
     def test_white_noise(self):
         margin = scan.point_margin("ppt", SimplexPoint(0.0, 0.0))
-        assert verdict_state(margin) == HOLDS and abs(margin - 1 / 8) < 1e-12
+        assert state(margin) == HOLDS and abs(margin - 1 / 8) < 1e-12
 
     def test_pure_ghz(self):
         margin = scan.point_margin("ppt", SimplexPoint(1.0, 0.0))
-        assert verdict_state(margin) == VIOLATED and abs(margin + 0.5) < 1e-12
+        assert state(margin) == VIOLATED and abs(margin + 0.5) < 1e-12
 
     def test_published_axis_boundary_marginal(self):
         assert verdict_at("ppt", SimplexPoint(0.2, 0.0)) == MARGINAL
@@ -228,7 +233,7 @@ class TestCriterionReduction:
 
     def test_pure_w_violated_via_linear_inequality(self):
         margin = scan.point_margin("reduction", SimplexPoint(0.0, 1.0))
-        assert verdict_state(margin) == VIOLATED
+        assert state(margin) == VIOLATED
         assert abs(margin + math.sqrt(2) / 3) < 1e-12
 
     def test_white_noise_holds(self):
@@ -238,17 +243,17 @@ class TestCriterionReduction:
 class TestCriterionReshuffling:
     def test_white_noise(self):
         margin = scan.point_margin("resh24", SimplexPoint(0.0, 0.0))
-        assert verdict_state(margin) == HOLDS
+        assert state(margin) == HOLDS
         assert abs((1.0 - margin) - 1 / (2 * math.sqrt(2))) < 1e-12
 
     def test_pure_ghz(self):
         margin = scan.point_margin("resh24", SimplexPoint(1.0, 0.0))
-        assert verdict_state(margin) == VIOLATED
+        assert state(margin) == VIOLATED
         assert abs((1.0 - margin) - 2.0) < 1e-12
 
     def test_pure_w(self):
         margin = scan.point_margin("resh24", SimplexPoint(0.0, 1.0))
-        assert verdict_state(margin) == VIOLATED
+        assert state(margin) == VIOLATED
         assert abs((1.0 - margin) - (1.0 + 2.0 * math.sqrt(2) / 3.0)) < 1e-12
 
     def test_closed_forms_match_numeric_on_grid(self):

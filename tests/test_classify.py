@@ -81,24 +81,24 @@ class TestEvaluatePoint:
 
 class TestBuckets:
     def test_full_separability_only(self):
-        assert classify.excluded_classes("gs3") == ("3",)
-        assert classify.excluded_classes("perm222") == ("3",)
-        assert classify.excluded_classes("huber_w_k3") == ("3",)
+        assert criteria.BY_ID["gs3"].excludes == ("3",)
+        assert criteria.BY_ID["perm222"].excludes == ("3",)
+        assert criteria.BY_ID["huber_w_k3"].excludes == ("3",)
 
     def test_intersection_bucket(self):
         for cid in ("ppt", "reduction", "maj_rho23", "resh24", "su283_set2", "entropy_rho23_a2"):
-            assert classify.excluded_classes(cid) == ("3", "2.8")
+            assert criteria.BY_ID[cid].excludes == ("3", "2.8")
 
     def test_biseparability_bucket(self):
         for cid in ("gs2_w", "su2_set1", "huber_ghz_k2", "w_w1", "w_w2"):
-            assert classify.excluded_classes(cid) == ("3", "2.8", "2.1")
+            assert criteria.BY_ID[cid].excludes == ("3", "2.8", "2.1")
 
     def test_ghz_witness_excludes_nothing(self):
-        assert classify.excluded_classes("w_ghz") == ()
+        assert criteria.BY_ID["w_ghz"].excludes == ()
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown criterion"):
-            classify.excluded_classes("bogus")
+            criteria.margins(np.array([0.1]), np.array([0.1]), ("bogus",))
 
 
 class TestFuse:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -215,8 +214,9 @@ class TestVerify:
     def test_prints_one_line_per_registry_check(self, capsys):
         code, out, _ = run(capsys, "verify", "--points", "200", "--seed", "7")
         assert code == 0
-        g, w = cli._sample_simplex(np.random.default_rng(7), 200)
-        _, deviations = criteria.evaluate(g, w, criteria.IDS)
+        batch = criteria.Batch(*cli._sample_simplex(np.random.default_rng(7), 200))
+        batch.evaluate(criteria.IDS)
+        deviations = batch.deviations
         lines = out.splitlines()
         for name in deviations:
             assert sum(line.startswith(f"pass  {name} ") for line in lines) == 1, name
@@ -236,14 +236,51 @@ class TestVerify:
         assert code == 2
         assert "reshuffling singular values" in err and "(g=" in err
 
+    @staticmethod
+    def shift_source(monkeypatch, target, shift):
+        """Make ``Batch.source`` return the sources of ``target`` shifted by ``shift``."""
+        real = criteria.Batch.source
+        monkeypatch.setattr(criteria.Batch, "source", lambda batch, layout: (
+            real(batch, layout) + shift if layout is target else real(batch, layout)))
+
     def test_template_off_by_2e13_fails_naming_check_and_cell(self, capsys, monkeypatch):
         # within the default --tol, but past the template tolerance 1e-13
-        real = states.marginal_1_grid
-        monkeypatch.setattr(states, "marginal_1_grid", lambda g, w: real(g, w) + 2e-13)
+        self.shift_source(monkeypatch, states.MARGINAL_1_BLOCKS, 2e-13)
         code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 2
         assert "FAIL  rho^1 template vs generic map" in out
         assert "FAILURE: rho^1 template vs generic map: deviation" in err and " at (g=" in err
+
+    def test_a_substituted_template_reaches_its_line_and_the_registry(self, capsys, monkeypatch):
+        # the diagonal of rho^1 off by 1e-6: past the template tolerance, and the registry's
+        # spectral check of the same batch's rho^1 then raises
+        self.shift_source(monkeypatch, states.MARGINAL_1_BLOCKS, 1e-6 * np.eye(2))
+        code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
+        assert code == 2
+        assert "FAIL  rho^1 template vs generic map" in out
+        assert "FAILURE: Spect(rho^1) at (g=" in err
+
+    def test_builds_each_batch_quantity_once(self, capsys, monkeypatch):
+        # the registry pass diagonalizes each family once, and the block line reads those
+        # spectra; only R'(rho), which the registry reads in layout order, is computed
+        # again, sorted.  rho and the closed forms are built once, for the whole sample
+        calls = []
+        for module, name in ((linalg, "block_spectra"), (states, "closed_form_spectra_grid"),
+                             (states, "build_rho_grid")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: (
+                calls.append((name, a[0].name if name == "block_spectra" else len(a[0])))
+                or real(*a)))
+        code, _, _ = run(capsys, "verify", "--points", "50", "--seed", "7")
+        assert code == 0
+        spectra = [layout for name, layout in calls if name == "block_spectra"]
+        assert len(spectra) == 9
+        assert sorted(spectra) == sorted([layout.name for layout in states.FAMILIES]
+                                         + [states.RESHUFFLE_23_BLOCKS.name])
+        assert [call for call in calls if call[0] == "closed_form_spectra_grid"] == [
+            ("closed_form_spectra_grid", 50)]
+        # the batch's rho; the explicit references build one point at a time
+        assert calls.count(("build_rho_grid", 50)) == 1
 
     @pytest.mark.parametrize("target", list(states.FAMILIES), ids=lambda layout: layout.name)
     def test_block_line_covers_every_family(self, capsys, monkeypatch, target):
@@ -304,8 +341,7 @@ class TestVerify:
         # a NaN reference margin is the worst value of its line, not skipped by a max
         real = tripartite.criterion_su
         monkeypatch.setattr(tripartite, "criterion_su", lambda p, settings, level: (
-            dataclasses.replace(real(p, settings, level), margin=math.nan) if level == "3sep"
-            else real(p, settings, level)))
+            math.nan if level == "3sep" else real(p, settings, level)))
         code, out, err = run(capsys, "verify", "--points", "30", "--seed", "7")
         assert code == 2
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -376,6 +412,16 @@ class TestExamples:
     def test_class28_requires_a(self, capsys):
         code, _, _ = run(capsys, "examples", "--which", "class28")
         assert code == 1
+
+    # not finite, not positive, or a normaliser 2 + 3(a + 1/a) that overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", ["nan", "inf", "1e-320", "1e308", "0"])
+    def test_class28_rejects_a_at_the_boundary(self, capsys, a):
+        with pytest.raises(ValueError, match="class28"):
+            states.example_states("class28", a=float(a))
+        code, out, err = run(capsys, "examples", "--which", "class28", "--a", a)
+        assert code == 1
+        assert out == "" and err.startswith("qsep: error: class28 ")
 
     def test_pptes_matches_family(self, capsys):
         code, out, _ = run(capsys, "examples", "--which", "pptes")

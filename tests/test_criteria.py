@@ -13,7 +13,8 @@ W = np.array([0.0, 0.0, 0.7, 0.1, 0.3])
 
 class TestEvaluate:
     def test_records_a_finite_deviation_and_a_batch_cell_for_every_check(self):
-        margins, deviations = criteria.evaluate(G, W, criteria.IDS)
+        batch = criteria.Batch(G, W)
+        margins, deviations = batch.evaluate(criteria.IDS), batch.deviations
         assert set(margins) == set(criteria.IDS)
         # one spectral check per matrix, one per matrix-element or trace family member
         assert {"Spect(rho)", "Spect(rho^T1)", "Spect(rho^1 (x) I - rho)",
@@ -24,13 +25,17 @@ class TestEvaluate:
             assert math.isfinite(deviation) and 0.0 <= deviation <= criteria.SPECTRUM_TOL, name
             assert (g, w) in cells, name
 
+    @staticmethod
+    def deviations(ids):
+        batch = criteria.Batch(G, W)
+        batch.evaluate(ids)
+        return batch.deviations
+
     def test_records_only_the_checks_it_ran(self):
-        _, deviations = criteria.evaluate(G, W, ("ppt",))
-        assert set(deviations) == {"Spect(rho^T1)", "ppt sign"}
-        _, deviations = criteria.evaluate(G, W, ("entropy_rho1_a2", "su2_set1"))
-        assert set(deviations) == {"Spect(rho)", "Spect(rho^23)", "Spect(rho^1)", "su2_set1 sign"}
-        _, deviations = criteria.evaluate(G, W, ("huber_w_k3",))
-        assert set(deviations) == {"huber_w swap forms"}
+        assert set(self.deviations(("ppt",))) == {"Spect(rho^T1)", "ppt sign"}
+        assert set(self.deviations(("entropy_rho1_a2", "su2_set1"))) == {
+            "Spect(rho)", "Spect(rho^23)", "Spect(rho^1)", "su2_set1 sign"}
+        assert set(self.deviations(("huber_w_k3",))) == {"huber_w swap forms"}
 
     # perm222 has no closed form yet (ROADMAP item 2); its second path is verify's
     # "block spectra vs full LAPACK" line
@@ -38,22 +43,21 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("cid", criteria.IDS)
     def test_every_criterion_alone_records_a_check(self, cid):
-        _, deviations = criteria.evaluate(G, W, (cid,))
-        assert (deviations == {}) == (cid in self.WITHOUT_A_CHECK), cid
+        assert (self.deviations((cid,)) == {}) == (cid in self.WITHOUT_A_CHECK), cid
 
     @pytest.mark.parametrize("cid", criteria.IDS)
     def test_every_criterion_alone_fails_on_a_nan_weight(self, cid):
         with pytest.raises((ConsistencyError, ConvergenceError)):
-            criteria.evaluate([0.2, math.nan], [0.1, 0.1], (cid,))
+            criteria.margins([0.2, math.nan], [0.1, 0.1], (cid,))
 
     def test_margins_is_evaluate_without_deviations(self):
         margins = criteria.margins(G, W, criteria.IDS)
-        evaluated, _ = criteria.evaluate(G, W, criteria.IDS)
+        evaluated = criteria.Batch(G, W).evaluate(criteria.IDS)
         for cid in criteria.IDS:
             assert margins[cid].tobytes() == evaluated[cid].tobytes(), cid
 
     def test_failing_check_is_recorded_with_its_worst_cell(self):
-        batch = criteria._Batch(G, W)
+        batch = criteria.Batch(G, W)
         closed = np.zeros(G.size)
         closed[3] = 1e-9
         with pytest.raises(ConsistencyError, match=r"^probe at \(g=0\.6, w=0\.1\)"):
@@ -61,7 +65,7 @@ class TestEvaluate:
         assert batch.deviations["probe"] == (1e-9, 0.6, 0.1)
 
     def test_sign_check_records_the_largest_disagreement_within_the_band(self):
-        batch = criteria._Batch(G, W)
+        batch = criteria.Batch(G, W)
         numeric = np.array([0.5, 0.0, 3e-10, -6e-10, 2.0])
         closed = np.array([0.1, -0.2, -1e-3, 4e-10, -1e-12])
         batch.check_signs(numeric, closed, "probe")
@@ -71,7 +75,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("bad, closed", [(-2e-9, 1.0), (math.nan, 1.0), (1.0, math.nan)])
     def test_sign_check_past_the_band_or_on_a_nan_raises_naming_the_cell(self, bad, closed):
-        batch = criteria._Batch(G, W)
+        batch = criteria.Batch(G, W)
         numeric, closed_forms = np.ones(G.size), np.ones(G.size)
         numeric[2], closed_forms[2] = bad, closed
         with pytest.raises(ConsistencyError, match=(
@@ -87,7 +91,7 @@ class TestEvaluate:
             bipartite, "reshuffle24_closed_singular_values", lambda g, w: real(g, w) + 1e-9
         )
         with pytest.raises(ConsistencyError, match=r"^reshuffling singular values at \(g="):
-            criteria.evaluate(G, W, ("resh24",))
+            criteria.margins(G, W, ("resh24",))
 
 
 class TestSwapForms:
@@ -95,7 +99,7 @@ class TestSwapForms:
         calls = []
         real = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
-        criteria.evaluate(G, W, criteria.GROUPS["huber"])
+        criteria.margins(G, W, criteria.GROUPS["huber"])
         assert calls.count("an,ab,bn->n") == 8
 
     def test_a_complement_reads_the_form_of_its_qubit(self):
@@ -130,53 +134,58 @@ class TestSwapForms:
 
         monkeypatch.setattr(tripartite, "huber_element_forms", broken)
         with pytest.raises(ConsistencyError, match=r"^huber_w swap forms at \(g=0\.6, w=0\.1\)"):
-            criteria.evaluate(G, W, ("huber_w_k2",))
+            criteria.margins(G, W, ("huber_w_k2",))
 
 
 class TestBlockZeroPattern:
     def test_template_with_a_nonzero_off_block_entry_names_matrix_and_cell(self, monkeypatch):
-        real = states.reduction_1i23_grid
+        real = criteria.Batch.source
 
-        def broken(g, w):
-            m = real(g, w)
-            m[2, 3, 5] = m[2, 5, 3] = 1e-300  # couples the 1x1 blocks {3} and {5}
+        def broken(batch, layout):
+            m = real(batch, layout)
+            if layout.template is states.reduction_1i23_grid:
+                m[2, 3, 5] = m[2, 5, 3] = 1e-300  # couples the 1x1 blocks {3} and {5}
             return m
 
-        monkeypatch.setattr(states, "reduction_1i23_grid", broken)
+        monkeypatch.setattr(criteria.Batch, "source", broken)
         with pytest.raises(ConsistencyError, match=(
             r"^rho\^1 \(x\) I - rho at \(g=0\.1, w=0\.7\): entry \[3, 5\] lies outside"
         )):
-            criteria.evaluate(G, W, ("reduction",))
+            criteria.margins(G, W, ("reduction",))
         # the other families do not read that template
-        criteria.evaluate(G, W, ("ppt", "maj_rho1", "perm222"))
+        criteria.margins(G, W, ("ppt", "maj_rho1", "perm222"))
 
 
 class TestSpectralPass:
+    # a template, broken where each layout that reads it gets its source; rho is read by
+    # the four families whose template is None
     @pytest.mark.parametrize("template, entries, value, ids, message", [
-        ("build_rho_grid", [(2, 2)], "ulp", ("maj_rho1",),
+        (states.build_rho_grid, [(2, 2)], "ulp", ("maj_rho1",),
          r"^rho at \(g=0\.6, w=0\.1\): entry \[2, 2\] differs from its mirror \[1, 1\]"),
-        ("build_rho_grid", [(2, 4), (4, 2)], "nan", ("ppt",),
+        (states.build_rho_grid, [(2, 4), (4, 2)], "nan", ("ppt",),
          r"^rho\^T1 at \(g=0\.6, w=0\.1\): entry \[6, 0\] differs from its mirror \[5, 0\]"),
-        ("reduction_i123_grid", [(4, 2), (2, 4)], "ulp", ("reduction",),
+        (states.reduction_i123_grid, [(4, 2), (2, 4)], "ulp", ("reduction",),
          r"^I \(x\) rho\^23 - rho at \(g=0\.6, w=0\.1\): entry \[4, 2\] differs from its "
          r"mirror \[4, 1\]"),
-        ("reduction_1i23_grid", [(2, 2)], "nan", ("reduction",),
+        (states.reduction_1i23_grid, [(2, 2)], "nan", ("reduction",),
          r"^rho\^1 \(x\) I - rho at \(g=0\.6, w=0\.1\): entry \[2, 2\] differs from its "
          r"mirror \[1, 1\]"),
     ])
     def test_broken_mirror_entry_names_family_cell_and_entry(
             self, monkeypatch, template, entries, value, ids, message):
-        real = getattr(states, template)
+        real = criteria.Batch.source
 
-        def broken(g, w):
-            m = real(g, w)
-            for i, j in entries:
-                m[3, i, j] = math.nan if value == "nan" else np.nextafter(m[3, i, j], 1.0)
+        def broken(batch, layout):
+            m = real(batch, layout)
+            if (layout.template or states.build_rho_grid) is template:
+                m = m.copy()  # the batch keeps rho
+                for i, j in entries:
+                    m[3, i, j] = math.nan if value == "nan" else np.nextafter(m[3, i, j], 1.0)
             return m
 
-        monkeypatch.setattr(states, template, broken)
+        monkeypatch.setattr(criteria.Batch, "source", broken)
         with pytest.raises(ConsistencyError, match=message):
-            criteria.evaluate(G, W, ids)
+            criteria.margins(G, W, ids)
 
     @pytest.mark.parametrize("count", [1, 4096])
     def test_all_criteria_make_one_call_per_spectral_method(self, monkeypatch, count):
@@ -190,7 +199,7 @@ class TestSpectralPass:
         rng = np.random.default_rng(count)
         u, v = rng.random(count), rng.random(count)
         g, w = np.where(u + v > 1.0, 1.0 - u, u), np.where(u + v > 1.0, 1.0 - v, v)
-        criteria.evaluate(g, w, criteria.IDS)
+        criteria.margins(g, w, criteria.IDS)
         with_2x2 = [layout for layout in states.FAMILIES
                     if layout.mirrors or any(len(r) == len(c) == 2 for r, c in layout.blocks)]
         assert len(with_2x2) == 6
@@ -214,7 +223,7 @@ class TestSpectralPass:
         monkeypatch.setattr(linalg, "block_spectra",
                             lambda layout, *a: seen.append(layout.name) or real(layout, *a))
         ids = criteria.IDS if selection == "all" else criteria.GROUPS[selection]
-        criteria.evaluate(G, W, ids)
+        criteria.margins(G, W, ids)
         read = set(states.FAMILIES) if selection == "all" else self.READS.get(selection, set())
         assert sorted(seen) == sorted(layout.name for layout in read)
 
@@ -240,13 +249,14 @@ class TestTemplateDtype:
         i, j = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
         g, w = i / n, j / n
         real = criteria.margins(g, w, criteria.IDS)
-        for name in ("build_rho_grid", "marginal_23_grid", "marginal_1_grid",
-                     "reduction_i123_grid", "reduction_1i23_grid"):
-            build = getattr(states, name)
-            monkeypatch.setattr(
-                states, name, lambda g, w, build=build: build(g, w).astype(np.complex128)
-            )
+        build_rho, source = states.build_rho_grid, criteria.Batch.source
+        monkeypatch.setattr(states, "build_rho_grid",
+                            lambda g, w: build_rho(g, w).astype(np.complex128))
+        monkeypatch.setattr(criteria.Batch, "source",
+                            lambda batch, layout: source(batch, layout).astype(np.complex128))
         assert states.build_rho_grid(G, W).dtype == np.complex128
+        assert all(criteria.Batch(G, W).source(layout).dtype == np.complex128
+                   for layout in states.FAMILIES)
         complex_ = criteria.margins(g, w, criteria.IDS)
         for cid in criteria.IDS:
             assert complex_[cid].tobytes() == real[cid].tobytes(), cid

@@ -383,7 +383,7 @@ def simplex_cells(count, seed):
 
 def spectra(layout, g, w, source=None):
     """The block spectra of ``layout`` on ``source``, by default its template at (g, w)."""
-    source = getattr(states, layout.source)(g, w) if source is None else source
+    source = (layout.template or states.build_rho_grid)(g, w) if source is None else source
     return linalg.block_spectra(layout, source, g, w)
 
 
@@ -442,7 +442,7 @@ class TestBlockSpectra:
         split_families = set()
         for layout in ALL_LAYOUTS:
             values = spectra(layout, g, w)
-            matrices = getattr(states, layout.source)(g, w).reshape(g.size, -1)
+            matrices = (layout.template or states.build_rho_grid)(g, w).reshape(g.size, -1)
             start = 0  # the first output slot of each block
             for rows, cols in layout.blocks:
                 if len(rows) == 3 and any(set(m) <= set(rows) for m in layout.mirrors):

@@ -124,13 +124,13 @@ def _calls(name: str) -> set[tuple[str, str]]:
 
 
 def test_cross_checks_are_made_in_one_place():
-    # every grid-path check is a recording method of criteria._Batch; the sign checks
+    # every grid-path check is a recording method of criteria.Batch; the sign checks
     # outside it are the explicit-observable per-point reference and the shared
     # boundaries of the majorization case table, and all of them read verdict.sign_gap
     for name in ("check_close", "check_signs"):
         assert {module for module, _ in _calls(name)} == {"criteria"}, name
     assert _calls("sign_gap") == {
-        ("criteria", "_Batch"), ("tripartite", "criterion_su"),
+        ("criteria", "Batch"), ("tripartite", "criterion_su"),
         ("bipartite", "majorization_case_margins"),
     }
 
@@ -138,7 +138,7 @@ def test_cross_checks_are_made_in_one_place():
 def test_worst_cell_is_chosen_in_one_place():
     # the registry's recording checks and every verify line name the worst cell through
     # verdict.worst
-    assert _calls("worst") == {("criteria", "_Batch"), ("cli", "cmd_verify")}
+    assert _calls("worst") == {("criteria", "Batch"), ("cli", "cmd_verify")}
 
 
 def _is_sign_call(node) -> bool:

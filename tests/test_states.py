@@ -253,7 +253,7 @@ class TestBlockLayouts:
     def test_family_builds_the_full_matrices_through_the_layout_map(self):
         g, w = seeded_and_edge_cells()
         for layout, build in BLOCK_FAMILIES.items():
-            built = layout.family(getattr(states, layout.source)(g, w))
+            built = layout.family((layout.template or states.build_rho_grid)(g, w))
             assert np.array_equal(built, build(g, w)), layout.name
 
     def test_each_layout_is_the_components_of_its_support(self):
@@ -278,7 +278,7 @@ class TestBlockLayouts:
         g, w = np.array([point[0]]), np.array([point[1]])
         for layout, build in BLOCK_FAMILIES.items():
             matrices = build(g, w)
-            spectra = linalg.block_spectra(layout, getattr(states, layout.source)(g, w), g, w)
+            spectra = linalg.block_spectra(layout, (layout.template or states.build_rho_grid)(g, w), g, w)
             blocks = np.sort(spectra, axis=-1)[:, ::-1]
             full = linalg.singular_values(matrices) if layout.singular else linalg.eigh(matrices)
             assert np.max(np.abs(blocks - full)) <= linalg.BLOCK_TOL, (layout.name, point)
@@ -287,7 +287,7 @@ class TestBlockLayouts:
         # the composed index maps gather exactly the entries of the built family
         g, w = seeded_and_edge_cells()
         for layout, build in BLOCK_FAMILIES.items():
-            source = getattr(states, layout.source)(g, w)
+            source = (layout.template or states.build_rho_grid)(g, w)
             gathered = source.reshape(g.size, -1)[:, layout.index]
             assert np.array_equal(gathered, build(g, w).reshape(g.size, -1)), layout.name
 

@@ -6,7 +6,7 @@ import pytest
 from qsep import classify, criteria, scan, states, tripartite
 from qsep.config import MARGINAL_BAND
 from qsep.states import SimplexPoint
-from qsep.verdict import HOLDS, MARGINAL, VIOLATED, sign_gap, verdict_state
+from qsep.verdict import CODE_NAMES, HOLDS, VIOLATED, codes, sign_gap
 
 
 def simplex_grid(n=15):
@@ -17,8 +17,13 @@ def simplex_grid(n=15):
     ]
 
 
+def state(margin):
+    """The verdict name of a margin's code."""
+    return CODE_NAMES[int(codes(margin))]
+
+
 def verdict_at(cid, p):
-    return verdict_state(scan.point_margin(cid, p))
+    return state(scan.point_margin(cid, p))
 
 
 def slocc(p):
@@ -125,9 +130,9 @@ class TestSpinObservables:
         variants = ((sy, sx, sz), (sx, -sy, sz))
         for p in (SimplexPoint(0.5, 0.1), SimplexPoint(0.1, 0.6)):
             for level in tripartite.LEVELS:
-                base = tripartite.criterion_su(p, (tripartite.SETTING_I,) * 3, level).margin
+                base = tripartite.criterion_su(p, (tripartite.SETTING_I,) * 3, level)
                 for variant in variants:
-                    other = tripartite.criterion_su(p, (variant,) * 3, level).margin
+                    other = tripartite.criterion_su(p, (variant,) * 3, level)
                     assert abs(base - other) < 1e-10
 
     def test_hadamard_conjugate_of_setting1_equals_setting2(self):
@@ -136,15 +141,15 @@ class TestSpinObservables:
         conjugated = (sz, -sy, sx)
         for p in (SimplexPoint(0.4, 0.3), SimplexPoint(0.05, 0.7)):
             for level in tripartite.LEVELS:
-                a = tripartite.criterion_su(p, (conjugated,) * 3, level).margin
-                b = tripartite.criterion_su(p, (tripartite.SETTING_II,) * 3, level).margin
+                a = tripartite.criterion_su(p, (conjugated,) * 3, level)
+                b = tripartite.criterion_su(p, (tripartite.SETTING_II,) * 3, level)
                 assert abs(a - b) < 1e-10
 
 
 class TestCriterionSU:
     def test_setting1_2sep_pure_ghz_violated(self):
         v = tripartite.criterion_su(SimplexPoint(1.0, 0.0), (tripartite.SETTING_I,) * 3, "2sep")
-        assert v.holds == VIOLATED
+        assert codes(v) == -1
 
     def test_setting2_2sep_g0_boundary(self):
         just_below = tripartite.criterion_su(
@@ -153,7 +158,7 @@ class TestCriterionSU:
         just_above = tripartite.criterion_su(
             SimplexPoint(0.0, 0.6 + 1e-6), (tripartite.SETTING_II,) * 3, "2sep"
         )
-        assert just_below.margin > 0 > just_above.margin
+        assert just_below > 0 > just_above
 
     def test_setting2_28cap3_g0_boundary_at_3_over_11(self):
         w0 = 3.0 / 11.0
@@ -163,7 +168,7 @@ class TestCriterionSU:
         above = tripartite.criterion_su(
             SimplexPoint(0.0, w0 + 1e-6), (tripartite.SETTING_II,) * 3, "28cap3"
         )
-        assert below.margin > 0 > above.margin
+        assert below > 0 > above
 
     def test_closed_forms_agree_in_sign_everywhere(self):
         for p in simplex_grid(12):
@@ -171,28 +176,28 @@ class TestCriterionSU:
                 for level in tripartite.LEVELS:
                     v = tripartite.criterion_su(p, (setting,) * 3, level)
                     closed = float(tripartite.su_closed_margin(p.g, p.w, idx, level))
-                    assert sign_gap(v.margin, closed) <= MARGINAL_BAND, (p, idx, level)
+                    assert sign_gap(v, closed) <= MARGINAL_BAND, (p, idx, level)
 
     def test_setting3_never_stronger_than_setting2_for_2sep(self):
         for p in simplex_grid(12):
             v2 = tripartite.criterion_su(p, (tripartite.SETTING_II,) * 3, "2sep")
             v3 = tripartite.criterion_su(p, (tripartite.SETTING_III,) * 3, "2sep")
-            if v2.holds == HOLDS:
-                assert v3.holds != VIOLATED, p
+            if codes(v2) == 1:
+                assert codes(v3) != -1, p
 
     def test_setting3_283_identical_to_setting2(self):
         for p in simplex_grid(10):
             v2 = tripartite.criterion_su(p, (tripartite.SETTING_II,) * 3, "28cap3")
             v3 = tripartite.criterion_su(p, (tripartite.SETTING_III,) * 3, "28cap3")
-            assert v2.holds == v3.holds, p
+            assert codes(v2) == codes(v3), p
 
     def test_violation_hierarchy(self):
         # violated(2sep) implies violated(28cap3) implies violated(3sep)
         for p in simplex_grid(10):
             for setting in tripartite.PUBLISHED_SETTINGS:
-                m2 = tripartite.criterion_su(p, (setting,) * 3, "2sep").margin
-                m283 = tripartite.criterion_su(p, (setting,) * 3, "28cap3").margin
-                m3 = tripartite.criterion_su(p, (setting,) * 3, "3sep").margin
+                m2 = tripartite.criterion_su(p, (setting,) * 3, "2sep")
+                m283 = tripartite.criterion_su(p, (setting,) * 3, "28cap3")
+                m3 = tripartite.criterion_su(p, (setting,) * 3, "3sep")
                 assert m3 <= m283 + 1e-12
                 if m2 < -1e-9:
                     assert m283 < 1e-9, p
@@ -201,11 +206,11 @@ class TestCriterionSU:
 class TestPermutation222:
     def test_white_noise_holds(self):
         margin = scan.point_margin("perm222", SimplexPoint(0.0, 0.0))
-        assert verdict_state(margin) == HOLDS and abs(margin - 0.5) < 1e-12
+        assert state(margin) == HOLDS and abs(margin - 0.5) < 1e-12
 
     def test_pure_ghz_violated(self):
         margin = scan.point_margin("perm222", SimplexPoint(1.0, 0.0))
-        assert verdict_state(margin) == VIOLATED and abs(margin + 1.0) < 1e-12
+        assert state(margin) == VIOLATED and abs(margin + 1.0) < 1e-12
 
     def test_w0_boundary_not_inside_ppt_segment(self):
         # the criterion must not cut into the fully separable 0 <= g <= 1/5 segment
@@ -252,7 +257,7 @@ class TestHuber:
         for k in (2, 3):
             for phi in (tripartite.phi_ghz(), tripartite.phi_w()):
                 v = tripartite.criterion_huber(SimplexPoint(0.0, 0.0), phi, k)
-                assert v.holds == HOLDS
+                assert codes(v) == 1
 
     def test_phi_ghz_matches_setting1_margins_exactly(self):
         # same matrix-element content: margins should match to rounding
@@ -264,25 +269,25 @@ class TestHuber:
                 np.sqrt(d[3] * d[4]) + np.sqrt(d[2] * d[5]) + np.sqrt(d[1] * d[6])
                 - abs(rho[0, 7])
             )
-            assert abs(hub.margin - expected) < 1e-12, p
+            assert abs(hub - expected) < 1e-12, p
 
     def test_phi_ghz_k3_matches_setting1_28cap3_verdict(self):
         for p in simplex_grid(10):
             hub = tripartite.criterion_huber(p, tripartite.phi_ghz(), 3)
             su = tripartite.criterion_su(p, (tripartite.SETTING_I,) * 3, "28cap3")
-            if hub.holds != su.holds:
-                assert MARGINAL in (hub.holds, su.holds), p
+            if codes(hub) != codes(su):
+                assert 0 in (codes(hub), codes(su)), p
 
     def test_phi_w_matches_setting2_verdicts(self):
         for p in simplex_grid(10):
             hub2 = tripartite.criterion_huber(p, tripartite.phi_w(), 2)
             su2 = tripartite.criterion_su(p, (tripartite.SETTING_II,) * 3, "2sep")
-            if hub2.holds != su2.holds:
-                assert MARGINAL in (hub2.holds, su2.holds), p
+            if codes(hub2) != codes(su2):
+                assert 0 in (codes(hub2), codes(su2)), p
             hub3 = tripartite.criterion_huber(p, tripartite.phi_w(), 3)
             su3 = tripartite.criterion_su(p, (tripartite.SETTING_II,) * 3, "28cap3")
-            if hub3.holds != su3.holds:
-                assert MARGINAL in (hub3.holds, su3.holds), p
+            if codes(hub3) != codes(su3):
+                assert 0 in (codes(hub3), codes(su3)), p
 
 
 class TestGS:
@@ -379,11 +384,11 @@ class TestRandomSettingSearch:
         p = SimplexPoint(0.5, 0.2)
         r1 = tripartite.random_setting_search(p, 20, seed=5)
         r2 = tripartite.random_setting_search(p, 20, seed=5)
-        assert r1.verdict.margin == r2.verdict.margin
+        assert r1.margin == r2.margin
 
     def test_white_noise_all_hold(self):
         r = tripartite.random_setting_search(SimplexPoint(0.0, 0.0), 30, seed=3)
-        assert r.verdict.margin > 0
+        assert r.margin > 0
         assert not r.beats_reference
 
     def test_no_sample_beats_setting1_at_pure_ghz(self):

@@ -15,7 +15,9 @@ prints one ``<sha256>  <name>`` line per artifact:
 - the stdout of ``qsep eval --json`` at eight simplex points;
 - the stdout of ``qsep verify`` at ``--points 1000 --seed 7``, and at the edge
   sizes of its worst-cell rule: one point (``--points 1 --seed 1``), and a
-  subsample that holds every point (``--points 20 --seed 3``).
+  subsample that holds every point (``--points 20 --seed 3``);
+- the stdout of ``qsep examples`` for ``class21``, ``class28 --a 2`` and
+  ``pptes``.
 
 Each name ends with the command's exit code.  Run it on two checkouts and
 ``diff`` the two outputs.  Exports go to a temporary directory, and each is
@@ -40,6 +42,7 @@ POINTS = (
     (0.15, 0.85),
 )
 VERIFIES = (("1000", "7"), ("1", "1"), ("20", "3"))  # (--points, --seed)
+EXAMPLES = (("class21",), ("class28", "--a", "2"), ("pptes",))
 
 
 def _run(cli, argv) -> tuple[int, bytes]:
@@ -78,8 +81,8 @@ def main(argv: list[str]) -> int:
     for g, w in POINTS:
         code, out = _run(cli, ("eval", "--g", repr(g), "--w", repr(w), "--json"))
         print(f"{hashlib.sha256(out).hexdigest()}  eval {g!r} {w!r} (exit {code})", flush=True)
-    for points, seed in VERIFIES:
-        argv = ("verify", "--points", points, "--seed", seed)
+    for argv in ([("verify", "--points", points, "--seed", seed) for points, seed in VERIFIES]
+                 + [("examples", "--which", *example) for example in EXAMPLES]):
         code, out = _run(cli, argv)
         print(f"{hashlib.sha256(out).hexdigest()}  {' '.join(argv)} (exit {code})", flush=True)
     return 0
