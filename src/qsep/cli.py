@@ -196,24 +196,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if not (args.out or args.svg or args.json_out):
+    paths = [path or None for path in (args.out, args.json_out, args.svg)]
+    if not any(paths):
         raise ValueError("scan needs at least one of --out, --svg or --json-out")
     exports: dict[str, str] = {}  # resolved path -> the option that names it
-    for option, path in (("--out", args.out), ("--json-out", args.json_out), ("--svg", args.svg)):
+    for option, path in zip(("--out", "--json-out", "--svg"), paths):
         if path:
             other = exports.setdefault(os.path.realpath(path), option)
             if other != option:
                 raise ValueError(f"{other} and {option} name the same file {path!r}")
-    grid = scan.grid_scan(args.resolution, args.criteria, workers=args.workers)
-    if args.out or args.json_out:
-        scan.export_tables(grid, csv_path=args.out, json_path=args.json_out)
-    if args.out:
-        print(f"wrote CSV: {args.out}")
-    if args.json_out:
-        print(f"wrote JSON: {args.json_out}")
-    if args.svg:
-        scan.export(grid, "svg", args.svg)
-        print(f"wrote SVG: {args.svg}")
+    # every target is opened before the scan and replaced only once all are written
+    with scan.replacing(*paths) as (csv_fh, json_fh, svg_fh):
+        grid = scan.grid_scan(args.resolution, args.criteria, workers=args.workers)
+        if csv_fh is not None or json_fh is not None:
+            scan.write_tables(grid, csv_fh, json_fh)
+        if svg_fh is not None:
+            svg_fh.write(scan.svg_text(grid))
+    for name, path in zip(("CSV", "JSON", "SVG"), paths):
+        if path:
+            print(f"wrote {name}: {path}")
     print(
         f"scanned {grid.cell_count} cells at resolution {grid.resolution} "
         f"({len(grid.criteria)} criteria); "

@@ -3,9 +3,10 @@
 The lattice at resolution N holds the points (g, w) = (i/N, j/N) with
 i + j <= N.  Cells are evaluated in fixed-size chunks through vectorized
 dual-path criterion evaluators (batched LAPACK spectra checked against the
-closed forms), on as many threads as there are usable cores; LAPACK releases
-the GIL, so the chunks run concurrently.  The chunk layout never depends on
-the worker count, so a parallel scan is byte-identical to a sequential one.
+closed forms), on as many threads as there are usable cores.  Only the LAPACK
+calls release the GIL; the numpy and Python work between them holds it, so
+threads overlap only in part.  The chunk layout never depends on the worker
+count, so a parallel scan is byte-identical to a sequential one.
 """
 
 from __future__ import annotations
@@ -159,8 +160,11 @@ def boundary_bisect(cid: str, ray, tol: float = 1e-10) -> SimplexPoint:
 
     ``ray`` is a pair of points (SimplexPoint or (g, w) tuples) whose margins
     must have opposite strict signs.  Returns the crossing point once the
-    bracketing interval is shorter than ``tol``.
+    bracketing interval is shorter than ``tol``, which must be finite and
+    positive, or once its midpoint rounds to one of its ends.
     """
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     def as_point(obj) -> SimplexPoint:
         return obj if isinstance(obj, SimplexPoint) else SimplexPoint(*obj)
 
@@ -175,6 +179,8 @@ def boundary_bisect(cid: str, ray, tol: float = 1e-10) -> SimplexPoint:
         )
     while float(np.hypot(*(b - a))) >= tol:
         mid = (a + b) / 2.0
+        if (mid == a).all() or (mid == b).all():
+            break  # the ends are adjacent floats: the bracket shrinks no further
         fm = point_margin(cid, SimplexPoint(mid[0], mid[1]))
         if fm == 0.0:
             a = b = mid
@@ -232,7 +238,7 @@ def _lead_table(rows) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _replacing(*paths):
+def replacing(*paths):
     """Text files for ``paths`` (None for None), all opened before the body writes.  A
     regular file or a new path gets a temporary file beside it, which replaces it once
     the body has returned and is removed if anything raises; a link, a pipe or a
@@ -265,15 +271,21 @@ def _replacing(*paths):
 
 
 def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
-    """Write the CSV export, the JSON export or both, in one pass over the cells.
+    """Write the CSV export, the JSON export or both: ``write_tables`` on the files
+    of ``replacing``, so a failed export leaves both paths as they were."""
+    with replacing(csv_path, json_path) as files:
+        write_tables(grid, *files)
+
+
+def write_tables(grid: RegionGrid, csv_fh, json_fh) -> None:
+    """Write the CSV, the JSON or both (None skips one) in one pass over the cells.
 
     The CSV has one row ``g,w,criterion_id,verdict,margin`` per (cell,
     criterion), cells in lattice order and criteria in selection order.  The
     JSON is what ``json.dump`` writes for each cell's ``ClassReport.to_dict()``
     and verdicts, byte for byte.  Every float is ``float.__repr__``, so it parses
     back to the same float64; the JSON spells NaN and the infinities as
-    ``json`` does.  Both files are opened before the first block is written,
-    and a failed export leaves both paths as they were (``_replacing``).
+    ``json`` does.
     """
     crit = grid.criteria
     names = [verdict.CODE_NAMES[code] for code in (-1, 0, 1)]
@@ -317,18 +329,17 @@ def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
             reports[:, -1] = close
             json_fh.write("".join(reports.ravel().tolist()))
 
-    with _replacing(csv_path, json_path) as (csv_fh, json_fh):
-        if csv_fh is not None:
-            csv_fh.write(_CSV_HEADER)  # each row starts with its newline
-        if json_fh is not None:
-            head = {"schema_version": SCHEMA_VERSION, "resolution": grid.resolution, "criteria": list(crit)}
-            json_fh.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"reports":[')
-        for lo, hi in _blocks(grid):
-            write_block(lo, hi)
-        if csv_fh is not None:
-            csv_fh.write("\n")
-        if json_fh is not None:
-            json_fh.write("]}\n")
+    if csv_fh is not None:
+        csv_fh.write(_CSV_HEADER)  # each row starts with its newline
+    if json_fh is not None:
+        head = {"schema_version": SCHEMA_VERSION, "resolution": grid.resolution, "criteria": list(crit)}
+        json_fh.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"reports":[')
+    for lo, hi in _blocks(grid):
+        write_block(lo, hi)
+    if csv_fh is not None:
+        csv_fh.write("\n")
+    if json_fh is not None:
+        json_fh.write("]}\n")
 
 
 def _json_heads(grid: RegionGrid, lo: int, hi: int, codes: np.ndarray, keys, excluded) -> list[str]:
@@ -377,23 +388,22 @@ _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 _EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
 
 
-def _crossings(field, i, j, n, half):
+def _crossings(corners, i, j, n, half):
     """Zero-level crossings of the cells (i, j) along their four edges, in edge order.
 
-    ``half`` marks the half-cells.  An edge is crossed where its end margins
-    differ in sign or one of them (not both) is zero; the crossing is
-    interpolated linearly, so the zero-length edge of a half-cell is never
-    crossed.  Crossings at the same point (a corner of zero margin, crossed by
-    both its edges) count once; across the zero-length edge those are edges 1
-    and 3.  Three crossings, one at a zero corner, mean that corner only
-    touches the zero line, and it is dropped.  Returns ``(corners, count,
-    merged, gg, ww)``: the corner margins by (corner, cell); per cell, the
-    number of crossings and whether two coincided; and the coordinates by
+    ``corners`` holds the corner margins by (corner, cell) and ``half`` marks
+    the half-cells.  An edge is crossed where its end margins differ in sign
+    or one of them (not both) is zero; the crossing is interpolated linearly,
+    so the zero-length edge of a half-cell is never crossed.  Crossings at
+    the same point (a corner of zero margin, crossed by both its edges) count
+    once; across the zero-length edge those are edges 1 and 3.  Three
+    crossings, one at a zero corner, mean that corner only touches the zero
+    line, and it is dropped.  Returns ``(count, merged, gg, ww)``: per cell,
+    the number of crossings and whether two coincided; and the coordinates by
     (crossing, cell), each cell's crossings first.
     """
     offsets = list(_CORNERS)
     offsets[2] = (1 - half.astype(np.int64), 1)
-    corners = np.stack([field[i + di, j + dj] for di, dj in offsets])
     hit = np.empty((len(_EDGES),) + i.shape, dtype=bool)
     gg = np.empty(hit.shape)
     ww = np.empty(hit.shape)
@@ -424,13 +434,13 @@ def _crossings(field, i, j, n, half):
     hit &= ~(touch & (twin | twin[before]))
     order = np.argsort(~hit, axis=0, kind="stable")  # the crossings of each cell first
     return (
-        corners, hit.sum(axis=0), merged,
+        hit.sum(axis=0), merged,
         np.take_along_axis(gg, order, axis=0), np.take_along_axis(ww, order, axis=0),
     )
 
 
-def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Zero-level segments of a criterion margin field by marching squares.
+def _isolines(grid: RegionGrid, ids) -> list[np.ndarray]:
+    """Zero-level segments of the margin field of each criterion in ``ids``, by marching squares.
 
     Every lattice cell whose four corners lie in the simplex is processed at
     once, with array masks in place of Lorensen & Cline's case table, and so
@@ -438,21 +448,43 @@ def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float
     ``_crossings``.  A cell with two crossings gives one segment; a saddle
     (four) gives two, paired by the sign of the mean corner margin.  A zero
     corner that is a cell's only crossing is an isolated zero and gives a
-    segment of length zero.  A cell with a NaN corner gives none.  Segments
-    come in cell order, i-major, then j; a half-cell comes last in its row.
+    segment of length zero.  A cell with a NaN corner gives none.
+
+    Each criterion in turn fills one field buffer and gathers the corner
+    margins of its candidate cells; the crossings and segments of all the
+    candidates are then found in one pass.  Returns one ``(segments, 4)``
+    array of ``g0, w0, g1, w1`` per criterion, segments in cell order,
+    i-major, then j; a half-cell comes last in its row.
     """
+    if not ids:
+        return []
     n = grid.resolution
-    field = np.full((n + 1, n + 1), np.nan)
-    field[grid.i_index, grid.j_index] = grid.margins[cid]
-    # cells whose corner margins are not all of one strict sign (a NaN corner fails both
-    # tests, since NaN propagates through the extrema); a half-cell's corner 2 is corner 3
-    views = [field[di : n + di, dj : n + dj] for di, dj in _CORNERS]
-    sums = np.add.outer(np.arange(n), np.arange(n))
-    views[2] = np.where(sums + 1 == n, views[3], views[2])
-    low = np.minimum(np.minimum(views[0], views[1]), np.minimum(views[2], views[3]))
-    high = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
-    i, j = np.nonzero((sums + 1 <= n) & (low <= 0.0) & (high >= 0.0))
-    corners, count, merged, gg, ww = _crossings(field, i, j, n, i + j + 1 == n)
+    field = np.full((n + 1, n + 1), np.nan)  # field[i, j]: the margin at (i/n, j/n)
+    flat = field.reshape(-1)
+    lattice = grid.i_index * (n + 1) + grid.j_index
+    # a half-cell (i, j), i + j + 1 = n, reads its degenerate corner 2 at (i + 1, j + 1), off
+    # the simplex, which holds a copy of its corner 3 on g + w = 1.  Any other cell that
+    # reaches past g + w = 1 has a NaN corner at i + j + 2 > n + 1.
+    edge = np.flatnonzero((grid.i_index + grid.j_index == n) & (grid.i_index < n))
+    beyond = lattice[edge] + (n + 1)
+    step = np.array([[0], [n + 1], [n + 2], [1]])  # from corner 0 to each corner in ``flat``
+    cells, corners = [], []
+    for cid in ids:
+        margins = grid.margins[cid]
+        flat[lattice] = margins
+        flat[beyond] = margins[edge]
+        # cells whose corner margins are not all of one strict sign (a NaN corner fails both
+        # tests, since NaN propagates through the extrema)
+        low, high = np.minimum(field[:-1], field[1:]), np.maximum(field[:-1], field[1:])
+        low, high = np.minimum(low[:, :-1], low[:, 1:]), np.maximum(high[:, :-1], high[:, 1:])
+        cell = np.flatnonzero((low <= 0.0) & (high >= 0.0))
+        cell += cell // n  # the position of corner 0 in ``flat``
+        cells.append(cell)
+        corners.append(flat[cell + step])
+    owner = np.repeat(np.arange(len(ids)), [cell.size for cell in cells])
+    i, j = np.divmod(np.concatenate(cells), n + 1)
+    corners = np.concatenate(corners, axis=1)
+    count, merged, gg, ww = _crossings(corners, i, j, n, i + j + 1 == n)
     isolated = merged & (count == 1)  # a zero corner is all the zero set in the cell
     saddle = count == 4
     centre = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
@@ -468,8 +500,13 @@ def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float
     ww = np.take_along_axis(ww, ends, axis=0)
     segments = np.stack([gg[0], ww[0], gg[1], ww[1], gg[2], ww[2], gg[3], ww[3]], axis=1)
     emitted = np.stack([(count == 2) | saddle | isolated, saddle], axis=1).reshape(-1)
-    segments = segments.reshape(-1, 4)[emitted]
-    return [((a, b), (c, d)) for a, b, c, d in segments.tolist()]
+    per_criterion = np.bincount(np.repeat(owner, 2)[emitted], minlength=len(ids))
+    return np.split(segments.reshape(-1, 4)[emitted], np.cumsum(per_criterion)[:-1])
+
+
+def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """Zero-level segments of one criterion's margin field: ``_isolines`` of one criterion."""
+    return [((a, b), (c, d)) for a, b, c, d in _isolines(grid, (cid,))[0].tolist()]
 
 
 _CLASS_FILLS = {
@@ -497,17 +534,16 @@ def _fill_for(signature: tuple[str, ...]) -> str:
 
 
 def export_svg(grid: RegionGrid, path) -> None:
+    """Write ``svg_text`` to ``path`` through ``replacing``."""
+    with replacing(path) as (fh,):
+        fh.write(svg_text(grid))
+
+
+def svg_text(grid: RegionGrid) -> str:
     """Simplex map: per-cell fill by possible classes plus margin isolines."""
     size = 640.0
     pad = 60.0
     scale = size - 2 * pad
-
-    def sx(gval: float) -> float:
-        return pad + gval * scale
-
-    def sy(wval: float) -> float:
-        return size - pad - wval * scale
-
     n = grid.resolution
     cell = scale / n
     parts = [
@@ -527,29 +563,29 @@ def export_svg(grid: RegionGrid, path) -> None:
     breaks = (j[1:] != j[:-1]) | (fill[1:] != fill[:-1]) | (i[1:] != i[:-1] + 1)
     starts = np.flatnonzero(np.concatenate([[True], breaks]))
     lasts = np.concatenate([starts[1:], [order.size]]) - 1
-    for j0, i0, i1, f in zip(j[starts].tolist(), i[starts].tolist(), i[lasts].tolist(), fill[starts].tolist()):
-        x = sx(i0 / n) - cell / 2
-        y = sy(j0 / n) - cell / 2
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{(i1 - i0 + 1) * cell:.2f}" '
-            f'height="{cell:.2f}" fill="{fills[f]}"/>'
-        )
+    runs = np.empty((starts.size, 4), dtype=object)  # x, y, width and fill of each run
+    runs[:, 0] = pad + i[starts] / n * scale - cell / 2
+    runs[:, 1] = size - pad - j[starts] / n * scale - cell / 2
+    runs[:, 2] = (i[lasts] - i[starts] + 1) * cell
+    runs[:, 3] = np.array(fills, dtype=object)[fill[starts]]
+    rect = f'<rect x="%.2f" y="%.2f" width="%.2f" height="{cell:.2f}" fill="%s"/>'
+    parts.append("\n".join([rect] * starts.size) % tuple(runs.ravel().tolist()))
     # simplex outline
     parts.append(
-        f'<path d="M {sx(0):.2f} {sy(0):.2f} L {sx(1):.2f} {sy(0):.2f} '
-        f'L {sx(0):.2f} {sy(1):.2f} Z" fill="none" stroke="black" stroke-width="1.5"/>'
+        f'<path d="M {pad:.2f} {size - pad:.2f} L {pad + scale:.2f} {size - pad:.2f} '
+        f'L {pad:.2f} {size - pad - scale:.2f} Z" fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    # criterion boundary isolines
+    # criterion boundary isolines; the map point of (g, w) is (pad + g*scale, (size - pad)
+    # - w*scale), for both ends of a segment (adding -(w*scale) is subtracting w*scale)
+    offset = np.array([pad, size - pad] * 2)
+    factor = np.array([scale, -scale] * 2)
     legend_y = pad / 2
-    for color_idx, cid in enumerate(grid.criteria):
-        segments = margin_isolines(grid, cid)
-        if not segments:
+    for color_idx, (cid, segments) in enumerate(zip(grid.criteria, _isolines(grid, grid.criteria))):
+        if not segments.size:
             continue
         color = _CURVE_COLORS[color_idx % len(_CURVE_COLORS)]
-        d = " ".join(
-            f"M {sx(a[0]):.2f} {sy(a[1]):.2f} L {sx(b[0]):.2f} {sy(b[1]):.2f}"
-            for a, b in segments
-        )
+        d = " ".join(["M %.2f %.2f L %.2f %.2f"] * len(segments)) % tuple(
+            (offset + segments * factor).ravel().tolist())
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         parts.append(
             f'<text x="{size - pad + 4:.0f}" y="{legend_y:.0f}" font-size="9" '
@@ -557,16 +593,15 @@ def export_svg(grid: RegionGrid, path) -> None:
         )
         legend_y += 11
     parts.append(
-        f'<text x="{sx(0.5):.0f}" y="{size - pad / 3:.0f}" font-size="14" '
+        f'<text x="{pad + scale / 2:.0f}" y="{size - pad / 3:.0f}" font-size="14" '
         f'text-anchor="middle">g</text>'
     )
     parts.append(
-        f'<text x="{pad / 3:.0f}" y="{sy(0.5):.0f}" font-size="14" '
+        f'<text x="{pad / 3:.0f}" y="{size - pad - scale / 2:.0f}" font-size="14" '
         f'text-anchor="middle">w</text>'
     )
     parts.append("</svg>")
-    with _replacing(path) as (fh,):
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 def export(grid: RegionGrid, fmt: str, path) -> None:

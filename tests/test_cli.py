@@ -187,6 +187,23 @@ class TestScan:
         assert csv.read_bytes() == b"g,w,criterion_id,verdict,margin\nan earlier export\n"
         assert list(tmp_path.iterdir()) == [csv]
 
+    def test_unopenable_svg_fails_before_the_scan_and_keeps_the_tables(self, capsys, tmp_path, monkeypatch):
+        # every target is opened before the scan, so a bad --svg leaves --out and
+        # --json-out as they were and nothing is scanned
+        csv, json_ = tmp_path / "a.csv", tmp_path / "a.json"
+        csv.write_bytes(b"earlier csv")
+        json_.write_bytes(b"earlier json")
+        scans = []
+        monkeypatch.setattr(scan, "grid_scan", lambda *a, **kw: scans.append(a))
+        code, out, err = run(capsys, "scan", "--resolution", "3", "--criteria", "ppt",
+                             "--out", str(csv), "--json-out", str(json_),
+                             "--svg", str(tmp_path / "nodir" / "x.svg"))
+        assert code == 3
+        assert "i/o failure" in err and "x.svg" in err
+        assert out == "" and scans == []
+        assert csv.read_bytes() == b"earlier csv" and json_.read_bytes() == b"earlier json"
+        assert sorted(tmp_path.iterdir()) == [csv, json_]
+
 
 class TestVerify:
     def test_small_pass(self, capsys):

@@ -467,6 +467,22 @@ class TestBoundaryBisect:
         with pytest.raises(ValueError, match="change sign"):
             scan.boundary_bisect("ppt", ((0.0, 0.0), (0.1, 0.0)))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scan, "point_margin", lambda *args: calls.append(args) or 1.0)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            scan.boundary_bisect("gs2_w", ((0.0, 0.0), (0.0, 1.0)), tol=tol)
+        assert calls == []
+
+    def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self, monkeypatch):
+        # the bracket's ends become adjacent floats long before they are 1e-20 apart
+        real, calls = scan.point_margin, []
+        monkeypatch.setattr(scan, "point_margin", lambda *args: calls.append(args) or real(*args))
+        point = scan.boundary_bisect("gs2_w", ((0.0, 0.0), (0.0, 1.0)), tol=1e-20)
+        assert abs(point.w - 9 / 17) < 1e-15 and point.g == 0.0
+        assert len(calls) < 60
+
 
 class TestExports:
     def test_empty_criteria_csv_is_header_only(self, tmp_path):
@@ -658,6 +674,36 @@ class TestExports:
                  if line.startswith("<rect") and 'fill="white"' not in line]
         assert rects == reference_fill_rects(grid)
 
+    def test_svg_isoline_paths_match_per_segment_reference(self, tmp_path):
+        # each criterion's path, built the way the map was once drawn: one f-string per segment
+        grid = scan.grid_scan(40, "all")
+        scan.export(grid, "svg", tmp_path / "m.svg")
+        size, pad = 640.0, 60.0
+        scale = size - 2 * pad
+        expected = [
+            " ".join(
+                f"M {pad + a[0] * scale:.2f} {size - pad - a[1] * scale:.2f} "
+                f"L {pad + b[0] * scale:.2f} {size - pad - b[1] * scale:.2f}"
+                for a, b in reference_isolines(grid, cid)
+            )
+            for cid in grid.criteria
+        ]
+        paths = re.findall(r'<path d="([^"]*)" fill="none" stroke="#', (tmp_path / "m.svg").read_text())
+        assert paths == [d for d in expected if d]
+        assert len(paths) >= 40
+
+    def test_svg_memory_stays_below_one_criteria_by_lattice_array(self, tmp_path):
+        # the isolines of all criteria come from one field buffer, never an array that
+        # holds every criterion's margins over the lattice at once
+        grid = scan.grid_scan(200, "all")
+        tracemalloc.start()
+        try:
+            scan.export_svg(grid, tmp_path / "m.svg")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(grid.criteria) * grid.cell_count * 8
+
     def test_svg_determinism_across_workers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scan, "CHUNK", SMALL_CHUNK)  # 136 cells in 5 chunks
         out = exports_across_workers(tmp_path, "svg", 15)
@@ -688,30 +734,48 @@ class TestMarchingSquares:
 
     @pytest.mark.parametrize("resolution", [20, 40])
     def test_matches_loop_reference_on_every_criterion(self, resolution):
+        # the all-criteria pass equals the one-cell-at-a-time reference, criterion by criterion
         grid = scan.grid_scan(resolution, "all")
-        for cid in grid.criteria:
-            segments = scan.margin_isolines(grid, cid)
-            assert segments == reference_isolines(grid, cid), cid
-            assert all(type(x) is float for seg in segments for pt in seg for x in pt)
+        together = scan._isolines(grid, grid.criteria)
+        assert len(together) == len(grid.criteria)
+        for cid, segments in zip(grid.criteria, together):
+            reference = reference_isolines(grid, cid)
+            assert segments.tolist() == [[*a, *b] for a, b in reference], cid
+            assert scan.margin_isolines(grid, cid) == reference, cid
+        assert scan._isolines(grid, ()) == []
+        # a selection in another order gives the same segments per criterion
+        backwards = scan._isolines(grid, grid.criteria[::-1])
+        assert [s.tolist() for s in backwards] == [s.tolist() for s in together[::-1]]
+        segments = scan.margin_isolines(grid, "ppt")
+        assert all(type(x) is float for seg in segments for pt in seg for x in pt)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_loop_reference_on_random_fields(self, data):
+        # several fields in one pass; no segment may move from one field to another
         n = data.draw(st.integers(2, 7), label="resolution")
         cells = (n + 1) * (n + 2) // 2
-        sign = data.draw(st.sampled_from([None, 1.0, -1.0]), label="constant sign")
-        if sign is None:
-            # few distinct values, so exact zeros, ties and saddles are common
-            value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, math.nan])
-            value = st.one_of(value, st.floats(-4.0, 4.0))
-        else:
-            value = st.floats(0.25, 4.0).map(lambda v: sign * v)
-        values = data.draw(st.lists(value, min_size=cells, max_size=cells), label="field")
-        grid = field_grid(values, n)
-        segments = scan.margin_isolines(grid, "f")
-        assert segments == reference_isolines(grid, "f")
-        if sign is not None:
-            assert segments == []
+        fields, signs = {}, {}
+        for k in range(data.draw(st.integers(1, 4), label="fields")):
+            sign = data.draw(st.sampled_from([None, 1.0, -1.0]), label="constant sign")
+            if sign is None:
+                # few distinct values, so exact zeros, ties and saddles are common
+                value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, math.nan])
+                value = st.one_of(value, st.floats(-4.0, 4.0))
+            else:
+                value = st.floats(0.25, 4.0).map(lambda v, sign=sign: sign * v)
+            fields[f"f{k}"] = data.draw(st.lists(value, min_size=cells, max_size=cells), label="field")
+            signs[f"f{k}"] = sign
+        grid = field_grid(fields["f0"], n)
+        grid.margins = {name: np.asarray(values, dtype=float) for name, values in fields.items()}
+        together = scan._isolines(grid, tuple(fields))
+        assert len(together) == len(fields)
+        for name, segments in zip(fields, together):
+            reference = reference_isolines(grid, name)
+            assert segments.tolist() == [[*a, *b] for a, b in reference], name
+            assert scan.margin_isolines(grid, name) == reference, name
+            if signs[name] is not None:
+                assert reference == []
 
     def test_saddle_pairs_by_centre_sign(self):
         # resolution 2 has one whole cell, corners (0,0), (1,0), (1,1), (0,1) at spacing 1/2;

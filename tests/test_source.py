@@ -20,7 +20,9 @@ ALLOWED_WITHOUT_CALLER = {
     "classify.classify_point": "public API: the class report of one point (README, tests)",
     "cli._Parser.error": "override: argparse calls it, so a usage error exits 1, not 2",
     "scan.boundary_bisect": "public API: boundary constants along a ray (README, acceptance)",
+    "scan.export": "public API: one export chosen by format name (README, tests)",
     "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
+    "scan.margin_isolines": "public API: the isolines of one criterion, as float pairs (tests)",
     "scan.RegionGrid.pptes_points": "public API: the PPTES cells of a scan (README)",
     "tripartite.random_setting_search": "public API: the search over random spin settings (tests)",
 }
