@@ -205,13 +205,11 @@ def cmd_scan(args) -> int:
             other = exports.setdefault(os.path.realpath(path), option)
             if other != option:
                 raise ValueError(f"{other} and {option} name the same file {path!r}")
-    # every target is opened before the scan and replaced only once all are written
-    with scan.replacing(*paths) as (csv_fh, json_fh, svg_fh):
-        grid = scan.grid_scan(args.resolution, args.criteria, workers=args.workers)
-        if csv_fh is not None or json_fh is not None:
-            scan.write_tables(grid, csv_fh, json_fh)
-        if svg_fh is not None:
-            svg_fh.write(scan.svg_text(grid))
+    # a usage error leaves every target alone; then all are opened before the scan
+    scan.check_scan(args.resolution, args.criteria, args.workers)
+    grid = scan.export_scan(
+        lambda: scan.grid_scan(args.resolution, args.criteria, workers=args.workers), *paths
+    )
     for name, path in zip(("CSV", "JSON", "SVG"), paths):
         if path:
             print(f"wrote {name}: {path}")

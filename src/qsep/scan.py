@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -87,15 +88,8 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def grid_scan(resolution: int, criteria="all", workers: int | None = None) -> RegionGrid:
-    """Evaluate the selected criteria on every lattice point of the simplex.
-
-    Chunks run on ``workers`` threads, by default one per usable core, never
-    more than there are chunks.  The chunking is fixed, so the result does
-    not depend on the worker count.  Once a chunk fails, the chunks after it
-    that have not started are skipped, and the error raised is that of the
-    earliest failing chunk in lattice order.
-    """
+def check_scan(resolution: int, criteria="all", workers: int | None = None) -> tuple[str, ...]:
+    """The criterion ids ``grid_scan`` would evaluate; ValueError for arguments it refuses."""
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     cells = (int(resolution) + 1) * (int(resolution) + 2) // 2
@@ -106,8 +100,21 @@ def grid_scan(resolution: int, criteria="all", workers: int | None = None) -> Re
         )
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    ids = resolve_criteria(criteria)
+    return resolve_criteria(criteria)
+
+
+def grid_scan(resolution: int, criteria="all", workers: int | None = None) -> RegionGrid:
+    """Evaluate the selected criteria on every lattice point of the simplex.
+
+    Chunks run on ``workers`` threads, by default one per usable core, never
+    more than there are chunks.  The chunking is fixed, so the result does
+    not depend on the worker count.  Once a chunk fails, the chunks after it
+    that have not started are skipped, and the error raised is that of the
+    earliest failing chunk in lattice order.
+    """
+    ids = check_scan(resolution, criteria, workers)
     n = resolution
+    cells = (int(n) + 1) * (int(n) + 2) // 2
     i_idx = np.concatenate([np.full(n + 1 - i, i, dtype=np.int64) for i in range(n + 1)])
     j_idx = np.concatenate([np.arange(n + 1 - i, dtype=np.int64) for i in range(n + 1)])
     g = i_idx / float(n)
@@ -237,13 +244,19 @@ def _lead_table(rows) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(len(rows), 3)
 
 
-@contextlib.contextmanager
-def replacing(*paths):
-    """Text files for ``paths`` (None for None), all opened before the body writes.  A
-    regular file or a new path gets a temporary file beside it, which replaces it once
-    the body has returned and is removed if anything raises; a link, a pipe or a
-    terminal is written directly.  Two paths that resolve to one file raise ValueError
-    before anything is opened."""
+def export_scan(make_grid, csv_path=None, json_path=None, svg_path=None) -> RegionGrid:
+    """Open every target, call ``make_grid()`` for the grid, write its CSV, JSON and SVG
+    (None skips one), and return the grid.
+
+    Every target is opened before ``make_grid`` runs, so a path that cannot be
+    opened fails before any work.  A regular file or a new path gets a temporary
+    file beside it; these replace their targets together once every export is
+    written, and are removed if anything raises, which leaves the targets as they
+    were.  A link, a pipe or a device is written directly; a regular file behind a
+    link is emptied only once the grid is there.  Two paths that resolve to one
+    file raise ValueError before anything is opened.
+    """
+    paths = (csv_path, json_path, svg_path)
     named = [os.path.realpath(path) for path in paths if path is not None]
     if len(set(named)) < len(named):
         raise ValueError(f"two exports name the same file: {[p for p in paths if p is not None]}")
@@ -255,29 +268,36 @@ def replacing(*paths):
                 if path is not None and not os.path.islink(path) and (
                         os.path.isfile(path) or not os.path.exists(path)):
                     temps[path] = f"{path}.{os.getpid()}.tmp"
-                try:
+                try:  # a direct target is opened for appending, which leaves it as it is
                     files.append(None if path is None else stack.enter_context(
-                        open(temps.get(path, path), "w", newline="")))
+                        open(temps.get(path, path), "w" if path in temps else "a", newline="")))
                 except OSError as exc:
                     exc.filename = path  # name the path asked for, not its temporary file
                     raise
-            yield files
+            grid = make_grid()
+            for fh in files:
+                if fh is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+            csv_fh, json_fh, svg_fh = files
+            if csv_fh is not None or json_fh is not None:
+                _write_tables(grid, csv_fh, json_fh)
+            if svg_fh is not None:
+                svg_fh.write(_svg_text(grid))
         for path, temp in temps.items():
             os.replace(temp, path)
     finally:
         for temp in temps.values():
             with contextlib.suppress(OSError):
                 os.remove(temp)
+    return grid
 
 
 def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
-    """Write the CSV export, the JSON export or both: ``write_tables`` on the files
-    of ``replacing``, so a failed export leaves both paths as they were."""
-    with replacing(csv_path, json_path) as files:
-        write_tables(grid, *files)
+    """Write the CSV export, the JSON export or both, through ``export_scan``."""
+    export_scan(lambda: grid, csv_path, json_path)
 
 
-def write_tables(grid: RegionGrid, csv_fh, json_fh) -> None:
+def _write_tables(grid: RegionGrid, csv_fh, json_fh) -> None:
     """Write the CSV, the JSON or both (None skips one) in one pass over the cells.
 
     The CSV has one row ``g,w,criterion_id,verdict,margin`` per (cell,
@@ -534,12 +554,11 @@ def _fill_for(signature: tuple[str, ...]) -> str:
 
 
 def export_svg(grid: RegionGrid, path) -> None:
-    """Write ``svg_text`` to ``path`` through ``replacing``."""
-    with replacing(path) as (fh,):
-        fh.write(svg_text(grid))
+    """Write the simplex map to ``path``, through ``export_scan``."""
+    export_scan(lambda: grid, svg_path=path)
 
 
-def svg_text(grid: RegionGrid) -> str:
+def _svg_text(grid: RegionGrid) -> str:
     """Simplex map: per-cell fill by possible classes plus margin isolines."""
     size = 640.0
     pad = 60.0

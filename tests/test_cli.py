@@ -204,6 +204,21 @@ class TestScan:
         assert csv.read_bytes() == b"earlier csv" and json_.read_bytes() == b"earlier json"
         assert sorted(tmp_path.iterdir()) == [csv, json_]
 
+    @pytest.mark.parametrize("bad", [
+        ("--resolution", "1"), ("--criteria", "no_such_criterion"), ("--resolution", "2000"),
+    ])
+    def test_usage_error_leaves_a_linked_target_alone(self, capsys, tmp_path, bad):
+        # the arguments are checked before any target is opened, even one written directly
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"an earlier export\n")
+        (tmp_path / "link.csv").symlink_to(target)
+        args = dict([("--resolution", "3"), ("--criteria", "ppt"), bad])
+        code, out, err = run(capsys, "scan", *[x for kv in args.items() for x in kv],
+                             "--out", str(tmp_path / "link.csv"), "--svg", "/nonexistent-dir/x.svg")
+        assert code == 1
+        assert out == "" and "i/o failure" not in err
+        assert target.read_bytes() == b"an earlier export\n"
+
 
 class TestVerify:
     def test_small_pass(self, capsys):

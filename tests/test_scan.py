@@ -604,6 +604,26 @@ class TestExports:
             "link.csv", "map.svg", "plain.csv", "target.csv"
         ]
 
+    def test_failed_scan_leaves_every_target_as_it_was(self, tmp_path):
+        # the targets are opened before the scan; a link's file is emptied only after it
+        for name in ("target.csv", "a.json", "m.svg"):
+            (tmp_path / name).write_text("an earlier export, longer than a scan of one cell\n" * 40)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "target.csv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        paths = (tmp_path / "link.csv", tmp_path / "a.json", tmp_path / "m.svg")
+
+        def failing():
+            raise MemoryError("scan failed")
+
+        with pytest.raises(MemoryError):
+            scan.export_scan(failing, *paths)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        grid = scan.grid_scan(6, "ppt")
+        assert scan.export_scan(lambda: grid, *paths) is grid
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "target.csv").read_text() == reference_csv(grid)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_csv_floats_are_lossless(self, data):
@@ -741,13 +761,13 @@ class TestMarchingSquares:
         for cid, segments in zip(grid.criteria, together):
             reference = reference_isolines(grid, cid)
             assert segments.tolist() == [[*a, *b] for a, b in reference], cid
-            assert scan.margin_isolines(grid, cid) == reference, cid
+            alone = scan.margin_isolines(grid, cid)
+            assert alone == reference, cid
+            assert all(type(x) is float for seg in alone for pt in seg for x in pt), cid
         assert scan._isolines(grid, ()) == []
         # a selection in another order gives the same segments per criterion
         backwards = scan._isolines(grid, grid.criteria[::-1])
         assert [s.tolist() for s in backwards] == [s.tolist() for s in together[::-1]]
-        segments = scan.margin_isolines(grid, "ppt")
-        assert all(type(x) is float for seg in segments for pt in seg for x in pt)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
