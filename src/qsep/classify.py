@@ -122,16 +122,19 @@ def cell_report(g, w, codes: dict, possible, slocc, exact, pptes) -> ClassReport
     )
 
 
-def evaluate_point(p: SimplexPoint) -> tuple[dict[str, float], dict[str, int], ClassReport]:
-    """Every criterion's margin and verdict code at the point, and their fused
-    class report: the grid path on a batch of one cell."""
+def evaluate_point(
+    p: SimplexPoint,
+) -> tuple[dict[str, float], dict[str, int], ClassReport, criteria.Batch]:
+    """Every criterion's margin and verdict code at the point, their fused class
+    report, and the batch that gave them: the grid path on a batch of one cell."""
     g, w = np.array([p.g]), np.array([p.w])
-    margins = criteria.margins(g, w, criteria.IDS)
+    batch = criteria.Batch(g, w)
+    margins = batch.evaluate(criteria.IDS)
     codes = dict(zip(margins, verdict.codes(np.stack(list(margins.values())))))
     possible, slocc, exact, pptes = fuse(g, w, codes)
     point_codes = {cid: int(c[0]) for cid, c in codes.items()}
     report = cell_report(p.g, p.w, point_codes, possible[0], slocc[0], exact[0], pptes[0])
-    return {cid: float(m[0]) for cid, m in margins.items()}, point_codes, report
+    return {cid: float(m[0]) for cid, m in margins.items()}, point_codes, report, batch
 
 
 def classify_point(p: SimplexPoint) -> ClassReport:

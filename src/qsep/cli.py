@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import classify, concurrence, criteria, linalg, scan, states, tripartite, verdict
+from . import classify, criteria, linalg, scan, states, tripartite, verdict
 from .config import MARGINAL_BAND, psd_tol
 from .exceptions import ConsistencyError, ConvergenceError
 from .states import SimplexPoint
@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _point_report(p: SimplexPoint) -> dict:
-    margins, codes, report = classify.evaluate_point(p)
-    numeric_conc, closed_conc = concurrence.concurrence_23(np.array([p.g]), np.array([p.w]))
+    margins, codes, report, batch = classify.evaluate_point(p)
+    numeric_conc, closed_conc = batch.concurrence
     return {
         "schema_version": 1,
         "g": p.g,
@@ -302,13 +302,9 @@ def cmd_verify(args) -> int:
              for layout, m in families.items() if not layout.singular], axis=-1))
         _record(lines, "eigh vs Jacobi reference", (value, g[n], w[n], max(tol, 1e-12)))
 
-        lam = concurrence.wootters_lambdas(families[states.MARGINAL_23_BLOCKS])
-        value, n = verdict.worst(np.abs(lam**2 - batch.closed["conc23"]))
-        _record(lines, "spectrum[conc23]", (value, g[n], w[n], tol))
-        # the Wootters concurrence, max(0, l1 - l2 - l3 - l4), from the same lambdas
-        numeric = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
-        value, n = verdict.worst(np.abs(numeric - concurrence.concurrence_23_closed(g, w)))
-        _record(lines, "concurrence closed vs numeric", (value, g[n], w[n], max(tol, 1e-9)))
+        batch.concurrence  # the Wootters concurrence records its two checks, or raises
+        for name in ("spectrum[conc23]", "concurrence closed vs numeric"):
+            _record(lines, name, (*batch.deviations[name], tol))
 
         value, n = verdict.worst(np.abs(batch.rho - mixture))
         _record(lines, "rho template vs mixture", (value, g[n], w[n], tol))
@@ -374,6 +370,8 @@ def _print_matrix(matrix: np.ndarray, scale_note: str) -> None:
 
 
 def cmd_examples(args) -> int:
+    if args.a is not None and args.which != "class28":
+        raise ValueError(f"examples --which {args.which} takes no --a; only class28 has a parameter")
     if args.which == "class28":
         if args.a is None:
             raise ValueError("examples --which class28 needs --a")

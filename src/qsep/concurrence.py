@@ -1,11 +1,13 @@
-"""Wootters concurrence of the two-qubit marginal, numeric and closed form.
+"""Wootters concurrence of a two-qubit state, and its closed form on the family's marginal.
 
 The lambda values, the square roots of Spect(wtilde w), are taken as the
 singular values of R Y conj(R) Y with R = sqrt(w) and Y = sigma_y (x)
 sigma_y: that product is sqrt(w) sqrt(wtilde), so no square root of a
 near-zero eigenvalue (which would magnify roundoff of 1e-17 to 1e-9) is
-ever taken.  Spect(wtilde w) is their square, which ``qsep verify``
-compares with the closed form.
+ever taken.  ``criteria.Batch.concurrence`` reads the lambdas of the 2-3
+marginal rho^23 of a batch, checks their squares against the closed-form
+Spect(wtilde w) and the concurrence against ``concurrence_23_closed``;
+``qsep eval`` and ``qsep verify`` read it there.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, states
-from .exceptions import ConsistencyError
-from .verdict import cell_name
 
 _SY2 = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -53,23 +53,3 @@ def concurrence_23_closed(g, w):
     dt, gt, wt = states.renormalized_weights(g, w)
     value = 2.0 * wt - 2.0 * np.sqrt((2 * dt + gt) * (2 * dt + gt + wt))
     return np.where(concurrence_gate(g, w) >= 0.0, value, 0.0)
-
-
-def concurrence_23(g, w) -> tuple[np.ndarray, np.ndarray]:
-    """(numeric, closed form) concurrence of the 2-3 marginal over weight arrays.
-
-    Raises ConsistencyError, naming the first cell, where the two differ by
-    more than 1e-9.
-    """
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
-    closed = concurrence_23_closed(g, w)
-    numeric = wootters_concurrence(states.marginal_23_grid(g, w))
-    bad = np.flatnonzero(~(np.abs(closed - numeric) <= 1e-9))
-    if bad.size:
-        n = bad[0]
-        raise ConsistencyError(
-            f"concurrence at {cell_name(g[n], w[n])}: "
-            f"closed {closed[n]:.12e} vs numeric {numeric[n]:.12e}"
-        )
-    return numeric, closed

@@ -13,7 +13,9 @@ family in layout order (``Batch.values``).  So a batch computes each family
 at most once, and only the families its selection reads.  Every family but
 ``perm222`` runs its second path on the same batch through the two recording
 checks of ``Batch``, ``check_close`` and ``check_signs``, and these are the
-only cross-checks on the grid path.  The independent references are
+only cross-checks on the grid path.  ``Batch.concurrence``, which no criterion
+reads, gives ``qsep eval`` and ``qsep verify`` the concurrence of rho^23
+through the same checks.  The independent references are
 ``tripartite.criterion_su`` and ``criterion_huber``, which build explicit
 observables and swap operators, and the matrix elements of the separately
 built mixture; ``qsep verify`` compares them with the margins of the same
@@ -27,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import bipartite, linalg, states, tripartite
+from . import bipartite, concurrence, linalg, states, tripartite
 from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError
 from .verdict import cell_name, sign_gap, worst
@@ -44,6 +46,7 @@ ELEMENT_KIND = "matrix-element inequality slack"
 
 SPECTRUM_TOL = 1e-10  # eigensolver and SVD against the closed-form spectra
 ELEMENT_TOL = 1e-12   # matrix elements and traces against their closed forms
+CONCURRENCE_TOL = 1e-9  # the Wootters concurrence against its closed form
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,13 @@ def _entropy_id(marginal: str, alpha: float) -> str:
 # (setting index, level) of each spin criterion, (detection vector, k) of each swap criterion
 SPIN = {
     f"su{tag}_set{idx + 1}": (idx, level)
-    for level, tag in (("2sep", "2"), ("28cap3", "283"), ("3sep", "3"))
+    for level, tag in tripartite.LEVEL_TAG.items()
     for idx in range(3)
 }
 SWAP = {f"huber_{tag}_k{k}": (tag, k) for tag in ("ghz", "w") for k in (2, 3)}
+# the classes a violation excludes, by spin level and by swap k
+_SPIN_EXCLUDES = {"2sep": BISEP, "28cap3": INTERSECTION, "3sep": FULLSEP}
+_SWAP_EXCLUDES = {2: BISEP, 3: FULLSEP}
 
 REGISTRY: tuple[Criterion, ...] = (
     Criterion("maj_rho1", "maj", INTERSECTION, "min partial-sum slack"),
@@ -80,19 +86,11 @@ REGISTRY: tuple[Criterion, ...] = (
     Criterion("reduction", "reduction", INTERSECTION, "min eigenvalue of reduction maps"),
     Criterion("resh24", "resh24", INTERSECTION, "1 - trace norm"),
     Criterion("perm222", "perm222", FULLSEP, "1 - trace norm"),
-    Criterion("su2_set1", "su2", BISEP, SPIN_KIND),
-    Criterion("su2_set2", "su2", BISEP, SPIN_KIND),
-    Criterion("su2_set3", "su2", BISEP, SPIN_KIND),
-    Criterion("su283_set1", "su283", INTERSECTION, SPIN_KIND),
-    Criterion("su283_set2", "su283", INTERSECTION, SPIN_KIND),
-    Criterion("su283_set3", "su283", INTERSECTION, SPIN_KIND),
-    Criterion("su3_set1", "su3", FULLSEP, SPIN_KIND),
-    Criterion("su3_set2", "su3", FULLSEP, SPIN_KIND),
-    Criterion("su3_set3", "su3", FULLSEP, SPIN_KIND),
-    Criterion("huber_ghz_k2", "huber", BISEP, SWAP_KIND),
-    Criterion("huber_ghz_k3", "huber", FULLSEP, SWAP_KIND),
-    Criterion("huber_w_k2", "huber", BISEP, SWAP_KIND),
-    Criterion("huber_w_k3", "huber", FULLSEP, SWAP_KIND),
+    *(
+        Criterion(cid, f"su{tripartite.LEVEL_TAG[level]}", _SPIN_EXCLUDES[level], SPIN_KIND)
+        for cid, (_, level) in SPIN.items()
+    ),
+    *(Criterion(cid, "huber", _SWAP_EXCLUDES[k], SWAP_KIND) for cid, (_, k) in SWAP.items()),
     Criterion("gs2_ghz", "gs2", BISEP, ELEMENT_KIND),
     Criterion("gs2_w", "gs2", BISEP, ELEMENT_KIND),
     Criterion("gs3", "gs3", FULLSEP, ELEMENT_KIND),
@@ -130,6 +128,18 @@ class Batch:
     @cached_property
     def rho(self) -> np.ndarray:
         return states.build_rho_grid(self.g, self.w)
+
+    @cached_property
+    def concurrence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(numeric, closed form) Wootters concurrence of rho^23, max(0, l1 - l2 - l3 - l4)
+        from the lambdas of its source; the squared lambdas are checked against the
+        spin-flip spectrum, and the concurrence against its closed form."""
+        lam = concurrence.wootters_lambdas(self.source(states.MARGINAL_23_BLOCKS))
+        self.check_close(lam**2, self.closed["conc23"], "spectrum[conc23]", SPECTRUM_TOL)
+        numeric = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+        closed = concurrence.concurrence_23_closed(self.g, self.w)
+        self.check_close(numeric, closed, "concurrence closed vs numeric", CONCURRENCE_TOL)
+        return numeric, closed
 
     def source(self, layout: linalg.BlockLayout) -> np.ndarray:
         """The source matrices of ``layout`` on this batch: the batch's rho for a family

@@ -292,11 +292,6 @@ def export_scan(make_grid, csv_path=None, json_path=None, svg_path=None) -> Regi
     return grid
 
 
-def export_tables(grid: RegionGrid, csv_path=None, json_path=None) -> None:
-    """Write the CSV export, the JSON export or both, through ``export_scan``."""
-    export_scan(lambda: grid, csv_path, json_path)
-
-
 def _write_tables(grid: RegionGrid, csv_fh, json_fh) -> None:
     """Write the CSV, the JSON or both (None skips one) in one pass over the cells.
 
@@ -392,6 +387,8 @@ def _json_heads(grid: RegionGrid, lo: int, hi: int, codes: np.ndarray, keys, exc
 def import_json(path) -> dict:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"a JSON export holds an object, not a {type(payload).__name__}")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {payload.get('schema_version')!r}")
     return payload
@@ -553,11 +550,6 @@ def _fill_for(signature: tuple[str, ...]) -> str:
     return f"#{shade:02x}{shade:02x}{shade:02x}"
 
 
-def export_svg(grid: RegionGrid, path) -> None:
-    """Write the simplex map to ``path``, through ``export_scan``."""
-    export_scan(lambda: grid, svg_path=path)
-
-
 def _svg_text(grid: RegionGrid) -> str:
     """Simplex map: per-cell fill by possible classes plus margin isolines."""
     size = 640.0
@@ -624,12 +616,8 @@ def _svg_text(grid: RegionGrid) -> str:
 
 
 def export(grid: RegionGrid, fmt: str, path) -> None:
-    """Write a scan artifact: csv, json or svg."""
-    if fmt == "csv":
-        export_tables(grid, csv_path=path)
-    elif fmt == "json":
-        export_tables(grid, json_path=path)
-    elif fmt == "svg":
-        export_svg(grid, path)
-    else:
+    """Write one scan artifact, csv, json or svg, through ``export_scan``."""
+    formats = ("csv", "json", "svg")  # export_scan's order
+    if fmt not in formats:
         raise ValueError(f"unknown export format {fmt!r}")
+    export_scan(lambda: grid, *(path if name == fmt else None for name in formats))

@@ -33,8 +33,8 @@ SETTING_II = (PAULI_Y, PAULI_Z, PAULI_X)
 SETTING_III = (PAULI_Z, PAULI_X, PAULI_Y)
 PUBLISHED_SETTINGS = (SETTING_I, SETTING_II, SETTING_III)
 
-LEVELS = ("2sep", "28cap3", "3sep")
-_LEVEL_TAG = {"2sep": "2", "28cap3": "283", "3sep": "3"}
+LEVEL_TAG = {"2sep": "2", "28cap3": "283", "3sep": "3"}  # each level's tag in criterion ids
+LEVELS = tuple(LEVEL_TAG)
 _LEVEL_CAP = {"28cap3": 0.25, "3sep": 1.0 / 16.0}
 
 
@@ -166,7 +166,7 @@ def criterion_su(p: SimplexPoint, triads, level: str) -> float:
     if idx is not None:
         closed = float(su_closed_margin(p.g, p.w, idx, level))
         if not sign_gap(margin, closed) <= MARGINAL_BAND:
-            raise ConsistencyError(f"su{_LEVEL_TAG[level]}_set{idx + 1} at {cell_name(p.g, p.w)}: "
+            raise ConsistencyError(f"su{LEVEL_TAG[level]}_set{idx + 1} at {cell_name(p.g, p.w)}: "
                                    f"numeric margin {margin:.3e} vs closed form {closed:.3e}")
     return margin
 

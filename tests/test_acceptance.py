@@ -246,7 +246,7 @@ def test_12_concurrence(lattice, spectra):
     numeric_conc = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, None)
     closed = concurrence.concurrence_23_closed(g, w)
     assert float(np.max(np.abs(numeric_conc - closed))) <= 1e-9
-    _, at_pure = concurrence.concurrence_23(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    _, at_pure = criteria.Batch(np.array([0.0, 1.0]), np.array([1.0, 0.0])).concurrence
     assert abs(at_pure[0] - 2 / 3) <= 1e-12
     assert at_pure[1] == 0.0
     gate = concurrence.concurrence_gate(g, w)

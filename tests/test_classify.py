@@ -71,8 +71,9 @@ class TestClassifyPoint:
 class TestEvaluatePoint:
     def test_codes_are_the_verdict_codes_of_the_margins(self):
         for g, w in ((0.0, 0.0), (0.2, 0.2), (1 / 3, 0.0), (0.2, 0.0), (0.5, 0.5), (1.0, 0.0)):
-            margins, codes, report = classify.evaluate_point(SimplexPoint(g, w))
+            margins, codes, report, batch = classify.evaluate_point(SimplexPoint(g, w))
             assert list(codes) == list(margins) == list(criteria.IDS)
+            assert (batch.g.tolist(), batch.w.tolist()) == ([g], [w])
             for cid, margin in margins.items():
                 assert codes[cid] == int(verdict.codes(margin)), (cid, g, w)
             assert report.marginal == tuple(cid for cid, code in codes.items() if code == 0)

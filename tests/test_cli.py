@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import jsonschema
@@ -62,15 +63,23 @@ class TestEval:
 
     def test_concurrence_computed_once(self, capsys, monkeypatch):
         calls = []
-        real = concurrence.wootters_concurrence
+        real = concurrence.wootters_lambdas
         monkeypatch.setattr(
-            concurrence, "wootters_concurrence", lambda rho: calls.append(1) or real(rho)
+            concurrence, "wootters_lambdas", lambda rho: calls.append(1) or real(rho)
         )
         code, out, _ = run(capsys, "eval", "--g", "0.1", "--w", "0.6", "--json")
         assert code == 0
         assert len(calls) == 1
         conc = json.loads(out)["concurrence"]
         assert abs(conc["numeric"] - conc["closed_form"]) <= 1e-9
+
+    def test_concurrence_past_1e9_is_a_consistency_failure(self, capsys, monkeypatch):
+        real = concurrence.concurrence_23_closed
+        monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 2e-9)
+        code, out, err = run(capsys, "eval", "--g", "0.1", "--w", "0.6", "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("qsep: consistency failure: concurrence closed vs numeric "
+                              "at (g=0.1, w=0.6): ")
 
 
 class TestParser:
@@ -336,20 +345,36 @@ class TestVerify:
         assert "ppt" in err
 
     def test_concurrence_off_by_1e8_fails_naming_the_cell(self, capsys, monkeypatch):
-        # past the line's limit max(--tol, 1e-9); verify no longer reads concurrence_23,
-        # whose own raise past 1e-9 used to end the run before the line printed
+        # past the batch's own 1e-9 the check raises, as every registry check does, and the
+        # table ends before its line
         _, passed, _ = run(capsys, "verify", "--points", "50", "--seed", "7")
         real = concurrence.concurrence_23_closed
         monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 1e-8)
         code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 2
+        assert re.fullmatch(r"FAILURE: concurrence closed vs numeric at \(g=[^)]*\): "
+                            r"deviates from closed forms by 1\.000e-08\n", err), err
+        # every line before the concurrence's two as in the passing run
         lines = out.splitlines()
-        (n,) = [n for n, line in enumerate(lines) if "concurrence closed vs numeric" in line]
-        assert lines[n].startswith("FAIL  concurrence closed vs numeric") and " at (g=" in lines[n]
-        assert err.startswith("FAILURE: concurrence closed vs numeric: deviation") and " at (g=" in err
-        # every other line as in the passing run, which adds "all consistency checks passed"
-        assert lines[:n] + lines[n + 1:] == [
-            line for line in passed.splitlines()[:-1] if "concurrence closed vs numeric" not in line]
+        assert lines == passed.splitlines()[:len(lines)]
+        assert " eigh vs Jacobi reference " in lines[-1]
+
+    def test_concurrence_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = concurrence.wootters_lambdas
+        monkeypatch.setattr(
+            concurrence, "wootters_lambdas", lambda rho: calls.append(len(rho)) or real(rho)
+        )
+        code, _, _ = run(capsys, "verify", "--points", "50", "--seed", "7")
+        assert code == 0
+        assert calls == [50]
+
+    def test_tol_above_1e9_does_not_loosen_the_concurrence(self, capsys, monkeypatch):
+        real = concurrence.concurrence_23_closed
+        monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 2e-9)
+        code, _, err = run(capsys, "verify", "--points", "50", "--tol", "1e-8", "--seed", "7")
+        assert code == 2
+        assert err.startswith("FAILURE: concurrence closed vs numeric at (g=")
 
     def test_raised_check_fails_after_the_failed_lines(self, capsys, monkeypatch):
         # past a --tol of 1e-16, lines before the Jacobi reference fail; the reference then
@@ -454,6 +479,12 @@ class TestExamples:
         code, out, err = run(capsys, "examples", "--which", "class28", "--a", a)
         assert code == 1
         assert out == "" and err.startswith("qsep: error: class28 ")
+
+    @pytest.mark.parametrize("which", ["class21", "pptes"])
+    def test_a_without_class28_is_a_usage_error(self, capsys, which):
+        code, out, err = run(capsys, "examples", "--which", which, "--a", "2")
+        assert code == 1
+        assert out == "" and err.startswith("qsep: error: ") and "--a" in err
 
     def test_pptes_matches_family(self, capsys):
         code, out, _ = run(capsys, "examples", "--which", "pptes")

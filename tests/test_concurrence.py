@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsep import concurrence, linalg, states
+from qsep import concurrence, criteria, linalg, states
 from qsep.config import psd_tol
 from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
@@ -44,9 +44,14 @@ def marginal_23(p):
     return states.marginal_23_grid(np.array([p.g]), np.array([p.w]))[0]
 
 
+def batch_concurrence(g, w):
+    """(numeric, closed) over weight arrays: the concurrence of one ``criteria.Batch``."""
+    return criteria.Batch(g, w).concurrence
+
+
 def concurrence_at(p):
-    """(numeric, closed) at one point: the batched function on a batch of one."""
-    numeric, closed = concurrence.concurrence_23(np.array([p.g]), np.array([p.w]))
+    """(numeric, closed) at one point: a batch of one."""
+    numeric, closed = batch_concurrence(np.array([p.g]), np.array([p.w]))
     return float(numeric[0]), float(closed[0])
 
 
@@ -134,16 +139,19 @@ class TestClosedForm:
         monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 0.9e-9)
         concurrence_at(p)
         monkeypatch.setattr(concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 1.1e-9)
-        with pytest.raises(ConsistencyError, match=r"concurrence at \(g=0\.0, w=1\.0\)"):
+        with pytest.raises(ConsistencyError,
+                           match=r"concurrence closed vs numeric at \(g=0\.0, w=1\.0\)"):
             concurrence_at(p)
 
     def test_gate_names_the_first_failing_cell_of_a_batch(self, monkeypatch):
+        # both cells past the gate are off by exactly 2e-9; on a tie the worst is the first
         real = concurrence.concurrence_23_closed
         monkeypatch.setattr(
             concurrence, "concurrence_23_closed", lambda g, w: real(g, w) + 2e-9 * (g > 0.5)
         )
-        with pytest.raises(ConsistencyError, match=r"concurrence at \(g=0\.6, w=0\.1\)"):
-            concurrence.concurrence_23(np.array([0.1, 0.6, 0.9]), np.array([0.6, 0.1, 0.0]))
+        with pytest.raises(ConsistencyError,
+                           match=r"concurrence closed vs numeric at \(g=0\.6, w=0\.1\)"):
+            batch_concurrence(np.array([0.1, 0.6, 0.9]), np.array([0.6, 0.1, 0.0]))
 
     def test_matches_numeric_on_grid(self):
         for p in simplex_grid(15):
@@ -172,9 +180,9 @@ class TestClosedForm:
         flip = u + v > 1.0
         g = np.concatenate([np.where(flip, 1.0 - u, u), [0.0, 1.0, 0.0, 0.15]])
         w = np.concatenate([np.where(flip, 1.0 - v, v), [0.0, 0.0, 1.0, 0.85]])
-        numeric, closed = concurrence.concurrence_23(g, w)
+        numeric, closed = batch_concurrence(g, w)
         for n in range(g.size):
-            one = concurrence.concurrence_23(g[n : n + 1], w[n : n + 1])
+            one = batch_concurrence(g[n : n + 1], w[n : n + 1])
             assert one[0].tobytes() == numeric[n : n + 1].tobytes(), (g[n], w[n])
             assert one[1].tobytes() == closed[n : n + 1].tobytes(), (g[n], w[n])
 

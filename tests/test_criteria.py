@@ -37,8 +37,8 @@ class TestEvaluate:
             "Spect(rho)", "Spect(rho^23)", "Spect(rho^1)", "su2_set1 sign"}
         assert set(self.deviations(("huber_w_k3",))) == {"huber_w swap forms"}
 
-    # perm222 has no closed form yet (ROADMAP item 2); its second path is verify's
-    # "block spectra vs full LAPACK" line
+    # perm222 has no closed form yet (the ROADMAP item "A closed form for perm222"); its
+    # second path is verify's "block spectra vs full LAPACK" line
     WITHOUT_A_CHECK = {"perm222"}
 
     @pytest.mark.parametrize("cid", criteria.IDS)
@@ -92,6 +92,31 @@ class TestEvaluate:
         )
         with pytest.raises(ConsistencyError, match=r"^reshuffling singular values at \(g="):
             criteria.margins(G, W, ("resh24",))
+
+
+class TestConcurrence:
+    def test_records_its_two_checks_and_only_when_read(self):
+        batch = criteria.Batch(G, W)
+        batch.evaluate(criteria.IDS)
+        assert not {"spectrum[conc23]", "concurrence closed vs numeric"} & set(batch.deviations)
+        numeric, closed = batch.concurrence
+        assert batch.concurrence is batch.concurrence  # computed once
+        assert batch.deviations["spectrum[conc23]"][0] <= criteria.SPECTRUM_TOL
+        assert batch.deviations["concurrence closed vs numeric"][0] <= criteria.CONCURRENCE_TOL
+        assert numeric.shape == closed.shape == G.shape
+
+
+class TestRegistry:
+    def test_spin_and_swap_rows_follow_perm222_in_order(self):
+        b, i, f = criteria.BISEP, criteria.INTERSECTION, criteria.FULLSEP
+        spin = [(f"su{tag}_set{k}", f"su{tag}", excl, criteria.SPIN_KIND)
+                for tag, excl in (("2", b), ("283", i), ("3", f)) for k in (1, 2, 3)]
+        swap = [(f"huber_{tag}_k{k}", "huber", excl, criteria.SWAP_KIND)
+                for tag in ("ghz", "w") for k, excl in ((2, b), (3, f))]
+        start = criteria.IDS.index("perm222") + 1
+        rows = [(c.id, c.group, c.excludes, c.kind) for c in criteria.REGISTRY[start:start + 13]]
+        assert rows == spin + swap
+        assert criteria.IDS[start + 13] == "gs2_ghz"
 
 
 class TestSwapForms:

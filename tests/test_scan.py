@@ -513,6 +513,13 @@ class TestExports:
         assert payload["schema_version"] == scan.SCHEMA_VERSION
         assert payload["reports"] == grid_report_dicts(grid)
 
+    @pytest.mark.parametrize("text", ["[]", '[{"schema_version": 1}]', "1", "null"])
+    def test_import_json_of_a_non_object_is_a_value_error(self, tmp_path, text):
+        path = tmp_path / "not_an_export.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="holds an object"):
+            scan.import_json(path)
+
     def test_json_determinism_across_workers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scan, "CHUNK", SMALL_CHUNK)  # 66 cells in 3 chunks
         out = exports_across_workers(tmp_path, "json", 10)
@@ -553,7 +560,7 @@ class TestExports:
     def test_one_pass_equals_each_file_written_alone(self, tmp_path, monkeypatch):
         grid = scan.grid_scan(12, "all")  # 91 cells
         monkeypatch.setattr(scan, "_BLOCK", 7)
-        scan.export_tables(grid, csv_path=tmp_path / "both.csv", json_path=tmp_path / "both.json")
+        scan.export_scan(lambda: grid, tmp_path / "both.csv", tmp_path / "both.json")
         scan.export(grid, "csv", tmp_path / "alone.csv")
         scan.export(grid, "json", tmp_path / "alone.json")
         assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
@@ -575,7 +582,7 @@ class TestExports:
 
         monkeypatch.setattr(scan, "_json_heads", failing)
         with pytest.raises(OSError, match="No space"):
-            scan.export_tables(grid, csv_path=csv, json_path=json_)
+            scan.export_scan(lambda: grid, csv, json_)
         assert csv.read_bytes() == b"earlier csv" and json_.read_bytes() == b"earlier json"
         assert sorted(tmp_path.iterdir()) == [csv, json_]
 
@@ -586,7 +593,7 @@ class TestExports:
         (tmp_path / "link").symlink_to(target)
         for json_path in (target, tmp_path / "link"):
             with pytest.raises(ValueError, match="same file"):
-                scan.export_tables(grid, csv_path=target, json_path=json_path)
+                scan.export_scan(lambda: grid, target, json_path)
         assert target.read_bytes() == b"earlier"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["P", "link"]
 
@@ -638,7 +645,7 @@ class TestExports:
         margins = {cid: np.array(data.draw(cells, label=cid)) for cid in grid.criteria}
         grid = dataclasses.replace(grid, margins=margins)
         with tempfile.TemporaryDirectory() as tmp:
-            scan.export_tables(grid, csv_path=f"{tmp}/a.csv", json_path=f"{tmp}/a.json")
+            scan.export_scan(lambda: grid, f"{tmp}/a.csv", f"{tmp}/a.json")
             with open(f"{tmp}/a.csv") as fh:
                 rows = [line.split(",") for line in fh.read().splitlines()[1:]]
             with open(f"{tmp}/a.json") as fh:
@@ -718,7 +725,7 @@ class TestExports:
         grid = scan.grid_scan(200, "all")
         tracemalloc.start()
         try:
-            scan.export_svg(grid, tmp_path / "m.svg")
+            scan.export(grid, "svg", tmp_path / "m.svg")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -19,6 +19,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qsep"
 ALLOWED_WITHOUT_CALLER = {
     "classify.classify_point": "public API: the class report of one point (README, tests)",
     "cli._Parser.error": "override: argparse calls it, so a usage error exits 1, not 2",
+    "concurrence.wootters_concurrence": "public API: the concurrence of any two-qubit state (README, tests)",
     "scan.boundary_bisect": "public API: boundary constants along a ray (README, acceptance)",
     "scan.export": "public API: one export chosen by format name (README, tests)",
     "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
@@ -134,6 +135,23 @@ def test_cross_checks_are_made_in_one_place():
     assert _calls("sign_gap") == {
         ("criteria", "Batch"), ("tripartite", "criterion_su"),
         ("bipartite", "majorization_case_margins"),
+    }
+
+
+def test_sum_built_templates_are_called_only_in_states():
+    # every other module reads them through their layouts, by Batch.source
+    for name in ("marginal_23_grid", "marginal_1_grid", "reduction_i123_grid", "reduction_1i23_grid"):
+        assert {module for module, _ in _calls(name)} - {"states"} == set(), name
+
+
+def test_consistency_errors_are_raised_in_known_places():
+    # the recording checks of criteria.Batch, the per-point spin reference, the
+    # majorization case table, the SLOCC witness against the GHZ triangle, class fusion,
+    # the block path's entry checks and the eigenvalue-sum check of one matrix
+    assert _calls("ConsistencyError") == {
+        ("criteria", "Batch"), ("tripartite", "criterion_su"), ("tripartite", "slocc_codes"),
+        ("bipartite", "majorization_case_margins"), ("classify", "fuse"),
+        ("linalg", "_entry_error"), ("linalg", "hermitian_eigenvalues"),
     }
 
 
