@@ -7,11 +7,17 @@ closed forms), on as many threads as there are usable cores.  Only the LAPACK
 calls release the GIL; the numpy and Python work between them holds it, so
 threads overlap only in part.  The chunk layout never depends on the worker
 count, so a parallel scan is byte-identical to a sequential one.
+
+The CSV and JSON exports write every float as ``float.__repr__`` does.  Each
+block of floats is formatted by one ``orjson.dumps`` call (Ryu's shortest
+round-trip digits); only the values whose notation differs from ``repr``
+(non-finite, nonzero |x| < 1e-4, |x| >= 1e16) go through ``float.__repr__``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import stat
@@ -204,9 +210,9 @@ def boundary_bisect(cid: str, ray, tol: float = 1e-10) -> SimplexPoint:
 # exports
 #
 # The CSV and the JSON are written by one pass over blocks of cells.  Every float of
-# a block is formatted once, as ``float.__repr__`` (the shortest text that parses back
-# to the same float64, and what ``json`` writes), and both files are assembled from
-# those strings, so memory stays bounded by one block.
+# a block is formatted once, by ``_reprs``, as ``float.__repr__`` (the shortest text
+# that parses back to the same float64, and what ``json`` writes), and both files are
+# assembled from those strings, so memory stays bounded by one block.
 
 
 _BLOCK = 4096  # cells formatted and written at a time
@@ -233,9 +239,23 @@ def _columns(arrays, lo: int, hi: int, dtype) -> np.ndarray:
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:
-    """``float.__repr__`` of every element, as an object array of the same shape."""
-    out = np.empty(values.size, dtype=object)
-    out[:] = list(map(float.__repr__, values.ravel().tolist()))
+    """``float.__repr__`` of every element, as an object array of the same shape.
+
+    orjson writes the block with Ryu, the same shortest round-trip digits as
+    ``repr``.  Its notation differs for non-finite values (``null``), for nonzero
+    |x| < 1e-4 (``0.00001``, not ``1e-05``) and for |x| >= 1e16 (``1e16``, not
+    ``1e+16``); only those go through ``float.__repr__``.
+    """
+    import orjson  # on first use, so importing qsep, eval and verify do not load it
+
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    out = np.empty(flat.size, dtype=object)
+    if flat.size:
+        out[:] = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        size = np.abs(flat)
+        odd = ~(size < 1e16) | ((size < 1e-4) & (size != 0.0))  # NaN fails size < 1e16
+        if odd.any():
+            out[odd] = list(map(float.__repr__, flat[odd].tolist()))
     return out.reshape(values.shape)
 
 
@@ -244,17 +264,37 @@ def _lead_table(rows) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(len(rows), 3)
 
 
+_TEMP_ATTEMPTS = 100
+
+
+def _create_temp(path):
+    """Create a new empty file beside ``path``; return its name and its open text handle.
+
+    The file is created exclusively, so a name that exists, a leftover file or a
+    planted link, is never opened or followed; the next name is tried.  The first
+    name is ``<path>.<pid>.tmp``, the others add a random part.  A new file gets
+    mode 0666 & ~umask, as ``open(path, "w")`` gives one.
+    """
+    pid = os.getpid()
+    for attempt in range(_TEMP_ATTEMPTS):
+        temp = f"{path}.{pid}.tmp" if attempt == 0 else f"{path}.{pid}.{os.urandom(4).hex()}.tmp"
+        with contextlib.suppress(FileExistsError):
+            return temp, open(temp, "x", newline="")
+    raise FileExistsError(errno.EEXIST, "no free temporary name beside the target", path)
+
+
 def export_scan(make_grid, csv_path=None, json_path=None, svg_path=None) -> RegionGrid:
     """Open every target, call ``make_grid()`` for the grid, write its CSV, JSON and SVG
     (None skips one), and return the grid.
 
     Every target is opened before ``make_grid`` runs, so a path that cannot be
     opened fails before any work.  A regular file or a new path gets a temporary
-    file beside it; these replace their targets together once every export is
-    written, and are removed if anything raises, which leaves the targets as they
-    were.  A link, a pipe or a device is written directly; a regular file behind a
-    link is emptied only once the grid is there.  Two paths that resolve to one
-    file raise ValueError before anything is opened.
+    file beside it, created exclusively (``_create_temp``); these replace their
+    targets together once every export is written, and are removed if anything
+    raises, which leaves the targets as they were.  A link, a pipe or a device is
+    written directly; a regular file behind a link is emptied only once the grid
+    is there.  Two paths that resolve to one file raise ValueError before
+    anything is opened.
     """
     paths = (csv_path, json_path, svg_path)
     named = [os.path.realpath(path) for path in paths if path is not None]
@@ -265,15 +305,18 @@ def export_scan(make_grid, csv_path=None, json_path=None, svg_path=None) -> Regi
         with contextlib.ExitStack() as stack:
             files = []
             for path in paths:
-                if path is not None and not os.path.islink(path) and (
-                        os.path.isfile(path) or not os.path.exists(path)):
-                    temps[path] = f"{path}.{os.getpid()}.tmp"
-                try:  # a direct target is opened for appending, which leaves it as it is
-                    files.append(None if path is None else stack.enter_context(
-                        open(temps.get(path, path), "w" if path in temps else "a", newline="")))
+                if path is None:
+                    files.append(None)
+                    continue
+                try:
+                    if not os.path.islink(path) and (os.path.isfile(path) or not os.path.exists(path)):
+                        temps[path], fh = _create_temp(path)
+                    else:  # a direct target is opened for appending, which leaves it as it is
+                        fh = open(path, "a", newline="")
                 except OSError as exc:
                     exc.filename = path  # name the path asked for, not its temporary file
                     raise
+                files.append(stack.enter_context(fh))
             grid = make_grid()
             for fh in files:
                 if fh is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):

@@ -288,3 +288,34 @@ def test_15_scan_determinism(tmp_path, monkeypatch):
     scan.export(scan.grid_scan(80, "all"), "csv", default)
     assert sequential.read_bytes() == parallel.read_bytes()
     assert default.read_bytes() == sequential.read_bytes()
+
+
+@_status(16, "strongest criteria at R = 400: ppt for {3, 2.8}, ppt + gs3 for 3, gs2_ghz + gs2_w for {3, 2.8, 2.1}")
+def test_16_strongest_criteria(full_scan_400):
+    # the abstract: Peres's partial transposition and the Guhne-Seevinck matrix-element
+    # criteria are the strongest for different separability classes; a cell is detected
+    # where the verdict is violated (margin < -MARGINAL_BAND)
+    grid = full_scan_400
+    detected = {cid: grid.codes[cid] == -1 for cid in grid.criteria}
+
+    def union(ids):
+        return np.logical_or.reduce([detected[cid] for cid in ids])
+
+    def level(classes):  # every criterion whose violation excludes these classes
+        return union([cid for cid in grid.criteria if criteria.BY_ID[cid].excludes == classes])
+
+    intersection = level(criteria.INTERSECTION)
+    assert int(intersection.sum()) == 73_191
+    assert np.array_equal(detected["ppt"], intersection)
+
+    class3 = union([cid for cid in grid.criteria if "3" in criteria.BY_ID[cid].excludes])
+    assert int(class3.sum()) == 73_423
+    assert np.array_equal(detected["ppt"] | detected["gs3"], class3)
+    missed = class3 & ~detected["ppt"]
+    assert int(missed.sum()) == 232
+    assert np.array_equal(missed, grid.pptes)
+
+    bisep = level(criteria.BISEP)
+    assert int(bisep.sum()) == 46_462
+    assert np.array_equal(detected["gs2_ghz"] | detected["gs2_w"], bisep)
+    assert int(detected["gs2_ghz"].sum()) == 31_268

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import jsonschema
@@ -72,6 +76,19 @@ class TestEval:
         assert len(calls) == 1
         conc = json.loads(out)["concurrence"]
         assert abs(conc["numeric"] - conc["closed_form"]) <= 1e-9
+
+    def test_import_and_json_leave_orjson_unloaded(self):
+        # the export formatter imports orjson on first use, so startup and eval never pay for it
+        script = (
+            "import contextlib, io, sys\n"
+            "import qsep.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = qsep.cli.main(['eval', '--g', '0.3', '--w', '0.1', '--json'])\n"
+            "print(code, 'orjson' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "0 False\n"), done.stderr
 
     def test_concurrence_past_1e9_is_a_consistency_failure(self, capsys, monkeypatch):
         real = concurrence.concurrence_23_closed

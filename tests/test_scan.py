@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import stat
 import struct
 import sys
 import tempfile
@@ -260,6 +262,15 @@ def field_grid(values, n):
     return SimpleNamespace(
         resolution=n, i_index=i_idx, j_index=j_idx, margins={"f": np.asarray(values, dtype=float)}
     )
+
+
+# each float where scan._reprs changes notation, with both its neighbours, and the extremes
+REPR_EDGES = [
+    v
+    for edge in (1e-4, 1e16, 5e-324, sys.float_info.max)
+    for sign in (1.0, -1.0)
+    for v in (math.nextafter(sign * edge, 0.0), sign * edge, math.nextafter(sign * edge, sign * math.inf))
+] + [0.0, -0.0, math.nan, math.inf, -math.inf]
 
 
 @functools.cache
@@ -611,6 +622,41 @@ class TestExports:
             "link.csv", "map.svg", "plain.csv", "target.csv"
         ]
 
+    def test_temporary_file_never_follows_a_planted_link(self, tmp_path):
+        # a link planted at the first temporary name must not be written through
+        grid = scan.grid_scan(4, "ppt")
+        victim = tmp_path / "victim"
+        victim.write_text("not an export\n")
+        target = tmp_path / "a.csv"
+        (tmp_path / f"a.csv.{os.getpid()}.tmp").symlink_to(victim)
+        scan.export(grid, "csv", target)
+        assert victim.read_text() == "not an export\n"
+        assert target.read_text() == reference_csv(grid)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", f"a.csv.{os.getpid()}.tmp", "victim"]
+
+    def test_temporary_file_gets_the_mode_of_a_new_file(self, tmp_path):
+        grid = scan.grid_scan(4, "ppt")
+        old = os.umask(0o027)
+        try:
+            scan.export(grid, "csv", tmp_path / "a.csv")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == 0o640
+
+    def test_no_free_temporary_name_is_an_error_that_leaves_the_target(self, tmp_path, monkeypatch):
+        grid = scan.grid_scan(4, "ppt")
+        target = tmp_path / "a.csv"
+        target.write_text("earlier")
+        monkeypatch.setattr(scan.os, "urandom", lambda size: b"\0" * size)
+        for name in (f"a.csv.{os.getpid()}.tmp", f"a.csv.{os.getpid()}.00000000.tmp"):
+            (tmp_path / name).write_text("leftover")
+        with pytest.raises(FileExistsError) as info:
+            scan.export(grid, "csv", target)
+        assert info.value.filename == target
+        assert target.read_text() == "earlier"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.csv", f"a.csv.{os.getpid()}.00000000.tmp", f"a.csv.{os.getpid()}.tmp"]
+
     def test_failed_scan_leaves_every_target_as_it_was(self, tmp_path):
         # the targets are opened before the scan; a link's file is emptied only after it
         for name in ("target.csv", "a.json", "m.svg"):
@@ -670,6 +716,25 @@ class TestExports:
         k = len(grid.criteria)
         assert [(row[0], row[1]) for row in rows[::k]] == json_cells
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.sampled_from(REPR_EDGES),
+            ),
+            max_size=60,
+        ),
+        columns=st.integers(1, 5),
+    )
+    def test_reprs_is_float_repr(self, values, columns):
+        flat = np.array(values + REPR_EDGES, dtype=float)
+        cells = flat.size // columns
+        for block in (np.empty(0), flat, flat[: cells * columns].reshape(cells, columns)):
+            text = scan._reprs(block)
+            assert text.shape == block.shape and text.dtype == object
+            assert text.ravel().tolist() == [float.__repr__(v) for v in block.ravel().tolist()]
+
     def test_nonfinite_margins_written_as_json_writes_them(self, tmp_path):
         grid = scan.grid_scan(6, "ppt,gs3,w_w1")
         for k, value in enumerate((math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22)):
@@ -679,7 +744,9 @@ class TestExports:
         assert (tmp_path / "a.csv").read_text() == reference_csv(grid)
         text = (tmp_path / "a.json").read_text()
         assert text == reference_json(grid)
-        assert '"margin":NaN' in text and '"margin":-Infinity' in text
+        assert '"margin":NaN' in text and '"margin":Infinity' in text and '"margin":-Infinity' in text
+        csv_margins = [row.rsplit(",", 1)[1] for row in (tmp_path / "a.csv").read_text().splitlines()]
+        assert {"nan", "inf", "-inf"} <= set(csv_margins)
 
     def test_empty_criteria_json_and_svg(self, tmp_path):
         grid = scan.grid_scan(5, "")
