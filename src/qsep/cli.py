@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import classify, criteria, linalg, scan, states, tripartite, verdict
+from . import classify, criteria, linalg, scan, states, verdict
 from .config import MARGINAL_BAND, psd_tol
 from .exceptions import ConsistencyError, ConvergenceError
 from .states import SimplexPoint
@@ -231,13 +231,6 @@ def _sample_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
 
 
-# swap criteria and the spin criteria equivalent to them here: non-marginal verdicts agree
-_EQUIVALENT = (
-    ("huber_ghz_k2", "su2_set1"), ("huber_ghz_k3", "su283_set1"),
-    ("huber_w_k2", "su2_set2"), ("huber_w_k3", "su283_set2"),
-)
-
-
 def _where(line: tuple) -> str:
     """' at (g=..., w=...)' for a line with a cell, then ' in <family>' if it names one."""
     _, g, w, _, *family = line
@@ -300,48 +293,30 @@ def cmd_verify(args) -> int:
         value, n = verdict.worst(np.concatenate(
             [np.abs(full[layout] - linalg.jacobi_eigh(m))
              for layout, m in families.items() if not layout.singular], axis=-1))
-        _record(lines, "eigh vs Jacobi reference", (value, g[n], w[n], max(tol, 1e-12)))
+        _record(lines, "eigh vs Jacobi reference", (value, g[n], w[n], min(tol, criteria.REFERENCE_TOL)))
 
         batch.concurrence  # the Wootters concurrence records its two checks, or raises
         for name in ("spectrum[conc23]", "concurrence closed vs numeric"):
             _record(lines, name, (*batch.deviations[name], tol))
 
         value, n = verdict.worst(np.abs(batch.rho - mixture))
-        _record(lines, "rho template vs mixture", (value, g[n], w[n], tol))
+        _record(lines, "rho template vs mixture", (value, g[n], w[n], min(tol, states.TEMPLATE_TOL)))
 
-        mismatches = verdict.codes(margins["ppt"]) != verdict.codes(margins["reduction"])
-        _record(lines, "reduction vs ppt verdict mismatches", (float(np.sum(mismatches)), None, None, 0.0))
-        for a, b in _EQUIVALENT:
-            codes_a, codes_b = verdict.codes(margins[a]), verdict.codes(margins[b])
-            conflicts = (codes_a != codes_b) & (codes_a != 0) & (codes_b != 0)
-            _record(lines, f"{a} vs {b} verdict mismatches", (float(np.sum(conflicts)), None, None, 0.0))
+        for relation in criteria.RELATIONS:
+            if relation.checked:
+                _record(lines, relation.text, (float(relation.count_breaks(margins)), None, None, 0.0))
 
-        # explicit per-point paths on a deterministic subsample
-        settings = tripartite.PUBLISHED_SETTINGS
-        phi = {"ghz": tripartite.phi_ghz(), "w": tripartite.phi_w()}
-        subsample = np.linspace(0, args.points - 1, num=min(args.points, 20), dtype=int)
-        points = [SimplexPoint(g[n], w[n]) for n in subsample]
-        everywhere = np.arange(args.points)
-        gs2_ghz, gs2_w = tripartite.gs2_element_margins(mixture)
-        references = {  # cid -> (the cells it is read on, its margins there)
-            **{cid: (subsample, [tripartite.criterion_su(p, (settings[idx],) * 3, level) for p in points])
-               for cid, (idx, level) in criteria.SPIN.items()},
-            **{cid: (subsample, [tripartite.criterion_huber(p, phi[tag], k) for p in points])
-               for cid, (tag, k) in criteria.SWAP.items()},
-            # the matrix-element criteria read off the independent mixture, on every point
-            "gs2_ghz": (everywhere, gs2_ghz), "gs2_w": (everywhere, gs2_w),
-            "gs3": (everywhere, np.min(list(tripartite.gs3_element_margins(mixture).values()), axis=0)),
-        }
-        for cid, (cells, values) in references.items():
-            value, i = verdict.worst(np.abs(values - margins[cid][cells]))
-            _record(lines, f"{cid} explicit vs grid", (value, g[cells[i]], w[cells[i]], max(tol, 1e-12)))
+        # each independent reference, on the cells it reads
+        for criterion in criteria.REGISTRY:
+            if criterion.reference:
+                cells, values = criterion.reference(g, w, mixture)
+                value, i = verdict.worst(np.abs(values - margins[criterion.id][cells]))
+                _record(lines, f"{criterion.id} explicit vs grid",
+                        (value, g[cells[i]], w[cells[i]], min(tol, criteria.REFERENCE_TOL)))
 
-        # containment observation for the 2-3 reshuffling criterion (reported only)
-        escapees = int(np.sum((margins["perm222"] < -MARGINAL_BAND) & (margins["ppt"] > MARGINAL_BAND)))
-        print(
-            "note: 2-3 reshuffling violations outside the partial-transposition "
-            f"violation set: {escapees} of {args.points} points"
-        )
+        for relation in criteria.RELATIONS:
+            if not relation.checked:
+                print(f"note: {relation.text}: {relation.count_breaks(margins)} of {args.points} points")
         print(f"verified {args.points} random points (seed {args.seed}, tol {tol:g})")
     except (ConsistencyError, ConvergenceError) as exc:
         raised.append(str(exc))

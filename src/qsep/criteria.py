@@ -1,13 +1,14 @@
 """The criterion registry: every criterion the toolkit evaluates, defined once.
 
 Each ``Criterion`` record names its id, its selection group, the classes a
-violation excludes and the kind of margin it reports; ``IDS`` is the scan
-order.  A ``Batch`` holds the weights of one batch of cells and every quantity
-its criteria share, and ``Batch.evaluate`` computes any subset of criteria on
-it through one vectorized evaluator per criterion family, so a grid chunk and
-a batch of one point take the same path (``margins``, ``scan.point_margin``).
-A matrix family is diagonalized by one ``linalg.block_spectra`` call, on the
-source that ``Batch.source`` builds, when an evaluator first reads it:
+violation excludes, the kind of margin it reports and, if it has one, its
+independent reference; ``IDS`` is the scan order.  A ``Batch`` holds the
+weights of one batch of cells and every quantity its criteria share, and
+``Batch.evaluate`` computes any subset of criteria on it through one
+vectorized evaluator per criterion family, so a grid chunk and a batch of one
+point take the same path (``margins``, ``scan.point_margin``).  A matrix
+family is diagonalized by one ``linalg.block_spectra`` call, on the source
+that ``Batch.source`` builds, when an evaluator first reads it:
 ``Batch.spectrum`` sorts, checks and keeps it, and only ``perm222`` reads a
 family in layout order (``Batch.values``).  So a batch computes each family
 at most once, and only the families its selection reads.  Every family but
@@ -15,24 +16,30 @@ at most once, and only the families its selection reads.  Every family but
 checks of ``Batch``, ``check_close`` and ``check_signs``, and these are the
 only cross-checks on the grid path.  ``Batch.concurrence``, which no criterion
 reads, gives ``qsep eval`` and ``qsep verify`` the concurrence of rho^23
-through the same checks.  The independent references are
+through the same checks.
+
+``qsep verify`` reads the rest of its checks from here.  A ``reference``
+shares no code with the evaluator: the spin and swap criteria evaluate
 ``tripartite.criterion_su`` and ``criterion_huber``, which build explicit
-observables and swap operators, and the matrix elements of the separately
-built mixture; ``qsep verify`` compares them with the margins of the same
-``Batch`` its registry pass runs on.
+observables and swap operators, at the points of a deterministic subsample,
+and the matrix-element criteria read the separately built mixture on every
+cell.  ``verify`` compares each with the margins of the same ``Batch`` its
+registry pass runs on.  ``RELATIONS`` are the relations between verdicts it
+counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bipartite, concurrence, linalg, states, tripartite
 from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError
-from .verdict import cell_name, sign_gap, worst
+from .verdict import cell_name, codes, sign_gap, worst
 
 # the classes a violation rules out, by the separability level it tests
 FULLSEP = ("3",)
@@ -47,20 +54,37 @@ ELEMENT_KIND = "matrix-element inequality slack"
 SPECTRUM_TOL = 1e-10  # eigensolver and SVD against the closed-form spectra
 ELEMENT_TOL = 1e-12   # matrix elements and traces against their closed forms
 CONCURRENCE_TOL = 1e-9  # the Wootters concurrence against its closed form
+REFERENCE_TOL = 1e-10  # each independent reference, and the Jacobi eigensolver, against the grid
 
 
 @dataclass(frozen=True)
 class Criterion:
-    """One criterion: id, selection group, classes a violation excludes, margin kind."""
+    """One criterion: id, selection group, classes a violation excludes, margin kind, and
+    its independent reference, ``(g, w, mixture) -> (cells it read, its margins there)``."""
 
     id: str
     group: str
     excludes: tuple[str, ...]
     kind: str
+    reference: Callable | None = None
 
 
 def _entropy_id(marginal: str, alpha: float) -> str:
     return f"entropy_{marginal}_a{bipartite.alpha_label(alpha)}"
+
+
+def _on_mixture(margins):
+    """A reference that reads ``margins(mixture)`` on every cell."""
+    return lambda g, w, mixture: (np.arange(len(g)), margins(mixture))
+
+
+def _at_points(margin, *args):
+    """A reference that evaluates ``margin(point, *args)`` at the points of a deterministic
+    subsample of at most 20 cells."""
+    def reference(g, w, mixture):
+        cells = np.linspace(0, len(g) - 1, num=min(len(g), 20), dtype=int)
+        return cells, [margin(states.SimplexPoint(g[n], w[n]), *args) for n in cells]
+    return reference
 
 
 # (setting index, level) of each spin criterion, (detection vector, k) of each swap criterion
@@ -86,14 +110,24 @@ REGISTRY: tuple[Criterion, ...] = (
     Criterion("reduction", "reduction", INTERSECTION, "min eigenvalue of reduction maps"),
     Criterion("resh24", "resh24", INTERSECTION, "1 - trace norm"),
     Criterion("perm222", "perm222", FULLSEP, "1 - trace norm"),
+    # explicit per-point paths, each function looked up in tripartite at every call
     *(
-        Criterion(cid, f"su{tripartite.LEVEL_TAG[level]}", _SPIN_EXCLUDES[level], SPIN_KIND)
-        for cid, (_, level) in SPIN.items()
+        Criterion(cid, f"su{tripartite.LEVEL_TAG[level]}", _SPIN_EXCLUDES[level], SPIN_KIND,
+                  _at_points(lambda *a: tripartite.criterion_su(*a),
+                             (tripartite.PUBLISHED_SETTINGS[idx],) * 3, level))
+        for cid, (idx, level) in SPIN.items()
     ),
-    *(Criterion(cid, "huber", _SWAP_EXCLUDES[k], SWAP_KIND) for cid, (_, k) in SWAP.items()),
-    Criterion("gs2_ghz", "gs2", BISEP, ELEMENT_KIND),
-    Criterion("gs2_w", "gs2", BISEP, ELEMENT_KIND),
-    Criterion("gs3", "gs3", FULLSEP, ELEMENT_KIND),
+    *(
+        Criterion(cid, "huber", _SWAP_EXCLUDES[k], SWAP_KIND,
+                  _at_points(lambda *a: tripartite.criterion_huber(*a), tripartite.HUBER_PHIS[tag](), k))
+        for cid, (tag, k) in SWAP.items()
+    ),
+    Criterion("gs2_ghz", "gs2", BISEP, ELEMENT_KIND,
+              _on_mixture(lambda m: tripartite.gs2_element_margins(m)[0])),
+    Criterion("gs2_w", "gs2", BISEP, ELEMENT_KIND,
+              _on_mixture(lambda m: tripartite.gs2_element_margins(m)[1])),
+    Criterion("gs3", "gs3", FULLSEP, ELEMENT_KIND,
+              _on_mixture(lambda m: np.min(list(tripartite.gs3_element_margins(m).values()), axis=0))),
     Criterion("w_ghz", "witness", NOTHING, "witness expectation"),
     Criterion("w_w1", "witness", BISEP, "witness expectation"),
     Criterion("w_w2", "witness", BISEP, "witness expectation"),
@@ -105,6 +139,36 @@ GROUPS: dict[str, tuple[str, ...]] = {
     group: tuple(c.id for c in REGISTRY if c.group == group)
     for group in dict.fromkeys(c.group for c in REGISTRY)
 }
+
+
+class Relation(NamedTuple):
+    """A relation between the verdicts of criteria ``a`` and ``b`` that ``qsep verify``
+    counts; ``breaks(codes_a, codes_b)`` marks the cells that break it.  A checked
+    relation fails on any such cell; the count of an unchecked one is a note."""
+
+    text: str
+    a: str
+    b: str
+    breaks: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    checked: bool = True
+
+    def count_breaks(self, margins: dict[str, np.ndarray]) -> int:
+        """How many cells of ``margins``, ``{id: margins}``, break the relation."""
+        return int(np.sum(self.breaks(codes(margins[self.a]), codes(margins[self.b]))))
+
+
+RELATIONS: tuple[Relation, ...] = (
+    # the reduction criterion equals ppt here, marginal verdicts included
+    Relation("reduction vs ppt verdict mismatches", "reduction", "ppt", lambda a, b: a != b),
+    # each swap criterion and the spin criterion equivalent to it here: their non-marginal
+    # verdicts never conflict
+    *(Relation(f"{a} vs {b} verdict mismatches", a, b, lambda a, b: a * b < 0)
+      for a, b in (("huber_ghz_k2", "su2_set1"), ("huber_ghz_k3", "su283_set1"),
+                   ("huber_w_k2", "su2_set2"), ("huber_w_k3", "su283_set2"))),
+    # 2-3 reshuffling violations where partial transposition holds, reported only
+    Relation("2-3 reshuffling violations outside the partial-transposition violation set",
+             "perm222", "ppt", lambda a, b: (a < 0) & (b > 0), checked=False),
+)
 
 
 # ---------------------------------------------------------------------------

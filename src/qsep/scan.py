@@ -564,11 +564,6 @@ def _isolines(grid: RegionGrid, ids) -> list[np.ndarray]:
     return np.split(segments.reshape(-1, 4)[emitted], np.cumsum(per_criterion)[:-1])
 
 
-def margin_isolines(grid: RegionGrid, cid: str) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Zero-level segments of one criterion's margin field: ``_isolines`` of one criterion."""
-    return [((a, b), (c, d)) for a, b, c, d in _isolines(grid, (cid,))[0].tolist()]
-
-
 _CLASS_FILLS = {
     ("3", "2.8", "2.1", "1"): "#d7e8f7",
     ("2.8", "2.1", "1"): "#9fc6e8",
@@ -656,11 +651,3 @@ def _svg_text(grid: RegionGrid) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def export(grid: RegionGrid, fmt: str, path) -> None:
-    """Write one scan artifact, csv, json or svg, through ``export_scan``."""
-    formats = ("csv", "json", "svg")  # export_scan's order
-    if fmt not in formats:
-        raise ValueError(f"unknown export format {fmt!r}")
-    export_scan(lambda: grid, *(path if name == fmt else None for name in formats))

@@ -13,7 +13,6 @@ them with the grid.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,7 +317,7 @@ def criterion_huber(p: SimplexPoint, phi: np.ndarray, k: int) -> float:
     return float(rhs - lhs)
 
 
-_HUBER_PHIS = {"ghz": phi_ghz, "w": phi_w}
+HUBER_PHIS = {"ghz": phi_ghz, "w": phi_w}  # the detection vector of each swap criterion tag
 _SWAP_SUBSETS = ((1,), (2,), (3,), (2, 3), (1, 3), (1, 2))
 # swapping a subset or its complement gives one expectation, because rho (x) rho is
 # symmetric under exchanging the copies; the complements read their subset's form
@@ -334,7 +333,7 @@ def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
     form c^T Q c in c = (d, g, w); the Q are contractions of the explicit
     64-dimensional swap operators and are cached per detection vector.
     """
-    phi = _HUBER_PHIS[phi_tag]()
+    phi = HUBER_PHIS[phi_tag]()
     ghz = states.ghz_vector()
     wv = states.w_vector()
     basis = (
@@ -585,49 +584,3 @@ def slocc_codes(g, w, w_ghz) -> np.ndarray:
             "but the zero-tangle bound excludes GHZ type"
         )
     return np.where(ghz, 0, np.where(not_ghz, 1, 2)).astype(np.int8)
-
-
-# ---------------------------------------------------------------------------
-# random setting search
-
-
-@dataclass(frozen=True)
-class RandomSearchResult:
-    margin: float
-    samples: int
-    seed: int
-    reference_margin: float | None
-    beats_reference: bool
-
-
-def _random_triad(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    frame = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(frame)
-    q = q * np.sign(np.diag(r))[None, :]
-    axes = q.T  # rows are orthonormal
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    return tuple(sum(axes[k, i] * paulis[i] for i in range(3)) for k in range(3))
-
-
-def random_setting_search(
-    p: SimplexPoint, samples: int, seed: int, level: str = "2sep"
-) -> RandomSearchResult:
-    """Most-violating spin-observable margin over randomly sampled triads.
-
-    Deterministic under a fixed seed.  On the two published axes the best
-    sampled margin is compared with the reference setting (Setting I on w=0,
-    Setting II on g=0) and flagged if it is strictly more violating; the
-    published search never found such settings on the axes.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    best = min(criterion_su(p, tuple(_random_triad(rng) for _ in range(3)), level)
-               for _ in range(samples))
-    reference = None
-    if p.w == 0.0:
-        reference = criterion_su(p, (SETTING_I,) * 3, level)
-    elif p.g == 0.0:
-        reference = criterion_su(p, (SETTING_II,) * 3, level)
-    beats = reference is not None and best < reference - 1e-12
-    return RandomSearchResult(best, samples, seed, reference, beats)

@@ -283,9 +283,9 @@ def test_15_scan_determinism(tmp_path, monkeypatch):
     sequential = tmp_path / "sequential.csv"
     parallel = tmp_path / "parallel.csv"
     default = tmp_path / "default.csv"
-    scan.export(scan.grid_scan(80, "all", workers=1), "csv", sequential)
-    scan.export(scan.grid_scan(80, "all", workers=4), "csv", parallel)
-    scan.export(scan.grid_scan(80, "all"), "csv", default)
+    scan.export_scan(lambda: scan.grid_scan(80, "all", workers=1), csv_path=sequential)
+    scan.export_scan(lambda: scan.grid_scan(80, "all", workers=4), csv_path=parallel)
+    scan.export_scan(lambda: scan.grid_scan(80, "all"), csv_path=default)
     assert sequential.read_bytes() == parallel.read_bytes()
     assert default.read_bytes() == sequential.read_bytes()
 

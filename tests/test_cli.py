@@ -393,6 +393,22 @@ class TestVerify:
         assert code == 2
         assert err.startswith("FAILURE: concurrence closed vs numeric at (g=")
 
+    @pytest.mark.parametrize("module,name,shift,line", [
+        (tripartite, "criterion_huber", 1e-4, "huber_ghz_k2 explicit vs grid"),
+        (linalg, "jacobi_eigh", 1e-4, "eigh vs Jacobi reference"),
+        (states, "build_rho_mixture_grid", 1e-11, "rho template vs mixture"),
+    ], ids=["reference", "jacobi", "mixture"])
+    def test_tol_above_a_line_limit_does_not_loosen_it(self, capsys, monkeypatch, module, name,
+                                                       shift, line):
+        # each error is within --tol 1e-3, but past its line's fixed limit: 1e-10 for the
+        # references and Jacobi, the template tolerance for the mixture
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: real(*a) + shift)
+        code, out, err = run(capsys, "verify", "--points", "50", "--tol", "1e-3", "--seed", "7")
+        assert code == 2
+        assert f"FAIL  {line} " in out
+        assert f"FAILURE: {line}: deviation " in err
+
     def test_raised_check_fails_after_the_failed_lines(self, capsys, monkeypatch):
         # past a --tol of 1e-16, lines before the Jacobi reference fail; the reference then
         # raises, and its own text follows their failures on stderr

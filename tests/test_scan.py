@@ -202,6 +202,11 @@ def reference_isolines(grid, cid):
     return segments
 
 
+def isolines_of(grid, cid):
+    """The segments ``scan._isolines`` gives one criterion, as ((g0, w0), (g1, w1)) pairs."""
+    return [((a, b), (c, d)) for a, b, c, d in scan._isolines(grid, (cid,))[0].tolist()]
+
+
 def reference_fill_rects(grid) -> list[str]:
     """The class-fill rectangles of the SVG map, one cell at a time, runs merged along rows."""
     size, pad = 640.0, 60.0
@@ -243,7 +248,8 @@ def exports_across_workers(tmp_path, fmt, resolution):
     out = {}
     for workers in WORKER_COUNTS:
         path = tmp_path / f"workers-{workers}.{fmt}"
-        scan.export(scan.grid_scan(resolution, "all", workers=workers), fmt, path)
+        grid = scan.grid_scan(resolution, "all", workers=workers)
+        scan.export_scan(lambda: grid, **{f"{fmt}_path": path})
         out[workers] = path.read_bytes()
     return out
 
@@ -499,13 +505,13 @@ class TestExports:
     def test_empty_criteria_csv_is_header_only(self, tmp_path):
         grid = scan.grid_scan(5, "")
         out = tmp_path / "empty.csv"
-        scan.export(grid, "csv", out)
+        scan.export_scan(lambda: grid, csv_path=out)
         assert out.read_text() == "g,w,criterion_id,verdict,margin\n"
 
     def test_csv_row_count_single_criterion(self, tmp_path):
         grid = scan.grid_scan(100, "ppt")
         out = tmp_path / "r.csv"
-        scan.export(grid, "csv", out)
+        scan.export_scan(lambda: grid, csv_path=out)
         lines = out.read_text().splitlines()
         assert len(lines) == 5151 + 1
         assert lines[0] == "g,w,criterion_id,verdict,margin"
@@ -519,7 +525,7 @@ class TestExports:
     def test_json_round_trip(self, tmp_path):
         grid = scan.grid_scan(6, "ppt,gs3,witness")
         out = tmp_path / "grid.json"
-        scan.export(grid, "json", out)
+        scan.export_scan(lambda: grid, json_path=out)
         payload = scan.import_json(out)
         assert payload["schema_version"] == scan.SCHEMA_VERSION
         assert payload["reports"] == grid_report_dicts(grid)
@@ -540,31 +546,26 @@ class TestExports:
     def test_svg_contains_expected_elements(self, tmp_path):
         grid = scan.grid_scan(30, "ppt,gs3")
         out = tmp_path / "map.svg"
-        scan.export(grid, "svg", out)
+        scan.export_scan(lambda: grid, svg_path=out)
         text = out.read_text()
         assert text.startswith("<svg")
         assert "<rect" in text and "<path" in text
         assert "ppt" in text  # legend entry
 
-    def test_unknown_format_rejected(self, tmp_path):
-        grid = scan.grid_scan(5, "ppt")
-        with pytest.raises(ValueError, match="format"):
-            scan.export(grid, "pdf", tmp_path / "x.pdf")
-
 
     @pytest.mark.parametrize("resolution,selection", [(12, "all"), (25, "gs3,ppt"), (7, "")])
     def test_csv_and_json_match_loop_references(self, tmp_path, resolution, selection):
         grid = scan.grid_scan(resolution, selection)
-        scan.export(grid, "csv", tmp_path / "a.csv")
-        scan.export(grid, "json", tmp_path / "a.json")
+        scan.export_scan(lambda: grid, csv_path=tmp_path / "a.csv")
+        scan.export_scan(lambda: grid, json_path=tmp_path / "a.json")
         assert (tmp_path / "a.csv").read_text() == reference_csv(grid)
         assert (tmp_path / "a.json").read_text() == reference_json(grid)
 
     def test_csv_and_json_match_across_blocks(self, tmp_path, monkeypatch):
         grid = scan.grid_scan(12, "all")  # 91 cells
         monkeypatch.setattr(scan, "_BLOCK", 7)
-        scan.export(grid, "csv", tmp_path / "a.csv")
-        scan.export(grid, "json", tmp_path / "a.json")
+        scan.export_scan(lambda: grid, csv_path=tmp_path / "a.csv")
+        scan.export_scan(lambda: grid, json_path=tmp_path / "a.json")
         assert (tmp_path / "a.csv").read_text() == reference_csv(grid)
         assert (tmp_path / "a.json").read_text() == reference_json(grid)
 
@@ -572,8 +573,8 @@ class TestExports:
         grid = scan.grid_scan(12, "all")  # 91 cells
         monkeypatch.setattr(scan, "_BLOCK", 7)
         scan.export_scan(lambda: grid, tmp_path / "both.csv", tmp_path / "both.json")
-        scan.export(grid, "csv", tmp_path / "alone.csv")
-        scan.export(grid, "json", tmp_path / "alone.json")
+        scan.export_scan(lambda: grid, csv_path=tmp_path / "alone.csv")
+        scan.export_scan(lambda: grid, json_path=tmp_path / "alone.json")
         assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
         assert (tmp_path / "both.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
@@ -612,9 +613,9 @@ class TestExports:
         grid = scan.grid_scan(6, "ppt")
         (tmp_path / "target.csv").write_text("earlier")
         (tmp_path / "link.csv").symlink_to(tmp_path / "target.csv")
-        scan.export(grid, "csv", tmp_path / "link.csv")
-        scan.export(grid, "csv", tmp_path / "plain.csv")
-        scan.export(grid, "svg", tmp_path / "map.svg")
+        scan.export_scan(lambda: grid, csv_path=tmp_path / "link.csv")
+        scan.export_scan(lambda: grid, csv_path=tmp_path / "plain.csv")
+        scan.export_scan(lambda: grid, svg_path=tmp_path / "map.svg")
         assert (tmp_path / "link.csv").is_symlink()
         assert (tmp_path / "target.csv").read_text() == reference_csv(grid)
         assert (tmp_path / "plain.csv").read_text() == reference_csv(grid)
@@ -629,7 +630,7 @@ class TestExports:
         victim.write_text("not an export\n")
         target = tmp_path / "a.csv"
         (tmp_path / f"a.csv.{os.getpid()}.tmp").symlink_to(victim)
-        scan.export(grid, "csv", target)
+        scan.export_scan(lambda: grid, csv_path=target)
         assert victim.read_text() == "not an export\n"
         assert target.read_text() == reference_csv(grid)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", f"a.csv.{os.getpid()}.tmp", "victim"]
@@ -638,7 +639,7 @@ class TestExports:
         grid = scan.grid_scan(4, "ppt")
         old = os.umask(0o027)
         try:
-            scan.export(grid, "csv", tmp_path / "a.csv")
+            scan.export_scan(lambda: grid, csv_path=tmp_path / "a.csv")
         finally:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == 0o640
@@ -651,7 +652,7 @@ class TestExports:
         for name in (f"a.csv.{os.getpid()}.tmp", f"a.csv.{os.getpid()}.00000000.tmp"):
             (tmp_path / name).write_text("leftover")
         with pytest.raises(FileExistsError) as info:
-            scan.export(grid, "csv", target)
+            scan.export_scan(lambda: grid, csv_path=target)
         assert info.value.filename == target
         assert target.read_text() == "earlier"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -739,8 +740,8 @@ class TestExports:
         grid = scan.grid_scan(6, "ppt,gs3,w_w1")
         for k, value in enumerate((math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22)):
             grid.margins["gs3"][k] = value
-        scan.export(grid, "csv", tmp_path / "a.csv")
-        scan.export(grid, "json", tmp_path / "a.json")
+        scan.export_scan(lambda: grid, csv_path=tmp_path / "a.csv")
+        scan.export_scan(lambda: grid, json_path=tmp_path / "a.json")
         assert (tmp_path / "a.csv").read_text() == reference_csv(grid)
         text = (tmp_path / "a.json").read_text()
         assert text == reference_json(grid)
@@ -750,12 +751,12 @@ class TestExports:
 
     def test_empty_criteria_json_and_svg(self, tmp_path):
         grid = scan.grid_scan(5, "")
-        scan.export(grid, "json", tmp_path / "e.json")
+        scan.export_scan(lambda: grid, json_path=tmp_path / "e.json")
         assert (tmp_path / "e.json").read_text() == reference_json(grid)
         payload = scan.import_json(tmp_path / "e.json")
         assert payload["criteria"] == [] and len(payload["reports"]) == 21
         assert all(report["criteria"] == {} for report in payload["reports"])
-        scan.export(grid, "svg", tmp_path / "e.svg")
+        scan.export_scan(lambda: grid, svg_path=tmp_path / "e.svg")
         text = (tmp_path / "e.svg").read_text()
         assert text.count("<path") == 1  # the simplex outline, no isolines
         assert "<rect" in text
@@ -763,7 +764,7 @@ class TestExports:
     @pytest.mark.parametrize("resolution,selection", [(12, "all"), (25, "gs3,ppt"), (7, "")])
     def test_svg_fills_match_loop_reference(self, tmp_path, resolution, selection):
         grid = scan.grid_scan(resolution, selection)
-        scan.export(grid, "svg", tmp_path / "m.svg")
+        scan.export_scan(lambda: grid, svg_path=tmp_path / "m.svg")
         rects = [line for line in (tmp_path / "m.svg").read_text().splitlines()
                  if line.startswith("<rect") and 'fill="white"' not in line]
         assert rects == reference_fill_rects(grid)
@@ -771,7 +772,7 @@ class TestExports:
     def test_svg_isoline_paths_match_per_segment_reference(self, tmp_path):
         # each criterion's path, built the way the map was once drawn: one f-string per segment
         grid = scan.grid_scan(40, "all")
-        scan.export(grid, "svg", tmp_path / "m.svg")
+        scan.export_scan(lambda: grid, svg_path=tmp_path / "m.svg")
         size, pad = 640.0, 60.0
         scale = size - 2 * pad
         expected = [
@@ -792,7 +793,7 @@ class TestExports:
         grid = scan.grid_scan(200, "all")
         tracemalloc.start()
         try:
-            scan.export(grid, "svg", tmp_path / "m.svg")
+            scan.export_scan(lambda: grid, svg_path=tmp_path / "m.svg")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -807,7 +808,7 @@ class TestExports:
 class TestMarchingSquares:
     def test_ppt_isoline_crosses_g_axis_near_one_fifth(self):
         grid = scan.grid_scan(200, "ppt")
-        segments = scan.margin_isolines(grid, "ppt")
+        segments = isolines_of(grid, "ppt")
         assert segments
         near_axis = [
             seg for seg in segments
@@ -820,7 +821,7 @@ class TestMarchingSquares:
     def test_no_isolines_for_constant_sign_field(self):
         grid = scan.grid_scan(20, "w_w1")
         # restrict to a region where the witness stays positive: rescan small corner
-        segments = scan.margin_isolines(grid, "w_w1")
+        segments = isolines_of(grid, "w_w1")
         for (a, b) in segments:
             # every segment must sit on the actual zero line 13 + 3g - 21w = 0
             for gg, ww in (a, b):
@@ -835,7 +836,7 @@ class TestMarchingSquares:
         for cid, segments in zip(grid.criteria, together):
             reference = reference_isolines(grid, cid)
             assert segments.tolist() == [[*a, *b] for a, b in reference], cid
-            alone = scan.margin_isolines(grid, cid)
+            alone = isolines_of(grid, cid)
             assert alone == reference, cid
             assert all(type(x) is float for seg in alone for pt in seg for x in pt), cid
         assert scan._isolines(grid, ()) == []
@@ -867,7 +868,7 @@ class TestMarchingSquares:
         for name, segments in zip(fields, together):
             reference = reference_isolines(grid, name)
             assert segments.tolist() == [[*a, *b] for a, b in reference], name
-            assert scan.margin_isolines(grid, name) == reference, name
+            assert isolines_of(grid, name) == reference, name
             if signs[name] is not None:
                 assert reference == []
 
@@ -878,7 +879,7 @@ class TestMarchingSquares:
             field = np.full((3, 3), np.nan)
             field[0, 0], field[1, 0], field[1, 1], field[0, 1] = corner_values
             grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
-            segments = scan.margin_isolines(grid, "f")
+            segments = isolines_of(grid, "f")
             assert segments == reference_isolines(grid, "f"), corner_values
             # the first segment starts on the bottom edge; a positive centre (like corner 0)
             # joins it to the left edge, a negative one to the right edge
@@ -892,7 +893,7 @@ class TestMarchingSquares:
             field = np.full((3, 3), np.nan)
             field[0, 0], field[1, 0], field[1, 1], field[0, 1] = c0, c1, c2, c3
             grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
-            segments = scan.margin_isolines(grid, "f")
+            segments = isolines_of(grid, "f")
             assert segments == reference_isolines(grid, "f")
             return segments
 
@@ -912,7 +913,7 @@ class TestMarchingSquares:
         sign_changes = 0
         for cid in grid.criteria:
             edge = np.array([grid.margins[cid][flat_index(grid, i, n - i)] for i in range(n + 1)])
-            ends = [pt for seg in scan.margin_isolines(grid, cid) for pt in seg
+            ends = [pt for seg in isolines_of(grid, cid) for pt in seg
                     if abs(pt[0] + pt[1] - 1.0) < 1e-12]
             for i in np.nonzero(np.sign(edge[:-1]) * np.sign(edge[1:]) < 0)[0]:
                 sign_changes += 1
@@ -926,7 +927,7 @@ class TestMarchingSquares:
         field = np.full((3, 3), np.nan)
         field[0, 0], field[1, 0], field[2, 0], field[1, 1] = 1.0, c0, c1, c3
         grid = field_grid([field[i, j] for i in range(3) for j in range(3 - i)], 2)
-        segments = scan.margin_isolines(grid, "f")
+        segments = isolines_of(grid, "f")
         assert segments == reference_isolines(grid, "f")
         return segments
 
@@ -952,5 +953,5 @@ class TestMarchingSquares:
         # ppt vanishes exactly at (1/5, 0), a lattice point at resolution 40
         grid = scan.grid_scan(40, "ppt")
         assert grid.margins["ppt"][flat_index(grid, 8, 0)] == 0.0
-        segments = scan.margin_isolines(grid, "ppt")
+        segments = isolines_of(grid, "ppt")
         assert any((0.2, 0.0) in (a, b) and a != b for a, b in segments)

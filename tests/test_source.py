@@ -13,6 +13,8 @@ member (``module.Class.member``) counts as referenced when any line of
 import ast
 import pathlib
 
+from qsep import cli, criteria
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qsep"
 
 # module.name or module.Class.member -> why it stays without a caller in src/
@@ -21,11 +23,8 @@ ALLOWED_WITHOUT_CALLER = {
     "cli._Parser.error": "override: argparse calls it, so a usage error exits 1, not 2",
     "concurrence.wootters_concurrence": "public API: the concurrence of any two-qubit state (README, tests)",
     "scan.boundary_bisect": "public API: boundary constants along a ray (README, acceptance)",
-    "scan.export": "public API: one export chosen by format name (README, tests)",
     "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
-    "scan.margin_isolines": "public API: the isolines of one criterion, as float pairs (tests)",
     "scan.RegionGrid.pptes_points": "public API: the PPTES cells of a scan (README)",
-    "tripartite.random_setting_search": "public API: the search over random spin settings (tests)",
 }
 
 
@@ -176,6 +175,24 @@ def test_sign_rule_is_defined_once():
         and sum(map(_is_sign_call, [node.left, *node.comparators])) >= 2
     }
     assert comparisons == {("verdict", "sign_gap")}
+
+
+def test_cli_names_no_criterion():
+    # verify reads its references and verdict relations from the registry, so no id is
+    # spelled out in the front end
+    named = {
+        node.value
+        for node in ast.walk(_modules()["cli"])
+        if isinstance(node, ast.Constant) and node.value in criteria.IDS
+    }
+    assert named == set()
+
+
+def test_verify_prints_one_reference_line_per_declared_reference(capsys):
+    assert cli.main(["verify", "--points", "20", "--seed", "3"]) == 0
+    lines = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+             if " explicit vs grid " in line]
+    assert lines == [c.id for c in criteria.REGISTRY if c.reference]
 
 
 def test_lapack_spectra_are_called_only_in_linalg():

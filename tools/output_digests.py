@@ -8,11 +8,13 @@ qsep is imported from CHECKOUT/src (default: the checkout that holds this
 script), so the script can digest an older checkout that lacks it.  It
 prints one ``<sha256>  <name>`` line per artifact:
 
-- the CSV, JSON and SVG exports of ``qsep scan`` at resolutions 20, 40, 55,
-  80, 115, 200 and 400 with ``--criteria all``, at 25 with ``gs3,ppt``, and
-  at 40 with each group of spectral criteria alone (``SPECTRAL_GROUPS``),
-  which diagonalize only the matrix families they read;
-- the stdout of ``qsep eval --json`` at eight simplex points;
+- the CSV, JSON and SVG exports and the stdout of ``qsep scan`` at
+  resolutions 20, 40, 55, 80, 115, 200 and 400 with ``--criteria all``, at
+  25 with ``gs3,ppt``, and at 40 with each group of spectral criteria alone
+  (``SPECTRAL_GROUPS``), which diagonalize only the matrix families they
+  read; the stdout names the exports' directory as ``<out>``;
+- the stdout of ``qsep eval``, as text and with ``--json``, at eight simplex
+  points, and of ``qsep eval --schema``;
 - the stdout of ``qsep verify`` at ``--points 1000 --seed 7``, and at the edge
   sizes of its worst-cell rule: one point (``--points 1 --seed 1``), and a
   subsample that holds every point (``--points 20 --seed 3``);
@@ -70,18 +72,24 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="qsep-digests-") as tmp:
         paths = {kind: str(pathlib.Path(tmp) / f"scan.{kind}") for kind in ("csv", "json", "svg")}
         for resolution, selection in SCANS:
-            code, _ = _run(cli, ("scan", "--resolution", str(resolution), "--criteria", selection,
-                                 "--out", paths["csv"], "--json-out", paths["json"],
-                                 "--svg", paths["svg"]))
+            code, out = _run(cli, ("scan", "--resolution", str(resolution), "--criteria", selection,
+                                   "--out", paths["csv"], "--json-out", paths["json"],
+                                   "--svg", paths["svg"]))
             for kind, path in paths.items():
                 found = _file_digest(path) if os.path.exists(path) else "missing"
                 print(f"{found}  scan {resolution} {selection} {kind} (exit {code})", flush=True)
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(path)
+            out = out.replace(tmp.encode(), b"<out>")
+            print(f"{hashlib.sha256(out).hexdigest()}  scan {resolution} {selection} stdout "
+                  f"(exit {code})", flush=True)
     for g, w in POINTS:
         code, out = _run(cli, ("eval", "--g", repr(g), "--w", repr(w), "--json"))
         print(f"{hashlib.sha256(out).hexdigest()}  eval {g!r} {w!r} (exit {code})", flush=True)
-    for argv in ([("verify", "--points", points, "--seed", seed) for points, seed in VERIFIES]
+        code, out = _run(cli, ("eval", "--g", repr(g), "--w", repr(w)))
+        print(f"{hashlib.sha256(out).hexdigest()}  eval {g!r} {w!r} text (exit {code})", flush=True)
+    for argv in ([("eval", "--schema")]
+                 + [("verify", "--points", points, "--seed", seed) for points, seed in VERIFIES]
                  + [("examples", "--which", *example) for example in EXAMPLES]):
         code, out = _run(cli, argv)
         print(f"{hashlib.sha256(out).hexdigest()}  {' '.join(argv)} (exit {code})", flush=True)
