@@ -1,7 +1,6 @@
 """Command-line front end: eval, scan, verify and examples subcommands.
 
 Exit codes: 0 ok, 1 usage error, 2 consistency failure, 3 I/O failure.
-The QSEP_TOL environment variable overrides the global PSD tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import sys
 import numpy as np
 
 from . import classify, criteria, linalg, scan, states, verdict
-from .config import MARGINAL_BAND, psd_tol
+from .config import MARGINAL_BAND
 from .exceptions import ConsistencyError, ConvergenceError
 from .states import SimplexPoint
 from .verdict import HOLDS, MARGINAL, VIOLATED
@@ -258,20 +257,15 @@ def cmd_verify(args) -> int:
         # its sorted spectra from it, and its registry pass runs on it
         batch = criteria.Batch(g, w)
         families = {layout: layout.family(batch.source(layout)) for layout in states.FAMILIES}
-        # the sum-built templates against the generic maps of the independent mixture,
-        # first: the registry reads them, so a broken one fails on its own line
+        # each sum-built template against the generic map of the independent mixture that
+        # its layout declares, first: the registry reads them, so a broken one fails on its
+        # own line
         mixture = states.build_rho_mixture_grid(g, w)
-        rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
-        generic = {
-            states.MARGINAL_23_BLOCKS: rho23,
-            states.MARGINAL_1_BLOCKS: rho1,
-            states.REDUCTION_I123_BLOCKS: np.kron(np.eye(2)[None], rho23) - mixture,
-            states.REDUCTION_1I23_BLOCKS: np.kron(rho1, np.eye(4)[None]) - mixture,
-        }
-        for layout, reference in generic.items():
-            value, n = verdict.worst(np.abs(families[layout] - reference))
-            _record(lines, f"{layout.name} template vs generic map",
-                    (value, g[n], w[n], min(tol, states.TEMPLATE_TOL)))
+        for layout in states.FAMILIES:
+            if layout.mixture_map is not None:
+                value, n = verdict.worst(np.abs(families[layout] - layout.mixture_map(mixture)))
+                _record(lines, f"{layout.name} template vs generic map",
+                        (value, g[n], w[n], min(tol, states.TEMPLATE_TOL)))
 
         # every registry check; evaluate has raised if one is past its own fixed tolerance
         margins = batch.evaluate(criteria.IDS)
@@ -395,7 +389,6 @@ def main(argv=None) -> int:
         "examples": cmd_examples,
     }
     try:
-        psd_tol()  # validates QSEP_TOL before any work
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"qsep: error: {exc}", file=sys.stderr)

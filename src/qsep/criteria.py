@@ -1,15 +1,16 @@
 """The criterion registry: every criterion the toolkit evaluates, defined once.
 
 Each ``Criterion`` record names its id, its selection group, the classes a
-violation excludes, the kind of margin it reports and, if it has one, its
-independent reference; ``IDS`` is the scan order.  A ``Batch`` holds the
-weights of one batch of cells and every quantity its criteria share, and
-``Batch.evaluate`` computes any subset of criteria on it through one
-vectorized evaluator per criterion family, so a grid chunk and a batch of one
-point take the same path (``margins``, ``scan.point_margin``).  A matrix
+violation excludes, the kind of margin it reports, its evaluator and, if it
+has one, its independent reference; ``IDS`` is the scan order.  A ``Batch``
+holds the weights of one batch of cells and every quantity its criteria
+share, and ``Batch.evaluate`` computes any subset of criteria on it, calling
+each vectorized evaluator its rows name once, so a grid chunk and a batch of
+one point take the same path (``margins``, ``scan.point_margin``).  A matrix
 family is diagonalized by one ``linalg.block_spectra`` call, on the source
 that ``Batch.source`` builds, when an evaluator first reads it:
-``Batch.spectrum`` sorts, checks and keeps it, and only ``perm222`` reads a
+``Batch.spectrum`` sorts it, checks it against the closed form its layout
+names (``BlockLayout.closed``) and keeps it, and only ``perm222`` reads a
 family in layout order (``Batch.values``).  So a batch computes each family
 at most once, and only the families its selection reads.  Every family but
 ``perm222`` runs its second path on the same batch through the two recording
@@ -18,14 +19,25 @@ only cross-checks on the grid path.  ``Batch.concurrence``, which no criterion
 reads, gives ``qsep eval`` and ``qsep verify`` the concurrence of rho^23
 through the same checks.
 
-``qsep verify`` reads the rest of its checks from here.  A ``reference``
-shares no code with the evaluator: the spin and swap criteria evaluate
-``tripartite.criterion_su`` and ``criterion_huber``, which build explicit
-observables and swap operators, at the points of a deterministic subsample,
-and the matrix-element criteria read the separately built mixture on every
-cell.  ``verify`` compares each with the margins of the same ``Batch`` its
-registry pass runs on.  ``RELATIONS`` are the relations between verdicts it
-counts.
+``qsep verify`` reads the rest of its checks from here.  Each ``reference``
+is compared with the margins of the same ``Batch`` its registry pass runs on.
+The matrix-element criteria read the separately built mixture on every cell,
+and share no code with their evaluators.  The spin and swap criteria
+evaluate ``tripartite.criterion_su`` and ``criterion_huber``, which trace
+explicit observables and swap operators against rho at the points of a
+deterministic subsample, where the grid path reads cached coefficients.
+They share the code that builds those coefficients, and a check of the grid
+path covers it:
+
+- ``criterion_su`` and the grid's ``_spin_coefficients`` and
+  ``su_margins_grid`` both run ``build_spin_observables`` and
+  ``su_margins_from_expectations``; the sign check of each ``su*`` margin
+  against its published polynomial (``su_closed_margin``) covers them;
+- ``criterion_huber`` and ``_huber_coefficients`` both read
+  ``swap_operator`` and ``HUBER_PHIS``; the check of the swap forms against
+  products of entries of rho (``huber_element_forms``) covers them.
+
+``RELATIONS`` are the relations between verdicts ``verify`` counts.
 """
 
 from __future__ import annotations
@@ -59,13 +71,16 @@ REFERENCE_TOL = 1e-10  # each independent reference, and the Jacobi eigensolver,
 
 @dataclass(frozen=True)
 class Criterion:
-    """One criterion: id, selection group, classes a violation excludes, margin kind, and
-    its independent reference, ``(g, w, mixture) -> (cells it read, its margins there)``."""
+    """One criterion: id, selection group, classes a violation excludes, margin kind, its
+    evaluator, ``(batch, wanted ids of its rows) -> {id: margins}``, shared by every row
+    of its group, and its independent reference, ``(g, w, mixture) -> (cells it read, its
+    margins there)``."""
 
     id: str
     group: str
     excludes: tuple[str, ...]
     kind: str
+    evaluator: Callable
     reference: Callable | None = None
 
 
@@ -94,94 +109,14 @@ SPIN = {
     for idx in range(3)
 }
 SWAP = {f"huber_{tag}_k{k}": (tag, k) for tag in ("ghz", "w") for k in (2, 3)}
-# the classes a violation excludes, by spin level and by swap k
-_SPIN_EXCLUDES = {"2sep": BISEP, "28cap3": INTERSECTION, "3sep": FULLSEP}
-_SWAP_EXCLUDES = {2: BISEP, 3: FULLSEP}
-
-REGISTRY: tuple[Criterion, ...] = (
-    Criterion("maj_rho1", "maj", INTERSECTION, "min partial-sum slack"),
-    Criterion("maj_rho23", "maj", INTERSECTION, "min partial-sum slack"),
-    *(
-        Criterion(_entropy_id(marginal, alpha), "entropy", INTERSECTION, "entropy difference")
-        for alpha in bipartite.ALPHA_GRID
-        for marginal in ("rho1", "rho23")
-    ),
-    Criterion("ppt", "ppt", INTERSECTION, "min eigenvalue of rho^T1"),
-    Criterion("reduction", "reduction", INTERSECTION, "min eigenvalue of reduction maps"),
-    Criterion("resh24", "resh24", INTERSECTION, "1 - trace norm"),
-    Criterion("perm222", "perm222", FULLSEP, "1 - trace norm"),
-    # explicit per-point paths, each function looked up in tripartite at every call
-    *(
-        Criterion(cid, f"su{tripartite.LEVEL_TAG[level]}", _SPIN_EXCLUDES[level], SPIN_KIND,
-                  _at_points(lambda *a: tripartite.criterion_su(*a),
-                             (tripartite.PUBLISHED_SETTINGS[idx],) * 3, level))
-        for cid, (idx, level) in SPIN.items()
-    ),
-    *(
-        Criterion(cid, "huber", _SWAP_EXCLUDES[k], SWAP_KIND,
-                  _at_points(lambda *a: tripartite.criterion_huber(*a), tripartite.HUBER_PHIS[tag](), k))
-        for cid, (tag, k) in SWAP.items()
-    ),
-    Criterion("gs2_ghz", "gs2", BISEP, ELEMENT_KIND,
-              _on_mixture(lambda m: tripartite.gs2_element_margins(m)[0])),
-    Criterion("gs2_w", "gs2", BISEP, ELEMENT_KIND,
-              _on_mixture(lambda m: tripartite.gs2_element_margins(m)[1])),
-    Criterion("gs3", "gs3", FULLSEP, ELEMENT_KIND,
-              _on_mixture(lambda m: np.min(list(tripartite.gs3_element_margins(m).values()), axis=0))),
-    Criterion("w_ghz", "witness", NOTHING, "witness expectation"),
-    Criterion("w_w1", "witness", BISEP, "witness expectation"),
-    Criterion("w_w2", "witness", BISEP, "witness expectation"),
-)
-
-IDS: tuple[str, ...] = tuple(c.id for c in REGISTRY)
-BY_ID: dict[str, Criterion] = {c.id: c for c in REGISTRY}
-GROUPS: dict[str, tuple[str, ...]] = {
-    group: tuple(c.id for c in REGISTRY if c.group == group)
-    for group in dict.fromkeys(c.group for c in REGISTRY)
-}
-
-
-class Relation(NamedTuple):
-    """A relation between the verdicts of criteria ``a`` and ``b`` that ``qsep verify``
-    counts; ``breaks(codes_a, codes_b)`` marks the cells that break it.  A checked
-    relation fails on any such cell; the count of an unchecked one is a note."""
-
-    text: str
-    a: str
-    b: str
-    breaks: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    checked: bool = True
-
-    def count_breaks(self, margins: dict[str, np.ndarray]) -> int:
-        """How many cells of ``margins``, ``{id: margins}``, break the relation."""
-        return int(np.sum(self.breaks(codes(margins[self.a]), codes(margins[self.b]))))
-
-
-RELATIONS: tuple[Relation, ...] = (
-    # the reduction criterion equals ppt here, marginal verdicts included
-    Relation("reduction vs ppt verdict mismatches", "reduction", "ppt", lambda a, b: a != b),
-    # each swap criterion and the spin criterion equivalent to it here: their non-marginal
-    # verdicts never conflict
-    *(Relation(f"{a} vs {b} verdict mismatches", a, b, lambda a, b: a * b < 0)
-      for a, b in (("huber_ghz_k2", "su2_set1"), ("huber_ghz_k3", "su283_set1"),
-                   ("huber_w_k2", "su2_set2"), ("huber_w_k3", "su283_set2"))),
-    # 2-3 reshuffling violations where partial transposition holds, reported only
-    Relation("2-3 reshuffling violations outside the partial-transposition violation set",
-             "perm222", "ppt", lambda a, b: (a < 0) & (b > 0), checked=False),
-)
-
-
-# ---------------------------------------------------------------------------
-# evaluators: each takes a batch and the wanted ids of its family, returns {id: margins}
 
 
 class Batch:
     """Weights of one batch, and the quantities several evaluators share, each computed
-    on its first read."""
+    on its first read.  The weights must pass ``states.simplex_weights`` (ValueError)."""
 
     def __init__(self, g, w):
-        self.g = np.asarray(g, dtype=float)
-        self.w = np.asarray(w, dtype=float)
+        self.g, self.w = states.simplex_weights(g, w)
         self.deviations: dict[str, tuple[float, float, float]] = {}
         self._spectra: dict[linalg.BlockLayout, np.ndarray] = {}
 
@@ -220,9 +155,9 @@ class Batch:
         against its closed form, if it has one, on the first read."""
         if layout not in self._spectra:
             values = np.sort(self.values(layout), axis=-1)[:, ::-1]
-            if states.FAMILIES[layout] is not None:
-                self.check_close(values, self.closed[states.FAMILIES[layout]],
-                                 f"Spect({layout.name})", SPECTRUM_TOL)
+            if layout.closed is not None:
+                self.check_close(values, self.closed[layout.closed], f"Spect({layout.name})",
+                                 SPECTRUM_TOL)
             self._spectra[layout] = values
         return self._spectra[layout]
 
@@ -248,7 +183,8 @@ class Batch:
     def evaluate(self, ids) -> dict[str, np.ndarray]:
         """Margins of the criteria ``ids`` on every cell of the batch, cross-checked.
 
-        Every closed-form check that runs is recorded in ``deviations`` as
+        Each evaluator the rows of ``ids`` name runs once, in the order of
+        its first row in ``IDS``.  Every closed-form check that runs is recorded in ``deviations`` as
         ``(worst deviation, g, w)`` of its worst cell, whether it passed or
         not.  Raises ValueError for an unknown id and ConsistencyError, naming
         the check and the failing (g, w), when a numeric path and its closed
@@ -260,11 +196,15 @@ class Batch:
         wanted: dict = {}
         for cid in IDS:
             if cid in ids:
-                wanted.setdefault(_EVALUATORS[BY_ID[cid].group], []).append(cid)
+                wanted.setdefault(BY_ID[cid].evaluator, []).append(cid)
         out: dict[str, np.ndarray] = {}
         for evaluator, family in wanted.items():
             out.update(evaluator(self, family))
         return {cid: np.asarray(out[cid], dtype=float) for cid in ids}
+
+
+# ---------------------------------------------------------------------------
+# evaluators: each takes a batch and the wanted ids of its rows, returns {id: margins}
 
 
 _DENSITIES = (states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS)
@@ -370,22 +310,86 @@ def _witness(b: Batch, ids) -> dict[str, np.ndarray]:
     return closed
 
 
-# each group's evaluator
-_EVALUATORS = {
-    "maj": _majorization,
-    "entropy": _entropy,
-    "ppt": _partial_transpose,
-    "reduction": _partial_transpose,
-    "resh24": _reshuffle24,
-    "perm222": _perm222,
-    "su2": _spin,
-    "su283": _spin,
-    "su3": _spin,
-    "huber": _swap,
-    "gs2": _gs2,
-    "gs3": _gs3,
-    "witness": _witness,
+# ---------------------------------------------------------------------------
+# the registry, in scan order
+
+# the classes a violation excludes, by spin level and by swap k
+_SPIN_EXCLUDES = {"2sep": BISEP, "28cap3": INTERSECTION, "3sep": FULLSEP}
+_SWAP_EXCLUDES = {2: BISEP, 3: FULLSEP}
+
+REGISTRY: tuple[Criterion, ...] = (
+    Criterion("maj_rho1", "maj", INTERSECTION, "min partial-sum slack", _majorization),
+    Criterion("maj_rho23", "maj", INTERSECTION, "min partial-sum slack", _majorization),
+    *(
+        Criterion(_entropy_id(marginal, alpha), "entropy", INTERSECTION, "entropy difference",
+                  _entropy)
+        for alpha in bipartite.ALPHA_GRID
+        for marginal in ("rho1", "rho23")
+    ),
+    Criterion("ppt", "ppt", INTERSECTION, "min eigenvalue of rho^T1", _partial_transpose),
+    Criterion("reduction", "reduction", INTERSECTION, "min eigenvalue of reduction maps",
+              _partial_transpose),
+    Criterion("resh24", "resh24", INTERSECTION, "1 - trace norm", _reshuffle24),
+    Criterion("perm222", "perm222", FULLSEP, "1 - trace norm", _perm222),
+    # explicit per-point paths, each function looked up in tripartite at every call
+    *(
+        Criterion(cid, f"su{tripartite.LEVEL_TAG[level]}", _SPIN_EXCLUDES[level], SPIN_KIND, _spin,
+                  _at_points(lambda *a: tripartite.criterion_su(*a),
+                             (tripartite.PUBLISHED_SETTINGS[idx],) * 3, level))
+        for cid, (idx, level) in SPIN.items()
+    ),
+    *(
+        Criterion(cid, "huber", _SWAP_EXCLUDES[k], SWAP_KIND, _swap,
+                  _at_points(lambda *a: tripartite.criterion_huber(*a), tripartite.HUBER_PHIS[tag](), k))
+        for cid, (tag, k) in SWAP.items()
+    ),
+    Criterion("gs2_ghz", "gs2", BISEP, ELEMENT_KIND, _gs2,
+              _on_mixture(lambda m: tripartite.gs2_element_margins(m)[0])),
+    Criterion("gs2_w", "gs2", BISEP, ELEMENT_KIND, _gs2,
+              _on_mixture(lambda m: tripartite.gs2_element_margins(m)[1])),
+    Criterion("gs3", "gs3", FULLSEP, ELEMENT_KIND, _gs3,
+              _on_mixture(lambda m: np.min(list(tripartite.gs3_element_margins(m).values()), axis=0))),
+    Criterion("w_ghz", "witness", NOTHING, "witness expectation", _witness),
+    Criterion("w_w1", "witness", BISEP, "witness expectation", _witness),
+    Criterion("w_w2", "witness", BISEP, "witness expectation", _witness),
+)
+
+IDS: tuple[str, ...] = tuple(c.id for c in REGISTRY)
+BY_ID: dict[str, Criterion] = {c.id: c for c in REGISTRY}
+GROUPS: dict[str, tuple[str, ...]] = {
+    group: tuple(c.id for c in REGISTRY if c.group == group)
+    for group in dict.fromkeys(c.group for c in REGISTRY)
 }
+
+
+class Relation(NamedTuple):
+    """A relation between the verdicts of criteria ``a`` and ``b`` that ``qsep verify``
+    counts; ``breaks(codes_a, codes_b)`` marks the cells that break it.  A checked
+    relation fails on any such cell; the count of an unchecked one is a note."""
+
+    text: str
+    a: str
+    b: str
+    breaks: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    checked: bool = True
+
+    def count_breaks(self, margins: dict[str, np.ndarray]) -> int:
+        """How many cells of ``margins``, ``{id: margins}``, break the relation."""
+        return int(np.sum(self.breaks(codes(margins[self.a]), codes(margins[self.b]))))
+
+
+RELATIONS: tuple[Relation, ...] = (
+    # the reduction criterion equals ppt here, marginal verdicts included
+    Relation("reduction vs ppt verdict mismatches", "reduction", "ppt", lambda a, b: a != b),
+    # each swap criterion and the spin criterion equivalent to it here: their non-marginal
+    # verdicts never conflict
+    *(Relation(f"{a} vs {b} verdict mismatches", a, b, lambda a, b: a * b < 0)
+      for a, b in (("huber_ghz_k2", "su2_set1"), ("huber_ghz_k3", "su283_set1"),
+                   ("huber_w_k2", "su2_set2"), ("huber_w_k3", "su283_set2"))),
+    # 2-3 reshuffling violations where partial transposition holds, reported only
+    Relation("2-3 reshuffling violations outside the partial-transposition violation set",
+             "perm222", "ppt", lambda a, b: (a < 0) & (b > 0), checked=False),
+)
 
 
 def margins(g, w, ids) -> dict[str, np.ndarray]:

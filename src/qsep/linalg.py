@@ -40,12 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (
-    HERMITICITY_TOL,
-    JACOBI_MAX_SWEEPS,
-    JACOBI_OFF_TOL,
-    psd_tol,
-)
+from .config import HERMITICITY_TOL, JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, PSD_TOL
 from .exceptions import ConsistencyError, ConvergenceError
 from .verdict import cell_name
 
@@ -175,14 +170,14 @@ def _jacobi_sweep(a: np.ndarray) -> None:
             a[:, q, :] = spc[:, None] * rowp + c[:, None] * rowq
 
 
-def jacobi_eigh(a, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
+def jacobi_eigh(a) -> np.ndarray:
     """Cyclic Jacobi eigenvalues of Hermitian matrices, sorted non-increasing:
     the reference solver.
 
     ``a`` is one (n, n) matrix or a (batch, n, n) batch, assumed Hermitian.
     Each matrix is swept until its own off-diagonal Frobenius norm is below
     ``JACOBI_OFF_TOL`` and then frozen; a matrix still above it after
-    ``max_sweeps`` sweeps raises ConvergenceError.
+    ``JACOBI_MAX_SWEEPS`` sweeps raises ConvergenceError.
     """
     a, single = _as_batch(a)
     batch, n, m = a.shape
@@ -196,7 +191,7 @@ def jacobi_eigh(a, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(a[idx][:, offmask]) ** 2, axis=1))
 
     live = np.arange(batch)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # NaN norms stay live and end in ConvergenceError
         live = live[~(off_norms(live) < JACOBI_OFF_TOL)]
         if live.size == 0:
@@ -208,7 +203,7 @@ def jacobi_eigh(a, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
         off = off_norms(live)
         if np.any(~(off < JACOBI_OFF_TOL)):
             raise ConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps; "
+                f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps; "
                 f"worst off-diagonal norm {float(np.max(off)):.3e}"
             )
     vals = a[:, np.arange(n), np.arange(n)].real
@@ -332,7 +327,11 @@ class BlockLayout:
     source is the family itself; with it, the family is ``source_map`` of its
     source (``family``), a map that only moves entries (a partial transpose,
     a reshuffle), so ``block_spectra`` gathers the family from the source
-    through the derived ``index``.
+    through the derived ``index``.  ``closed`` names the closed-form spectra
+    its sorted spectra are checked against (None: it has none), and a family
+    built from its own template declares ``mixture_map``, which builds the
+    family from an independently built mixture, the second construction the
+    template is checked against.
 
     ``singular`` selects what ``block_spectra`` returns: eigenvalues of
     Hermitian blocks (rows == columns; the lower triangle is read) or
@@ -365,6 +364,8 @@ class BlockLayout:
     template: Callable | None = field(default=None, compare=False, repr=False)
     source_shape: tuple[int, int] | None = None  # None: the family's own shape
     source_map: Callable | None = field(default=None, compare=False, repr=False)
+    closed: str | None = None
+    mixture_map: Callable | None = field(default=None, compare=False, repr=False)
     # derived from the fields above: the source entry of each flat family entry; values per
     # matrix; the family's off-block mask, and the source entries it must hold 0.0 in; the
     # a, b, c entries of the 2x2 problems, split blocks first, and their low and high slots;
@@ -552,14 +553,13 @@ def trace_norm(a) -> float | np.ndarray:
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian PSD square root B with B @ B == A to 1e-9 elementwise.
 
-    Eigenvalues below -psd_tol() are rejected; small negatives are clamped to zero.
+    Eigenvalues below -PSD_TOL are rejected; small negatives are clamped to zero.
     """
-    tol = psd_tol()
     require_hermitian(a)
     vals, vecs = eigh(a, vectors=True)
     worst = float(np.min(vals))
-    if worst < -tol:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {worst:.3e} < -{tol:.1e}")
+    if worst < -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {worst:.3e} < -{PSD_TOL:.1e}")
     root = np.sqrt(np.clip(vals, 0.0, None))
     out = (vecs * root[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
     return out.astype(np.complex128, copy=False)

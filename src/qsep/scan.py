@@ -36,8 +36,6 @@ MAX_CELLS = 1_000_000  # largest lattice a scan may hold (resolution 1412)
 
 def resolve_criteria(selection) -> tuple[str, ...]:
     """Expand a selection (group names, bare ids, 'all', comma string) to ids."""
-    if selection is None:
-        return registry.IDS
     if isinstance(selection, str):
         tokens = [tok.strip() for tok in selection.split(",") if tok.strip()]
     else:

@@ -9,8 +9,9 @@ Matrices that only move entries of rho (rho^T1 and the reshuffles) are
 never built for the criteria: their block layouts gather their entries from
 the rho template through the generic index maps, applied to rho's flat
 indices.
-``qsep verify`` checks every sum-built template against the generic maps of
-the independently built mixture, which pins down the index conventions.
+Each sum-built layout declares its ``mixture_map``, the generic maps of the
+independently built mixture; ``qsep verify`` checks the template against it,
+which pins down the index conventions.
 """
 
 from __future__ import annotations
@@ -21,9 +22,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .verdict import cell_name
 
 TEMPLATE_TOL = 1e-13
 SQRT2 = float(np.sqrt(2.0))
+WEIGHT_SLACK = 1e-12  # how far past the simplex a weight may lie, for roundoff
+
+
+def simplex_weights(g, w) -> tuple[np.ndarray, np.ndarray]:
+    """``g`` and ``w`` as float arrays; ValueError unless they are 1-d, of one length and
+    hold a cell, or naming the first cell off the simplex g, w >= 0, g + w <= 1 (each to
+    WEIGHT_SLACK).  A NaN passes, so that the checks it reaches fail on it."""
+    g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+    if g.ndim != 1 or g.shape != w.shape or g.size == 0:
+        raise ValueError(f"expected two 1-d weight arrays of one length, holding a cell; "
+                         f"got shapes {g.shape} and {w.shape}")
+    bad = (g < -WEIGHT_SLACK) | (w < -WEIGHT_SLACK) | (g + w > 1.0 + WEIGHT_SLACK)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise ValueError(f"invalid simplex weights at {cell_name(g[n], w[n])} "
+                         f"(need g, w >= 0, g + w <= 1)")
+    return g, w
 
 
 @dataclass(frozen=True)
@@ -38,8 +57,7 @@ class SimplexPoint:
         w = float(self.w)
         if not (np.isfinite(g) and np.isfinite(w)):
             raise ValueError(f"non-finite simplex weights g={g}, w={w}")
-        if g < -1e-12 or w < -1e-12 or g + w > 1.0 + 1e-12:
-            raise ValueError(f"invalid simplex weights g={g}, w={w} (need g,w >= 0, g+w <= 1)")
+        simplex_weights([g], [w])
         object.__setattr__(self, "g", min(max(g, 0.0), 1.0))
         object.__setattr__(self, "w", min(max(w, 0.0), 1.0))
 
@@ -67,7 +85,49 @@ def hadamard() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# entry templates: each takes arrays of weights and returns a batch
+# the independent mixture, and the generic maps of any 8x8 operator or batch of them
+
+
+def build_rho_mixture_grid(g, w) -> np.ndarray:
+    """Independent construction d/8 I + g |GHZ><GHZ| + w |W><W| over weight arrays."""
+    g = np.asarray(g, dtype=float)[:, None, None]
+    w = np.asarray(w, dtype=float)[:, None, None]
+    ghz = ghz_vector()
+    wv = w_vector()
+    return (
+        np.maximum(1.0 - g - w, 0.0) / 8.0 * np.eye(8, dtype=np.complex128)
+        + g * np.outer(ghz, np.conj(ghz))
+        + w * np.outer(wv, np.conj(wv))
+    )
+
+
+def _split_1_23(rho) -> np.ndarray:
+    """View (..., 8, 8) operators as (..., 2, 4, 2, 4): qubit 1 against qubits 2-3."""
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError(f"expected 8x8 matrices, got shape {rho.shape}")
+    return rho.reshape(rho.shape[:-2] + (2, 4, 2, 4))
+
+
+def partial_trace_1(rho) -> np.ndarray:
+    """Trace out qubit 1 of 8x8 operators -> 4x4."""
+    t = _split_1_23(rho)
+    return t[..., 0, :, 0, :] + t[..., 1, :, 1, :]
+
+
+def partial_trace_23(rho) -> np.ndarray:
+    """Trace out qubits 2 and 3 of 8x8 operators -> 2x2."""
+    return np.einsum("...ikjk->...ij", _split_1_23(rho))
+
+
+def reshuffle_24_matrix(rho) -> np.ndarray:
+    """1|23-cut reshuffle [R(rho)]_{ii',jj'} = rho_{ij,i'j'} of 8x8 operators -> 4x16."""
+    t = _split_1_23(rho)
+    return np.swapaxes(t, -3, -2).reshape(t.shape[:-4] + (4, 16))
+
+
+# ---------------------------------------------------------------------------
+# entry templates, each with its block layout: each takes arrays of weights and returns a batch
 
 
 def renormalized_weights(g, w):
@@ -90,11 +150,16 @@ def build_rho_grid(g, w) -> np.ndarray:
     return m
 
 
-def _hermitian(name: str, template, n: int, *index_sets, mirrors=()) -> linalg.BlockLayout:
+def build_rho(p: SimplexPoint) -> np.ndarray:
+    """8x8 density matrix of the mixture: the template on a batch of one."""
+    return build_rho_grid(np.array([p.g]), np.array([p.w]))[0]
+
+
+def _hermitian(name: str, template, n: int, *index_sets, **kwargs) -> linalg.BlockLayout:
     """Eigenvalue layout of the n x n ``template`` (None: rho itself): each index set is one
     diagonal block."""
-    return linalg.BlockLayout(name, (n, n), tuple((s, s) for s in index_sets), mirrors=mirrors,
-                              template=template)
+    return linalg.BlockLayout(name, (n, n), tuple((s, s) for s in index_sets), template=template,
+                              **kwargs)
 
 
 def _moved_from_rho(name: str, shape, blocks, source_map, **kwargs) -> linalg.BlockLayout:
@@ -104,14 +169,17 @@ def _moved_from_rho(name: str, shape, blocks, source_map, **kwargs) -> linalg.Bl
                               source_map=source_map, **kwargs)
 
 
-# block layouts of rho and of the two index maps of it that the criteria diagonalize,
-# rho^T1 and R'(rho) (``linalg.permute_indices``); a mirror pair (p, q) of a 3x3 block,
-# B_pp == B_qq and B_pr == B_qr, splits it into one eigenvalue and a 2x2 block
+# block layouts of rho and of the three index maps of it that the criteria diagonalize,
+# rho^T1, R'(rho) (``linalg.permute_indices``) and R(rho), each with the key of
+# ``closed_form_spectra_grid`` its spectra are checked against (none for the reshuffles);
+# a mirror pair (p, q) of a 3x3 block, B_pp == B_qq and B_pr == B_qr, splits it into one
+# eigenvalue and a 2x2 block
 RHO_BLOCKS = _hermitian("rho", None, 8, (0, 7), (1, 2, 4), (3,), (5,), (6,),
-                        mirrors=((1, 2),))
+                        mirrors=((1, 2),), closed="rho")
 TRANSPOSE_1_BLOCKS = _moved_from_rho(
     "rho^T1", (8, 8), tuple((s, s) for s in ((0, 5, 6), (1, 2), (3, 4), (7,))),
     lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM), mirrors=((5, 6),),
+    closed="rho_t1",
 )
 # R'(rho): three exactly symmetric blocks, so the singular values are |eigenvalues|
 RESHUFFLE_23_BLOCKS = _moved_from_rho(
@@ -119,19 +187,12 @@ RESHUFFLE_23_BLOCKS = _moved_from_rho(
     (((0, 3, 5), (0, 3, 6)), ((1, 6), (2, 5)), ((2, 4, 7), (1, 4, 7))),
     lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM), singular=True,
 )
-
-
-def build_rho_mixture_grid(g, w) -> np.ndarray:
-    """Independent construction d/8 I + g |GHZ><GHZ| + w |W><W| over weight arrays."""
-    g = np.asarray(g, dtype=float)[:, None, None]
-    w = np.asarray(w, dtype=float)[:, None, None]
-    ghz = ghz_vector()
-    wv = w_vector()
-    return (
-        np.maximum(1.0 - g - w, 0.0) / 8.0 * np.eye(8, dtype=np.complex128)
-        + g * np.outer(ghz, np.conj(ghz))
-        + w * np.outer(wv, np.conj(wv))
-    )
+# R(rho): one 2x6 block and two one-row blocks; columns 7, 11, 13 and 14 are zero
+RESHUFFLE_24_BLOCKS = _moved_from_rho(
+    "R(rho) (1|23 reshuffle)", (4, 16),
+    (((0, 3), (0, 5, 6, 9, 10, 15)), ((1,), (3, 4, 8)), ((2,), (1, 2, 12))),
+    reshuffle_24_matrix, singular=True,
+)
 
 
 def marginal_23_grid(g, w) -> np.ndarray:
@@ -144,7 +205,8 @@ def marginal_23_grid(g, w) -> np.ndarray:
     return m
 
 
-MARGINAL_23_BLOCKS = _hermitian("rho^23", marginal_23_grid, 4, (1, 2), (0,), (3,))
+MARGINAL_23_BLOCKS = _hermitian("rho^23", marginal_23_grid, 4, (1, 2), (0,), (3,),
+                                closed="rho23", mixture_map=partial_trace_1)
 
 
 def marginal_1_grid(g, w) -> np.ndarray:
@@ -156,7 +218,8 @@ def marginal_1_grid(g, w) -> np.ndarray:
     return m
 
 
-MARGINAL_1_BLOCKS = _hermitian("rho^1", marginal_1_grid, 2, (0,), (1,))
+MARGINAL_1_BLOCKS = _hermitian("rho^1", marginal_1_grid, 2, (0,), (1,),
+                               closed="rho1", mixture_map=partial_trace_23)
 
 
 def reduction_i123_grid(g, w) -> np.ndarray:
@@ -173,8 +236,11 @@ def reduction_i123_grid(g, w) -> np.ndarray:
     return m
 
 
-REDUCTION_I123_BLOCKS = _hermitian("I (x) rho^23 - rho", reduction_i123_grid, 8,
-                                   (0, 7), (1, 2, 4), (3,), (5, 6), mirrors=((1, 2),))
+REDUCTION_I123_BLOCKS = _hermitian(
+    "I (x) rho^23 - rho", reduction_i123_grid, 8, (0, 7), (1, 2, 4), (3,), (5, 6),
+    mirrors=((1, 2),), closed="rho_t1",
+    mixture_map=lambda m: np.kron(np.eye(2)[None], partial_trace_1(m)) - m,
+)
 
 
 def reduction_1i23_grid(g, w) -> np.ndarray:
@@ -200,8 +266,17 @@ def reduction_1i23_grid(g, w) -> np.ndarray:
     return m
 
 
-REDUCTION_1I23_BLOCKS = _hermitian("rho^1 (x) I - rho", reduction_1i23_grid, 8,
-                                   (0, 7), (1, 2, 4), (3,), (5,), (6,), mirrors=((1, 2),))
+REDUCTION_1I23_BLOCKS = _hermitian(
+    "rho^1 (x) I - rho", reduction_1i23_grid, 8, (0, 7), (1, 2, 4), (3,), (5,), (6,),
+    mirrors=((1, 2),), closed="red1_i23",
+    mixture_map=lambda m: np.kron(partial_trace_23(m), np.eye(4)[None]) - m,
+)
+
+# every matrix family the criteria diagonalize, in ``qsep verify``'s order
+FAMILIES: tuple[linalg.BlockLayout, ...] = (
+    RHO_BLOCKS, TRANSPOSE_1_BLOCKS, MARGINAL_23_BLOCKS, MARGINAL_1_BLOCKS,
+    REDUCTION_I123_BLOCKS, REDUCTION_1I23_BLOCKS, RESHUFFLE_24_BLOCKS, RESHUFFLE_23_BLOCKS,
+)
 
 
 def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
@@ -242,61 +317,6 @@ def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
         "red1_i23": red,
         "conc23": conc23,
     }
-
-
-# ---------------------------------------------------------------------------
-# one point, and the generic maps of any 8x8 operator or batch of them
-
-
-def build_rho(p: SimplexPoint) -> np.ndarray:
-    """8x8 density matrix of the mixture: the template on a batch of one."""
-    return build_rho_grid(np.array([p.g]), np.array([p.w]))[0]
-
-
-def _split_1_23(rho) -> np.ndarray:
-    """View (..., 8, 8) operators as (..., 2, 4, 2, 4): qubit 1 against qubits 2-3."""
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (8, 8):
-        raise ValueError(f"expected 8x8 matrices, got shape {rho.shape}")
-    return rho.reshape(rho.shape[:-2] + (2, 4, 2, 4))
-
-
-def partial_trace_1(rho) -> np.ndarray:
-    """Trace out qubit 1 of 8x8 operators -> 4x4."""
-    t = _split_1_23(rho)
-    return t[..., 0, :, 0, :] + t[..., 1, :, 1, :]
-
-
-def partial_trace_23(rho) -> np.ndarray:
-    """Trace out qubits 2 and 3 of 8x8 operators -> 2x2."""
-    return np.einsum("...ikjk->...ij", _split_1_23(rho))
-
-
-def reshuffle_24_matrix(rho) -> np.ndarray:
-    """1|23-cut reshuffle [R(rho)]_{ii',jj'} = rho_{ij,i'j'} of 8x8 operators -> 4x16."""
-    t = _split_1_23(rho)
-    return np.swapaxes(t, -3, -2).reshape(t.shape[:-4] + (4, 16))
-
-
-# R(rho): one 2x6 block and two one-row blocks; columns 7, 11, 13 and 14 are zero
-RESHUFFLE_24_BLOCKS = _moved_from_rho(
-    "R(rho) (1|23 reshuffle)", (4, 16),
-    (((0, 3), (0, 5, 6, 9, 10, 15)), ((1,), (3, 4, 8)), ((2,), (1, 2, 12))),
-    reshuffle_24_matrix, singular=True,
-)
-
-# every matrix family the criteria diagonalize, in ``qsep verify``'s order, with the key of
-# ``closed_form_spectra_grid`` its spectra are checked against (None for the reshuffles)
-FAMILIES: dict[linalg.BlockLayout, str | None] = {
-    RHO_BLOCKS: "rho",
-    TRANSPOSE_1_BLOCKS: "rho_t1",
-    MARGINAL_23_BLOCKS: "rho23",
-    MARGINAL_1_BLOCKS: "rho1",
-    REDUCTION_I123_BLOCKS: "rho_t1",
-    REDUCTION_1I23_BLOCKS: "red1_i23",
-    RESHUFFLE_24_BLOCKS: None,
-    RESHUFFLE_23_BLOCKS: None,
-}
 
 
 # ---------------------------------------------------------------------------

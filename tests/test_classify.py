@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ class TestBuckets:
 
 class TestFuse:
     def test_rejects_exclusions_that_skip_a_level(self, monkeypatch):
-        skipping = criteria.Criterion("ppt", "ppt", ("2.8",), "min eigenvalue of rho^T1")
+        skipping = dataclasses.replace(criteria.BY_ID["ppt"], excludes=("2.8",))
         monkeypatch.setitem(criteria.BY_ID, "ppt", skipping)
         g, w = np.array([0.1, 0.3]), np.array([0.1, 0.3])
         with pytest.raises(ConsistencyError, match=r"contradictory exclusions at \(g=0\.3"):

@@ -474,20 +474,6 @@ class TestVerify:
         assert "FAIL" not in out
 
 
-class TestEnvironment:
-    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan", ""])
-    def test_bad_qsep_tol_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("QSEP_TOL", value)
-        code, _, err = run(capsys, "eval", "--g", "0.2", "--w", "0.2")
-        assert code == 1
-        assert "QSEP_TOL" in err
-
-    def test_valid_qsep_tol_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSEP_TOL", "1e-8")
-        code, _, _ = run(capsys, "eval", "--g", "0.2", "--w", "0.2")
-        assert code == 0
-
-
 class TestExamples:
     def test_class21_reports_npt(self, capsys):
         code, out, _ = run(capsys, "examples", "--which", "class21")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsep import concurrence, criteria, linalg, states
-from qsep.config import psd_tol
+from qsep.config import PSD_TOL
 from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
@@ -35,7 +35,7 @@ def spin_flip_product_spectrum(omega):
     product = (product + np.conj(product.T)) / 2.0
     vals = linalg.hermitian_eigenvalues(product)
     worst = float(vals[-1])
-    if worst < -psd_tol():
+    if worst < -PSD_TOL:
         raise ConsistencyError(f"spin-flip product has eigenvalue {worst:.3e} < 0")
     return np.clip(vals, 0.0, None)
 

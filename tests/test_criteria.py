@@ -50,6 +50,33 @@ class TestEvaluate:
         with pytest.raises((ConsistencyError, ConvergenceError)):
             criteria.margins([0.2, math.nan], [0.1, 0.1], (cid,))
 
+    # each case is refused by SimplexPoint's rule before any check runs
+    def test_weights_of_two_lengths_are_refused(self):
+        with pytest.raises(ValueError, match=r"shapes \(2,\) and \(1,\)"):
+            criteria.margins([0.1, 0.2], [0.1], ("ppt",))
+
+    def test_weights_off_the_simplex_are_refused(self):
+        with pytest.raises(ValueError, match=r"simplex weights at \(g=0\.5, w=0\.7\)"):
+            criteria.margins([0.2, 0.5], [0.1, 0.7], ("ppt",))
+
+    def test_negative_weight_is_refused_not_a_failed_check(self):
+        with pytest.raises(ValueError, match=r"simplex weights at \(g=-0\.3, w=0\.2\)"):
+            criteria.margins([-0.3], [0.2], ("gs3",))
+
+    def test_empty_batch_is_refused(self):
+        with pytest.raises(ValueError, match=r"shapes \(0,\) and \(0,\)"):
+            criteria.Batch([], [])
+
+    def test_two_dimensional_weights_are_refused(self):
+        with pytest.raises(ValueError, match=r"1-d"):
+            criteria.margins([[0.1, 0.2]], [[0.1, 0.2]], ("ppt",))
+
+    def test_weights_within_the_slack_pass_as_simplex_points_do(self):
+        g, w = [-1e-12, 0.5], [0.5, 0.5 + 5e-13]
+        assert criteria.Batch(g, w).g.tolist() == g
+        for point in zip(g, w):
+            states.SimplexPoint(*point)
+
     def test_margins_is_evaluate_without_deviations(self):
         margins = criteria.margins(G, W, criteria.IDS)
         evaluated = criteria.Batch(G, W).evaluate(criteria.IDS)

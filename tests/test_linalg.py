@@ -72,11 +72,12 @@ class TestHermitianEigenvalues:
         traces = np.einsum("bii->b", h).real
         assert np.max(np.abs(vals.sum(axis=1) - traces)) < 1e-10
 
-    def test_sweep_cap_reported(self):
+    def test_sweep_cap_reported(self, monkeypatch):
         rng = np.random.default_rng(21)
         h = random_hermitian(rng, 8)
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError, match="off-diagonal"):
-            linalg.jacobi_eigh(h, max_sweeps=1)
+            linalg.jacobi_eigh(h)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -269,14 +270,6 @@ class TestPsdSqrt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="not PSD"):
             linalg.psd_sqrt(np.diag([1.0, -1e-6]))
-
-    def test_qsep_tol_env_override(self, monkeypatch):
-        slightly_negative = np.diag([1.0, -5e-7])
-        with pytest.raises(ValueError):
-            linalg.psd_sqrt(slightly_negative)
-        monkeypatch.setenv("QSEP_TOL", "1e-6")
-        root = linalg.psd_sqrt(slightly_negative)
-        assert np.allclose(root, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 class TestRank:

@@ -188,6 +188,24 @@ def test_cli_names_no_criterion():
     assert named == set()
 
 
+def test_cli_names_no_layout():
+    # verify iterates states.FAMILIES and reads each family's checks off its layout
+    named = {
+        node.attr
+        for node in ast.walk(_modules()["cli"])
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "states"
+        and node.attr.endswith("_BLOCKS")
+    }
+    assert named == set()
+
+
+def test_each_group_names_one_evaluator():
+    # Batch.evaluate calls each evaluator once on the wanted ids of its group's rows
+    evaluators = {group: {criteria.BY_ID[cid].evaluator for cid in ids}
+                  for group, ids in criteria.GROUPS.items()}
+    assert [group for group, found in evaluators.items() if len(found) != 1] == []
+
+
 def test_verify_prints_one_reference_line_per_declared_reference(capsys):
     assert cli.main(["verify", "--points", "20", "--seed", "3"]) == 0
     lines = [line.split()[1] for line in capsys.readouterr().out.splitlines()

@@ -53,6 +53,15 @@ BLOCK_FAMILIES = {
     states.RESHUFFLE_24_BLOCKS: lambda g, w: states.reshuffle_24_matrix(states.build_rho_grid(g, w)),
 }
 
+# each sum-built family from the independent mixture, spelled out here: the second
+# construction of its template
+GENERIC_MAPS = {
+    states.MARGINAL_23_BLOCKS: states.partial_trace_1,
+    states.MARGINAL_1_BLOCKS: states.partial_trace_23,
+    states.REDUCTION_I123_BLOCKS: lambda m: np.kron(np.eye(2)[None], states.partial_trace_1(m)) - m,
+    states.REDUCTION_1I23_BLOCKS: lambda m: np.kron(states.partial_trace_23(m), np.eye(4)[None]) - m,
+}
+
 
 def seeded_and_edge_cells(count=500, seed=9):
     """Seeded interior cells, then the three edges and the three vertices."""
@@ -215,15 +224,19 @@ class TestMarginals:
         points = simplex_grid(12)
         g, w = np.array([p.g for p in points]), np.array([p.w for p in points])
         mixture = states.build_rho_mixture_grid(g, w)
-        rho23, rho1 = states.partial_trace_1(mixture), states.partial_trace_23(mixture)
-        pairs = (
-            (states.marginal_23_grid(g, w), rho23),
-            (states.marginal_1_grid(g, w), rho1),
-            (states.reduction_i123_grid(g, w), np.kron(np.eye(2)[None], rho23) - mixture),
-            (states.reduction_1i23_grid(g, w), np.kron(rho1, np.eye(4)[None]) - mixture),
-        )
-        for template, generic in pairs:
-            assert np.max(np.abs(template - generic)) <= states.TEMPLATE_TOL
+        for layout, generic in GENERIC_MAPS.items():
+            assert np.max(np.abs(layout.template(g, w) - generic(mixture))) <= states.TEMPLATE_TOL
+
+    def test_each_sum_built_layout_declares_its_generic_map(self):
+        # exactly the four layouts with a template of their own declare a map of the mixture
+        # (verify's "template vs generic map" lines), and each is the map spelled out here
+        sum_built = {layout for layout in states.FAMILIES if layout.template is not None}
+        assert {layout for layout in states.FAMILIES if layout.mixture_map} == sum_built
+        assert sum_built == set(GENERIC_MAPS)
+        g, w = seeded_and_edge_cells()
+        mixture = states.build_rho_mixture_grid(g, w)
+        for layout, generic in GENERIC_MAPS.items():
+            assert np.array_equal(layout.mixture_map(mixture), generic(mixture)), layout.name
 
 
 class TestTemplateDtypes:
@@ -248,7 +261,10 @@ class TestBlockLayouts:
         assert declared == set(states.FAMILIES)
         assert set(BLOCK_FAMILIES) == set(states.FAMILIES)
         closed = set(states.closed_form_spectra_grid(np.array([0.2]), np.array([0.2])))
-        assert {key for key in states.FAMILIES.values() if key is not None} <= closed
+        assert len(set(states.FAMILIES)) == len(states.FAMILIES)
+        assert {layout.closed for layout in states.FAMILIES} - {None} <= closed
+        assert {layout for layout in states.FAMILIES if layout.closed is None} == {
+            states.RESHUFFLE_24_BLOCKS, states.RESHUFFLE_23_BLOCKS}
 
     def test_family_builds_the_full_matrices_through_the_layout_map(self):
         g, w = seeded_and_edge_cells()
