@@ -51,31 +51,16 @@ def majorization_case_margins(g, w):
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    # (i) and (ii) margins per case row, scaled by 24 like the eigenvalues
-    row_i = (
-        3.0 / 11.0 - 3.0 / 11.0 * g - w,
-        3.0 / 19.0 + 9.0 / 19.0 * g - w,  # printed as 3/19 g; see module docstring
-        w - 3.0 * g + 3.0 / 5.0,
-        w - 3.0 * g + 3.0 / 5.0,
-    )
-    row_ii = (
-        1.0 - 3.0 * g - w,
-        1.0 - 3.0 * g - w,
-        1.0 - 3.0 * g - w,
-        3.0 / 11.0 - 3.0 / 11.0 * g - w,
-    )
-    row_iii = (
-        9.0 / 17.0 + 3.0 / 17.0 * g - w,
-        9.0 / 17.0 + 3.0 / 17.0 * g - w,
-        w - 3.0 * g + 9.0 / 7.0,
-        w - 3.0 * g + 9.0 / 7.0,
-    )
-    case_masks = (
-        g <= 2.0 / 3.0 * w,
-        (2.0 / 3.0 * w <= g) & (g <= w),
-        (w <= g) & (g <= 4.0 / 3.0 * w),
-        4.0 / 3.0 * w <= g,
-    )
+    # (i) and (ii) margins per case row, scaled by 24 like the eigenvalues; a line that
+    # several rows share is evaluated once, named by its constant term
+    g3, w23, w43 = 3.0 * g, 2.0 / 3.0 * w, 4.0 / 3.0 * w
+    eleven, fifth, one = 3.0 / 11.0 - 3.0 / 11.0 * g - w, w - g3 + 3.0 / 5.0, 1.0 - g3 - w
+    seventeen, seventh = 9.0 / 17.0 + 3.0 / 17.0 * g - w, w - g3 + 9.0 / 7.0
+    # printed as 3/19 g in the second row; see module docstring
+    row_i = (eleven, 3.0 / 19.0 + 9.0 / 19.0 * g - w, fifth, fifth)
+    row_ii = (one, one, one, eleven)
+    row_iii = (seventeen, seventeen, seventh, seventh)
+    case_masks = (g <= w23, (w23 <= g) & (g <= w), (w <= g) & (g <= w43), w43 <= g)
     m23 = np.full(g.shape, np.nan)
     m1 = np.full(g.shape, np.nan)
     for mask, mi, mii, miii in zip(case_masks, row_i, row_ii, row_iii):
@@ -105,7 +90,7 @@ def majorization_margins_from_spectra(spectra: dict[str, np.ndarray]):
         pad = np.broadcast_to(qc[..., -1:], pc.shape[:-1] + (pc.shape[-1] - qc.shape[-1],))
         qc_full = np.concatenate([qc, pad], axis=-1)
         # drop the k = n sum, which is identically zero slack
-        return np.min((qc_full - pc)[..., :-1], axis=-1)
+        return (qc_full - pc)[..., :-1].min(axis=-1)
 
     return against(s1), against(s23)
 
@@ -116,13 +101,13 @@ def majorization_margins_from_spectra(spectra: dict[str, np.ndarray]):
 
 def _renyi(p: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 0.0:
-        return np.log(np.sum(p > RANK_TOL, axis=-1).astype(float))
+        return np.log((p > RANK_TOL).sum(axis=-1).astype(float))
     if alpha == 1.0:
         terms = np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        return np.sum(terms, axis=-1)
+        return terms.sum(axis=-1)
     if math.isinf(alpha):
-        return -np.log(np.max(p, axis=-1))
-    return np.log(np.sum(p**alpha, axis=-1)) / (1.0 - alpha)
+        return -np.log(p.max(axis=-1))
+    return np.log((p**alpha).sum(axis=-1)) / (1.0 - alpha)
 
 
 def entropy_margins_from_spectra(spectra: dict[str, np.ndarray], alpha: float):
@@ -163,15 +148,17 @@ def reshuffle24_closed_singular_values(g, w) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     w = np.asarray(w, dtype=float)
     dt, gt, wt = states.renormalized_weights(g, w)
-    p1 = 16 * dt**2 + 4 * gt**2 + 10 * wt**2 + 8 * dt * gt + 12 * dt * wt
+    d2, d3, g2, w2 = dt**2, dt**3, gt**2, wt**2  # each power once
+    p1 = 16 * d2 + 4 * g2 + 10 * w2 + 8 * dt * gt + 12 * dt * wt
     p2 = (
-        64 * dt**4 + 9 * wt**4 + 64 * dt**3 * gt + 96 * dt**3 * wt + 12 * dt * wt**3
-        + 16 * dt**2 * gt**2 + 40 * dt**2 * wt**2 + 4 * gt**2 * wt**2
-        + 80 * dt**2 * gt * wt + 16 * dt * gt**2 * wt + 24 * dt * gt * wt**2
+        64 * dt**4 + 9 * wt**4 + 64 * d3 * gt + 96 * d3 * wt + 12 * dt * wt**3
+        + 16 * d2 * g2 + 40 * d2 * w2 + 4 * g2 * w2
+        + 80 * d2 * gt * wt + 16 * dt * g2 * wt + 24 * dt * gt * w2
     )
     root = 2.0 * np.sqrt(p2)
-    s_plus = np.sqrt(np.clip(p1 + root, 0.0, None)) / 2.0
-    s_minus = np.sqrt(np.clip(p1 - root, 0.0, None)) / 2.0
-    s_pair = np.sqrt(gt**2 + 2 * wt**2)
+    s_plus = np.sqrt(np.maximum(p1 + root, 0.0)) / 2.0
+    s_minus = np.sqrt(np.maximum(p1 - root, 0.0)) / 2.0
+    s_pair = np.sqrt(g2 + 2 * w2)
     svs = np.stack([s_plus, s_minus, s_pair, s_pair], axis=-1)
-    return np.sort(svs, axis=-1)[..., ::-1]
+    svs.sort(axis=-1)
+    return svs[..., ::-1]

@@ -130,7 +130,7 @@ def evaluate_point(
     g, w = np.array([p.g]), np.array([p.w])
     batch = criteria.Batch(g, w)
     margins = batch.evaluate(criteria.IDS)
-    codes = dict(zip(margins, verdict.codes(np.stack(list(margins.values())))))
+    codes = dict(zip(margins, verdict.codes(np.array(list(margins.values())))))
     possible, slocc, exact, pptes = fuse(g, w, codes)
     point_codes = {cid: int(c[0]) for cid, c in codes.items()}
     report = cell_report(p.g, p.w, point_codes, possible[0], slocc[0], exact[0], pptes[0])

@@ -15,9 +15,12 @@ family in layout order (``Batch.values``).  So a batch computes each family
 at most once, and only the families its selection reads.  Every family but
 ``perm222`` runs its second path on the same batch through the two recording
 checks of ``Batch``, ``check_close`` and ``check_signs``, and these are the
-only cross-checks on the grid path.  ``Batch.concurrence``, which no criterion
-reads, gives ``qsep eval`` and ``qsep verify`` the concurrence of rho^23
-through the same checks.
+only cross-checks on the grid path.  An evaluator whose group has many
+members (the spin levels and settings, the gs3 members) computes them in one
+stacked pass and checks them with one call, which records each member's
+column under its own name.  ``Batch.concurrence``, which no criterion reads,
+gives ``qsep eval`` and ``qsep verify`` the concurrence of rho^23 through the
+same checks.
 
 ``qsep verify`` reads the rest of its checks from here.  Each ``reference``
 is compared with the margins of the same ``Batch`` its registry pass runs on.
@@ -30,9 +33,9 @@ They share the code that builds those coefficients, and a check of the grid
 path covers it:
 
 - ``criterion_su`` and the grid's ``_spin_coefficients`` and
-  ``su_margins_grid`` both run ``build_spin_observables`` and
-  ``su_margins_from_expectations``; the sign check of each ``su*`` margin
-  against its published polynomial (``su_closed_margin``) covers them;
+  ``su_margins_stacked`` both run ``build_spin_observables`` and
+  ``su_margins_from_squares``; the sign check of each ``su*`` margin
+  against its published polynomial (``su_closed_margins``) covers them;
 - ``criterion_huber`` and ``_huber_coefficients`` both read
   ``swap_operator`` and ``HUBER_PHIS``; the check of the swap forms against
   products of entries of rho (``huber_element_forms``) covers them.
@@ -84,8 +87,9 @@ class Criterion:
     reference: Callable | None = None
 
 
-def _entropy_id(marginal: str, alpha: float) -> str:
-    return f"entropy_{marginal}_a{bipartite.alpha_label(alpha)}"
+# the (rho^1, rho^23) entropy criteria of each order
+_ENTROPY_IDS = {alpha: tuple(f"entropy_{m}_a{bipartite.alpha_label(alpha)}" for m in ("rho1", "rho23"))
+                for alpha in bipartite.ALPHA_GRID}
 
 
 def _on_mixture(margins):
@@ -154,31 +158,43 @@ class Batch:
         """The block spectra of ``layout``, sorted non-increasing; computed and checked
         against its closed form, if it has one, on the first read."""
         if layout not in self._spectra:
-            values = np.sort(self.values(layout), axis=-1)[:, ::-1]
+            values = self.values(layout)
+            values.sort(axis=-1)
+            values = values[:, ::-1]
             if layout.closed is not None:
                 self.check_close(values, self.closed[layout.closed], f"Spect({layout.name})",
                                  SPECTRUM_TOL)
             self._spectra[layout] = values
         return self._spectra[layout]
 
-    def _record(self, what: str, dev: np.ndarray, limit: float, detail) -> None:
-        """Record the ``worst`` entry of ``dev`` and its cell; raise, naming both and
-        ``detail(value, cell)``, unless it is within limit."""
-        value, n = worst(dev)
-        self.deviations[what] = (value, float(self.g[n]), float(self.w[n]))
-        if not value <= limit:
-            raise ConsistencyError(f"{what} at {cell_name(self.g[n], self.w[n])}: {detail(value, n)}")
+    def _record(self, what: str | tuple[str, ...], dev: np.ndarray, limit: float, detail) -> None:
+        """Record under ``what`` the ``worst`` entry of ``dev`` and its cell or, when ``what``
+        is a tuple of names, that of each column of ``dev`` under its name, in order; raise at
+        the first past limit, naming it, its cell and ``detail(value, index)``, the index of
+        the cell, or of the cell and column."""
+        columns = ([(what, dev, ())] if isinstance(what, str)
+                   else [(name, dev[:, k], (k,)) for k, name in enumerate(what)])
+        for name, column, k in columns:
+            value, n = worst(column)
+            self.deviations[name] = (value, float(self.g[n]), float(self.w[n]))
+            if not value <= limit:
+                raise ConsistencyError(
+                    f"{name} at {cell_name(self.g[n], self.w[n])}: {detail(value, (n, *k))}")
 
-    def check_close(self, numeric, closed, what: str, tol: float) -> None:
-        """Record the worst deviation and its cell; raise, naming both, unless it is within tol."""
-        self._record(what, np.abs(np.asarray(numeric) - closed), tol,
-                     lambda value, n: f"deviates from closed forms by {value:.3e}")
+    def check_close(self, numeric, closed, what: str | tuple[str, ...], tol: float) -> None:
+        """Record the worst deviation and its cell, of the whole arrays or of each column
+        (``_record``); raise, naming both, unless it is within tol."""
+        dev = np.asarray(numeric) - closed
+        self._record(what, np.abs(dev, out=dev), tol,
+                     lambda value, at: f"deviates from closed forms by {value:.3e}")
 
-    def check_signs(self, numeric, closed, what: str) -> None:
-        """Record, as ``<what> sign``, the largest ``sign_gap`` and its cell; raise, naming
-        both, past MARGINAL_BAND or on a NaN."""
-        self._record(f"{what} sign", sign_gap(numeric, closed), MARGINAL_BAND,
-                     lambda value, n: f"numeric margin {numeric[n]:.3e} vs closed form {closed[n]:.3e}")
+    def check_signs(self, numeric, closed, what: str | tuple[str, ...]) -> None:
+        """Record, as ``<what> sign``, the largest ``sign_gap`` and its cell, of the whole
+        arrays or of each column (``_record``); raise, naming both, past MARGINAL_BAND or on
+        a NaN."""
+        what = f"{what} sign" if isinstance(what, str) else tuple(f"{name} sign" for name in what)
+        self._record(what, sign_gap(numeric, closed), MARGINAL_BAND,
+                     lambda value, at: f"numeric margin {numeric[at]:.3e} vs closed form {closed[at]:.3e}")
 
     def evaluate(self, ids) -> dict[str, np.ndarray]:
         """Margins of the criteria ``ids`` on every cell of the batch, cross-checked.
@@ -194,8 +210,9 @@ class Batch:
             if cid not in BY_ID:
                 raise ValueError(f"unknown criterion {cid!r}")
         wanted: dict = {}
+        selected = set(ids)
         for cid in IDS:
-            if cid in ids:
+            if cid in selected:
                 wanted.setdefault(BY_ID[cid].evaluator, []).append(cid)
         out: dict[str, np.ndarray] = {}
         for evaluator, family in wanted.items():
@@ -225,11 +242,10 @@ def _majorization(b: Batch, ids) -> dict[str, np.ndarray]:
 
 def _entropy(b: Batch, ids) -> dict[str, np.ndarray]:
     _densities(b)  # the numeric path, checked; the margins read the clipped closed forms
-    spectra = {key: np.clip(b.closed[key], 0.0, None) for key in ("rho", "rho1", "rho23")}
-    out = {}
-    for alpha in bipartite.ALPHA_GRID:
-        id1, id23 = _entropy_id("rho1", alpha), _entropy_id("rho23", alpha)
-        if id1 in ids or id23 in ids:
+    spectra = {key: np.maximum(b.closed[key], 0.0) for key in ("rho", "rho1", "rho23")}
+    out, wanted = {}, set(ids)
+    for alpha, (id1, id23) in _ENTROPY_IDS.items():
+        if id1 in wanted or id23 in wanted:
             out[id1], out[id23] = bipartite.entropy_margins_from_spectra(spectra, alpha)
     return out
 
@@ -256,24 +272,23 @@ def _reshuffle24(b: Batch, ids) -> dict[str, np.ndarray]:
     svs = b.spectrum(states.RESHUFFLE_24_BLOCKS)
     closed = bipartite.reshuffle24_closed_singular_values(b.g, b.w)
     b.check_close(svs, closed, "reshuffling singular values", SPECTRUM_TOL)
-    return {"resh24": 1.0 - np.sum(svs, axis=-1)}
+    return {"resh24": 1.0 - svs.sum(axis=-1)}
 
 
 def _perm222(b: Batch, ids) -> dict[str, np.ndarray]:
     # summed in layout order: exactly 0.0 at (1/3, 0), where the sorted sum is not
-    return {"perm222": 1.0 - np.sum(b.values(states.RESHUFFLE_23_BLOCKS), axis=-1)}
+    return {"perm222": 1.0 - b.values(states.RESHUFFLE_23_BLOCKS).sum(axis=-1)}
 
 
 def _spin(b: Batch, ids) -> dict[str, np.ndarray]:
-    out = {}
-    for setting in sorted({SPIN[cid][0] for cid in ids}):  # one setting's expectations at a time
-        expectations = tripartite.su_expectations_grid(b.g, b.w, setting)
-        for cid in ids:
-            idx, level = SPIN[cid]
-            if idx == setting:
-                out[cid] = tripartite.su_margins_grid(b.g, b.w, idx, level, expectations)
-                b.check_signs(out[cid], tripartite.su_closed_margin(b.g, b.w, idx, level), cid)
-    return out
+    # every wanted setting and level in one pass; the checks are recorded setting by setting
+    ids = sorted(ids, key=lambda cid: SPIN[cid][0])
+    settings = sorted({SPIN[cid][0] for cid in ids})
+    levels = list(dict.fromkeys(SPIN[cid][1] for cid in ids))
+    stacked = tripartite.su_margins_stacked(b.g, b.w, settings, levels)
+    margins = np.array([stacked[levels.index(SPIN[cid][1]), settings.index(SPIN[cid][0])] for cid in ids])
+    b.check_signs(margins.T, tripartite.su_closed_margins(b.g, b.w, [SPIN[cid] for cid in ids]), ids)
+    return dict(zip(ids, margins))
 
 
 def _swap(b: Batch, ids) -> dict[str, np.ndarray]:
@@ -282,8 +297,8 @@ def _swap(b: Batch, ids) -> dict[str, np.ndarray]:
     forms = {tag: tripartite.huber_forms_grid(b.g, b.w, tag) for tag in tags}
     for tag, q in forms.items():
         elements = tripartite.huber_element_forms(b.rho, tag)
-        b.check_close(np.stack([elements[key] for key in q], axis=-1),
-                      np.stack(list(q.values()), axis=-1), f"huber_{tag} swap forms", ELEMENT_TOL)
+        b.check_close(np.array([elements[key] for key in q]).T, np.array(list(q.values())).T,
+                      f"huber_{tag} swap forms", ELEMENT_TOL)
     return {cid: tripartite.huber_margins_grid(b.g, b.w, *SWAP[cid], forms[SWAP[cid][0]])
             for cid in ids}
 
@@ -296,11 +311,14 @@ def _gs2(b: Batch, ids) -> dict[str, np.ndarray]:
     return {"gs2_ghz": m_ghz, "gs2_w": m_w}
 
 
+_GS3_CHECKS = tuple(f"gs3 member {key}" for key in tripartite.GS3_KEYS)
+
+
 def _gs3(b: Batch, ids) -> dict[str, np.ndarray]:
+    numeric = tripartite.gs3_element_members(b.rho)  # first: fewer arrays are live at its peak
     closed = tripartite.gs3_closed_margins(b.g, b.w)
-    for key, value in tripartite.gs3_element_margins(b.rho).items():
-        b.check_close(value, closed[key], f"gs3 member {key}", ELEMENT_TOL)
-    return {"gs3": closed["gs3"]}
+    b.check_close(numeric, closed.T, _GS3_CHECKS, ELEMENT_TOL)
+    return {"gs3": closed.min(axis=0)}
 
 
 def _witness(b: Batch, ids) -> dict[str, np.ndarray]:
@@ -320,12 +338,8 @@ _SWAP_EXCLUDES = {2: BISEP, 3: FULLSEP}
 REGISTRY: tuple[Criterion, ...] = (
     Criterion("maj_rho1", "maj", INTERSECTION, "min partial-sum slack", _majorization),
     Criterion("maj_rho23", "maj", INTERSECTION, "min partial-sum slack", _majorization),
-    *(
-        Criterion(_entropy_id(marginal, alpha), "entropy", INTERSECTION, "entropy difference",
-                  _entropy)
-        for alpha in bipartite.ALPHA_GRID
-        for marginal in ("rho1", "rho23")
-    ),
+    *(Criterion(cid, "entropy", INTERSECTION, "entropy difference", _entropy)
+      for pair in _ENTROPY_IDS.values() for cid in pair),
     Criterion("ppt", "ppt", INTERSECTION, "min eigenvalue of rho^T1", _partial_transpose),
     Criterion("reduction", "reduction", INTERSECTION, "min eigenvalue of reduction maps",
               _partial_transpose),

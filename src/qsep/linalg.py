@@ -72,7 +72,7 @@ def _real_if_exact(a) -> np.ndarray:
 
 
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ConvergenceError(f"LAPACK {what} returned non-finite values")
     return values
 
@@ -477,15 +477,18 @@ def _entry_error(layout: BlockLayout, bad: np.ndarray, texts, g, w):
 def _check_source(flat: np.ndarray, layout: BlockLayout, g, w) -> None:
     """Check the zero pattern and the equalities of ``layout`` on a batch of flat source
     matrices; raise naming its first failing cell and the entry."""
-    if ((flat != 0.0) & layout.zeros).any():  # NaN counts as nonzero
+    nonzero = flat != 0.0  # NaN counts as nonzero
+    nonzero &= layout.zeros
+    if nonzero.any():
         entries = np.flatnonzero(layout.off_block)
         texts = [f"entry [{i}, {j}] lies outside every block but is not 0"
                  for i, j in (divmod(int(e), layout.shape[1]) for e in entries)]
-        raise _entry_error(layout, np.take(flat, layout.index[entries], axis=1) != 0.0, texts, g, w)
+        raise _entry_error(layout, flat.take(layout.index[entries], axis=1) != 0.0, texts, g, w)
     left, right, texts = layout.equal
-    bad = np.take(flat, left, axis=1) != np.take(flat, right, axis=1)  # NaN fails
-    if bad.any():
-        raise _entry_error(layout, bad, texts, g, w)
+    if texts:
+        bad = flat.take(left, axis=1) != flat.take(right, axis=1)  # NaN fails
+        if bad.any():
+            raise _entry_error(layout, bad, texts, g, w)
 
 
 def block_spectra(layout: BlockLayout, source, g, w) -> np.ndarray:
@@ -512,20 +515,19 @@ def block_spectra(layout: BlockLayout, source, g, w) -> np.ndarray:
                          f"matrices, got {matrices.dtype} {matrices.shape}")
     flat = matrices.reshape(batch, -1)
     _check_source(flat, layout, g, w)
-    out = np.empty((batch, layout.width))
-    low, high = layout.problem_slots
+    (low, high), (pq_entries, single) = layout.problem_slots, layout.split
     if low.size:
-        a, b, c = (np.take(flat, entries, axis=1) for entries in layout.problems)
-        pq_entries, single = layout.split
-        m = single.size
-        if m:  # the split blocks' problems come first
-            pq = np.take(flat, pq_entries, axis=1)
-            out[:, single] = a[:, :m] - pq
-            a[:, :m] += pq
-            b[:, :m] *= _SQRT2
-        out[:, low], out[:, high] = eigvalsh_2x2(a, b, c)
+        a, b, c = flat.T[layout.problems]  # each (problem, cell); the split blocks' come first
+        pq = flat.T[pq_entries]
+        pairs = a[:single.size] - pq
+        a[:single.size] += pq
+        b[:single.size] *= _SQRT2
+        lows, highs = eigvalsh_2x2(a, b, c)
+    out = np.empty((batch, layout.width))  # once the kernel's temporaries are freed
+    if low.size:
+        out[:, single], out[:, low], out[:, high] = pairs.T, lows.T, highs.T
     for method, entries, slots in layout.groups:
-        blocks = np.take(flat, entries, axis=1)  # (batch, count, rows, columns)
+        blocks = flat.take(entries, axis=1)  # (batch, count, rows, columns)
         try:
             if method == "diagonal":
                 found = blocks[..., 0, 0]

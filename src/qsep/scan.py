@@ -3,9 +3,10 @@
 The lattice at resolution N holds the points (g, w) = (i/N, j/N) with
 i + j <= N.  Cells are evaluated in fixed-size chunks through vectorized
 dual-path criterion evaluators (batched LAPACK spectra checked against the
-closed forms), on as many threads as there are usable cores.  Only the LAPACK
-calls release the GIL; the numpy and Python work between them holds it, so
-threads overlap only in part.  The chunk layout never depends on the worker
+closed forms), on as many threads as there are usable cores.  LAPACK and
+numpy's array loops release the GIL, but the interpreter and numpy's per-call
+dispatch hold it, so threads overlap only in part: they wait on GIL hand-offs
+between short numpy calls.  The chunk layout never depends on the worker
 count, so a parallel scan is byte-identical to a sequential one.
 
 The CSV and JSON exports write every float as ``float.__repr__`` does.  Each

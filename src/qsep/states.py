@@ -138,16 +138,21 @@ def renormalized_weights(g, w):
     return d / 8.0, g / 2.0, w / 3.0
 
 
+def _symmetric(diagonal, pairs) -> np.ndarray:
+    """A batch of symmetric matrices from weight arrays: one in ``diagonal`` per diagonal
+    entry, and each (i, j, value) of ``pairs`` at [i, j] and [j, i]; the rest is 0."""
+    m = np.zeros((len(diagonal[0]), len(diagonal), len(diagonal)))
+    for k, value in enumerate(diagonal):
+        m[:, k, k] = value
+    for i, j, value in pairs:
+        m[:, i, j] = m[:, j, i] = value
+    return m
+
+
 def build_rho_grid(g, w) -> np.ndarray:
     dt, gt, wt = renormalized_weights(g, w)
-    n = dt.shape[0]
-    m = np.zeros((n, 8, 8))
-    for i, val in enumerate((dt + gt, dt + wt, dt + wt, dt, dt + wt, dt, dt, dt + gt)):
-        m[:, i, i] = val
-    m[:, 0, 7] = m[:, 7, 0] = gt
-    for i, j in ((1, 2), (1, 4), (2, 4)):
-        m[:, i, j] = m[:, j, i] = wt
-    return m
+    a, b = dt + gt, dt + wt
+    return _symmetric((a, b, b, dt, b, dt, dt, a), ((0, 7, gt), (1, 2, wt), (1, 4, wt), (2, 4, wt)))
 
 
 def build_rho(p: SimplexPoint) -> np.ndarray:
@@ -197,12 +202,8 @@ RESHUFFLE_24_BLOCKS = _moved_from_rho(
 
 def marginal_23_grid(g, w) -> np.ndarray:
     dt, gt, wt = renormalized_weights(g, w)
-    n = dt.shape[0]
-    m = np.zeros((n, 4, 4))
-    for i, val in enumerate((2 * dt + gt + wt, 2 * dt + wt, 2 * dt + wt, 2 * dt + gt)):
-        m[:, i, i] = val
-    m[:, 1, 2] = m[:, 2, 1] = wt
-    return m
+    b = 2 * dt + wt
+    return _symmetric((2 * dt + gt + wt, b, b, 2 * dt + gt), ((1, 2, wt),))
 
 
 MARGINAL_23_BLOCKS = _hermitian("rho^23", marginal_23_grid, 4, (1, 2), (0,), (3,),
@@ -211,11 +212,7 @@ MARGINAL_23_BLOCKS = _hermitian("rho^23", marginal_23_grid, 4, (1, 2), (0,), (3,
 
 def marginal_1_grid(g, w) -> np.ndarray:
     dt, gt, wt = renormalized_weights(g, w)
-    n = dt.shape[0]
-    m = np.zeros((n, 2, 2))
-    m[:, 0, 0] = 4 * dt + gt + 2 * wt
-    m[:, 1, 1] = 4 * dt + gt + wt
-    return m
+    return _symmetric((4 * dt + gt + 2 * wt, 4 * dt + gt + wt), ())
 
 
 MARGINAL_1_BLOCKS = _hermitian("rho^1", marginal_1_grid, 2, (0,), (1,),
@@ -225,15 +222,8 @@ MARGINAL_1_BLOCKS = _hermitian("rho^1", marginal_1_grid, 2, (0,), (1,),
 def reduction_i123_grid(g, w) -> np.ndarray:
     """I^1 (x) rho^23 - rho."""
     dt, gt, wt = renormalized_weights(g, w)
-    n = dt.shape[0]
-    m = np.zeros((n, 8, 8))
-    for i, val in enumerate((dt + wt, dt, dt, dt + gt, dt + gt, dt + wt, dt + wt, dt)):
-        m[:, i, i] = val
-    m[:, 0, 7] = m[:, 7, 0] = -gt
-    m[:, 1, 4] = m[:, 4, 1] = -wt
-    m[:, 2, 4] = m[:, 4, 2] = -wt
-    m[:, 5, 6] = m[:, 6, 5] = wt
-    return m
+    a, b = dt + wt, dt + gt
+    return _symmetric((a, dt, dt, b, b, a, a, dt), ((0, 7, -gt), (1, 4, -wt), (2, 4, -wt), (5, 6, wt)))
 
 
 REDUCTION_I123_BLOCKS = _hermitian(
@@ -246,24 +236,9 @@ REDUCTION_I123_BLOCKS = _hermitian(
 def reduction_1i23_grid(g, w) -> np.ndarray:
     """rho^1 (x) I^23 - rho."""
     dt, gt, wt = renormalized_weights(g, w)
-    n = dt.shape[0]
-    m = np.zeros((n, 8, 8))
-    diag = (
-        3 * dt + 2 * wt,
-        3 * dt + gt + wt,
-        3 * dt + gt + wt,
-        3 * dt + gt + 2 * wt,
-        3 * dt + gt,
-        3 * dt + gt + wt,
-        3 * dt + gt + wt,
-        3 * dt + wt,
-    )
-    for i, val in enumerate(diag):
-        m[:, i, i] = val
-    m[:, 0, 7] = m[:, 7, 0] = -gt
-    for i, j in ((1, 2), (1, 4), (2, 4)):
-        m[:, i, j] = m[:, j, i] = -wt
-    return m
+    a = 3 * dt + gt + wt
+    return _symmetric((3 * dt + 2 * wt, a, a, 3 * dt + gt + 2 * wt, 3 * dt + gt, a, a, 3 * dt + wt),
+                      ((0, 7, -gt), (1, 2, -wt), (1, 4, -wt), (2, 4, -wt)))
 
 
 REDUCTION_1I23_BLOCKS = _hermitian(
@@ -289,25 +264,23 @@ def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
     dt, gt, wt = renormalized_weights(g, w)
 
     def desc(cols):
-        return np.sort(np.stack(cols, axis=-1), axis=-1)[..., ::-1]
+        values = np.array(cols).T.copy()  # (..., value), C-contiguous as np.stack gives it
+        values.sort(axis=-1)
+        return values[..., ::-1]
 
-    six = np.broadcast_to(dt[..., None], dt.shape + (6,))
-    rho = desc([dt + 2 * gt, dt + 3 * wt] + [six[..., k] for k in range(6)])
-    rho23 = desc([2 * dt + 2 * wt, 2 * dt + gt + wt, 2 * dt + gt, 2 * dt])
-    rho1 = desc([4 * dt + gt + 2 * wt, 4 * dt + gt + wt])
-    r1 = np.sqrt(4 * gt**2 + wt**2) / 2
-    r2 = np.sqrt(gt**2 + 8 * wt**2) / 2
-    rho_t1 = desc(
-        [dt + wt / 2 + r1, dt + wt / 2 - r1, dt + gt / 2 + r2, dt + gt / 2 - r2,
-         dt + gt, dt + 2 * wt, dt, dt]
-    )
-    red = desc(
-        [3 * dt + 1.5 * wt + r1, 3 * dt + 1.5 * wt - r1,
-         3 * dt + gt + SQRT2 * wt, 3 * dt + gt - SQRT2 * wt,
-         3 * dt + gt + 2 * wt, 3 * dt + gt + 2 * wt,
-         3 * dt + gt + wt, 3 * dt + gt + wt]
-    )
-    pair = (2 * dt + gt) * (2 * dt + gt + wt)
+    # a partial sum that several values share is formed once, in its order of operations
+    d2, d3, g2, w2 = 2 * dt, 3 * dt, gt**2, wt**2
+    d2g, d3g, d4g = d2 + gt, d3 + gt, 4 * dt + gt
+    d2gw, d3gw, d3gww = d2g + wt, d3g + wt, d3g + 2 * wt
+    rho = desc([dt + 2 * gt, dt + 3 * wt] + [dt] * 6)
+    rho23 = desc([d2 + 2 * wt, d2gw, d2g, d2])
+    rho1 = desc([d4g + 2 * wt, d4g + wt])
+    r1 = np.sqrt(4 * g2 + w2) / 2
+    r2 = np.sqrt(g2 + 8 * w2) / 2
+    half_w, half_g, red_w = dt + wt / 2, dt + gt / 2, d3 + 1.5 * wt
+    rho_t1 = desc([half_w + r1, half_w - r1, half_g + r2, half_g - r2, dt + gt, dt + 2 * wt, dt, dt])
+    red = desc([red_w + r1, red_w - r1, d3g + SQRT2 * wt, d3g - SQRT2 * wt, d3gww, d3gww, d3gw, d3gw])
+    pair = d2g * d2gw
     conc23 = desc([4 * (dt + wt) ** 2, pair, pair, 4 * dt**2])
     return {
         "rho": rho,

@@ -98,18 +98,16 @@ def build_spin_observables(t1, t2, t3) -> dict[str, list[np.ndarray]]:
 
 
 # the published polynomial of each level, by setting; for 28cap3 and 3sep the cap
-# inequality is slack on the whole simplex for these settings
+# inequality is slack on the whole simplex for these settings, and Settings II and III
+# share one polynomial there
+_CAP_II_III = lambda g, w: -9 * g**2 - 77 * w**2 - 12 * w + 9
 _SU_POLYNOMIALS = {
     "2sep": (
         lambda g, w: -7 * g**2 - 6 * g * w - 15 * w**2 - 18 * g + 6 * w + 9,
         lambda g, w: -9 * g**2 - 5 * w**2 - 12 * w + 9,
         lambda g, w: -(g**2) - 5 * w**2 - 12 * w + 9,
     ),
-    "28cap3": (
-        lambda g, w: -45 * g**2 - 2 * g * w - 5 * w**2 - 6 * g + 2 * w + 3,
-        lambda g, w: -9 * g**2 - 77 * w**2 - 12 * w + 9,
-        lambda g, w: -9 * g**2 - 77 * w**2 - 12 * w + 9,
-    ),
+    "28cap3": (lambda g, w: -45 * g**2 - 2 * g * w - 5 * w**2 - 6 * g + 2 * w + 3, _CAP_II_III, _CAP_II_III),
 }
 _SU_POLYNOMIALS["3sep"] = _SU_POLYNOMIALS["28cap3"]
 
@@ -118,7 +116,15 @@ def su_closed_margin(g, w, setting_index: int, level: str):
     """Published polynomial margin for Settings I-III (0-indexed)."""
     if level not in _SU_POLYNOMIALS:
         raise ValueError(f"unknown level {level!r}")
-    return _SU_POLYNOMIALS[level][setting_index](np.asarray(g, dtype=float), np.asarray(w, dtype=float))
+    return su_closed_margins(g, w, [(setting_index, level)])[..., 0]
+
+
+def su_closed_margins(g, w, pairs) -> np.ndarray:
+    """The published polynomial margin of each (setting index, level) of ``pairs``, by
+    (cell, pair); each distinct polynomial is evaluated once."""
+    polynomials = [_SU_POLYNOMIALS[level][idx] for idx, level in pairs]
+    values = {poly: poly(np.asarray(g, dtype=float), np.asarray(w, dtype=float)) for poly in polynomials}
+    return np.array([values[poly] for poly in polynomials]).T
 
 
 def _published_setting_index(triads) -> int | None:
@@ -132,16 +138,20 @@ def _published_setting_index(triads) -> int | None:
 def su_margins_from_expectations(ex, ey, ez, ei, level: str):
     """Criterion margin from the four expectation quadruples (arrays allowed)."""
     ex, ey, ez, ei = (np.asarray(v, dtype=float) for v in (ex, ey, ez, ei))
-    xy = ex**2 + ey**2
-    iz = ei**2 - ez**2
-    if level == "2sep":
-        terms = np.sqrt(np.clip(iz, 0.0, None))
-        total = np.sum(terms, axis=0)
-        margins = (total - terms) - np.sqrt(xy)
-        return np.min(margins, axis=0)
+    return su_margins_from_squares(ex**2 + ey**2, ei**2 - ez**2, level)
+
+
+def su_margins_from_squares(xy, iz, level: str):
+    """Criterion margin from X^2 + Y^2 and I^2 - Z^2 of the four observables (axis 0)."""
+    if level == "2sep":  # in place, to hold fewer arrays of the shape of xy
+        terms = np.maximum(iz, 0.0)
+        np.sqrt(terms, out=terms)
+        margins = np.subtract(terms.sum(axis=0), terms, out=terms)
+        margins -= np.sqrt(xy)
+        return margins.min(axis=0)
     cap = _LEVEL_CAP[level]
-    min_iz = np.min(iz, axis=0)
-    gap = min_iz - np.max(xy, axis=0)
+    min_iz = iz.min(axis=0)
+    gap = min_iz - xy.max(axis=0)
     return np.minimum(gap, cap - min_iz)
 
 
@@ -171,57 +181,51 @@ def criterion_su(p: SimplexPoint, triads, level: str) -> float:
 
 
 @functools.cache
-def _spin_coefficients(setting_index: int) -> dict[str, np.ndarray]:
-    """(identity, GHZ, W) coefficient triple of every observable of one published setting."""
-    obs = build_spin_observables(*(PUBLISHED_SETTINGS[setting_index],) * 3)
-    ghz = states.ghz_vector()
-    wv = states.w_vector()
-    return {
-        key: np.array(
-            [
-                [
-                    float(np.trace(o).real) / 8.0,
-                    float((np.conj(ghz) @ (o @ ghz)).real),
-                    float((np.conj(wv) @ (o @ wv)).real),
-                ]
-                for o in obs[key]
-            ]
-        )
-        for key in ("X", "Y", "Z", "I")
-    }
+def _spin_coefficients() -> np.ndarray:
+    """(identity, GHZ, W) coefficients of every observable of the published settings, by
+    (observable set X/Y/Z/I, coefficient, observable, setting, 1)."""
+    ghz, wv = states.ghz_vector(), states.w_vector()
+    coeffs = [
+        [
+            [[float(np.trace(o).real) / 8.0, float((np.conj(ghz) @ (o @ ghz)).real),
+              float((np.conj(wv) @ (o @ wv)).real)] for o in obs[key]]
+            for key in ("X", "Y", "Z", "I")
+        ]
+        for obs in (build_spin_observables(*(setting,) * 3) for setting in PUBLISHED_SETTINGS)
+    ]
+    return np.transpose(coeffs, (1, 3, 2, 0))[..., None]
 
 
-def su_expectations_grid(g, w, setting_index: int) -> dict[str, np.ndarray]:
-    """Expectation values of the four observable sets of one published setting,
-    by (observable, cell), over weight arrays.
+def su_margins_stacked(g, w, settings, levels) -> np.ndarray:
+    """Criterion margins over weight arrays of the published ``settings`` (indices) at each
+    of ``levels``, by (level, setting, cell).
 
     Expectation values are linear in the mixing weights, so each observable
-    contributes a cached coefficient triple (identity, GHZ, W); they are
-    identical to per-point traces up to rounding.
+    contributes cached coefficients (identity, GHZ, W); they are identical to
+    per-point traces up to rounding.  Two observable sets are held at a time.
     """
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
-    coeffs = _spin_coefficients(setting_index)
+    g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
     d = np.maximum(1.0 - g - w, 0.0)
-    return {
-        key: (
-            coeffs[key][:, 0][:, None] * d[None, :]
-            + coeffs[key][:, 1][:, None] * g[None, :]
-            + coeffs[key][:, 2][:, None] * w[None, :]
-        )
-        for key in coeffs
-    }
+    table = _spin_coefficients()[:, :, :, list(settings)]
+
+    def squared(key: int) -> np.ndarray:  # in place, as xy and iz: fewer arrays live at once
+        ev = table[key, 0] * d
+        ev += table[key, 1] * g
+        ev += table[key, 2] * w
+        ev **= 2
+        return ev
+
+    xy = squared(0)
+    xy += squared(1)
+    iz = squared(3)
+    iz -= squared(2)
+    return np.array([su_margins_from_squares(xy, iz, level) for level in levels])
 
 
-def su_margins_grid(g, w, setting_index: int, level: str, expectations=None) -> np.ndarray:
-    """Criterion margins over weight arrays for one published setting.
-
-    ``expectations`` are the setting's ``su_expectations_grid`` on the same
-    weights, computed here when not given; the three levels of a setting
-    share them.  ``criteria`` checks the signs against ``su_closed_margin``.
-    """
-    ev = su_expectations_grid(g, w, setting_index) if expectations is None else expectations
-    return su_margins_from_expectations(ev["X"], ev["Y"], ev["Z"], ev["I"], level)
+def su_margins_grid(g, w, setting_index: int, level: str) -> np.ndarray:
+    """Criterion margins over weight arrays for one published setting and level: the
+    ``su_margins_stacked`` pass on that one pair."""
+    return su_margins_stacked(g, w, (setting_index,), (level,))[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +326,19 @@ _SWAP_SUBSETS = ((1,), (2,), (3,), (2, 3), (1, 3), (1, 2))
 # swapping a subset or its complement gives one expectation, because rho (x) rho is
 # symmetric under exchanging the copies; the complements read their subset's form
 _COMPLEMENTS = {(2, 3): (1,), (1, 3): (2,), (1, 2): (3,)}
+_FORMS = ((1,), (2,), (3,), ("tot",))  # the distinct expectations: single qubits, left side
 
 
 @functools.cache
-def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
-    """3x3 weight-bilinear coefficient matrices of every distinct swap expectation.
+def _huber_coefficients(phi_tag: str) -> np.ndarray:
+    """3x3 weight-bilinear coefficient matrices of every distinct swap expectation, by
+    (``_FORMS`` key, 3, 3).
 
     rho (x) rho is bilinear in the mixing weights, so each quantity
     <Phi_S| rho(x)rho |Phi_S> (and the left side with P_tot) is a quadratic
     form c^T Q c in c = (d, g, w); the Q are contractions of the explicit
-    64-dimensional swap operators and are cached per detection vector.
+    64-dimensional swap operators and are cached per detection vector.  c is
+    real, so the real part of the form is c^T Re(Q) c, and only Re(Q) is kept.
     """
     phi = HUBER_PHIS[phi_tag]()
     ghz = states.ghz_vector()
@@ -342,25 +349,19 @@ def _huber_coefficients(phi_tag: str) -> dict[tuple, np.ndarray]:
         np.outer(wv, np.conj(wv)),
     )
     # (bra, ket) of each distinct expectation
-    sides = {subset: (swap_operator(subset) @ phi,) * 2 for subset in _SWAP_SUBSETS
-             if subset not in _COMPLEMENTS}
-    sides[("tot",)] = (phi, swap_operator((1, 2, 3)) @ phi)
-    return {
-        key: np.array([[np.conj(bra) @ (np.kron(a, b) @ ket) for b in basis] for a in basis])
-        for key, (bra, ket) in sides.items()
-    }
+    sides = [(phi, swap_operator((1, 2, 3)) @ phi) if key == ("tot",) else (swap_operator(key) @ phi,) * 2
+             for key in _FORMS]
+    return np.array([[[np.conj(bra) @ (np.kron(a, b) @ ket) for b in basis] for a in basis]
+                     for bra, ket in sides]).real.copy()
 
 
 def huber_forms_grid(g, w, phi_tag: str) -> dict[tuple, np.ndarray]:
     """The seven swap expectations of the named detection vector over weight arrays,
-    keyed like ``_huber_coefficients`` and clipped at zero: four quadratic forms, and
-    each complement of a single qubit reading that qubit's form."""
+    keyed by subset like ``_FORMS`` and clipped at zero: four quadratic forms, from one
+    einsum, and each complement of a single qubit reading that qubit's form."""
     g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
-    c = np.stack([np.maximum(1.0 - g - w, 0.0), g, w], axis=0)
-    forms = {
-        key: np.clip(np.real(np.einsum("an,ab,bn->n", c, q, c)), 0.0, None)
-        for key, q in _huber_coefficients(phi_tag).items()
-    }
+    c = np.array([np.maximum(1.0 - g - w, 0.0), g, w])
+    forms = dict(zip(_FORMS, np.maximum(np.einsum("an,kab,bn->kn", c, _huber_coefficients(phi_tag), c), 0.0)))
     forms.update({subset: forms[single] for subset, single in _COMPLEMENTS.items()})
     return forms
 
@@ -435,6 +436,14 @@ def _class_signature(multiset) -> tuple[int, int, int]:
     return (labels.count("a"), labels.count("b"), labels.count("c"))
 
 
+# the class signature of each product member's multiset, sixth-order members first, and
+# every member's key in that order, the off-diagonal member last
+_GS3_SIGNATURES = tuple(map(_class_signature, GS3_SIXTH + GS3_FOURTH))
+GS3_KEYS = tuple(f"gs3_{prefix}_{''.join(map(str, ms))}"
+                 for prefix, family in (("six", GS3_SIXTH), ("four", GS3_FOURTH)) for ms in family)
+GS3_KEYS += ("gs3_offdiag",)
+
+
 def _w_coherences(rho: np.ndarray) -> np.ndarray:
     return np.abs(rho[..., 1, 2]) + np.abs(rho[..., 1, 4]) + np.abs(rho[..., 2, 4])
 
@@ -465,50 +474,48 @@ def gs2_closed_margins(g, w):
     return m_ghz, m_w
 
 
-def gs3_closed_margins(g, w) -> dict[str, np.ndarray]:
-    """All 14 full-separability margins in matrix-element units, plus the aggregate."""
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
+def gs3_closed_margins(g, w) -> np.ndarray:
+    """All 14 full-separability margins in matrix-element units, by (member, cell) in
+    ``GS3_KEYS`` order."""
     dt, gt, wt = states.renormalized_weights(g, w)
-    a, b, c = dt + gt, dt + wt, dt
-    out: dict[str, np.ndarray] = {}
-    for ms in GS3_SIXTH:
-        na, nb, nc = _class_signature(ms)
-        out[f"gs3_six_{''.join(str(m) for m in ms)}"] = (
-            a**na * b**nb * c**nc
-        ) ** (1.0 / 6.0) - gt
-    for ms in GS3_FOURTH:
-        na, nb, nc = _class_signature(ms)
-        out[f"gs3_four_{''.join(str(m) for m in ms)}"] = (
-            a**na * b**nb * c**nc
-        ) ** (1.0 / 4.0) - gt
-    out["gs3_offdiag"] = 3.0 * (np.sqrt(a * c) - wt)
-    stacked = np.stack(list(out.values()), axis=0)
-    out["gs3"] = np.min(stacked, axis=0)
+    bases = (dt + gt, dt + wt, dt)
+    # each power of a class weight once, {exponent: base**exponent} per class; the roots
+    # are taken in place, to hold fewer (member, cell) arrays
+    powers = [{n: base**n for n in set(ns)} for base, ns in zip(bases, zip(*_GS3_SIGNATURES))]
+    out = np.empty((len(GS3_KEYS), dt.size))
+    for k, (na, nb, nc) in enumerate(_GS3_SIGNATURES):
+        np.multiply(powers[0][na] * powers[1][nb], powers[2][nc], out=out[k])
+    six = len(GS3_SIXTH)
+    out[:six] **= 1.0 / 6.0
+    out[six:-1] **= 1.0 / 4.0
+    out[:-1] -= gt
+    out[-1] = 3.0 * (np.sqrt(bases[0] * bases[2]) - wt)
     return out
 
 
-def gs3_element_margins(rho: np.ndarray) -> dict[str, np.ndarray]:
-    """All 14 full-separability margins from the matrix elements of one density
-    matrix or a batch, keyed like ``gs3_closed_margins``."""
+def gs3_element_members(rho: np.ndarray) -> np.ndarray:
+    """All 14 full-separability margins from the matrix elements of one density matrix or a
+    batch, by (..., member) in ``GS3_KEYS`` order."""
     d = np.ascontiguousarray(np.diagonal(rho.real, axis1=-2, axis2=-1))  # fast fancy indexing
-    corner = np.abs(rho[..., 0, 7])
-    out: dict[str, np.ndarray] = {}
-    for prefix, family in (("six", GS3_SIXTH), ("four", GS3_FOURTH)):
+    corner = np.abs(rho[..., 0, 7])[..., None]
+    members = []
+    for family in (GS3_SIXTH, GS3_FOURTH):
         # one factor of every member at a time: gathering all factors at once would hold
         # (cells, members, factors) values, 1.6 MB per 4,096 cells
         factors = np.array(family).T
         product = d[..., factors[0]]
         for factor in factors[1:]:
             product *= d[..., factor]
-        rhs = product ** (1.0 / len(family[0]))
-        for k, ms in enumerate(family):
-            out[f"gs3_{prefix}_{''.join(str(m) for m in ms)}"] = rhs[..., k] - corner
-    out["gs3_offdiag"] = (
-        np.sqrt(d[..., 0] * d[..., 3]) + np.sqrt(d[..., 0] * d[..., 5])
-        + np.sqrt(d[..., 0] * d[..., 6]) - _w_coherences(rho)
-    )
-    return out
+        members.append(product ** (1.0 / len(family[0])) - corner)
+    offdiag = (np.sqrt(d[..., 0] * d[..., 3]) + np.sqrt(d[..., 0] * d[..., 5])
+               + np.sqrt(d[..., 0] * d[..., 6]) - _w_coherences(rho))
+    return np.concatenate([*members, offdiag[..., None]], axis=-1)
+
+
+def gs3_element_margins(rho: np.ndarray) -> dict[str, np.ndarray]:
+    """``gs3_element_members``, keyed by ``GS3_KEYS``."""
+    members = gs3_element_members(rho)
+    return {key: members[..., k] for k, key in enumerate(GS3_KEYS)}
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,26 @@ class TestEvaluate:
         batch.evaluate(ids)
         return batch.deviations
 
+    # qsep verify prints its registry lines in this order
+    RECORD_ORDER = [
+        "Spect(rho)", "Spect(rho^23)", "Spect(rho^1)", "majorization rho^1 sign",
+        "majorization rho^23 sign", "Spect(rho^T1)", "ppt sign", "Spect(I (x) rho^23 - rho)",
+        "Spect(rho^1 (x) I - rho)", "reduction sign", "reshuffling singular values",
+        "su2_set1 sign", "su283_set1 sign", "su3_set1 sign", "su2_set2 sign", "su283_set2 sign",
+        "su3_set2 sign", "su2_set3 sign", "su283_set3 sign", "su3_set3 sign",
+        "huber_ghz swap forms", "huber_w swap forms", "gs2_ghz matrix elements", "gs2_w matrix elements",
+        *(f"gs3 member gs3_six_{ms}" for ms in ("000777", "123456", "012477", "003567", "011667",
+                                                  "001677", "112467", "013566")),
+        *(f"gs3 member gs3_four_{ms}" for ms in ("0077", "2345", "0167", "1247", "0356")),
+        "gs3 member gs3_offdiag", "witness w_ghz trace", "witness w_w1 trace", "witness w_w2 trace",
+    ]
+
+    def test_records_every_check_in_a_fixed_order(self):
+        assert list(self.deviations(criteria.IDS)) == self.RECORD_ORDER
+        # a selection records its checks in the same relative order, whatever order names it
+        spin = [cid for cid in criteria.IDS if cid.startswith("su")]
+        assert list(self.deviations(spin[::-1])) == [n for n in self.RECORD_ORDER if n.startswith("su")]
+
     def test_records_only_the_checks_it_ran(self):
         assert set(self.deviations(("ppt",))) == {"Spect(rho^T1)", "ppt sign"}
         assert set(self.deviations(("entropy_rho1_a2", "su2_set1"))) == {
@@ -146,13 +166,23 @@ class TestRegistry:
         assert criteria.IDS[start + 13] == "gs2_ghz"
 
 
+class TestOneCriterionGrids:
+    def test_one_setting_or_vector_gives_the_registry_margins(self):
+        # the public one-criterion grids run the stacked passes on one setting or one vector
+        margins = criteria.margins(G, W, criteria.IDS)
+        for cid, (idx, level) in criteria.SPIN.items():
+            assert tripartite.su_margins_grid(G, W, idx, level).tobytes() == margins[cid].tobytes(), cid
+        for cid, (tag, k) in criteria.SWAP.items():
+            assert tripartite.huber_margins_grid(G, W, tag, k).tobytes() == margins[cid].tobytes(), cid
+
+
 class TestSwapForms:
     def test_each_detection_vector_evaluates_its_four_distinct_forms_once(self, monkeypatch):
         calls = []
         real = np.einsum
-        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append((a[0], a[2].shape)) or real(*a, **k))
         criteria.margins(G, W, criteria.GROUPS["huber"])
-        assert calls.count("an,ab,bn->n") == 8
+        assert calls == [("an,kab,bn->kn", (4, 3, 3))] * 2  # one einsum per vector
 
     def test_a_complement_reads_the_form_of_its_qubit(self):
         for tag in ("ghz", "w"):
@@ -280,17 +310,18 @@ class TestSpectralPass:
         assert sorted(seen) == sorted(layout.name for layout in read)
 
     def test_a_cells_margins_do_not_depend_on_batch_or_selection(self):
+        # every criterion alone and every group alone, on the chunk and at single cells of it
         rng = np.random.default_rng(8)
         u, v = rng.random(4096), rng.random(4096)
         g, w = np.where(u + v > 1.0, 1.0 - u, u), np.where(u + v > 1.0, 1.0 - v, v)
         chunk = criteria.margins(g, w, criteria.IDS)
-        spectral = ("maj_rho1", "maj_rho23", "ppt", "reduction", "resh24", "perm222")
-        for k in (0, 1234, 4095):
-            for cid in spectral:
-                alone = criteria.margins(g[k:k + 1], w[k:k + 1], (cid,))[cid]
-                assert alone.tobytes() == chunk[cid][k:k + 1].tobytes(), (cid, k)
-        ppt_only = criteria.margins(g, w, ("ppt",))["ppt"]
-        assert ppt_only.tobytes() == chunk["ppt"].tobytes()
+        for ids in [(cid,) for cid in criteria.IDS] + list(criteria.GROUPS.values()):
+            alone = criteria.margins(g, w, ids)
+            cells = [criteria.margins(g[k:k + 1], w[k:k + 1], ids) for k in (0, 1234, 4095)]
+            for cid in ids:
+                assert alone[cid].tobytes() == chunk[cid].tobytes(), (ids, cid)
+                for k, cell in zip((0, 1234, 4095), cells):
+                    assert cell[cid].tobytes() == chunk[cid][k:k + 1].tobytes(), (ids, cid, k)
 
 
 class TestTemplateDtype:

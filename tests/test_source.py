@@ -25,6 +25,8 @@ ALLOWED_WITHOUT_CALLER = {
     "scan.boundary_bisect": "public API: boundary constants along a ray (README, acceptance)",
     "scan.import_json": "public API: reads a JSON export back (tests, benchmark output checks)",
     "scan.RegionGrid.pptes_points": "public API: the PPTES cells of a scan (README)",
+    "tripartite.su_margins_grid": "public API: one spin criterion's margins over weight arrays "
+                                  "(tests; the benchmark's set-up probe fills the caches with it)",
 }
 
 
