@@ -6,16 +6,18 @@ has one, its independent reference; ``IDS`` is the scan order.  A ``Batch``
 holds the weights of one batch of cells and every quantity its criteria
 share, and ``Batch.evaluate`` computes any subset of criteria on it, calling
 each vectorized evaluator its rows name once, so a grid chunk and a batch of
-one point take the same path (``margins``, ``scan.point_margin``).  A matrix
-family is diagonalized by one ``linalg.block_spectra`` call, on the source
-that ``Batch.source`` builds, when an evaluator first reads it:
-``Batch.spectrum`` sorts it, checks it against the closed form its layout
-names (``BlockLayout.closed``) and keeps it, and only ``perm222`` reads a
-family in layout order (``Batch.values``).  So a batch computes each family
-at most once, and only the families its selection reads.  Every family but
-``perm222`` runs its second path on the same batch through the two recording
-checks of ``Batch``, ``check_close`` and ``check_signs``, and these are the
-only cross-checks on the grid path.  An evaluator whose group has many
+one point take the same path (``margins``, ``scan.point_margin``).  Each row
+declares the matrix families its evaluator reads (``reads``), and
+``Batch.evaluate`` diagonalizes every family the selected rows read in one
+``linalg.block_spectra`` pass, on the sources that ``Batch.source`` builds.
+``Batch.spectrum`` sorts a family's values, checks them against the closed
+form its layout names (``BlockLayout.closed``) on the first read and keeps
+them, and only ``perm222`` reads a family in layout order (``Batch.values``).
+So a batch computes each family at most once, and only the families its
+selection reads; a read outside ``evaluate`` makes a pass of its own.  Every
+family but ``perm222`` runs its second path on the same batch through the two
+recording checks of ``Batch``, ``check_close`` and ``check_signs``, and these
+are the only cross-checks on the grid path.  An evaluator whose group has many
 members (the spin levels and settings, the gs3 members) computes them in one
 stacked pass and checks them with one call, which records each member's
 column under its own name.  ``Batch.concurrence``, which no criterion reads,
@@ -76,8 +78,9 @@ REFERENCE_TOL = 1e-10  # each independent reference, and the Jacobi eigensolver,
 class Criterion:
     """One criterion: id, selection group, classes a violation excludes, margin kind, its
     evaluator, ``(batch, wanted ids of its rows) -> {id: margins}``, shared by every row
-    of its group, and its independent reference, ``(g, w, mixture) -> (cells it read, its
-    margins there)``."""
+    of its group, its independent reference, ``(g, w, mixture) -> (cells it read, its
+    margins there)``, and the matrix families its evaluator reads (``Batch.evaluate``
+    diagonalizes them in one pass)."""
 
     id: str
     group: str
@@ -85,6 +88,7 @@ class Criterion:
     kind: str
     evaluator: Callable
     reference: Callable | None = None
+    reads: tuple[linalg.BlockLayout, ...] = ()
 
 
 # the (rho^1, rho^23) entropy criteria of each order
@@ -122,6 +126,7 @@ class Batch:
     def __init__(self, g, w):
         self.g, self.w = states.simplex_weights(g, w)
         self.deviations: dict[str, tuple[float, float, float]] = {}
+        self._values: dict[linalg.BlockLayout, np.ndarray] = {}
         self._spectra: dict[linalg.BlockLayout, np.ndarray] = {}
 
     @cached_property
@@ -150,15 +155,19 @@ class Batch:
         return self.rho if layout.template is None else layout.template(self.g, self.w)
 
     def values(self, layout: linalg.BlockLayout) -> np.ndarray:
-        """The block spectra of ``layout``, in layout order, from one ``linalg.block_spectra``
-        call on its ``source``."""
-        return linalg.block_spectra(layout, self.source(layout), self.g, self.w)
+        """The block spectra of ``layout``, in layout order: from the pass of ``evaluate``
+        or, for a family it did not diagonalize, from a pass of its own."""
+        if layout not in self._values:
+            (self._values[layout],) = linalg.block_spectra((layout,), self.source, self.g, self.w)
+        return self._values[layout]
 
     def spectrum(self, layout: linalg.BlockLayout) -> np.ndarray:
-        """The block spectra of ``layout``, sorted non-increasing; computed and checked
-        against its closed form, if it has one, on the first read."""
+        """The block spectra of ``layout``, sorted non-increasing; sorted in place (a later
+        ``values`` read makes a pass of its own) and checked against its closed form, if it
+        has one, on the first read."""
         if layout not in self._spectra:
             values = self.values(layout)
+            del self._values[layout]
             values.sort(axis=-1)
             values = values[:, ::-1]
             if layout.closed is not None:
@@ -199,8 +208,9 @@ class Batch:
     def evaluate(self, ids) -> dict[str, np.ndarray]:
         """Margins of the criteria ``ids`` on every cell of the batch, cross-checked.
 
-        Each evaluator the rows of ``ids`` name runs once, in the order of
-        its first row in ``IDS``.  Every closed-form check that runs is recorded in ``deviations`` as
+        One ``linalg.block_spectra`` pass diagonalizes the families the rows
+        read, then each evaluator the rows name runs once, in the order of its
+        first row in ``IDS``.  Every closed-form check that runs is recorded in ``deviations`` as
         ``(worst deviation, g, w)`` of its worst cell, whether it passed or
         not.  Raises ValueError for an unknown id and ConsistencyError, naming
         the check and the failing (g, w), when a numeric path and its closed
@@ -214,6 +224,11 @@ class Batch:
         for cid in IDS:
             if cid in selected:
                 wanted.setdefault(BY_ID[cid].evaluator, []).append(cid)
+        read = {layout for cid in selected for layout in BY_ID[cid].reads}
+        pending = tuple(layout for layout in states.FAMILIES
+                        if layout in read and layout not in self._values and layout not in self._spectra)
+        if pending:  # one pass over every family the selection reads, in FAMILIES order
+            self._values.update(zip(pending, linalg.block_spectra(pending, self.source, self.g, self.w)))
         out: dict[str, np.ndarray] = {}
         for evaluator, family in wanted.items():
             out.update(evaluator(self, family))
@@ -336,15 +351,19 @@ _SPIN_EXCLUDES = {"2sep": BISEP, "28cap3": INTERSECTION, "3sep": FULLSEP}
 _SWAP_EXCLUDES = {2: BISEP, 3: FULLSEP}
 
 REGISTRY: tuple[Criterion, ...] = (
-    Criterion("maj_rho1", "maj", INTERSECTION, "min partial-sum slack", _majorization),
-    Criterion("maj_rho23", "maj", INTERSECTION, "min partial-sum slack", _majorization),
-    *(Criterion(cid, "entropy", INTERSECTION, "entropy difference", _entropy)
+    Criterion("maj_rho1", "maj", INTERSECTION, "min partial-sum slack", _majorization, reads=_DENSITIES),
+    Criterion("maj_rho23", "maj", INTERSECTION, "min partial-sum slack", _majorization, reads=_DENSITIES),
+    *(Criterion(cid, "entropy", INTERSECTION, "entropy difference", _entropy, reads=_DENSITIES)
       for pair in _ENTROPY_IDS.values() for cid in pair),
-    Criterion("ppt", "ppt", INTERSECTION, "min eigenvalue of rho^T1", _partial_transpose),
+    Criterion("ppt", "ppt", INTERSECTION, "min eigenvalue of rho^T1", _partial_transpose,
+              reads=(states.TRANSPOSE_1_BLOCKS,)),
     Criterion("reduction", "reduction", INTERSECTION, "min eigenvalue of reduction maps",
-              _partial_transpose),
-    Criterion("resh24", "resh24", INTERSECTION, "1 - trace norm", _reshuffle24),
-    Criterion("perm222", "perm222", FULLSEP, "1 - trace norm", _perm222),
+              _partial_transpose, reads=(states.TRANSPOSE_1_BLOCKS, states.REDUCTION_I123_BLOCKS,
+                                         states.REDUCTION_1I23_BLOCKS)),
+    Criterion("resh24", "resh24", INTERSECTION, "1 - trace norm", _reshuffle24,
+              reads=(states.RESHUFFLE_24_BLOCKS,)),
+    Criterion("perm222", "perm222", FULLSEP, "1 - trace norm", _perm222,
+              reads=(states.RESHUFFLE_23_BLOCKS,)),
     # explicit per-point paths, each function looked up in tripartite at every call
     *(
         Criterion(cid, f"su{tripartite.LEVEL_TAG[level]}", _SPIN_EXCLUDES[level], SPIN_KIND, _spin,

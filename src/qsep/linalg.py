@@ -1,21 +1,14 @@
 """Dense complex matrix arithmetic and spectral routines for dimension <= 64.
 
-The criteria read ``block_spectra``: one call per matrix family and batch,
-which diagonalizes the family block by block along the fixed layout
-(``BlockLayout``) declared with its template.  The method is fixed by the
-block's shape and the declared mirror pairs:
-
-- a 1x1 block is its diagonal entry, and a one-row singular-value block's
-  value is its Euclidean norm;
-- every 2x2 problem of the family goes to one call of ``eigvalsh_2x2``, the
-  steps LAPACK ``dsyevd`` takes on a 2x2 matrix (``dsterf``'s split tests
-  and ``dlae2``), vectorized;
-- a 3x3 block with a mirror pair (p, q) splits into B_pp - B_pq and a 2x2
-  problem.  ``states`` declares the pairs: (1, 2) in the (1, 2, 4) blocks
-  of rho and of both reduction maps, (5, 6) in the (0, 5, 6) block of
-  rho^T1;
-- what remains goes to LAPACK, one call per block shape: ``eigvalsh`` for
-  the two 3x3 blocks of R'(rho) and SVD for the 2x6 block of R(rho).
+The criteria read ``block_spectra``: one pass per batch over the matrix
+families a selection reads, each diagonalized block by block along the fixed
+layout (``BlockLayout``) declared with its template, which fixes each block's
+method by its shape and mirror pairs.  Each source is built, checked and
+gathered once (the four families read from rho share one read) and let go
+before the next; then one ``eigvalsh_2x2`` call, the steps LAPACK ``dsyevd``
+takes on a 2x2 matrix vectorized, takes every 2x2 problem of every family,
+and one LAPACK call every block of a shape that remains: ``eigvalsh`` the two
+3x3 blocks of R'(rho), SVD the 2x6 block of R(rho).
 
 ``eigh`` (symmetric/Hermitian eigensolver) and ``singular_values`` (SVD of
 the matrix itself, not of its Gram matrix, so a trace norm keeps full
@@ -35,6 +28,7 @@ sits in the batch.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -248,7 +242,7 @@ _RMAX = float(np.sqrt(_EPS / _TINY))
 _SSFMIN = float(np.sqrt(_TINY)) / _ROUNDOFF**2
 _SSFMAX = float(np.sqrt(1.0 / _TINY)) / 3.0
 _SQRT2 = float(np.sqrt(2.0))
-_KERNEL_STEP = 2048  # problems per step of eigvalsh_2x2: its ~20 temporaries take 0.33 MB
+_KERNEL_STEP = 8192  # problems per step of eigvalsh_2x2: its ~20 temporaries take about 1.3 MB
 
 
 def eigvalsh_2x2(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +310,7 @@ def _dsyevd_2x2(a, b, c):
     return (low * (1.0 / sigma), high * (1.0 / sigma)) if extreme else (low, high)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a family is its object: compared and hashed by identity
 class BlockLayout:
     """A matrix family that a fixed permutation turns into a direct sum of small blocks.
 
@@ -353,7 +347,7 @@ class BlockLayout:
     checks both equalities exactly on every call.
 
     Where ``block_spectra`` reads and writes is derived here, once per
-    family, in flat entries of the source.
+    family, in flat entries of the source; ``_plan`` pools it per pass.
     """
 
     name: str
@@ -361,27 +355,27 @@ class BlockLayout:
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     singular: bool = False
     mirrors: tuple[tuple[int, int], ...] = ()
-    template: Callable | None = field(default=None, compare=False, repr=False)
+    template: Callable | None = field(default=None, repr=False)
     source_shape: tuple[int, int] | None = None  # None: the family's own shape
-    source_map: Callable | None = field(default=None, compare=False, repr=False)
+    source_map: Callable | None = field(default=None, repr=False)
     closed: str | None = None
-    mixture_map: Callable | None = field(default=None, compare=False, repr=False)
+    mixture_map: Callable | None = field(default=None, repr=False)
     # derived from the fields above: the source entry of each flat family entry; values per
     # matrix; the family's off-block mask, and the source entries it must hold 0.0 in; the
     # a, b, c entries of the 2x2 problems, split blocks first, and their low and high slots;
     # the B_pq entry of each split block and the slot of B_pp - B_pq; (method, entries of
     # shape (count, rows, columns), slots) per block shape; the (left, right) entries that
     # must be equal, with the text naming each pair; and the slots that take |value|
-    index: np.ndarray = field(init=False, repr=False, compare=False)
-    width: int = field(init=False, repr=False, compare=False)
-    off_block: np.ndarray = field(init=False, repr=False, compare=False)
-    zeros: np.ndarray = field(init=False, repr=False, compare=False)
-    problems: np.ndarray = field(init=False, repr=False, compare=False)
-    problem_slots: np.ndarray = field(init=False, repr=False, compare=False)
-    split: np.ndarray = field(init=False, repr=False, compare=False)
-    groups: tuple = field(init=False, repr=False, compare=False)
-    equal: tuple = field(init=False, repr=False, compare=False)
-    abs_slots: np.ndarray = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False)
+    width: int = field(init=False, repr=False)
+    off_block: np.ndarray = field(init=False, repr=False)
+    zeros: np.ndarray = field(init=False, repr=False)
+    problems: np.ndarray = field(init=False, repr=False)
+    problem_slots: np.ndarray = field(init=False, repr=False)
+    split: np.ndarray = field(init=False, repr=False)
+    groups: tuple = field(init=False, repr=False)
+    equal: tuple = field(init=False, repr=False)
+    abs_slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows, cols = self.shape
@@ -475,59 +469,113 @@ def _entry_error(layout: BlockLayout, bad: np.ndarray, texts, g, w):
 
 
 def _check_source(flat: np.ndarray, layout: BlockLayout, g, w) -> None:
-    """Check the zero pattern and the equalities of ``layout`` on a batch of flat source
+    """Check the zero pattern, then the equalities, of ``layout`` on a batch of flat source
     matrices; raise naming its first failing cell and the entry."""
-    nonzero = flat != 0.0  # NaN counts as nonzero
-    nonzero &= layout.zeros
-    if nonzero.any():
-        entries = np.flatnonzero(layout.off_block)
-        texts = [f"entry [{i}, {j}] lies outside every block but is not 0"
-                 for i, j in (divmod(int(e), layout.shape[1]) for e in entries)]
-        raise _entry_error(layout, flat.take(layout.index[entries], axis=1) != 0.0, texts, g, w)
+    entries = np.flatnonzero(layout.off_block)
     left, right, texts = layout.equal
-    if texts:
-        bad = flat.take(left, axis=1) != flat.take(right, axis=1)  # NaN fails
+    for bad, texts in (
+        (flat.take(layout.index[entries], axis=1) != 0.0,  # NaN counts as nonzero
+         [f"entry [{i}, {j}] lies outside every block but is not 0"
+          for i, j in (divmod(int(e), layout.shape[1]) for e in entries)]),
+        (flat.take(left, axis=1) != flat.take(right, axis=1), texts),  # NaN fails
+    ):
         if bad.any():
             raise _entry_error(layout, bad, texts, g, w)
 
 
-def block_spectra(layout: BlockLayout, source, g, w) -> np.ndarray:
-    """Eigenvalues or singular values of a batch of the family ``layout``, block by block.
+@functools.cache
+def _plan(layouts: tuple[BlockLayout, ...]) -> tuple:
+    """Where a pass over ``layouts`` reads and writes: each layout's first output column and
+    the total width; per source, in order of first use, its layouts, their zero entries and
+    equalities, their 2x2 problems' a, b, c entries (split blocks first) and B_pq entries,
+    and their other blocks' entries by (method, shape); the output columns of the pooled
+    problems, of the B_pp - B_pq values, of the pooled blocks by (method, shape), with their
+    layouts' names, and of the values that take |value|."""
+    starts = np.cumsum([0, *(layout.width for layout in layouts)])
+    placed = tuple(zip(layouts, starts.tolist()))
+    sources, slots, singles, groups = [], [], [], {}
+    for template in dict.fromkeys(layout.template for layout in layouts):
+        members = tuple(layout for layout in layouts if layout.template is template)
+        problems, columns, unsplit, blocks = [], [], [], {}
+        for layout, start in placed:
+            if layout.template is template:
+                problems.append(layout.problems)
+                columns.append(layout.problem_slots + start)
+                unsplit.append(np.arange(layout.problems.shape[1]) >= layout.split.shape[1])
+                singles.append(layout.split[1] + start)
+                for method, entries, cols in layout.groups:
+                    blocks.setdefault((method, entries.shape[1:]), []).append(entries)
+                    groups.setdefault((method, entries.shape[1:]), []).append((cols + start, layout.name))
+        order = np.argsort(np.concatenate(unsplit), kind="stable")
+        slots.append(np.concatenate(columns, axis=1)[:, order])
+        sources.append((members, np.logical_or.reduce([layout.zeros for layout in members]),
+                        *(np.concatenate([layout.equal[k] for layout in members]) for k in (0, 1)),
+                        np.concatenate(problems, axis=1)[:, order],
+                        np.concatenate([layout.split[0] for layout in members]),
+                        {key: np.concatenate(entries) for key, entries in blocks.items()}))
+    groups = {key: (np.concatenate([cols for cols, _ in found]), ", ".join(name for _, name in found))
+              for key, found in groups.items()}
+    return (starts, tuple(sources), np.concatenate(slots, axis=1), np.concatenate(singles), groups,
+            np.concatenate([layout.abs_slots + start for layout, start in placed]))
 
-    ``source`` is the batch of its source matrices, a (batch, rows, cols)
-    real array (complex input must have an exactly zero imaginary part).
-    ``g`` and ``w`` are the weights of the batch's cells, used to name a
-    failing one.  Every off-block entry must be exactly 0.0, every square
-    block of a singular-value layout exactly symmetric and every mirror pair
-    exactly equal; otherwise ConsistencyError names the family, the first
-    such cell and the entry.  A NaN fails each of these checks.
 
-    One ``eigvalsh_2x2`` call takes every 2x2 problem of the family, and one
-    LAPACK call every block of a shape that remains.  Returns a
-    (batch, layout.width) array: its blocks in layout order, each block's
-    values ascending (a split block gives B_pp - B_pq first), not sorted
-    overall.  A cell's values do not depend on the rest of the batch.
+def block_spectra(layouts: tuple[BlockLayout, ...], source, g, w) -> tuple[np.ndarray, ...]:
+    """Eigenvalues or singular values of a batch of each family in ``layouts``, block by
+    block, in one pass.
+
+    ``source(layout)`` returns the batch of source matrices of ``layout``, a
+    (batch, rows, cols) real array (complex input must have an exactly zero
+    imaginary part).  It is called once per distinct source (the families
+    read from rho share one read), and each source is checked and gathered
+    and let go before the next is built.  ``g`` and ``w`` are the weights of
+    the batch's cells, used to name a failing one.  Every off-block entry
+    must be exactly 0.0, every square block of a singular-value layout
+    exactly symmetric and every mirror pair exactly equal; otherwise
+    ConsistencyError names the family, the first such cell and the entry.  A
+    NaN fails each of these checks.
+
+    One ``eigvalsh_2x2`` call takes every 2x2 problem of every family, and
+    one LAPACK call every block of a shape that remains.  Returns, per
+    layout, a (batch, layout.width) view of one buffer: its blocks in layout
+    order, each block's values ascending (a split block gives B_pp - B_pq
+    first), not sorted overall.  A cell's values depend neither on the rest
+    of the batch nor on the other families of the pass.
     """
     batch = len(g)
-    matrices = _real_if_exact(source)
-    if np.iscomplexobj(matrices) or matrices.shape != (batch,) + layout.source_shape:
-        raise ValueError(f"{layout.name}: expected a batch of {batch} real {layout.source_shape} "
-                         f"matrices, got {matrices.dtype} {matrices.shape}")
-    flat = matrices.reshape(batch, -1)
-    _check_source(flat, layout, g, w)
-    (low, high), (pq_entries, single) = layout.problem_slots, layout.split
-    if low.size:
-        a, b, c = flat.T[layout.problems]  # each (problem, cell); the split blocks' come first
-        pq = flat.T[pq_entries]
-        pairs = a[:single.size] - pq
-        a[:single.size] += pq
-        b[:single.size] *= _SQRT2
-        lows, highs = eigvalsh_2x2(a, b, c)
-    out = np.empty((batch, layout.width))  # once the kernel's temporaries are freed
-    if low.size:
-        out[:, single], out[:, low], out[:, high] = pairs.T, lows.T, highs.T
-    for method, entries, slots in layout.groups:
-        blocks = flat.take(entries, axis=1)  # (batch, count, rows, columns)
+    starts, sources, slots, singles, groups, abs_slots = _plan(tuple(layouts))
+    pool = np.empty((3, slots.shape[1], batch))  # a, b, c of every 2x2 problem
+    pairs = np.empty((singles.size, batch))
+    parts = {key: [] for key in groups}
+    row = single = 0
+    for members, zeros, left, right, problems, pq, others in sources:
+        matrices = _real_if_exact(source(members[0]))
+        if np.iscomplexobj(matrices) or matrices.shape != (batch,) + members[0].source_shape:
+            raise ValueError(f"{members[0].name}: expected a batch of {batch} real "
+                             f"{members[0].source_shape} matrices, got {matrices.dtype} {matrices.shape}")
+        flat = matrices.reshape(batch, -1)
+        nonzero = flat != 0.0  # NaN counts as nonzero, and fails an equality
+        nonzero &= zeros
+        if nonzero.any() or (flat.take(left, axis=1) != flat.take(right, axis=1)).any():
+            for layout in members:  # the first failing layout names itself
+                _check_source(flat, layout, g, w)
+        abc = pool[:, row:row + problems.shape[1]]
+        abc[...] = flat.T[problems]  # each (problem, cell); the split blocks' come first
+        b_pq = flat.T[pq]
+        pairs[single:single + pq.size] = abc[0, :pq.size] - b_pq
+        abc[0, :pq.size] += b_pq
+        abc[1, :pq.size] *= _SQRT2
+        row, single = row + problems.shape[1], single + pq.size
+        for key, entries in others.items():
+            parts[key].append(flat.take(entries, axis=1))  # (batch, count, rows, columns)
+        del matrices, flat, nonzero, b_pq  # before the next source is built
+    lows, highs = eigvalsh_2x2(*pool)
+    del pool
+    out = np.empty((batch, int(starts[-1])))  # once the kernel's temporaries are freed
+    out[:, singles], out[:, slots[0]], out[:, slots[1]] = pairs.T, lows.T, highs.T
+    del lows, highs
+    for (method, shape), (columns, names) in groups.items():
+        pieces = parts.pop((method, shape))
+        blocks = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
         try:
             if method == "diagonal":
                 found = blocks[..., 0, 0]
@@ -538,11 +586,14 @@ def block_spectra(layout: BlockLayout, source, g, w) -> np.ndarray:
             else:
                 found = np.linalg.svd(blocks, compute_uv=False)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK failed on the blocks of {layout.name}: {exc}") from exc
-        out[:, slots] = found.reshape(batch, -1)
-    if layout.abs_slots.size:
-        out[:, layout.abs_slots] = np.abs(out[:, layout.abs_slots])
-    return _require_finite(out, f"block spectra of {layout.name}")
+            raise ConvergenceError(f"LAPACK failed on the blocks of {names}: {exc}") from exc
+        out[:, columns] = found.reshape(batch, -1)
+    out[:, abs_slots] = np.abs(out[:, abs_slots])
+    spectra = tuple(out[:, start:stop] for start, stop in zip(starts[:-1], starts[1:]))
+    if not np.isfinite(out).all():  # name the first family with a non-finite value
+        for layout, values in zip(layouts, spectra):
+            _require_finite(values, f"block spectra of {layout.name}")
+    return spectra
 
 
 def trace_norm(a) -> float | np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
+import numbers
 import os
 import stat
 from concurrent.futures import ThreadPoolExecutor
@@ -95,6 +96,8 @@ def _usable_cores() -> int:
 
 def check_scan(resolution: int, criteria="all", workers: int | None = None) -> tuple[str, ...]:
     """The criterion ids ``grid_scan`` would evaluate; ValueError for arguments it refuses."""
+    if not isinstance(resolution, numbers.Integral):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     cells = (int(resolution) + 1) * (int(resolution) + 2) // 2

@@ -319,22 +319,21 @@ class TestVerify:
         assert "FAILURE: Spect(rho^1) at (g=" in err
 
     def test_builds_each_batch_quantity_once(self, capsys, monkeypatch):
-        # the registry pass diagonalizes each family once, and the block line reads those
-        # spectra; only R'(rho), which the registry reads in layout order, is computed
-        # again, sorted.  rho and the closed forms are built once, for the whole sample
+        # the registry diagonalizes every family in one block-spectra pass, and the block
+        # line reads those spectra.  rho and the closed forms are built once, for the whole
+        # sample
         calls = []
         for module, name in ((linalg, "block_spectra"), (states, "closed_form_spectra_grid"),
                              (states, "build_rho_grid")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, real=real, name=name: (
-                calls.append((name, a[0].name if name == "block_spectra" else len(a[0])))
+                calls.append((name, [layout.name for layout in a[0]] if name == "block_spectra"
+                              else len(a[0])))
                 or real(*a)))
         code, _, _ = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 0
-        spectra = [layout for name, layout in calls if name == "block_spectra"]
-        assert len(spectra) == 9
-        assert sorted(spectra) == sorted([layout.name for layout in states.FAMILIES]
-                                         + [states.RESHUFFLE_23_BLOCKS.name])
+        spectra = [layouts for name, layouts in calls if name == "block_spectra"]
+        assert spectra == [[layout.name for layout in states.FAMILIES]]
         assert [call for call in calls if call[0] == "closed_form_spectra_grid"] == [
             ("closed_form_spectra_grid", 50)]
         # the batch's rho; the explicit references build one point at a time

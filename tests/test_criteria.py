@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ class TestSpectralPass:
     @pytest.mark.parametrize("count", [1, 4096])
     def test_all_criteria_make_one_call_per_spectral_method(self, monkeypatch, count):
         # LAPACK: one eigvalsh call (R'(rho)) and one SVD (R(rho)); the 2x2 kernel: one call
-        # per family that has a 2x2 block or a split 3x3 block
+        # for the 2x2 problems of all six families that have a 2x2 block or a split 3x3 block
         calls = []
         for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "svd"), (linalg, "eigvalsh_2x2")):
             real = getattr(module, name)
@@ -285,9 +286,10 @@ class TestSpectralPass:
         with_2x2 = [layout for layout in states.FAMILIES
                     if layout.mirrors or any(len(r) == len(c) == 2 for r, c in layout.blocks)]
         assert len(with_2x2) == 6
-        assert sorted(calls) == ["eigvalsh"] + ["eigvalsh_2x2"] * len(with_2x2) + ["svd"]
+        assert sorted(calls) == ["eigvalsh", "eigvalsh_2x2", "svd"]
 
-    # the families whose block spectra each spectral group reads; the other groups read none
+    # the families whose block spectra each spectral group reads, the expectation its rows'
+    # ``reads`` are checked against; the other groups read none
     READS = {
         "maj": {states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS},
         "entropy": {states.RHO_BLOCKS, states.MARGINAL_23_BLOCKS, states.MARGINAL_1_BLOCKS},
@@ -300,14 +302,31 @@ class TestSpectralPass:
 
     @pytest.mark.parametrize("selection", ["all", *criteria.GROUPS])
     def test_each_family_is_diagonalized_once_and_only_if_read(self, monkeypatch, selection):
+        # one pass over the families read, in FAMILIES order, and none if nothing is read
         seen = []
         real = linalg.block_spectra
-        monkeypatch.setattr(linalg, "block_spectra",
-                            lambda layout, *a: seen.append(layout.name) or real(layout, *a))
+        monkeypatch.setattr(linalg, "block_spectra", lambda layouts, *a: (
+            seen.append([layout.name for layout in layouts]) or real(layouts, *a)))
         ids = criteria.IDS if selection == "all" else criteria.GROUPS[selection]
         criteria.margins(G, W, ids)
         read = set(states.FAMILIES) if selection == "all" else self.READS.get(selection, set())
-        assert sorted(seen) == sorted(layout.name for layout in read)
+        assert seen == ([[layout.name for layout in states.FAMILIES if layout in read]] if read else [])
+        assert {layout for cid in ids for layout in criteria.BY_ID[cid].reads} == read
+
+    def test_a_chunk_of_all_peaks_under_10_mb(self):
+        # cells 8192-12287 of R = 385: about 8.0 MB with each source let go once gathered;
+        # building all eight sources before the kernel takes about 12 MB
+        n = 385
+        i, j = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+        g, w = i[8192:12288] / n, j[8192:12288] / n
+        criteria.margins(g, w, criteria.IDS)  # the caches each first call fills
+        tracemalloc.start()
+        try:
+            criteria.margins(g, w, criteria.IDS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
 
     def test_a_cells_margins_do_not_depend_on_batch_or_selection(self):
         # every criterion alone and every group alone, on the chunk and at single cells of it

@@ -374,10 +374,17 @@ def simplex_cells(count, seed):
     return np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
 
 
+def source_of(g, w):
+    """The source callable of a pass over the batch (g, w): each layout's template, or rho."""
+    return lambda layout: (layout.template or states.build_rho_grid)(g, w)
+
+
 def spectra(layout, g, w, source=None):
-    """The block spectra of ``layout`` on ``source``, by default its template at (g, w)."""
-    source = (layout.template or states.build_rho_grid)(g, w) if source is None else source
-    return linalg.block_spectra(layout, source, g, w)
+    """The block spectra of ``layout`` from a pass of its own on ``source``, by default its
+    template at (g, w)."""
+    (values,) = linalg.block_spectra(
+        (layout,), source_of(g, w) if source is None else lambda _: source, g, w)
+    return values
 
 
 class TestBlockSpectra:
@@ -416,10 +423,28 @@ class TestBlockSpectra:
                 one = spectra(layout, g[k:k + 1], w[k:k + 1])
                 assert one.tobytes() == chunk[k:k + 1].tobytes(), layout.name
 
+    def test_a_familys_values_do_not_depend_on_the_other_families_of_its_pass(self, monkeypatch):
+        # (1e-320, 1.0), whose rho (0, 7) block is [[5e-321, 5e-321], [5e-321, 5e-321]],
+        # sends its kernel step into dsyevd's scaling branch, shared there with thousands of
+        # other problems; no step boundary of the pooled problems falls on a family's edge
+        g, w = simplex_cells(5000, 23)
+        g, w = np.concatenate([[1e-320, 0.0, 1.0, 0.0], g]), np.concatenate([[1.0, 0.0, 0.0, 1.0], w])
+        step = linalg._KERNEL_STEP
+        problems = sum(layout.problems.shape[1] for layout in ALL_LAYOUTS) * g.size
+        assert problems > step and all(k % g.size for k in range(step, problems, step))
+        scaled = []
+        real = linalg._dsyevd_2x2
+        monkeypatch.setattr(linalg, "_dsyevd_2x2", lambda a, b, c: (
+            scaled.append(a.size) if np.any(a == 5e-321) else None) or real(a, b, c))
+        pooled = linalg.block_spectra(ALL_LAYOUTS, source_of(g, w), g, w)
+        assert scaled == [step]
+        for layout, values in zip(ALL_LAYOUTS, pooled):
+            assert values.tobytes() == spectra(layout, g, w).tobytes(), layout.name
+
     def test_rejects_a_batch_of_the_wrong_shape(self):
         for wrong in (np.eye(8), np.zeros((1, 4, 4)), np.zeros((2, 8, 8)), np.eye(8)[None] * 1j):
             with pytest.raises(ValueError, match="expected a batch of 1 real"):
-                linalg.block_spectra(states.RHO_BLOCKS, wrong, [0.0], [0.0])
+                linalg.block_spectra((states.RHO_BLOCKS,), lambda _, wrong=wrong: wrong, [0.0], [0.0])
 
     def test_layout_rejects_overlapping_or_non_square_eigenvalue_blocks(self):
         with pytest.raises(ValueError, match="overlap"):

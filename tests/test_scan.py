@@ -310,6 +310,14 @@ class TestGridScan:
         with pytest.raises(ValueError):
             scan.grid_scan(1, "ppt")
 
+    @pytest.mark.parametrize("resolution", [40.0, 40.5, "40"])
+    def test_rejects_a_resolution_that_is_not_an_integer(self, resolution):
+        # refused at the boundary, by the check that runs before the lattice is built
+        for call in (scan.check_scan, scan.grid_scan):
+            with pytest.raises(ValueError, match=f"^resolution must be an integer, got {resolution!r}$"):
+                call(resolution, "ppt")
+        assert scan.check_scan(np.int64(40), "ppt") == ("ppt",)
+
     def test_margins_match_per_point_path(self):
         grid = scan.grid_scan(10, "all")
         assert {criteria.BY_ID[cid].group for cid in REFERENCE_MARGINS} == set(criteria.GROUPS)

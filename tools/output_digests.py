@@ -12,8 +12,10 @@ prints one ``<sha256>  <name>`` line per artifact:
   resolutions 20, 40, 55, 80, 115, 200 and 400 with ``--criteria all``, at
   25 with ``gs3,ppt``, and at 40 with each group of spectral criteria alone
   (``SPECTRAL_GROUPS``), which diagonalize only the matrix families they
-  read, and with each group whose members one stacked pass evaluates alone
-  (``STACKED_GROUPS``); the stdout names the exports' directory as ``<out>``;
+  read, with two selections whose one block-spectra pass spans several
+  sources short of all (``MIXED_PASSES``), and with each group whose members
+  one stacked pass evaluates alone (``STACKED_GROUPS``); the stdout names the
+  exports' directory as ``<out>``;
 - the stdout of ``qsep eval``, as text and with ``--json``, at eight simplex
   points, and of ``qsep eval --schema``;
 - the stdout of ``qsep verify`` at ``--points 1000 --seed 7``, and at the edge
@@ -39,8 +41,9 @@ import tempfile
 
 SPECTRAL_GROUPS = ("maj", "entropy", "ppt", "reduction", "resh24", "perm222")
 STACKED_GROUPS = ("su2", "su283", "su3", "huber", "gs3")
+MIXED_PASSES = ("ppt,perm222,entropy", "reduction,resh24")
 SCANS = ([(resolution, "all") for resolution in (20, 40, 55, 80, 115, 200, 400)] + [(25, "gs3,ppt")]
-         + [(40, group) for group in SPECTRAL_GROUPS + STACKED_GROUPS])
+         + [(40, group) for group in SPECTRAL_GROUPS + STACKED_GROUPS + MIXED_PASSES])
 POINTS = (
     (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.2), (0.2, 0.0), (1 / 3, 0.0), (0.3, 0.1),
     (0.15, 0.85),
