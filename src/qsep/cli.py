@@ -253,13 +253,13 @@ def cmd_verify(args) -> int:
     lines: dict[str, tuple] = {}
     raised: list[str] = []
     try:
-        # the registry's batch: verify reads rho, the closed forms, each family's source and
-        # its sorted spectra from it, and its registry pass runs on it
+        # the registry's batch: verify reads rho, the closed forms, each family's full
+        # matrices and its sorted spectra from it, and its registry pass runs on it
         batch = criteria.Batch(g, w)
-        families = {layout: layout.family(batch.source(layout)) for layout in states.FAMILIES}
-        # each sum-built template against the generic map of the independent mixture that
-        # its layout declares, first: the registry reads them, so a broken one fails on its
-        # own line
+        families = {layout: batch.family(layout) for layout in states.FAMILIES}
+        # each sum-built family, gathered from the batch's forms, against the generic map of
+        # the independent mixture that its layout declares, first: the registry reads them,
+        # so a broken one fails on its own line
         mixture = states.build_rho_mixture_grid(g, w)
         for layout in states.FAMILIES:
             if layout.mixture_map is not None:

@@ -9,7 +9,8 @@ each vectorized evaluator its rows name once, so a grid chunk and a batch of
 one point take the same path (``margins``, ``scan.point_margin``).  Each row
 declares the matrix families its evaluator reads (``reads``), and
 ``Batch.evaluate`` diagonalizes every family the selected rows read in one
-``linalg.block_spectra`` pass, on the sources that ``Batch.source`` builds.
+``linalg.block_spectra`` pass, gathered from the batch's evaluated forms
+(``Batch.forms``), the one source of every family.
 ``Batch.spectrum`` sorts a family's values, checks them against the closed
 form its layout names (``BlockLayout.closed``) on the first read and keeps
 them, and only ``perm222`` reads a family in layout order (``Batch.values``).
@@ -134,31 +135,37 @@ class Batch:
         return states.closed_form_spectra_grid(self.g, self.w)
 
     @cached_property
+    def forms(self) -> np.ndarray:
+        """Every form of the families' entry tables on this batch, evaluated once: the
+        (forms, cells) array each family is gathered from."""
+        return states.evaluate_forms(self.g, self.w)
+
+    @cached_property
     def rho(self) -> np.ndarray:
-        return states.build_rho_grid(self.g, self.w)
+        return states.RHO_BLOCKS.family(self.forms)
 
     @cached_property
     def concurrence(self) -> tuple[np.ndarray, np.ndarray]:
         """(numeric, closed form) Wootters concurrence of rho^23, max(0, l1 - l2 - l3 - l4)
-        from the lambdas of its source; the squared lambdas are checked against the
+        from the lambdas of its matrices; the squared lambdas are checked against the
         spin-flip spectrum, and the concurrence against its closed form."""
-        lam = concurrence.wootters_lambdas(self.source(states.MARGINAL_23_BLOCKS))
+        lam = concurrence.wootters_lambdas(states.MARGINAL_23_BLOCKS.family(self.forms))
         self.check_close(lam**2, self.closed["conc23"], "spectrum[conc23]", SPECTRUM_TOL)
         numeric = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
         closed = concurrence.concurrence_23_closed(self.g, self.w)
         self.check_close(numeric, closed, "concurrence closed vs numeric", CONCURRENCE_TOL)
         return numeric, closed
 
-    def source(self, layout: linalg.BlockLayout) -> np.ndarray:
-        """The source matrices of ``layout`` on this batch: the batch's rho for a family
-        read from rho, else its template's batch, built on every call and kept by none."""
-        return self.rho if layout.template is None else layout.template(self.g, self.w)
+    def family(self, layout: linalg.BlockLayout) -> np.ndarray:
+        """The full matrices of ``layout`` on this batch: the batch's rho, or gathered from
+        its forms on every call and kept by none."""
+        return self.rho if layout is states.RHO_BLOCKS else layout.family(self.forms)
 
     def values(self, layout: linalg.BlockLayout) -> np.ndarray:
         """The block spectra of ``layout``, in layout order: from the pass of ``evaluate``
         or, for a family it did not diagonalize, from a pass of its own."""
         if layout not in self._values:
-            (self._values[layout],) = linalg.block_spectra((layout,), self.source, self.g, self.w)
+            (self._values[layout],) = linalg.block_spectra((layout,), self.forms)
         return self._values[layout]
 
     def spectrum(self, layout: linalg.BlockLayout) -> np.ndarray:
@@ -228,7 +235,7 @@ class Batch:
         pending = tuple(layout for layout in states.FAMILIES
                         if layout in read and layout not in self._values and layout not in self._spectra)
         if pending:  # one pass over every family the selection reads, in FAMILIES order
-            self._values.update(zip(pending, linalg.block_spectra(pending, self.source, self.g, self.w)))
+            self._values.update(zip(pending, linalg.block_spectra(pending, self.forms)))
         out: dict[str, np.ndarray] = {}
         for evaluator, family in wanted.items():
             out.update(evaluator(self, family))

@@ -2,19 +2,18 @@
 
 The criteria read ``block_spectra``: one pass per batch over the matrix
 families a selection reads, each diagonalized block by block along the fixed
-layout (``BlockLayout``) declared with its template, which fixes each block's
-method by its shape and mirror pairs.  Each source is built, checked and
-gathered once (the four families read from rho share one read) and let go
-before the next; then one ``eigvalsh_2x2`` call, the steps LAPACK ``dsyevd``
-takes on a 2x2 matrix vectorized, takes every 2x2 problem of every family,
-and one LAPACK call every block of a shape that remains: ``eigvalsh`` the two
-3x3 blocks of R'(rho), SVD the 2x6 block of R(rho).
+layout (``BlockLayout``) of its integer entry table, which fixes each block's
+method by its shape and mirror pairs.  Every block is gathered from one
+array, the batch's evaluated forms; then one ``eigvalsh_2x2`` call, the steps
+LAPACK ``dsyevd`` takes on a 2x2 matrix vectorized, takes every 2x2 problem
+of every family, and one LAPACK call every block of a shape that remains:
+``eigvalsh`` the two 3x3 blocks of R'(rho), SVD the 2x6 block of R(rho).
 
 ``eigh`` (symmetric/Hermitian eigensolver) and ``singular_values`` (SVD of
 the matrix itself, not of its Gram matrix, so a trace norm keeps full
 accuracy near zero singular values) work on full matrices: ``qsep verify``
 checks the block spectra against them, and the square root, the concurrence
-and the examples use them.  Real input, as every template is, and complex
+and the examples use them.  Real input, as every family is, and complex
 input whose imaginary part is exactly zero go to the real LAPACK routines.
 ``jacobi_eigh`` is a cyclic Jacobi solver kept as the independent reference
 that ``qsep verify`` and the acceptance tests compare the production path
@@ -36,7 +35,6 @@ import numpy as np
 
 from .config import HERMITICITY_TOL, JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, PSD_TOL
 from .exceptions import ConsistencyError, ConvergenceError
-from .verdict import cell_name
 
 MAX_DIM = 64
 MAX_SV_DIM = 16  # cap on min(rows, cols) for singular value problems
@@ -312,20 +310,18 @@ def _dsyevd_2x2(a, b, c):
 
 @dataclass(frozen=True, eq=False)  # a family is its object: compared and hashed by identity
 class BlockLayout:
-    """A matrix family that a fixed permutation turns into a direct sum of small blocks.
+    """A matrix family of integer forms that a fixed permutation turns into a direct sum of
+    small blocks.
 
-    ``blocks`` lists each block's (rows, columns) index sets; every entry
-    outside them is zero.  The family is read from a batch of its
-    ``source_shape`` source matrices, which ``template(g, w)`` builds (None:
-    the source is rho, which the caller holds).  Without ``source_map`` the
-    source is the family itself; with it, the family is ``source_map`` of its
-    source (``family``), a map that only moves entries (a partial transpose,
-    a reshuffle), so ``block_spectra`` gathers the family from the source
-    through the derived ``index``.  ``closed`` names the closed-form spectra
-    its sorted spectra are checked against (None: it has none), and a family
-    built from its own template declares ``mixture_map``, which builds the
-    family from an independently built mixture, the second construction the
-    template is checked against.
+    ``table`` holds one integer row per flat entry of the family (row-major):
+    the coefficients of the form the entry equals, all zero for an entry that is
+    0.  ``form_index`` holds the row of a batch's forms array that evaluates each
+    entry's form; equal rows read one form.  ``blocks`` lists each block's
+    (rows, columns) index sets.  ``closed`` names the closed-form spectra its
+    sorted spectra are checked against (None: it has none), and a sum-built
+    family declares ``mixture_map``, which builds the family from an
+    independently built mixture, the second construction its matrices are
+    checked against.
 
     ``singular`` selects what ``block_spectra`` returns: eigenvalues of
     Hermitian blocks (rows == columns; the lower triangle is read) or
@@ -343,49 +339,41 @@ class BlockLayout:
     rows p and q, with third row r, has B_pp == B_qq and B_pr == B_qr, so
     that (e_p - e_q)/sqrt(2) is an eigenvector.  The block then yields
     B_pp - B_pq and the eigenvalues of the 2x2 block
-    [[B_pp + B_pq, sqrt(2) B_pr], [sqrt(2) B_pr, B_rr]].  ``block_spectra``
-    checks both equalities exactly on every call.
+    [[B_pp + B_pq, sqrt(2) B_pr], [sqrt(2) B_pr, B_rr]].
+
+    The table is checked here, exactly, once: every entry outside the blocks
+    must have a zero row, and the two entries of each mirror equality and of
+    each symmetric pair of a square singular-value block must have equal rows;
+    otherwise ValueError names the family and the entry.  A zero row is never evaluated,
+    and equal rows read one form, so for finite forms these hold on every cell.
 
     Where ``block_spectra`` reads and writes is derived here, once per
-    family, in flat entries of the source; ``_plan`` pools it per pass.
+    family, in rows of the forms array; ``_plan`` pools it per pass.
     """
 
     name: str
     shape: tuple[int, int]
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    table: np.ndarray = field(repr=False)
+    form_index: np.ndarray = field(repr=False)
     singular: bool = False
     mirrors: tuple[tuple[int, int], ...] = ()
-    template: Callable | None = field(default=None, repr=False)
-    source_shape: tuple[int, int] | None = None  # None: the family's own shape
-    source_map: Callable | None = field(default=None, repr=False)
     closed: str | None = None
     mixture_map: Callable | None = field(default=None, repr=False)
-    # derived from the fields above: the source entry of each flat family entry; values per
-    # matrix; the family's off-block mask, and the source entries it must hold 0.0 in; the
-    # a, b, c entries of the 2x2 problems, split blocks first, and their low and high slots;
-    # the B_pq entry of each split block and the slot of B_pp - B_pq; (method, entries of
-    # shape (count, rows, columns), slots) per block shape; the (left, right) entries that
-    # must be equal, with the text naming each pair; and the slots that take |value|
-    index: np.ndarray = field(init=False, repr=False)
+    # derived from the fields above: values per matrix; the a, b, c forms of the 2x2
+    # problems, split blocks first, and their low and high slots; the B_pq form of each
+    # split block and the slot of B_pp - B_pq; (method, forms of shape (count, rows,
+    # columns), slots) per block shape; and the slots that take |value|
     width: int = field(init=False, repr=False)
-    off_block: np.ndarray = field(init=False, repr=False)
-    zeros: np.ndarray = field(init=False, repr=False)
     problems: np.ndarray = field(init=False, repr=False)
     problem_slots: np.ndarray = field(init=False, repr=False)
     split: np.ndarray = field(init=False, repr=False)
     groups: tuple = field(init=False, repr=False)
-    equal: tuple = field(init=False, repr=False)
     abs_slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows, cols = self.shape
-        if self.source_shape is None:
-            object.__setattr__(self, "source_shape", self.shape)
-        if self.source_map is None:
-            index = np.arange(rows * cols)
-        else:  # the map applied to the source's flat indices
-            source = np.arange(float(np.prod(self.source_shape))).reshape(self.source_shape)
-            index = self.source_map(source).reshape(-1).astype(np.intp)
+        index = np.asarray(self.form_index, dtype=np.intp)
         inside = np.zeros(self.shape, dtype=bool)
         unused = set(self.mirrors)
         problems, split, groups, equalities, abs_slots = [], [], {}, [], []
@@ -430,152 +418,93 @@ class BlockLayout:
                 groups.setdefault((method, entry.shape), []).append((entry, slots))
         if unused:
             raise ValueError(f"{self.name}: mirror pairs {sorted(unused)} lie in no 3x3 block")
-        zeros = np.zeros(int(np.prod(self.source_shape)), dtype=bool)
-        zeros[index[~inside.reshape(-1)]] = True
+        outside = ~inside.reshape(-1) & self.table.any(axis=1)
+        bad = [(int(e), "lies outside every block but is not 0") for e in np.flatnonzero(outside)]
+        bad += [(int(left), text) for left, right, text in equalities
+                if not np.array_equal(self.table[left], self.table[right])]
+        if bad:
+            entry, text = bad[0]
+            i, j = divmod(entry, cols)
+            raise ValueError(f"{self.name}: entry [{i}, {j}] {text}: its row is {self.table[entry].tolist()}")
         problems = np.array(problems, dtype=np.intp).reshape(-1, 5).T
         split = np.array(split, dtype=np.intp).reshape(-1, 2).T
-        left, right, texts = zip(*equalities) if equalities else ((), (), ())
         derived = {
-            "index": index,
             "width": width,
-            "off_block": ~inside.reshape(-1),
-            "zeros": zeros,
             "problems": index[problems[:3]],
             "problem_slots": problems[3:],
             "split": np.stack([index[split[0]], split[1]]),
             "groups": tuple((method, index[np.stack([e for e, _ in items])],
                              np.concatenate([s for _, s in items]).astype(np.intp))
                             for (method, _), items in groups.items()),
-            "equal": (index[np.array(left, dtype=np.intp)], index[np.array(right, dtype=np.intp)],
-                      tuple(f"entry [{i}, {j}] {text}"
-                            for (i, j), text in zip((divmod(int(e), cols) for e in left), texts))),
             "abs_slots": np.array(abs_slots, dtype=np.intp),
         }
         for key, value in derived.items():
             object.__setattr__(self, key, value)
 
-    def family(self, source) -> np.ndarray:
-        """The full matrices of the family, from a batch of its source matrices."""
-        return source if self.source_map is None else self.source_map(source)
-
-
-def _entry_error(layout: BlockLayout, bad: np.ndarray, texts, g, w):
-    """ConsistencyError naming the first cell with a flagged entry; ``bad`` holds one row
-    of flags per matrix, and ``texts`` the text of each flag."""
-    n = int(np.argmax(bad.any(axis=1)))
-    return ConsistencyError(
-        f"{layout.name} at {cell_name(g[n], w[n])}: {texts[int(np.argmax(bad[n]))]}"
-    )
-
-
-def _check_source(flat: np.ndarray, layout: BlockLayout, g, w) -> None:
-    """Check the zero pattern, then the equalities, of ``layout`` on a batch of flat source
-    matrices; raise naming its first failing cell and the entry."""
-    entries = np.flatnonzero(layout.off_block)
-    left, right, texts = layout.equal
-    for bad, texts in (
-        (flat.take(layout.index[entries], axis=1) != 0.0,  # NaN counts as nonzero
-         [f"entry [{i}, {j}] lies outside every block but is not 0"
-          for i, j in (divmod(int(e), layout.shape[1]) for e in entries)]),
-        (flat.take(left, axis=1) != flat.take(right, axis=1), texts),  # NaN fails
-    ):
-        if bad.any():
-            raise _entry_error(layout, bad, texts, g, w)
+    def family(self, forms: np.ndarray) -> np.ndarray:
+        """The full matrices of the family, C-contiguous, gathered from a (forms, cells)
+        forms array."""
+        return np.ascontiguousarray(forms.T).take(self.form_index, axis=1).reshape(-1, *self.shape)
 
 
 @functools.cache
 def _plan(layouts: tuple[BlockLayout, ...]) -> tuple:
     """Where a pass over ``layouts`` reads and writes: each layout's first output column and
-    the total width; per source, in order of first use, its layouts, their zero entries and
-    equalities, their 2x2 problems' a, b, c entries (split blocks first) and B_pq entries,
-    and their other blocks' entries by (method, shape); the output columns of the pooled
-    problems, of the B_pp - B_pq values, of the pooled blocks by (method, shape), with their
-    layouts' names, and of the values that take |value|."""
+    the total width; the a, b, c forms of every 2x2 problem (the split blocks' first) and
+    their output columns; the B_pq forms of the split blocks and the output columns of their
+    B_pp - B_pq values; per block (method, shape), the forms of its blocks, their output
+    columns and their layouts' names; and the columns that take |value|."""
     starts = np.cumsum([0, *(layout.width for layout in layouts)])
     placed = tuple(zip(layouts, starts.tolist()))
-    sources, slots, singles, groups = [], [], [], {}
-    for template in dict.fromkeys(layout.template for layout in layouts):
-        members = tuple(layout for layout in layouts if layout.template is template)
-        problems, columns, unsplit, blocks = [], [], [], {}
-        for layout, start in placed:
-            if layout.template is template:
-                problems.append(layout.problems)
-                columns.append(layout.problem_slots + start)
-                unsplit.append(np.arange(layout.problems.shape[1]) >= layout.split.shape[1])
-                singles.append(layout.split[1] + start)
-                for method, entries, cols in layout.groups:
-                    blocks.setdefault((method, entries.shape[1:]), []).append(entries)
-                    groups.setdefault((method, entries.shape[1:]), []).append((cols + start, layout.name))
-        order = np.argsort(np.concatenate(unsplit), kind="stable")
-        slots.append(np.concatenate(columns, axis=1)[:, order])
-        sources.append((members, np.logical_or.reduce([layout.zeros for layout in members]),
-                        *(np.concatenate([layout.equal[k] for layout in members]) for k in (0, 1)),
-                        np.concatenate(problems, axis=1)[:, order],
-                        np.concatenate([layout.split[0] for layout in members]),
-                        {key: np.concatenate(entries) for key, entries in blocks.items()}))
-    groups = {key: (np.concatenate([cols for cols, _ in found]), ", ".join(name for _, name in found))
-              for key, found in groups.items()}
-    return (starts, tuple(sources), np.concatenate(slots, axis=1), np.concatenate(singles), groups,
-            np.concatenate([layout.abs_slots + start for layout, start in placed]))
+    unsplit = [np.arange(layout.problems.shape[1]) >= layout.split.shape[1] for layout in layouts]
+    order = np.argsort(np.concatenate(unsplit), kind="stable")
+    groups = {}
+    for layout, start in placed:
+        for method, forms, cols in layout.groups:
+            groups.setdefault((method, forms.shape[1:]), []).append((forms, cols + start, layout.name))
+    for key, found in groups.items():
+        forms, cols, names = zip(*found)
+        groups[key] = (np.concatenate(forms), np.concatenate(cols), ", ".join(names))
+    return (
+        starts,
+        np.concatenate([layout.problems for layout in layouts], axis=1)[:, order],
+        np.concatenate([layout.problem_slots + start for layout, start in placed], axis=1)[:, order],
+        np.concatenate([layout.split[0] for layout in layouts]),
+        np.concatenate([layout.split[1] + start for layout, start in placed]),
+        groups,
+        np.concatenate([layout.abs_slots + start for layout, start in placed]),
+    )
 
 
-def block_spectra(layouts: tuple[BlockLayout, ...], source, g, w) -> tuple[np.ndarray, ...]:
+def block_spectra(layouts: tuple[BlockLayout, ...], forms: np.ndarray) -> tuple[np.ndarray, ...]:
     """Eigenvalues or singular values of a batch of each family in ``layouts``, block by
     block, in one pass.
 
-    ``source(layout)`` returns the batch of source matrices of ``layout``, a
-    (batch, rows, cols) real array (complex input must have an exactly zero
-    imaginary part).  It is called once per distinct source (the families
-    read from rho share one read), and each source is checked and gathered
-    and let go before the next is built.  ``g`` and ``w`` are the weights of
-    the batch's cells, used to name a failing one.  Every off-block entry
-    must be exactly 0.0, every square block of a singular-value layout
-    exactly symmetric and every mirror pair exactly equal; otherwise
-    ConsistencyError names the family, the first such cell and the entry.  A
-    NaN fails each of these checks.
-
-    One ``eigvalsh_2x2`` call takes every 2x2 problem of every family, and
-    one LAPACK call every block of a shape that remains.  Returns, per
-    layout, a (batch, layout.width) view of one buffer: its blocks in layout
-    order, each block's values ascending (a split block gives B_pp - B_pq
-    first), not sorted overall.  A cell's values depend neither on the rest
-    of the batch nor on the other families of the pass.
+    ``forms`` is the (forms, cells) array of the batch's evaluated forms,
+    which every block is gathered from; the tables of the layouts were checked
+    when they were built, so no entry is checked here.  One ``eigvalsh_2x2``
+    call takes every 2x2 problem of every family, and one LAPACK call every
+    block of a shape that remains.  Returns, per layout, a (cells,
+    layout.width) view of one buffer: its blocks in layout order, each block's
+    values ascending (a split block gives B_pp - B_pq first), not sorted
+    overall.  A cell's values depend neither on the rest of the batch nor on
+    the other families of the pass.
     """
-    batch = len(g)
-    starts, sources, slots, singles, groups, abs_slots = _plan(tuple(layouts))
-    pool = np.empty((3, slots.shape[1], batch))  # a, b, c of every 2x2 problem
-    pairs = np.empty((singles.size, batch))
-    parts = {key: [] for key in groups}
-    row = single = 0
-    for members, zeros, left, right, problems, pq, others in sources:
-        matrices = _real_if_exact(source(members[0]))
-        if np.iscomplexobj(matrices) or matrices.shape != (batch,) + members[0].source_shape:
-            raise ValueError(f"{members[0].name}: expected a batch of {batch} real "
-                             f"{members[0].source_shape} matrices, got {matrices.dtype} {matrices.shape}")
-        flat = matrices.reshape(batch, -1)
-        nonzero = flat != 0.0  # NaN counts as nonzero, and fails an equality
-        nonzero &= zeros
-        if nonzero.any() or (flat.take(left, axis=1) != flat.take(right, axis=1)).any():
-            for layout in members:  # the first failing layout names itself
-                _check_source(flat, layout, g, w)
-        abc = pool[:, row:row + problems.shape[1]]
-        abc[...] = flat.T[problems]  # each (problem, cell); the split blocks' come first
-        b_pq = flat.T[pq]
-        pairs[single:single + pq.size] = abc[0, :pq.size] - b_pq
-        abc[0, :pq.size] += b_pq
-        abc[1, :pq.size] *= _SQRT2
-        row, single = row + problems.shape[1], single + pq.size
-        for key, entries in others.items():
-            parts[key].append(flat.take(entries, axis=1))  # (batch, count, rows, columns)
-        del matrices, flat, nonzero, b_pq  # before the next source is built
-    lows, highs = eigvalsh_2x2(*pool)
-    del pool
+    batch = forms.shape[1]
+    starts, problems, slots, pq, singles, groups, abs_slots = _plan(tuple(layouts))
+    abc = forms[problems]  # each (problem, cell); the split blocks' come first
+    b_pq = forms[pq]
+    pairs = abc[0, :pq.size] - b_pq
+    abc[0, :pq.size] += b_pq
+    abc[1, :pq.size] *= _SQRT2
+    lows, highs = eigvalsh_2x2(*abc)
+    del abc, b_pq
     out = np.empty((batch, int(starts[-1])))  # once the kernel's temporaries are freed
     out[:, singles], out[:, slots[0]], out[:, slots[1]] = pairs.T, lows.T, highs.T
     del lows, highs
-    for (method, shape), (columns, names) in groups.items():
-        pieces = parts.pop((method, shape))
-        blocks = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
+    by_cell = np.ascontiguousarray(forms.T)
+    for (method, _), (entries, columns, names) in groups.items():
+        blocks = by_cell.take(entries, axis=1)  # (cells, count, rows, columns)
         try:
             if method == "diagonal":
                 found = blocks[..., 0, 0]

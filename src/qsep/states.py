@@ -1,17 +1,19 @@
 """The noisy GHZ-W three-qubit mixture and all matrices derived from it.
 
 Basis convention: |ijk> with qubit 1 the most significant bit, so the
-row/column index is 4i + 2j + k (indices 0..7).  rho and the matrices built
-from sums of its entries (the marginals and the two reduction maps) come from
-exact entry templates in the renormalized weights (d/8, g/2, w/3), over
-arrays of weights; every entry is real, so the templates are float64.
-Matrices that only move entries of rho (rho^T1 and the reshuffles) are
-never built for the criteria: their block layouts gather their entries from
-the rho template through the generic index maps, applied to rho's flat
-indices.
-Each sum-built layout declares its ``mixture_map``, the generic maps of the
-independently built mixture; ``qsep verify`` checks the template against it,
-which pins down the index conventions.
+row/column index is 4i + 2j + k (indices 0..7).  Every entry of rho, and of
+each matrix the criteria diagonalize, is an integer form cd (d/8) + cg (g/2)
++ cw (w/3) of the renormalized weights.  ``RHO_ENTRIES`` declares rho's
+table of them once; each family's table is derived from it in integers,
+through the map its layout declares: an index map for the families that only
+move entries of rho (rho^T1 and the reshuffles), the generic map of the
+independent mixture (``mixture_map``) for the sum-built ones (the marginals
+and the two reduction maps).  ``FORMS`` lists the distinct forms of all the
+tables, and ``evaluate_forms`` evaluates them over arrays of weights, once
+per batch: every family, rho included, is gathered from that one float64
+array (``BlockLayout.family``).  ``qsep verify`` checks each sum-built family
+against its ``mixture_map`` of the independently built mixture, which pins
+down the index conventions.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .exceptions import ConsistencyError
 from .verdict import cell_name
 
 TEMPLATE_TOL = 1e-13
@@ -127,7 +130,7 @@ def reshuffle_24_matrix(rho) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# entry templates, each with its block layout: each takes arrays of weights and returns a batch
+# entry tables: every family's entries as integer forms in the renormalized weights
 
 
 def renormalized_weights(g, w):
@@ -138,120 +141,104 @@ def renormalized_weights(g, w):
     return d / 8.0, g / 2.0, w / 3.0
 
 
-def _symmetric(diagonal, pairs) -> np.ndarray:
-    """A batch of symmetric matrices from weight arrays: one in ``diagonal`` per diagonal
-    entry, and each (i, j, value) of ``pairs`` at [i, j] and [j, i]; the rest is 0."""
-    m = np.zeros((len(diagonal[0]), len(diagonal), len(diagonal)))
-    for k, value in enumerate(diagonal):
-        m[:, k, k] = value
-    for i, j, value in pairs:
-        m[:, i, j] = m[:, j, i] = value
-    return m
+# rho's entry table: entry [i, j] of rho is cd (d/8) + cg (g/2) + cw (w/3), its row
+# (cd, cg, cw), held as the three coefficient planes so that a map of 8x8 matrices derives
+# a family's table from it: d/8 I, g/2 on the GHZ support |000>, |111> and w/3 on the W
+# support |001>, |010>, |100>
+_GHZ_SUPPORT = np.array([1, 0, 0, 0, 0, 0, 0, 1])
+_W_SUPPORT = np.array([0, 1, 1, 0, 1, 0, 0, 0])
+RHO_ENTRIES = np.stack([np.eye(8, dtype=int), np.outer(_GHZ_SUPPORT, _GHZ_SUPPORT),
+                        np.outer(_W_SUPPORT, _W_SUPPORT)])
+
+
+def _families() -> tuple[tuple[linalg.BlockLayout, ...], np.ndarray]:
+    """Every matrix family the criteria diagonalize, in ``qsep verify``'s order, and
+    ``FORMS``: each distinct row of their tables, numbered in order of first use from the
+    zero form, 0.  Each layout's ``form_index`` holds the rows of ``FORMS`` its entries
+    read."""
+    numbers = {(0, 0, 0): 0}
+
+    def layout(name: str, shape, blocks, index_map=None, **kwargs) -> linalg.BlockLayout:
+        """Layout of the family ``index_map(rho)``, for a family that only moves entries of
+        rho, or of the sum-built family ``mixture_map(rho)``, or of rho itself: its table
+        is that map of rho's, exact in integers."""
+        family_map = index_map or kwargs.get("mixture_map")
+        planes = RHO_ENTRIES if family_map is None else np.asarray(family_map(RHO_ENTRIES))
+        table = planes.reshape(3, -1).T.astype(np.int64)
+        if not np.array_equal(table, planes.reshape(3, -1).T):
+            raise ValueError(f"{name}: its map does not give integer rows")
+        form_index = [numbers.setdefault(row, len(numbers)) for row in map(tuple, table.tolist())]
+        return linalg.BlockLayout(name, shape, blocks, table, np.array(form_index), **kwargs)
+
+    def hermitian(name: str, n: int, *index_sets, **kwargs) -> linalg.BlockLayout:
+        """Eigenvalue layout of an n x n family: each index set is one diagonal block."""
+        return layout(name, (n, n), tuple((s, s) for s in index_sets), **kwargs)
+
+    families = (
+        # rho and the three index maps of it that the criteria diagonalize, rho^T1, R'(rho)
+        # (``linalg.permute_indices``) and R(rho), each with the key of
+        # ``closed_form_spectra_grid`` its spectra are checked against (none for the
+        # reshuffles); a mirror pair (p, q) of a 3x3 block, B_pp == B_qq and B_pr == B_qr,
+        # splits it into one eigenvalue and a 2x2 block
+        hermitian("rho", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,), mirrors=((1, 2),), closed="rho"),
+        layout("rho^T1", (8, 8), tuple((s, s) for s in ((0, 5, 6), (1, 2), (3, 4), (7,))),
+               lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM), mirrors=((5, 6),),
+               closed="rho_t1"),
+        # the sum-built families: each derives its table, and ``qsep verify`` checks its
+        # matrices, through the generic map of the independent mixture it declares
+        hermitian("rho^23", 4, (1, 2), (0,), (3,), closed="rho23", mixture_map=partial_trace_1),
+        hermitian("rho^1", 2, (0,), (1,), closed="rho1", mixture_map=partial_trace_23),
+        hermitian("I (x) rho^23 - rho", 8, (0, 7), (1, 2, 4), (3,), (5, 6), mirrors=((1, 2),),
+                  closed="rho_t1", mixture_map=lambda m: np.kron(np.eye(2)[None], partial_trace_1(m)) - m),
+        hermitian("rho^1 (x) I - rho", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,), mirrors=((1, 2),),
+                  closed="red1_i23", mixture_map=lambda m: np.kron(partial_trace_23(m), np.eye(4)[None]) - m),
+        # R(rho): one 2x6 block and two one-row blocks; columns 7, 11, 13 and 14 are zero
+        layout("R(rho) (1|23 reshuffle)", (4, 16),
+               (((0, 3), (0, 5, 6, 9, 10, 15)), ((1,), (3, 4, 8)), ((2,), (1, 2, 12))),
+               reshuffle_24_matrix, singular=True),
+        # R'(rho): three exactly symmetric blocks, so the singular values are |eigenvalues|
+        layout("R'(rho) (2-3 reshuffle)", (8, 8),
+               (((0, 3, 5), (0, 3, 6)), ((1, 6), (2, 5)), ((2, 4, 7), (1, 4, 7))),
+               lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM), singular=True),
+    )
+    return families, np.array(list(numbers), dtype=np.int64)
+
+
+FAMILIES, FORMS = _families()
+(RHO_BLOCKS, TRANSPOSE_1_BLOCKS, MARGINAL_23_BLOCKS, MARGINAL_1_BLOCKS,
+ REDUCTION_I123_BLOCKS, REDUCTION_1I23_BLOCKS, RESHUFFLE_24_BLOCKS, RESHUFFLE_23_BLOCKS) = FAMILIES
+
+
+def evaluate_forms(g, w) -> np.ndarray:
+    """Every form of ``FORMS`` over weight arrays, as a (forms, cells) array.
+
+    Each is cd (d/8) + cg (g/2) + cw (w/3) summed left to right over its nonzero
+    terms, a term of coefficient +-1 taken as +-x, not multiplied: the operations
+    of the sum written out, so the zero form is +0.0 and a -1 term keeps the sign
+    of a zero.  ConsistencyError names the first cell with a non-finite form.
+    """
+    weights = renormalized_weights(g, w)
+    out = np.zeros((len(FORMS), weights[0].size))
+    for row, form in zip(out, FORMS.tolist()):
+        terms = [x if c == 1 else -x if c == -1 else c * x for c, x in zip(form, weights) if c]
+        if terms:
+            row[...] = sum(terms[1:], terms[0])
+    bad = ~np.isfinite(out).all(axis=0)
+    if bad.any():
+        n = int(np.argmax(bad))
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        raise ConsistencyError(f"entry forms at {cell_name(g[n], w[n])}: not finite")
+    return out
 
 
 def build_rho_grid(g, w) -> np.ndarray:
-    dt, gt, wt = renormalized_weights(g, w)
-    a, b = dt + gt, dt + wt
-    return _symmetric((a, b, b, dt, b, dt, dt, a), ((0, 7, gt), (1, 2, wt), (1, 4, wt), (2, 4, wt)))
+    """rho over weight arrays, gathered from the evaluated forms of its table."""
+    return RHO_BLOCKS.family(evaluate_forms(g, w))
 
 
 def build_rho(p: SimplexPoint) -> np.ndarray:
-    """8x8 density matrix of the mixture: the template on a batch of one."""
+    """8x8 density matrix of the mixture: ``build_rho_grid`` on a batch of one."""
     return build_rho_grid(np.array([p.g]), np.array([p.w]))[0]
-
-
-def _hermitian(name: str, template, n: int, *index_sets, **kwargs) -> linalg.BlockLayout:
-    """Eigenvalue layout of the n x n ``template`` (None: rho itself): each index set is one
-    diagonal block."""
-    return linalg.BlockLayout(name, (n, n), tuple((s, s) for s in index_sets), template=template,
-                              **kwargs)
-
-
-def _moved_from_rho(name: str, shape, blocks, source_map, **kwargs) -> linalg.BlockLayout:
-    """Layout of a family that only moves entries of rho: ``source_map`` (a map of 8x8
-    matrices) builds it from rho, and its blocks are gathered from rho."""
-    return linalg.BlockLayout(name, shape, blocks, source_shape=(8, 8),
-                              source_map=source_map, **kwargs)
-
-
-# block layouts of rho and of the three index maps of it that the criteria diagonalize,
-# rho^T1, R'(rho) (``linalg.permute_indices``) and R(rho), each with the key of
-# ``closed_form_spectra_grid`` its spectra are checked against (none for the reshuffles);
-# a mirror pair (p, q) of a 3x3 block, B_pp == B_qq and B_pr == B_qr, splits it into one
-# eigenvalue and a 2x2 block
-RHO_BLOCKS = _hermitian("rho", None, 8, (0, 7), (1, 2, 4), (3,), (5,), (6,),
-                        mirrors=((1, 2),), closed="rho")
-TRANSPOSE_1_BLOCKS = _moved_from_rho(
-    "rho^T1", (8, 8), tuple((s, s) for s in ((0, 5, 6), (1, 2), (3, 4), (7,))),
-    lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM), mirrors=((5, 6),),
-    closed="rho_t1",
-)
-# R'(rho): three exactly symmetric blocks, so the singular values are |eigenvalues|
-RESHUFFLE_23_BLOCKS = _moved_from_rho(
-    "R'(rho) (2-3 reshuffle)", (8, 8),
-    (((0, 3, 5), (0, 3, 6)), ((1, 6), (2, 5)), ((2, 4, 7), (1, 4, 7))),
-    lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM), singular=True,
-)
-# R(rho): one 2x6 block and two one-row blocks; columns 7, 11, 13 and 14 are zero
-RESHUFFLE_24_BLOCKS = _moved_from_rho(
-    "R(rho) (1|23 reshuffle)", (4, 16),
-    (((0, 3), (0, 5, 6, 9, 10, 15)), ((1,), (3, 4, 8)), ((2,), (1, 2, 12))),
-    reshuffle_24_matrix, singular=True,
-)
-
-
-def marginal_23_grid(g, w) -> np.ndarray:
-    dt, gt, wt = renormalized_weights(g, w)
-    b = 2 * dt + wt
-    return _symmetric((2 * dt + gt + wt, b, b, 2 * dt + gt), ((1, 2, wt),))
-
-
-MARGINAL_23_BLOCKS = _hermitian("rho^23", marginal_23_grid, 4, (1, 2), (0,), (3,),
-                                closed="rho23", mixture_map=partial_trace_1)
-
-
-def marginal_1_grid(g, w) -> np.ndarray:
-    dt, gt, wt = renormalized_weights(g, w)
-    return _symmetric((4 * dt + gt + 2 * wt, 4 * dt + gt + wt), ())
-
-
-MARGINAL_1_BLOCKS = _hermitian("rho^1", marginal_1_grid, 2, (0,), (1,),
-                               closed="rho1", mixture_map=partial_trace_23)
-
-
-def reduction_i123_grid(g, w) -> np.ndarray:
-    """I^1 (x) rho^23 - rho."""
-    dt, gt, wt = renormalized_weights(g, w)
-    a, b = dt + wt, dt + gt
-    return _symmetric((a, dt, dt, b, b, a, a, dt), ((0, 7, -gt), (1, 4, -wt), (2, 4, -wt), (5, 6, wt)))
-
-
-REDUCTION_I123_BLOCKS = _hermitian(
-    "I (x) rho^23 - rho", reduction_i123_grid, 8, (0, 7), (1, 2, 4), (3,), (5, 6),
-    mirrors=((1, 2),), closed="rho_t1",
-    mixture_map=lambda m: np.kron(np.eye(2)[None], partial_trace_1(m)) - m,
-)
-
-
-def reduction_1i23_grid(g, w) -> np.ndarray:
-    """rho^1 (x) I^23 - rho."""
-    dt, gt, wt = renormalized_weights(g, w)
-    a = 3 * dt + gt + wt
-    return _symmetric((3 * dt + 2 * wt, a, a, 3 * dt + gt + 2 * wt, 3 * dt + gt, a, a, 3 * dt + wt),
-                      ((0, 7, -gt), (1, 2, -wt), (1, 4, -wt), (2, 4, -wt)))
-
-
-REDUCTION_1I23_BLOCKS = _hermitian(
-    "rho^1 (x) I - rho", reduction_1i23_grid, 8, (0, 7), (1, 2, 4), (3,), (5,), (6,),
-    mirrors=((1, 2),), closed="red1_i23",
-    mixture_map=lambda m: np.kron(partial_trace_23(m), np.eye(4)[None]) - m,
-)
-
-# every matrix family the criteria diagonalize, in ``qsep verify``'s order
-FAMILIES: tuple[linalg.BlockLayout, ...] = (
-    RHO_BLOCKS, TRANSPOSE_1_BLOCKS, MARGINAL_23_BLOCKS, MARGINAL_1_BLOCKS,
-    REDUCTION_I123_BLOCKS, REDUCTION_1I23_BLOCKS, RESHUFFLE_24_BLOCKS, RESHUFFLE_23_BLOCKS,
-)
 
 
 def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:

@@ -56,16 +56,17 @@ def lattice():
 def spectra(lattice):
     g, w = lattice
     closed = states.closed_form_spectra_grid(g, w)
+    forms = states.evaluate_forms(g, w)
     numeric = {
         "rho": linalg.jacobi_eigh(states.build_rho_grid(g, w)),
-        "rho23": linalg.jacobi_eigh(states.marginal_23_grid(g, w)),
-        "rho1": linalg.jacobi_eigh(states.marginal_1_grid(g, w)),
+        "rho23": linalg.jacobi_eigh(states.MARGINAL_23_BLOCKS.family(forms)),
+        "rho1": linalg.jacobi_eigh(states.MARGINAL_1_BLOCKS.family(forms)),
         "rho_t1": linalg.jacobi_eigh(
             linalg.permute_indices(states.build_rho_grid(g, w), linalg.TRANSPOSE_1_PERM)),
-        "i_rho23": linalg.jacobi_eigh(states.reduction_i123_grid(g, w)),
-        "red1_i23": linalg.jacobi_eigh(states.reduction_1i23_grid(g, w)),
+        "i_rho23": linalg.jacobi_eigh(states.REDUCTION_I123_BLOCKS.family(forms)),
+        "red1_i23": linalg.jacobi_eigh(states.REDUCTION_1I23_BLOCKS.family(forms)),
     }
-    omega = states.marginal_23_grid(g, w)
+    omega = states.MARGINAL_23_BLOCKS.family(forms)
     roots = linalg.psd_sqrt(omega)
     sy2 = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
     product = roots @ (sy2 @ np.conj(omega) @ sy2) @ roots

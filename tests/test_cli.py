@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qsep import bipartite, cli, concurrence, criteria, linalg, scan, states, tripartite
+from qsep import bipartite, cli, concurrence, criteria, linalg, scan, states, tripartite, verdict
 from qsep.exceptions import ConvergenceError
 
 
@@ -294,37 +294,66 @@ class TestVerify:
         assert code == 2
         assert "reshuffling singular values" in err and "(g=" in err
 
-    @staticmethod
-    def shift_source(monkeypatch, target, shift):
-        """Make ``Batch.source`` return the sources of ``target`` shifted by ``shift``."""
-        real = criteria.Batch.source
-        monkeypatch.setattr(criteria.Batch, "source", lambda batch, layout: (
-            real(batch, layout) + shift if layout is target else real(batch, layout)))
+    # the forms that only the diagonal of rho^1 reads, and the one that only rho and the
+    # families that move its entries read (g/2, at [0, 7]), with the cell of
+    # ``verify --points 50 --seed 7`` that ``shift_forms`` shifts
+    RHO1_DIAGONAL = ((4, 1, 2), (4, 1, 1))
+    RHO_COHERENCE = ((0, 1, 0),)
+    CELL = 17
+
+    @classmethod
+    def shift_forms(cls, monkeypatch, rows, shift):
+        """Make ``states.evaluate_forms`` add ``shift`` to the forms ``rows`` at cell
+        ``CELL`` of each batch that holds it."""
+        real = states.evaluate_forms
+        numbers = [states.FORMS.tolist().index(list(row)) for row in rows]
+
+        def shifted(g, w):
+            forms = real(g, w)
+            if forms.shape[1] > cls.CELL:
+                forms[numbers, cls.CELL] += shift
+            return forms
+
+        monkeypatch.setattr(states, "evaluate_forms", shifted)
+        g, w = cli._sample_simplex(np.random.default_rng(7), 50)
+        return f" at {verdict.cell_name(g[cls.CELL], w[cls.CELL])}"
 
     def test_template_off_by_2e13_fails_naming_check_and_cell(self, capsys, monkeypatch):
         # within the default --tol, but past the template tolerance 1e-13
-        self.shift_source(monkeypatch, states.MARGINAL_1_BLOCKS, 2e-13)
+        cell = self.shift_forms(monkeypatch, self.RHO1_DIAGONAL[:1], 2e-13)
         code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 2
         assert "FAIL  rho^1 template vs generic map" in out
-        assert "FAILURE: rho^1 template vs generic map: deviation" in err and " at (g=" in err
+        assert re.fullmatch(rf"FAILURE: rho\^1 template vs generic map: deviation 2\.00\de-13 exceeds "
+                            rf"1\.0e-13{re.escape(cell)}\n", err), err
 
     def test_a_substituted_template_reaches_its_line_and_the_registry(self, capsys, monkeypatch):
         # the diagonal of rho^1 off by 1e-6: past the template tolerance, and the registry's
         # spectral check of the same batch's rho^1 then raises
-        self.shift_source(monkeypatch, states.MARGINAL_1_BLOCKS, 1e-6 * np.eye(2))
+        cell = self.shift_forms(monkeypatch, self.RHO1_DIAGONAL, 1e-6)
         code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 2
-        assert "FAIL  rho^1 template vs generic map" in out
-        assert "FAILURE: Spect(rho^1) at (g=" in err
+        assert "FAIL  rho^1 template vs generic map" in out and cell in out
+        assert f"FAILURE: Spect(rho^1){cell}: deviates" in err
+
+    def test_a_perturbed_rho_form_fails_the_rho_line_naming_the_cell(self, capsys, monkeypatch):
+        # within every registry tolerance and the same in the block and full paths, but past
+        # the template tolerance of rho against the independent mixture
+        cell = self.shift_forms(monkeypatch, self.RHO_COHERENCE, 2e-13)
+        code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
+        assert code == 2
+        assert [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")] == [
+            "rho template vs mixture"]
+        assert re.fullmatch(rf"FAILURE: rho template vs mixture: deviation 2\.00\de-13 exceeds "
+                            rf"1\.0e-13{re.escape(cell)}\n", err), err
 
     def test_builds_each_batch_quantity_once(self, capsys, monkeypatch):
         # the registry diagonalizes every family in one block-spectra pass, and the block
-        # line reads those spectra.  rho and the closed forms are built once, for the whole
-        # sample
+        # line reads those spectra.  The forms and the closed forms are evaluated once, for
+        # the whole sample
         calls = []
         for module, name in ((linalg, "block_spectra"), (states, "closed_form_spectra_grid"),
-                             (states, "build_rho_grid")):
+                             (states, "build_rho_grid"), (states, "evaluate_forms")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, real=real, name=name: (
                 calls.append((name, [layout.name for layout in a[0]] if name == "block_spectra"
@@ -336,16 +365,19 @@ class TestVerify:
         assert spectra == [[layout.name for layout in states.FAMILIES]]
         assert [call for call in calls if call[0] == "closed_form_spectra_grid"] == [
             ("closed_form_spectra_grid", 50)]
-        # the batch's rho; the explicit references build one point at a time
-        assert calls.count(("build_rho_grid", 50)) == 1
+        assert [call for call in calls if call[0] == "evaluate_forms" and call[1] != 1] == [
+            ("evaluate_forms", 50)]
+        # the batch's rho is gathered from its forms; the explicit references build one point
+        # at a time
+        assert ("build_rho_grid", 50) not in calls
 
     @pytest.mark.parametrize("target", list(states.FAMILIES), ids=lambda layout: layout.name)
     def test_block_line_covers_every_family(self, capsys, monkeypatch, target):
         # the full matrices of one family, scaled by 1 + 1e-6, no longer have the spectra
         # its blocks give
-        real = linalg.BlockLayout.family
-        monkeypatch.setattr(linalg.BlockLayout, "family", lambda layout, source: (
-            real(layout, source) * (1.0 + 1e-6) if layout is target else real(layout, source)))
+        real = criteria.Batch.family
+        monkeypatch.setattr(criteria.Batch, "family", lambda batch, layout: (
+            real(batch, layout) * (1.0 + 1e-6) if layout is target else real(batch, layout)))
         code, out, _ = run(capsys, "verify", "--points", "30", "--seed", "7")
         assert code == 2
         (line,) = [line for line in out.splitlines() if " block spectra vs full LAPACK " in line]

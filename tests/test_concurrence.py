@@ -41,7 +41,7 @@ def spin_flip_product_spectrum(omega):
 
 
 def marginal_23(p):
-    return states.marginal_23_grid(np.array([p.g]), np.array([p.w]))[0]
+    return states.MARGINAL_23_BLOCKS.family(states.evaluate_forms([p.g], [p.w]))[0]
 
 
 def batch_concurrence(g, w):

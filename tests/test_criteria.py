@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -68,7 +69,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("cid", criteria.IDS)
     def test_every_criterion_alone_fails_on_a_nan_weight(self, cid):
-        with pytest.raises((ConsistencyError, ConvergenceError)):
+        # every failure names the cell, the block path's at the evaluation of its forms
+        with pytest.raises((ConsistencyError, ConvergenceError), match=r"at \(g=nan, w=0\.1\)"):
             criteria.margins([0.2, math.nan], [0.1, 0.1], (cid,))
 
     # each case is refused by SimplexPoint's rule before any check runs
@@ -220,55 +222,41 @@ class TestSwapForms:
             criteria.margins(G, W, ("huber_w_k2",))
 
 
+def with_row(layout, entry, shift):
+    """``layout`` built again with ``shift`` added to the row of its entry ``[i, j]``."""
+    table = layout.table.copy()
+    table[entry[0] * layout.shape[1] + entry[1]] += shift
+    return dataclasses.replace(layout, table=table)
+
+
 class TestBlockZeroPattern:
-    def test_template_with_a_nonzero_off_block_entry_names_matrix_and_cell(self, monkeypatch):
-        real = criteria.Batch.source
-
-        def broken(batch, layout):
-            m = real(batch, layout)
-            if layout.template is states.reduction_1i23_grid:
-                m[2, 3, 5] = m[2, 5, 3] = 1e-300  # couples the 1x1 blocks {3} and {5}
-            return m
-
-        monkeypatch.setattr(criteria.Batch, "source", broken)
-        with pytest.raises(ConsistencyError, match=(
-            r"^rho\^1 \(x\) I - rho at \(g=0\.1, w=0\.7\): entry \[3, 5\] lies outside"
+    def test_table_with_a_nonzero_off_block_row_names_family_and_entry(self):
+        # [3, 5] couples the 1x1 blocks {3} and {5}: the layout refuses the table when it is
+        # built, so no batch ever reads the entry
+        with pytest.raises(ValueError, match=(
+            r"^rho\^1 \(x\) I - rho: entry \[3, 5\] lies outside every block but is not 0: "
+            r"its row is \[0, 1, 0\]$"
         )):
-            criteria.margins(G, W, ("reduction",))
-        # the other families do not read that template
-        criteria.margins(G, W, ("ppt", "maj_rho1", "perm222"))
+            with_row(states.REDUCTION_1I23_BLOCKS, (3, 5), (0, 1, 0))
+
+
+# a row of one entry of a mirror equality changed, in each family that splits a block
+MIRROR_ROWS = [
+    (states.RHO_BLOCKS, (2, 2), r"^rho: entry \[2, 2\] differs from its mirror \[1, 1\]"),
+    (states.TRANSPOSE_1_BLOCKS, (6, 0), r"^rho\^T1: entry \[6, 0\] differs from its mirror \[5, 0\]"),
+    (states.REDUCTION_I123_BLOCKS, (4, 2),
+     r"^I \(x\) rho\^23 - rho: entry \[4, 2\] differs from its mirror \[4, 1\]"),
+    (states.REDUCTION_1I23_BLOCKS, (2, 2),
+     r"^rho\^1 \(x\) I - rho: entry \[2, 2\] differs from its mirror \[1, 1\]"),
+]
 
 
 class TestSpectralPass:
-    # a template, broken where each layout that reads it gets its source; rho is read by
-    # the four families whose template is None
-    @pytest.mark.parametrize("template, entries, value, ids, message", [
-        (states.build_rho_grid, [(2, 2)], "ulp", ("maj_rho1",),
-         r"^rho at \(g=0\.6, w=0\.1\): entry \[2, 2\] differs from its mirror \[1, 1\]"),
-        (states.build_rho_grid, [(2, 4), (4, 2)], "nan", ("ppt",),
-         r"^rho\^T1 at \(g=0\.6, w=0\.1\): entry \[6, 0\] differs from its mirror \[5, 0\]"),
-        (states.reduction_i123_grid, [(4, 2), (2, 4)], "ulp", ("reduction",),
-         r"^I \(x\) rho\^23 - rho at \(g=0\.6, w=0\.1\): entry \[4, 2\] differs from its "
-         r"mirror \[4, 1\]"),
-        (states.reduction_1i23_grid, [(2, 2)], "nan", ("reduction",),
-         r"^rho\^1 \(x\) I - rho at \(g=0\.6, w=0\.1\): entry \[2, 2\] differs from its "
-         r"mirror \[1, 1\]"),
-    ])
-    def test_broken_mirror_entry_names_family_cell_and_entry(
-            self, monkeypatch, template, entries, value, ids, message):
-        real = criteria.Batch.source
-
-        def broken(batch, layout):
-            m = real(batch, layout)
-            if (layout.template or states.build_rho_grid) is template:
-                m = m.copy()  # the batch keeps rho
-                for i, j in entries:
-                    m[3, i, j] = math.nan if value == "nan" else np.nextafter(m[3, i, j], 1.0)
-            return m
-
-        monkeypatch.setattr(criteria.Batch, "source", broken)
-        with pytest.raises(ConsistencyError, match=message):
-            criteria.margins(G, W, ids)
+    @pytest.mark.parametrize("layout, entry, message", MIRROR_ROWS,
+                             ids=["rho", "rho_t1", "red_i123", "red_1i23"])
+    def test_unequal_mirror_rows_name_family_and_entry(self, layout, entry, message):
+        with pytest.raises(ValueError, match=message):
+            with_row(layout, entry, (0, 0, 1))
 
     @pytest.mark.parametrize("count", [1, 4096])
     def test_all_criteria_make_one_call_per_spectral_method(self, monkeypatch, count):
@@ -314,8 +302,9 @@ class TestSpectralPass:
         assert {layout for cid in ids for layout in criteria.BY_ID[cid].reads} == read
 
     def test_a_chunk_of_all_peaks_under_10_mb(self):
-        # cells 8192-12287 of R = 385: about 8.0 MB with each source let go once gathered;
-        # building all eight sources before the kernel takes about 12 MB
+        # cells 8192-12287 of R = 385: about 8.6 MB, set by gs3 on top of what the batch
+        # keeps (its margins, spectra, closed forms, forms and rho); the block pass, which
+        # gathers every family from the forms, peaks at about 4.3 MB
         n = 385
         i, j = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
         g, w = i[8192:12288] / n, j[8192:12288] / n
@@ -341,24 +330,3 @@ class TestSpectralPass:
                 assert alone[cid].tobytes() == chunk[cid].tobytes(), (ids, cid)
                 for k, cell in zip((0, 1234, 4095), cells):
                     assert cell[cid].tobytes() == chunk[cid][k:k + 1].tobytes(), (ids, cid, k)
-
-
-class TestTemplateDtype:
-    def test_complex_templates_give_the_same_margins(self, monkeypatch):
-        # LAPACK sees the same real input whether a template is float64 or complex128
-        # with a zero imaginary part, so every margin keeps its bytes
-        n = 24
-        i, j = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
-        g, w = i / n, j / n
-        real = criteria.margins(g, w, criteria.IDS)
-        build_rho, source = states.build_rho_grid, criteria.Batch.source
-        monkeypatch.setattr(states, "build_rho_grid",
-                            lambda g, w: build_rho(g, w).astype(np.complex128))
-        monkeypatch.setattr(criteria.Batch, "source",
-                            lambda batch, layout: source(batch, layout).astype(np.complex128))
-        assert states.build_rho_grid(G, W).dtype == np.complex128
-        assert all(criteria.Batch(G, W).source(layout).dtype == np.complex128
-                   for layout in states.FAMILIES)
-        complex_ = criteria.margins(g, w, criteria.IDS)
-        for cid in criteria.IDS:
-            assert complex_[cid].tobytes() == real[cid].tobytes(), cid

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from qsep import linalg, states
 from qsep.config import RANK_TOL
-from qsep.exceptions import ConsistencyError, ConvergenceError
+from qsep.exceptions import ConvergenceError
 
 IDENTITY_PERM = (0, 1, 2, 3, 4, 5)
 
@@ -124,7 +126,7 @@ class TestEigh:
         for matrices in (
             states.build_rho_grid(g, w),
             linalg.permute_indices(states.build_rho_grid(g, w), linalg.TRANSPOSE_1_PERM),
-            states.reduction_1i23_grid(g, w),
+            states.REDUCTION_1I23_BLOCKS.family(states.evaluate_forms(g, w)),
         ):
             assert not np.any(matrices.imag)
             diff = np.abs(linalg.eigh(matrices) - linalg.jacobi_eigh(matrices))
@@ -263,7 +265,7 @@ class TestPsdSqrt:
     def test_marginal_round_trip(self):
         from qsep import states
 
-        rho23 = states.marginal_23_grid(np.array([0.0]), np.array([1.0]))[0]
+        rho23 = states.MARGINAL_23_BLOCKS.family(states.evaluate_forms([0.0], [1.0]))[0]
         b = linalg.psd_sqrt(rho23)
         assert np.max(np.abs(b @ b - rho23)) < 1e-9
 
@@ -374,42 +376,42 @@ def simplex_cells(count, seed):
     return np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
 
 
-def source_of(g, w):
-    """The source callable of a pass over the batch (g, w): each layout's template, or rho."""
-    return lambda layout: (layout.template or states.build_rho_grid)(g, w)
-
-
-def spectra(layout, g, w, source=None):
-    """The block spectra of ``layout`` from a pass of its own on ``source``, by default its
-    template at (g, w)."""
-    (values,) = linalg.block_spectra(
-        (layout,), source_of(g, w) if source is None else lambda _: source, g, w)
+def spectra(layout, g, w):
+    """The block spectra of ``layout`` at (g, w) from a pass of its own."""
+    (values,) = linalg.block_spectra((layout,), states.evaluate_forms(g, w))
     return values
 
 
-class TestBlockSpectra:
-    G = np.array([0.0, 0.2, 0.1, 0.6, 0.3])
-    W = np.array([0.0, 0.0, 0.7, 0.1, 0.3])
+def with_row(layout, entry, shift):
+    """``layout`` built again with ``shift`` added to the row of its entry ``[i, j]``."""
+    table = layout.table.copy()
+    table[entry[0] * layout.shape[1] + entry[1]] += shift
+    return dataclasses.replace(layout, table=table)
 
-    def test_nonzero_off_block_entry_names_matrix_cell_and_entry(self):
-        rho = states.build_rho_grid(self.G, self.W)
-        rho[3, 5, 6] = rho[4, 5, 6] = 1e-300
-        with pytest.raises(ConsistencyError,
-                           match=r"^rho at \(g=0\.6, w=0\.1\): entry \[5, 6\] lies outside"):
-            spectra(states.RHO_BLOCKS, self.G, self.W, rho)
-        rho[3, 5, 6] = np.nan
-        with pytest.raises(ConsistencyError, match=r"^rho at \(g=0\.6, w=0\.1\)"):
-            spectra(states.RHO_BLOCKS, self.G, self.W, rho)
+
+def probe(shape, blocks, **kwargs):
+    """The layout of a family whose entries are all 0."""
+    n = shape[0] * shape[1]
+    return linalg.BlockLayout("probe", shape, blocks, np.zeros((n, 3), dtype=np.int64),
+                              np.zeros(n, dtype=np.intp), **kwargs)
+
+
+class TestBlockSpectra:
+    def test_nonzero_off_block_row_fails_at_build_naming_matrix_and_entry(self):
+        # [5, 6] couples the 1x1 blocks {5} and {6}; the table is checked when the layout
+        # is built, so no pass reads an entry outside its blocks
+        with pytest.raises(ValueError, match=r"^rho: entry \[5, 6\] lies outside every block "
+                                             r"but is not 0: its row is \[0, 0, 1\]$"):
+            with_row(states.RHO_BLOCKS, (5, 6), (0, 0, 1))
+        for layout in ALL_LAYOUTS:  # each declared table, built again, passes
+            dataclasses.replace(layout)
 
     def test_asymmetric_block_of_a_singular_value_layout_raises(self):
-        rho = states.build_rho_grid(self.G, self.W)
-        # one ulp off in the rho entry that R'(rho)[0, 3] is read from: row 0 and
-        # column 3 lie in the first 3x3 block
-        k = int(states.RESHUFFLE_23_BLOCKS.index[0 * 8 + 3])
-        rho[2].flat[k] = np.nextafter(rho[2].flat[k], 1.0)
-        with pytest.raises(ConsistencyError,
-                           match=r"^R'\(rho\) .* at \(g=0\.1, w=0\.7\): entry \[0, 3\] differs"):
-            spectra(states.RESHUFFLE_23_BLOCKS, self.G, self.W, rho)
+        # R'(rho)[0, 3], in the first 3x3 block, with a row of its own: the block is no
+        # longer symmetric, and the layout refuses the table
+        with pytest.raises(ValueError, match=r"^R'\(rho\) .*: entry \[0, 3\] differs from its "
+                                             r"mirror in a symmetric block"):
+            with_row(states.RESHUFFLE_23_BLOCKS, (0, 3), (1, 0, 0))
 
     def test_each_cell_keeps_its_bits_in_any_batch(self):
         # alone, in a batch of 64 and in a 4,096-cell chunk, for every family
@@ -436,36 +438,32 @@ class TestBlockSpectra:
         real = linalg._dsyevd_2x2
         monkeypatch.setattr(linalg, "_dsyevd_2x2", lambda a, b, c: (
             scaled.append(a.size) if np.any(a == 5e-321) else None) or real(a, b, c))
-        pooled = linalg.block_spectra(ALL_LAYOUTS, source_of(g, w), g, w)
+        pooled = linalg.block_spectra(ALL_LAYOUTS, states.evaluate_forms(g, w))
         assert scaled == [step]
         for layout, values in zip(ALL_LAYOUTS, pooled):
             assert values.tobytes() == spectra(layout, g, w).tobytes(), layout.name
 
-    def test_rejects_a_batch_of_the_wrong_shape(self):
-        for wrong in (np.eye(8), np.zeros((1, 4, 4)), np.zeros((2, 8, 8)), np.eye(8)[None] * 1j):
-            with pytest.raises(ValueError, match="expected a batch of 1 real"):
-                linalg.block_spectra((states.RHO_BLOCKS,), lambda _, wrong=wrong: wrong, [0.0], [0.0])
-
     def test_layout_rejects_overlapping_or_non_square_eigenvalue_blocks(self):
         with pytest.raises(ValueError, match="overlap"):
-            linalg.BlockLayout("probe", (3, 3), (((0, 1), (0, 1)), ((1, 2), (1, 2))))
+            probe((3, 3), (((0, 1), (0, 1)), ((1, 2), (1, 2))))
         with pytest.raises(ValueError, match="rows == columns"):
-            linalg.BlockLayout("probe", (3, 3), (((0, 1), (1, 2)),))
+            probe((3, 3), (((0, 1), (1, 2)),))
         with pytest.raises(ValueError, match="no 3x3 block"):
-            linalg.BlockLayout("probe", (4, 4), (((0, 1), (0, 1)), ((2, 3), (2, 3))), mirrors=((0, 1),))
+            probe((4, 4), (((0, 1), (0, 1)), ((2, 3), (2, 3))), mirrors=((0, 1),))
 
     def test_split_blocks_match_lapack_on_the_whole_block(self):
         # the mirror split against eigvalsh of the 3x3 block it replaces
         g, w = simplex_cells(500, 4)
         split_families = set()
+        forms = states.evaluate_forms(g, w)
         for layout in ALL_LAYOUTS:
             values = spectra(layout, g, w)
-            matrices = (layout.template or states.build_rho_grid)(g, w).reshape(g.size, -1)
+            matrices = layout.family(forms).reshape(g.size, -1)
             start = 0  # the first output slot of each block
             for rows, cols in layout.blocks:
                 if len(rows) == 3 and any(set(m) <= set(rows) for m in layout.mirrors):
                     block = np.array(rows)
-                    flat = layout.index[(block[:, None] * layout.shape[1] + block).reshape(-1)]
+                    flat = (block[:, None] * layout.shape[1] + block).reshape(-1)
                     full = np.linalg.eigvalsh(matrices[:, flat].reshape(-1, 3, 3))
                     split = np.sort(values[:, start:start + 3], axis=-1)
                     assert np.max(np.abs(split - full)) <= 4 * np.finfo(float).eps, layout.name

@@ -41,7 +41,8 @@ def _defined(tree: ast.Module) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            for target in node.targets:  # a name, or the names a tuple unpacks into
+                names += [t.id for t in getattr(target, "elts", [target]) if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
@@ -139,20 +140,42 @@ def test_cross_checks_are_made_in_one_place():
     }
 
 
-def test_sum_built_templates_are_called_only_in_states():
-    # every other module reads them through their layouts, by Batch.source
-    for name in ("marginal_23_grid", "marginal_1_grid", "reduction_i123_grid", "reduction_1i23_grid"):
-        assert {module for module, _ in _calls(name)} - {"states"} == set(), name
+# the entry tables, the forms and their evaluation: the numeric path's one source
+TABLE_NAMES = {"RHO_ENTRIES", "FORMS", "evaluate_forms"}
+TABLE_ATTRIBUTES = TABLE_NAMES | {"table", "form_index", "forms"}
+
+
+def _readers(names: set[str], attributes: set[str]) -> set[tuple[str, str]]:
+    """(module, enclosing top-level definition) of every read of a name in ``names`` or of
+    an attribute in ``attributes``; a module-level statement counts as ``""``."""
+    return {
+        (module, getattr(top, "name", ""))
+        for module, tree in _modules().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names)
+        or (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in attributes)
+    }
+
+
+def test_closed_forms_read_no_entry_table():
+    # only states' table and layout code, linalg's layouts and criteria.Batch read the entry
+    # tables or the evaluated forms, so no closed form in states, bipartite, tripartite or
+    # concurrence does: the closed forms stay the second path
+    assert _readers(TABLE_NAMES, TABLE_ATTRIBUTES) == {
+        ("states", "_families"), ("states", "evaluate_forms"), ("states", "build_rho_grid"),
+        ("linalg", "BlockLayout"), ("criteria", "Batch"),
+    }
 
 
 def test_consistency_errors_are_raised_in_known_places():
     # the recording checks of criteria.Batch, the per-point spin reference, the
     # majorization case table, the SLOCC witness against the GHZ triangle, class fusion,
-    # the block path's entry checks and the eigenvalue-sum check of one matrix
+    # the finiteness of a batch's evaluated forms and the eigenvalue-sum check of one matrix
     assert _calls("ConsistencyError") == {
         ("criteria", "Batch"), ("tripartite", "criterion_su"), ("tripartite", "slocc_codes"),
         ("bipartite", "majorization_case_margins"), ("classify", "fuse"),
-        ("linalg", "_entry_error"), ("linalg", "hermitian_eigenvalues"),
+        ("states", "evaluate_forms"), ("linalg", "hermitian_eigenvalues"),
     }
 
 

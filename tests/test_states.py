@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qsep import linalg, states
+from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 
 
@@ -12,12 +13,18 @@ def at(builder, p):
     return builder(np.array([p.g]), np.array([p.w]))[0]
 
 
+def family_of(layout):
+    """A batch builder of ``layout``'s full matrices, gathered from the evaluated forms."""
+    return lambda g, w: layout.family(states.evaluate_forms(g, w))
+
+
 def partial_transpose_1(p):
     return linalg.permute_indices(states.build_rho(p), linalg.TRANSPOSE_1_PERM)
 
 
 def reduction_matrices(p):
-    return at(states.reduction_i123_grid, p), at(states.reduction_1i23_grid, p)
+    return (at(family_of(states.REDUCTION_I123_BLOCKS), p),
+            at(family_of(states.REDUCTION_1I23_BLOCKS), p))
 
 
 QUBIT_PERMUTATIONS = (
@@ -40,27 +47,41 @@ def _rho_map(perm):
     return lambda g, w: linalg.permute_indices(states.build_rho_grid(g, w), perm)
 
 
-# every matrix family the criteria diagonalize: its declared block layout, and a builder
-# of its full matrices written here, independently of the layout's own map
-BLOCK_FAMILIES = {
-    states.RHO_BLOCKS: states.build_rho_grid,
-    states.TRANSPOSE_1_BLOCKS: _rho_map(linalg.TRANSPOSE_1_PERM),
-    states.RESHUFFLE_23_BLOCKS: _rho_map(linalg.RESHUFFLE_23_PERM),
-    states.MARGINAL_23_BLOCKS: states.marginal_23_grid,
-    states.MARGINAL_1_BLOCKS: states.marginal_1_grid,
-    states.REDUCTION_I123_BLOCKS: states.reduction_i123_grid,
-    states.REDUCTION_1I23_BLOCKS: states.reduction_1i23_grid,
-    states.RESHUFFLE_24_BLOCKS: lambda g, w: states.reshuffle_24_matrix(states.build_rho_grid(g, w)),
-}
-
 # each sum-built family from the independent mixture, spelled out here: the second
-# construction of its template
+# construction of the family its table gives
 GENERIC_MAPS = {
     states.MARGINAL_23_BLOCKS: states.partial_trace_1,
     states.MARGINAL_1_BLOCKS: states.partial_trace_23,
     states.REDUCTION_I123_BLOCKS: lambda m: np.kron(np.eye(2)[None], states.partial_trace_1(m)) - m,
     states.REDUCTION_1I23_BLOCKS: lambda m: np.kron(states.partial_trace_23(m), np.eye(4)[None]) - m,
 }
+
+
+def _of_mixture(generic):
+    return lambda g, w: generic(states.build_rho_mixture_grid(g, w))
+
+
+# every matrix family the criteria diagonalize: its declared block layout, and a builder
+# of its full matrices written here, independently of the layout's own map and table: rho
+# and the index maps of it, and the sum-built families from the independent mixture
+BLOCK_FAMILIES = {
+    states.RHO_BLOCKS: states.build_rho_grid,
+    states.TRANSPOSE_1_BLOCKS: _rho_map(linalg.TRANSPOSE_1_PERM),
+    states.RESHUFFLE_23_BLOCKS: _rho_map(linalg.RESHUFFLE_23_PERM),
+    **{layout: _of_mixture(generic) for layout, generic in GENERIC_MAPS.items()},
+    states.RESHUFFLE_24_BLOCKS: lambda g, w: states.reshuffle_24_matrix(states.build_rho_grid(g, w)),
+}
+# the families built from the mixture, matched to the template tolerance, not bit for bit
+FROM_MIXTURE = set(GENERIC_MAPS)
+
+
+def assert_builds(layout, built, expected):
+    """``built`` equals ``expected``: exactly, or to the template tolerance for a family
+    built from the mixture."""
+    if layout in FROM_MIXTURE:
+        assert np.max(np.abs(built - expected)) <= states.TEMPLATE_TOL, layout.name
+    else:
+        assert np.array_equal(built, expected), layout.name
 
 
 def seeded_and_edge_cells(count=500, seed=9):
@@ -182,9 +203,10 @@ class TestBuildRho:
         rho = states.build_rho_grid(g, w)
         tensor = rho.reshape((-1,) + (2,) * 6)
         eye2 = np.eye(2)
+        forms = states.evaluate_forms(g, w)
         expected = (
-            linalg.eigh(states.reduction_i123_grid(g, w)),
-            linalg.eigh(states.reduction_1i23_grid(g, w)),
+            linalg.eigh(states.REDUCTION_I123_BLOCKS.family(forms)),
+            linalg.eigh(states.REDUCTION_1I23_BLOCKS.family(forms)),
             linalg.singular_values(states.reshuffle_24_matrix(rho)),
         )
         for k in (1, 2):  # qubit 2 and qubit 3, as 0-based tensor axes
@@ -208,31 +230,30 @@ class TestBuildRho:
 class TestMarginals:
     def test_white_noise(self):
         p = SimplexPoint(0.0, 0.0)
-        rho23, rho1 = at(states.marginal_23_grid, p), at(states.marginal_1_grid, p)
+        rho23, rho1 = at(family_of(states.MARGINAL_23_BLOCKS), p), at(family_of(states.MARGINAL_1_BLOCKS), p)
         assert np.allclose(rho23, np.eye(4) / 4, atol=1e-15)
         assert np.allclose(rho1, np.eye(2) / 2, atol=1e-15)
 
     def test_ghz_marginal_diagonal(self):
-        rho23 = at(states.marginal_23_grid, SimplexPoint(1.0, 0.0))
+        rho23 = at(family_of(states.MARGINAL_23_BLOCKS), SimplexPoint(1.0, 0.0))
         assert np.max(np.abs(rho23 - np.diag(np.diag(rho23)))) < 1e-15
 
     def test_w_state_one_qubit_marginal(self):
-        rho1 = at(states.marginal_1_grid, SimplexPoint(0.0, 1.0))
+        rho1 = at(family_of(states.MARGINAL_1_BLOCKS), SimplexPoint(0.0, 1.0))
         assert np.allclose(rho1, np.diag([2 / 3, 1 / 3]), atol=1e-15)
 
     def test_templates_equal_generic_maps_of_the_mixture(self):
         points = simplex_grid(12)
         g, w = np.array([p.g for p in points]), np.array([p.w for p in points])
         mixture = states.build_rho_mixture_grid(g, w)
+        forms = states.evaluate_forms(g, w)
         for layout, generic in GENERIC_MAPS.items():
-            assert np.max(np.abs(layout.template(g, w) - generic(mixture))) <= states.TEMPLATE_TOL
+            assert np.max(np.abs(layout.family(forms) - generic(mixture))) <= states.TEMPLATE_TOL
 
     def test_each_sum_built_layout_declares_its_generic_map(self):
-        # exactly the four layouts with a template of their own declare a map of the mixture
-        # (verify's "template vs generic map" lines), and each is the map spelled out here
-        sum_built = {layout for layout in states.FAMILIES if layout.template is not None}
-        assert {layout for layout in states.FAMILIES if layout.mixture_map} == sum_built
-        assert sum_built == set(GENERIC_MAPS)
+        # exactly the four sum-built layouts declare a map of the mixture (verify's
+        # "template vs generic map" lines), and each is the map spelled out here
+        assert {layout for layout in states.FAMILIES if layout.mixture_map} == set(GENERIC_MAPS)
         g, w = seeded_and_edge_cells()
         mixture = states.build_rho_mixture_grid(g, w)
         for layout, generic in GENERIC_MAPS.items():
@@ -240,19 +261,47 @@ class TestMarginals:
 
 
 class TestTemplateDtypes:
-    SUM_BUILT = (
-        states.build_rho_grid, states.marginal_23_grid, states.marginal_1_grid,
-        states.reduction_i123_grid, states.reduction_1i23_grid,
-    )
-
     def test_sum_built_templates_are_float64(self):
+        # rho and every family gathered from the evaluated forms, C-contiguous as a dense
+        # build gives them (a BLAS product sums in an order that depends on the layout)
         g, w = np.array([0.0, 0.2, 0.5]), np.array([0.0, 0.2, 0.5])
-        for build in self.SUM_BUILT:
-            assert build(g, w).dtype == np.float64, build.__name__
+        forms = states.evaluate_forms(g, w)
+        assert forms.dtype == np.float64 and forms.shape == (len(states.FORMS), 3)
+        for layout in states.FAMILIES:
+            matrices = layout.family(forms)
+            assert matrices.dtype == np.float64 and matrices.flags.c_contiguous, layout.name
         assert states.build_rho(SimplexPoint(0.2, 0.2)).dtype == np.float64
 
     def test_independent_mixture_stays_complex(self):
         assert states.build_rho_mixture_grid([0.2], [0.2]).dtype == np.complex128
+
+
+class TestForms:
+    def test_each_form_is_its_sum_written_out(self):
+        # cd (d/8) + cg (g/2) + cw (w/3) in Python floats, left to right over the nonzero
+        # terms with +-x for a coefficient of +-1, bit for bit and sign of zero included:
+        # the order that keeps every family's entries as their dense sums gave them
+        g, w = seeded_and_edge_cells(count=50)
+        g, w = np.append(g, 1e-320), np.append(w, 1.0)
+        forms = states.evaluate_forms(g, w)
+        assert forms.shape == (len(states.FORMS), g.size)
+        rows = [tuple(row) for row in states.FORMS.tolist()]
+        assert rows[0] == (0, 0, 0) and len(set(rows)) == len(rows)
+        for n in range(g.size):
+            d = max(1.0 - float(g[n]) - float(w[n]), 0.0)
+            weights = (d / 8.0, float(g[n]) / 2.0, float(w[n]) / 3.0)
+            for k, row in enumerate(states.FORMS.tolist()):
+                total = None
+                for c, x in zip(row, weights):
+                    if c:
+                        term = x if c == 1 else -x if c == -1 else c * x
+                        total = term if total is None else total + term
+                want = np.float64(0.0 if total is None else total)
+                assert forms[k, n].tobytes() == want.tobytes(), (row, g[n], w[n])
+
+    def test_a_non_finite_weight_names_its_cell(self):
+        with pytest.raises(ConsistencyError, match=r"^entry forms at \(g=0\.3, w=inf\): not finite$"):
+            states.evaluate_forms([0.1, 0.3], [0.2, np.inf])
 
 
 class TestBlockLayouts:
@@ -268,9 +317,9 @@ class TestBlockLayouts:
 
     def test_family_builds_the_full_matrices_through_the_layout_map(self):
         g, w = seeded_and_edge_cells()
+        forms = states.evaluate_forms(g, w)
         for layout, build in BLOCK_FAMILIES.items():
-            built = layout.family((layout.template or states.build_rho_grid)(g, w))
-            assert np.array_equal(built, build(g, w)), layout.name
+            assert_builds(layout, layout.family(forms), build(g, w))
 
     def test_each_layout_is_the_components_of_its_support(self):
         g, w = seeded_and_edge_cells()
@@ -292,8 +341,7 @@ class TestBlockLayouts:
     )
     def test_block_spectra_match_full_lapack(self, point):
         g, w = np.array([point[0]]), np.array([point[1]])
-        passed = linalg.block_spectra(tuple(BLOCK_FAMILIES), lambda layout: (
-            layout.template or states.build_rho_grid)(g, w), g, w)
+        passed = linalg.block_spectra(tuple(BLOCK_FAMILIES), states.evaluate_forms(g, w))
         for (layout, build), spectra in zip(BLOCK_FAMILIES.items(), passed):
             matrices = build(g, w)
             blocks = np.sort(spectra, axis=-1)[:, ::-1]
@@ -301,12 +349,20 @@ class TestBlockLayouts:
             assert np.max(np.abs(blocks - full)) <= linalg.BLOCK_TOL, (layout.name, point)
 
     def test_each_layout_reads_its_family_from_its_template(self):
-        # the composed index maps gather exactly the entries of the built family
-        g, w = seeded_and_edge_cells()
-        for layout, build in BLOCK_FAMILIES.items():
-            source = (layout.template or states.build_rho_grid)(g, w)
-            gathered = source.reshape(g.size, -1)[:, layout.index]
-            assert np.array_equal(gathered, build(g, w).reshape(g.size, -1)), layout.name
+        # each family's table is its layout's map of rho's entry table, the same map
+        # spelled out here of each coefficient plane: in integers, row for row
+        planes = dict(GENERIC_MAPS)
+        planes.update({
+            states.RHO_BLOCKS: lambda m: m,
+            states.TRANSPOSE_1_BLOCKS: lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM),
+            states.RESHUFFLE_23_BLOCKS: lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM),
+            states.RESHUFFLE_24_BLOCKS: states.reshuffle_24_matrix,
+        })
+        assert set(planes) == set(states.FAMILIES)
+        for layout, build in planes.items():
+            table = build(states.RHO_ENTRIES).reshape(3, -1).T
+            assert layout.table.dtype == np.int64 and np.array_equal(layout.table, table), layout.name
+            assert np.array_equal(states.FORMS[layout.form_index], layout.table), layout.name
 
 
 class TestGenericMaps:
@@ -408,8 +464,8 @@ class TestClosedFormSpectra:
             spects = spectra_at(p)
             pairs = [
                 ("rho", states.build_rho(p)),
-                ("rho23", at(states.marginal_23_grid, p)),
-                ("rho1", at(states.marginal_1_grid, p)),
+                ("rho23", at(family_of(states.MARGINAL_23_BLOCKS), p)),
+                ("rho1", at(family_of(states.MARGINAL_1_BLOCKS), p)),
                 ("rho_t1", partial_transpose_1(p)),
                 ("red1_i23", reduction_matrices(p)[1]),
             ]

@@ -12,10 +12,10 @@ prints one ``<sha256>  <name>`` line per artifact:
   resolutions 20, 40, 55, 80, 115, 200 and 400 with ``--criteria all``, at
   25 with ``gs3,ppt``, and at 40 with each group of spectral criteria alone
   (``SPECTRAL_GROUPS``), which diagonalize only the matrix families they
-  read, with two selections whose one block-spectra pass spans several
-  sources short of all (``MIXED_PASSES``), and with each group whose members
-  one stacked pass evaluates alone (``STACKED_GROUPS``); the stdout names the
-  exports' directory as ``<out>``;
+  read, with two selections whose one block-spectra pass covers several
+  families, sum-built and moved from rho, short of all (``MIXED_PASSES``),
+  and with each group whose members one stacked pass evaluates alone
+  (``STACKED_GROUPS``); the stdout names the exports' directory as ``<out>``;
 - the stdout of ``qsep eval``, as text and with ``--json``, at eight simplex
   points, and of ``qsep eval --schema``;
 - the stdout of ``qsep verify`` at ``--points 1000 --seed 7``, and at the edge
