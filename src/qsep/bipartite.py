@@ -99,22 +99,64 @@ def majorization_margins_from_spectra(spectra: dict[str, np.ndarray]):
 # entropy
 
 
-def _renyi(p: np.ndarray, alpha: float) -> np.ndarray:
+def entropy_values(g, w, closed: dict[str, np.ndarray]) -> np.ndarray:
+    """The (9, cells) array of the distinct closed-form eigenvalues the entropy margins read,
+    any rounding below zero clipped to zero: rho's d/8 + g and d/8 + w, its six-fold d/8
+    (each as ``states.closed_form_spectra_grid`` forms it), then rho^1's two and rho^23's
+    four values from ``closed``, non-increasing."""
+    dt, gt, wt = states.renormalized_weights(g, w)
+    values = np.concatenate([[dt + 2 * gt, dt + 3 * wt, dt], closed["rho1"].T, closed["rho23"].T])
+    return np.maximum(values, 0.0, out=values)
+
+
+def _terms(values: np.ndarray, alpha: float) -> np.ndarray:
+    """The summands of the order-``alpha`` entropy of each value: its support indicator
+    (alpha = 0), its Shannon term (alpha = 1) or its power."""
     if alpha == 0.0:
-        return np.log((p > RANK_TOL).sum(axis=-1).astype(float))
+        return (values > RANK_TOL).astype(float)
     if alpha == 1.0:
-        terms = np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        return terms.sum(axis=-1)
-    if math.isinf(alpha):
-        return -np.log(p.max(axis=-1))
-    return np.log((p**alpha).sum(axis=-1)) / (1.0 - alpha)
+        live = values > 0.0
+        return np.where(live, -values * np.log(np.where(live, values, 1.0)), 0.0)
+    return values**alpha
 
 
-def entropy_margins_from_spectra(spectra: dict[str, np.ndarray], alpha: float):
-    """(S_a(rho) - S_a(rho^1), S_a(rho) - S_a(rho^23)) from closed-form spectra,
-    with any rounding below zero already clipped to zero."""
-    hr = _renyi(spectra["rho"], alpha)
-    return hr - _renyi(spectra["rho1"], alpha), hr - _renyi(spectra["rho23"], alpha)
+_ENTROPY_BLOCK = 1024  # orders x cells per step of entropy_margins: one order per step of a chunk
+
+
+def entropy_margins(values: np.ndarray, alphas) -> dict[float, tuple[np.ndarray, np.ndarray]]:
+    """(S_a(rho) - S_a(rho^1), S_a(rho) - S_a(rho^23)) of each order a in ``alphas``, from the
+    (9, cells) ``entropy_values`` array.
+
+    Each finite order raises the array once, with its scalar exponent, and
+    the sums of a step's orders (as many as fit ``_ENTROPY_BLOCK`` with the
+    cells: every order of a point, one of a chunk) are written out together,
+    in the order numpy sums the sorted spectra along their last axis, so each
+    margin has the bits of that sum: rho's eight terms pairwise, ((p0 + p1) +
+    (d + d)) + ((d + d) + (d + d)), with d the six-fold value's term, and the
+    two and four terms of rho^1 and rho^23 left to right from +0.0.  On the
+    simplex rho's two simple values are its two largest, so rho's terms are
+    in its sorted order.
+    """
+    # S_1 is its sum itself, so it comes last, after the orders whose sums take a log
+    finite = sorted((alpha for alpha in alphas if not math.isinf(alpha)), key=lambda alpha: alpha == 1.0)
+    step = max(1, _ENTROPY_BLOCK // values.shape[1])
+    out = {}
+    for first in range(0, len(finite), step):
+        orders = finite[first:first + step]
+        terms = [_terms(values, alpha) for alpha in orders]
+        t = np.stack(terms, axis=1) if len(terms) > 1 else terms[0][:, None]  # (9, orders, cells)
+        d = t[2] + t[2]
+        h = np.stack([((t[0] + t[1]) + d) + (d + d), (0.0 + t[3]) + t[4],
+                      (((0.0 + t[5]) + t[6]) + t[7]) + t[8]], axis=1)  # (orders, 3, cells)
+        logged = sum(alpha != 1.0 for alpha in orders)
+        np.log(h[:logged], out=h[:logged])
+        h[:logged] /= np.array([1.0 - alpha for alpha in orders[:logged]])[:, None, None]
+        out.update(zip(orders, zip(h[:, 0] - h[:, 1], h[:, 0] - h[:, 2])))
+    for alpha in alphas:
+        if math.isinf(alpha):
+            h = -np.log(np.stack([values[:3].max(axis=0), values[3:5].max(axis=0), values[5:].max(axis=0)]))
+            out[alpha] = (h[0] - h[1], h[0] - h[2])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -264,12 +264,10 @@ def _majorization(b: Batch, ids) -> dict[str, np.ndarray]:
 
 def _entropy(b: Batch, ids) -> dict[str, np.ndarray]:
     _densities(b)  # the numeric path, checked; the margins read the clipped closed forms
-    spectra = {key: np.maximum(b.closed[key], 0.0) for key in ("rho", "rho1", "rho23")}
-    out, wanted = {}, set(ids)
-    for alpha, (id1, id23) in _ENTROPY_IDS.items():
-        if id1 in wanted or id23 in wanted:
-            out[id1], out[id23] = bipartite.entropy_margins_from_spectra(spectra, alpha)
-    return out
+    wanted = set(ids)
+    alphas = [alpha for alpha, pair in _ENTROPY_IDS.items() if wanted.intersection(pair)]
+    margins = bipartite.entropy_margins(bipartite.entropy_values(b.g, b.w, b.closed), alphas)
+    return {cid: margin for alpha in alphas for cid, margin in zip(_ENTROPY_IDS[alpha], margins[alpha])}
 
 
 def _partial_transpose(b: Batch, ids) -> dict[str, np.ndarray]:

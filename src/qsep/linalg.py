@@ -6,8 +6,9 @@ layout (``BlockLayout``) of its integer entry table, which fixes each block's
 method by its shape and mirror pairs.  Every block is gathered from one
 array, the batch's evaluated forms; then one ``eigvalsh_2x2`` call, the steps
 LAPACK ``dsyevd`` takes on a 2x2 matrix vectorized, takes every 2x2 problem
-of every family, and one LAPACK call every block of a shape that remains:
-``eigvalsh`` the two 3x3 blocks of R'(rho), SVD the 2x6 block of R(rho).
+of every family, one ``two_row_singular_values`` call, a Hestenes rotation
+vectorized, the 2x6 block of R(rho), and one LAPACK ``eigvalsh`` call the two
+3x3 blocks of R'(rho).
 
 ``eigh`` (symmetric/Hermitian eigensolver) and ``singular_values`` (SVD of
 the matrix itself, not of its Gram matrix, so a trace norm keeps full
@@ -333,7 +334,9 @@ class BlockLayout:
       other block goes to LAPACK ``eigvalsh``;
     - singular values: a one-row block gives its Euclidean norm; a square
       block must be exactly symmetric and gives the absolute values of its
-      eigenvalues, found as above; any other block goes to LAPACK SVD.
+      eigenvalues, found as above; a block of two rows and more columns goes
+      to ``two_row_singular_values``, one Hestenes rotation.  Any other
+      block fails here with ValueError.
 
     A mirror pair (p, q) in ``mirrors`` declares that the 3x3 block holding
     rows p and q, with third row r, has B_pp == B_qq and B_pr == B_qr, so
@@ -414,7 +417,10 @@ class BlockLayout:
                     i, j = divmod(right, cols)
                     equalities.append((left, right, f"differs from its mirror [{i}, {j}]"))
             else:
-                method = ("diagonal" if n == 1 else "eigh") if square else "norm" if r.size == 1 else "svd"
+                if not square and r.size > 1 and not (r.size == 2 and c.size > 2):
+                    raise ValueError(f"{self.name}: a non-square singular-value block has one row, "
+                                     f"or two rows and more columns; got {r.size}x{c.size}")
+                method = ("diagonal" if n == 1 else "eigh") if square else "norm" if r.size == 1 else "rotation"
                 groups.setdefault((method, entry.shape), []).append((entry, slots))
         if unused:
             raise ValueError(f"{self.name}: mirror pairs {sorted(unused)} lie in no 3x3 block")
@@ -476,6 +482,40 @@ def _plan(layouts: tuple[BlockLayout, ...]) -> tuple:
     )
 
 
+def two_row_singular_values(columns: np.ndarray) -> np.ndarray:
+    """Singular values of real 2 x n blocks, by one Hestenes rotation (Hestenes, J. SIAM 6,
+    51 (1958)).
+
+    ``columns`` has shape (n, 2, ...): the n columns of each block, then any
+    batch axes.  Returns shape (2, ...), each block's values non-increasing.
+    Each block is scaled, exactly, by the largest power of two not above its
+    largest |entry|.  With a = |r1|^2, b = |r2|^2 and c = r1.r2 of its rows,
+    zeta = (b - a)/(2c) and t = sign(zeta)/(|zeta| + hypot(1, zeta)), 0 where
+    c == 0, the rotation by t makes the rows orthogonal; the values are the
+    norms of the rotated rows, scaled back.  They are norms of rows, never
+    square roots of Gram eigenvalues: only the angle reads inner products, so
+    each value is as accurate as LAPACK's bidiagonal SVD makes it, small ones
+    included (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1204
+    (1992)).  Every sum runs over the columns left to right, elementwise, so a
+    block's values do not depend on the batch it is in.
+    """
+    scale = np.ldexp(1.0, np.frexp(np.abs(columns).max(axis=(0, 1)))[1] - 1)  # 1/2 for a zero block
+    x = columns / scale
+    products = x[:, :, None] * x[:, None, :]
+    gram = sum(products[1:], products[0])
+    a, b, c = gram[0, 0], gram[1, 1], gram[0, 1]
+    with np.errstate(all="ignore"):  # zeta overflows where c is subnormal, and is 0/0 where c == 0
+        zeta = (b - a) / (2.0 * c)
+        t = np.where(c == 0.0, 0.0, np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta)))
+    cos = 1.0 / np.sqrt(1.0 + t * t)
+    sin = cos * t
+    rotated = np.stack([cos * x[:, 0] - sin * x[:, 1], sin * x[:, 0] + cos * x[:, 1]], axis=1)
+    squares = rotated * rotated
+    norms = np.sqrt(sum(squares[1:], squares[0]))
+    norms.sort(axis=0)
+    return norms[::-1] * scale
+
+
 def block_spectra(layouts: tuple[BlockLayout, ...], forms: np.ndarray) -> tuple[np.ndarray, ...]:
     """Eigenvalues or singular values of a batch of each family in ``layouts``, block by
     block, in one pass.
@@ -483,10 +523,12 @@ def block_spectra(layouts: tuple[BlockLayout, ...], forms: np.ndarray) -> tuple[
     ``forms`` is the (forms, cells) array of the batch's evaluated forms,
     which every block is gathered from; the tables of the layouts were checked
     when they were built, so no entry is checked here.  One ``eigvalsh_2x2``
-    call takes every 2x2 problem of every family, and one LAPACK call every
-    block of a shape that remains.  Returns, per layout, a (cells,
-    layout.width) view of one buffer: its blocks in layout order, each block's
-    values ascending (a split block gives B_pp - B_pq first), not sorted
+    call takes every 2x2 problem of every family, one ``two_row_singular_values``
+    call every block of two rows and more columns, and one LAPACK ``eigvalsh``
+    call each remaining block shape; no block goes to an SVD.
+    Returns, per layout, a (cells, layout.width) view of one buffer: its
+    blocks in layout order, each block's eigenvalues ascending (a split block
+    gives B_pp - B_pq first) and singular values non-increasing, not sorted
     overall.  A cell's values depend neither on the rest of the batch nor on
     the other families of the pass.
     """
@@ -504,18 +546,19 @@ def block_spectra(layouts: tuple[BlockLayout, ...], forms: np.ndarray) -> tuple[
     del lows, highs
     by_cell = np.ascontiguousarray(forms.T)
     for (method, _), (entries, columns, names) in groups.items():
-        blocks = by_cell.take(entries, axis=1)  # (cells, count, rows, columns)
-        try:
+        if method == "rotation":  # from (columns, 2, count, cells) to (cells, count, 2)
+            found = two_row_singular_values(forms[entries].transpose(2, 1, 0, 3)).T
+        else:
+            blocks = by_cell.take(entries, axis=1)  # (cells, count, rows, columns)
             if method == "diagonal":
                 found = blocks[..., 0, 0]
             elif method == "norm":
                 found = np.linalg.norm(blocks[..., 0, :], axis=-1)
-            elif method == "eigh":
-                found = np.linalg.eigvalsh(blocks)
             else:
-                found = np.linalg.svd(blocks, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK failed on the blocks of {names}: {exc}") from exc
+                try:
+                    found = np.linalg.eigvalsh(blocks)
+                except np.linalg.LinAlgError as exc:
+                    raise ConvergenceError(f"LAPACK failed on the blocks of {names}: {exc}") from exc
         out[:, columns] = found.reshape(batch, -1)
     out[:, abs_slots] = np.abs(out[:, abs_slots])
     spectra = tuple(out[:, start:stop] for start, stop in zip(starts[:-1], starts[1:]))

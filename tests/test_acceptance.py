@@ -137,8 +137,8 @@ def test_06_entropy_dominance(lattice, spectra):
     m1, m23 = bipartite.majorization_margins_from_spectra(numeric)
     maj_holds = (m1 > MARGINAL_BAND) & (m23 > MARGINAL_BAND)
     hartley_violated = np.zeros(g.size, dtype=bool)
-    for alpha in bipartite.ALPHA_GRID:
-        e1, e23 = bipartite.entropy_margins_from_spectra(closed, alpha)
+    values = bipartite.entropy_values(g, w, closed)
+    for alpha, (e1, e23) in bipartite.entropy_margins(values, bipartite.ALPHA_GRID).items():
         assert np.all(e1[maj_holds] >= -MARGINAL_BAND), alpha
         assert np.all(e23[maj_holds] >= -MARGINAL_BAND), alpha
         if alpha == 0.0:

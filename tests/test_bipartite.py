@@ -3,8 +3,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qsep import bipartite, linalg, scan, states
+from qsep import bipartite, criteria, linalg, scan, states
+from qsep.config import RANK_TOL
 from qsep.exceptions import ConsistencyError
 from qsep.states import SimplexPoint
 from qsep.verdict import CODE_NAMES, HOLDS, MARGINAL, VIOLATED, codes
@@ -66,10 +69,20 @@ def partial_sum_slack(p, q):
     return float(bipartite.majorization_margins_from_spectra(spectra)[0])
 
 
+PURE = {"rho": (1.0, 0.0, 0.0), "rho1": (1.0, 0.0), "rho23": (1.0, 0.0, 0.0, 0.0)}
+
+
+def entropy_pass(alphas=bipartite.ALPHA_GRID, **spectra):
+    """The entropy pass on one cell whose (9, cells) values array holds ``spectra`` (rho's
+    two simple values and its six-fold one, rho^1's two, rho^23's four), pure by default."""
+    values = np.array([[x] for key in PURE for x in spectra.get(key, PURE[key])], dtype=float)
+    return {alpha: (float(m1[0]), float(m23[0]))
+            for alpha, (m1, m23) in bipartite.entropy_margins(values, alphas).items()}
+
+
 def renyi(p, alpha):
-    """S_a(p), as the grid path's entropy margin against a pure marginal."""
-    spectra = {"rho": np.asarray(p, dtype=float), "rho1": np.ones(1), "rho23": np.ones(1)}
-    return float(bipartite.entropy_margins_from_spectra(spectra, alpha)[0])
+    """S_a(p) of at most four values: minus the rho^23 margin of a pure rho."""
+    return -entropy_pass([alpha], rho23=descending(p, 4))[alpha][1]
 
 
 class TestMajorizes:
@@ -152,14 +165,20 @@ class TestExactRationalPins:
 
 class TestRenyiEntropy:
     def test_uniform_any_alpha(self):
-        uniform = np.full(8, 1 / 8)
+        # rho's eight values, and rho^23's four, uniform
+        margins = entropy_pass(rho=(1 / 8, 1 / 8, 1 / 8))
         for alpha in bipartite.ALPHA_GRID:
-            assert abs(renyi(uniform, alpha) - math.log(8)) < 1e-12
+            assert abs(margins[alpha][0] - math.log(8)) < 1e-12
+            assert abs(margins[alpha][1] - math.log(8)) < 1e-12
+            assert abs(renyi(np.full(4, 1 / 4), alpha) - math.log(4)) < 1e-12
 
     def test_point_distribution(self):
         p = [1.0, 0.0, 0.0]
         for alpha in bipartite.ALPHA_GRID:
             assert abs(renyi(p, alpha)) < 1e-12
+        # a pure rho on either of its simple values
+        for rho in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)):
+            assert all(abs(m) < 1e-12 for pair in entropy_pass(rho=rho).values() for m in pair)
 
     def test_hartley_counts_support(self):
         assert abs(renyi([0.5, 0.5, 0.0], 0.0) - math.log(2)) < 1e-12
@@ -168,13 +187,65 @@ class TestRenyiEntropy:
         rng = np.random.default_rng(2)
         checked = 0
         while checked < 25:
-            p = rng.dirichlet(np.ones(8))
-            q = rng.dirichlet(np.ones(8))
+            p = rng.dirichlet(np.ones(4))
+            q = rng.dirichlet(np.ones(4))
             if partial_sum_slack(p, q) < -1e-12:
                 continue
             checked += 1
             for alpha in (0.5, 1.0, 2.0, 5.0, math.inf):
                 assert renyi(p, alpha) >= renyi(q, alpha) - 1e-10
+
+
+def per_order_margins(closed, alpha):
+    """The entropy margins of one order as the per-order map computed them before the
+    one-pass form: each clipped, sorted spectrum raised and summed along its last axis."""
+    def entropy(p):
+        if alpha == 0.0:
+            return np.log((p > RANK_TOL).sum(axis=-1).astype(float))
+        if alpha == 1.0:
+            return np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=-1)
+        if math.isinf(alpha):
+            return -np.log(p.max(axis=-1))
+        return np.log((p**alpha).sum(axis=-1)) / (1.0 - alpha)
+
+    hr, h1, h23 = (entropy(np.maximum(closed[key], 0.0)) for key in ("rho", "rho1", "rho23"))
+    return hr - h1, hr - h23
+
+
+# the three vertices, (1e-320, 1), and cells on the edges w = 0, g = 0 and g + w = 1
+FIXED_CELLS = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1e-320, 1.0), (0.2, 0.0), (1 / 3, 0.0),
+                        (0.0, 0.2), (0.0, 0.75), (0.5, 0.5), (1 / 7, 6 / 7), (0.15, 0.85)])
+
+
+class TestEntropyPass:
+    # 15 cells take every order in one step, 411 two orders per step, 1,211 one
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    @example(seed=0, count=1)
+    @example(seed=1, count=100)
+    @example(seed=2, count=300)
+    def test_every_margin_keeps_the_bits_of_the_per_order_map(self, seed, count):
+        rng = np.random.default_rng(seed)
+        u, v, x = rng.random((3, count))
+        flip = u + v > 1.0
+        g = np.concatenate([FIXED_CELLS[:, 0], np.where(flip, 1.0 - u, u), x, 0.0 * x, x])
+        w = np.concatenate([FIXED_CELLS[:, 1], np.where(flip, 1.0 - v, v), 0.0 * x, x, 1.0 - x])
+        margins = criteria.margins(g, w, criteria.GROUPS["entropy"])
+        closed = states.closed_form_spectra_grid(g, w)
+        for alpha in bipartite.ALPHA_GRID:
+            for cid, reference in zip((entropy_id("rho1", alpha), entropy_id("rho23", alpha)),
+                                      per_order_margins(closed, alpha)):
+                assert margins[cid].tobytes() == reference.tobytes(), cid
+
+    def test_orders_are_independent(self):
+        # a subset of the orders gives each of them the margins of the whole grid
+        g, w = FIXED_CELLS.T
+        values = bipartite.entropy_values(g, w, states.closed_form_spectra_grid(g, w))
+        everything = bipartite.entropy_margins(values, bipartite.ALPHA_GRID)
+        for alpha in bipartite.ALPHA_GRID:
+            (m1, m23), = bipartite.entropy_margins(values, [alpha]).values()
+            assert m1.tobytes() == everything[alpha][0].tobytes()
+            assert m23.tobytes() == everything[alpha][1].tobytes()
 
 
 class TestCriterionEntropy:

@@ -260,8 +260,9 @@ class TestSpectralPass:
 
     @pytest.mark.parametrize("count", [1, 4096])
     def test_all_criteria_make_one_call_per_spectral_method(self, monkeypatch, count):
-        # LAPACK: one eigvalsh call (R'(rho)) and one SVD (R(rho)); the 2x2 kernel: one call
-        # for the 2x2 problems of all six families that have a 2x2 block or a split 3x3 block
+        # LAPACK: one eigvalsh call (R'(rho)) and no SVD (R(rho)'s 2x6 block takes one
+        # rotation); the 2x2 kernel: one call for the 2x2 problems of all six families that
+        # have a 2x2 block or a split 3x3 block
         calls = []
         for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "svd"), (linalg, "eigvalsh_2x2")):
             real = getattr(module, name)
@@ -274,7 +275,7 @@ class TestSpectralPass:
         with_2x2 = [layout for layout in states.FAMILIES
                     if layout.mirrors or any(len(r) == len(c) == 2 for r, c in layout.blocks)]
         assert len(with_2x2) == 6
-        assert sorted(calls) == ["eigvalsh", "eigvalsh_2x2", "svd"]
+        assert sorted(calls) == ["eigvalsh", "eigvalsh_2x2"]
 
     # the families whose block spectra each spectral group reads, the expectation its rows'
     # ``reads`` are checked against; the other groups read none

@@ -443,6 +443,20 @@ class TestBlockSpectra:
         for layout, values in zip(ALL_LAYOUTS, pooled):
             assert values.tobytes() == spectra(layout, g, w).tobytes(), layout.name
 
+    def test_layout_rejects_a_non_square_singular_block_of_three_rows_or_one_column(self):
+        # one row takes a norm and two rows one rotation; nothing else has a kernel
+        for shape, rows, cols in (((3, 6), (0, 1, 2), range(6)), ((2, 1), (0, 1), (0,))):
+            with pytest.raises(ValueError, match=r"^probe: a non-square singular-value block has "
+                                                 r"one row, or two rows and more columns"):
+                probe(shape, ((rows, tuple(cols)),), singular=True)
+
+    def test_reshuffle_matches_full_matrix_lapack_svd_on_the_r400_lattice(self):
+        g, w = lattice(400)
+        forms = states.evaluate_forms(g, w)
+        values = np.sort(spectra(states.RESHUFFLE_24_BLOCKS, g, w), axis=-1)[:, ::-1]
+        full = np.linalg.svd(states.RESHUFFLE_24_BLOCKS.family(forms), compute_uv=False)
+        assert np.max(np.abs(values - full)) <= 1e-15
+
     def test_layout_rejects_overlapping_or_non_square_eigenvalue_blocks(self):
         with pytest.raises(ValueError, match="overlap"):
             probe((3, 3), (((0, 1), (0, 1)), ((1, 2), (1, 2))))
@@ -470,6 +484,70 @@ class TestBlockSpectra:
                     split_families.add(layout)
                 start += min(len(rows), len(cols))
         assert split_families == {layout for layout in ALL_LAYOUTS if layout.mirrors}
+
+
+ROW_PAIRS = ("random", "equal rows", "orthogonal rows", "equal norms", "rank one", "zero")
+
+
+def row_pairs(kind, n, count, rng):
+    """``count`` 2 x n blocks, shape (count, 2, n), whose rows are of the given kind."""
+    r1 = rng.normal(size=(count, n))
+    if kind == "random":
+        r2 = rng.normal(size=(count, n))
+    elif kind == "equal rows":
+        r2 = r1.copy()
+    elif kind == "orthogonal rows":  # disjoint supports: r1.r2 is exactly 0
+        r2 = rng.normal(size=(count, n))
+        r1[:, n // 2:], r2[:, :n // 2] = 0.0, 0.0
+    elif kind == "equal norms":  # |r1| == |r2| exactly, r1.r2 != 0 unless the signs cancel
+        r2 = r1 * rng.choice([-1.0, 1.0], size=(count, n))
+    elif kind == "rank one":
+        r2 = r1 * rng.normal(size=(count, 1))
+    else:
+        r1 = r2 = np.zeros((count, n))
+    return np.stack([r1, r2], axis=1)
+
+
+def rotation(blocks):
+    """``linalg.two_row_singular_values`` of (count, 2, n) blocks, as (count, 2)."""
+    return linalg.two_row_singular_values(np.transpose(blocks, (2, 1, 0))).T
+
+
+class TestTwoRowSingularValues:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ROW_PAIRS), st.integers(2, 8), st.integers(-300, 300),
+           st.integers(-300, 300), st.integers(0, 2**32 - 1))
+    def test_matches_lapack_to_a_few_ulps_of_the_largest(self, kind, n, first, second, seed):
+        # each row scaled on its own, from 1e-300 to 1e300
+        blocks = row_pairs(kind, n, 20, np.random.default_rng(seed))
+        blocks *= np.array([10.0**first, 10.0**second])[:, None]
+        ref = np.linalg.svd(blocks, compute_uv=False)
+        found = rotation(blocks)
+        assert np.all(np.abs(found - ref) <= 10 * np.spacing(ref[:, :1])), kind
+        assert np.all(found[:, 0] >= found[:, 1])
+
+    def test_edge_cases(self):
+        ones = np.ones((1, 2, 6))
+        assert rotation(ones).tolist() == [[np.sqrt(12.0), 0.0]]  # equal rows: rank one
+        orthogonal = np.array([[[1.0, 1.0], [1.0, -1.0]]])  # a == b and c == 0
+        assert rotation(orthogonal).tolist() == [[np.sqrt(2.0), np.sqrt(2.0)]]
+        assert rotation(np.zeros((3, 2, 6))).tolist() == [[0.0, 0.0]] * 3
+        # huge, tiny and subnormal blocks keep their values
+        for scale in (1e300, 1e-300, 5e-324):
+            found, ref = rotation(ones * scale)[0], np.linalg.svd(ones[0] * scale, compute_uv=False)
+            assert np.all(np.abs(found - ref) <= 10 * np.spacing(ref[0])), scale
+
+    def test_each_block_keeps_its_bits_in_any_batch(self):
+        blocks = row_pairs("random", 6, 5000, np.random.default_rng(8))
+        whole = rotation(blocks)
+        for k in (0, 17, 4999):
+            assert rotation(blocks[k:k + 1]).tobytes() == whole[k:k + 1].tobytes()
+
+    def test_keeps_batch_axes(self):
+        columns = np.random.default_rng(2).normal(size=(6, 2, 3, 4))
+        found = linalg.two_row_singular_values(columns)
+        assert found.shape == (2, 3, 4)
+        assert found[:, 1, 2].tolist() == linalg.two_row_singular_values(columns[:, :, 1, 2]).tolist()
 
 
 def lapack_2x2(a, b, c):
