@@ -1,9 +1,10 @@
 """Dense complex matrix arithmetic and spectral routines for dimension <= 64.
 
 The criteria read ``block_spectra``: one pass per batch over the matrix
-families a selection reads, each diagonalized block by block along the fixed
-layout (``BlockLayout``) of its integer entry table, which fixes each block's
-method by its shape and mirror pairs.  Every block is gathered from one
+families a selection reads, each diagonalized block by block.  Each family's
+layout (``BlockLayout``) derives its blocks and their mirror pairs from its
+integer entry table, and each block's method from its shape and mirror
+pairs; ``_plan`` pools the blocks of a pass.  Every block is gathered from one
 array, the batch's evaluated forms; then one ``eigvalsh_2x2`` call, the steps
 LAPACK ``dsyevd`` takes on a 2x2 matrix vectorized, takes every 2x2 problem
 of every family, one ``two_row_singular_values`` call, a Hestenes rotation
@@ -309,143 +310,119 @@ def _dsyevd_2x2(a, b, c):
     return (low * (1.0 / sigma), high * (1.0 / sigma)) if extreme else (low, high)
 
 
+def _components(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of a boolean rows x columns pattern, as sorted (rows,
+    columns) index arrays ordered by their first row; a row or column with no True entry
+    lies in none."""
+    blocks, left = [], support.any(axis=1)
+    while left.any():
+        rows = np.arange(left.size) == np.argmax(left)
+        while True:
+            cols = support[rows].any(axis=0)
+            grown = support[:, cols].any(axis=1)
+            if np.array_equal(grown, rows):
+                break
+            rows = grown
+        left &= ~rows
+        blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+    return blocks
+
+
 @dataclass(frozen=True, eq=False)  # a family is its object: compared and hashed by identity
 class BlockLayout:
     """A matrix family of integer forms that a fixed permutation turns into a direct sum of
-    small blocks.
+    small blocks, which its table determines.
 
     ``table`` holds one integer row per flat entry of the family (row-major):
     the coefficients of the form the entry equals, all zero for an entry that is
     0.  ``form_index`` holds the row of a batch's forms array that evaluates each
-    entry's form; equal rows read one form.  ``blocks`` lists each block's
-    (rows, columns) index sets.  ``closed`` names the closed-form spectra its
-    sorted spectra are checked against (None: it has none), and a sum-built
-    family declares ``mixture_map``, which builds the family from an
+    entry's form; equal rows read one form.  ``closed`` names the closed-form
+    spectra its sorted spectra are checked against (None: it has none), and a
+    sum-built family declares ``mixture_map``, which builds the family from an
     independently built mixture, the second construction its matrices are
     checked against.
 
-    ``singular`` selects what ``block_spectra`` returns: eigenvalues of
-    Hermitian blocks (rows == columns; the lower triangle is read) or
-    singular values.  The method of each block is fixed here, by its shape
-    and the declared mirror pairs, and never chosen from the values:
+    ``singular`` selects what ``block_spectra`` returns: eigenvalues (the table
+    must equal its transpose; the lower triangle is read) or singular values.
+    The blocks are the connected components of the entries with a nonzero row,
+    an eigenvalue family's diagonal included, so that an isolated index is a
+    1x1 block; their rows and columns are sorted, and they are ordered by their
+    first row.  The method of each block is fixed here, by its shape and its
+    rows, and never chosen from the values:
 
     - eigenvalues: a 1x1 block is its diagonal entry; a 2x2 block goes to
       ``eigvalsh_2x2``; a 3x3 block with a mirror pair is split (below); any
       other block goes to LAPACK ``eigvalsh``;
     - singular values: a one-row block gives its Euclidean norm; a square
       block must be exactly symmetric and gives the absolute values of its
-      eigenvalues, found as above; a block of two rows and more columns goes
-      to ``two_row_singular_values``, one Hestenes rotation.  Any other
-      block fails here with ValueError.
+      eigenvalues, found as above but never split; a block of two rows and
+      more columns goes to ``two_row_singular_values``, one Hestenes rotation.
+      Any other block fails here with ValueError.
 
-    A mirror pair (p, q) in ``mirrors`` declares that the 3x3 block holding
-    rows p and q, with third row r, has B_pp == B_qq and B_pr == B_qr, so
-    that (e_p - e_q)/sqrt(2) is an eigenvector.  The block then yields
-    B_pp - B_pq and the eigenvalues of the 2x2 block
-    [[B_pp + B_pq, sqrt(2) B_pr], [sqrt(2) B_pr, B_rr]].
+    The mirror pair of a 3x3 eigenvalue block is its first pair of positions
+    (p, q), in the order (0, 1), (0, 2), (1, 2), whose rows of the table give
+    B_pp == B_qq and B_pr == B_qr, r the third position, so that
+    (e_p - e_q)/sqrt(2) is an eigenvector.  The block then yields B_pp - B_pq
+    and the eigenvalues of the 2x2 block [[B_pp + B_pq, sqrt(2) B_pr],
+    [sqrt(2) B_pr, B_rr]].
 
-    The table is checked here, exactly, once: every entry outside the blocks
-    must have a zero row, and the two entries of each mirror equality and of
-    each symmetric pair of a square singular-value block must have equal rows;
-    otherwise ValueError names the family and the entry.  A zero row is never evaluated,
-    and equal rows read one form, so for finite forms these hold on every cell.
+    The two symmetries are checked here, exactly, once; otherwise ValueError
+    names the family and the entry.  A zero row is never evaluated, and equal
+    rows read one form, so for finite forms the blocks and the mirror
+    equalities hold on every cell.
 
-    Where ``block_spectra`` reads and writes is derived here, once per
-    family, in rows of the forms array; ``_plan`` pools it per pass.
+    ``blocks`` holds each block's (method, forms): the rows of the forms array
+    its entries read, as a (rows, columns) array, a split block's in the order
+    p, q, r.  ``_plan`` reads them, and nothing else of the table.
     """
 
     name: str
     shape: tuple[int, int]
-    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     table: np.ndarray = field(repr=False)
     form_index: np.ndarray = field(repr=False)
     singular: bool = False
-    mirrors: tuple[tuple[int, int], ...] = ()
     closed: str | None = None
     mixture_map: Callable | None = field(default=None, repr=False)
-    # derived from the fields above: values per matrix; the a, b, c forms of the 2x2
-    # problems, split blocks first, and their low and high slots; the B_pq form of each
-    # split block and the slot of B_pp - B_pq; (method, forms of shape (count, rows,
-    # columns), slots) per block shape; and the slots that take |value|
-    width: int = field(init=False, repr=False)
-    problems: np.ndarray = field(init=False, repr=False)
-    problem_slots: np.ndarray = field(init=False, repr=False)
-    split: np.ndarray = field(init=False, repr=False)
-    groups: tuple = field(init=False, repr=False)
-    abs_slots: np.ndarray = field(init=False, repr=False)
+    # derived from the table: (method, forms) per block
+    blocks: tuple[tuple[str, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         rows, cols = self.shape
-        index = np.asarray(self.form_index, dtype=np.intp)
-        inside = np.zeros(self.shape, dtype=bool)
-        unused = set(self.mirrors)
-        problems, split, groups, equalities, abs_slots = [], [], {}, [], []
-        width = 0
+        table = self.table.reshape(rows, cols, -1)
+        index = np.asarray(self.form_index, dtype=np.intp).reshape(self.shape)
 
-        def flat(i, j) -> int:
-            return int(i) * cols + int(j)
+        def require_symmetric(r, c, text):
+            sub = table[np.ix_(r, c)]
+            bad = np.argwhere((sub != sub.transpose(1, 0, 2)).any(axis=-1))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"{self.name}: entry [{r[i]}, {c[j]}] {text}: its row is {sub[i, j].tolist()}")
 
-        def lower(i, j) -> int:  # the entry LAPACK reads of a symmetric pair
-            return flat(max(i, j), min(i, j))
-
-        for r, c in self.blocks:
-            r, c = np.asarray(r, dtype=np.intp), np.asarray(c, dtype=np.intp)
-            if not self.singular and not np.array_equal(r, c):
-                raise ValueError(f"{self.name}: an eigenvalue block needs rows == columns")
-            if np.any(inside[r]) or np.any(inside[:, c]):
-                raise ValueError(f"{self.name}: blocks overlap")
-            inside[np.ix_(r, c)] = True
-            entry = r[:, None] * cols + c[None, :]
-            n = min(r.size, c.size)
-            slots = list(range(width, width + n))
-            width += n
-            square = r.size == c.size and not (self.singular and n == 1)
-            mirror = next((m for m in self.mirrors if set(m) <= set(r.tolist())), None)
-            if self.singular and square:
-                abs_slots += slots
-                equalities += [(entry[i, j], entry[j, i], "differs from its mirror in a symmetric block")
-                               for i in range(n) for j in range(i + 1, n)]
-            if square and n == 2:
-                problems.append((entry[0, 0], entry[1, 0], entry[1, 1], *slots))
-            elif square and n == 3 and mirror is not None and not self.singular:
-                unused.discard(mirror)
-                p, q = mirror
-                (t,) = set(r.tolist()) - {p, q}
-                split.append((lower(p, q), slots[0]))  # B_pq; the split problems come first
-                problems.insert(len(split) - 1, (flat(p, p), lower(p, t), flat(t, t), *slots[1:]))
-                for left, right in ((flat(q, q), flat(p, p)), (lower(q, t), lower(p, t))):
-                    i, j = divmod(right, cols)
-                    equalities.append((left, right, f"differs from its mirror [{i}, {j}]"))
+        support = table.any(axis=-1)
+        if not self.singular:
+            require_symmetric(np.arange(rows), np.arange(cols), "differs from its mirror across the diagonal")
+            support |= np.eye(rows, dtype=bool)
+        blocks = []
+        for r, c in _components(support):
+            square = r.size == c.size and not (self.singular and r.size == 1)
+            if square:
+                method = {1: "diagonal", 2: "kernel"}.get(r.size, "eigh")
+            elif r.size == 1 or r.size == 2 < c.size:
+                method = "norm" if r.size == 1 else "rotation"
             else:
-                if not square and r.size > 1 and not (r.size == 2 and c.size > 2):
-                    raise ValueError(f"{self.name}: a non-square singular-value block has one row, "
-                                     f"or two rows and more columns; got {r.size}x{c.size}")
-                method = ("diagonal" if n == 1 else "eigh") if square else "norm" if r.size == 1 else "rotation"
-                groups.setdefault((method, entry.shape), []).append((entry, slots))
-        if unused:
-            raise ValueError(f"{self.name}: mirror pairs {sorted(unused)} lie in no 3x3 block")
-        outside = ~inside.reshape(-1) & self.table.any(axis=1)
-        bad = [(int(e), "lies outside every block but is not 0") for e in np.flatnonzero(outside)]
-        bad += [(int(left), text) for left, right, text in equalities
-                if not np.array_equal(self.table[left], self.table[right])]
-        if bad:
-            entry, text = bad[0]
-            i, j = divmod(entry, cols)
-            raise ValueError(f"{self.name}: entry [{i}, {j}] {text}: its row is {self.table[entry].tolist()}")
-        problems = np.array(problems, dtype=np.intp).reshape(-1, 5).T
-        split = np.array(split, dtype=np.intp).reshape(-1, 2).T
-        derived = {
-            "width": width,
-            "problems": index[problems[:3]],
-            "problem_slots": problems[3:],
-            "split": np.stack([index[split[0]], split[1]]),
-            "groups": tuple((method, index[np.stack([e for e, _ in items])],
-                             np.concatenate([s for _, s in items]).astype(np.intp))
-                            for (method, _), items in groups.items()),
-            "abs_slots": np.array(abs_slots, dtype=np.intp),
-        }
-        for key, value in derived.items():
-            object.__setattr__(self, key, value)
+                raise ValueError(f"{self.name}: a non-square singular-value block has one row, "
+                                 f"or two rows and more columns; got {r.size}x{c.size}")
+            if self.singular and square:
+                require_symmetric(r, c, "differs from its mirror in a symmetric block")
+            elif r.size == 3 and not self.singular:  # its first mirror pair (p, q), third row t
+                b = table[np.ix_(r, r)]
+                mirrors = [(p, q, t) for p, q, t in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+                           if np.array_equal(b[[p, p], [p, t]], b[[q, q], [q, t]])]
+                if mirrors:
+                    method, r = "split", r[list(mirrors[0])]
+                    c = r
+            blocks.append((method, index[np.ix_(r, c)]))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def family(self, forms: np.ndarray) -> np.ndarray:
         """The full matrices of the family, C-contiguous, gathered from a (forms, cells)
@@ -455,31 +432,34 @@ class BlockLayout:
 
 @functools.cache
 def _plan(layouts: tuple[BlockLayout, ...]) -> tuple:
-    """Where a pass over ``layouts`` reads and writes: each layout's first output column and
-    the total width; the a, b, c forms of every 2x2 problem (the split blocks' first) and
-    their output columns; the B_pq forms of the split blocks and the output columns of their
-    B_pp - B_pq values; per block (method, shape), the forms of its blocks, their output
-    columns and their layouts' names; and the columns that take |value|."""
-    starts = np.cumsum([0, *(layout.width for layout in layouts)])
-    placed = tuple(zip(layouts, starts.tolist()))
-    unsplit = [np.arange(layout.problems.shape[1]) >= layout.split.shape[1] for layout in layouts]
-    order = np.argsort(np.concatenate(unsplit), kind="stable")
-    groups = {}
-    for layout, start in placed:
-        for method, forms, cols in layout.groups:
-            groups.setdefault((method, forms.shape[1:]), []).append((forms, cols + start, layout.name))
+    """Where a pass over ``layouts`` reads and writes, from one walk over each layout's
+    blocks with a running output column: each layout's first column and the total width;
+    the a, b, c forms and the low and high columns of every 2x2 problem, the split blocks'
+    first; the B_pq forms of the split blocks and the columns of their B_pp - B_pq values;
+    per block (method, shape), the forms of its blocks, their columns and their layouts'
+    names; and the columns that take |value|."""
+    starts, split, kernel, pairs, groups, absolute = [0], [], [], [], {}, []
+    for layout in layouts:
+        column = starts[-1]
+        for method, forms in layout.blocks:
+            n = min(forms.shape)
+            columns = list(range(column, column + n))
+            column += n
+            if layout.singular and method in ("kernel", "eigh"):  # |eigenvalues| of a symmetric block
+                absolute += columns
+            if method == "split":  # forms in the order p, q, r
+                pairs.append((forms[1, 0], columns[0]))
+                split.append((forms[0, 0], forms[2, 0], forms[2, 2], *columns[1:]))
+            elif method == "kernel":
+                kernel.append((forms[0, 0], forms[1, 0], forms[1, 1], *columns))
+            else:
+                groups.setdefault((method, forms.shape), []).append((forms, columns, layout.name))
+        starts.append(column)
     for key, found in groups.items():
-        forms, cols, names = zip(*found)
-        groups[key] = (np.concatenate(forms), np.concatenate(cols), ", ".join(names))
-    return (
-        starts,
-        np.concatenate([layout.problems for layout in layouts], axis=1)[:, order],
-        np.concatenate([layout.problem_slots + start for layout, start in placed], axis=1)[:, order],
-        np.concatenate([layout.split[0] for layout in layouts]),
-        np.concatenate([layout.split[1] + start for layout, start in placed]),
-        groups,
-        np.concatenate([layout.abs_slots + start for layout, start in placed]),
-    )
+        forms, columns, names = zip(*found)
+        groups[key] = (np.stack(forms), np.concatenate(columns), ", ".join(dict.fromkeys(names)))
+    return (starts, np.array(split + kernel, dtype=np.intp).reshape(-1, 5).T,
+            np.array(pairs, dtype=np.intp).reshape(-1, 2).T, groups, np.array(absolute, dtype=np.intp))
 
 
 def two_row_singular_values(columns: np.ndarray) -> np.ndarray:
@@ -526,23 +506,23 @@ def block_spectra(layouts: tuple[BlockLayout, ...], forms: np.ndarray) -> tuple[
     call takes every 2x2 problem of every family, one ``two_row_singular_values``
     call every block of two rows and more columns, and one LAPACK ``eigvalsh``
     call each remaining block shape; no block goes to an SVD.
-    Returns, per layout, a (cells, layout.width) view of one buffer: its
-    blocks in layout order, each block's eigenvalues ascending (a split block
-    gives B_pp - B_pq first) and singular values non-increasing, not sorted
-    overall.  A cell's values depend neither on the rest of the batch nor on
+    Returns, per layout, a (cells, values) view of one buffer: its blocks in
+    layout order, min(rows, columns) values each, eigenvalues ascending (a
+    split block gives B_pp - B_pq first) and singular values non-increasing,
+    not sorted overall.  A cell's values depend neither on the rest of the batch nor on
     the other families of the pass.
     """
     batch = forms.shape[1]
-    starts, problems, slots, pq, singles, groups, abs_slots = _plan(tuple(layouts))
-    abc = forms[problems]  # each (problem, cell); the split blocks' come first
-    b_pq = forms[pq]
-    pairs = abc[0, :pq.size] - b_pq
-    abc[0, :pq.size] += b_pq
-    abc[1, :pq.size] *= _SQRT2
+    starts, problems, pairs, groups, absolute = _plan(tuple(layouts))
+    abc = forms[problems[:3]]  # each (problem, cell); the split blocks' come first
+    b_pq = forms[pairs[0]]
+    singles = abc[0, :b_pq.shape[0]] - b_pq
+    abc[0, :b_pq.shape[0]] += b_pq
+    abc[1, :b_pq.shape[0]] *= _SQRT2
     lows, highs = eigvalsh_2x2(*abc)
     del abc, b_pq
-    out = np.empty((batch, int(starts[-1])))  # once the kernel's temporaries are freed
-    out[:, singles], out[:, slots[0]], out[:, slots[1]] = pairs.T, lows.T, highs.T
+    out = np.empty((batch, starts[-1]))  # once the kernel's temporaries are freed
+    out[:, pairs[1]], out[:, problems[3]], out[:, problems[4]] = singles.T, lows.T, highs.T
     del lows, highs
     by_cell = np.ascontiguousarray(forms.T)
     for (method, _), (entries, columns, names) in groups.items():
@@ -560,7 +540,7 @@ def block_spectra(layouts: tuple[BlockLayout, ...], forms: np.ndarray) -> tuple[
                 except np.linalg.LinAlgError as exc:
                     raise ConvergenceError(f"LAPACK failed on the blocks of {names}: {exc}") from exc
         out[:, columns] = found.reshape(batch, -1)
-    out[:, abs_slots] = np.abs(out[:, abs_slots])
+    out[:, absolute] = np.abs(out[:, absolute])
     spectra = tuple(out[:, start:stop] for start, stop in zip(starts[:-1], starts[1:]))
     if not np.isfinite(out).all():  # name the first family with a non-finite value
         for layout, values in zip(layouts, spectra):

@@ -158,48 +158,37 @@ def _families() -> tuple[tuple[linalg.BlockLayout, ...], np.ndarray]:
     read."""
     numbers = {(0, 0, 0): 0}
 
-    def layout(name: str, shape, blocks, index_map=None, **kwargs) -> linalg.BlockLayout:
+    def layout(name: str, index_map=None, **kwargs) -> linalg.BlockLayout:
         """Layout of the family ``index_map(rho)``, for a family that only moves entries of
         rho, or of the sum-built family ``mixture_map(rho)``, or of rho itself: its table
-        is that map of rho's, exact in integers."""
+        is that map of rho's, exact in integers, and its shape the shape the map gives."""
         family_map = index_map or kwargs.get("mixture_map")
         planes = RHO_ENTRIES if family_map is None else np.asarray(family_map(RHO_ENTRIES))
         table = planes.reshape(3, -1).T.astype(np.int64)
         if not np.array_equal(table, planes.reshape(3, -1).T):
             raise ValueError(f"{name}: its map does not give integer rows")
         form_index = [numbers.setdefault(row, len(numbers)) for row in map(tuple, table.tolist())]
-        return linalg.BlockLayout(name, shape, blocks, table, np.array(form_index), **kwargs)
-
-    def hermitian(name: str, n: int, *index_sets, **kwargs) -> linalg.BlockLayout:
-        """Eigenvalue layout of an n x n family: each index set is one diagonal block."""
-        return layout(name, (n, n), tuple((s, s) for s in index_sets), **kwargs)
+        return linalg.BlockLayout(name, planes.shape[1:], table, np.array(form_index), **kwargs)
 
     families = (
         # rho and the three index maps of it that the criteria diagonalize, rho^T1, R'(rho)
         # (``linalg.permute_indices``) and R(rho), each with the key of
         # ``closed_form_spectra_grid`` its spectra are checked against (none for the
-        # reshuffles); a mirror pair (p, q) of a 3x3 block, B_pp == B_qq and B_pr == B_qr,
-        # splits it into one eigenvalue and a 2x2 block
-        hermitian("rho", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,), mirrors=((1, 2),), closed="rho"),
-        layout("rho^T1", (8, 8), tuple((s, s) for s in ((0, 5, 6), (1, 2), (3, 4), (7,))),
-               lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM), mirrors=((5, 6),),
-               closed="rho_t1"),
+        # reshuffles); each layout derives its blocks, mirror pairs and shape from its table
+        layout("rho", closed="rho"),
+        layout("rho^T1", lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM), closed="rho_t1"),
         # the sum-built families: each derives its table, and ``qsep verify`` checks its
         # matrices, through the generic map of the independent mixture it declares
-        hermitian("rho^23", 4, (1, 2), (0,), (3,), closed="rho23", mixture_map=partial_trace_1),
-        hermitian("rho^1", 2, (0,), (1,), closed="rho1", mixture_map=partial_trace_23),
-        hermitian("I (x) rho^23 - rho", 8, (0, 7), (1, 2, 4), (3,), (5, 6), mirrors=((1, 2),),
-                  closed="rho_t1", mixture_map=lambda m: np.kron(np.eye(2)[None], partial_trace_1(m)) - m),
-        hermitian("rho^1 (x) I - rho", 8, (0, 7), (1, 2, 4), (3,), (5,), (6,), mirrors=((1, 2),),
-                  closed="red1_i23", mixture_map=lambda m: np.kron(partial_trace_23(m), np.eye(4)[None]) - m),
-        # R(rho): one 2x6 block and two one-row blocks; columns 7, 11, 13 and 14 are zero
-        layout("R(rho) (1|23 reshuffle)", (4, 16),
-               (((0, 3), (0, 5, 6, 9, 10, 15)), ((1,), (3, 4, 8)), ((2,), (1, 2, 12))),
-               reshuffle_24_matrix, singular=True),
-        # R'(rho): three exactly symmetric blocks, so the singular values are |eigenvalues|
-        layout("R'(rho) (2-3 reshuffle)", (8, 8),
-               (((0, 3, 5), (0, 3, 6)), ((1, 6), (2, 5)), ((2, 4, 7), (1, 4, 7))),
-               lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM), singular=True),
+        layout("rho^23", closed="rho23", mixture_map=partial_trace_1),
+        layout("rho^1", closed="rho1", mixture_map=partial_trace_23),
+        layout("I (x) rho^23 - rho", closed="rho_t1",
+               mixture_map=lambda m: np.kron(np.eye(2)[None], partial_trace_1(m)) - m),
+        layout("rho^1 (x) I - rho", closed="red1_i23",
+               mixture_map=lambda m: np.kron(partial_trace_23(m), np.eye(4)[None]) - m),
+        # the two reshuffles, whose singular values the criteria read
+        layout("R(rho) (1|23 reshuffle)", reshuffle_24_matrix, singular=True),
+        layout("R'(rho) (2-3 reshuffle)", lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM),
+               singular=True),
     )
     return families, np.array(list(numbers), dtype=np.int64)
 

@@ -231,33 +231,16 @@ def with_row(layout, entry, shift):
 
 class TestBlockZeroPattern:
     def test_table_with_a_nonzero_off_block_row_names_family_and_entry(self):
-        # [3, 5] couples the 1x1 blocks {3} and {5}: the layout refuses the table when it is
-        # built, so no batch ever reads the entry
+        # [3, 5] couples the 1x1 blocks {3} and {5} on one side of the diagonal only: the
+        # layout refuses the table when it is built, so no batch ever reads the entry
         with pytest.raises(ValueError, match=(
-            r"^rho\^1 \(x\) I - rho: entry \[3, 5\] lies outside every block but is not 0: "
+            r"^rho\^1 \(x\) I - rho: entry \[3, 5\] differs from its mirror across the diagonal: "
             r"its row is \[0, 1, 0\]$"
         )):
             with_row(states.REDUCTION_1I23_BLOCKS, (3, 5), (0, 1, 0))
 
 
-# a row of one entry of a mirror equality changed, in each family that splits a block
-MIRROR_ROWS = [
-    (states.RHO_BLOCKS, (2, 2), r"^rho: entry \[2, 2\] differs from its mirror \[1, 1\]"),
-    (states.TRANSPOSE_1_BLOCKS, (6, 0), r"^rho\^T1: entry \[6, 0\] differs from its mirror \[5, 0\]"),
-    (states.REDUCTION_I123_BLOCKS, (4, 2),
-     r"^I \(x\) rho\^23 - rho: entry \[4, 2\] differs from its mirror \[4, 1\]"),
-    (states.REDUCTION_1I23_BLOCKS, (2, 2),
-     r"^rho\^1 \(x\) I - rho: entry \[2, 2\] differs from its mirror \[1, 1\]"),
-]
-
-
 class TestSpectralPass:
-    @pytest.mark.parametrize("layout, entry, message", MIRROR_ROWS,
-                             ids=["rho", "rho_t1", "red_i123", "red_1i23"])
-    def test_unequal_mirror_rows_name_family_and_entry(self, layout, entry, message):
-        with pytest.raises(ValueError, match=message):
-            with_row(layout, entry, (0, 0, 1))
-
     @pytest.mark.parametrize("count", [1, 4096])
     def test_all_criteria_make_one_call_per_spectral_method(self, monkeypatch, count):
         # LAPACK: one eigvalsh call (R'(rho)) and no SVD (R(rho)'s 2x6 block takes one
@@ -273,7 +256,7 @@ class TestSpectralPass:
         g, w = np.where(u + v > 1.0, 1.0 - u, u), np.where(u + v > 1.0, 1.0 - v, v)
         criteria.margins(g, w, criteria.IDS)
         with_2x2 = [layout for layout in states.FAMILIES
-                    if layout.mirrors or any(len(r) == len(c) == 2 for r, c in layout.blocks)]
+                    if any(method in ("kernel", "split") for method, _ in layout.blocks)]
         assert len(with_2x2) == 6
         assert sorted(calls) == ["eigvalsh", "eigvalsh_2x2"]
 

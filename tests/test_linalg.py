@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -389,22 +390,76 @@ def with_row(layout, entry, shift):
     return dataclasses.replace(layout, table=table)
 
 
-def probe(shape, blocks, **kwargs):
-    """The layout of a family whose entries are all 0."""
-    n = shape[0] * shape[1]
-    return linalg.BlockLayout("probe", shape, blocks, np.zeros((n, 3), dtype=np.int64),
-                              np.zeros(n, dtype=np.intp), **kwargs)
+def probe(shape, rows, cols, **kwargs):
+    """The layout of a family whose entries are 0, form 0, but for its block ``rows`` x
+    ``cols``, each d/8, form 1."""
+    table = np.zeros((*shape, 3), dtype=np.int64)
+    table[np.ix_(rows, cols)] = (1, 0, 0)
+    return linalg.BlockLayout("probe", shape, table.reshape(-1, 3),
+                              table[..., 0].reshape(-1).astype(np.intp), **kwargs)
+
+
+def with_shifts(layout, shifts, g, w):
+    """``layout`` built again with each shift of ``shifts`` ({(i, j): shift}) added to the
+    rows of its entries [i, j] and [j, i], and the forms array it then reads at (g, w): each
+    distinct row of its new table, evaluated in the renormalized weights."""
+    table = layout.table.copy()
+    for (i, j), shift in shifts.items():
+        for row, col in {(i, j), (j, i)}:
+            table[row * layout.shape[1] + col] += shift
+    distinct, form_index = np.unique(table, axis=0, return_inverse=True)
+    forms = distinct @ np.stack(states.renormalized_weights(g, w))
+    return dataclasses.replace(layout, table=table, form_index=form_index.reshape(-1)), forms
+
+
+# tables changed symmetrically, and the block methods each layout then derives: a changed
+# mirror row of each family that splits a block (rho's (1, 2, 4) block is symmetric under
+# every permutation, so a change of [2, 2] alone leaves (1, 4) a mirror pair), and a row
+# that couples two 1x1 blocks into one 2x2 block
+CHANGED_TABLES = {
+    "rho": (states.RHO_BLOCKS, {(2, 2): (0, 0, 1)}, ["kernel", "split", "diagonal", "diagonal", "diagonal"]),
+    "rho_unsplit": (states.RHO_BLOCKS, {(2, 2): (0, 0, 1), (4, 4): (0, 0, 2)},
+                    ["kernel", "eigh", "diagonal", "diagonal", "diagonal"]),
+    "rho_t1": (states.TRANSPOSE_1_BLOCKS, {(6, 0): (0, 0, 1)}, ["eigh", "kernel", "kernel", "diagonal"]),
+    "red_i123": (states.REDUCTION_I123_BLOCKS, {(4, 2): (0, 1, 0)}, ["kernel", "eigh", "diagonal", "kernel"]),
+    "red_1i23": (states.REDUCTION_1I23_BLOCKS, {(2, 2): (0, 0, 1)},
+                 ["kernel", "eigh", "diagonal", "diagonal", "diagonal"]),
+    "coupled": (states.REDUCTION_1I23_BLOCKS, {(3, 5): (0, 1, 0)}, ["kernel", "split", "kernel", "diagonal"]),
+}
 
 
 class TestBlockSpectra:
     def test_nonzero_off_block_row_fails_at_build_naming_matrix_and_entry(self):
-        # [5, 6] couples the 1x1 blocks {5} and {6}; the table is checked when the layout
-        # is built, so no pass reads an entry outside its blocks
-        with pytest.raises(ValueError, match=r"^rho: entry \[5, 6\] lies outside every block "
-                                             r"but is not 0: its row is \[0, 0, 1\]$"):
+        # [5, 6] couples the 1x1 blocks {5} and {6} on one side of the diagonal only; the
+        # table is checked when the layout is built, so no pass reads the entry
+        with pytest.raises(ValueError, match=r"^rho: entry \[5, 6\] differs from its mirror across "
+                                             r"the diagonal: its row is \[0, 0, 1\]$"):
             with_row(states.RHO_BLOCKS, (5, 6), (0, 0, 1))
         for layout in ALL_LAYOUTS:  # each declared table, built again, passes
             dataclasses.replace(layout)
+
+    def test_an_eigenvalue_familys_table_must_equal_its_transpose(self):
+        # LAPACK and the 2x2 kernel read the lower triangle only, so a row changed on one
+        # side inside a block would go unread: the layout refuses it when it is built
+        for layout, (i, j) in ((states.RHO_BLOCKS, (0, 7)), (states.TRANSPOSE_1_BLOCKS, (1, 2)),
+                               (states.MARGINAL_23_BLOCKS, (1, 2))):
+            row = (layout.table[i * layout.shape[1] + j] + (0, 0, 1)).tolist()
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{layout.name}: entry [{i}, {j}] differs from its mirror across the diagonal: "
+                    f"its row is {row}")):
+                with_row(layout, (i, j), (0, 0, 1))
+
+    @pytest.mark.parametrize("case", list(CHANGED_TABLES))
+    def test_a_layout_follows_its_table(self, case):
+        # the blocks, and so the methods, are derived from the table, and the block spectra
+        # of the changed family match LAPACK on its full matrices
+        layout, shifts, methods = CHANGED_TABLES[case]
+        g, w = simplex_cells(500, 5)
+        changed, forms = with_shifts(layout, shifts, g, w)
+        assert [method for method, _ in changed.blocks] == methods
+        (values,) = linalg.block_spectra((changed,), forms)
+        full = np.linalg.eigvalsh(changed.family(forms))
+        assert np.max(np.abs(np.sort(values, axis=-1) - full)) <= 4 * np.finfo(float).eps
 
     def test_asymmetric_block_of_a_singular_value_layout_raises(self):
         # R'(rho)[0, 3], in the first 3x3 block, with a row of its own: the block is no
@@ -418,7 +473,7 @@ class TestBlockSpectra:
         g, w = simplex_cells(4096, 17)
         for layout in ALL_LAYOUTS:
             chunk = spectra(layout, g, w)
-            assert chunk.shape == (4096, layout.width)
+            assert chunk.shape == (4096, min(layout.shape))
             small = spectra(layout, g[:64], w[:64])
             assert small.tobytes() == chunk[:64].tobytes(), layout.name
             for k in (0, 5, 63):
@@ -432,7 +487,8 @@ class TestBlockSpectra:
         g, w = simplex_cells(5000, 23)
         g, w = np.concatenate([[1e-320, 0.0, 1.0, 0.0], g]), np.concatenate([[1.0, 0.0, 0.0, 1.0], w])
         step = linalg._KERNEL_STEP
-        problems = sum(layout.problems.shape[1] for layout in ALL_LAYOUTS) * g.size
+        problems = sum(method in ("kernel", "split") for layout in ALL_LAYOUTS
+                       for method, _ in layout.blocks) * g.size
         assert problems > step and all(k % g.size for k in range(step, problems, step))
         scaled = []
         real = linalg._dsyevd_2x2
@@ -448,7 +504,7 @@ class TestBlockSpectra:
         for shape, rows, cols in (((3, 6), (0, 1, 2), range(6)), ((2, 1), (0, 1), (0,))):
             with pytest.raises(ValueError, match=r"^probe: a non-square singular-value block has "
                                                  r"one row, or two rows and more columns"):
-                probe(shape, ((rows, tuple(cols)),), singular=True)
+                probe(shape, rows, cols, singular=True)
 
     def test_reshuffle_matches_full_matrix_lapack_svd_on_the_r400_lattice(self):
         g, w = lattice(400)
@@ -457,33 +513,34 @@ class TestBlockSpectra:
         full = np.linalg.svd(states.RESHUFFLE_24_BLOCKS.family(forms), compute_uv=False)
         assert np.max(np.abs(values - full)) <= 1e-15
 
-    def test_layout_rejects_overlapping_or_non_square_eigenvalue_blocks(self):
-        with pytest.raises(ValueError, match="overlap"):
-            probe((3, 3), (((0, 1), (0, 1)), ((1, 2), (1, 2))))
-        with pytest.raises(ValueError, match="rows == columns"):
-            probe((3, 3), (((0, 1), (1, 2)),))
-        with pytest.raises(ValueError, match="no 3x3 block"):
-            probe((4, 4), (((0, 1), (0, 1)), ((2, 3), (2, 3))), mirrors=((0, 1),))
+    def test_an_isolated_index_of_an_eigenvalue_family_is_a_1x1_block(self):
+        # index 2 has no nonzero entry, not even on the diagonal, and still has its value
+        layout = probe((3, 3), (0, 1), (0, 1))
+        assert [method for method, _ in layout.blocks] == ["kernel", "diagonal"]
+        (values,) = linalg.block_spectra((layout,), np.array([[0.0], [0.25]]))
+        assert values.tolist() == [[0.0, 0.5, 0.0]]
 
     def test_split_blocks_match_lapack_on_the_whole_block(self):
-        # the mirror split against eigvalsh of the 3x3 block it replaces
+        # the mirror split against eigvalsh of the 3x3 block it replaces, in each family
+        # with a mirror pair: the rows of its one split block, its first mirror pair first
+        split_rows = {states.RHO_BLOCKS: (1, 2, 4), states.TRANSPOSE_1_BLOCKS: (5, 6, 0),
+                      states.REDUCTION_I123_BLOCKS: (1, 2, 4), states.REDUCTION_1I23_BLOCKS: (1, 2, 4)}
         g, w = simplex_cells(500, 4)
-        split_families = set()
+        split_families = []
         forms = states.evaluate_forms(g, w)
         for layout in ALL_LAYOUTS:
             values = spectra(layout, g, w)
-            matrices = layout.family(forms).reshape(g.size, -1)
-            start = 0  # the first output slot of each block
-            for rows, cols in layout.blocks:
-                if len(rows) == 3 and any(set(m) <= set(rows) for m in layout.mirrors):
-                    block = np.array(rows)
-                    flat = (block[:, None] * layout.shape[1] + block).reshape(-1)
-                    full = np.linalg.eigvalsh(matrices[:, flat].reshape(-1, 3, 3))
+            start = 0  # the first output column of each block
+            for method, block in layout.blocks:
+                if method == "split":
+                    rows = split_rows[layout]
+                    assert np.array_equal(block, layout.form_index.reshape(layout.shape)[np.ix_(rows, rows)])
+                    full = np.linalg.eigvalsh(forms[block].transpose(2, 0, 1))
                     split = np.sort(values[:, start:start + 3], axis=-1)
                     assert np.max(np.abs(split - full)) <= 4 * np.finfo(float).eps, layout.name
-                    split_families.add(layout)
-                start += min(len(rows), len(cols))
-        assert split_families == {layout for layout in ALL_LAYOUTS if layout.mirrors}
+                    split_families.append(layout)
+                start += min(block.shape)
+        assert split_families == list(split_rows)
 
 
 ROW_PAIRS = ("random", "equal rows", "orthogonal rows", "equal norms", "rank one", "zero")

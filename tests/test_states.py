@@ -322,11 +322,21 @@ class TestBlockLayouts:
             assert_builds(layout, layout.family(forms), build(g, w))
 
     def test_each_layout_is_the_components_of_its_support(self):
+        # each layout's blocks, in order of their first row, read the entries of the
+        # connected components of its independently built family's support; a split block
+        # reads them with its rows reordered, its mirror pair first
         g, w = seeded_and_edge_cells()
         for layout, build in BLOCK_FAMILIES.items():
             support = np.any(build(g, w) != 0.0, axis=0)
-            declared = {(frozenset(r), frozenset(c)) for r, c in layout.blocks}
-            assert support_components(support) == declared, layout.name
+            index = layout.form_index.reshape(layout.shape)
+            components = sorted(support_components(support), key=lambda block: min(block[0]))
+            assert len(layout.blocks) == len(components), layout.name
+            for (rows, cols), (method, forms) in zip(components, layout.blocks):
+                entries = index[np.ix_(sorted(rows), sorted(cols))]
+                if method == "split":
+                    assert sorted(forms.ravel()) == sorted(entries.ravel()), layout.name
+                else:
+                    assert np.array_equal(forms, entries), layout.name
 
     @given(
         st.one_of(

@@ -16,7 +16,7 @@ prints one ``<sha256>  <name>`` line per artifact:
   families, sum-built and moved from rho, short of all (``MIXED_PASSES``),
   and with each group whose members one stacked pass evaluates alone
   (``STACKED_GROUPS``); the stdout names the exports' directory as ``<out>``;
-- the stdout of ``qsep eval``, as text and with ``--json``, at eight simplex
+- the stdout of ``qsep eval``, as text and with ``--json``, at nine simplex
   points, and of ``qsep eval --schema``;
 - the stdout of ``qsep verify`` at ``--points 1000 --seed 7``, and at the edge
   sizes of its worst-cell rule: one point (``--points 1 --seed 1``), and a
@@ -44,9 +44,9 @@ STACKED_GROUPS = ("su2", "su283", "su3", "huber", "gs3")
 MIXED_PASSES = ("ppt,perm222,entropy", "reduction,resh24")
 SCANS = ([(resolution, "all") for resolution in (20, 40, 55, 80, 115, 200, 400)] + [(25, "gs3,ppt")]
          + [(40, group) for group in SPECTRAL_GROUPS + STACKED_GROUPS + MIXED_PASSES])
-POINTS = (
+POINTS = (  # (1e-320, 1.0) takes rho's (0, 7) block through the 2x2 kernel's scaling branch
     (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.2), (0.2, 0.0), (1 / 3, 0.0), (0.3, 0.1),
-    (0.15, 0.85),
+    (0.15, 0.85), (1e-320, 1.0),
 )
 VERIFIES = (("1000", "7"), ("1", "1"), ("20", "3"))  # (--points, --seed)
 EXAMPLES = (("class21",), ("class28", "--a", "2"), ("pptes",))
