@@ -257,23 +257,22 @@ def cmd_verify(args) -> int:
         # matrices and its sorted spectra from it, and its registry pass runs on it
         batch = criteria.Batch(g, w)
         families = {layout: batch.family(layout) for layout in states.FAMILIES}
-        # each sum-built family, gathered from the batch's forms, against the generic map of
-        # the independent mixture that its layout declares, first: the registry reads them,
-        # so a broken one fails on its own line
+        # every family, gathered from the batch's forms, against its layout's map of the
+        # independent mixture, first: the registry reads them, so a broken one fails on its
+        # own line
         mixture = states.build_rho_mixture_grid(g, w)
-        for layout in states.FAMILIES:
-            if layout.mixture_map is not None:
-                value, n = verdict.worst(np.abs(families[layout] - layout.mixture_map(mixture)))
-                _record(lines, f"{layout.name} template vs generic map",
-                        (value, g[n], w[n], min(tol, states.TEMPLATE_TOL)))
+        for layout, matrices in families.items():
+            value, n = verdict.worst(np.abs(matrices - layout.map(mixture)))
+            _record(lines, f"{layout.name} vs map of the mixture",
+                    (value, g[n], w[n], min(tol, states.MAP_TOL)))
 
         # every registry check; evaluate has raised if one is past its own fixed tolerance
         margins = batch.evaluate(criteria.IDS)
         for name, line in batch.deviations.items():
             _record(lines, name, (*line, tol))
 
-        # the block path, as in the registry, against full-matrix LAPACK on every family built
-        # in full through its layout's map; the second numeric path of perm222
+        # the block path, as in the registry, against full-matrix LAPACK on the same gathered
+        # matrices of every family: the check of each family's block decomposition
         full = {layout: linalg.singular_values(m) if layout.singular else linalg.eigh(m)
                 for layout, m in families.items()}
         deviation = np.stack([np.max(np.abs(full[layout] - batch.spectrum(layout)), axis=-1)
@@ -292,9 +291,6 @@ def cmd_verify(args) -> int:
         batch.concurrence  # the Wootters concurrence records its two checks, or raises
         for name in ("spectrum[conc23]", "concurrence closed vs numeric"):
             _record(lines, name, (*batch.deviations[name], tol))
-
-        value, n = verdict.worst(np.abs(batch.rho - mixture))
-        _record(lines, "rho template vs mixture", (value, g[n], w[n], min(tol, states.TEMPLATE_TOL)))
 
         for relation in criteria.RELATIONS:
             if relation.checked:

@@ -3,7 +3,7 @@
 The criteria read ``block_spectra``: one pass per batch over the matrix
 families a selection reads, each diagonalized block by block.  Each family's
 layout (``BlockLayout``) derives its blocks and their mirror pairs from its
-integer entry table, and each block's method from its shape and mirror
+integer form numbers, and each block's method from its shape and mirror
 pairs; ``_plan`` pools the blocks of a pass.  Every block is gathered from one
 array, the batch's evaluated forms; then one ``eigvalsh_2x2`` call, the steps
 LAPACK ``dsyevd`` takes on a 2x2 matrix vectorized, takes every 2x2 problem
@@ -331,24 +331,25 @@ def _components(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 @dataclass(frozen=True, eq=False)  # a family is its object: compared and hashed by identity
 class BlockLayout:
     """A matrix family of integer forms that a fixed permutation turns into a direct sum of
-    small blocks, which its table determines.
+    small blocks, which its form numbers determine.
 
-    ``table`` holds one integer row per flat entry of the family (row-major):
-    the coefficients of the form the entry equals, all zero for an entry that is
-    0.  ``form_index`` holds the row of a batch's forms array that evaluates each
-    entry's form; equal rows read one form.  ``closed`` names the closed-form
-    spectra its sorted spectra are checked against (None: it has none), and a
-    sum-built family declares ``mixture_map``, which builds the family from an
-    independently built mixture, the second construction its matrices are
-    checked against.
+    ``form_index`` is the family's one description of its entries: a (rows,
+    columns) integer array holding, per entry, the row of a batch's forms array
+    that evaluates the entry's form.  Form 0 is the zero form, and two entries
+    read equal forms exactly when their numbers are equal, so every structural
+    fact below is read off the numbers.  ``map`` builds the family from any
+    batch of 8x8 operators: from rho's entry table, which gives the numbers,
+    and from an independently built mixture, the second construction its
+    matrices are checked against.  ``closed`` names the closed-form spectra its
+    sorted spectra are checked against (None: it has none).
 
-    ``singular`` selects what ``block_spectra`` returns: eigenvalues (the table
-    must equal its transpose; the lower triangle is read) or singular values.
-    The blocks are the connected components of the entries with a nonzero row,
-    an eigenvalue family's diagonal included, so that an isolated index is a
-    1x1 block; their rows and columns are sorted, and they are ordered by their
-    first row.  The method of each block is fixed here, by its shape and its
-    rows, and never chosen from the values:
+    ``singular`` selects what ``block_spectra`` returns: eigenvalues (the
+    numbers must equal their transpose; the lower triangle is read) or singular
+    values.  The blocks are the connected components of the entries with a
+    nonzero number, an eigenvalue family's diagonal included, so that an
+    isolated index is a 1x1 block; their rows and columns are sorted, and they
+    are ordered by their first row.  The method of each block is fixed here, by
+    its shape and its numbers, and never chosen from the values:
 
     - eigenvalues: a 1x1 block is its diagonal entry; a 2x2 block goes to
       ``eigvalsh_2x2``; a 3x3 block with a mirror pair is split (below); any
@@ -360,48 +361,46 @@ class BlockLayout:
       Any other block fails here with ValueError.
 
     The mirror pair of a 3x3 eigenvalue block is its first pair of positions
-    (p, q), in the order (0, 1), (0, 2), (1, 2), whose rows of the table give
+    (p, q), in the order (0, 1), (0, 2), (1, 2), whose numbers give
     B_pp == B_qq and B_pr == B_qr, r the third position, so that
     (e_p - e_q)/sqrt(2) is an eigenvector.  The block then yields B_pp - B_pq
     and the eigenvalues of the 2x2 block [[B_pp + B_pq, sqrt(2) B_pr],
     [sqrt(2) B_pr, B_rr]].
 
     The two symmetries are checked here, exactly, once; otherwise ValueError
-    names the family and the entry.  A zero row is never evaluated, and equal
-    rows read one form, so for finite forms the blocks and the mirror
-    equalities hold on every cell.
+    names the family, the entry and the two form numbers.  A zero entry is
+    never evaluated, so for finite forms the blocks and the mirror equalities
+    hold on every cell.
 
-    ``blocks`` holds each block's (method, forms): the rows of the forms array
-    its entries read, as a (rows, columns) array, a split block's in the order
-    p, q, r.  ``_plan`` reads them, and nothing else of the table.
+    ``blocks`` holds each block's (method, forms): the numbers of its entries,
+    as a (rows, columns) array, a split block's in the order p, q, r.  ``_plan``
+    reads them, and nothing else of the layout's entries.
     """
 
     name: str
-    shape: tuple[int, int]
-    table: np.ndarray = field(repr=False)
     form_index: np.ndarray = field(repr=False)
+    map: Callable = field(repr=False)
     singular: bool = False
     closed: str | None = None
-    mixture_map: Callable | None = field(default=None, repr=False)
-    # derived from the table: (method, forms) per block
+    # derived from the form numbers: (method, forms) per block
     blocks: tuple[tuple[str, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows, cols = self.shape
-        table = self.table.reshape(rows, cols, -1)
-        index = np.asarray(self.form_index, dtype=np.intp).reshape(self.shape)
+        index = self.form_index
 
         def require_symmetric(r, c, text):
-            sub = table[np.ix_(r, c)]
-            bad = np.argwhere((sub != sub.transpose(1, 0, 2)).any(axis=-1))
+            sub = index[np.ix_(r, c)]
+            bad = np.argwhere(sub != sub.T)
             if bad.size:
                 i, j = bad[0]
-                raise ValueError(f"{self.name}: entry [{r[i]}, {c[j]}] {text}: its row is {sub[i, j].tolist()}")
+                raise ValueError(f"{self.name}: entry [{r[i]}, {c[j]}] {text}: it reads form "
+                                 f"{sub[i, j]}, its mirror form {sub[j, i]}")
 
-        support = table.any(axis=-1)
+        support = index != 0
         if not self.singular:
-            require_symmetric(np.arange(rows), np.arange(cols), "differs from its mirror across the diagonal")
-            support |= np.eye(rows, dtype=bool)
+            require_symmetric(np.arange(index.shape[0]), np.arange(index.shape[1]),
+                              "differs from its mirror across the diagonal")
+            support |= np.eye(*index.shape, dtype=bool)
         blocks = []
         for r, c in _components(support):
             square = r.size == c.size and not (self.singular and r.size == 1)
@@ -415,9 +414,9 @@ class BlockLayout:
             if self.singular and square:
                 require_symmetric(r, c, "differs from its mirror in a symmetric block")
             elif r.size == 3 and not self.singular:  # its first mirror pair (p, q), third row t
-                b = table[np.ix_(r, r)]
+                b = index[np.ix_(r, r)]
                 mirrors = [(p, q, t) for p, q, t in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-                           if np.array_equal(b[[p, p], [p, t]], b[[q, q], [q, t]])]
+                           if b[p, p] == b[q, q] and b[p, t] == b[q, t]]
                 if mirrors:
                     method, r = "split", r[list(mirrors[0])]
                     c = r
@@ -427,7 +426,7 @@ class BlockLayout:
     def family(self, forms: np.ndarray) -> np.ndarray:
         """The full matrices of the family, C-contiguous, gathered from a (forms, cells)
         forms array."""
-        return np.ascontiguousarray(forms.T).take(self.form_index, axis=1).reshape(-1, *self.shape)
+        return np.ascontiguousarray(forms.T).take(self.form_index, axis=1)
 
 
 @functools.cache

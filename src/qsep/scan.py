@@ -106,6 +106,8 @@ def check_scan(resolution: int, criteria="all", workers: int | None = None) -> t
             f"resolution {resolution} has {cells} lattice cells, over the cap "
             f"MAX_CELLS = {MAX_CELLS}"
         )
+    if workers is not None and not isinstance(workers, numbers.Integral):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     return resolve_criteria(criteria)

@@ -4,16 +4,17 @@ Basis convention: |ijk> with qubit 1 the most significant bit, so the
 row/column index is 4i + 2j + k (indices 0..7).  Every entry of rho, and of
 each matrix the criteria diagonalize, is an integer form cd (d/8) + cg (g/2)
 + cw (w/3) of the renormalized weights.  ``RHO_ENTRIES`` declares rho's
-table of them once; each family's table is derived from it in integers,
-through the map its layout declares: an index map for the families that only
-move entries of rho (rho^T1 and the reshuffles), the generic map of the
-independent mixture (``mixture_map``) for the sum-built ones (the marginals
-and the two reduction maps).  ``FORMS`` lists the distinct forms of all the
-tables, and ``evaluate_forms`` evaluates them over arrays of weights, once
-per batch: every family, rho included, is gathered from that one float64
-array (``BlockLayout.family``).  ``qsep verify`` checks each sum-built family
-against its ``mixture_map`` of the independently built mixture, which pins
-down the index conventions.
+table of them once.  Each family is declared by one map of 8x8 operators
+(``BlockLayout.map``): the identity for rho, an index map for the families
+that only move entries of rho (rho^T1 and the reshuffles), a generic map for
+the sum-built ones (the marginals and the two reduction maps).  Its table is
+that map of rho's, exact in integers, and its layout keeps only the numbers
+of the table's rows in ``FORMS``, the distinct forms of all the tables.
+``evaluate_forms`` evaluates them over arrays of weights, once per batch:
+every family, rho included, is gathered from that one float64 array
+(``BlockLayout.family``).  ``qsep verify`` checks every family against the
+same map of the independently built mixture, which pins down the index
+conventions.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import linalg
 from .exceptions import ConsistencyError
 from .verdict import cell_name
 
-TEMPLATE_TOL = 1e-13
+MAP_TOL = 1e-13  # each family against its map of the independent mixture
 SQRT2 = float(np.sqrt(2.0))
 WEIGHT_SLACK = 1e-12  # how far past the simplex a weight may lie, for roundoff
 
@@ -154,37 +155,33 @@ RHO_ENTRIES = np.stack([np.eye(8, dtype=int), np.outer(_GHZ_SUPPORT, _GHZ_SUPPOR
 def _families() -> tuple[tuple[linalg.BlockLayout, ...], np.ndarray]:
     """Every matrix family the criteria diagonalize, in ``qsep verify``'s order, and
     ``FORMS``: each distinct row of their tables, numbered in order of first use from the
-    zero form, 0.  Each layout's ``form_index`` holds the rows of ``FORMS`` its entries
-    read."""
+    zero form, 0.  Each layout's ``form_index`` holds the numbers of its entries' rows."""
     numbers = {(0, 0, 0): 0}
 
-    def layout(name: str, index_map=None, **kwargs) -> linalg.BlockLayout:
-        """Layout of the family ``index_map(rho)``, for a family that only moves entries of
-        rho, or of the sum-built family ``mixture_map(rho)``, or of rho itself: its table
-        is that map of rho's, exact in integers, and its shape the shape the map gives."""
-        family_map = index_map or kwargs.get("mixture_map")
-        planes = RHO_ENTRIES if family_map is None else np.asarray(family_map(RHO_ENTRIES))
-        table = planes.reshape(3, -1).T.astype(np.int64)
-        if not np.array_equal(table, planes.reshape(3, -1).T):
+    def layout(name: str, family_map, **kwargs) -> linalg.BlockLayout:
+        """Layout of the family ``family_map(rho)``: its table is that map of rho's, exact in
+        integers, numbered into ``FORMS``, and ``family_map`` is its map of the mixture."""
+        table = np.moveaxis(np.asarray(family_map(RHO_ENTRIES)), 0, -1)  # (rows, columns, 3)
+        rows = table.reshape(-1, 3).astype(np.int64)
+        if not np.array_equal(rows, table.reshape(-1, 3)):
             raise ValueError(f"{name}: its map does not give integer rows")
-        form_index = [numbers.setdefault(row, len(numbers)) for row in map(tuple, table.tolist())]
-        return linalg.BlockLayout(name, planes.shape[1:], table, np.array(form_index), **kwargs)
+        form_index = [numbers.setdefault(tuple(row), len(numbers)) for row in rows.tolist()]
+        return linalg.BlockLayout(name, np.reshape(form_index, table.shape[:2]), family_map, **kwargs)
 
     families = (
         # rho and the three index maps of it that the criteria diagonalize, rho^T1, R'(rho)
         # (``linalg.permute_indices``) and R(rho), each with the key of
         # ``closed_form_spectra_grid`` its spectra are checked against (none for the
-        # reshuffles); each layout derives its blocks, mirror pairs and shape from its table
-        layout("rho", closed="rho"),
+        # reshuffles); each layout derives its blocks and mirror pairs from its form numbers
+        layout("rho", lambda m: m, closed="rho"),
         layout("rho^T1", lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM), closed="rho_t1"),
-        # the sum-built families: each derives its table, and ``qsep verify`` checks its
-        # matrices, through the generic map of the independent mixture it declares
-        layout("rho^23", closed="rho23", mixture_map=partial_trace_1),
-        layout("rho^1", closed="rho1", mixture_map=partial_trace_23),
-        layout("I (x) rho^23 - rho", closed="rho_t1",
-               mixture_map=lambda m: np.kron(np.eye(2)[None], partial_trace_1(m)) - m),
-        layout("rho^1 (x) I - rho", closed="red1_i23",
-               mixture_map=lambda m: np.kron(partial_trace_23(m), np.eye(4)[None]) - m),
+        # the sum-built families: the generic maps of an 8x8 operator that build them
+        layout("rho^23", partial_trace_1, closed="rho23"),
+        layout("rho^1", partial_trace_23, closed="rho1"),
+        layout("I (x) rho^23 - rho", lambda m: np.kron(np.eye(2)[None], partial_trace_1(m)) - m,
+               closed="rho_t1"),
+        layout("rho^1 (x) I - rho", lambda m: np.kron(partial_trace_23(m), np.eye(4)[None]) - m,
+               closed="red1_i23"),
         # the two reshuffles, whose singular values the criteria read
         layout("R(rho) (1|23 reshuffle)", reshuffle_24_matrix, singular=True),
         layout("R'(rho) (2-3 reshuffle)", lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM),

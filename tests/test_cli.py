@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -279,10 +280,10 @@ class TestVerify:
         for name in deviations:
             assert sum(line.startswith(f"pass  {name} ") for line in lines) == 1, name
         # every line names its worst cell but the five verdict-mismatch counts
-        assert sum(" template vs generic map " in line for line in lines) == 4
+        assert sum(" vs map of the mixture " in line for line in lines) == len(states.FAMILIES)
         assert sum(line.startswith("pass  block spectra vs full LAPACK ") for line in lines) == 1
-        assert sum(" at (g=" in line for line in lines) == len(deviations) + 25
-        assert sum(line.startswith("pass  ") for line in lines) == len(deviations) + 30
+        assert sum(" at (g=" in line for line in lines) == len(deviations) + 28
+        assert sum(line.startswith("pass  ") for line in lines) == len(deviations) + 33
 
     def test_registry_check_past_its_own_tolerance_fails(self, capsys, monkeypatch):
         # 1e-9 is within the default --tol, but past the registry's spectral tolerance
@@ -319,33 +320,59 @@ class TestVerify:
         return f" at {verdict.cell_name(g[cls.CELL], w[cls.CELL])}"
 
     def test_template_off_by_2e13_fails_naming_check_and_cell(self, capsys, monkeypatch):
-        # within the default --tol, but past the template tolerance 1e-13
+        # within the default --tol, but past the map tolerance 1e-13
         cell = self.shift_forms(monkeypatch, self.RHO1_DIAGONAL[:1], 2e-13)
         code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 2
-        assert "FAIL  rho^1 template vs generic map" in out
-        assert re.fullmatch(rf"FAILURE: rho\^1 template vs generic map: deviation 2\.00\de-13 exceeds "
+        assert "FAIL  rho^1 vs map of the mixture" in out
+        assert re.fullmatch(rf"FAILURE: rho\^1 vs map of the mixture: deviation 2\.00\de-13 exceeds "
                             rf"1\.0e-13{re.escape(cell)}\n", err), err
 
     def test_a_substituted_template_reaches_its_line_and_the_registry(self, capsys, monkeypatch):
-        # the diagonal of rho^1 off by 1e-6: past the template tolerance, and the registry's
+        # the diagonal of rho^1 off by 1e-6: past the map tolerance, and the registry's
         # spectral check of the same batch's rho^1 then raises
         cell = self.shift_forms(monkeypatch, self.RHO1_DIAGONAL, 1e-6)
         code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 2
-        assert "FAIL  rho^1 template vs generic map" in out and cell in out
+        assert "FAIL  rho^1 vs map of the mixture" in out and cell in out
         assert f"FAILURE: Spect(rho^1){cell}: deviates" in err
 
     def test_a_perturbed_rho_form_fails_the_rho_line_naming_the_cell(self, capsys, monkeypatch):
         # within every registry tolerance and the same in the block and full paths, but past
-        # the template tolerance of rho against the independent mixture
+        # the map tolerance of rho, and of each family that moves its [0, 7] entry, against
+        # the same map of the independent mixture
         cell = self.shift_forms(monkeypatch, self.RHO_COHERENCE, 2e-13)
         code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
         assert code == 2
-        assert [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")] == [
-            "rho template vs mixture"]
-        assert re.fullmatch(rf"FAILURE: rho template vs mixture: deviation 2\.00\de-13 exceeds "
-                            rf"1\.0e-13{re.escape(cell)}\n", err), err
+        failed = [f"{name} vs map of the mixture"
+                  for name in ("rho", "rho^T1", "R(rho) (1|23 reshuffle)", "R'(rho) (2-3 reshuffle)")]
+        assert [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")] == failed
+        assert len(err.splitlines()) == len(failed)
+        for name, failure in zip(failed, err.splitlines()):
+            assert re.fullmatch(rf"FAILURE: {re.escape(name)}: deviation 2\.00\de-13 exceeds "
+                                rf"1\.0e-13{re.escape(cell)}", failure), failure
+
+    def test_a_planted_reshuffle_form_fails_its_map_line_naming_the_cell(self, capsys, monkeypatch):
+        # R'(rho), which feeds perm222, with its [0, 0] entry reading d/8 in place of
+        # d/8 + g/2: still symmetric, so the layout builds and its block and full spectra
+        # agree, but its matrices are no longer the 2-3 reshuffle of the mixture
+        original = states.RESHUFFLE_23_BLOCKS
+        index = original.form_index.copy()
+        index[0, 0] = states.FORMS.tolist().index([1, 0, 0])
+        planted = dataclasses.replace(original, form_index=index)
+        monkeypatch.setattr(states, "RESHUFFLE_23_BLOCKS", planted)
+        monkeypatch.setattr(states, "FAMILIES", tuple(
+            planted if layout is original else layout for layout in states.FAMILIES))
+        monkeypatch.setitem(criteria.BY_ID, "perm222", dataclasses.replace(
+            criteria.BY_ID["perm222"], reads=(planted,)))
+        code, out, err = run(capsys, "verify", "--points", "50", "--seed", "7")
+        assert code == 2
+        name = "R'(rho) (2-3 reshuffle) vs map of the mixture"
+        assert [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")] == [name]
+        g, w = cli._sample_simplex(np.random.default_rng(7), 50)
+        n = int(np.argmax(g))  # the entry is off by g/2
+        assert re.fullmatch(rf"FAILURE: {re.escape(name)}: deviation {g[n] / 2:.3e} exceeds 1\.0e-13 "
+                            rf"at {re.escape(verdict.cell_name(g[n], w[n]))}\n", err), err
 
     def test_builds_each_batch_quantity_once(self, capsys, monkeypatch):
         # the registry diagonalizes every family in one block-spectra pass, and the block
@@ -427,12 +454,12 @@ class TestVerify:
     @pytest.mark.parametrize("module,name,shift,line", [
         (tripartite, "criterion_huber", 1e-4, "huber_ghz_k2 explicit vs grid"),
         (linalg, "jacobi_eigh", 1e-4, "eigh vs Jacobi reference"),
-        (states, "build_rho_mixture_grid", 1e-11, "rho template vs mixture"),
+        (states, "build_rho_mixture_grid", 1e-11, "rho vs map of the mixture"),
     ], ids=["reference", "jacobi", "mixture"])
     def test_tol_above_a_line_limit_does_not_loosen_it(self, capsys, monkeypatch, module, name,
                                                        shift, line):
         # each error is within --tol 1e-3, but past its line's fixed limit: 1e-10 for the
-        # references and Jacobi, the template tolerance for the mixture
+        # references and Jacobi, the map tolerance for the mixture
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a: real(*a) + shift)
         code, out, err = run(capsys, "verify", "--points", "50", "--tol", "1e-3", "--seed", "7")

@@ -222,22 +222,23 @@ class TestSwapForms:
             criteria.margins(G, W, ("huber_w_k2",))
 
 
-def with_row(layout, entry, shift):
-    """``layout`` built again with ``shift`` added to the row of its entry ``[i, j]``."""
-    table = layout.table.copy()
-    table[entry[0] * layout.shape[1] + entry[1]] += shift
-    return dataclasses.replace(layout, table=table)
+def with_row(layout, entry, number):
+    """``layout`` built again with its entry ``[i, j]`` reading form ``number``."""
+    index = layout.form_index.copy()
+    index[entry] = number
+    return dataclasses.replace(layout, form_index=index)
 
 
 class TestBlockZeroPattern:
     def test_table_with_a_nonzero_off_block_row_names_family_and_entry(self):
         # [3, 5] couples the 1x1 blocks {3} and {5} on one side of the diagonal only: the
-        # layout refuses the table when it is built, so no batch ever reads the entry
+        # layout refuses its form numbers when it is built, so no batch ever reads the entry
+        number = states.FORMS.tolist().index([0, 1, 0])
         with pytest.raises(ValueError, match=(
-            r"^rho\^1 \(x\) I - rho: entry \[3, 5\] differs from its mirror across the diagonal: "
-            r"its row is \[0, 1, 0\]$"
+            rf"^rho\^1 \(x\) I - rho: entry \[3, 5\] differs from its mirror across the diagonal: "
+            rf"it reads form {number}, its mirror form 0$"
         )):
-            with_row(states.REDUCTION_1I23_BLOCKS, (3, 5), (0, 1, 0))
+            with_row(states.REDUCTION_1I23_BLOCKS, (3, 5), number)
 
 
 class TestSpectralPass:

@@ -383,33 +383,39 @@ def spectra(layout, g, w):
     return values
 
 
-def with_row(layout, entry, shift):
-    """``layout`` built again with ``shift`` added to the row of its entry ``[i, j]``."""
-    table = layout.table.copy()
-    table[entry[0] * layout.shape[1] + entry[1]] += shift
-    return dataclasses.replace(layout, table=table)
+def form(row):
+    """The number of the form ``row``, (cd, cg, cw), in ``states.FORMS``."""
+    return states.FORMS.tolist().index(list(row))
+
+
+def with_row(layout, entry, number):
+    """``layout`` built again with its entry ``[i, j]`` reading form ``number``."""
+    index = layout.form_index.copy()
+    index[entry] = number
+    return dataclasses.replace(layout, form_index=index)
 
 
 def probe(shape, rows, cols, **kwargs):
     """The layout of a family whose entries are 0, form 0, but for its block ``rows`` x
     ``cols``, each d/8, form 1."""
-    table = np.zeros((*shape, 3), dtype=np.int64)
-    table[np.ix_(rows, cols)] = (1, 0, 0)
-    return linalg.BlockLayout("probe", shape, table.reshape(-1, 3),
-                              table[..., 0].reshape(-1).astype(np.intp), **kwargs)
+    index = np.zeros(shape, dtype=np.intp)
+    index[np.ix_(rows, cols)] = 1
+    return linalg.BlockLayout("probe", index, None, **kwargs)
 
 
 def with_shifts(layout, shifts, g, w):
-    """``layout`` built again with each shift of ``shifts`` ({(i, j): shift}) added to the
-    rows of its entries [i, j] and [j, i], and the forms array it then reads at (g, w): each
-    distinct row of its new table, evaluated in the renormalized weights."""
-    table = layout.table.copy()
+    """``layout`` built again with its entries [i, j] and [j, i], for each shift of
+    ``shifts`` ({(i, j): shift}), reading the form of their row plus the shift, and the
+    forms array it then reads at (g, w): every row of ``states.FORMS``, then each new row,
+    evaluated in the renormalized weights."""
+    index, rows = layout.form_index.copy(), states.FORMS.tolist()
     for (i, j), shift in shifts.items():
-        for row, col in {(i, j), (j, i)}:
-            table[row * layout.shape[1] + col] += shift
-    distinct, form_index = np.unique(table, axis=0, return_inverse=True)
-    forms = distinct @ np.stack(states.renormalized_weights(g, w))
-    return dataclasses.replace(layout, table=table, form_index=form_index.reshape(-1)), forms
+        row = (states.FORMS[index[i, j]] + shift).tolist()
+        if row not in rows:
+            rows.append(row)
+        index[i, j] = index[j, i] = rows.index(row)
+    forms = np.array(rows) @ np.stack(states.renormalized_weights(g, w))
+    return dataclasses.replace(layout, form_index=index), forms
 
 
 # tables changed symmetrically, and the block methods each layout then derives: a changed
@@ -431,27 +437,43 @@ CHANGED_TABLES = {
 class TestBlockSpectra:
     def test_nonzero_off_block_row_fails_at_build_naming_matrix_and_entry(self):
         # [5, 6] couples the 1x1 blocks {5} and {6} on one side of the diagonal only; the
-        # table is checked when the layout is built, so no pass reads the entry
-        with pytest.raises(ValueError, match=r"^rho: entry \[5, 6\] differs from its mirror across "
-                                             r"the diagonal: its row is \[0, 0, 1\]$"):
-            with_row(states.RHO_BLOCKS, (5, 6), (0, 0, 1))
-        for layout in ALL_LAYOUTS:  # each declared table, built again, passes
+        # form numbers are checked when the layout is built, so no pass reads the entry
+        number = form((0, 0, 1))
+        with pytest.raises(ValueError, match=rf"^rho: entry \[5, 6\] differs from its mirror across "
+                                             rf"the diagonal: it reads form {number}, its mirror form 0$"):
+            with_row(states.RHO_BLOCKS, (5, 6), number)
+        for layout in ALL_LAYOUTS:  # each declared layout, built again, passes
             dataclasses.replace(layout)
 
     def test_an_eigenvalue_familys_table_must_equal_its_transpose(self):
-        # LAPACK and the 2x2 kernel read the lower triangle only, so a row changed on one
+        # LAPACK and the 2x2 kernel read the lower triangle only, so a form changed on one
         # side inside a block would go unread: the layout refuses it when it is built
         for layout, (i, j) in ((states.RHO_BLOCKS, (0, 7)), (states.TRANSPOSE_1_BLOCKS, (1, 2)),
                                (states.MARGINAL_23_BLOCKS, (1, 2))):
-            row = (layout.table[i * layout.shape[1] + j] + (0, 0, 1)).tolist()
+            number = len(states.FORMS)  # a form of no family
             with pytest.raises(ValueError, match=re.escape(
                     f"{layout.name}: entry [{i}, {j}] differs from its mirror across the diagonal: "
-                    f"its row is {row}")):
-                with_row(layout, (i, j), (0, 0, 1))
+                    f"it reads form {number}, its mirror form {layout.form_index[j, i]}")):
+                with_row(layout, (i, j), number)
+
+    def test_new_form_numbers_change_blocks_and_matrices_together(self):
+        # rho's [2, 2] read as d/8 alone: the matrices gathered, the (1, 2, 4) block, split
+        # on (1, 4) where rho's is split on (1, 2), and so the block spectra all follow it
+        g, w = simplex_cells(300, 3)
+        forms = states.evaluate_forms(g, w)
+        changed = with_row(states.RHO_BLOCKS, (2, 2), form((1, 0, 0)))
+        matrices = changed.family(forms)
+        assert np.array_equal(matrices[:, 2, 2], forms[form((1, 0, 0))])
+        for layout, rows in ((states.RHO_BLOCKS, (1, 2, 4)), (changed, (1, 4, 2))):
+            method, block = layout.blocks[1]
+            assert method == "split" and np.array_equal(block, layout.form_index[np.ix_(rows, rows)])
+        (values,) = linalg.block_spectra((changed,), forms)
+        full = np.linalg.eigvalsh(matrices)
+        assert np.max(np.abs(np.sort(values, axis=-1) - full)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("case", list(CHANGED_TABLES))
     def test_a_layout_follows_its_table(self, case):
-        # the blocks, and so the methods, are derived from the table, and the block spectra
+        # the blocks, and so the methods, are derived from the form numbers, and the block spectra
         # of the changed family match LAPACK on its full matrices
         layout, shifts, methods = CHANGED_TABLES[case]
         g, w = simplex_cells(500, 5)
@@ -462,18 +484,18 @@ class TestBlockSpectra:
         assert np.max(np.abs(np.sort(values, axis=-1) - full)) <= 4 * np.finfo(float).eps
 
     def test_asymmetric_block_of_a_singular_value_layout_raises(self):
-        # R'(rho)[0, 3], in the first 3x3 block, with a row of its own: the block is no
-        # longer symmetric, and the layout refuses the table
+        # R'(rho)[0, 3], in the first 3x3 block, with a form of its own: the block is no
+        # longer symmetric, and the layout refuses it
         with pytest.raises(ValueError, match=r"^R'\(rho\) .*: entry \[0, 3\] differs from its "
                                              r"mirror in a symmetric block"):
-            with_row(states.RESHUFFLE_23_BLOCKS, (0, 3), (1, 0, 0))
+            with_row(states.RESHUFFLE_23_BLOCKS, (0, 3), len(states.FORMS))
 
     def test_each_cell_keeps_its_bits_in_any_batch(self):
         # alone, in a batch of 64 and in a 4,096-cell chunk, for every family
         g, w = simplex_cells(4096, 17)
         for layout in ALL_LAYOUTS:
             chunk = spectra(layout, g, w)
-            assert chunk.shape == (4096, min(layout.shape))
+            assert chunk.shape == (4096, min(layout.form_index.shape))
             small = spectra(layout, g[:64], w[:64])
             assert small.tobytes() == chunk[:64].tobytes(), layout.name
             for k in (0, 5, 63):
@@ -534,7 +556,7 @@ class TestBlockSpectra:
             for method, block in layout.blocks:
                 if method == "split":
                     rows = split_rows[layout]
-                    assert np.array_equal(block, layout.form_index.reshape(layout.shape)[np.ix_(rows, rows)])
+                    assert np.array_equal(block, layout.form_index[np.ix_(rows, rows)])
                     full = np.linalg.eigvalsh(forms[block].transpose(2, 0, 1))
                     split = np.sort(values[:, start:start + 3], axis=-1)
                     assert np.max(np.abs(split - full)) <= 4 * np.finfo(float).eps, layout.name

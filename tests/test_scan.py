@@ -388,6 +388,12 @@ class TestGridScan:
         with pytest.raises(ValueError, match="workers"):
             scan.grid_scan(5, "ppt", workers=0)
 
+    def test_rejects_workers_that_are_not_integers(self):
+        # refused before any thread starts, as a non-integer resolution is
+        for workers in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=rf"^workers must be an integer, got {re.escape(repr(workers))}$"):
+                scan.grid_scan(5, "ppt", workers=workers)
+
     def test_parallel_equals_sequential(self, monkeypatch):
         monkeypatch.setattr(scan, "CHUNK", SMALL_CHUNK)  # 231 cells in 8 chunks
         g1 = scan.grid_scan(20, "all", workers=1)

@@ -13,7 +13,7 @@ member (``module.Class.member``) counts as referenced when any line of
 import ast
 import pathlib
 
-from qsep import cli, criteria
+from qsep import cli, criteria, states
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qsep"
 
@@ -142,7 +142,7 @@ def test_cross_checks_are_made_in_one_place():
 
 # the entry tables, the forms and their evaluation: the numeric path's one source
 TABLE_NAMES = {"RHO_ENTRIES", "FORMS", "evaluate_forms"}
-TABLE_ATTRIBUTES = TABLE_NAMES | {"table", "form_index", "forms"}
+TABLE_ATTRIBUTES = TABLE_NAMES | {"form_index", "forms"}
 
 
 def _readers(names: set[str], attributes: set[str]) -> set[tuple[str, str]]:
@@ -236,6 +236,14 @@ def test_verify_prints_one_reference_line_per_declared_reference(capsys):
     lines = [line.split()[1] for line in capsys.readouterr().out.splitlines()
              if " explicit vs grid " in line]
     assert lines == [c.id for c in criteria.REGISTRY if c.reference]
+
+
+def test_verify_prints_one_map_line_per_family(capsys):
+    # every family, rho included, is checked against its layout's map of the mixture
+    assert cli.main(["verify", "--points", "20", "--seed", "3"]) == 0
+    lines = [line[6:52].rstrip() for line in capsys.readouterr().out.splitlines()
+             if " vs map of the mixture " in line]
+    assert lines == [f"{layout.name} vs map of the mixture" for layout in states.FAMILIES]
 
 
 def test_lapack_spectra_are_called_only_in_linalg():

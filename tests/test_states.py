@@ -61,8 +61,19 @@ def _of_mixture(generic):
     return lambda g, w: generic(states.build_rho_mixture_grid(g, w))
 
 
+# every family's map of an 8x8 operator, spelled out here: the identity for rho, the index
+# maps and the generic maps of the sum-built families
+MAPS = {
+    states.RHO_BLOCKS: lambda m: m,
+    states.TRANSPOSE_1_BLOCKS: lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM),
+    **GENERIC_MAPS,
+    states.RESHUFFLE_24_BLOCKS: states.reshuffle_24_matrix,
+    states.RESHUFFLE_23_BLOCKS: lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM),
+}
+
+
 # every matrix family the criteria diagonalize: its declared block layout, and a builder
-# of its full matrices written here, independently of the layout's own map and table: rho
+# of its full matrices written here, independently of the layout's own map and numbers: rho
 # and the index maps of it, and the sum-built families from the independent mixture
 BLOCK_FAMILIES = {
     states.RHO_BLOCKS: states.build_rho_grid,
@@ -71,15 +82,15 @@ BLOCK_FAMILIES = {
     **{layout: _of_mixture(generic) for layout, generic in GENERIC_MAPS.items()},
     states.RESHUFFLE_24_BLOCKS: lambda g, w: states.reshuffle_24_matrix(states.build_rho_grid(g, w)),
 }
-# the families built from the mixture, matched to the template tolerance, not bit for bit
+# the families built from the mixture, matched to the map tolerance, not bit for bit
 FROM_MIXTURE = set(GENERIC_MAPS)
 
 
 def assert_builds(layout, built, expected):
-    """``built`` equals ``expected``: exactly, or to the template tolerance for a family
-    built from the mixture."""
+    """``built`` equals ``expected``: exactly, or to the map tolerance for a family built
+    from the mixture."""
     if layout in FROM_MIXTURE:
-        assert np.max(np.abs(built - expected)) <= states.TEMPLATE_TOL, layout.name
+        assert np.max(np.abs(built - expected)) <= states.MAP_TOL, layout.name
     else:
         assert np.array_equal(built, expected), layout.name
 
@@ -248,16 +259,16 @@ class TestMarginals:
         mixture = states.build_rho_mixture_grid(g, w)
         forms = states.evaluate_forms(g, w)
         for layout, generic in GENERIC_MAPS.items():
-            assert np.max(np.abs(layout.family(forms) - generic(mixture))) <= states.TEMPLATE_TOL
+            assert np.max(np.abs(layout.family(forms) - generic(mixture))) <= states.MAP_TOL
 
     def test_each_sum_built_layout_declares_its_generic_map(self):
-        # exactly the four sum-built layouts declare a map of the mixture (verify's
-        # "template vs generic map" lines), and each is the map spelled out here
-        assert {layout for layout in states.FAMILIES if layout.mixture_map} == set(GENERIC_MAPS)
+        # every layout declares its map (verify's "vs map of the mixture" lines), the
+        # sum-built ones' a generic map, and each is the map spelled out here
+        assert set(MAPS) == set(states.FAMILIES) and set(GENERIC_MAPS) <= set(MAPS)
         g, w = seeded_and_edge_cells()
         mixture = states.build_rho_mixture_grid(g, w)
-        for layout, generic in GENERIC_MAPS.items():
-            assert np.array_equal(layout.mixture_map(mixture), generic(mixture)), layout.name
+        for layout, spelled_out in MAPS.items():
+            assert np.array_equal(layout.map(mixture), spelled_out(mixture)), layout.name
 
 
 class TestTemplateDtypes:
@@ -328,7 +339,7 @@ class TestBlockLayouts:
         g, w = seeded_and_edge_cells()
         for layout, build in BLOCK_FAMILIES.items():
             support = np.any(build(g, w) != 0.0, axis=0)
-            index = layout.form_index.reshape(layout.shape)
+            index = layout.form_index
             components = sorted(support_components(support), key=lambda block: min(block[0]))
             assert len(layout.blocks) == len(components), layout.name
             for (rows, cols), (method, forms) in zip(components, layout.blocks):
@@ -359,20 +370,12 @@ class TestBlockLayouts:
             assert np.max(np.abs(blocks - full)) <= linalg.BLOCK_TOL, (layout.name, point)
 
     def test_each_layout_reads_its_family_from_its_template(self):
-        # each family's table is its layout's map of rho's entry table, the same map
-        # spelled out here of each coefficient plane: in integers, row for row
-        planes = dict(GENERIC_MAPS)
-        planes.update({
-            states.RHO_BLOCKS: lambda m: m,
-            states.TRANSPOSE_1_BLOCKS: lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM),
-            states.RESHUFFLE_23_BLOCKS: lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM),
-            states.RESHUFFLE_24_BLOCKS: states.reshuffle_24_matrix,
-        })
-        assert set(planes) == set(states.FAMILIES)
-        for layout, build in planes.items():
-            table = build(states.RHO_ENTRIES).reshape(3, -1).T
-            assert layout.table.dtype == np.int64 and np.array_equal(layout.table, table), layout.name
-            assert np.array_equal(states.FORMS[layout.form_index], layout.table), layout.name
+        # each entry's form number reads the row of its family's table, the map spelled out
+        # here of each coefficient plane of rho's entry table: in integers, row for row
+        for layout, build in MAPS.items():
+            table = np.moveaxis(build(states.RHO_ENTRIES), 0, -1)
+            assert layout.form_index.shape == table.shape[:2], layout.name
+            assert np.array_equal(states.FORMS[layout.form_index], table), layout.name
 
 
 class TestGenericMaps:

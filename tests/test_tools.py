@@ -1,5 +1,7 @@
 import importlib.util
 import pathlib
+import re
+import sys
 
 import numpy as np
 
@@ -40,3 +42,20 @@ def test_margin_diff_counts_a_changed_margin_and_flag():
     assert (changed, codes) == (1, 1) and 0.0 < largest < 1e-15
     assert all(row == (0, 0.0, 0) for cid, row in rows.items() if cid != "ppt")
     assert flags == {"possible": 1, "slocc": 0, "exact": 0, "pptes": 0}
+
+
+def test_output_digests_prints_one_digest_line_per_artifact(monkeypatch, capsys):
+    tool = load_tool("output_digests")
+    monkeypatch.setattr(tool, "SCANS", [(5, "ppt")])
+    monkeypatch.setattr(tool, "POINTS", ((0.2, 0.2),))
+    monkeypatch.setattr(tool, "VERIFIES", (("3", "1"),))
+    monkeypatch.setattr(tool, "EXAMPLES", (("pptes",),))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts the checkout's src first
+    assert tool.main([str(ROOT)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.* \(exit 0\)", line) for line in lines), lines
+    assert [line[66:-9] for line in lines] == [
+        "scan 5 ppt csv", "scan 5 ppt json", "scan 5 ppt svg", "scan 5 ppt stdout",
+        "eval 0.2 0.2", "eval 0.2 0.2 text", "eval --schema",
+        "verify --points 3 --seed 1", "examples --which pptes",
+    ]
