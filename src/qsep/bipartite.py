@@ -2,9 +2,10 @@
 
 The criteria are majorization, the Renyi entropies, partial transposition,
 reduction and reshuffling.  ``criteria`` evaluates each of them once, over
-arrays of weights: it computes the numeric spectra and singular values, turns
-them into margins with the maps here, and checks them against the published
-closed forms here.
+arrays of weights: it computes the numeric spectra and singular values,
+checks them against ``states.closed_form_spectra_grid``, turns them into
+margins with the maps here, and checks the signs of the margins against the
+published closed forms here.
 
 One correction to the printed inequality table for the majorization
 criterion: the k=1 partial-sum inequality in the (2/3)w <= g <= w case reads
@@ -20,7 +21,6 @@ import math
 
 import numpy as np
 
-from . import states
 from .config import MARGINAL_BAND, RANK_TOL
 from .exceptions import ConsistencyError
 from .verdict import cell_name, sign_gap
@@ -99,13 +99,14 @@ def majorization_margins_from_spectra(spectra: dict[str, np.ndarray]):
 # entropy
 
 
-def entropy_values(g, w, closed: dict[str, np.ndarray]) -> np.ndarray:
-    """The (9, cells) array of the distinct closed-form eigenvalues the entropy margins read,
-    any rounding below zero clipped to zero: rho's d/8 + g and d/8 + w, its six-fold d/8
-    (each as ``states.closed_form_spectra_grid`` forms it), then rho^1's two and rho^23's
-    four values from ``closed``, non-increasing."""
-    dt, gt, wt = states.renormalized_weights(g, w)
-    values = np.concatenate([[dt + 2 * gt, dt + 3 * wt, dt], closed["rho1"].T, closed["rho23"].T])
+def entropy_values(closed: dict[str, np.ndarray]) -> np.ndarray:
+    """The (9, cells) array of the distinct eigenvalues the entropy margins read, from the
+    ``states.closed_form_spectra_grid`` table ``closed``, any rounding below zero clipped to
+    zero: rho's three largest (on the simplex its two simple values, d/8 + g and d/8 + w in
+    either order, then its six-fold d/8), rho^1's two and rho^23's four, non-increasing."""
+    # a C-ordered first block makes the result C-ordered, as entropy_margins' row reads want
+    rho = np.ascontiguousarray(closed["rho"].T[:3])
+    values = np.concatenate([rho, closed["rho1"].T, closed["rho23"].T])
     return np.maximum(values, 0.0, out=values)
 
 
@@ -179,28 +180,3 @@ def reduction_closed_margins(g, w):
     r3 = -63 * g**2 - 7 * w**2 - 54 * g * w - 162 * g + 54 * w + 81
     r4 = 3 * g - (9 + 8 * SQRT2) * w + 9
     return r3, r4
-
-
-# ---------------------------------------------------------------------------
-# reshuffling across 1|23
-
-
-def reshuffle24_closed_singular_values(g, w) -> np.ndarray:
-    """The four closed-form singular values of R(rho), sorted non-increasing."""
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
-    dt, gt, wt = states.renormalized_weights(g, w)
-    d2, d3, g2, w2 = dt**2, dt**3, gt**2, wt**2  # each power once
-    p1 = 16 * d2 + 4 * g2 + 10 * w2 + 8 * dt * gt + 12 * dt * wt
-    p2 = (
-        64 * dt**4 + 9 * wt**4 + 64 * d3 * gt + 96 * d3 * wt + 12 * dt * wt**3
-        + 16 * d2 * g2 + 40 * d2 * w2 + 4 * g2 * w2
-        + 80 * d2 * gt * wt + 16 * dt * g2 * wt + 24 * dt * gt * w2
-    )
-    root = 2.0 * np.sqrt(p2)
-    s_plus = np.sqrt(np.maximum(p1 + root, 0.0)) / 2.0
-    s_minus = np.sqrt(np.maximum(p1 - root, 0.0)) / 2.0
-    s_pair = np.sqrt(g2 + 2 * w2)
-    svs = np.stack([s_plus, s_minus, s_pair, s_pair], axis=-1)
-    svs.sort(axis=-1)
-    return svs[..., ::-1]

@@ -96,7 +96,7 @@ def _usable_cores() -> int:
 
 def check_scan(resolution: int, criteria="all", workers: int | None = None) -> tuple[str, ...]:
     """The criterion ids ``grid_scan`` would evaluate; ValueError for arguments it refuses."""
-    if not isinstance(resolution, numbers.Integral):
+    if not isinstance(resolution, numbers.Integral) or isinstance(resolution, bool):
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
@@ -106,7 +106,7 @@ def check_scan(resolution: int, criteria="all", workers: int | None = None) -> t
             f"resolution {resolution} has {cells} lattice cells, over the cap "
             f"MAX_CELLS = {MAX_CELLS}"
         )
-    if workers is not None and not isinstance(workers, numbers.Integral):
+    if workers is not None and (not isinstance(workers, numbers.Integral) or isinstance(workers, bool)):
         raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -62,8 +62,9 @@ class SimplexPoint:
         if not (np.isfinite(g) and np.isfinite(w)):
             raise ValueError(f"non-finite simplex weights g={g}, w={w}")
         simplex_weights([g], [w])
-        object.__setattr__(self, "g", min(max(g, 0.0), 1.0))
-        object.__setattr__(self, "w", min(max(w, 0.0), 1.0))
+        # + 0.0 stores a zero weight as +0.0: max(-0.0, 0.0) is -0.0
+        object.__setattr__(self, "g", min(max(g, 0.0), 1.0) + 0.0)
+        object.__setattr__(self, "w", min(max(w, 0.0), 1.0) + 0.0)
 
     @property
     def d(self) -> float:
@@ -171,8 +172,8 @@ def _families() -> tuple[tuple[linalg.BlockLayout, ...], np.ndarray]:
     families = (
         # rho and the three index maps of it that the criteria diagonalize, rho^T1, R'(rho)
         # (``linalg.permute_indices``) and R(rho), each with the key of
-        # ``closed_form_spectra_grid`` its spectra are checked against (none for the
-        # reshuffles); each layout derives its blocks and mirror pairs from its form numbers
+        # ``closed_form_spectra_grid`` its spectra are checked against (none for R'(rho));
+        # each layout derives its blocks and mirror pairs from its form numbers
         layout("rho", lambda m: m, closed="rho"),
         layout("rho^T1", lambda m: linalg.permute_indices(m, linalg.TRANSPOSE_1_PERM), closed="rho_t1"),
         # the sum-built families: the generic maps of an 8x8 operator that build them
@@ -183,7 +184,7 @@ def _families() -> tuple[tuple[linalg.BlockLayout, ...], np.ndarray]:
         layout("rho^1 (x) I - rho", lambda m: np.kron(partial_trace_23(m), np.eye(4)[None]) - m,
                closed="red1_i23"),
         # the two reshuffles, whose singular values the criteria read
-        layout("R(rho) (1|23 reshuffle)", reshuffle_24_matrix, singular=True),
+        layout("R(rho) (1|23 reshuffle)", reshuffle_24_matrix, singular=True, closed="resh24"),
         layout("R'(rho) (2-3 reshuffle)", lambda m: linalg.permute_indices(m, linalg.RESHUFFLE_23_PERM),
                singular=True),
     )
@@ -231,8 +232,8 @@ def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
     """The published closed-form spectra, each sorted non-increasing.
 
     Keys: rho, rho23, rho1, rho_t1 (= spectrum of I^1 (x) rho^23 - rho as
-    well), red1_i23 (rho^1 (x) I - rho), conc23 (spin-flip product of the
-    two-qubit marginal).
+    well), red1_i23 (rho^1 (x) I - rho), resh24 (the singular values of R(rho)),
+    conc23 (spin-flip product of the two-qubit marginal).
     """
     dt, gt, wt = renormalized_weights(g, w)
 
@@ -255,12 +256,25 @@ def closed_form_spectra_grid(g, w) -> dict[str, np.ndarray]:
     red = desc([red_w + r1, red_w - r1, d3g + SQRT2 * wt, d3g - SQRT2 * wt, d3gww, d3gww, d3gw, d3gw])
     pair = d2g * d2gw
     conc23 = desc([4 * (dt + wt) ** 2, pair, pair, 4 * dt**2])
+    # R(rho): sqrt((p1 +- 2 sqrt(p2)) / 4) and the pair sqrt(g2 + 2 w2), each power once
+    dd, ddd = dt**2, dt**3
+    p1 = 16 * dd + 4 * g2 + 10 * w2 + 8 * dt * gt + 12 * dt * wt
+    p2 = (
+        64 * dt**4 + 9 * wt**4 + 64 * ddd * gt + 96 * ddd * wt + 12 * dt * wt**3
+        + 16 * dd * g2 + 40 * dd * w2 + 4 * g2 * w2
+        + 80 * dd * gt * wt + 16 * dt * g2 * wt + 24 * dt * gt * w2
+    )
+    root = 2.0 * np.sqrt(p2)
+    s_pair = np.sqrt(g2 + 2 * w2)
+    resh24 = desc([np.sqrt(np.maximum(p1 + root, 0.0)) / 2.0,
+                   np.sqrt(np.maximum(p1 - root, 0.0)) / 2.0, s_pair, s_pair])
     return {
         "rho": rho,
         "rho23": rho23,
         "rho1": rho1,
         "rho_t1": rho_t1,
         "red1_i23": red,
+        "resh24": resh24,
         "conc23": conc23,
     }
 

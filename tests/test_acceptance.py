@@ -108,7 +108,7 @@ def test_03_reduction_equals_ppt(spectra):
 def test_04_reshuffling_closed_forms(lattice):
     g, w = lattice
     numeric = linalg.singular_values(states.reshuffle_24_matrix(states.build_rho_grid(g, w)))
-    closed = bipartite.reshuffle24_closed_singular_values(g, w)
+    closed = states.closed_form_spectra_grid(g, w)["resh24"]
     assert float(np.max(np.abs(numeric - closed))) <= 1e-10
     white = linalg.trace_norm(states.reshuffle_24_matrix(states.build_rho(SimplexPoint(0.0, 0.0))))
     assert abs(white - 2.0 ** (-1.5)) <= 1e-10
@@ -137,7 +137,7 @@ def test_06_entropy_dominance(lattice, spectra):
     m1, m23 = bipartite.majorization_margins_from_spectra(numeric)
     maj_holds = (m1 > MARGINAL_BAND) & (m23 > MARGINAL_BAND)
     hartley_violated = np.zeros(g.size, dtype=bool)
-    values = bipartite.entropy_values(g, w, closed)
+    values = bipartite.entropy_values(closed)
     for alpha, (e1, e23) in bipartite.entropy_margins(values, bipartite.ALPHA_GRID).items():
         assert np.all(e1[maj_holds] >= -MARGINAL_BAND), alpha
         assert np.all(e23[maj_holds] >= -MARGINAL_BAND), alpha

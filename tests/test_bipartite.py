@@ -240,7 +240,7 @@ class TestEntropyPass:
     def test_orders_are_independent(self):
         # a subset of the orders gives each of them the margins of the whole grid
         g, w = FIXED_CELLS.T
-        values = bipartite.entropy_values(g, w, states.closed_form_spectra_grid(g, w))
+        values = bipartite.entropy_values(states.closed_form_spectra_grid(g, w))
         everything = bipartite.entropy_margins(values, bipartite.ALPHA_GRID)
         for alpha in bipartite.ALPHA_GRID:
             (m1, m23), = bipartite.entropy_margins(values, [alpha]).values()
@@ -330,7 +330,7 @@ class TestCriterionReshuffling:
     def test_closed_forms_match_numeric_on_grid(self):
         for p in simplex_grid(12):
             numeric = linalg.singular_values(states.reshuffle_24_matrix(states.build_rho(p)))
-            closed = bipartite.reshuffle24_closed_singular_values(p.g, p.w)
+            closed = states.closed_form_spectra_grid([p.g], [p.w])["resh24"][0]
             assert np.max(np.abs(numeric - closed)) < 1e-10, p
 
     def test_alpha2_separable_template_below_one(self):

@@ -50,6 +50,15 @@ class TestEval:
         schema = json.loads(schema_out)
         jsonschema.validate(payload, schema)
 
+    @pytest.mark.parametrize("flag", ["--g", "--w"])
+    def test_a_negative_zero_weight_reports_as_positive_zero(self, capsys, flag):
+        other = "--w" if flag == "--g" else "--g"
+        code, negative, _ = run(capsys, "eval", flag, "-0.0", other, "0.5", "--json")
+        assert code == 0
+        assert run(capsys, "eval", flag, "0.0", other, "0.5", "--json")[1] == negative
+        payload, key = json.loads(negative), flag[2:]
+        assert math.copysign(1.0, payload[key]) == math.copysign(1.0, payload["classification"][key]) == 1.0
+
     def test_rank_deficient_marginal_passes_concurrence_gate(self, capsys):
         # on the d = 0 edge rho23 is singular; a square root of a near-zero
         # eigenvalue once put the numeric concurrence 4.4e-9 off the closed form
@@ -287,13 +296,12 @@ class TestVerify:
 
     def test_registry_check_past_its_own_tolerance_fails(self, capsys, monkeypatch):
         # 1e-9 is within the default --tol, but past the registry's spectral tolerance
-        real = bipartite.reshuffle24_closed_singular_values
-        monkeypatch.setattr(
-            bipartite, "reshuffle24_closed_singular_values", lambda g, w: real(g, w) + 1e-9
-        )
+        real = states.closed_form_spectra_grid
+        monkeypatch.setattr(states, "closed_form_spectra_grid",
+                            lambda g, w: {**real(g, w), "resh24": real(g, w)["resh24"] + 1e-9})
         code, _, err = run(capsys, "verify", "--points", "50", "--tol", "1e-8", "--seed", "7")
         assert code == 2
-        assert "reshuffling singular values" in err and "(g=" in err
+        assert "Spect(R(rho) (1|23 reshuffle))" in err and "(g=" in err
 
     # the forms that only the diagonal of rho^1 reads, and the one that only rho and the
     # families that move its entries read (g/2, at [0, 7]), with the cell of

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsep import bipartite, criteria, linalg, states, tripartite
+from qsep import criteria, linalg, states, tripartite
 from qsep.config import MARGINAL_BAND
 from qsep.exceptions import ConsistencyError, ConvergenceError
 
@@ -20,7 +20,7 @@ class TestEvaluate:
         assert set(margins) == set(criteria.IDS)
         # one spectral check per matrix, one per matrix-element or trace family member
         assert {"Spect(rho)", "Spect(rho^T1)", "Spect(rho^1 (x) I - rho)",
-                "reshuffling singular values", "gs2_w matrix elements",
+                "Spect(R(rho) (1|23 reshuffle))", "gs2_w matrix elements",
                 "gs3 member gs3_offdiag", "witness w_w1 trace"} <= set(deviations)
         cells = set(zip(G.tolist(), W.tolist()))
         for name, (deviation, g, w) in deviations.items():
@@ -37,7 +37,7 @@ class TestEvaluate:
     RECORD_ORDER = [
         "Spect(rho)", "Spect(rho^23)", "Spect(rho^1)", "majorization rho^1 sign",
         "majorization rho^23 sign", "Spect(rho^T1)", "ppt sign", "Spect(I (x) rho^23 - rho)",
-        "Spect(rho^1 (x) I - rho)", "reduction sign", "reshuffling singular values",
+        "Spect(rho^1 (x) I - rho)", "reduction sign", "Spect(R(rho) (1|23 reshuffle))",
         "su2_set1 sign", "su283_set1 sign", "su3_set1 sign", "su2_set2 sign", "su283_set2 sign",
         "su3_set2 sign", "su2_set3 sign", "su283_set3 sign", "su3_set3 sign",
         "huber_ghz swap forms", "huber_w swap forms", "gs2_ghz matrix elements", "gs2_w matrix elements",
@@ -136,11 +136,10 @@ class TestEvaluate:
         assert math.isnan(worst) or worst > MARGINAL_BAND
 
     def test_check_past_its_tolerance_raises_naming_check_and_cell(self, monkeypatch):
-        real = bipartite.reshuffle24_closed_singular_values
-        monkeypatch.setattr(
-            bipartite, "reshuffle24_closed_singular_values", lambda g, w: real(g, w) + 1e-9
-        )
-        with pytest.raises(ConsistencyError, match=r"^reshuffling singular values at \(g="):
+        real = states.closed_form_spectra_grid
+        monkeypatch.setattr(states, "closed_form_spectra_grid",
+                            lambda g, w: {**real(g, w), "resh24": real(g, w)["resh24"] + 1e-9})
+        with pytest.raises(ConsistencyError, match=r"^Spect\(R\(rho\) \(1\|23 reshuffle\)\) at \(g="):
             criteria.margins(G, W, ("resh24",))
 
 

@@ -310,7 +310,7 @@ class TestGridScan:
         with pytest.raises(ValueError):
             scan.grid_scan(1, "ppt")
 
-    @pytest.mark.parametrize("resolution", [40.0, 40.5, "40"])
+    @pytest.mark.parametrize("resolution", [40.0, 40.5, "40", True])
     def test_rejects_a_resolution_that_is_not_an_integer(self, resolution):
         # refused at the boundary, by the check that runs before the lattice is built
         for call in (scan.check_scan, scan.grid_scan):
@@ -390,7 +390,7 @@ class TestGridScan:
 
     def test_rejects_workers_that_are_not_integers(self):
         # refused before any thread starts, as a non-integer resolution is
-        for workers in (1.5, 2.0, "2"):
+        for workers in (1.5, 2.0, "2", True):
             with pytest.raises(ValueError, match=rf"^workers must be an integer, got {re.escape(repr(workers))}$"):
                 scan.grid_scan(5, "ppt", workers=workers)
 

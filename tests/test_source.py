@@ -140,6 +140,35 @@ def test_cross_checks_are_made_in_one_place():
     }
 
 
+def _reads_a_spectrum(node, spectral: set[str]) -> bool:
+    """Whether ``node`` holds a ``spectrum(...)`` call or reads a name in ``spectral``."""
+    return any((isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "spectrum")
+               or (isinstance(sub, ast.Name) and sub.id in spectral) for sub in ast.walk(node))
+
+
+def test_spectra_meet_their_closed_forms_only_in_batch_spectrum():
+    # Batch.spectrum checks each family against the closed form its layout names, so no
+    # evaluator passes a spectrum it read, or a name bound to one, to check_close
+    offenders = set()
+    for top in _modules()["criteria"].body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        spectral: set[str] = set()
+        assigns = [node for node in ast.walk(top) if isinstance(node, ast.Assign)]
+        while True:  # the names bound, directly or through other such names, to a spectrum
+            found = {target.id for node in assigns if _reads_a_spectrum(node.value, spectral)
+                     for target in ast.walk(node) if isinstance(target, ast.Name)
+                     and isinstance(target.ctx, ast.Store)}
+            if found <= spectral:
+                break
+            spectral |= found
+        if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check_close"
+               and any(_reads_a_spectrum(arg, spectral) for arg in node.args)
+               for node in ast.walk(top)):
+            offenders.add(top.name)
+    assert offenders == set()
+
+
 # the entry tables, the forms and their evaluation: the numeric path's one source
 TABLE_NAMES = {"RHO_ENTRIES", "FORMS", "evaluate_forms"}
 TABLE_ATTRIBUTES = TABLE_NAMES | {"form_index", "forms"}

@@ -46,7 +46,7 @@ def test_margin_diff_counts_a_changed_margin_and_flag():
 
 def test_output_digests_prints_one_digest_line_per_artifact(monkeypatch, capsys):
     tool = load_tool("output_digests")
-    monkeypatch.setattr(tool, "SCANS", [(5, "ppt")])
+    monkeypatch.setattr(tool, "SCANS", [(5, "ppt"), (5, "ppt", "--workers", "2")])
     monkeypatch.setattr(tool, "POINTS", ((0.2, 0.2),))
     monkeypatch.setattr(tool, "VERIFIES", (("3", "1"),))
     monkeypatch.setattr(tool, "EXAMPLES", (("pptes",),))
@@ -54,8 +54,11 @@ def test_output_digests_prints_one_digest_line_per_artifact(monkeypatch, capsys)
     assert tool.main([str(ROOT)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.* \(exit 0\)", line) for line in lines), lines
+    # an option changes the name of a scan's lines, and not their digests
+    assert [line[:64] for line in lines[:4]] == [line[:64] for line in lines[4:8]]
     assert [line[66:-9] for line in lines] == [
         "scan 5 ppt csv", "scan 5 ppt json", "scan 5 ppt svg", "scan 5 ppt stdout",
-        "eval 0.2 0.2", "eval 0.2 0.2 text", "eval --schema",
+        "scan 5 ppt --workers 2 csv", "scan 5 ppt --workers 2 json", "scan 5 ppt --workers 2 svg",
+        "scan 5 ppt --workers 2 stdout", "eval 0.2 0.2", "eval 0.2 0.2 text", "eval --schema",
         "verify --points 3 --seed 1", "examples --which pptes",
     ]

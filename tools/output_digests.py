@@ -15,7 +15,10 @@ prints one ``<sha256>  <name>`` line per artifact:
   read, with two selections whose one block-spectra pass covers several
   families, sum-built and moved from rho, short of all (``MIXED_PASSES``),
   and with each group whose members one stacked pass evaluates alone
-  (``STACKED_GROUPS``); the stdout names the exports' directory as ``<out>``;
+  (``STACKED_GROUPS``); and at 115 (two chunks) with ``--criteria all`` and
+  ``--workers 1`` and ``--workers 2``, whose digests must equal those of the
+  default worker count, whatever the host's core count; the stdout names the
+  exports' directory as ``<out>``;
 - the stdout of ``qsep eval``, as text and with ``--json``, at nine simplex
   points, and of ``qsep eval --schema``;
 - the stdout of ``qsep verify`` at ``--points 1000 --seed 7``, and at the edge
@@ -43,7 +46,8 @@ SPECTRAL_GROUPS = ("maj", "entropy", "ppt", "reduction", "resh24", "perm222")
 STACKED_GROUPS = ("su2", "su283", "su3", "huber", "gs3")
 MIXED_PASSES = ("ppt,perm222,entropy", "reduction,resh24")
 SCANS = ([(resolution, "all") for resolution in (20, 40, 55, 80, 115, 200, 400)] + [(25, "gs3,ppt")]
-         + [(40, group) for group in SPECTRAL_GROUPS + STACKED_GROUPS + MIXED_PASSES])
+         + [(40, group) for group in SPECTRAL_GROUPS + STACKED_GROUPS + MIXED_PASSES]
+         + [(115, "all", "--workers", workers) for workers in ("1", "2")])  # (R, criteria, *options)
 POINTS = (  # (1e-320, 1.0) takes rho's (0, 7) block through the 2x2 kernel's scaling branch
     (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.2), (0.2, 0.0), (1 / 3, 0.0), (0.3, 0.1),
     (0.15, 0.85), (1e-320, 1.0),
@@ -76,18 +80,18 @@ def main(argv: list[str]) -> int:
     print(f"qsep from {pathlib.Path(cli.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="qsep-digests-") as tmp:
         paths = {kind: str(pathlib.Path(tmp) / f"scan.{kind}") for kind in ("csv", "json", "svg")}
-        for resolution, selection in SCANS:
+        for resolution, selection, *options in SCANS:
             code, out = _run(cli, ("scan", "--resolution", str(resolution), "--criteria", selection,
-                                   "--out", paths["csv"], "--json-out", paths["json"],
+                                   *options, "--out", paths["csv"], "--json-out", paths["json"],
                                    "--svg", paths["svg"]))
+            name = " ".join(("scan", str(resolution), selection, *options))
             for kind, path in paths.items():
                 found = _file_digest(path) if os.path.exists(path) else "missing"
-                print(f"{found}  scan {resolution} {selection} {kind} (exit {code})", flush=True)
+                print(f"{found}  {name} {kind} (exit {code})", flush=True)
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(path)
             out = out.replace(tmp.encode(), b"<out>")
-            print(f"{hashlib.sha256(out).hexdigest()}  scan {resolution} {selection} stdout "
-                  f"(exit {code})", flush=True)
+            print(f"{hashlib.sha256(out).hexdigest()}  {name} stdout (exit {code})", flush=True)
     for g, w in POINTS:
         code, out = _run(cli, ("eval", "--g", repr(g), "--w", repr(w), "--json"))
         print(f"{hashlib.sha256(out).hexdigest()}  eval {g!r} {w!r} (exit {code})", flush=True)
